@@ -28,6 +28,20 @@ import (
 	"laminar/internal/eval"
 )
 
+// report is what every experiment returns: a printable table. The
+// experiments with a machine-readable result also implement JSON.
+type report interface{ Format() string }
+
+// experiment is one selectable benchmark: run it, print its table,
+// write its JSON when jsonPath is set, and fail the process when gate
+// reports a missed gate.
+type experiment struct {
+	on       bool
+	run      func() (report, error)
+	jsonPath string
+	gate     func(report) string // "" when the gate passes or is off
+}
+
 func main() {
 	var (
 		all       = flag.Bool("all", false, "run every experiment")
@@ -72,247 +86,104 @@ func main() {
 	)
 	flag.Parse()
 
+	experiments := []experiment{
+		{on: *all || *table == 1, run: func() (report, error) { return eval.Table1() }},
+		{on: *all || *table == 2, run: func() (report, error) { return eval.Table2(2000, *trials) }},
+		{on: *all || *table == 4, run: func() (report, error) { return eval.Table4(16, 8), nil }},
+		{on: *all || *figure == "jvm", run: func() (report, error) { return eval.JVMOverhead(*iters, *trials, *optimize) }},
+		{on: *all || *figure == "regions", run: func() (report, error) { return eval.RegionDensity(*iters, *trials) }},
+		{on: *all || *figure == "compile", run: func() (report, error) { return eval.CompileTime(*trials) }},
+		{on: *all || *figure == "apps" || *table == 3, run: func() (report, error) { return eval.Apps(*scale) }},
+		{on: *all || *flume, run: func() (report, error) {
+			// Two tables: the IPC comparison prints before the wiki runs.
+			rep, err := eval.FlumeCompare(20000)
+			if err != nil {
+				return nil, err
+			}
+			fmt.Println(rep.Format())
+			return eval.WikiCompare(3000)
+		}},
+		{on: *all || *ablations, run: func() (report, error) { return eval.Ablations(2000, 50) }},
+		{on: *all || *conc, jsonPath: *concJSON,
+			run: func() (report, error) { return eval.Concurrency(*concTasks, *concOps, *trials, *concIO) }},
+		{on: *all || *barriers, jsonPath: *barrJSON,
+			run: func() (report, error) { return eval.Barriers() }},
+		{on: *all || *netd, jsonPath: *netdJSON,
+			run: func() (report, error) { return eval.Netd(*netdMsgs, *trials) }},
+		{on: *all || *clus, jsonPath: *clusJSON,
+			run: func() (report, error) { return eval.Cluster(*clusMsgs, *trials) }},
+		{on: *all || *vcache, jsonPath: *vcJSON,
+			run: func() (report, error) { return eval.VerdictCache(*vcTasks, *vcWrites, *vcBatch, *trials) },
+			gate: func(r report) string {
+				rep := r.(*eval.VerdictCacheReport)
+				if !*vcGate || rep.Pass {
+					return ""
+				}
+				return fmt.Sprintf("verdict-cache headline speedup %.2fx misses the %.2fx gate",
+					rep.Headline, rep.GateMin)
+			}},
+		{on: *all || *telem, jsonPath: *telJSON,
+			run: func() (report, error) { return eval.Telemetry(*concTasks, *concOps, *trials, *concIO) },
+			gate: func(r report) string {
+				rep := r.(*eval.TelemetryReport)
+				if !*telGate || rep.Pass {
+					return ""
+				}
+				return fmt.Sprintf("telemetry disabled-path overhead %.3fx exceeds %.2fx gate",
+					rep.HeadlineOff, rep.GateMax)
+			}},
+		{on: *all || *budg, jsonPath: *budgJSON,
+			run: func() (report, error) { return eval.Budget(*budgMsgs, *trials) },
+			gate: func(r report) string {
+				rep := r.(*eval.BudgetReport)
+				if !*budgGate || rep.Pass {
+					return ""
+				}
+				return fmt.Sprintf("unexhausted budget-charge overhead %.3fx exceeds %.2fx gate",
+					rep.Overhead, rep.Gate)
+			}},
+		{on: *all || *trace, jsonPath: *traceJSON,
+			run: func() (report, error) { return eval.Trace(*traceMsgs, *trials) },
+			gate: func(r report) string {
+				rep := r.(*eval.TraceReport)
+				if !*traceGate || rep.Pass {
+					return ""
+				}
+				return fmt.Sprintf("trace overhead off=%.3fx (gate %.2fx) on=%.3fx (gate %.2fx)",
+					rep.OverheadOff, rep.GateOff, rep.OverheadOn, rep.GateOn)
+			}},
+	}
+
 	ran := false
 	fail := func(err error) {
 		fmt.Fprintln(os.Stderr, "laminar-bench:", err)
 		os.Exit(1)
 	}
-
-	if *all || *table == 1 {
+	for _, e := range experiments {
+		if !e.on {
+			continue
+		}
 		ran = true
-		rep, err := eval.Table1()
+		rep, err := e.run()
 		if err != nil {
 			fail(err)
 		}
 		fmt.Println(rep.Format())
-	}
-	if *all || *table == 2 {
-		ran = true
-		rep, err := eval.Table2(2000, *trials)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Println(rep.Format())
-	}
-	if *all || *table == 4 {
-		ran = true
-		fmt.Println(eval.Table4(16, 8).Format())
-	}
-	if *all || *figure == "jvm" {
-		ran = true
-		rep, err := eval.JVMOverhead(*iters, *trials, *optimize)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Println(rep.Format())
-	}
-	if *all || *figure == "regions" {
-		ran = true
-		rep, err := eval.RegionDensity(*iters, *trials)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Println(rep.Format())
-	}
-	if *all || *figure == "compile" {
-		ran = true
-		rep, err := eval.CompileTime(*trials)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Println(rep.Format())
-	}
-	if *all || *figure == "apps" || *table == 3 {
-		ran = true
-		rep, err := eval.Apps(*scale)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Println(rep.Format())
-	}
-	if *all || *flume {
-		ran = true
-		rep, err := eval.FlumeCompare(20000)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Println(rep.Format())
-		wrep, err := eval.WikiCompare(3000)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Println(wrep.Format())
-	}
-	if *all || *ablations {
-		ran = true
-		rep, err := eval.Ablations(2000, 50)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Println(rep.Format())
-	}
-	if *all || *conc {
-		ran = true
-		rep, err := eval.Concurrency(*concTasks, *concOps, *trials, *concIO)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Println(rep.Format())
-		if *concJSON != "" {
-			data, err := rep.JSON()
+		if e.jsonPath != "" {
+			data, err := rep.(interface{ JSON() ([]byte, error) }).JSON()
 			if err != nil {
 				fail(err)
 			}
-			if err := os.WriteFile(*concJSON, append(data, '\n'), 0o644); err != nil {
+			if err := os.WriteFile(e.jsonPath, append(data, '\n'), 0o644); err != nil {
 				fail(err)
 			}
-			fmt.Printf("wrote %s\n", *concJSON)
+			fmt.Printf("wrote %s\n", e.jsonPath)
 		}
-	}
-	if *all || *barriers {
-		ran = true
-		rep, err := eval.Barriers()
-		if err != nil {
-			fail(err)
-		}
-		fmt.Println(rep.Format())
-		if *barrJSON != "" {
-			data, err := rep.JSON()
-			if err != nil {
-				fail(err)
+		if e.gate != nil {
+			if msg := e.gate(rep); msg != "" {
+				fmt.Fprintln(os.Stderr, "laminar-bench:", msg)
+				os.Exit(1)
 			}
-			if err := os.WriteFile(*barrJSON, append(data, '\n'), 0o644); err != nil {
-				fail(err)
-			}
-			fmt.Printf("wrote %s\n", *barrJSON)
-		}
-	}
-	if *all || *netd {
-		ran = true
-		rep, err := eval.Netd(*netdMsgs, *trials)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Println(rep.Format())
-		if *netdJSON != "" {
-			data, err := rep.JSON()
-			if err != nil {
-				fail(err)
-			}
-			if err := os.WriteFile(*netdJSON, append(data, '\n'), 0o644); err != nil {
-				fail(err)
-			}
-			fmt.Printf("wrote %s\n", *netdJSON)
-		}
-	}
-	if *all || *clus {
-		ran = true
-		rep, err := eval.Cluster(*clusMsgs, *trials)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Println(rep.Format())
-		if *clusJSON != "" {
-			data, err := rep.JSON()
-			if err != nil {
-				fail(err)
-			}
-			if err := os.WriteFile(*clusJSON, append(data, '\n'), 0o644); err != nil {
-				fail(err)
-			}
-			fmt.Printf("wrote %s\n", *clusJSON)
-		}
-	}
-	if *all || *vcache {
-		ran = true
-		rep, err := eval.VerdictCache(*vcTasks, *vcWrites, *vcBatch, *trials)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Println(rep.Format())
-		if *vcJSON != "" {
-			data, err := rep.JSON()
-			if err != nil {
-				fail(err)
-			}
-			if err := os.WriteFile(*vcJSON, append(data, '\n'), 0o644); err != nil {
-				fail(err)
-			}
-			fmt.Printf("wrote %s\n", *vcJSON)
-		}
-		if *vcGate && !rep.Pass {
-			fmt.Fprintf(os.Stderr, "laminar-bench: verdict-cache headline speedup %.2fx misses the %.2fx gate\n",
-				rep.Headline, rep.GateMin)
-			os.Exit(1)
-		}
-	}
-	if *all || *telem {
-		ran = true
-		rep, err := eval.Telemetry(*concTasks, *concOps, *trials, *concIO)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Println(rep.Format())
-		if *telJSON != "" {
-			data, err := rep.JSON()
-			if err != nil {
-				fail(err)
-			}
-			if err := os.WriteFile(*telJSON, append(data, '\n'), 0o644); err != nil {
-				fail(err)
-			}
-			fmt.Printf("wrote %s\n", *telJSON)
-		}
-		if *telGate && !rep.Pass {
-			fmt.Fprintf(os.Stderr, "laminar-bench: telemetry disabled-path overhead %.3fx exceeds %.2fx gate\n",
-				rep.HeadlineOff, rep.GateMax)
-			os.Exit(1)
-		}
-	}
-	if *all || *budg {
-		ran = true
-		rep, err := eval.Budget(*budgMsgs, *trials)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Println(rep.Format())
-		if *budgJSON != "" {
-			data, err := rep.JSON()
-			if err != nil {
-				fail(err)
-			}
-			if err := os.WriteFile(*budgJSON, append(data, '\n'), 0o644); err != nil {
-				fail(err)
-			}
-			fmt.Printf("wrote %s\n", *budgJSON)
-		}
-		if *budgGate && !rep.Pass {
-			fmt.Fprintf(os.Stderr, "laminar-bench: unexhausted budget-charge overhead %.3fx exceeds %.2fx gate\n",
-				rep.Overhead, rep.Gate)
-			os.Exit(1)
-		}
-	}
-	if *all || *trace {
-		ran = true
-		rep, err := eval.Trace(*traceMsgs, *trials)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Println(rep.Format())
-		if *traceJSON != "" {
-			data, err := rep.JSON()
-			if err != nil {
-				fail(err)
-			}
-			if err := os.WriteFile(*traceJSON, append(data, '\n'), 0o644); err != nil {
-				fail(err)
-			}
-			fmt.Printf("wrote %s\n", *traceJSON)
-		}
-		if *traceGate && !rep.Pass {
-			fmt.Fprintf(os.Stderr, "laminar-bench: trace overhead off=%.3fx (gate %.2fx) on=%.3fx (gate %.2fx)\n",
-				rep.OverheadOff, rep.GateOff, rep.OverheadOn, rep.GateOn)
-			os.Exit(1)
 		}
 	}
 	if !ran {

@@ -1,9 +1,9 @@
 // Package cluster is the Laminar label plane lifted to a cluster: node
 // membership with heartbeat failure detection, incarnation epochs that
-// keep cross-node label interning sound across crashes, long-running
-// cluster operations (join, drain, tag-authority rebalance) as
-// crash-resumable persistent changes, and multi-hop routing whose every
-// hop re-runs the full LSM flow check.
+// reject a crashed node's stale traffic fail-closed, long-running
+// cluster operations (join, drain) as crash-resumable persistent
+// changes, and multi-hop routing whose every hop re-runs the full LSM
+// flow check.
 //
 // The plane is built ON the trusted transport (internal/netlabel), not
 // beside it: membership and join negotiation ride Ctrl frames, routed
@@ -14,8 +14,6 @@
 package cluster
 
 import (
-	"encoding/binary"
-	"fmt"
 	"sync"
 	"time"
 
@@ -89,16 +87,14 @@ type Cluster struct {
 	now     uint64 // logical tick counter; all timing derives from it
 	epoch   uint64 // this incarnation's persisted epoch
 	members map[uint64]*member
-	remap   map[uint64]*remapTable
 
-	changes    map[uint64]*Change
-	nextChange uint64
+	changes     map[uint64]*Change
+	nextChange  uint64
 	stepDefs    map[string][]stepDef
 	stats       map[uint64]peerStats  // latest snapshot heard per peer
 	budgetFacts map[uint64]peerBudget // latest budget facts heard per peer
 
 	relays    []*relay
-	ranges    []authRange
 	draining  bool
 	joined    bool
 	joinAcked bool
@@ -130,7 +126,6 @@ func New(cfg Config) *Cluster {
 		cfg:     cfg,
 		rec:     cfg.Recorder,
 		members: make(map[uint64]*member),
-		remap:   make(map[uint64]*remapTable),
 		changes: make(map[uint64]*Change),
 	}
 	c.node = netlabel.NewNode(netlabel.Config{
@@ -147,7 +142,6 @@ func New(cfg Config) *Cluster {
 	c.registerSteps()
 	c.mu.Lock()
 	c.epoch = c.loadEpoch()
-	c.loadRanges()
 	c.resumeChanges()
 	c.mu.Unlock()
 	if c.rec != nil {
@@ -189,31 +183,6 @@ func (c *Cluster) Drain() (*Change, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.submit("drain")
-}
-
-// Rebalance submits the persistent tag-authority rebalance change:
-// persist the new range assignment, then announce it.
-func (c *Cluster) Rebalance(start, owner uint64) (*Change, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.submit("rebalance", start, owner)
-}
-
-// AuthorityFor reports the node that owns tag-authority for value v: the
-// owner of the highest range start ≤ v. With no covering range the local
-// node is its own authority (the pre-rebalance default).
-func (c *Cluster) AuthorityFor(v uint64) uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	owner := c.cfg.ID
-	var best uint64
-	found := false
-	for _, r := range c.ranges {
-		if r.Start <= v && (!found || r.Start >= best) {
-			best, owner, found = r.Start, r.Owner, true
-		}
-	}
-	return owner
 }
 
 // Tick advances the plane one logical step: pump the transport (frames
@@ -286,21 +255,17 @@ func (c *Cluster) onControl(peerID uint64, payload []byte) {
 	case msgJoinReq:
 		c.observe(m.From, m.Epoch, m.Addr)
 		reply = encodeCtrl(ctrlMsg{Type: msgJoinAck, From: c.cfg.ID, Epoch: c.epoch,
-			Addr: c.node.Addr(), Members: c.memberWireLocked(), Ranges: c.ranges})
+			Addr: c.node.Addr(), Members: c.memberWireLocked()})
 		replyTo = m.Addr
 	case msgJoinAck:
 		c.observe(m.From, m.Epoch, m.Addr)
 		c.gossip(m.Members)
-		c.installRanges(m.Ranges)
 		c.joinAcked = true
 	case msgLeave:
 		if mem, ok := c.members[m.From]; ok && mem.state != StateDead {
 			mem.state = StateDead
 			c.memberEvent(m.From, m.Epoch, "dead", "announced orderly departure")
 		}
-	case msgAuthority:
-		c.observe(m.From, m.Epoch, m.Addr)
-		c.installRanges(m.Ranges)
 	case msgStats:
 		c.observe(m.From, m.Epoch, m.Addr)
 		c.onStats(m)
@@ -309,68 +274,6 @@ func (c *Cluster) onControl(peerID uint64, payload []byte) {
 	if reply != nil && replyTo != "" {
 		c.node.SendControl(replyTo, reply)
 	}
-}
-
-// installRanges replaces the tag-authority table and persists it; a torn
-// write is counted and retried implicitly by the next broadcast. locked.
-func (c *Cluster) installRanges(ranges []authRange) {
-	if ranges == nil {
-		return
-	}
-	c.ranges = append([]authRange(nil), ranges...)
-	if err := c.checkpoint("auth/ranges", encodeRangesPayload(c.ranges)); err != nil {
-		c.count("cluster.ckpt.torn", 1)
-	}
-}
-
-// loadRanges recovers the persisted authority table at boot. locked.
-func (c *Cluster) loadRanges() {
-	payload, state, ok := c.recoverRecord("auth/ranges")
-	if !ok {
-		if state == "quarantined" {
-			// Unknowable authority assignment: fail closed to the default
-			// (every node its own authority) until the next broadcast.
-			c.denyEvent("cluster.ckpt", "recover",
-				fmt.Errorf("authority table torn beyond recovery; reset to defaults"))
-		}
-		return
-	}
-	ranges, err := parseRangesPayload(payload)
-	if err != nil {
-		c.denyEvent("cluster.ckpt", "decode", err)
-		return
-	}
-	c.ranges = ranges
-}
-
-// encodeRangesPayload serializes the authority table for checkpointing.
-func encodeRangesPayload(ranges []authRange) []byte {
-	buf := binary.BigEndian.AppendUint16(nil, uint16(len(ranges)))
-	for _, r := range ranges {
-		buf = binary.BigEndian.AppendUint64(buf, r.Start)
-		buf = binary.BigEndian.AppendUint64(buf, r.Owner)
-	}
-	return buf
-}
-
-// parseRangesPayload decodes a checkpointed authority table.
-func parseRangesPayload(b []byte) ([]authRange, error) {
-	if len(b) < 2 {
-		return nil, fmt.Errorf("%w: truncated range table", ErrCtrlMalformed)
-	}
-	n := int(binary.BigEndian.Uint16(b))
-	b = b[2:]
-	if len(b) != 16*n {
-		return nil, fmt.Errorf("%w: range table count %d with %d bytes", ErrCtrlMalformed, n, len(b))
-	}
-	var out []authRange
-	for i := 0; i < n; i++ {
-		var r authRange
-		r.Start, b, _ = parseU64(b)
-		r.Owner, b, _ = parseU64(b)
-		out = append(out, r)
-	}
-	return out, nil
 }
 
 // registerSteps installs the step definitions for every change kind.
@@ -387,10 +290,6 @@ func (c *Cluster) registerSteps() {
 			{name: "stop-intake", do: (*Cluster).stepStopIntake, undo: (*Cluster).undoStopIntake},
 			{name: "flush-relays", do: (*Cluster).stepFlushRelays},
 			{name: "depart", do: (*Cluster).stepDepart},
-		},
-		"rebalance": {
-			{name: "persist-ranges", do: (*Cluster).stepPersistRanges, undo: (*Cluster).undoPersistRanges},
-			{name: "announce-ranges", do: (*Cluster).stepAnnounceRanges},
 		},
 	}
 }
@@ -479,68 +378,6 @@ func (c *Cluster) stepDepart(ch *Change) (bool, error) {
 		}
 	}
 	c.joined = false
-	c.mu.Unlock()
-	for _, addr := range targets {
-		c.node.SendControl(addr, msg)
-	}
-	c.mu.Lock()
-	return true, nil
-}
-
-// --- rebalance steps ---
-
-// stepPersistRanges installs the new assignment locally and checkpoints
-// it BEFORE any announcement: a node that crashes here resumes with the
-// assignment it was about to broadcast, never the other way round.
-func (c *Cluster) stepPersistRanges(ch *Change) (bool, error) {
-	if len(ch.Args) != 2 {
-		return false, fmt.Errorf("rebalance change %d has %d args, want 2", ch.ID, len(ch.Args))
-	}
-	start, owner := ch.Args[0], ch.Args[1]
-	replaced := false
-	for i, r := range c.ranges {
-		if r.Start == start {
-			c.ranges[i].Owner = owner
-			replaced = true
-		}
-	}
-	if !replaced {
-		c.ranges = append(c.ranges, authRange{Start: start, Owner: owner})
-	}
-	if err := c.checkpoint("auth/ranges", encodeRangesPayload(c.ranges)); err != nil {
-		return false, ErrRetry // torn table checkpoint: retry next settle
-	}
-	return true, nil
-}
-
-// undoPersistRanges removes the assignment again.
-func (c *Cluster) undoPersistRanges(ch *Change) {
-	if len(ch.Args) != 2 {
-		return
-	}
-	start := ch.Args[0]
-	out := c.ranges[:0]
-	for _, r := range c.ranges {
-		if r.Start != start {
-			out = append(out, r)
-		}
-	}
-	c.ranges = out
-	if err := c.checkpoint("auth/ranges", encodeRangesPayload(c.ranges)); err != nil {
-		c.count("cluster.ckpt.torn", 1)
-	}
-}
-
-// stepAnnounceRanges broadcasts the authority table to every alive peer.
-func (c *Cluster) stepAnnounceRanges(ch *Change) (bool, error) {
-	msg := encodeCtrl(ctrlMsg{Type: msgAuthority, From: c.cfg.ID, Epoch: c.epoch,
-		Addr: c.node.Addr(), Ranges: append([]authRange(nil), c.ranges...)})
-	targets := make([]string, 0, len(c.members))
-	for _, m := range c.members {
-		if m.state == StateAlive {
-			targets = append(targets, m.addr)
-		}
-	}
 	c.mu.Unlock()
 	for _, addr := range targets {
 		c.node.SendControl(addr, msg)

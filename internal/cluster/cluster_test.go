@@ -170,23 +170,49 @@ func TestStaleEpochRejectedFailClosed(t *testing.T) {
 	}
 }
 
-func TestEpochRemapResetOnReincarnation(t *testing.T) {
+// TestReincarnationRejectsStaleRoutedOpen: a peer's higher epoch is a
+// reincarnation the member table records, after which a routed open
+// still stamped with the old origin epoch is dropped fail-closed with
+// provenance, and an unparseable route blob is dropped too.
+func TestReincarnationRejectsStaleRoutedOpen(t *testing.T) {
 	a := bootCluster(t, Config{ID: 1})
-	secret := difc.InternLabels(difc.Labels{S: difc.NewLabel(difc.Tag(1234))})
-
-	a.cl.mu.Lock()
-	a.cl.bindRemote(7, 2, 41, 42, secret)
-	a.cl.mu.Unlock()
-	if l, ok := a.cl.ResolveRemote(7, 2, 41, 42); !ok || !l.Equal(secret) {
-		t.Fatalf("bound remap did not resolve: %v %v", l, ok)
-	}
-	// The peer reincarnates: epoch 3 arrives, the epoch-2 table must die.
+	a.cl.onControl(0, encodeCtrl(ctrlMsg{Type: msgPing, From: 7, Epoch: 2, Addr: "127.0.0.1:1"}))
+	// The peer reincarnates: its epoch-3 ping advances the member.
 	a.cl.onControl(0, encodeCtrl(ctrlMsg{Type: msgPing, From: 7, Epoch: 3, Addr: "127.0.0.1:1"}))
-	if _, ok := a.cl.ResolveRemote(7, 2, 41, 42); ok {
-		t.Fatal("stale-epoch remap binding survived reincarnation")
+	if got := a.cl.Members()[1]; got.ID != 7 || got.Epoch != 3 {
+		t.Fatalf("member after reincarnation = %+v, want node 7 at epoch 3", got)
 	}
-	if _, ok := a.cl.ResolveRemote(7, 3, 41, 42); ok {
-		t.Fatal("fresh epoch resolved a binding that was never made")
+
+	var ops []string
+	unsub := a.rec.Subscribe(func(e telemetry.Event) {
+		if e.Layer == telemetry.LayerCluster && e.Site == "cluster.route" {
+			ops = append(ops, e.Op)
+		}
+	})
+	defer unsub()
+
+	// A routed open from the epoch-2 ghost: dropped before any relay or
+	// delivery decision, with stale-epoch provenance.
+	stale := fakeRoutedOffer(a, 7, difc.Labels{})
+	stale.Meta = encodeRoute(routeMeta{Origin: 7, OriginEpoch: 2})
+	if got := a.cl.onRouted(stale); got != netlabel.RoutedDrop {
+		t.Fatalf("stale-epoch routed open = %v, want RoutedDrop", got)
+	}
+	if n := a.rec.M.Extra.Get("cluster.epoch.stale").Load(); n != 1 {
+		t.Fatalf("stale-epoch counter = %d, want 1", n)
+	}
+	// The current incarnation's open is delivered.
+	if got := a.cl.onRouted(fakeRoutedOffer(a, 7, difc.Labels{})); got != netlabel.RoutedDeliver {
+		t.Fatalf("current-epoch routed open = %v, want RoutedDeliver", got)
+	}
+	// A truncated route blob never reaches the epoch check.
+	bad := fakeRoutedOffer(a, 7, difc.Labels{})
+	bad.Meta = bad.Meta[:len(bad.Meta)-1]
+	if got := a.cl.onRouted(bad); got != netlabel.RoutedDrop {
+		t.Fatalf("malformed route blob = %v, want RoutedDrop", got)
+	}
+	if want := []string{"stale-epoch", "meta"}; strings.Join(ops, ",") != strings.Join(want, ",") {
+		t.Errorf("cluster.route provenance = %v, want %v", ops, want)
 	}
 }
 
@@ -276,31 +302,6 @@ func TestQuarantinedChangeAbandonedFailClosed(t *testing.T) {
 	}
 	if a.cl.Joined() {
 		t.Error("node joined off a quarantined record")
-	}
-}
-
-func TestRebalanceBroadcastsAuthority(t *testing.T) {
-	nodes := formCluster(t, 2)
-	a, b := nodes[0], nodes[1]
-	if _, err := a.cl.Rebalance(100, 2); err != nil {
-		t.Fatal(err)
-	}
-	tickUntil(t, func() bool {
-		return a.cl.AuthorityFor(150) == 2 && b.cl.AuthorityFor(150) == 2
-	}, a, b)
-	// Below the range start, each node remains its own authority.
-	if got := a.cl.AuthorityFor(50); got != 1 {
-		t.Errorf("node 1 authority for 50 = %d, want self", got)
-	}
-	if got := b.cl.AuthorityFor(50); got != 2 {
-		t.Errorf("node 2 authority for 50 = %d, want self", got)
-	}
-	// The assignment is durable: a restart of node 1 reloads it.
-	store := a.cl.cfg.Store
-	a.cl.Close()
-	a2 := bootCluster(t, Config{ID: 1, Store: store})
-	if got := a2.cl.AuthorityFor(150); got != 2 {
-		t.Errorf("restarted authority for 150 = %d, want persisted 2", got)
 	}
 }
 

@@ -11,17 +11,16 @@ import (
 	"laminar/internal/telemetry"
 )
 
-// The change engine: long-running cluster operations (join, drain,
-// tag-authority rebalance) modeled as persistent multi-step changes, in
-// the style of snapd's overlord. A change is a named sequence of steps;
-// the engine advances at most one step transition per settle, and every
-// transition is checkpointed through the crash-consistent store BEFORE
-// the next step may run. A node killed mid-change therefore restarts
-// knowing exactly which step was in flight: Doing steps re-run (steps
-// are idempotent by contract), Undoing changes continue rolling back,
-// and a change whose record is torn beyond recovery is abandoned
-// fail-closed — the node stays out of the cluster rather than rejoin
-// half-configured.
+// The change engine: long-running cluster operations (join, drain)
+// modeled as persistent multi-step changes, in the style of snapd's
+// overlord. A change is a named sequence of steps; the engine advances
+// at most one step transition per settle, and every transition is
+// checkpointed through the crash-consistent store BEFORE the next step
+// may run. A node killed mid-change therefore restarts knowing exactly
+// which step was in flight: Doing steps re-run (steps are idempotent by
+// contract), Undoing changes continue rolling back, and a change whose
+// record is torn beyond recovery is abandoned fail-closed — the node
+// stays out of the cluster rather than rejoin half-configured.
 
 // ChangeStatus is a change's (or step's) lifecycle state.
 type ChangeStatus uint8
@@ -70,11 +69,10 @@ type Step struct {
 // Change is one persistent cluster operation.
 type Change struct {
 	ID      uint64
-	Kind    string // "join", "drain", "rebalance"
+	Kind    string // "join", "drain"
 	Status  ChangeStatus
 	StepIdx int
 	Steps   []Step
-	Args    []uint64 // kind-specific parameters (e.g. rebalance range, owner)
 
 	dirty bool // checkpoint pending after a torn write
 }
@@ -101,10 +99,6 @@ func encodeChange(ch *Change) []byte {
 	for _, s := range ch.Steps {
 		buf = appendString(buf, s.Name)
 		buf = append(buf, byte(s.Status))
-	}
-	buf = binary.BigEndian.AppendUint16(buf, uint16(len(ch.Args)))
-	for _, a := range ch.Args {
-		buf = binary.BigEndian.AppendUint64(buf, a)
 	}
 	return buf
 }
@@ -141,31 +135,21 @@ func decodeChange(b []byte) (*Change, error) {
 		b = b[1:]
 		ch.Steps = append(ch.Steps, s)
 	}
-	if len(b) < 2 {
-		return nil, fmt.Errorf("%w: truncated arg count", ErrCtrlMalformed)
-	}
-	na := int(binary.BigEndian.Uint16(b))
-	b = b[2:]
-	if na > 16 || len(b) != 8*na {
-		return nil, fmt.Errorf("%w: arg count %d with %d bytes", ErrCtrlMalformed, na, len(b))
-	}
-	for i := 0; i < na; i++ {
-		var a uint64
-		a, b, _ = parseU64(b)
-		ch.Args = append(ch.Args, a)
+	if len(b) != 0 {
+		return nil, fmt.Errorf("%w: %d trailing bytes in change record", ErrCtrlMalformed, len(b))
 	}
 	return ch, nil
 }
 
 // submit creates a change of the registered kind, checkpoints it, and
 // queues it for settling. locked.
-func (c *Cluster) submit(kind string, args ...uint64) (*Change, error) {
+func (c *Cluster) submit(kind string) (*Change, error) {
 	defs, ok := c.stepDefs[kind]
 	if !ok {
 		return nil, fmt.Errorf("cluster: unknown change kind %q", kind)
 	}
 	c.nextChange++
-	ch := &Change{ID: c.nextChange, Kind: kind, Status: StatusDo, Args: args}
+	ch := &Change{ID: c.nextChange, Kind: kind, Status: StatusDo}
 	for _, d := range defs {
 		ch.Steps = append(ch.Steps, Step{Name: d.name, Status: StatusDo})
 	}
@@ -354,7 +338,7 @@ func (c *Cluster) changeEvent(ch *Change, what string) {
 	if c.rec == nil || !c.rec.Active() {
 		return
 	}
-	c.rec.M.Extra.Get("cluster.change." + ch.Status.String()).Add(0, 1)
+	c.rec.M.Extra.Get("cluster.change."+ch.Status.String()).Add(0, 1)
 	c.rec.Emit(telemetry.Event{
 		Layer:  telemetry.LayerCluster,
 		Kind:   telemetry.KindLifecycle,

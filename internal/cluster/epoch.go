@@ -3,37 +3,18 @@ package cluster
 import (
 	"encoding/binary"
 	"fmt"
-
-	"laminar/internal/difc"
 )
 
-// Epoch-versioned cross-node label interning.
+// Incarnation epochs.
 //
-// Interned label ids are process-local (difc/intern.go): node 7's id 42
-// names whatever node 7 interned 42nd. When labels cross the wire they
-// travel in full canonical form, but the sender ALSO sends its interned
-// ids, and the receiver binds (peer, peer-epoch, remote-id) → local
-// interned labels in a remap table. Within one incarnation the binding
-// is stable — the same remote id always resolves to the same lattice
-// point, so repeated routed opens and future id-only references cost a
-// map hit instead of a parse.
-//
-// The epoch is what keeps this sound across reconnects: a node that
-// crashes and returns re-interns from scratch, so its old ids are
-// meaningless. Its restart bumps the persisted incarnation epoch; every
-// peer that observes the new epoch discards the old remap table, and
-// any frame still carrying the stale epoch is rejected fail-closed with
-// provenance — never resolved against bindings that no longer mean what
-// the sender meant.
-
-// remapTable is one peer's per-incarnation binding table.
-type remapTable struct {
-	epoch uint64
-	byID  map[remapKey]difc.Labels
-}
-
-// remapKey is a remote (secrecy-id, integrity-id) pair.
-type remapKey struct{ s, i uint64 }
+// Labels cross the wire only in full canonical form, so a peer never has
+// to trust another node's process-local interned ids. What a restart
+// does invalidate is the peer's identity in time: a node that crashes
+// and returns is a new incarnation, and frames its previous incarnation
+// left in flight must not be acted on. Every boot bumps the persisted
+// epoch; a peer that observes the new epoch records it, and any frame
+// still carrying the stale epoch — control or routed open — is rejected
+// fail-closed with provenance.
 
 // epochKey is the store key of this node's incarnation epoch.
 const epochKey = "node/epoch"
@@ -61,16 +42,9 @@ func (c *Cluster) loadEpoch() uint64 {
 	return next
 }
 
-// resetRemap installs a fresh (empty) remap table for a peer's new
-// incarnation, discarding every binding of the old epoch. locked.
-func (c *Cluster) resetRemap(peer, epoch uint64) {
-	c.remap[peer] = &remapTable{epoch: epoch, byID: make(map[remapKey]difc.Labels)}
-	c.count("cluster.remap.reset", 1)
-}
-
 // checkEpoch validates a frame's (peer, epoch) against the incarnation
-// on file. A NEWER epoch is a reincarnation and is accepted after the
-// member table and remap reset; a STALE epoch is rejected fail-closed
+// on file. A NEWER epoch is a reincarnation and is accepted (observe
+// records it in the member table); a STALE epoch is rejected fail-closed
 // with provenance — the sender is a ghost of a dead incarnation. locked.
 func (c *Cluster) checkEpoch(peer, epoch uint64, site string) bool {
 	if peer == c.cfg.ID {
@@ -87,36 +61,6 @@ func (c *Cluster) checkEpoch(peer, epoch uint64, site string) bool {
 		return false
 	}
 	return true
-}
-
-// bindRemote records a peer's interned-id → labels binding for its
-// current epoch and returns the locally interned labels. locked.
-func (c *Cluster) bindRemote(peer, epoch, sID, iID uint64, labels difc.Labels) difc.Labels {
-	local := difc.InternLabels(labels)
-	rt, ok := c.remap[peer]
-	if !ok || rt.epoch != epoch {
-		rt = &remapTable{epoch: epoch, byID: make(map[remapKey]difc.Labels)}
-		c.remap[peer] = rt
-	}
-	if sID != 0 || iID != 0 {
-		rt.byID[remapKey{sID, iID}] = local
-	}
-	return local
-}
-
-// ResolveRemote resolves a peer's interned-id pair against the remap
-// table for the given epoch. ok is false when the epoch is not current
-// or the id was never bound — the caller must treat that as an unknown
-// label and fail closed, never guess.
-func (c *Cluster) ResolveRemote(peer, epoch, sID, iID uint64) (difc.Labels, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	rt, ok := c.remap[peer]
-	if !ok || rt.epoch != epoch {
-		return difc.Labels{}, false
-	}
-	l, ok := rt.byID[remapKey{sID, iID}]
-	return l, ok
 }
 
 // Epoch reports this node's current incarnation epoch.

@@ -21,9 +21,8 @@ import (
 //
 // Incarnation epochs: every boot of a node increments its persisted
 // epoch. A peer that hears a higher epoch for a known id is seeing a
-// reincarnation — it resets the member to alive, discards the old
-// epoch's label remap table (epoch.go), and rejects any frame still
-// carrying the stale epoch.
+// reincarnation — it resets the member to alive, records the new epoch,
+// and rejects any frame still carrying the stale one (epoch.go).
 
 // MemberState is a peer's failure-detection state.
 type MemberState uint8
@@ -111,8 +110,8 @@ func (c *Cluster) Converged(ids ...uint64) bool {
 
 // observe records a direct message from a peer: the member becomes (or
 // stays) alive and its silence clock resets. A higher epoch than the one
-// on file is a reincarnation: the old epoch's remap table is discarded
-// and the transition is recorded with provenance. locked.
+// on file is a reincarnation: it replaces the recorded epoch, with
+// provenance. locked.
 func (c *Cluster) observe(id uint64, epoch uint64, addr string) *member {
 	if id == c.cfg.ID {
 		return nil
@@ -122,7 +121,6 @@ func (c *Cluster) observe(id uint64, epoch uint64, addr string) *member {
 		m = &member{id: id, addr: addr, epoch: epoch, state: StateAlive, lastHeard: c.now}
 		c.members[id] = m
 		c.memberEvent(id, epoch, "alive", "joined membership")
-		c.resetRemap(id, epoch)
 		return m
 	}
 	if addr != "" {
@@ -130,7 +128,6 @@ func (c *Cluster) observe(id uint64, epoch uint64, addr string) *member {
 	}
 	if epoch > m.epoch {
 		m.epoch = epoch
-		c.resetRemap(id, epoch)
 		c.memberEvent(id, epoch, "re-epoch", "reincarnated with a fresh epoch")
 	}
 	m.lastHeard = c.now
@@ -157,12 +154,10 @@ func (c *Cluster) gossip(entries []memberWire) {
 			c.members[e.ID] = &member{id: e.ID, addr: e.Addr, epoch: e.Epoch,
 				state: StateSuspect, lastHeard: c.now}
 			c.memberEvent(e.ID, e.Epoch, "suspect", "known only by gossip")
-			c.resetRemap(e.ID, e.Epoch)
 			continue
 		}
 		if e.Epoch > m.epoch {
 			m.epoch = e.Epoch
-			c.resetRemap(e.ID, e.Epoch)
 			c.memberEvent(e.ID, e.Epoch, "re-epoch", "gossiped fresh epoch")
 		}
 	}
@@ -226,7 +221,7 @@ func (c *Cluster) memberEvent(id, epoch uint64, to, why string) {
 	if c.rec == nil || !c.rec.Active() {
 		return
 	}
-	c.rec.M.Extra.Get("cluster.member." + to).Add(0, 1)
+	c.rec.M.Extra.Get("cluster.member."+to).Add(0, 1)
 	c.rec.Emit(telemetry.Event{
 		Layer:  telemetry.LayerCluster,
 		Kind:   telemetry.KindLifecycle,

@@ -26,10 +26,9 @@ import (
 
 // relay is one forwarding binding at an intermediate hop.
 type relay struct {
-	task   *kernel.Task
-	inFD   kernel.FD
-	outFD  kernel.FD
-	labels difc.Labels
+	task  *kernel.Task
+	inFD  kernel.FD
+	outFD kernel.FD
 }
 
 // ErrNoRoute reports that no alive path to the destination exists.
@@ -76,7 +75,6 @@ func (c *Cluster) Open(t *kernel.Task, dst uint64, labels difc.Labels) (kernel.F
 // intermediate node via. The first leg carries a routing blob naming the
 // remaining path; every hop re-checks the flow with its own LSM.
 func (c *Cluster) OpenVia(t *kernel.Task, via, dst uint64, labels difc.Labels) (kernel.FD, error) {
-	labels = difc.InternLabels(labels)
 	c.mu.Lock()
 	addr, ok := c.memberAddr(via)
 	epoch := c.epoch
@@ -87,8 +85,6 @@ func (c *Cluster) OpenVia(t *kernel.Task, via, dst uint64, labels difc.Labels) (
 	meta := encodeRoute(routeMeta{
 		Origin:      c.cfg.ID,
 		OriginEpoch: epoch,
-		LabelS:      labels.S.InternedID(),
-		LabelI:      labels.I.InternedID(),
 		Path:        []uint64{dst},
 	})
 	return c.node.OpenRouted(t, addr, labels, meta)
@@ -113,10 +109,6 @@ func (c *Cluster) onRouted(o netlabel.RoutedOffer) netlabel.RoutedAction {
 		c.mu.Unlock()
 		return netlabel.RoutedDrop
 	}
-	// Bind the origin's interned ids for its current incarnation so
-	// id-only references stay resolvable until the next re-epoch.
-	labels := c.bindRemote(meta.Origin, meta.OriginEpoch, meta.LabelS, meta.LabelI, o.Labels)
-
 	if len(meta.Path) == 0 || (len(meta.Path) == 1 && meta.Path[0] == c.cfg.ID) {
 		c.mu.Unlock()
 		return netlabel.RoutedDeliver // we are the destination
@@ -146,11 +138,9 @@ func (c *Cluster) onRouted(o netlabel.RoutedOffer) netlabel.RoutedAction {
 		t := o.Trace
 		tr = &t
 	}
-	outFile, err := c.node.OpenRoutedAdopted(addr, labels, encodeRoute(routeMeta{
+	outFile, err := c.node.OpenRoutedAdopted(addr, o.Labels, encodeRoute(routeMeta{
 		Origin:      meta.Origin,
 		OriginEpoch: meta.OriginEpoch,
-		LabelS:      meta.LabelS,
-		LabelI:      meta.LabelI,
 		Path:        rest,
 	}), tr)
 	if err != nil {
@@ -162,13 +152,12 @@ func (c *Cluster) onRouted(o netlabel.RoutedOffer) netlabel.RoutedAction {
 		return netlabel.RoutedDrop
 	}
 	if c.cfg.Module != nil {
-		c.cfg.Module.AdoptTaskLabels(task, labels)
+		c.cfg.Module.AdoptTaskLabels(task, o.Labels)
 	}
 	r := &relay{
-		task:   task,
-		inFD:   c.cfg.Kernel.InstallFile(task, o.File),
-		outFD:  c.cfg.Kernel.InstallFile(task, outFile),
-		labels: labels,
+		task:  task,
+		inFD:  c.cfg.Kernel.InstallFile(task, o.File),
+		outFD: c.cfg.Kernel.InstallFile(task, outFile),
 	}
 	c.mu.Lock()
 	c.relays = append(c.relays, r)

@@ -3,6 +3,7 @@ package cluster
 import (
 	"bytes"
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -49,6 +50,17 @@ func TestStatsCtrlCodecStrict(t *testing.T) {
 			t.Errorf("%s: err = %v, want ErrCtrlMalformed", name, err)
 		}
 	}
+	// Type 5 is retired and stays unassigned; nothing past the last type
+	// parses either. The body is a well-formed ping's, so only the type
+	// byte can be at fault.
+	ping := encodeCtrl(ctrlMsg{Type: msgPing, From: 1, Epoch: 1})
+	for _, typ := range []byte{5, byte(msgTypeMax) + 1} {
+		b := append([]byte{typ}, ping[1:]...)
+		_, err := parseCtrl(b)
+		if !errors.Is(err, ErrCtrlMalformed) || !strings.Contains(err.Error(), "unknown type") {
+			t.Errorf("type %d: err = %v, want unknown-type ErrCtrlMalformed", typ, err)
+		}
+	}
 	// A declared blob length past the cap is rejected before allocation.
 	huge := encodeCtrl(ctrlMsg{Type: msgStats, From: 1, Epoch: 1,
 		Blob: bytes.Repeat([]byte{'x'}, maxStatsBlob+1)})
@@ -56,9 +68,41 @@ func TestStatsCtrlCodecStrict(t *testing.T) {
 		t.Errorf("oversize blob: err = %v, want ErrCtrlMalformed", err)
 	}
 	// Non-stats messages still refuse trailing bytes (no blob arm).
-	ping := encodeCtrl(ctrlMsg{Type: msgPing, From: 1, Epoch: 1})
 	if _, err := parseCtrl(append(ping, 0x00)); !errors.Is(err, ErrCtrlMalformed) {
 		t.Errorf("ping trailing bytes: err = %v, want ErrCtrlMalformed", err)
+	}
+}
+
+// TestCtrlCodecMemberFrameLayout pins the byte layout of the gossip
+// frames: header, address, then the member list and nothing after it.
+func TestCtrlCodecMemberFrameLayout(t *testing.T) {
+	u64 := func(v byte) []byte { return []byte{0, 0, 0, 0, 0, 0, 0, v} }
+	cat := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
+	ack := ctrlMsg{Type: msgJoinAck, From: 1, Epoch: 2, Addr: "a",
+		Members: []memberWire{{ID: 3, Epoch: 4, State: StateSuspect, Addr: "bc"}}}
+	cases := []struct {
+		name string
+		msg  ctrlMsg
+		want []byte
+	}{
+		{"ping", ctrlMsg{Type: msgPing, From: 9, Epoch: 7},
+			cat([]byte{1}, u64(9), u64(7), []byte{0, 0}, []byte{0, 0})},
+		{"join-ack", ack,
+			cat([]byte{3}, u64(1), u64(2), []byte{0, 1, 'a'}, []byte{0, 1},
+				u64(3), u64(4), []byte{byte(StateSuspect)}, []byte{0, 2, 'b', 'c'})},
+	}
+	for _, tc := range cases {
+		enc := encodeCtrl(tc.msg)
+		if !bytes.Equal(enc, tc.want) {
+			t.Errorf("%s: encoded % x, want % x", tc.name, enc, tc.want)
+		}
+		got, err := parseCtrl(enc)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if !reflect.DeepEqual(got, tc.msg) {
+			t.Errorf("%s: round trip = %+v, want %+v", tc.name, got, tc.msg)
+		}
 	}
 }
 

@@ -13,11 +13,11 @@ import (
 
 // Crash-consistent change checkpoints.
 //
-// A cluster operation (join, drain, rebalance) is durable state in
-// exactly the sense inode labels are (lsm/persist.go): if a node dies
-// mid-join and forgets how far it got, it either rejoins half-configured
-// — routing through a node the rest of the cluster never admitted — or
-// stays wedged forever. Both are label-plane failures, so change records
+// A cluster operation (join, drain) is durable state in exactly the
+// sense inode labels are (lsm/persist.go): if a node dies mid-join and
+// forgets how far it got, it either rejoins half-configured — routing
+// through a node the rest of the cluster never admitted — or stays
+// wedged forever. Both are label-plane failures, so change records
 // go through the same shadow-write + flip protocol the PR 1 store uses
 // for labels:
 //

@@ -18,15 +18,16 @@ var ErrCtrlMalformed = errors.New("cluster: malformed control message")
 // msgType discriminates control messages.
 type msgType byte
 
-// Control message types.
+// Control message types. Type 5 is retired (it carried a tag-authority
+// table nothing read) and is rejected as unknown; the numbers of the
+// remaining types are wire format and never shift.
 const (
-	msgPing      msgType = 1 + iota // heartbeat, carries membership gossip
-	msgJoinReq                      // "let me in": sender wants the member table
-	msgJoinAck                      // reply to JoinReq with the full table
-	msgLeave                        // orderly departure (drain)
-	msgAuthority                    // tag-authority range table broadcast
-	msgStats                        // per-node metrics snapshot (JSON blob)
-	msgTypeMax   = msgStats
+	msgPing    msgType = 1 // heartbeat, carries membership gossip
+	msgJoinReq msgType = 2 // "let me in": sender wants the member table
+	msgJoinAck msgType = 3 // reply to JoinReq with the full table
+	msgLeave   msgType = 4 // orderly departure (drain)
+	msgStats   msgType = 6 // per-node metrics snapshot (JSON blob)
+	msgTypeMax         = msgStats
 )
 
 // String names the message type.
@@ -40,8 +41,6 @@ func (t msgType) String() string {
 		return "join-ack"
 	case msgLeave:
 		return "leave"
-	case msgAuthority:
-		return "authority"
 	case msgStats:
 		return "stats"
 	default:
@@ -57,13 +56,6 @@ type memberWire struct {
 	Addr  string
 }
 
-// authRange is one tag-authority assignment: the node that mints and owns
-// tags in [Start, nextStart).
-type authRange struct {
-	Start uint64
-	Owner uint64
-}
-
 // ctrlMsg is one decoded control message.
 type ctrlMsg struct {
 	Type    msgType
@@ -71,7 +63,6 @@ type ctrlMsg struct {
 	Epoch   uint64
 	Addr    string       // sender's listen address (dial-back key)
 	Members []memberWire // ping / join-ack gossip
-	Ranges  []authRange  // authority broadcasts
 	Blob    []byte       // msgStats only: JSON metrics snapshot
 	Budget  []byte       // msgStats only, optional: budget fact set (ISSUE 10)
 }
@@ -116,11 +107,6 @@ func encodeCtrl(m ctrlMsg) []byte {
 		buf = append(buf, byte(mem.State))
 		buf = appendString(buf, mem.Addr)
 	}
-	buf = binary.BigEndian.AppendUint16(buf, uint16(len(m.Ranges)))
-	for _, r := range m.Ranges {
-		buf = binary.BigEndian.AppendUint64(buf, r.Start)
-		buf = binary.BigEndian.AppendUint64(buf, r.Owner)
-	}
 	if m.Type == msgStats {
 		buf = binary.BigEndian.AppendUint32(buf, uint32(len(m.Blob)))
 		buf = append(buf, m.Blob...)
@@ -144,7 +130,9 @@ func parseCtrl(b []byte) (ctrlMsg, error) {
 		return m, fmt.Errorf("%w: empty payload", ErrCtrlMalformed)
 	}
 	m.Type = msgType(b[0])
-	if m.Type == 0 || m.Type > msgTypeMax {
+	switch m.Type {
+	case msgPing, msgJoinReq, msgJoinAck, msgLeave, msgStats:
+	default:
 		return m, fmt.Errorf("%w: unknown type %d", ErrCtrlMalformed, b[0])
 	}
 	var err error
@@ -187,24 +175,6 @@ func parseCtrl(b []byte) (ctrlMsg, error) {
 		}
 		m.Members = append(m.Members, mem)
 	}
-	if len(b) < 2 {
-		return m, fmt.Errorf("%w: truncated range count", ErrCtrlMalformed)
-	}
-	nr := int(binary.BigEndian.Uint16(b))
-	b = b[2:]
-	if nr > maxCtrlList {
-		return m, fmt.Errorf("%w: range count %d", ErrCtrlMalformed, nr)
-	}
-	for i := 0; i < nr; i++ {
-		var r authRange
-		if r.Start, b, err = parseU64(b); err != nil {
-			return m, err
-		}
-		if r.Owner, b, err = parseU64(b); err != nil {
-			return m, err
-		}
-		m.Ranges = append(m.Ranges, r)
-	}
 	if m.Type == msgStats {
 		if len(b) < 4 {
 			return m, fmt.Errorf("%w: truncated blob header", ErrCtrlMalformed)
@@ -239,15 +209,12 @@ func parseCtrl(b []byte) (ctrlMsg, error) {
 
 // routeMeta is the routing blob an OpenRouted frame carries: the origin's
 // identity and incarnation epoch (so every hop can reject a stale
-// incarnation's opens fail-closed), the origin's interned label ids (the
-// cross-node interning handle the receiving hop binds in its per-epoch
-// remap table), and the hops still to visit — empty means the receiving
-// node is the destination.
+// incarnation's opens fail-closed) and the hops still to visit — empty
+// means the receiving node is the destination. The channel labels are
+// not here: the frame carries them in full canonical form.
 type routeMeta struct {
 	Origin      uint64
 	OriginEpoch uint64
-	LabelS      uint64 // origin's interned id of the secrecy label
-	LabelI      uint64 // origin's interned id of the integrity label
 	Path        []uint64
 }
 
@@ -255,8 +222,6 @@ type routeMeta struct {
 func encodeRoute(r routeMeta) []byte {
 	buf := binary.BigEndian.AppendUint64(nil, r.Origin)
 	buf = binary.BigEndian.AppendUint64(buf, r.OriginEpoch)
-	buf = binary.BigEndian.AppendUint64(buf, r.LabelS)
-	buf = binary.BigEndian.AppendUint64(buf, r.LabelI)
 	buf = append(buf, byte(len(r.Path)))
 	for _, hop := range r.Path {
 		buf = binary.BigEndian.AppendUint64(buf, hop)
@@ -276,12 +241,6 @@ func parseRoute(b []byte) (routeMeta, error) {
 		return r, err
 	}
 	if r.OriginEpoch, b, err = parseU64(b); err != nil {
-		return r, err
-	}
-	if r.LabelS, b, err = parseU64(b); err != nil {
-		return r, err
-	}
-	if r.LabelI, b, err = parseU64(b); err != nil {
 		return r, err
 	}
 	if len(b) < 1 {

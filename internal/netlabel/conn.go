@@ -93,6 +93,17 @@ func (c *conn) isDead() bool {
 	return c.dead
 }
 
+// finished reports a dead link whose inbox has been emptied: nothing on
+// it can be applied any more.
+func (c *conn) finished() bool {
+	if !c.isDead() {
+		return false
+	}
+	c.inMu.Lock()
+	defer c.inMu.Unlock()
+	return len(c.inbox) == 0
+}
+
 // kill tears the link down: everything queued or in flight is lost,
 // which the unreliable-channel semantics already permit. Idempotent.
 func (c *conn) kill() {

@@ -236,6 +236,9 @@ func (n *Node) acceptLoop(ln net.Listener) {
 			continue
 		}
 		n.mu.Lock()
+		if len(n.conns) >= n.cfg.MaxConns {
+			n.reapLocked()
+		}
 		closed, total := n.closed, len(n.conns)
 		n.mu.Unlock()
 		if closed {
@@ -348,6 +351,22 @@ func (n *Node) register(c *conn) bool {
 	}
 	n.mu.Unlock()
 	return true
+}
+
+// reapLocked forgets connections that died with nothing left for Pump
+// to apply, so dead links stop counting against MaxConns. Without it a
+// run of link faults fills the table and the node sheds every reconnect
+// for good: a permanent partition, where the unreliable channel only
+// permits loss. n.mu held.
+func (n *Node) reapLocked() {
+	live := n.conns[:0]
+	for _, c := range n.conns {
+		if !c.finished() {
+			live = append(live, c)
+		}
+	}
+	clear(n.conns[len(live):])
+	n.conns = live
 }
 
 // dial returns the pooled connection to addr, establishing one with

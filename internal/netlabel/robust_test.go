@@ -167,3 +167,39 @@ func TestVersionMismatchProvenanceReplayable(t *testing.T) {
 		}
 	}
 }
+
+// TestDeadLinksFreeAcceptSlots: a connection killed by a link fault
+// stops counting against MaxConns once its inbox is applied. Otherwise
+// a run of link kills fills the table and the node sheds every
+// reconnect for good — a permanent partition, not message loss.
+func TestDeadLinksFreeAcceptSlots(t *testing.T) {
+	var got atomic.Int32
+	b := bootNode(t, Config{MaxConns: 2, Control: func(uint64, []byte) { got.Add(1) }})
+	a := bootNode(t, Config{})
+	addr := b.node.Addr()
+	allDead := func(n *Node) bool {
+		n.mu.Lock()
+		defer n.mu.Unlock()
+		for _, c := range n.conns {
+			if !c.isDead() {
+				return false
+			}
+		}
+		return true
+	}
+	for round := int32(1); round <= 5; round++ {
+		if err := a.node.SendControl(addr, []byte("ping")); err != nil {
+			t.Fatalf("round %d: dial refused: %v", round, err)
+		}
+		pumpUntil(t, func() bool { return got.Load() == round }, b)
+		// The link dies; B's reader sees the reset and marks its end dead.
+		a.node.mu.Lock()
+		c := a.node.dialed[addr]
+		a.node.mu.Unlock()
+		c.kill()
+		pumpUntil(t, func() bool { return allDead(b.node) }, b)
+	}
+	if n := b.rec.M.Extra.Get("net.accept.shed").Load(); n != 0 {
+		t.Errorf("accept shed %d reconnects of dead links", n)
+	}
+}

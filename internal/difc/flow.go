@@ -30,8 +30,13 @@ func (l Labels) Equal(other Labels) bool { return l.S.Equal(other.S) && l.I.Equa
 //
 // (§3.2). Either endpoint may first make a flow feasible by changing its
 // own labels under the label-change rule; that is CanChange's job.
-func (l Labels) CanFlowTo(dst Labels) bool {
-	return l.S.SubsetOf(dst.S) && dst.I.SubsetOf(l.I)
+func (l Labels) CanFlowTo(dst Labels) bool { return FlowAllowed(&l, &dst) }
+
+// FlowAllowed is CanFlowTo on pointers: the same verdict, without copying
+// either 160-byte label pair. Barriers that already hold both pairs call
+// it first and build a CheckFlow error only when it says no.
+func FlowAllowed(src, dst *Labels) bool {
+	return src.S.subsetOf(&dst.S) && dst.I.subsetOf(&src.I)
 }
 
 // String renders the pair in the paper's {S(...),I(...)} notation.
@@ -47,7 +52,7 @@ func (l Labels) String() string {
 //
 // Added tags need the plus capability, dropped tags the minus capability.
 func CanChange(from, to Label, caps CapSet) bool {
-	return to.Minus(from).SubsetOf(caps.Plus()) && from.Minus(to).SubsetOf(caps.Minus())
+	return to.coveredBy(&from, &caps.plus) && from.coveredBy(&to, &caps.minus)
 }
 
 // CanChangeLabels applies CanChange to both components of a label pair.
@@ -94,14 +99,14 @@ func CheckEnterRegion(p Labels, pc CapSet, r Labels, rc CapSet) error {
 	if err := CheckAcquire("region-enter", p.I, r.I, pc); err != nil {
 		return err
 	}
-	if missing := p.S.Minus(r.S).Minus(pc.Minus()); !missing.IsEmpty() {
-		return &ChangeError{Op: "region-drop", Check: "drop", From: p.S, To: r.S, Caps: pc, Missing: missing}
+	if !p.S.coveredBy(&r.S, &pc.minus) {
+		return &ChangeError{Op: "region-drop", Check: "drop", From: p.S, To: r.S, Caps: pc, Missing: p.S.Minus(r.S).Minus(pc.minus)}
 	}
-	if missing := p.I.Minus(r.I).Minus(pc.Minus()); !missing.IsEmpty() {
-		return &ChangeError{Op: "region-drop", Check: "drop", From: p.I, To: r.I, Caps: pc, Missing: missing}
+	if !p.I.coveredBy(&r.I, &pc.minus) {
+		return &ChangeError{Op: "region-drop", Check: "drop", From: p.I, To: r.I, Caps: pc, Missing: p.I.Minus(r.I).Minus(pc.minus)}
 	}
-	if !rc.SubsetOf(pc) {
-		missing := rc.Plus().Minus(pc.Plus()).Union(rc.Minus().Minus(pc.Minus()))
+	if !rc.plus.subsetOf(&pc.plus) || !rc.minus.subsetOf(&pc.minus) {
+		missing := rc.plus.Minus(pc.plus).Union(rc.minus.Minus(pc.minus))
 		return &ChangeError{Op: "region-caps", Check: "subset", From: rc.Plus(), To: rc.Minus(), Caps: pc, Missing: missing}
 	}
 	return nil
@@ -158,10 +163,10 @@ func (e *ChangeError) Error() string {
 // under caps, and a *ChangeError naming the capability-less tags
 // otherwise.
 func CheckChange(op string, from, to Label, caps CapSet) error {
-	missing := to.Minus(from).Minus(caps.Plus()).Union(from.Minus(to).Minus(caps.Minus()))
-	if missing.IsEmpty() {
+	if CanChange(from, to, caps) {
 		return nil
 	}
+	missing := to.Minus(from).Minus(caps.plus).Union(from.Minus(to).Minus(caps.minus))
 	return &ChangeError{Op: op, Check: "change", From: from, To: to, Caps: caps, Missing: missing}
 }
 
@@ -171,20 +176,20 @@ func CheckChange(op string, from, to Label, caps CapSet) error {
 // and region entry — and a *ChangeError naming the unobtainable tags
 // otherwise.
 func CheckAcquire(op string, have, want Label, caps CapSet) error {
-	missing := want.Minus(caps.Plus().Union(have))
-	if missing.IsEmpty() {
+	if want.coveredBy(&caps.plus, &have) {
 		return nil
 	}
+	missing := want.Minus(caps.plus.Union(have))
 	return &ChangeError{Op: op, Check: "acquire", From: have, To: want, Caps: caps, Missing: missing}
 }
 
 // CheckFlow returns nil when information may flow src → dst, and a
 // *FlowError naming the violated rule otherwise.
 func CheckFlow(op string, src, dst Labels) error {
-	if !src.S.SubsetOf(dst.S) {
+	if !src.S.subsetOf(&dst.S) {
 		return &FlowError{Op: op, Src: src, Dst: dst, Rule: "secrecy"}
 	}
-	if !dst.I.SubsetOf(src.I) {
+	if !dst.I.subsetOf(&src.I) {
 		return &FlowError{Op: op, Src: src, Dst: dst, Rule: "integrity"}
 	}
 	return nil

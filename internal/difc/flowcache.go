@@ -51,13 +51,13 @@ func flowShardFor(a, b uint64) *flowShard {
 	return &flowCache[h%flowCacheShardCount]
 }
 
-// cachedSubset consults the memo table for "a ⊆ b". The second return
-// is false when the pair is absent (or either label is un-interned, in
-// which case callers must recompute).
-func cachedSubset(a, b Label) (bool, bool) {
-	sh := flowShardFor(a.id, b.id)
+// cachedSubset consults the memo table for "a ⊆ b", given the two
+// labels' intern ids (both nonzero). The second return is false when the
+// pair is absent and callers must recompute.
+func cachedSubset(a, b uint64) (bool, bool) {
+	sh := flowShardFor(a, b)
 	sh.mu.Lock()
-	v, ok := sh.m[flowKey{a.id, b.id}]
+	v, ok := sh.m[flowKey{a, b}]
 	sh.mu.Unlock()
 	if ok {
 		flowHits.Add(1)
@@ -67,10 +67,10 @@ func cachedSubset(a, b Label) (bool, bool) {
 	return v, ok
 }
 
-// storeSubset records "a ⊆ b = v", evicting the whole shard first if it
-// is at capacity.
-func storeSubset(a, b Label, v bool) {
-	sh := flowShardFor(a.id, b.id)
+// storeSubset records "a ⊆ b = v" for the labels with intern ids a and
+// b, evicting the whole shard first if it is at capacity.
+func storeSubset(a, b uint64, v bool) {
+	sh := flowShardFor(a, b)
 	sh.mu.Lock()
 	if sh.m == nil {
 		sh.m = make(map[flowKey]bool)
@@ -78,7 +78,7 @@ func storeSubset(a, b Label, v bool) {
 		clear(sh.m)
 		flowEvictions.Add(1)
 	}
-	sh.m[flowKey{a.id, b.id}] = v
+	sh.m[flowKey{a, b}] = v
 	sh.mu.Unlock()
 }
 

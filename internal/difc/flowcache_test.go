@@ -175,7 +175,7 @@ func TestFlowCacheEviction(t *testing.T) {
 	}
 	sh.mu.Unlock()
 
-	storeSubset(a, b, want) // at cap: must clear first
+	storeSubset(a.id, b.id, want) // at cap: must clear first
 	sh.mu.Lock()
 	n := len(sh.m)
 	sh.mu.Unlock()
@@ -199,7 +199,7 @@ func TestInternTableBoundedDegradation(t *testing.T) {
 	saved := sh.m
 	full := make(map[string]uint64, maxInternedPerShard)
 	for i := 0; len(full) < maxInternedPerShard; i++ {
-		full[internKey([]Tag{Tag(i + 1), ^Tag(i)})] = uint64(i + 1000)
+		full[string(internKey(nil, []Tag{Tag(i + 1), ^Tag(i)}))] = uint64(i + 1000)
 	}
 	sh.m = full
 	sh.mu.Unlock()

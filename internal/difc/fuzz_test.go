@@ -64,10 +64,10 @@ func FuzzUnmarshalLabel(f *testing.F) {
 func FuzzInlineLabel(f *testing.F) {
 	f.Add([]byte{}, []byte{})
 	f.Add([]byte{1}, []byte{1})
-	f.Add([]byte{1, 2, 3, 4}, []byte{1, 2})                  // inline vs inline, superset
-	f.Add([]byte{1, 2, 3, 4, 5}, []byte{1, 2, 3, 4})         // heap vs inline at the boundary
-	f.Add([]byte{1, 2, 3, 4, 5, 6, 7}, []byte{5, 6, 7, 8})   // heap vs inline, overlap
-	f.Add([]byte{9, 9, 9, 9, 9, 9}, []byte{9})               // dup-heavy collapses to inline
+	f.Add([]byte{1, 2, 3, 4}, []byte{1, 2})                // inline vs inline, superset
+	f.Add([]byte{1, 2, 3, 4, 5}, []byte{1, 2, 3, 4})       // heap vs inline at the boundary
+	f.Add([]byte{1, 2, 3, 4, 5, 6, 7}, []byte{5, 6, 7, 8}) // heap vs inline, overlap
+	f.Add([]byte{9, 9, 9, 9, 9, 9}, []byte{9})             // dup-heavy collapses to inline
 	f.Fuzz(func(t *testing.T, aRaw, bRaw []byte) {
 		toTags := func(raw []byte) []Tag {
 			if len(raw) > 16 {
@@ -162,6 +162,41 @@ func FuzzInlineLabel(f *testing.F) {
 				for _, b := range bForms {
 					if got := op.f(a, b); !got.Equal(want) {
 						t.Fatalf("%s depends on representation: %v != %v", op.name, got, want)
+					}
+				}
+			}
+		}
+
+		// Union and Minus against the model, on interned operands too:
+		// either may hand back an operand unchanged, and any id a result
+		// carries must resolve through LabelByID to an Equal label.
+		unionSet, minusSet := map[Tag]bool{}, map[Tag]bool{}
+		for tg := range aSet {
+			unionSet[tg] = true
+			if !bSet[tg] {
+				minusSet[tg] = true
+			}
+		}
+		for tg := range bSet {
+			unionSet[tg] = true
+		}
+		modelEqual := func(m map[Tag]bool, l Label) bool {
+			return subsetModel(m, toSet(l.Tags())) && l.Len() == len(m)
+		}
+		for _, a := range append(aForms, Intern(aInline), Intern(aHeap)) {
+			for _, b := range append(bForms, Intern(bInline), Intern(bHeap)) {
+				for _, r := range []struct {
+					name  string
+					model map[Tag]bool
+					got   Label
+				}{{"Union", unionSet, a.Union(b)}, {"Minus", minusSet, a.Minus(b)}} {
+					if !modelEqual(r.model, r.got) {
+						t.Fatalf("%s = %v, model says %v (a=%v b=%v)", r.name, r.got, r.model, a, b)
+					}
+					if id := r.got.InternedID(); id != 0 {
+						if canon, ok := LabelByID(id); !ok || !modelEqual(r.model, canon) {
+							t.Fatalf("%s = %v carries id %d resolving to %v, %v", r.name, r.got, id, canon, ok)
+						}
 					}
 				}
 			}

@@ -55,13 +55,24 @@ const emptyInternID uint64 = 1
 
 func init() { internIDs.Store(emptyInternID) }
 
-// internKey packs the sorted tag slice into a string usable as a map key.
-func internKey(tags []Tag) string {
-	b := make([]byte, 8*len(tags))
-	for i, t := range tags {
-		binary.BigEndian.PutUint64(b[i*8:], uint64(t))
+// internScratchTags is how many tags Intern packs into a key on the
+// stack; a larger label packs its key on the heap.
+const internScratchTags = 64
+
+// internKey packs the sorted tag slice into buf (grown if too small) as
+// the bytes of its table key. Converting the result to a string in a map
+// index does not allocate, so a hit costs no allocation; the key string
+// is made only when a miss inserts it.
+func internKey(buf []byte, tags []Tag) []byte {
+	n := 8 * len(tags)
+	if cap(buf) < n {
+		buf = make([]byte, n)
 	}
-	return string(b)
+	buf = buf[:n]
+	for i, t := range tags {
+		binary.BigEndian.PutUint64(buf[i*8:], uint64(t))
+	}
+	return buf
 }
 
 // internShardFor picks a shard by mixing the tag set (fnv-1a over the
@@ -89,10 +100,11 @@ func Intern(l Label) Label {
 	}
 	tags := l.view()
 	sh := internShardFor(tags)
-	key := internKey(tags)
+	var scratch [8 * internScratchTags]byte
+	key := internKey(scratch[:0], tags)
 
 	sh.mu.RLock()
-	id, ok := sh.m[key]
+	id, ok := sh.m[string(key)]
 	sh.mu.RUnlock()
 	if ok {
 		internHits.Add(1)
@@ -100,7 +112,7 @@ func Intern(l Label) Label {
 	}
 
 	sh.mu.Lock()
-	if id, ok = sh.m[key]; ok {
+	if id, ok = sh.m[string(key)]; ok {
 		sh.mu.Unlock()
 		internHits.Add(1)
 		return l.withID(id)
@@ -113,7 +125,7 @@ func Intern(l Label) Label {
 		return l // table full: degrade gracefully
 	}
 	id = internIDs.Add(1)
-	sh.m[key] = id
+	sh.m[string(key)] = id
 	sh.mu.Unlock()
 	internByID.Store(id, l.withID(id))
 	internMisses.Add(1)

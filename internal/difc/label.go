@@ -11,7 +11,7 @@ package difc
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -53,7 +53,10 @@ type Label struct {
 	heap []Tag
 	// id is the canonical intern identity assigned by Intern (intern.go):
 	// 0 means "not interned"; equal nonzero ids imply equal tag sets and
-	// vice versa. Derived labels (Union, Minus, ...) start un-interned.
+	// vice versa. A nonzero id is always canonical, wherever the label
+	// came from: operations that return one of their operands unchanged
+	// (Union with an empty side, Minus that removes nothing, Add of a held
+	// tag) keep its id, and every freshly built result starts at 0.
 	id uint64
 	// sig is a 64-bit membership signature (one hashed bit per tag).
 	// l ⊆ other requires l.sig &^ other.sig == 0, giving SubsetOf and Has
@@ -88,21 +91,27 @@ func (l *Label) view() []Tag {
 
 // labelOf builds a label from a sorted, deduplicated, InvalidTag-free
 // slice. Small sets are copied into the inline array and the input slice
-// is not retained; larger sets retain the slice, so callers passing
-// scratch-backed slices must go through labelCopy instead.
+// is not retained; larger sets retain the slice, so it must be a fresh
+// heap slice. Results built in stack scratch go through labelCopy.
 func labelOf(tags []Tag) Label {
-	var l Label
-	if len(tags) == 0 {
-		return l
+	if len(tags) <= inlineCap {
+		return labelInline(tags)
 	}
+	l := Label{heap: tags}
 	for _, t := range tags {
 		l.sig |= tagBit(t)
 	}
-	if len(tags) <= inlineCap {
-		l.n = uint8(copy(l.inline[:], tags))
-		return l
+	return l
+}
+
+// labelInline is labelOf for at most inlineCap tags. It never retains
+// the slice, which is what lets callers keep their scratch on the stack.
+func labelInline(tags []Tag) Label {
+	var l Label
+	for _, t := range tags {
+		l.sig |= tagBit(t)
 	}
-	l.heap = tags
+	l.n = uint8(copy(l.inline[:], tags))
 	return l
 }
 
@@ -114,8 +123,16 @@ func labelCopy(tags []Tag) Label {
 		copy(h, tags)
 		return labelOf(h)
 	}
-	return labelOf(tags)
+	return labelInline(tags)
 }
+
+// buildScratch is the stack scratch in which the label constructors
+// build results of up to 2*inlineCap tags. Each constructor fills either
+// a buildScratch, finished by labelCopy, or, when the result may be
+// larger, a fresh heap slice finished by labelOf without a second copy.
+// The two paths are separate calls so that escape analysis can keep the
+// scratch on the stack.
+type buildScratch [2 * inlineCap]Tag
 
 // withID returns a copy of l carrying the given intern id.
 func (l Label) withID(id uint64) Label {
@@ -131,38 +148,23 @@ func NewLabel(tags ...Tag) Label {
 	if len(tags) == 0 {
 		return Label{}
 	}
-	var scratch [2 * inlineCap]Tag
-	var ts []Tag
+	var scratch buildScratch
 	if len(tags) <= len(scratch) {
-		ts = scratch[:0]
-	} else {
-		ts = make([]Tag, 0, len(tags))
+		return labelCopy(appendNormalized(scratch[:0], tags))
 	}
+	return labelOf(appendNormalized(make([]Tag, 0, len(tags)), tags))
+}
+
+// appendNormalized appends tags to out sorted, deduplicated and without
+// InvalidTag.
+func appendNormalized(out, tags []Tag) []Tag {
 	for _, t := range tags {
 		if t != InvalidTag {
-			ts = append(ts, t)
-		}
-	}
-	if len(ts) <= len(scratch) {
-		// Insertion sort: no closure, no interface, no escape.
-		for i := 1; i < len(ts); i++ {
-			for j := i; j > 0 && ts[j] < ts[j-1]; j-- {
-				ts[j], ts[j-1] = ts[j-1], ts[j]
-			}
-		}
-	} else {
-		sort.Slice(ts, func(i, j int) bool { return ts[i] < ts[j] })
-	}
-	// Dedup in place.
-	out := ts[:0]
-	var prev Tag
-	for i, t := range ts {
-		if i == 0 || t != prev {
 			out = append(out, t)
 		}
-		prev = t
 	}
-	return labelCopy(out)
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // newLabelHeap builds a label that uses the heap representation even when
@@ -197,9 +199,8 @@ func (l Label) Has(t Tag) bool {
 	if l.sig&tagBit(t) == 0 {
 		return false
 	}
-	v := l.view()
-	i := sort.Search(len(v), func(i int) bool { return v[i] >= t })
-	return i < len(v) && v[i] == t
+	_, ok := slices.BinarySearch(l.view(), t)
+	return ok
 }
 
 // Tags returns a copy of the label's tags in ascending order. The copy may
@@ -230,11 +231,15 @@ func (l Label) Each(fn func(Tag) bool) {
 // inline×inline pairs are resolved by a short merge walk that is cheaper
 // than any cache probe, and larger interned pairs are memoized in the
 // process-global flow cache.
-func (l Label) SubsetOf(other Label) bool {
+func (l Label) SubsetOf(other Label) bool { return l.subsetOf(&other) }
+
+// subsetOf is SubsetOf without copying either 80-byte operand; the
+// barrier and region-entry checks call it on labels they already hold.
+func (l *Label) subsetOf(other *Label) bool {
 	if l.sig&^other.sig != 0 {
 		return false // some tag of l hashes outside other's signature
 	}
-	if l.Len() > other.Len() {
+	if len(l.view()) > len(other.view()) {
 		return false
 	}
 	if l.heap == nil && other.heap == nil {
@@ -244,18 +249,18 @@ func (l Label) SubsetOf(other Label) bool {
 		if l.id == other.id {
 			return true // identical interned sets
 		}
-		if v, ok := cachedSubset(l, other); ok {
+		if v, ok := cachedSubset(l.id, other.id); ok {
 			return v
 		}
 		v := l.subsetSlow(other)
-		storeSubset(l, other, v)
+		storeSubset(l.id, other.id, v)
 		return v
 	}
 	return l.subsetSlow(other)
 }
 
 // subsetSlow is the uncached sorted-merge subset walk.
-func (l Label) subsetSlow(other Label) bool {
+func (l *Label) subsetSlow(other *Label) bool {
 	a, b := l.view(), other.view()
 	i, j := 0, 0
 	for i < len(a) && j < len(b) {
@@ -270,6 +275,30 @@ func (l Label) subsetSlow(other Label) bool {
 		}
 	}
 	return i == len(a)
+}
+
+// coveredBy reports whether every tag of l is in x or in y
+// (l ⊆ x ∪ y) without building the union: the allocation-free form of
+// "l.Minus(x.Union(y)) is empty" that the label-change and region-entry
+// checks ask before they build the missing set of a denial.
+func (l *Label) coveredBy(x, y *Label) bool {
+	if l.sig&^(x.sig|y.sig) != 0 {
+		return false
+	}
+	a, b, c := l.view(), x.view(), y.view()
+	j, k := 0, 0
+	for _, t := range a {
+		for j < len(b) && b[j] < t {
+			j++
+		}
+		for k < len(c) && c[k] < t {
+			k++
+		}
+		if (j == len(b) || b[j] != t) && (k == len(c) || c[k] != t) {
+			return false
+		}
+	}
+	return true
 }
 
 // Equal reports whether two labels contain exactly the same tags.
@@ -302,13 +331,15 @@ func (l Label) Union(other Label) Label {
 		return l
 	}
 	a, b := l.view(), other.view()
-	var scratch [2 * inlineCap]Tag
-	var out []Tag
+	var scratch buildScratch
 	if len(a)+len(b) <= len(scratch) {
-		out = scratch[:0]
-	} else {
-		out = make([]Tag, 0, len(a)+len(b))
+		return labelCopy(appendUnion(scratch[:0], a, b))
 	}
+	return labelOf(appendUnion(make([]Tag, 0, len(a)+len(b)), a, b))
+}
+
+// appendUnion appends the sorted merge of a and b to out.
+func appendUnion(out, a, b []Tag) []Tag {
 	i, j := 0, 0
 	for i < len(a) && j < len(b) {
 		switch {
@@ -325,8 +356,7 @@ func (l Label) Union(other Label) Label {
 		}
 	}
 	out = append(out, a[i:]...)
-	out = append(out, b[j:]...)
-	return labelCopy(out)
+	return append(out, b[j:]...)
 }
 
 // Meet returns the greatest lower bound (intersection) of l and other.
@@ -335,13 +365,16 @@ func (l Label) Meet(other Label) Label {
 		return Label{}
 	}
 	a, b := l.view(), other.view()
-	var scratch [2 * inlineCap]Tag
-	var out []Tag
-	if m := min(len(a), len(b)); m <= len(scratch) {
-		out = scratch[:0]
-	} else {
-		out = make([]Tag, 0, m)
+	var scratch buildScratch
+	m := min(len(a), len(b))
+	if m <= len(scratch) {
+		return labelCopy(appendMeet(scratch[:0], a, b))
 	}
+	return labelOf(appendMeet(make([]Tag, 0, m), a, b))
+}
+
+// appendMeet appends the tags both a and b hold to out.
+func appendMeet(out, a, b []Tag) []Tag {
 	i, j := 0, 0
 	for i < len(a) && j < len(b) {
 		switch {
@@ -355,28 +388,48 @@ func (l Label) Meet(other Label) Label {
 			j++
 		}
 	}
-	return labelCopy(out)
+	return out
 }
 
-// Minus returns the set difference l − other.
+// Minus returns the set difference l − other. When other holds none of
+// l's tags the result is l itself, intern id included.
 func (l Label) Minus(other Label) Label {
-	if l.IsEmpty() || other.IsEmpty() {
+	if l.IsEmpty() || l.sig&other.sig == 0 {
+		return l // disjoint signatures: nothing to remove
+	}
+	a, b := l.view(), other.view()
+	// Find the first tag of l that other holds.
+	i, j := 0, 0
+	for i < len(a) && j < len(b) && a[i] != b[j] {
+		if a[i] < b[j] {
+			i++
+		} else {
+			j++
+		}
+	}
+	if i == len(a) || j == len(b) {
 		return l
 	}
-	a := l.view()
-	var scratch [2 * inlineCap]Tag
-	var out []Tag
-	if len(a) <= len(scratch) {
-		out = scratch[:0]
-	} else {
-		out = make([]Tag, 0, len(a))
+	// a[i] goes; keep a[:i] and whatever of a[i+1:] other lacks.
+	var scratch buildScratch
+	if len(a)-1 <= len(scratch) {
+		return labelCopy(appendMinus(append(scratch[:0], a[:i]...), a[i+1:], b[j+1:]))
 	}
+	return labelOf(appendMinus(append(make([]Tag, 0, len(a)-1), a[:i]...), a[i+1:], b[j+1:]))
+}
+
+// appendMinus appends the tags of a that b lacks to out.
+func appendMinus(out, a, b []Tag) []Tag {
+	j := 0
 	for _, t := range a {
-		if !other.Has(t) {
+		for j < len(b) && b[j] < t {
+			j++
+		}
+		if j == len(b) || b[j] != t {
 			out = append(out, t)
 		}
 	}
-	return labelCopy(out)
+	return out
 }
 
 // Add returns a new label that also contains t.

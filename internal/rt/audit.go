@@ -145,6 +145,13 @@ func (vm *VM) SetAudit(fn func(Event)) {
 	})
 }
 
+// observed reports whether any consumer would see an emitted event. The
+// region enter and exit paths test it before building their Event, a
+// struct of several hundred bytes.
+func (vm *VM) observed() bool {
+	return vm.audit != nil || (vm.rec != nil && vm.rec.Active())
+}
+
 // emit delivers an event to the legacy hook and mirrors it into the
 // telemetry recorder. With no hook and telemetry off, the cost is two
 // nil/atomic checks.

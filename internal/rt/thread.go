@@ -183,7 +183,7 @@ func (t *Thread) Secure(labels difc.Labels, caps difc.CapSet, body func(*Region)
 		// structured ChangeError (which names the violated condition and
 		// the offending tags) before reporting it to the caller.
 		t.vm.emit(Event{Kind: EvViolation, Thread: uint64(t.task.TID), Labels: labels, Op: "region-enter", Err: err})
-		return fmt.Errorf("rt: cannot enter security region %v %v from %v %v: %w", labels, caps, cur, curCaps, err)
+		return &regionEntryError{labels: labels, caps: caps, cur: cur, curCaps: curCaps, err: err}
 	}
 	r := &Region{
 		thread: t,
@@ -195,7 +195,9 @@ func (t *Thread) Secure(labels difc.Labels, caps difc.CapSet, body func(*Region)
 		parent: t.region,
 	}
 	t.vm.stats.RegionsEntered.Add(1)
-	t.vm.emit(Event{Kind: EvRegionEnter, Thread: uint64(t.task.TID), Labels: labels})
+	if t.vm.observed() {
+		t.vm.emit(Event{Kind: EvRegionEnter, Thread: uint64(t.task.TID), Labels: labels})
+	}
 	start := now()
 	prevSynced := t.kernelSynced
 	t.region = r
@@ -252,7 +254,9 @@ func (t *Thread) Secure(labels difc.Labels, caps difc.CapSet, body func(*Region)
 		if r.parent == nil {
 			t.vm.stats.RegionNanos.Add(int64(now().Sub(start)))
 		}
-		t.vm.emit(Event{Kind: EvRegionExit, Thread: uint64(t.task.TID), Labels: labels})
+		if t.vm.observed() {
+			t.vm.emit(Event{Kind: EvRegionExit, Thread: uint64(t.task.TID), Labels: labels})
+		}
 	}()
 
 	if t.vm.EagerSync {
@@ -281,3 +285,22 @@ func (t *Thread) Secure(labels difc.Labels, caps difc.CapSet, body func(*Region)
 	}()
 	return nil
 }
+
+// regionEntryError is a refused region entry. It keeps the operands of
+// the failed check, which are immutable values, and renders them only
+// when Error is called: callers that merely test for a denial, as most
+// do, pay for no formatting of (possibly large) labels.
+type regionEntryError struct {
+	labels  difc.Labels
+	caps    difc.CapSet
+	cur     difc.Labels
+	curCaps difc.CapSet
+	err     error // the *difc.ChangeError naming the violated condition
+}
+
+func (e *regionEntryError) Error() string {
+	return fmt.Sprintf("rt: cannot enter security region %v %v from %v %v: %v", e.labels, e.caps, e.cur, e.curCaps, e.err)
+}
+
+// Unwrap exposes the *difc.ChangeError.
+func (e *regionEntryError) Unwrap() error { return e.err }

@@ -259,8 +259,20 @@ func TestClusterOracleEpochRejectInvisible(t *testing.T) {
 	if _, err := n2.cl.Join(); err != nil {
 		t.Fatal(err)
 	}
+	// Converged and Joined alone can hold before node 1 has heard the new
+	// incarnation: node 1 still lists the old one alive, and node 2 may
+	// finish its previous join from the store without a round trip. So
+	// also wait for node 1 to record the new epoch.
+	learned := func() bool {
+		for _, m := range n1.cl.Members() {
+			if m.ID == 2 {
+				return m.Epoch == n2.cl.Epoch()
+			}
+		}
+		return false
+	}
 	deadline = time.Now().Add(20 * time.Second)
-	for !(n1.cl.Converged(1, 2) && n2.cl.Joined()) {
+	for !(n1.cl.Converged(1, 2) && n2.cl.Joined() && learned()) {
 		if !time.Now().Before(deadline) {
 			t.Fatal("never reconverged after re-epoch")
 		}

@@ -20,12 +20,12 @@ import (
 
 func main() {
 	var (
-		seed   = flag.Int64("seed", 0, "run exactly this one seed (0 = run -seeds many, starting at 1)")
-		seeds  = flag.Int("seeds", 50, "number of consecutive seeds to run when -seed is 0")
-		ops    = flag.Int("ops", 200, "workload operations per schedule")
-		errR   = flag.Float64("error-rate", 0.02, "probability an injection site returns an error")
-		crashR = flag.Float64("crash-rate", 0.004, "probability an injection site crash-kills the acting task")
-		delayR = flag.Float64("delay-rate", 0.02, "probability an injection site yields the scheduler")
+		seed    = flag.Int64("seed", 0, "run exactly this one seed (0 = run -seeds many, starting at 1)")
+		seeds   = flag.Int("seeds", 50, "number of consecutive seeds to run when -seed is 0")
+		ops     = flag.Int("ops", 200, "workload operations per schedule")
+		errR    = flag.Float64("error-rate", 0.02, "probability an injection site returns an error")
+		crashR  = flag.Float64("crash-rate", 0.004, "probability an injection site crash-kills the acting task")
+		delayR  = flag.Float64("delay-rate", 0.02, "probability an injection site yields the scheduler")
 		verb    = flag.Bool("v", false, "print the fault schedule of every run, not just failures")
 		bigLock = flag.Bool("biglock", false, "run on the serial big-lock kernel instead of the sharded one")
 	)

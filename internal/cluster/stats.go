@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"encoding/json"
 	"expvar"
 	"fmt"
@@ -37,6 +38,7 @@ type peerStats struct {
 	epoch    uint64 // sender's incarnation epoch at send time
 	tick     uint64 // receiver's tick when heard
 	deadTick uint64 // tick the sweep first saw the peer dead; 0 = live
+	blob     []byte // the JSON snap was decoded from, owned (parseCtrl copies it)
 	snap     telemetry.MetricsSnapshot
 }
 
@@ -61,15 +63,25 @@ func (c *Cluster) ledger() *budget.Ledger {
 // onStats caches a peer's snapshot broadcast and merges any attached
 // budget facts into the local ledger. locked.
 func (c *Cluster) onStats(m ctrlMsg) {
-	var snap telemetry.MetricsSnapshot
-	if err := json.Unmarshal(m.Blob, &snap); err != nil {
-		c.denyEvent("cluster.stats", "decode", err)
-		return
+	ps, cached := c.stats[m.From]
+	if !cached || !bytes.Equal(ps.blob, m.Blob) {
+		// A blob identical to the cached one keeps the decoded snapshot:
+		// ClusterSnapshot and MergeSnapshots only read it. Only a sender
+		// whose recorder is off repeats itself, since every counter in
+		// the snapshot advances only while telemetry is on; otherwise
+		// this costs one failed compare, and blob is the copy parseCtrl
+		// already made.
+		var snap telemetry.MetricsSnapshot
+		if err := json.Unmarshal(m.Blob, &snap); err != nil {
+			c.denyEvent("cluster.stats", "decode", err)
+			return
+		}
+		ps = peerStats{blob: m.Blob, snap: snap}
 	}
 	if c.stats == nil {
 		c.stats = make(map[uint64]peerStats)
 	}
-	c.stats[m.From] = peerStats{epoch: m.Epoch, tick: c.now, snap: snap}
+	c.stats[m.From] = peerStats{epoch: m.Epoch, tick: c.now, blob: ps.blob, snap: ps.snap}
 	c.count("cluster.stats.heard", 1)
 	if len(m.Budget) == 0 {
 		return

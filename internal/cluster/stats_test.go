@@ -235,6 +235,77 @@ func TestStatsBlobDecodeFailureIsProvenance(t *testing.T) {
 	}
 }
 
+// TestStatsIdenticalBlobReusesSnapshot: a peer re-sending byte-identical
+// stats keeps its decoded snapshot but is restamped with the new epoch
+// and tick, so staleness reads exactly as if the blob had been decoded
+// again; a changed blob is decoded; a malformed blob after a good one is
+// still denied with cluster.stats provenance and leaves the cache as it
+// was.
+func TestStatsIdenticalBlobReusesSnapshot(t *testing.T) {
+	n1 := bootCluster(t, Config{ID: 1})
+	var denies int
+	unsub := n1.rec.Subscribe(func(e telemetry.Event) {
+		if e.Layer == telemetry.LayerCluster && e.Site == "cluster.stats" {
+			denies++
+		}
+	})
+	defer unsub()
+	send := func(epoch uint64, blob string) {
+		n1.cl.onControl(0, encodeCtrl(ctrlMsg{Type: msgStats, From: 9, Epoch: epoch,
+			Addr: "127.0.0.1:1", Blob: []byte(blob)}))
+	}
+	cached := func() peerStats {
+		n1.cl.mu.Lock()
+		defer n1.cl.mu.Unlock()
+		return n1.cl.stats[9]
+	}
+	slice9 := func() telemetry.NodeSnapshot {
+		for _, n := range n1.cl.ClusterSnapshot().Nodes {
+			if n.Node == 9 {
+				return n
+			}
+		}
+		t.Fatal("node 9 slice missing")
+		return telemetry.NodeSnapshot{}
+	}
+
+	const good = `{"denials":4,"extra":{"x":1}}`
+	send(1, good)
+	first := cached()
+	if first.snap.Denials != 4 || first.snap.Extra["x"] != 1 {
+		t.Fatalf("decoded snapshot = %+v", first.snap)
+	}
+	// Ticks pass and the peer comes back under a new epoch with the same
+	// counters. Unrestamped, the slice would read stale ("epoch 1 < 2").
+	n1.cl.mu.Lock()
+	n1.cl.now += 5
+	n1.cl.mu.Unlock()
+	send(2, good)
+	again := cached()
+	if again.epoch != 2 || again.tick != first.tick+5 {
+		t.Fatalf("identical blob stamped epoch %d tick %d, want 2 and %d", again.epoch, again.tick, first.tick+5)
+	}
+	if reflect.ValueOf(again.snap.Extra).Pointer() != reflect.ValueOf(first.snap.Extra).Pointer() {
+		t.Error("identical blob was decoded again")
+	}
+	if n := slice9(); n.Stale || n.Epoch != 2 || n.Snapshot.Denials != 4 {
+		t.Fatalf("slice after identical blob = %+v", n)
+	}
+
+	send(2, `{"denials":7}`)
+	if got := cached().snap; got.Denials != 7 || got.Extra != nil {
+		t.Fatalf("changed blob not decoded: %+v", got)
+	}
+
+	send(2, "{not json")
+	if denies != 1 {
+		t.Fatalf("malformed blob after a good one: %d cluster.stats denials, want 1", denies)
+	}
+	if got := cached().snap; got.Denials != 7 {
+		t.Fatalf("malformed blob disturbed the cached snapshot: %+v", got)
+	}
+}
+
 // TestStatsCtrlCodecBudgetBlob: the optional second blob (ISSUE 10
 // budget facts) round-trips, its absence is the valid pre-budget frame,
 // and its framing is as strict as the stats blob's.

@@ -15,14 +15,14 @@ import (
 // emitted) and dynamic (runtime checks executed) terms.
 type BarrierRow struct {
 	Program      string `json:"program"`
-	Sites        int    `json:"sites"`          // access+static barrier sites before elimination
-	EmittedBase  int    `json:"emitted_base"`   // barriers emitted, no elimination
-	EmittedIntra int    `json:"emitted_intra"`  // after intraprocedural elimination (§5.1)
-	EmittedInter int    `json:"emitted_inter"`  // after interprocedural summary-based elimination
-	ChecksBase   uint64 `json:"checks_base"`    // runtime checks, no elimination
-	ChecksIntra  uint64 `json:"checks_intra"`   // runtime checks, intraprocedural
-	ChecksInter  uint64 `json:"checks_inter"`   // runtime checks, interprocedural
-	BarrierFree  int    `json:"barrier_free"`   // methods proven barrier-free
+	Sites        int    `json:"sites"`         // access+static barrier sites before elimination
+	EmittedBase  int    `json:"emitted_base"`  // barriers emitted, no elimination
+	EmittedIntra int    `json:"emitted_intra"` // after intraprocedural elimination (§5.1)
+	EmittedInter int    `json:"emitted_inter"` // after interprocedural summary-based elimination
+	ChecksBase   uint64 `json:"checks_base"`   // runtime checks, no elimination
+	ChecksIntra  uint64 `json:"checks_intra"`  // runtime checks, intraprocedural
+	ChecksInter  uint64 `json:"checks_inter"`  // runtime checks, interprocedural
+	BarrierFree  int    `json:"barrier_free"`  // methods proven barrier-free
 }
 
 // BarrierReport is the barrier-reduction experiment: how much of the

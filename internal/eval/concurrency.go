@@ -31,9 +31,9 @@ import (
 
 // ConcRow is one (workload, GOMAXPROCS, lock mode) measurement.
 type ConcRow struct {
-	Workload   string  `json:"workload"`    // "cpu" or "io"
+	Workload   string  `json:"workload"` // "cpu" or "io"
 	Procs      int     `json:"gomaxprocs"`
-	Mode       string  `json:"lock_mode"`   // "biglock" or "sharded"
+	Mode       string  `json:"lock_mode"` // "biglock" or "sharded"
 	Tasks      int     `json:"tasks"`
 	Ops        int     `json:"total_ops"`
 	NsPerOp    float64 `json:"ns_per_op"`
@@ -74,7 +74,7 @@ func stormTask(k *kernel.Kernel, t *kernel.Task, dir string, iters int) error {
 				return fmt.Errorf("write: %w", err)
 			}
 		}
-		k.Close(t, fd) // 5
+		k.Close(t, fd)                            // 5
 		rfd, err := k.Open(t, path, kernel.ORead) // 6
 		if err != nil {
 			return fmt.Errorf("reopen: %w", err)
@@ -82,7 +82,7 @@ func stormTask(k *kernel.Kernel, t *kernel.Task, dir string, iters int) error {
 		if _, err := k.Read(t, rfd, buf); err != nil { // 7
 			return fmt.Errorf("read: %w", err)
 		}
-		k.Close(t, rfd) // 8
+		k.Close(t, rfd)                            // 8
 		if _, err := k.Stat(t, path); err != nil { // 9
 			return fmt.Errorf("stat: %w", err)
 		}

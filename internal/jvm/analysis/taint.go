@@ -260,36 +260,36 @@ type taintAnalysis struct {
 	// see the post-laundering taint, mirroring the DIFC semantics.
 	statics []uint8
 
-	isDecl, isEnd        []bool
-	reachDecl, reachEnd  []bool // is, or transitively invokes, a site
-	hasPub               []bool // transitively executes a putstatic
-	inDeclCtx, inEndCtx  []bool // may run while such a region is active
-	changed              bool
+	isDecl, isEnd       []bool
+	reachDecl, reachEnd []bool // is, or transitively invokes, a site
+	hasPub              []bool // transitively executes a putstatic
+	inDeclCtx, inEndCtx []bool // may run while such a region is active
+	changed             bool
 }
 
 func newTaintAnalysis(p *jvm.Program) *taintAnalysis {
 	n := len(p.Methods)
 	ta := &taintAnalysis{
-		prog:       p,
-		graph:      BuildCallGraph(p),
-		mainIdx:    -1,
-		body:       make([]*methodInfo, n),
-		catch:      make([]*methodInfo, n),
-		entryVal:   make([][]uint8, n),
-		entryHeap:  make([][]uint8, n),
-		ret:        make([]taintVal, n),
-		retHeap:    make([]taintVal, n),
-		heapOut:    make([][]taintVal, n),
-		declassIn:  make([]uint32, n),
-		endorseIn:  make([]uint32, n),
-		statics:    make([]uint8, p.NStatics),
-		isDecl:     make([]bool, n),
-		isEnd:      make([]bool, n),
-		reachDecl:  make([]bool, n),
-		reachEnd:   make([]bool, n),
-		hasPub:     make([]bool, n),
-		inDeclCtx:  make([]bool, n),
-		inEndCtx:   make([]bool, n),
+		prog:      p,
+		graph:     BuildCallGraph(p),
+		mainIdx:   -1,
+		body:      make([]*methodInfo, n),
+		catch:     make([]*methodInfo, n),
+		entryVal:  make([][]uint8, n),
+		entryHeap: make([][]uint8, n),
+		ret:       make([]taintVal, n),
+		retHeap:   make([]taintVal, n),
+		heapOut:   make([][]taintVal, n),
+		declassIn: make([]uint32, n),
+		endorseIn: make([]uint32, n),
+		statics:   make([]uint8, p.NStatics),
+		isDecl:    make([]bool, n),
+		isEnd:     make([]bool, n),
+		reachDecl: make([]bool, n),
+		reachEnd:  make([]bool, n),
+		hasPub:    make([]bool, n),
+		inDeclCtx: make([]bool, n),
+		inEndCtx:  make([]bool, n),
 	}
 	for i := range ta.statics {
 		ta.statics[i] = TaintLow

@@ -43,11 +43,11 @@ func configs() []config {
 
 // outcome is everything a run may not change across configurations.
 type outcome struct {
-	verifyErr string
-	callErr   string
-	ret       string
-	statics   string
-	trace     string
+	verifyErr  string
+	callErr    string
+	ret        string
+	statics    string
+	trace      string
 	violations uint64
 	regions    uint64
 	checks     uint64 // barrier checks; compared only for monotonicity

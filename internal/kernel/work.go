@@ -41,9 +41,9 @@ const (
 	// vector of n chunks costs workWriteDispatch + n*workWriteData
 	// against n*(workWriteDispatch+workWriteData) for n scalar writes —
 	// the same bytes, minus n-1 syscall entries.
-	workWriteDispatch = workDeviceIO                    // 100: fixed per-syscall overhead
-	workWriteData     = workRegularIO - workDeviceIO    // 300: per-chunk regular-file data
-	workPipeData      = workPipeIO - workDeviceIO       // 200: per-chunk pipe data
+	workWriteDispatch = workDeviceIO                 // 100: fixed per-syscall overhead
+	workWriteData     = workRegularIO - workDeviceIO // 300: per-chunk regular-file data
+	workPipeData      = workPipeIO - workDeviceIO    // 200: per-chunk pipe data
 )
 
 // workSink defeats dead-code elimination of the spin loop. Accessed

@@ -1,6 +1,7 @@
 package netlabel
 
 import (
+	"encoding/binary"
 	"fmt"
 	"net"
 	"sync"
@@ -21,6 +22,14 @@ const (
 	defaultMaxConns    = 64
 	defaultMaxQueue    = 256 * 1024 // outbound bytes per conn before backpressure
 	defaultDrainChunk  = 16 * 1024  // max payload per Data frame
+
+	// readBufSize is the reader's buffer: it holds one full Data frame at
+	// the default DrainChunk, so only a larger frame grows it.
+	readBufSize = HeaderSize + defaultDrainChunk
+	// maxSpare bounds the flushed batch buffer a connection keeps for its
+	// next batch. A larger one is let go, so a link that went quiet after
+	// bulk traffic pins at most two such buffers.
+	maxSpare = 4 * (HeaderSize + defaultDrainChunk)
 )
 
 // dialBackoff is the sleep before dial attempt n (the first retry is
@@ -47,8 +56,9 @@ func dialBackoff(attempt int) time.Duration {
 
 // conn is one TCP connection to a peer node, after a successful
 // handshake. A reader goroutine decodes inbound frames into an inbox the
-// node's Pump applies; outbound frames queue under mu until Flush ships
-// them (coalesced into one write when batching is on).
+// node's Pump applies; outbound frames are encoded back to back into one
+// buffer under mu until flush ships them (one write per flush when
+// batching is on).
 type conn struct {
 	node   *Node
 	nc     net.Conn
@@ -56,9 +66,14 @@ type conn struct {
 	dialed bool
 	peerID uint64
 
+	// wmu serializes flushes, so batches reach the wire in the order
+	// their frames were queued even when Open flushes while Pump does.
+	wmu   sync.Mutex
+	spare []byte // the last flushed batch's buffer, reused for the next; wmu held
+
 	mu       sync.Mutex
-	out      [][]byte // encoded frames awaiting flush
-	outBytes int
+	out      []byte // encoded frames awaiting flush, back to back
+	frames   int    // frames in out
 	dead     bool
 	nextChan uint32 // parity-split id space: dialer odd, acceptor even
 
@@ -114,23 +129,23 @@ func (c *conn) kill() {
 	}
 	c.dead = true
 	c.out = nil
-	c.outBytes = 0
+	c.frames = 0
 	c.mu.Unlock()
 	c.nc.Close()
 }
 
-// enqueue appends an encoded frame to the outbound queue. A full queue
-// or a dead link drops the frame silently (backpressure: the caller
-// stops draining channels once queueSpace hits zero, so drops here only
-// happen for control frames racing a full queue).
-func (c *conn) enqueue(frame []byte) bool {
+// enqueue encodes f onto the outbound queue. A full queue or a dead
+// link drops the frame silently (backpressure: the caller stops draining
+// channels once queueSpace hits zero, so drops here only happen for
+// control frames racing a full queue).
+func (c *conn) enqueue(f Frame) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.dead || c.outBytes+len(frame) > c.node.cfg.MaxQueue {
+	if c.dead || len(c.out)+HeaderSize+len(f.Payload) > c.node.cfg.MaxQueue {
 		return false
 	}
-	c.out = append(c.out, frame)
-	c.outBytes += len(frame)
+	c.out = AppendFrame(c.out, f)
+	c.frames++
 	return true
 }
 
@@ -141,52 +156,72 @@ func (c *conn) queueSpace() int {
 	if c.dead {
 		return 0
 	}
-	return c.node.cfg.MaxQueue - c.outBytes
+	return c.node.cfg.MaxQueue - len(c.out)
 }
 
-// flush ships the queued frames: one coalesced write with batching on,
-// one write per frame with it off. A write error or an injected link
-// fault kills the connection; the frames are gone either way, exactly
-// like messages lost on the wire.
+// flush ships the queued frames: one write with batching on, one write
+// per frame with it off. The queue's buffer swaps with the spare, so a
+// steady link encodes and writes without allocating. A write error or
+// an injected link fault kills the connection; the frames are gone
+// either way, exactly like messages lost on the wire.
 func (c *conn) flush() int {
+	c.wmu.Lock()
+	defer c.wmu.Unlock()
 	c.mu.Lock()
-	frames := c.out
-	c.out = nil
-	c.outBytes = 0
-	dead := c.dead
+	batch, frames, dead := c.out, c.frames, c.dead
+	if !dead && frames > 0 {
+		c.out, c.frames = c.spare[:0], 0
+		c.spare = nil
+	}
 	c.mu.Unlock()
-	if dead || len(frames) == 0 {
+	if dead || frames == 0 {
 		return 0
 	}
 	switch c.node.injectAt("net.flush") {
 	case faultError:
-		// The link ate the batch: frames lost, connection survives.
-		c.node.count("net.flush.dropped", len(frames))
+		// The link ate the batch: frames lost, connection survives. The
+		// buffer is reused from length zero, so nothing dropped here can
+		// ride a later flush.
+		c.node.count("net.flush.dropped", frames)
+		c.keepSpare(batch)
 		return 0
 	case faultCrash:
 		c.kill()
 		return 0
 	}
 	c.nc.SetWriteDeadline(time.Now().Add(writeTimeout))
-	if c.node.cfg.Batching {
-		var buf []byte
-		for _, f := range frames {
-			buf = append(buf, f...)
-		}
-		if _, err := c.nc.Write(buf); err != nil {
-			c.kill()
-			return 0
-		}
-	} else {
-		for _, f := range frames {
-			if _, err := c.nc.Write(f); err != nil {
-				c.kill()
-				return 0
-			}
-		}
+	if err := c.write(batch); err != nil {
+		c.kill()
+		return 0
 	}
-	c.node.count("net.tx.frames", len(frames))
-	return len(frames)
+	c.keepSpare(batch)
+	c.node.count("net.tx.frames", frames)
+	return frames
+}
+
+// keepSpare keeps a flushed batch's buffer for the next batch unless it
+// grew past maxSpare. wmu held.
+func (c *conn) keepSpare(batch []byte) {
+	if cap(batch) <= maxSpare {
+		c.spare = batch
+	}
+}
+
+// write puts one batch on the wire. Without batching it walks the frame
+// headers and writes each frame on its own.
+func (c *conn) write(batch []byte) error {
+	if c.node.cfg.Batching {
+		_, err := c.nc.Write(batch)
+		return err
+	}
+	for len(batch) > 0 {
+		n := HeaderSize + int(binary.BigEndian.Uint32(batch[8:]))
+		if _, err := c.nc.Write(batch[:n]); err != nil {
+			return err
+		}
+		batch = batch[n:]
+	}
+	return nil
 }
 
 // readLoop decodes inbound frames into the inbox until the link dies.
@@ -197,32 +232,50 @@ func (c *conn) flush() int {
 func (c *conn) readLoop() {
 	defer c.node.wg.Done()
 	defer c.kill()
-	var acc []byte
-	tmp := make([]byte, 32*1024)
+	c.nc.SetReadDeadline(time.Time{})
+	base := make([]byte, readBufSize)
+	buf := base
+	end := 0 // buf[:end] holds received bytes not yet decoded
 	for {
-		c.nc.SetReadDeadline(time.Time{})
-		n, err := c.nc.Read(tmp)
-		if n > 0 {
-			acc = append(acc, tmp[:n]...)
-			for {
-				f, consumed, derr := DecodeFrame(acc)
-				if derr == ErrShort {
-					break
-				}
-				if derr != nil {
-					c.node.deny("netd.frame", "decode", derr)
-					return
-				}
-				acc = acc[consumed:]
-				if f.Version != Version {
-					c.node.deny("netd.frame", "version",
-						fmt.Errorf("frame version %d, want %d", f.Version, Version))
-					return
-				}
-				c.inMu.Lock()
-				c.inbox = append(c.inbox, f)
-				c.inMu.Unlock()
+		n, err := c.nc.Read(buf[end:])
+		end += n
+		start := 0
+		for {
+			f, consumed, derr := DecodeFrame(buf[start:end])
+			if derr == ErrShort {
+				break
 			}
+			if derr != nil {
+				c.node.deny("netd.frame", "decode", derr)
+				return
+			}
+			start += consumed
+			if f.Version != Version {
+				c.node.deny("netd.frame", "version",
+					fmt.Errorf("frame version %d, want %d", f.Version, Version))
+				return
+			}
+			c.inMu.Lock()
+			c.inbox = append(c.inbox, f)
+			c.inMu.Unlock()
+		}
+		// The undecoded tail is less than one frame; move it to the front,
+		// back into the base buffer once it fits there again, so a frame
+		// that grew the buffer does not pin it for the link's lifetime.
+		if start > 0 {
+			dst := buf
+			if end-start <= len(base) {
+				dst = base
+			}
+			end = copy(dst, buf[start:end])
+			buf = dst
+		}
+		if end == len(buf) {
+			// One frame larger than the buffer. DecodeFrame has checked its
+			// header and bounded its length by MaxPayload.
+			grown := make([]byte, HeaderSize+int(binary.BigEndian.Uint32(buf[8:])))
+			copy(grown, buf)
+			buf = grown
 		}
 		if err != nil {
 			return

@@ -435,8 +435,7 @@ func (n *Node) Open(t *kernel.Task, addr string, labels difc.Labels) (kernel.FD,
 		n.bindTrace(file, ctx)
 		payload = AppendTraceExt(payload, ctx.NextHop())
 	}
-	if !c.enqueue(AppendFrame(nil, Frame{Version: Version, Type: FrameOpen,
-		Channel: id, Payload: payload})) {
+	if !c.enqueue(Frame{Version: Version, Type: FrameOpen, Channel: id, Payload: payload}) {
 		// Queue full or link already dead: the Open is lost in flight.
 		// The descriptor still exists; its sends just never arrive —
 		// indistinguishable, by design, from a flaky network.
@@ -446,21 +445,20 @@ func (n *Node) Open(t *kernel.Task, addr string, labels difc.Labels) (kernel.FD,
 	return fd, nil
 }
 
-// SendControl ships one opaque control payload to the peer at addr,
-// dialing if no pooled connection is live. Delivery is as reliable as
-// the link: a dead link or full queue loses the payload silently, which
-// the cluster layer's retry discipline (heartbeats re-carry membership)
-// already tolerates.
+// SendControl queues one opaque control payload for the peer at addr,
+// dialing if no pooled connection is live. The frame ships at this
+// node's next Pump, in the same write as everything else queued for that
+// peer. Delivery is as reliable as the link: a dead link or full queue
+// loses the payload silently, which the cluster layer's retry discipline
+// (heartbeats re-carry membership) already tolerates.
 func (n *Node) SendControl(addr string, payload []byte) error {
 	c, err := n.dial(addr)
 	if err != nil {
 		return err
 	}
-	if !c.enqueue(AppendFrame(nil, Frame{Version: Version, Type: FrameCtrl, Payload: payload})) {
+	if !c.enqueue(Frame{Version: Version, Type: FrameCtrl, Payload: payload}) {
 		n.count("net.ctrl.dropped", 1)
-		return nil
 	}
-	c.flush()
 	return nil
 }
 
@@ -526,8 +524,7 @@ func (n *Node) sendRoutedOpen(c *conn, file *kernel.File, labels difc.Labels, me
 	if trace != nil {
 		payload = AppendTraceExt(payload, trace.NextHop())
 	}
-	if !c.enqueue(AppendFrame(nil, Frame{Version: Version, Type: FrameOpenRouted,
-		Channel: id, Payload: payload})) {
+	if !c.enqueue(Frame{Version: Version, Type: FrameOpenRouted, Channel: id, Payload: payload}) {
 		n.count("net.open.dropped", 1)
 	}
 	c.flush()
@@ -608,11 +605,15 @@ func (n *Node) Pump() int {
 				n.count("net.budget.dropped", 1)
 				continue
 			}
-			ch.conn.enqueue(AppendFrame(nil, Frame{Version: Version, Type: FrameData,
-				Channel: ch.id, Payload: data}))
+			ch.conn.enqueue(Frame{Version: Version, Type: FrameData, Channel: ch.id, Payload: data})
 			work++
 		}
 	}
+	// Re-read the pool: a reply apply dialed to a new peer leaves in
+	// this Pump too.
+	n.mu.Lock()
+	conns = append(conns[:0], n.conns...)
+	n.mu.Unlock()
 	for _, c := range conns {
 		c.flush()
 	}

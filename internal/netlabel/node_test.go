@@ -2,7 +2,9 @@ package netlabel
 
 import (
 	"errors"
+	"fmt"
 	"net"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -25,7 +27,7 @@ type testNode struct {
 
 // bootNode builds a full kernel+LSM stack with a listening Node. cfg's
 // Kernel/Module/Recorder are filled in.
-func bootNode(t *testing.T, cfg Config) *testNode {
+func bootNode(t testing.TB, cfg Config) *testNode {
 	t.Helper()
 	mod := lsm.New()
 	rec := telemetry.NewRecorder()
@@ -47,7 +49,7 @@ func bootNode(t *testing.T, cfg Config) *testNode {
 }
 
 // pumpUntil pumps the nodes until cond holds or a deadline passes.
-func pumpUntil(t *testing.T, cond func() bool, nodes ...*testNode) {
+func pumpUntil(t testing.TB, cond func() bool, nodes ...*testNode) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
@@ -63,7 +65,7 @@ func pumpUntil(t *testing.T, cond func() bool, nodes ...*testNode) {
 }
 
 // acceptOne pumps until the accepting node hands out a channel.
-func acceptOne(t *testing.T, accepter *testNode, nodes ...*testNode) (kernel.FD, difc.Labels) {
+func acceptOne(t testing.TB, accepter *testNode, nodes ...*testNode) (kernel.FD, difc.Labels) {
 	t.Helper()
 	var fd kernel.FD
 	var labels difc.Labels
@@ -369,4 +371,103 @@ func TestAcceptWithoutOffers(t *testing.T) {
 	if _, _, err := b.node.Accept(b.user); !errors.Is(err, kernel.ErrAgain) {
 		t.Fatalf("accept with no offers = %v, want EAGAIN", err)
 	}
+}
+
+// BenchmarkPumpData1K moves one 1 KiB message over loopback per
+// iteration: Send, the sender's Pump, then the receiver's Pump and Recv
+// until the message is in.
+func BenchmarkPumpData1K(b *testing.B) {
+	src := bootNode(b, Config{NodeID: 1, Batching: true})
+	dst := bootNode(b, Config{NodeID: 2, Batching: true})
+	fdSrc, err := src.node.Open(src.user, dst.node.Addr(), difc.Labels{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	fdDst, _ := acceptOne(b, dst, src, dst)
+	msg := make([]byte, 1024)
+	buf := make([]byte, 2*len(msg))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := src.k.Send(src.user, fdSrc, msg); err != nil {
+			b.Fatal(err)
+		}
+		src.node.Pump()
+		deadline := time.Now().Add(5 * time.Second)
+		for got := 0; got < len(msg); {
+			dst.node.Pump()
+			if n, err := dst.k.Recv(dst.user, fdDst, buf); err == nil {
+				got += n
+			}
+			if time.Now().After(deadline) {
+				b.Fatal("message never arrived")
+			}
+		}
+	}
+}
+
+// BenchmarkPumpBulk moves 1 MiB per iteration in 16 KiB sends. Each
+// channel's 64 KiB endpoint pipe is filled before the Pumps that move it
+// (a Send into a full pipe is dropped silently). With four channels one
+// Pump's batch is the whole 256 KiB queue, larger than the buffer a
+// connection keeps for reuse. live-MB is the heap still in use after the
+// run and a GC.
+func BenchmarkPumpBulk(b *testing.B) {
+	for _, nch := range []int{1, 4} {
+		b.Run(fmt.Sprintf("channels=%d", nch), func(b *testing.B) { benchPumpBulk(b, nch) })
+	}
+}
+
+func benchPumpBulk(b *testing.B, nch int) {
+	const size, chunk, perPipe = 1 << 20, 16 * 1024, 4
+	src := bootNode(b, Config{NodeID: 1, Batching: true})
+	dst := bootNode(b, Config{NodeID: 2, Batching: true})
+	fdSrc := make([]kernel.FD, nch)
+	fdDst := make([]kernel.FD, nch)
+	for i := range fdSrc {
+		var err error
+		if fdSrc[i], err = src.node.Open(src.user, dst.node.Addr(), difc.Labels{}); err != nil {
+			b.Fatal(err)
+		}
+		fdDst[i], _ = acceptOne(b, dst, src, dst)
+	}
+	msg := make([]byte, chunk)
+	buf := make([]byte, perPipe*chunk)
+	round := nch * perPipe * chunk
+	b.SetBytes(size)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for done := 0; done < size; done += round {
+			for _, fd := range fdSrc {
+				for j := 0; j < perPipe; j++ {
+					if _, err := src.k.Send(src.user, fd, msg); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+			deadline := time.Now().Add(5 * time.Second)
+			for got := 0; got < round; {
+				src.node.Pump()
+				dst.node.Pump()
+				for _, fd := range fdDst {
+					for {
+						n, err := dst.k.Recv(dst.user, fd, buf)
+						if err != nil {
+							break
+						}
+						got += n
+					}
+				}
+				if time.Now().After(deadline) {
+					b.Fatal("bulk round never arrived")
+				}
+			}
+		}
+	}
+	b.StopTimer()
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	b.ReportMetric(float64(ms.HeapAlloc)/1e6, "live-MB")
 }

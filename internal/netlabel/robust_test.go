@@ -20,9 +20,9 @@ import (
 func TestDialBackoffSequencePinned(t *testing.T) {
 	ms := time.Millisecond
 	want := []time.Duration{
-		0,        // attempt 0: the first dial never sleeps
+		0, // attempt 0: the first dial never sleeps
 		1 * ms, 2 * ms, 4 * ms, 8 * ms, 16 * ms, 32 * ms, 64 * ms,
-		128 * ms, // attempt 8 reaches the ceiling...
+		128 * ms,                     // attempt 8 reaches the ceiling...
 		128 * ms, 128 * ms, 128 * ms, // ...and stays there
 	}
 	for attempt, w := range want {
@@ -191,7 +191,7 @@ func TestDeadLinksFreeAcceptSlots(t *testing.T) {
 		if err := a.node.SendControl(addr, []byte("ping")); err != nil {
 			t.Fatalf("round %d: dial refused: %v", round, err)
 		}
-		pumpUntil(t, func() bool { return got.Load() == round }, b)
+		pumpUntil(t, func() bool { return got.Load() == round }, a, b)
 		// The link dies; B's reader sees the reset and marks its end dead.
 		a.node.mu.Lock()
 		c := a.node.dialed[addr]

@@ -130,8 +130,8 @@ func TestParseLabelsCanonicalizes(t *testing.T) {
 func TestParseLabelsMalformed(t *testing.T) {
 	cases := [][]byte{
 		nil,
-		{0, 0},                      // truncated header
-		{0, 0, 0, 2, 0, 0},          // tag count 2, body truncated
+		{0, 0},             // truncated header
+		{0, 0, 0, 2, 0, 0}, // tag count 2, body truncated
 		binary.BigEndian.AppendUint32(nil, MaxPayload), // absurd tag count
 	}
 	for i, b := range cases {

@@ -17,9 +17,10 @@
 // commutative, associative and idempotent), and an administrative limit
 // change rides a higher epoch that wins wholesale.
 //
-// Absent facts mean UNTRACKED: the hot path for a tag nobody budgeted is
-// one map lookup under a mutex and no persistence. Only explicitly
-// budgeted (tag, peer) pairs pay the durability cost.
+// Absent facts mean UNTRACKED: a tag nobody budgeted costs one compare
+// in a sorted walk of the peer's tracked tags, takes no lock and persists
+// nothing. Only explicitly budgeted (tag, peer) pairs pay the durability
+// cost.
 //
 // Charging is fail closed end to end:
 //
@@ -44,6 +45,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
+	"math/bits"
 	"sort"
 	"strconv"
 	"strings"
@@ -147,11 +149,13 @@ func CostBytes(n int) uint64 {
 // Ledger is the process-local budget authority. All methods are safe
 // for concurrent use.
 //
-// The fact table is a copy-on-write map of atomic slots: mutators
-// (SetLimit, MergeFacts, recovery) copy and republish the map under the
+// The fact table is copy-on-write: a map from peer to that peer's
+// tracked tags, sorted ascending, each with an atomic slot. Mutators
+// (SetLimit, MergeFacts, recovery) copy and republish it under the
 // ledger mutex, so the unexhausted charge hot path is LOCK-FREE — one
-// atomic map load, one map hit, one compare-and-swap on the spend
-// counter. When a durable store is attached, charging instead
+// atomic table load, one peer lookup, a merge walk of the sorted label
+// against the peer's row, and one compare-and-swap on the spend counter
+// per tracked tag. When a durable store is attached, charging instead
 // serializes under the mutex so the raise-then-persist ordering holds;
 // the lock-free path serves the memory-only ledgers the kernel runs by
 // default, which is where the -budgetgate ceiling binds.
@@ -161,7 +165,7 @@ func CostBytes(n int) uint64 {
 // into the kernel (OnMutate callbacks run after the mutex is released).
 type Ledger struct {
 	mu    sync.Mutex // serializes mutators and persistence
-	facts atomic.Pointer[map[Key]*slot]
+	facts atomic.Pointer[table]
 
 	store Store
 	inj   faultinject.Injector
@@ -198,19 +202,89 @@ func (s *slot) fact() Fact {
 	return Fact{Spent: s.spent.Load(), Limit: s.limit.Load(), Epoch: s.epoch.Load()}
 }
 
-// table returns the current fact map. The map itself is immutable;
-// mutators publish a fresh copy.
-func (l *Ledger) table() map[Key]*slot { return *l.facts.Load() }
+// entry is one tracked tag in a peer's row.
+type entry struct {
+	tag difc.Tag
+	s   *slot
+}
+
+// table maps each peer to its tracked tags, sorted ascending by tag. A
+// published table and its rows are immutable; mutators publish a fresh
+// copy.
+type table map[uint64][]entry
+
+// table returns the current fact table.
+func (l *Ledger) table() table { return *l.facts.Load() }
+
+// lookup returns the slot for (tag, peer), or nil when the pair is
+// untracked.
+func (t table) lookup(tag difc.Tag, peer uint64) *slot {
+	row := t[peer]
+	if i := seek(row, 0, tag); i < len(row) && row[i].tag == tag {
+		return row[i].s
+	}
+	return nil
+}
+
+// seek returns the first index i >= j with row[i].tag >= tag, or
+// len(row). One compare settles the dense case, where the tag is at j;
+// otherwise a binary search over row[j+1:] finds it in O(log n)
+// compares. The search always halves and selects with arithmetic
+// rather than a branch, so a stream of one-tag charges for unrelated
+// tags does not pay a mispredicted branch per step.
+func seek(row []entry, j int, tag difc.Tag) int {
+	if j >= len(row) || row[j].tag >= tag {
+		return j
+	}
+	// Invariant: row[base].tag < tag, and the answer lies in
+	// (base, base+n].
+	base, n := j, len(row)-j
+	for n > 1 {
+		half := n >> 1
+		// borrow is 1 exactly when row[base+half].tag < tag.
+		_, borrow := bits.Sub64(uint64(row[base+half].tag), uint64(tag), 0)
+		base += half & -int(borrow)
+		n -= half
+	}
+	return base + 1
+}
+
+// eachTracked calls fn, in ascending tag order, for every tag of lab that
+// row tracks, stopping early when fn returns false or the row runs out.
+// It merge-walks the sorted label against the sorted row: an untracked
+// tag costs a compare, and seek binary-searches over row entries the
+// label skips, so a 1-tag label against a wide row does not scan it.
+func eachTracked(lab difc.Label, row []entry, fn func(difc.Tag, *slot) bool) {
+	j := 0
+	lab.Each(func(tag difc.Tag) bool {
+		if j = seek(row, j, tag); j == len(row) {
+			return false // no tracked tag at or beyond this one
+		}
+		if row[j].tag != tag {
+			return true // untracked: free
+		}
+		j++
+		return fn(tag, row[j-1].s)
+	})
+}
 
 // installLocked publishes a new table containing s at k. Callers hold
 // l.mu (or, during New, the ledger is not yet shared).
 func (l *Ledger) installLocked(k Key, s *slot) {
 	old := l.table()
-	next := make(map[Key]*slot, len(old)+1)
-	for ok, os := range old {
-		next[ok] = os
+	next := make(table, len(old)+1)
+	for p, row := range old {
+		next[p] = row
 	}
-	next[k] = s
+	row := old[k.Peer]
+	i := seek(row, 0, k.Tag)
+	nrow := make([]entry, 0, len(row)+1)
+	nrow = append(nrow, row[:i]...)
+	nrow = append(nrow, entry{tag: k.Tag, s: s})
+	if i < len(row) && row[i].tag == k.Tag {
+		i++ // replace
+	}
+	next[k.Peer] = append(nrow, row[i:]...)
 	l.facts.Store(&next)
 }
 
@@ -233,8 +307,7 @@ func WithRecorder(rec *telemetry.Recorder) Option { return func(l *Ledger) { l.r
 // undecodable records to zero budget.
 func New(opts ...Option) *Ledger {
 	l := &Ledger{}
-	empty := make(map[Key]*slot)
-	l.facts.Store(&empty)
+	l.facts.Store(&table{})
 	for _, o := range opts {
 		o(l)
 	}
@@ -261,8 +334,8 @@ func (l *Ledger) OnMutate(fn func()) {
 func (l *Ledger) SetLimit(tag difc.Tag, peer, limit uint64) error {
 	l.mu.Lock()
 	k := Key{Tag: tag, Peer: peer}
-	s, ok := l.table()[k]
-	if !ok {
+	s := l.table().lookup(tag, peer)
+	if s == nil {
 		s = newSlot(Fact{})
 		l.installLocked(k, s)
 	}
@@ -285,30 +358,11 @@ func (l *Ledger) SetLimit(tag difc.Tag, peer, limit uint64) error {
 // Fact returns the current fact for (tag, peer) and whether one exists.
 // An absent fact means the pair is untracked (unlimited).
 func (l *Ledger) Fact(tag difc.Tag, peer uint64) (Fact, bool) {
-	s, ok := l.table()[Key{Tag: tag, Peer: peer}]
-	if !ok {
+	s := l.table().lookup(tag, peer)
+	if s == nil {
 		return Fact{}, false
 	}
 	return s.fact(), true
-}
-
-// Tracked reports whether any fact exists for tag against any peer —
-// the cheap pre-check hot paths use to skip per-byte cost math for
-// unbudgeted tags.
-func (l *Ledger) Tracked(tag difc.Tag) bool {
-	for k := range l.table() {
-		if k.Tag == tag {
-			return true
-		}
-	}
-	return false
-}
-
-// Exhausted reports whether (tag, peer) is tracked and has no remaining
-// budget.
-func (l *Ledger) Exhausted(tag difc.Tag, peer uint64) bool {
-	s, ok := l.table()[Key{Tag: tag, Peer: peer}]
-	return ok && s.fact().Exhausted()
 }
 
 // Charge spends cost units of tag's budget against peer. It must be
@@ -321,35 +375,11 @@ func (l *Ledger) Exhausted(tag difc.Tag, peer uint64) bool {
 // produces, so budget denials are indistinguishable from capability
 // denials in every verdict stream and replay through explain-denial.
 //
-// Untracked (tag, peer) pairs charge nothing and always succeed.
+// Untracked (tag, peer) pairs charge nothing and always succeed. Charge
+// is ChargeLabel on the one-tag label {tag}; InvalidTag is never a label
+// member, so it is never charged.
 func (l *Ledger) Charge(op string, tag difc.Tag, peer, cost uint64) error {
-	if cost == 0 {
-		cost = 1
-	}
-	k := Key{Tag: tag, Peer: peer}
-	if l.store != nil {
-		return l.chargeDurable(op, k, cost)
-	}
-	s, ok := l.table()[k]
-	if !ok {
-		return nil
-	}
-	denied, crossed := chargeSlot(s, cost)
-	if crossed {
-		l.count("budget.exhausted", 1)
-	}
-	if denied {
-		l.count("budget.denied", 1)
-	} else {
-		l.count("budget.charged", 1)
-	}
-	if crossed {
-		l.mutated()
-	}
-	if denied {
-		return ExhaustedError(op, tag)
-	}
-	return nil
+	return l.ChargeLabel(op, difc.NewLabel(tag), peer, cost)
 }
 
 // chargeSlot spends cost on s lock-free. denied reports exhaustion;
@@ -372,55 +402,13 @@ func chargeSlot(s *slot, cost uint64) (denied, crossed bool) {
 	}
 }
 
-// chargeDurable is the store-backed charge, serialized under the mutex
-// so the raised spend is durable before the charge acks. Fail closed:
-// the in-memory spend is raised first and stays raised if the write
-// fails — the operation is denied and the ledger may over-count across
-// a crash, never under-count.
-func (l *Ledger) chargeDurable(op string, k Key, cost uint64) error {
-	l.mu.Lock()
-	s, ok := l.table()[k]
-	if !ok {
-		l.mu.Unlock()
-		return nil
-	}
-	f := s.fact()
-	newSpent := satAdd(f.Spent, cost)
-	if f.Exhausted() || newSpent > f.Limit {
-		notify := s.noted.CompareAndSwap(false, true)
-		l.mu.Unlock()
-		l.count("budget.denied", 1)
-		if notify {
-			l.count("budget.exhausted", 1)
-			l.mutated()
-		}
-		return ExhaustedError(op, k.Tag)
-	}
-	s.spent.Store(newSpent)
-	err := l.persistLocked(k, s.fact())
-	nowExhausted := newSpent >= f.Limit && s.noted.CompareAndSwap(false, true)
-	l.mu.Unlock()
-	l.count("budget.charged", 1)
-	if nowExhausted {
-		l.count("budget.exhausted", 1)
-	}
-	if err != nil {
-		l.count("budget.persist.fail", 1)
-		l.mutated()
-		return ExhaustedError(op, k.Tag)
-	}
-	if nowExhausted {
-		l.mutated()
-	}
-	return nil
-}
-
 // ChargeLabel charges every tag of a secrecy label the same cost against
 // peer, stopping at the first denial. Partial spends before the denial
 // stand (they metered real budget headroom the caller is about to not
 // use — rounding up, never down). This is the per-declassify / per-drain
 // hot path the -budgetgate ceiling binds: on a memory-only ledger it is
-// lock-free and allocation-free — one table load, then a map hit and a
+// lock-free and allocation-free — one table load and one peer lookup,
+// then a merge walk of the label against the peer's sorted row with a
 // compare-and-swap per tracked tag.
 func (l *Ledger) ChargeLabel(op string, lab difc.Label, peer, cost uint64) error {
 	if lab.IsEmpty() {
@@ -432,18 +420,17 @@ func (l *Ledger) ChargeLabel(op string, lab difc.Label, peer, cost uint64) error
 	if l.store != nil {
 		return l.chargeLabelDurable(op, lab, peer, cost)
 	}
-	m := l.table()
+	row := l.table()[peer]
+	if len(row) == 0 {
+		return nil
+	}
 	var (
 		deniedTag difc.Tag
 		denied    bool
 		charged   uint64
 		exhausted uint64
 	)
-	lab.Each(func(tag difc.Tag) bool {
-		s, ok := m[Key{Tag: tag, Peer: peer}]
-		if !ok {
-			return true // untracked: free
-		}
+	eachTracked(lab, row, func(tag difc.Tag, s *slot) bool {
 		d, crossed := chargeSlot(s, cost)
 		if crossed {
 			exhausted++
@@ -471,8 +458,10 @@ func (l *Ledger) ChargeLabel(op string, lab difc.Label, peer, cost uint64) error
 
 // chargeLabelDurable is ChargeLabel for a store-backed ledger: the whole
 // label charges under one mutex acquisition, each tag raising its spend
-// and persisting before the next (see chargeDurable for the fail-closed
-// ordering).
+// and persisting before the next. Fail closed: the in-memory spend is
+// raised first and stays raised if the write fails — the operation is
+// denied and the ledger may over-count across a crash, never
+// under-count.
 func (l *Ledger) chargeLabelDurable(op string, lab difc.Label, peer, cost uint64) error {
 	var (
 		deniedTag  difc.Tag
@@ -483,12 +472,7 @@ func (l *Ledger) chargeLabelDurable(op string, lab difc.Label, peer, cost uint64
 		notify     bool
 	)
 	l.mu.Lock()
-	m := l.table()
-	lab.Each(func(tag difc.Tag) bool {
-		s, ok := m[Key{Tag: tag, Peer: peer}]
-		if !ok {
-			return true // untracked: free
-		}
+	eachTracked(lab, l.table()[peer], func(tag difc.Tag, s *slot) bool {
 		f := s.fact()
 		newSpent := satAdd(f.Spent, cost)
 		if f.Exhausted() || newSpent > f.Limit {
@@ -508,7 +492,7 @@ func (l *Ledger) chargeLabelDurable(op string, lab difc.Label, peer, cost uint64
 		}
 		if err != nil {
 			// Fail closed: the raised spend stands, the operation is
-			// denied (see chargeDurable).
+			// denied.
 			persistErr, notify = true, true
 			deniedTag, denied = tag, true
 			return false
@@ -581,7 +565,7 @@ const MaxFactsBlob = 64 * 1024
 // encoding is deterministic so identical ledgers produce identical
 // blobs). Returns nil when the ledger is empty.
 func (l *Ledger) ExportFacts() []byte {
-	m := l.table()
+	m := l.Snapshot()
 	if len(m) == 0 {
 		return nil
 	}
@@ -598,7 +582,7 @@ func (l *Ledger) ExportFacts() []byte {
 	buf := make([]byte, 0, 2+len(keys)*factWireSize)
 	buf = binary.BigEndian.AppendUint16(buf, uint16(len(keys)))
 	for _, k := range keys {
-		f := m[k].fact()
+		f := m[k]
 		buf = binary.BigEndian.AppendUint64(buf, uint64(k.Tag))
 		buf = binary.BigEndian.AppendUint64(buf, k.Peer)
 		buf = binary.BigEndian.AppendUint64(buf, f.Spent)
@@ -651,8 +635,8 @@ func (l *Ledger) MergeFacts(facts map[Key]Fact) int {
 	changed := 0
 	tightened := false
 	for k, in := range facts {
-		s, ok := l.table()[k]
-		if !ok {
+		s := l.table().lookup(k.Tag, k.Peer)
+		if s == nil {
 			l.installLocked(k, newSlot(in))
 			l.persistLocked(k, in)
 			changed++
@@ -709,10 +693,11 @@ func mergeSpent(s *slot, cur, m Fact) {
 
 // Snapshot returns a copy of every fact, for inspection and tests.
 func (l *Ledger) Snapshot() map[Key]Fact {
-	m := l.table()
-	out := make(map[Key]Fact, len(m))
-	for k, s := range m {
-		out[k] = s.fact()
+	out := make(map[Key]Fact)
+	for peer, row := range l.table() {
+		for _, e := range row {
+			out[Key{Tag: e.tag, Peer: peer}] = e.s.fact()
+		}
 	}
 	return out
 }

@@ -77,7 +77,7 @@ func TestChargeSaturationRegression(t *testing.T) {
 		t.Fatalf("SetLimit: %v", err)
 	}
 	// Force the counter to the edge.
-	l.table()[Key{Tag: tag}].spent.Store(math.MaxUint64 - 1)
+	l.table().lookup(tag, 0).spent.Store(math.MaxUint64 - 1)
 
 	// A huge charge saturates to MaxUint64 == Limit: still within budget.
 	if err := l.Charge("send", tag, 0, 1<<40); err != nil {

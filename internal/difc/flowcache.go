@@ -5,11 +5,14 @@ import (
 	"sync/atomic"
 )
 
-// The flow cache memoizes SubsetOf over pairs of interned labels. Every
-// DIFC decision in the system — LSM hook checks, rt read/write
-// barriers, label-change and region-entry rules — bottoms out in subset
-// tests, so this one memo table accelerates all of them transparently:
-// SubsetOf itself consults the cache when both operands are interned.
+// The flow cache memoizes SubsetOf over pairs of interned heap labels
+// (more than inlineCap tags each). Every DIFC decision in the system —
+// LSM hook checks, rt read/write barriers, label-change and region-entry
+// rules — bottoms out in subset tests, so this one memo table
+// accelerates all of them transparently: SubsetOf itself consults the
+// cache when both operands are interned heap labels. A pair whose left
+// operand is inline never reaches it: walking at most inlineCap tags
+// against the other label is cheaper than the shard mutex and map probe.
 //
 // Design constraints, in order:
 //

@@ -156,9 +156,9 @@ func TestInternEmptyLabel(t *testing.T) {
 // still match the oracle.
 func TestFlowCacheEviction(t *testing.T) {
 	FlushFlowCache()
-	// Labels above inlineCap tags: inline×inline pairs resolve by direct
-	// merge walk and never touch the memo table, so the eviction test
-	// needs heap-represented labels.
+	// Labels above inlineCap tags: a pair with an inline left operand
+	// resolves by a direct walk and never touches the memo table, so the
+	// eviction test needs heap-represented labels.
 	a := Intern(NewLabel(1, 2, 3, 4, 5))
 	b := Intern(NewLabel(1, 2, 3, 4, 5, 6))
 	sh := flowShardFor(a.id, b.id)
@@ -243,5 +243,59 @@ func TestFlowCacheConcurrent(t *testing.T) {
 	}
 	for w := 0; w < 8; w++ {
 		<-done
+	}
+}
+
+// TestFlowCacheServesOnlyHeapPairs pins which operand shapes the flow
+// cache serves. An inline left operand (at most inlineCap tags) against
+// an interned heap label is decided by a binary search per tag: it must
+// agree with uncachedSubset and leave FlowCacheStats unchanged, for
+// subsets, for non-subsets the signature rejects, and for non-subsets
+// that pass the signature check (t78 shares t7's signature bit). A
+// heap×heap pair of interned labels that passes the signature and length
+// checks still records one lookup, subset or not.
+func TestFlowCacheServesOnlyHeapPairs(t *testing.T) {
+	if tagBit(78) != tagBit(7) {
+		t.Fatal("t78 no longer shares t7's signature bit; pick another collision")
+	}
+	wide := Intern(wideLabel(1, 48))
+	lookups := func() uint64 {
+		h, m, _ := FlowCacheStats()
+		return h + m
+	}
+	r := rand.New(rand.NewSource(*difcSeed + 3))
+	smalls := []Label{NewLabel(), NewLabel(7), NewLabel(1, 48), NewLabel(78), NewLabel(3, 7, 78), NewLabel(99)}
+	for i := 0; i < 200; i++ {
+		tags := make([]Tag, 1+r.Intn(inlineCap))
+		for j := range tags {
+			tags[j] = Tag(1 + r.Intn(60))
+		}
+		smalls = append(smalls, NewLabel(tags...))
+	}
+	for _, small := range smalls {
+		for _, a := range []Label{small, Intern(small)} {
+			if a.heap != nil {
+				t.Fatalf("%v is not inline", a)
+			}
+			before := lookups()
+			if got, want := a.SubsetOf(wide), uncachedSubset(a, wide); got != want {
+				t.Fatalf("%v ⊆ wide = %v, want %v", a, got, want)
+			}
+			if n := lookups() - before; n != 0 {
+				t.Fatalf("%v ⊆ wide consulted the flow cache %d times", a, n)
+			}
+		}
+	}
+	FlushFlowCache()
+	inside := Intern(wideLabel(1, 8))
+	outside := Intern(wideLabel(1, 7).Add(78)) // passes the signature check
+	for _, pair := range [][2]Label{{inside, wide}, {outside, wide}} {
+		before := lookups()
+		if got, want := pair[0].SubsetOf(pair[1]), uncachedSubset(pair[0], pair[1]); got != want {
+			t.Fatalf("%v ⊆ %v = %v, want %v", pair[0], pair[1], got, want)
+		}
+		if n := lookups() - before; n != 1 {
+			t.Fatalf("heap×heap %v ⊆ %v recorded %d flow-cache lookups, want 1", pair[0], pair[1], n)
+		}
 	}
 }

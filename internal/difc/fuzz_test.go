@@ -68,14 +68,24 @@ func FuzzInlineLabel(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5}, []byte{1, 2, 3, 4})       // heap vs inline at the boundary
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7}, []byte{5, 6, 7, 8}) // heap vs inline, overlap
 	f.Add([]byte{9, 9, 9, 9, 9, 9}, []byte{9})             // dup-heavy collapses to inline
+	// Inline a against heap b: the binary-search subset path.
+	f.Add([]byte{1, 3, 5}, []byte{0, 1, 2, 3, 4, 5, 6})  // subset
+	f.Add([]byte{0, 7}, []byte{0, 1, 2, 3, 4, 5, 6, 7})  // subset at both ends
+	f.Add([]byte{1, 9}, []byte{0, 1, 2, 3, 4, 5, 6})     // non-subset, signature rejects
+	f.Add([]byte{0, 11}, []byte{0, 1, 2, 3, 6})          // non-subset, t78 passes on t7's bit
+	f.Add([]byte{11}, []byte{0, 1, 2, 3, 4, 5, 6, 7, 8}) // lone t78 against a superset of t7
 	f.Fuzz(func(t *testing.T, aRaw, bRaw []byte) {
+		// Tiny universe, so collisions and subsets are common: t1..t11
+		// plus t78, which shares t7's signature bit, so some non-subsets
+		// pass the signature check and reach the tag walk.
+		universe := [...]Tag{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 78}
 		toTags := func(raw []byte) []Tag {
 			if len(raw) > 16 {
 				raw = raw[:16]
 			}
 			tags := make([]Tag, len(raw))
 			for i, b := range raw {
-				tags[i] = Tag(b%11) + 1 // tiny universe: collisions and subsets are common
+				tags[i] = universe[int(b)%len(universe)]
 			}
 			return tags
 		}
@@ -110,7 +120,7 @@ func FuzzInlineLabel(f *testing.F) {
 			if a.Len() != len(aSet) {
 				t.Fatalf("Len diverges from model: %d != %d", a.Len(), len(aSet))
 			}
-			for tg := Tag(1); tg <= 12; tg++ {
+			for _, tg := range append(universe[:], 12) { // t12 is never a member
 				if a.Has(tg) != aSet[tg] {
 					t.Fatalf("Has(%d) diverges from model on %v", tg, a)
 				}
@@ -124,6 +134,18 @@ func FuzzInlineLabel(f *testing.F) {
 				}
 				if got := a.Equal(b); got != wantEq {
 					t.Fatalf("Equal = %v, model says %v (a=%v b=%v)", got, wantEq, a, b)
+				}
+			}
+		}
+		// Interned operands take the flow-cache path for heap×heap pairs
+		// and the uncached walk for an inline left operand.
+		for _, a := range []Label{Intern(aInline), Intern(aHeap)} {
+			for _, b := range []Label{Intern(bInline), Intern(bHeap)} {
+				if got := a.SubsetOf(b); got != wantAB {
+					t.Fatalf("interned SubsetOf(a⊆b) = %v, model says %v (a=%v b=%v)", got, wantAB, a, b)
+				}
+				if got := b.SubsetOf(a); got != wantBA {
+					t.Fatalf("interned SubsetOf(b⊆a) = %v, model says %v (a=%v b=%v)", got, wantBA, a, b)
 				}
 			}
 		}

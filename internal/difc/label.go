@@ -11,6 +11,7 @@ package difc
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 	"strings"
 )
@@ -227,9 +228,11 @@ func (l Label) Each(fn func(Tag) bool) {
 }
 
 // SubsetOf reports whether every tag in l is also in other (l ⊆ other).
-// The signature word rejects most non-subsets in one AND-NOT; surviving
-// inline×inline pairs are resolved by a short merge walk that is cheaper
-// than any cache probe, and larger interned pairs are memoized in the
+// The signature word rejects most non-subsets in one AND-NOT. A
+// surviving inline l (at most inlineCap tags) is resolved by walking its
+// few tags against other — a merge walk for an inline other, a binary
+// search per tag for a heap other — which is cheaper than any cache
+// probe. Only heap×heap pairs of interned labels are memoized in the
 // process-global flow cache.
 func (l Label) SubsetOf(other Label) bool { return l.subsetOf(&other) }
 
@@ -242,8 +245,11 @@ func (l *Label) subsetOf(other *Label) bool {
 	if len(l.view()) > len(other.view()) {
 		return false
 	}
-	if l.heap == nil && other.heap == nil {
-		return l.subsetSlow(other)
+	if l.heap == nil {
+		if other.heap == nil {
+			return l.subsetSlow(other)
+		}
+		return l.subsetSearch(other.heap)
 	}
 	if l.id != 0 && other.id != 0 {
 		if l.id == other.id {
@@ -257,6 +263,42 @@ func (l *Label) subsetOf(other *Label) bool {
 		return v
 	}
 	return l.subsetSlow(other)
+}
+
+// subsetSearch decides an inline l ⊆ b by binary-searching each of l's
+// tags in the part of sorted b beyond the previous match: at most
+// inlineCap searches, no lock and no allocation.
+func (l *Label) subsetSearch(b []Tag) bool {
+	for _, t := range l.inline[:l.n] {
+		i := searchTags(b, t)
+		if i == len(b) || b[i] != t {
+			return false
+		}
+		b = b[i+1:]
+	}
+	return true
+}
+
+// searchTags returns the index of the first tag in sorted b that is not
+// below t, or len(b). It always halves and selects with arithmetic
+// rather than a branch, so a barrier stream over unrelated cells does
+// not pay a mispredicted branch per step.
+func searchTags(b []Tag, t Tag) int {
+	if len(b) == 0 {
+		return 0
+	}
+	// Invariant: every tag before base is below t, and the answer lies
+	// in [base, base+n].
+	base, n := 0, len(b)
+	for n > 1 {
+		half := n >> 1
+		// borrow is 1 exactly when b[base+half] < t.
+		_, borrow := bits.Sub64(uint64(b[base+half]), uint64(t), 0)
+		base += half & -int(borrow)
+		n -= half
+	}
+	_, borrow := bits.Sub64(uint64(b[base]), uint64(t), 0)
+	return base + int(borrow)
 }
 
 // subsetSlow is the uncached sorted-merge subset walk.

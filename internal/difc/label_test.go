@@ -3,6 +3,7 @@ package difc
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -240,4 +241,35 @@ func TestPropPartition(t *testing.T) {
 	if err := quick.Check(f, quickCfg(t, 100)); err != nil {
 		t.Error(err)
 	}
+}
+
+// TestSearchTags pins the branchless lower bound behind the inline×heap
+// subset check against slices.BinarySearch, on every length up to 70 and
+// on tags at the top of the 64-bit range, where a signed or truncated
+// compare would break.
+func TestSearchTags(t *testing.T) {
+	check := func(b []Tag, x Tag) {
+		t.Helper()
+		if got, want := searchTags(b, x), lowerBoundTags(b, x); got != want {
+			t.Fatalf("searchTags(%v, %v) = %d, want %d", b, x, got, want)
+		}
+	}
+	for n := 0; n <= 70; n++ {
+		b := make([]Tag, n)
+		for i := range b {
+			b[i] = Tag(2*i + 2)
+		}
+		for x := Tag(0); x <= Tag(2*n+3); x++ {
+			check(b, x)
+		}
+	}
+	top := []Tag{1, 5, 1 << 63, ^Tag(0) - 1, ^Tag(0)}
+	for _, x := range []Tag{0, 1, 2, 5, 6, 1<<63 - 1, 1 << 63, ^Tag(0) - 2, ^Tag(0) - 1, ^Tag(0)} {
+		check(top, x)
+	}
+}
+
+func lowerBoundTags(b []Tag, x Tag) int {
+	i, _ := slices.BinarySearch(b, x)
+	return i
 }

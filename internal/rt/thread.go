@@ -2,6 +2,7 @@ package rt
 
 import (
 	"fmt"
+	"time"
 
 	"laminar/internal/difc"
 	"laminar/internal/kernel"
@@ -188,8 +189,8 @@ func (t *Thread) Secure(labels difc.Labels, caps difc.CapSet, body func(*Region)
 	r := &Region{
 		thread: t,
 		// Region labels are one operand of every read/write barrier in the
-		// region; interning them makes those SubsetOf checks hit the difc
-		// flow cache.
+		// region; interning them lets the SubsetOf checks between two
+		// large labels hit the difc flow cache.
 		labels: difc.InternLabels(labels),
 		caps:   caps,
 		parent: t.region,
@@ -198,7 +199,13 @@ func (t *Thread) Secure(labels difc.Labels, caps difc.CapSet, body func(*Region)
 	if t.vm.observed() {
 		t.vm.emit(Event{Kind: EvRegionEnter, Thread: uint64(t.task.TID), Labels: labels})
 	}
-	start := now()
+	// Only an outermost region's time is added to RegionNanos (a nested
+	// region's time is already inside its parent's), so only it reads the
+	// entry clock.
+	var start time.Time
+	if r.parent == nil {
+		start = now()
+	}
 	prevSynced := t.kernelSynced
 	t.region = r
 	t.kernelSynced = false

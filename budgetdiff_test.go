@@ -311,7 +311,6 @@ func budgetdiffRemoteRun(t *testing.T, bigLock, budgeted bool, keep, total int) 
 	}
 
 	labels := difc.Labels{S: difc.NewLabel(t1)}
-	want := difc.InternLabels(labels)
 	var fdA, fdB kernel.FD
 	deadline := time.Now().Add(20 * time.Second)
 	for {
@@ -330,7 +329,7 @@ func budgetdiffRemoteRun(t *testing.T, bigLock, budgeted bool, keep, total int) 
 			nodeA.Pump()
 			nodeB.Pump()
 			fdB, got, aerr = nodeB.Accept(b.user)
-			if aerr == nil && got.Equal(want) {
+			if aerr == nil && got.Equal(labels) {
 				ok = true
 			}
 			if !ok {

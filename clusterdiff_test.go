@@ -139,7 +139,6 @@ func clusterdiffRemote(t *testing.T, seed int64, bigLock bool) (string, difc.Tag
 	// emit no policy verdicts (creates and adopted hops are allowed), so
 	// the faulted establishment is invisible to the oracle.
 	establish := func(labels difc.Labels) (kernel.FD, kernel.FD) {
-		want := difc.InternLabels(labels)
 		deadline := time.Now().Add(30 * time.Second)
 		for time.Now().Before(deadline) {
 			fd, oerr := n1.cl.OpenVia(n1.stack.user, 2, 3, labels)
@@ -151,7 +150,7 @@ func clusterdiffRemote(t *testing.T, seed int64, bigLock bool) (string, difc.Tag
 				tickAll()
 				fdC, got, aerr := n3.cl.Node().Accept(n3.stack.user)
 				if aerr == nil {
-					if got.Equal(want) {
+					if got.Equal(labels) {
 						return fd, fdC
 					}
 					continue // stale duplicate from an earlier lost open

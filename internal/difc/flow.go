@@ -33,7 +33,7 @@ func (l Labels) Equal(other Labels) bool { return l.S.Equal(other.S) && l.I.Equa
 func (l Labels) CanFlowTo(dst Labels) bool { return FlowAllowed(&l, &dst) }
 
 // FlowAllowed is CanFlowTo on pointers: the same verdict, without copying
-// either 160-byte label pair. Barriers that already hold both pairs call
+// either 144-byte label pair. Barriers that already hold both pairs call
 // it first and build a CheckFlow error only when it says no.
 func FlowAllowed(src, dst *Labels) bool {
 	return src.S.subsetOf(&dst.S) && dst.I.subsetOf(&src.I)

@@ -53,7 +53,7 @@ func FuzzUnmarshalLabel(f *testing.F) {
 }
 
 // FuzzInlineLabel cross-checks the two physical label representations:
-// the inline value-type form (≤ inlineCap interned tags, no heap slice)
+// the inline value-type form (≤ inlineCap tags, no heap slice)
 // and the heap form. Both are built from the same fuzzed tag multiset —
 // NewLabel picks the representation by size, newLabelHeap forces heap —
 // and every observable must agree across all representation pairings:
@@ -137,17 +137,15 @@ func FuzzInlineLabel(f *testing.F) {
 				}
 			}
 		}
-		// Interned operands take the flow-cache path for heap×heap pairs
-		// and the uncached walk for an inline left operand.
-		for _, a := range []Label{Intern(aInline), Intern(aHeap)} {
-			for _, b := range []Label{Intern(bInline), Intern(bHeap)} {
-				if got := a.SubsetOf(b); got != wantAB {
-					t.Fatalf("interned SubsetOf(a⊆b) = %v, model says %v (a=%v b=%v)", got, wantAB, a, b)
-				}
-				if got := b.SubsetOf(a); got != wantBA {
-					t.Fatalf("interned SubsetOf(b⊆a) = %v, model says %v (a=%v b=%v)", got, wantBA, a, b)
-				}
-			}
+		// Interning ignores the representation: both forms of a label
+		// get one id, and two labels share an id exactly when the model
+		// says they are equal.
+		ia, ib := Intern(aInline), Intern(bInline)
+		if Intern(aHeap) != ia || Intern(bHeap) != ib {
+			t.Fatalf("intern id depends on representation (a=%v b=%v)", aInline, bInline)
+		}
+		if ia != 0 && ib != 0 && (ia == ib) != wantEq {
+			t.Fatalf("ids %d, %d disagree with model equality %v (a=%v b=%v)", ia, ib, wantEq, aInline, bInline)
 		}
 
 		// Canonical wire bytes and text form must not depend on the
@@ -189,9 +187,9 @@ func FuzzInlineLabel(f *testing.F) {
 			}
 		}
 
-		// Union and Minus against the model, on interned operands too:
-		// either may hand back an operand unchanged, and any id a result
-		// carries must resolve through LabelByID to an Equal label.
+		// Union and Minus against the model, on both representations:
+		// either may hand back an operand unchanged. Each result must
+		// intern to the id of the label built from the model's set.
 		unionSet, minusSet := map[Tag]bool{}, map[Tag]bool{}
 		for tg := range aSet {
 			unionSet[tg] = true
@@ -205,20 +203,27 @@ func FuzzInlineLabel(f *testing.F) {
 		modelEqual := func(m map[Tag]bool, l Label) bool {
 			return subsetModel(m, toSet(l.Tags())) && l.Len() == len(m)
 		}
-		for _, a := range append(aForms, Intern(aInline), Intern(aHeap)) {
-			for _, b := range append(bForms, Intern(bInline), Intern(bHeap)) {
+		modelID := func(m map[Tag]bool) uint64 {
+			tags := make([]Tag, 0, len(m))
+			for tg := range m {
+				tags = append(tags, tg)
+			}
+			return Intern(NewLabel(tags...))
+		}
+		unionID, minusID := modelID(unionSet), modelID(minusSet)
+		for _, a := range aForms {
+			for _, b := range bForms {
 				for _, r := range []struct {
 					name  string
 					model map[Tag]bool
+					id    uint64
 					got   Label
-				}{{"Union", unionSet, a.Union(b)}, {"Minus", minusSet, a.Minus(b)}} {
+				}{{"Union", unionSet, unionID, a.Union(b)}, {"Minus", minusSet, minusID, a.Minus(b)}} {
 					if !modelEqual(r.model, r.got) {
 						t.Fatalf("%s = %v, model says %v (a=%v b=%v)", r.name, r.got, r.model, a, b)
 					}
-					if id := r.got.InternedID(); id != 0 {
-						if canon, ok := LabelByID(id); !ok || !modelEqual(r.model, canon) {
-							t.Fatalf("%s = %v carries id %d resolving to %v, %v", r.name, r.got, id, canon, ok)
-						}
+					if id := Intern(r.got); id != r.id {
+						t.Fatalf("%s = %v interns as %d, the model's set as %d", r.name, r.got, id, r.id)
 					}
 				}
 			}

@@ -6,22 +6,21 @@ import (
 	"sync/atomic"
 )
 
-// Label interning gives hot labels a canonical numeric identity so the
-// flow cache (flowcache.go) can key subset queries on a pair of small
-// integers instead of walking tag slices. Interning is purely an
-// acceleration: an interned label is observably identical to its
-// un-interned twin — same tags, same Equal/SubsetOf/String results — it
-// just additionally carries a process-global id that survives copying
-// (labels are immutable values, so the id can never go stale).
+// Label interning gives each distinct tag set a canonical numeric id.
+// Telemetry is its only user: provenance events store the two ids of a
+// flow instead of copying tag sets onto the recording path, and dumps and
+// replay resolve them back through LabelByID. No verdict reads the table
+// or any other process-global memo state — SubsetOf and Equal decide
+// from the two labels alone — so interning can never change an answer.
 //
 // The table is global and shared by every kernel/module instance in the
 // process. That is sound because a label's identity is exactly its tag
-// set and subset answers are purely set-theoretic: two modules that
-// allocate the same numeric tags mean the same lattice points.
+// set: two modules that allocate the same numeric tags mean the same
+// lattice points.
 //
 // The table is bounded: past maxInternedPerShard entries a shard stops
-// admitting new labels and Intern degrades to the identity function.
-// Degradation is safe — an id of zero simply means "uncached slow path".
+// admitting new labels and Intern returns 0, which events record as "not
+// interned".
 
 const (
 	internShardCount    = 64
@@ -86,17 +85,13 @@ func internShardFor(tags []Tag) *internShard {
 	return &internTable[h%internShardCount]
 }
 
-// Intern returns a label with the same tag set as l that carries a
-// canonical id. Calling it twice with equal labels yields labels with
-// the same id; the result compares Equal to the input in every way.
-// When the intern table shard is full the input is returned unchanged
-// (id 0), which only costs cache hits, never correctness.
-func Intern(l Label) Label {
-	if l.id != 0 {
-		return l
-	}
+// Intern returns the canonical id of l's tag set: equal labels get equal
+// ids and distinct labels distinct ones, and LabelByID resolves the id
+// back to an Equal label. When l's shard of the table is full and does
+// not yet hold l, Intern returns 0.
+func Intern(l Label) uint64 {
 	if l.IsEmpty() {
-		return Label{id: emptyInternID}
+		return emptyInternID
 	}
 	tags := l.view()
 	sh := internShardFor(tags)
@@ -108,41 +103,38 @@ func Intern(l Label) Label {
 	sh.mu.RUnlock()
 	if ok {
 		internHits.Add(1)
-		return l.withID(id)
+		return id
 	}
 
 	sh.mu.Lock()
 	if id, ok = sh.m[string(key)]; ok {
 		sh.mu.Unlock()
 		internHits.Add(1)
-		return l.withID(id)
+		return id
 	}
 	if sh.m == nil {
 		sh.m = make(map[string]uint64)
 	}
 	if len(sh.m) >= maxInternedPerShard {
 		sh.mu.Unlock()
-		return l // table full: degrade gracefully
+		return 0 // table full
 	}
 	id = internIDs.Add(1)
 	sh.m[string(key)] = id
+	// Publish the reverse entry before the lock lets another goroutine
+	// see id, so LabelByID resolves every id Intern has returned.
+	internByID.Store(id, l)
 	sh.mu.Unlock()
-	internByID.Store(id, l.withID(id))
 	internMisses.Add(1)
-	return l.withID(id)
+	return id
 }
-
-// InternedID returns the label's canonical intern id (0 when the label is
-// not interned). Telemetry events store these ids instead of copying tag
-// sets onto the hot path.
-func (l Label) InternedID() uint64 { return l.id }
 
 // LabelByID resolves a canonical intern id back to its label. The empty
 // label's reserved id resolves without a table entry; id 0 ("not
 // interned") and unknown ids report ok=false.
 func LabelByID(id uint64) (Label, bool) {
 	if id == emptyInternID {
-		return Label{id: emptyInternID}, true
+		return Label{}, true
 	}
 	if id == 0 {
 		return Label{}, false
@@ -152,15 +144,6 @@ func LabelByID(id uint64) (Label, bool) {
 	}
 	return Label{}, false
 }
-
-// InternLabels interns both components of a label pair.
-func InternLabels(l Labels) Labels {
-	return Labels{S: Intern(l.S), I: Intern(l.I)}
-}
-
-// Interned reports whether l carries a canonical intern id. Mostly
-// useful to tests and stats reporting.
-func (l Label) Interned() bool { return l.id != 0 }
 
 // InternStats reports cumulative intern-table hits and misses (a miss
 // is a first-time insertion).

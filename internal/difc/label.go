@@ -52,13 +52,6 @@ type Label struct {
 	// label is too large for the inline array. nil means the inline
 	// representation is in use. Never mutated after construction.
 	heap []Tag
-	// id is the canonical intern identity assigned by Intern (intern.go):
-	// 0 means "not interned"; equal nonzero ids imply equal tag sets and
-	// vice versa. A nonzero id is always canonical, wherever the label
-	// came from: operations that return one of their operands unchanged
-	// (Union with an empty side, Minus that removes nothing, Add of a held
-	// tag) keep its id, and every freshly built result starts at 0.
-	id uint64
 	// sig is a 64-bit membership signature (one hashed bit per tag).
 	// l ⊆ other requires l.sig &^ other.sig == 0, giving SubsetOf and Has
 	// an O(1) rejection path that never consults the tag storage.
@@ -134,12 +127,6 @@ func labelCopy(tags []Tag) Label {
 // The two paths are separate calls so that escape analysis can keep the
 // scratch on the stack.
 type buildScratch [2 * inlineCap]Tag
-
-// withID returns a copy of l carrying the given intern id.
-func (l Label) withID(id uint64) Label {
-	l.id = id
-	return l
-}
 
 // NewLabel builds a label from the given tags. Duplicates are collapsed and
 // InvalidTag entries are dropped. Small inputs are normalized entirely on
@@ -228,15 +215,14 @@ func (l Label) Each(fn func(Tag) bool) {
 }
 
 // SubsetOf reports whether every tag in l is also in other (l ⊆ other).
-// The signature word rejects most non-subsets in one AND-NOT. A
-// surviving inline l (at most inlineCap tags) is resolved by walking its
-// few tags against other — a merge walk for an inline other, a binary
-// search per tag for a heap other — which is cheaper than any cache
-// probe. Only heap×heap pairs of interned labels are memoized in the
-// process-global flow cache.
+// The signature word rejects most non-subsets in one AND-NOT, and a
+// longer l is rejected by its length. A surviving inline l (at most
+// inlineCap tags) against a heap other binary-searches each of its few
+// tags; every other pair is decided by one merge walk. No answer is
+// memoized: the check reads only the two labels.
 func (l Label) SubsetOf(other Label) bool { return l.subsetOf(&other) }
 
-// subsetOf is SubsetOf without copying either 80-byte operand; the
+// subsetOf is SubsetOf without copying either 72-byte operand; the
 // barrier and region-entry checks call it on labels they already hold.
 func (l *Label) subsetOf(other *Label) bool {
 	if l.sig&^other.sig != 0 {
@@ -245,24 +231,10 @@ func (l *Label) subsetOf(other *Label) bool {
 	if len(l.view()) > len(other.view()) {
 		return false
 	}
-	if l.heap == nil {
-		if other.heap == nil {
-			return l.subsetSlow(other)
-		}
+	if l.heap == nil && other.heap != nil {
 		return l.subsetSearch(other.heap)
 	}
-	if l.id != 0 && other.id != 0 {
-		if l.id == other.id {
-			return true // identical interned sets
-		}
-		if v, ok := cachedSubset(l.id, other.id); ok {
-			return v
-		}
-		v := l.subsetSlow(other)
-		storeSubset(l.id, other.id, v)
-		return v
-	}
-	return l.subsetSlow(other)
+	return l.subsetMerge(other)
 }
 
 // subsetSearch decides an inline l ⊆ b by binary-searching each of l's
@@ -301,8 +273,8 @@ func searchTags(b []Tag, t Tag) int {
 	return base + int(borrow)
 }
 
-// subsetSlow is the uncached sorted-merge subset walk.
-func (l *Label) subsetSlow(other *Label) bool {
+// subsetMerge decides l ⊆ other by one sorted-merge walk over both.
+func (l *Label) subsetMerge(other *Label) bool {
 	a, b := l.view(), other.view()
 	i, j := 0, 0
 	for i < len(a) && j < len(b) {
@@ -345,10 +317,6 @@ func (l *Label) coveredBy(x, y *Label) bool {
 
 // Equal reports whether two labels contain exactly the same tags.
 func (l Label) Equal(other Label) bool {
-	if l.id != 0 && other.id != 0 {
-		// Intern ids are canonical: equal ids ⇔ equal tag sets.
-		return l.id == other.id
-	}
 	if l.sig != other.sig {
 		return false
 	}
@@ -434,7 +402,7 @@ func appendMeet(out, a, b []Tag) []Tag {
 }
 
 // Minus returns the set difference l − other. When other holds none of
-// l's tags the result is l itself, intern id included.
+// l's tags the result is l itself.
 func (l Label) Minus(other Label) Label {
 	if l.IsEmpty() || l.sig&other.sig == 0 {
 		return l // disjoint signatures: nothing to remove

@@ -156,38 +156,34 @@ func TestDiffAddRemove(t *testing.T) {
 	}
 }
 
-// genWide draws a label of up to 24 tags, interned or not, so the heap
-// representation, the >2*inlineCap build paths and interned operands all
-// occur. Tags come from 1..32, where the signature bits do not collide
-// and overlaps are common, or from 1..100, where collisions let the
-// signature filter pass and leave the verdict to the merge walks.
+// genWide draws a label of up to 64 tags, so the heap representation
+// and the >2*inlineCap build paths occur. Tags come from 1..32, where
+// the signature bits do not collide and overlaps are common, or from
+// 1..100, where collisions let the signature filter pass and leave the
+// verdict to the walks.
 func genWide(r *rand.Rand) Label {
 	universe := []int{32, 100}[r.Intn(2)]
-	tags := make([]Tag, r.Intn(25))
+	tags := make([]Tag, r.Intn(65))
 	for i := range tags {
 		tags[i] = Tag(r.Intn(universe) + 1)
 	}
-	l := NewLabel(tags...)
-	if r.Intn(2) == 0 {
-		l = Intern(l)
-	}
-	return l
+	return NewLabel(tags...)
 }
 
-// idCanonical reports whether l's intern id, if it carries one, names
-// exactly l's tag set: a nonzero id must always be canonical.
-func idCanonical(l Label) bool {
-	if l.id == 0 {
-		return true
+// fromRef builds the label holding exactly the reference set's tags.
+func fromRef(m refSet) Label {
+	tags := make([]Tag, 0, len(m))
+	for t := range m {
+		tags = append(tags, t)
 	}
-	canon, ok := LabelByID(l.id)
-	return ok && canon.Equal(l) && canon.Equal(NewLabel(l.Tags()...))
+	return NewLabel(tags...)
 }
 
-// TestDiffAlgebraInterned checks Union, Minus and Meet on wide, partly
-// interned operands against the reference model, and that any id a
-// result carries (Union and Minus may return an operand as is) resolves
-// through LabelByID to an Equal label.
+// TestDiffAlgebraInterned checks Union, Minus and Meet on wide operands
+// against the reference model, and that each result interns to the same
+// canonical id as the label built from the model's answer. It also
+// cross-checks SubsetOf and Equal on the same (mostly heap×heap) pairs,
+// and Equal against a separately built twin.
 func TestDiffAlgebraInterned(t *testing.T) {
 	r := rand.New(rand.NewSource(*difcSeed))
 	for n := 0; n < 2000; n++ {
@@ -217,14 +213,19 @@ func TestDiffAlgebraInterned(t *testing.T) {
 			if !refEqual(c.want, c.got) {
 				t.Fatalf("%v.%s(%v) = %v, reference disagrees", a, c.op, b, c.got)
 			}
-			if !idCanonical(c.got) {
-				t.Fatalf("%v.%s(%v) = %v carries id %d that does not name it", a, c.op, b, c.got, c.got.id)
+			if got, want := Intern(c.got), Intern(fromRef(c.want)); got != want {
+				t.Fatalf("%v.%s(%v) = %v interns as %d, the reference result as %d", a, c.op, b, c.got, got, want)
 			}
 		}
-		if b.IsEmpty() || len(minus) == len(am) {
-			if got := a.Minus(b); got.id != a.id {
-				t.Fatalf("%v.Minus(%v) removes nothing but dropped the receiver's id", a, b)
-			}
+		subset := len(minus) == 0
+		if a.SubsetOf(b) != subset {
+			t.Fatalf("%v ⊆ %v = %v, reference %v", a, b, a.SubsetOf(b), subset)
+		}
+		if eq := subset && len(am) == len(bm); a.Equal(b) != eq {
+			t.Fatalf("%v.Equal(%v) = %v, reference %v", a, b, a.Equal(b), eq)
+		}
+		if twin := newLabelHeap(a.Tags()...); !a.Equal(twin) || !twin.Equal(a) || !a.SubsetOf(twin) {
+			t.Fatalf("%v differs from its separately built twin", a)
 		}
 	}
 }
@@ -279,16 +280,14 @@ func TestSignatureCollisionsReachTheWalks(t *testing.T) {
 	if two.Equal(one) || other.Equal(one) {
 		t.Error("Equal wrong on colliding labels")
 	}
-	// Interned heap labels take the flow-cache path.
-	wide := Intern(NewLabel(a, 2, 3, 4, 5, 6))
-	wideC := Intern(NewLabel(c, 2, 3, 4, 5, 6))
+	// Heap labels take the merge walk.
+	wide := NewLabel(a, 2, 3, 4, 5, 6)
+	wideC := NewLabel(c, 2, 3, 4, 5, 6)
 	if wideC.sig != wide.sig {
 		t.Fatal("heap signatures differ")
 	}
-	for i := 0; i < 2; i++ { // miss, then hit
-		if wideC.SubsetOf(wide) || wide.SubsetOf(wideC) {
-			t.Error("SubsetOf wrong on colliding interned heap labels")
-		}
+	if wideC.SubsetOf(wide) || wide.SubsetOf(wideC) || wide.Equal(wideC) {
+		t.Error("SubsetOf or Equal wrong on colliding heap labels")
 	}
 	err := CheckAcquire("test", one, other, EmptyCapSet)
 	if ce, ok := err.(*ChangeError); !ok || !ce.Missing.Equal(other) {

@@ -10,8 +10,8 @@ package eval
 //   - sharded / vec    / cache on  — plus WriteVec batching
 //
 // Every task writes through labels big enough to be heap-represented
-// (seven interned tags), so the uncached slow path pays real label work:
-// two CheckFlow subset checks through the flow-cache mutex per write.
+// (seven tags), so the uncached slow path pays real label work: two
+// CheckFlow subset walks over heap labels per write.
 // The cached path skips all of it — one epoch-guarded array probe — and
 // the vectored path additionally amortizes the fixed per-syscall
 // dispatch work (entry lock, descriptor lookup, hook, verdict) across
@@ -74,7 +74,7 @@ type vcStormSetup struct {
 // vcSetup boots a system and prepares nTasks writers. Each task taints
 // itself with six fresh tags and writes to a private file labeled with a
 // strict superset (a seventh tag), so every write verdict is a real
-// subset decision between distinct heap-represented interned labels —
+// subset decision between distinct heap-represented labels —
 // the shape a million-principal deployment's hot path has.
 func vcSetup(nTasks int, opts ...kernel.Option) (*vcStormSetup, error) {
 	sys := laminar.NewSystem(opts...)
@@ -299,7 +299,7 @@ func (r *VerdictCacheReport) Format() string {
 	}
 	fmt.Fprintf(&b, "\nheadline: sharded+vec+cache vs biglock+scalar+uncached at GOMAXPROCS=8: %.2fx (gate ≥%.2fx: %s)\n",
 		r.Headline, r.GateMin, map[bool]string{true: "pass", false: "FAIL"}[r.Pass])
-	b.WriteString("the cached path replaces two flow-cache-locked subset checks with one\n" +
+	b.WriteString("the cached path replaces two heap-label subset walks with one\n" +
 		"epoch-guarded array probe per verdict; batching amortizes the fixed\n" +
 		"syscall dispatch (entry lock, fd lookup, hook, verdict) across the\n" +
 		"vector. Throughput counts logical writes: a vector element is one op.\n")

@@ -159,7 +159,7 @@ func (m *Module) inodeState(ino *kernel.Inode) *inodeSec {
 		return s
 	}
 	labels, _ := m.recoverInodeLabels(ino)
-	s := &inodeSec{labels: difc.InternLabels(labels)}
+	s := &inodeSec{labels: labels}
 	//govet:fresh — lazy rebuild before any hook has read the blob; the
 	// epoch was bumped by whoever persisted the labels being recovered.
 	ino.Security = s
@@ -206,7 +206,7 @@ func (m *Module) GrantCapability(t *kernel.Task, tag difc.Tag, kind difc.CapKind
 // blobs-before-publication invariant. Socket inodes are never persisted,
 // matching local socketpairs.
 func (m *Module) AdoptInodeLabels(ino *kernel.Inode, labels difc.Labels) {
-	ino.Security = &inodeSec{labels: difc.InternLabels(labels)}
+	ino.Security = &inodeSec{labels: labels}
 	ino.BumpLabelEpoch()
 }
 
@@ -223,7 +223,7 @@ func (m *Module) AdoptInodeLabels(ino *kernel.Inode, labels difc.Labels) {
 // is checked against them.
 func (m *Module) AdoptTaskLabels(t *kernel.Task, labels difc.Labels) {
 	s := m.taskState(t)
-	s.labels = difc.InternLabels(labels)
+	s.labels = labels
 	t.BumpLabelEpoch()
 }
 
@@ -234,7 +234,7 @@ func (m *Module) AdoptTaskLabels(t *kernel.Task, labels difc.Labels) {
 // flows (§4.1).
 func (m *Module) RegisterTCBThread(t *kernel.Task) {
 	s := m.taskState(t)
-	s.labels.I = difc.Intern(s.labels.I.Add(m.tcbTag))
+	s.labels.I = s.labels.I.Add(m.tcbTag)
 	t.BumpLabelEpoch()
 	m.tcbProcs.Store(t.Proc, struct{}{})
 }
@@ -249,7 +249,7 @@ func (m *Module) InstallSystemIntegrity(k *kernel.Kernel) {
 	// raise its integrity to {admin} when it must write system
 	// directories (installing caps files, creating home directories).
 	m.GrantCapability(k.InitTask(), m.adminTag, difc.CapBoth)
-	adminLabels := difc.InternLabels(difc.Labels{I: difc.NewLabel(m.adminTag)})
+	adminLabels := difc.Labels{I: difc.NewLabel(m.adminTag)}
 	label := func(ino *kernel.Inode) {
 		s := m.inodeState(ino)
 		s.labels = adminLabels
@@ -310,7 +310,7 @@ func (m *Module) InodeInitSecurity(t *kernel.Task, dir, ino *kernel.Inode, label
 	ts := m.taskState(t)
 	s := &inodeSec{}
 	if labels == nil {
-		s.labels = difc.InternLabels(ts.labels)
+		s.labels = ts.labels
 	} else {
 		f := *labels
 		// (1) The creator's current secrecy must flow into the new file:
@@ -336,7 +336,7 @@ func (m *Module) InodeInitSecurity(t *kernel.Task, dir, ino *kernel.Inode, label
 		// (3) Write access to the parent directory with the creator's
 		// *current* label is checked by the kernel's separate
 		// InodePermission(dir, MayWrite) hook call.
-		s.labels = difc.InternLabels(f)
+		s.labels = f
 	}
 	// In-memory only: this hook runs before the entry is linked, so a
 	// crash here leaves nothing behind. Persistence happens in
@@ -429,20 +429,20 @@ func (m *Module) checkAccess(t *kernel.Task, ino *kernel.Inode, mask kernel.Acce
 // deliberately skipped: its verdict folds in the couldRead escape, which
 // a bare CheckFlow replay cannot reproduce.
 func (m *Module) emitTracedAllows(t *kernel.Task, ts *taskSec, ino *kernel.Inode, mask kernel.AccessMask) {
-	subj := difc.InternLabels(ts.labels)
-	obj := difc.InternLabels(m.inodeState(ino).labels)
+	// Labels are interned only here, where the dump needs stable ids.
+	subj, obj := ts.labels, m.inodeState(ino).labels
 	tid, proc, inum := uint64(t.TID), t.Proc, uint64(ino.Ino)
 	if mask&(kernel.MayRead|kernel.MayExec) != 0 {
 		m.tel.Emit(telemetry.Event{Layer: telemetry.LayerLSM, Kind: telemetry.KindAllow,
 			Site: "lsm.checkAccess", Op: "read", TID: tid, Proc: proc, Ino: inum,
-			SrcS: obj.S.InternedID(), SrcI: obj.I.InternedID(),
-			DstS: subj.S.InternedID(), DstI: subj.I.InternedID()})
+			SrcS: difc.Intern(obj.S), SrcI: difc.Intern(obj.I),
+			DstS: difc.Intern(subj.S), DstI: difc.Intern(subj.I)})
 	}
 	if mask&kernel.MayWrite != 0 {
 		m.tel.Emit(telemetry.Event{Layer: telemetry.LayerLSM, Kind: telemetry.KindAllow,
 			Site: "lsm.checkAccess", Op: "write", TID: tid, Proc: proc, Ino: inum,
-			SrcS: subj.S.InternedID(), SrcI: subj.I.InternedID(),
-			DstS: obj.S.InternedID(), DstI: obj.I.InternedID()})
+			SrcS: difc.Intern(subj.S), SrcI: difc.Intern(subj.I),
+			DstS: difc.Intern(obj.S), DstI: difc.Intern(obj.I)})
 	}
 }
 
@@ -560,12 +560,12 @@ func (m *Module) SetTaskLabel(t *kernel.Task, typ kernel.LabelType, l difc.Label
 			return err
 		}
 	}
-	// Task labels are the hottest SubsetOf operand (every permission hook
-	// compares them against object labels), so intern on the way in.
+	// Stored as given: permission hooks compare labels by value, so
+	// nothing on this path needs an interned copy.
 	if typ == kernel.Secrecy {
-		s.labels.S = difc.Intern(l)
+		s.labels.S = l
 	} else {
-		s.labels.I = difc.Intern(l)
+		s.labels.I = l
 	}
 	t.BumpLabelEpoch()
 	return nil
@@ -613,7 +613,7 @@ func (m *Module) SetLabelTCB(t, target *kernel.Task, labels difc.Labels) error {
 	if t.Proc != target.Proc {
 		return fmt.Errorf("%w: set_label_tcb outside caller's process", kernel.ErrPerm)
 	}
-	m.taskState(target).labels = difc.InternLabels(labels)
+	m.taskState(target).labels = labels
 	target.BumpLabelEpoch()
 	return nil
 }

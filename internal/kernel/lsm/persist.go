@@ -271,7 +271,7 @@ func (m *Module) RecoverLabels(k *kernel.Kernel) RecoveryStats {
 		st.Scanned++
 		ino.Security = nil
 		labels, state := m.recoverInodeLabels(ino)
-		ino.Security = &inodeSec{labels: difc.InternLabels(labels)}
+		ino.Security = &inodeSec{labels: labels}
 		// Recovery may rewrite labels (roll-forward, quarantine), so every
 		// verdict cached against the pre-crash blob must die with it.
 		ino.BumpLabelEpoch()

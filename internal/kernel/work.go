@@ -1,6 +1,6 @@
 package kernel
 
-import "sync/atomic"
+import "laminar/internal/simwork"
 
 // Work model. The simulated kernel elides the hardware work of a real
 // syscall — mode switches, page-table updates, address-space copies, disk
@@ -46,16 +46,8 @@ const (
 	workPipeData      = workPipeIO - workDeviceIO    // 200: per-chunk pipe data
 )
 
-// workSink defeats dead-code elimination of the spin loop. Accessed
-// atomically: charge() runs outside any kernel lock in sharded mode (the
-// spin models per-CPU hardware work, so it must not serialize syscalls).
-var workSink atomic.Uint64
-
-// charge spins for approximately units nanoseconds of CPU work.
-func charge(units int) {
-	acc := workSink.Load()
-	for i := 0; i < units; i++ {
-		acc = acc*1664525 + 1013904223
-	}
-	workSink.Store(acc)
-}
+// charge spins for approximately units nanoseconds of CPU work, the same
+// calibrated loop the case studies spend as application work. It runs
+// outside any kernel lock in sharded mode: the spin models per-CPU
+// hardware work, so it must not serialize syscalls.
+func charge(units int) { simwork.Do(units) }

@@ -415,7 +415,6 @@ func (n *Node) dial(addr string) (*conn, error) {
 // channel's business, not the opener's: after this returns, denials and
 // losses are silent.
 func (n *Node) Open(t *kernel.Task, addr string, labels difc.Labels) (kernel.FD, error) {
-	labels = difc.InternLabels(labels)
 	c, err := n.dial(addr)
 	if err != nil {
 		return -1, err
@@ -467,7 +466,6 @@ func (n *Node) SendControl(addr string, payload []byte) error {
 // by t under the full labeled-create checks, exactly as Open — the
 // origin of a route is an ordinary principal.
 func (n *Node) OpenRouted(t *kernel.Task, addr string, labels difc.Labels, meta []byte) (kernel.FD, error) {
-	labels = difc.InternLabels(labels)
 	c, err := n.dial(addr)
 	if err != nil {
 		return -1, err
@@ -497,7 +495,6 @@ func (n *Node) OpenRouted(t *kernel.Task, addr string, labels difc.Labels, meta 
 // bound to the outbound endpoint (so this hop's Send verdicts share the
 // trace id) and travels onward bumped by one hop.
 func (n *Node) OpenRoutedAdopted(addr string, labels difc.Labels, meta []byte, trace *telemetry.TraceCtx) (*kernel.File, error) {
-	labels = difc.InternLabels(labels)
 	c, err := n.dial(addr)
 	if err != nil {
 		return nil, err
@@ -640,7 +637,6 @@ func (n *Node) apply(c *conn, f Frame) {
 		if !ok {
 			return
 		}
-		labels = difc.InternLabels(labels)
 		file := n.cfg.Kernel.NetSocketAdopted(func(ino *kernel.Inode) {
 			if n.cfg.Module != nil {
 				n.cfg.Module.AdoptInodeLabels(ino, labels)
@@ -705,7 +701,6 @@ func (n *Node) apply(c *conn, f Frame) {
 			n.count("net.open.unrouted", 1)
 			return
 		}
-		labels = difc.InternLabels(labels)
 		file := n.cfg.Kernel.NetSocketAdopted(func(ino *kernel.Inode) {
 			if n.cfg.Module != nil {
 				n.cfg.Module.AdoptInodeLabels(ino, labels)

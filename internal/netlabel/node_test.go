@@ -133,7 +133,7 @@ func TestRemoteDeniedRecvCheckedByReceivingKernel(t *testing.T) {
 		t.Fatal(err)
 	}
 	fdB, labels := acceptOne(t, b, a, b)
-	if !labels.Equal(difc.Labels{S: difc.InternLabels(secret).S}) && !labels.Equal(secret) {
+	if !labels.Equal(secret) {
 		t.Fatalf("accepted labels = %v, want %v", labels, secret)
 	}
 

@@ -179,7 +179,7 @@ func AppendLabels(dst []byte, l difc.Labels) []byte {
 // labels and bytes consumed. The decoded labels are canonicalized by
 // construction (difc.NewLabel sorts and deduplicates), so a hostile
 // non-canonical encoding cannot smuggle a second representation of the
-// same lattice point past interning.
+// same lattice point into the label checks.
 func ParseLabels(b []byte) (difc.Labels, int, error) {
 	s, n, err := parseLabel(b)
 	if err != nil {

@@ -176,19 +176,18 @@ func (vm *VM) emit(e Event) {
 	case EvRegionEnter:
 		te.Kind = telemetry.KindRegionEnter
 		te.Site = "rt.region.enter"
-		te.SrcS = difc.Intern(e.Labels.S).InternedID()
-		te.SrcI = difc.Intern(e.Labels.I).InternedID()
+		te.SrcS = difc.Intern(e.Labels.S)
+		te.SrcI = difc.Intern(e.Labels.I)
 	case EvRegionExit:
 		te.Kind = telemetry.KindRegionExit
 		te.Site = "rt.region.exit"
-		te.SrcS = difc.Intern(e.Labels.S).InternedID()
-		te.SrcI = difc.Intern(e.Labels.I).InternedID()
+		te.SrcS = difc.Intern(e.Labels.S)
+		te.SrcI = difc.Intern(e.Labels.I)
 	case EvCopyAndLabel:
 		te.Kind = telemetry.KindCopyAndLabel
 		te.Site = "rt.copyAndLabel"
-		from, to := difc.InternLabels(e.From), difc.InternLabels(e.To)
-		te.SrcS, te.SrcI = from.S.InternedID(), from.I.InternedID()
-		te.DstS, te.DstI = to.S.InternedID(), to.I.InternedID()
+		te.SrcS, te.SrcI = difc.Intern(e.From.S), difc.Intern(e.From.I)
+		te.DstS, te.DstI = difc.Intern(e.To.S), difc.Intern(e.To.I)
 	case EvCapabilityGained:
 		te.Kind = telemetry.KindCapGained
 		te.Site = "rt.capability"

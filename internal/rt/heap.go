@@ -116,7 +116,7 @@ func (r *Region) Alloc(labels *difc.Labels) *Object {
 	r.thread.vm.stats.AllocBarriers.Add(1)
 	l := r.labels
 	if labels != nil {
-		l = difc.InternLabels(*labels) // object labels feed every barrier check
+		l = *labels
 		r.check("alloc", r.allocConforms(l))
 	}
 	return &Object{labels: l, labeled: !l.IsEmpty(), fields: make(map[string]any)}
@@ -128,7 +128,7 @@ func (r *Region) AllocArray(n int, labels *difc.Labels) *Object {
 	r.thread.vm.stats.AllocBarriers.Add(1)
 	l := r.labels
 	if labels != nil {
-		l = difc.InternLabels(*labels)
+		l = *labels
 		r.check("alloc", r.allocConforms(l))
 	}
 	return &Object{labels: l, labeled: !l.IsEmpty(), elems: make([]any, n)}
@@ -159,7 +159,7 @@ func (r *Region) CopyAndLabel(o *Object, labels difc.Labels) *Object {
 	r.thread.vm.emit(Event{Kind: EvCopyAndLabel, Thread: uint64(r.thread.task.TID), Labels: r.labels, From: o.labels, To: labels})
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	cp := &Object{labels: difc.InternLabels(labels), labeled: !labels.IsEmpty()}
+	cp := &Object{labels: labels, labeled: !labels.IsEmpty()}
 	if o.fields != nil {
 		cp.fields = make(map[string]any, len(o.fields))
 		for k, v := range o.fields {

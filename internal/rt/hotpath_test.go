@@ -87,7 +87,7 @@ func TestSecureRefusedAllocs(t *testing.T) {
 
 // TestReadBarrierAllocs pins that read barriers inside a 48-tag region
 // allocate nothing, whether the object's label is the region's own
-// interned label or a 24-tag subset decided through the flow cache.
+// 48-tag label or a 24-tag subset decided by a merge walk.
 func TestReadBarrierAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector adds allocations")

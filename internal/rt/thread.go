@@ -188,10 +188,7 @@ func (t *Thread) Secure(labels difc.Labels, caps difc.CapSet, body func(*Region)
 	}
 	r := &Region{
 		thread: t,
-		// Region labels are one operand of every read/write barrier in the
-		// region; interning them lets the SubsetOf checks between two
-		// large labels hit the difc flow cache.
-		labels: difc.InternLabels(labels),
+		labels: labels,
 		caps:   caps,
 		parent: t.region,
 	}

@@ -9,8 +9,8 @@ package simwork
 
 import "sync/atomic"
 
-// sink defeats dead-code elimination; apps call Do concurrently, so the
-// write is atomic.
+// sink defeats dead-code elimination; the apps and the kernel's work
+// model call Do concurrently, so the write is atomic.
 var sink atomic.Uint64
 
 // Do spins for approximately units nanoseconds of CPU work.

@@ -41,9 +41,8 @@ func DenyEvent(layer Layer, site, op string, tid, proc uint64, err error) Event 
 			e.Rule = RuleSecrecy
 		}
 		e.Op = fe.Op
-		src, dst := difc.InternLabels(fe.Src), difc.InternLabels(fe.Dst)
-		e.SrcS, e.SrcI = src.S.InternedID(), src.I.InternedID()
-		e.DstS, e.DstI = dst.S.InternedID(), dst.I.InternedID()
+		e.SrcS, e.SrcI = difc.Intern(fe.Src.S), difc.Intern(fe.Src.I)
+		e.DstS, e.DstI = difc.Intern(fe.Dst.S), difc.Intern(fe.Dst.I)
 		e.Delta = fe.Delta().Tags()
 	case errors.As(err, &ce):
 		if ce.Check == "subset" {
@@ -53,10 +52,10 @@ func DenyEvent(layer Layer, site, op string, tid, proc uint64, err error) Event 
 		}
 		e.Op = ce.Op
 		e.Check = ce.Check
-		e.SrcS = difc.Intern(ce.From).InternedID()
-		e.DstS = difc.Intern(ce.To).InternedID()
-		e.CapP = difc.Intern(ce.Caps.Plus()).InternedID()
-		e.CapM = difc.Intern(ce.Caps.Minus()).InternedID()
+		e.SrcS = difc.Intern(ce.From)
+		e.DstS = difc.Intern(ce.To)
+		e.CapP = difc.Intern(ce.Caps.Plus())
+		e.CapM = difc.Intern(ce.Caps.Minus())
 		e.Delta = ce.Missing.Tags()
 	}
 	return e

@@ -170,7 +170,7 @@ func (d DumpEvent) ToEvent() Event {
 		if !ok {
 			return 0
 		}
-		return difc.Intern(l).InternedID()
+		return difc.Intern(l)
 	}
 	e.SrcS, e.SrcI = intern(d.SrcS), intern(d.SrcI)
 	e.DstS, e.DstI = intern(d.DstS), intern(d.DstI)

@@ -69,9 +69,6 @@ func mergeInto(dst *MetricsSnapshot, s MetricsSnapshot) {
 	dst.Allows = satAddU64(dst.Allows, s.Allows)
 	dst.FaultTrips = satAddU64(dst.FaultTrips, s.FaultTrips)
 	dst.LockContention = satAddU64(dst.LockContention, s.LockContention)
-	dst.FlowCacheHits = satAddU64(dst.FlowCacheHits, s.FlowCacheHits)
-	dst.FlowCacheMisses = satAddU64(dst.FlowCacheMisses, s.FlowCacheMisses)
-	dst.FlowCacheEvictions = satAddU64(dst.FlowCacheEvictions, s.FlowCacheEvictions)
 	dst.InternHits = satAddU64(dst.InternHits, s.InternHits)
 	dst.InternMisses = satAddU64(dst.InternMisses, s.InternMisses)
 	dst.VerdictCacheHits = satAddU64(dst.VerdictCacheHits, s.VerdictCacheHits)

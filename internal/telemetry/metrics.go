@@ -154,7 +154,7 @@ func (m *Metrics) ObserveLayer(l Layer, d time.Duration) {
 func (m *Metrics) Reset() { *m = Metrics{} }
 
 // MetricsSnapshot is a point-in-time fold of a recorder's metrics plus
-// the process-global difc flow-cache and intern-table stats, in a shape
+// the process-global difc intern-table and verdict-cache stats, in a shape
 // that serialises directly to JSON, expvar and Prometheus text.
 type MetricsSnapshot struct {
 	Level  string `json:"level"`
@@ -173,11 +173,8 @@ type MetricsSnapshot struct {
 	HookLatency  []HistBucket            `json:"hook_latency,omitempty"`
 	LayerLatency map[string][]HistBucket `json:"layer_latency,omitempty"`
 
-	FlowCacheHits      uint64 `json:"flow_cache_hits"`
-	FlowCacheMisses    uint64 `json:"flow_cache_misses"`
-	FlowCacheEvictions uint64 `json:"flow_cache_evictions"`
-	InternHits         uint64 `json:"intern_hits"`
-	InternMisses       uint64 `json:"intern_misses"`
+	InternHits   uint64 `json:"intern_hits"`
+	InternMisses uint64 `json:"intern_misses"`
 
 	VerdictCacheHits          uint64 `json:"verdict_cache_hits"`
 	VerdictCacheMisses        uint64 `json:"verdict_cache_misses"`
@@ -212,7 +209,6 @@ func (r *Recorder) MetricsSnapshot() MetricsSnapshot {
 		}
 		s.LayerLatency[Layer(l).String()] = r.M.LayerLatency[l].snapshot()
 	}
-	s.FlowCacheHits, s.FlowCacheMisses, s.FlowCacheEvictions = difc.FlowCacheStats()
 	s.InternHits, s.InternMisses = difc.InternStats()
 	s.VerdictCacheHits, s.VerdictCacheMisses, s.VerdictCacheInvalidations = difc.VerdictCacheStats()
 	return s
@@ -258,9 +254,6 @@ func (s MetricsSnapshot) WritePrometheus(w io.Writer) error {
 		}
 		p("laminar_layer_latency_ns_count{layer=%q} %d\n", layer, lcum)
 	}
-	p("laminar_flow_cache_hits_total %d\n", s.FlowCacheHits)
-	p("laminar_flow_cache_misses_total %d\n", s.FlowCacheMisses)
-	p("laminar_flow_cache_evictions_total %d\n", s.FlowCacheEvictions)
 	p("laminar_intern_hits_total %d\n", s.InternHits)
 	p("laminar_intern_misses_total %d\n", s.InternMisses)
 	p("laminar_verdict_cache_hits_total %d\n", s.VerdictCacheHits)

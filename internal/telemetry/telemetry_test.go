@@ -331,10 +331,10 @@ func TestEmptyVsUnknownLabelInDump(t *testing.T) {
 	// (replayable); one with id 0 must round-trip as unknown.
 	e := Event{
 		Kind: KindDeny, Rule: RuleSecrecy, Op: "read", Layer: LayerLSM,
-		SrcS:  difc.Intern(difc.NewLabel(11)).InternedID(),
-		SrcI:  difc.Intern(difc.EmptyLabel).InternedID(),
-		DstS:  difc.Intern(difc.EmptyLabel).InternedID(),
-		DstI:  difc.Intern(difc.EmptyLabel).InternedID(),
+		SrcS:  difc.Intern(difc.NewLabel(11)),
+		SrcI:  difc.Intern(difc.EmptyLabel),
+		DstS:  difc.Intern(difc.EmptyLabel),
+		DstI:  difc.Intern(difc.EmptyLabel),
 		Delta: []difc.Tag{11},
 	}
 	var buf bytes.Buffer

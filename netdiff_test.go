@@ -201,7 +201,6 @@ func netdiffRemote(t *testing.T, seed int64, bigLock, tracing bool) (string, dif
 	// so the faulted setup phase is invisible to the oracle — which is
 	// the point.
 	establish := func(labels difc.Labels) (kernel.FD, kernel.FD) {
-		want := difc.InternLabels(labels)
 		deadline := time.Now().Add(20 * time.Second)
 		for time.Now().Before(deadline) {
 			fdA, oerr := nodeA.Open(a.user, nodeB.Addr(), labels)
@@ -213,7 +212,7 @@ func netdiffRemote(t *testing.T, seed int64, bigLock, tracing bool) (string, dif
 				nodeB.Pump()
 				fdB, got, aerr := nodeB.Accept(b.user)
 				if aerr == nil {
-					if got.Equal(want) {
+					if got.Equal(labels) {
 						return fdA, fdB
 					}
 					continue // stale duplicate from an earlier retry

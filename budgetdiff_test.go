@@ -56,7 +56,7 @@ func (v *verdictLog) note(line string) {
 }
 
 // budgetdiffBoot is netdiffBoot plus an optional ledger installed on the
-// kernel (which wires the OnMutate -> label-epoch bump).
+// kernel.
 func budgetdiffBoot(t *testing.T, bigLock bool, led *budget.Ledger) *netdiffStack {
 	t.Helper()
 	mod := lsm.New()

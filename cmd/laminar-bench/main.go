@@ -62,9 +62,9 @@ func main() {
 		clus      = flag.Bool("cluster", false, "cluster label-plane throughput (msgs/sec vs node count, routed vs direct)")
 		clusMsgs  = flag.Int("clustermsgs", 2000, "messages per cluster cell")
 		clusJSON  = flag.String("clusterjson", "BENCH_cluster.json", "where -cluster writes its JSON result")
-		vcache    = flag.Bool("verdictcache", false, "verdict-cache + batched-write hot path vs the old per-op protocol")
-		vcTasks   = flag.Int("vctasks", 8, "concurrent writer tasks in the verdict-cache storm")
-		vcWrites  = flag.Int("vcwrites", 16384, "logical writes per task in the verdict-cache storm")
+		vcache    = flag.Bool("verdictcache", false, "sharded + batched-write hot path vs the old per-op protocol")
+		vcTasks   = flag.Int("vctasks", 8, "concurrent writer tasks in the -verdictcache write storm")
+		vcWrites  = flag.Int("vcwrites", 16384, "logical writes per task in the -verdictcache write storm")
 		vcBatch   = flag.Int("vcbatch", 16, "WriteVec vector length for the vec rows")
 		vcJSON    = flag.String("vcjson", "BENCH_verdictcache.json", "where -verdictcache writes its JSON result")
 		vcGate    = flag.Bool("vcgate", false, "with -verdictcache: exit nonzero if the new-protocol speedup misses the 1.5x gate")
@@ -119,7 +119,7 @@ func main() {
 				if !*vcGate || rep.Pass {
 					return ""
 				}
-				return fmt.Sprintf("verdict-cache headline speedup %.2fx misses the %.2fx gate",
+				return fmt.Sprintf("hot-path headline speedup %.2fx misses the %.2fx gate",
 					rep.Headline, rep.GateMin)
 			}},
 		{on: *all || *telem, jsonPath: *telJSON,

@@ -1,7 +1,6 @@
 // Command laminar-govet checks the Laminar kernel's own Go sources
 // against the invariants the runtime cannot verify for itself:
 //
-//	epochbump   every label mutation bumps the verdict-cache epoch
 //	lockorder   lock acquisitions respect the task→file→inode order
 //	failclosed  enforcement error paths never swallow errors as nil
 //

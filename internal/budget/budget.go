@@ -161,8 +161,8 @@ func CostBytes(n int) uint64 {
 // default, which is where the -budgetgate ceiling binds.
 //
 // Lock order: callers may hold task locks when charging; the ledger
-// mutex is leaf-level below them and is never held across calls back
-// into the kernel (OnMutate callbacks run after the mutex is released).
+// mutex is leaf-level below them, and the ledger never calls back into
+// the kernel.
 type Ledger struct {
 	mu    sync.Mutex // serializes mutators and persistence
 	facts atomic.Pointer[table]
@@ -170,15 +170,13 @@ type Ledger struct {
 	store Store
 	inj   faultinject.Injector
 	rec   *telemetry.Recorder
-
-	onMutate func() // guarded by mu
 }
 
 // slot holds one fact's live counters. Spent is raced by lock-free
 // chargers (compare-and-swap); limit and epoch are written only under
 // the ledger mutex and read atomically everywhere. noted latches
-// "exhaustion already reported to onMutate" and resets when a limit
-// change or merge reopens the budget.
+// "exhaustion already counted in budget.exhausted" and resets when a
+// limit change or merge reopens the budget.
 type slot struct {
 	spent atomic.Uint64
 	limit atomic.Uint64
@@ -315,17 +313,6 @@ func New(opts ...Option) *Ledger {
 	return l
 }
 
-// OnMutate registers the callback fired (outside the ledger mutex) after
-// any mutation that could invalidate a previously-allowed verdict: an
-// exhaustion transition, a limit drop, a merge that tightened a fact, or
-// a quarantine. The kernel registers a global label-epoch bump here so
-// the PR 7 verdict cache can never serve a stale allow past exhaustion.
-func (l *Ledger) OnMutate(fn func()) {
-	l.mu.Lock()
-	l.onMutate = fn
-	l.mu.Unlock()
-}
-
 // SetLimit installs or replaces the budget for (tag, peer). The new fact
 // keeps the accumulated spend and rides a bumped epoch so it wins
 // wholesale over every older fact in the cluster. Returns the persist
@@ -351,7 +338,6 @@ func (l *Ledger) SetLimit(tag difc.Tag, peer, limit uint64) error {
 	err := l.persistLocked(k, s.fact())
 	l.mu.Unlock()
 	l.count("budget.limit.set", 1)
-	l.mutated()
 	return err
 }
 
@@ -384,7 +370,7 @@ func (l *Ledger) Charge(op string, tag difc.Tag, peer, cost uint64) error {
 
 // chargeSlot spends cost on s lock-free. denied reports exhaustion;
 // crossed reports that this call was the first to observe it (the
-// caller owes an onMutate notification).
+// caller counts it in budget.exhausted).
 func chargeSlot(s *slot, cost uint64) (denied, crossed bool) {
 	limit := s.limit.Load()
 	for {
@@ -447,7 +433,6 @@ func (l *Ledger) ChargeLabel(op string, lab difc.Label, peer, cost uint64) error
 	}
 	if exhausted > 0 {
 		l.count("budget.exhausted", exhausted)
-		l.mutated()
 	}
 	if denied {
 		l.count("budget.denied", 1)
@@ -469,7 +454,6 @@ func (l *Ledger) chargeLabelDurable(op string, lab difc.Label, peer, cost uint64
 		charged    uint64
 		exhausted  uint64
 		persistErr bool
-		notify     bool
 	)
 	l.mu.Lock()
 	eachTracked(lab, l.table()[peer], func(tag difc.Tag, s *slot) bool {
@@ -478,7 +462,6 @@ func (l *Ledger) chargeLabelDurable(op string, lab difc.Label, peer, cost uint64
 		if f.Exhausted() || newSpent > f.Limit {
 			if s.noted.CompareAndSwap(false, true) {
 				exhausted++
-				notify = true
 			}
 			deniedTag, denied = tag, true
 			return false
@@ -488,12 +471,11 @@ func (l *Ledger) chargeLabelDurable(op string, lab difc.Label, peer, cost uint64
 		err := l.persistLocked(Key{Tag: tag, Peer: peer}, s.fact())
 		if newSpent >= f.Limit && s.noted.CompareAndSwap(false, true) {
 			exhausted++
-			notify = true
 		}
 		if err != nil {
 			// Fail closed: the raised spend stands, the operation is
 			// denied.
-			persistErr, notify = true, true
+			persistErr = true
 			deniedTag, denied = tag, true
 			return false
 		}
@@ -512,9 +494,6 @@ func (l *Ledger) chargeLabelDurable(op string, lab difc.Label, peer, cost uint64
 	if persistErr {
 		l.count("budget.persist.fail", 1)
 	}
-	if notify {
-		l.mutated()
-	}
 	if denied {
 		return ExhaustedError(op, deniedTag)
 	}
@@ -531,16 +510,6 @@ func ExhaustedError(op string, tag difc.Tag) *difc.FlowError {
 		Src:  difc.Labels{S: difc.NewLabel(tag)},
 		Dst:  difc.Labels{},
 		Rule: "secrecy",
-	}
-}
-
-// mutated fires the OnMutate callback, outside the ledger mutex.
-func (l *Ledger) mutated() {
-	l.mu.Lock()
-	fn := l.onMutate
-	l.mu.Unlock()
-	if fn != nil {
-		fn()
 	}
 }
 
@@ -626,23 +595,20 @@ func DecodeFacts(b []byte) (map[Key]Fact, error) {
 // MergeFacts folds a decoded fact set into the ledger with the
 // semilattice merge and reports how many facts changed. Facts the ledger
 // has never seen are adopted as-is (a peer budgeted a pair we had no
-// opinion on). Changed facts persist; a tightening merge fires OnMutate.
+// opinion on). Changed facts persist; a tightening merge re-arms the
+// exhaustion latch.
 func (l *Ledger) MergeFacts(facts map[Key]Fact) int {
 	if len(facts) == 0 {
 		return 0
 	}
 	l.mu.Lock()
 	changed := 0
-	tightened := false
 	for k, in := range facts {
 		s := l.table().lookup(k.Tag, k.Peer)
 		if s == nil {
 			l.installLocked(k, newSlot(in))
 			l.persistLocked(k, in)
 			changed++
-			if in.Exhausted() {
-				tightened = true
-			}
 			continue
 		}
 		cur := s.fact()
@@ -655,7 +621,6 @@ func (l *Ledger) MergeFacts(facts map[Key]Fact) int {
 		mergeSpent(s, cur, m)
 		if m.Epoch > cur.Epoch || m.Limit < cur.Limit || (m.Exhausted() && !cur.Exhausted()) {
 			s.noted.Store(false)
-			tightened = true
 		}
 		l.persistLocked(k, s.fact())
 		changed++
@@ -663,9 +628,6 @@ func (l *Ledger) MergeFacts(facts map[Key]Fact) int {
 	l.mu.Unlock()
 	if changed > 0 {
 		l.count("budget.merge.facts", uint64(changed))
-	}
-	if tightened {
-		l.mutated()
 	}
 	return changed
 }

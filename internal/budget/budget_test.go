@@ -9,6 +9,7 @@ import (
 
 	"laminar/internal/difc"
 	"laminar/internal/faultinject"
+	"laminar/internal/telemetry"
 )
 
 // memStore mirrors cluster.MemStore locally (budget must not depend on
@@ -112,35 +113,45 @@ func TestChargeUntrackedIsFree(t *testing.T) {
 	}
 }
 
+// exhaustedCounter returns a reader for rec's budget.exhausted counter.
+func exhaustedCounter(rec *telemetry.Recorder) func() uint64 {
+	return func() uint64 { return rec.M.Extra.Get("budget.exhausted").Load() }
+}
+
 func TestChargeExhaustion(t *testing.T) {
-	l := New()
+	rec := telemetry.NewRecorder()
+	l := New(WithRecorder(rec))
+	exhausted := exhaustedCounter(rec)
 	const tag = difc.Tag(3)
-	mutations := 0
-	l.OnMutate(func() { mutations++ })
 	l.SetLimit(tag, 0, 3)
-	if mutations != 1 {
-		t.Fatalf("SetLimit fired %d mutations, want 1", mutations)
-	}
 	for i := 0; i < 3; i++ {
 		if err := l.Charge("drop", tag, 0, 1); err != nil {
 			t.Fatalf("charge %d within budget denied: %v", i, err)
 		}
 	}
-	if mutations != 2 {
-		t.Fatalf("exhaustion transition fired %d mutations, want 2", mutations)
+	if n := exhausted(); n != 1 {
+		t.Fatalf("exhaustion crossing counted %d times, want 1", n)
 	}
 	if err := l.Charge("drop", tag, 0, 1); err == nil {
 		t.Fatal("charge past limit must deny")
 	}
-	// Repeated denials must not re-fire OnMutate (no epoch-bump storm).
+	// Repeated denials must not re-count the exhaustion.
 	l.Charge("drop", tag, 0, 1)
 	l.Charge("drop", tag, 0, 1)
-	if mutations != 2 {
-		t.Fatalf("repeat denials fired %d mutations, want 2", mutations)
+	if n := exhausted(); n != 1 {
+		t.Fatalf("repeat denials counted %d exhaustions, want 1", n)
 	}
 	// Peer 1 is a different key: still unlimited.
 	if err := l.Charge("drop", tag, 1, 1); err != nil {
 		t.Fatalf("other peer charge denied: %v", err)
+	}
+	// A limit change re-arms the latch: the next crossing counts again.
+	l.SetLimit(tag, 0, 4)
+	if err := l.Charge("drop", tag, 0, 1); err != nil {
+		t.Fatalf("charge under the raised limit denied: %v", err)
+	}
+	if n := exhausted(); n != 2 {
+		t.Fatalf("crossing after a limit change counted %d exhaustions, want 2", n)
 	}
 }
 
@@ -238,36 +249,58 @@ func TestFactsCodecRoundTrip(t *testing.T) {
 }
 
 func TestMergeFactsAdoptAndTighten(t *testing.T) {
-	l := New()
-	mutations := 0
-	l.OnMutate(func() { mutations++ })
+	rec := telemetry.NewRecorder()
+	l := New(WithRecorder(rec))
+	exhausted := exhaustedCounter(rec)
 
-	// Adoption of an unknown, already-exhausted fact fires OnMutate.
+	// An adopted, already-exhausted fact denies, and the first denial
+	// counts the exhaustion once.
 	n := l.MergeFacts(map[Key]Fact{{Tag: 4, Peer: 2}: {Spent: 10, Limit: 10, Epoch: 1}})
-	if n != 1 || mutations != 1 {
-		t.Fatalf("adopt: changed=%d mutations=%d", n, mutations)
+	if n != 1 {
+		t.Fatalf("adopt: changed=%d", n)
 	}
-	// Re-merging the same facts is a no-op (idempotent, no mutation).
+	if err := l.Charge("send", difc.Tag(4), 2, 1); err == nil {
+		t.Fatal("charge against an adopted exhausted fact allowed")
+	}
+	if got := exhausted(); got != 1 {
+		t.Fatalf("adopted exhaustion counted %d times, want 1", got)
+	}
+	// Re-merging the same facts is a no-op: nothing changes and the
+	// latch stays set, so a further denial does not re-count.
 	if n := l.MergeFacts(map[Key]Fact{{Tag: 4, Peer: 2}: {Spent: 10, Limit: 10, Epoch: 1}}); n != 0 {
 		t.Fatalf("idempotent re-merge changed %d facts", n)
 	}
-	if mutations != 1 {
-		t.Fatalf("re-merge fired OnMutate (%d)", mutations)
+	l.Charge("send", difc.Tag(4), 2, 1)
+	if got := exhausted(); got != 1 {
+		t.Fatalf("re-merge re-counted the exhaustion (%d)", got)
 	}
-	// A peer reporting more spend tightens and fires OnMutate.
-	l.SetLimit(difc.Tag(5), 0, 100) // mutation 2
+	// A peer reporting more spend tightens the fact.
+	l.SetLimit(difc.Tag(5), 0, 100)
 	l.Charge("send", difc.Tag(5), 0, 10)
-	before := mutations
 	l.MergeFacts(map[Key]Fact{{Tag: 5, Peer: 0}: {Spent: 100, Limit: 100, Epoch: 2}})
 	f, _ := l.Fact(difc.Tag(5), 0)
 	if !f.Exhausted() || f.Spent != 100 {
 		t.Fatalf("tightening merge gave %+v", f)
 	}
-	if mutations != before+1 {
-		t.Fatalf("tightening merge fired %d mutations, want %d", mutations, before+1)
-	}
 	if err := l.Charge("send", difc.Tag(5), 0, 1); err == nil {
 		t.Fatal("charge after merged exhaustion allowed")
+	}
+	if got := exhausted(); got != 2 {
+		t.Fatalf("merged exhaustion counted %d times in total, want 2", got)
+	}
+	// A tightening merge re-arms a latch that an earlier crossing set: a
+	// same-epoch merge lowering the limit reopens the count.
+	l.SetLimit(difc.Tag(6), 0, 10)
+	l.Charge("send", difc.Tag(6), 0, 10)
+	if got := exhausted(); got != 3 {
+		t.Fatalf("local crossing counted %d exhaustions in total, want 3", got)
+	}
+	l.MergeFacts(map[Key]Fact{{Tag: 6, Peer: 0}: {Spent: 10, Limit: 5, Epoch: 1}})
+	if err := l.Charge("send", difc.Tag(6), 0, 1); err == nil {
+		t.Fatal("charge after a lowered merged limit allowed")
+	}
+	if got := exhausted(); got != 4 {
+		t.Fatalf("denial after a tightening merge counted %d exhaustions in total, want 4", got)
 	}
 }
 

@@ -57,12 +57,6 @@ type Config struct {
 	// telemetry.Default: the test harness runs many seeds in parallel,
 	// and their rings must not interleave.
 	Telemetry bool
-	// VerdictCache runs the schedule with epoch-keyed verdict memoization
-	// enabled (kernel.WithVerdictCache). The optimized monitor must be
-	// observably identical to the reference one, so the cached-vs-uncached
-	// oracle replays the same seed with this flag flipped and requires
-	// byte-identical verdict streams.
-	VerdictCache bool
 }
 
 // Report is the outcome of a run.
@@ -139,9 +133,6 @@ func Run(cfg Config) Report {
 	var opts []kernel.Option
 	if cfg.BigLock {
 		opts = append(opts, kernel.WithBigLock())
-	}
-	if cfg.VerdictCache {
-		opts = append(opts, kernel.WithVerdictCache())
 	}
 	var rec *telemetry.Recorder
 	if cfg.Telemetry {

@@ -142,6 +142,53 @@ func TestFailureDetectionSuspectThenDead(t *testing.T) {
 	}
 }
 
+// TestMutualFalseDeathHealsThroughGossip leaves nodes 2 and 3 holding
+// each other dead while both still hear node 1 — the state a stalled
+// tick loop leaves behind when their heartbeats to each other are late
+// past DeadAfter. Heartbeats skip the dead, so neither would speak to the
+// other again; only node 1's gossip ("alive, heard directly") can reopen
+// the pair, and the cluster must converge again through suspect.
+func TestMutualFalseDeathHealsThroughGossip(t *testing.T) {
+	nodes := formCluster(t, 3)
+	a, b, c := nodes[0], nodes[1], nodes[2]
+	split := func() {
+		for _, p := range []struct {
+			nd   *testClusterNode
+			peer uint64
+		}{{b, 3}, {c, 2}} {
+			p.nd.cl.mu.Lock()
+			p.nd.cl.members[p.peer].state = StateDead
+			p.nd.cl.mu.Unlock()
+		}
+	}
+	// Hold the split while 2 and 3 tick without node 1, until no frame
+	// between them is left in flight: from then on neither sends to the
+	// other, and nothing but gossip can tell either that the other lives.
+	for i := 0; i < 8; i++ {
+		split()
+		b.cl.Tick()
+		c.cl.Tick()
+		time.Sleep(time.Millisecond)
+	}
+	split()
+	suspects := func() uint64 {
+		return b.rec.M.Extra.Get("cluster.member.suspect").Load() +
+			c.rec.M.Extra.Get("cluster.member.suspect").Load()
+	}
+	before := suspects()
+	tickUntil(t, func() bool {
+		for _, nd := range nodes {
+			if !nd.cl.Converged(1, 2, 3) {
+				return false
+			}
+		}
+		return true
+	}, a, b, c)
+	if suspects() == before {
+		t.Error("dead pair healed without passing through suspect")
+	}
+}
+
 func TestStaleEpochRejectedFailClosed(t *testing.T) {
 	a := bootCluster(t, Config{ID: 1})
 	// Node 9 speaks at epoch 5...

@@ -142,8 +142,15 @@ func (c *Cluster) observe(id uint64, epoch uint64, addr string) *member {
 // gossip merges a peer's view of the membership into ours: unknown nodes
 // are added as suspects (we have not heard them DIRECTLY, and a gossiped
 // entry must never make a node routable that we cannot reach), known
-// nodes take the higher epoch. Direct observation always wins over
-// gossip. locked.
+// nodes take the higher epoch. A member we hold dead that the peer
+// reports alive — it heard that incarnation directly within its
+// SuspectAfter window — goes back to suspect with a fresh silence clock.
+// Heartbeats skip the dead, so without this two nodes that declared each
+// other dead at once (a stalled tick loop) would never speak again while
+// both still talk to everyone else. Suspect is not routable, so hearsay
+// still makes nothing reachable; our own ping either draws the member's
+// heartbeats back (alive) or the detector declares it dead again after
+// DeadAfter ticks. Direct observation always wins over gossip. locked.
 func (c *Cluster) gossip(entries []memberWire) {
 	for _, e := range entries {
 		if e.ID == c.cfg.ID || e.Addr == "" {
@@ -159,6 +166,11 @@ func (c *Cluster) gossip(entries []memberWire) {
 		if e.Epoch > m.epoch {
 			m.epoch = e.Epoch
 			c.memberEvent(e.ID, e.Epoch, "re-epoch", "gossiped fresh epoch")
+		}
+		if m.state == StateDead && e.State == StateAlive && e.Epoch == m.epoch {
+			m.state = StateSuspect
+			m.lastHeard = c.now
+			c.memberEvent(e.ID, e.Epoch, "suspect", "gossiped alive by a peer")
 		}
 	}
 }

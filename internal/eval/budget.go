@@ -173,7 +173,7 @@ func runBudgetRelabel(cycles int) (wall map[string]time.Duration, overhead, char
 		return nil, 0, 0, err
 	}
 	rigs := map[bool]*relabelRig{false: bare, true: bud}
-	// Warm both paths (verdict cache, branch predictors).
+	// Warm both paths (caches, branch predictors).
 	for _, rig := range rigs {
 		if _, err := rig.batch(relabelBatch); err != nil {
 			return nil, 0, 0, err

@@ -1,25 +1,25 @@
 package eval
 
-// Million-principal hot-path benchmark: the verdict cache, inline labels
-// and batched checks against the old per-op protocol. A write-dominated
-// storm runs under four protocol configurations:
+// Million-principal hot-path benchmark: sharded locking and batched
+// checks against the old per-op protocol. A write-dominated storm runs
+// under three protocol configurations:
 //
-//   - biglock / scalar / cache off — the old kernel end to end (baseline)
-//   - sharded / scalar / cache off — locking refactor only
-//   - sharded / scalar / cache on  — plus memoized verdicts
-//   - sharded / vec    / cache on  — plus WriteVec batching
+//   - biglock / scalar — the old kernel end to end (baseline)
+//   - sharded / scalar — locking refactor only
+//   - sharded / vec    — plus WriteVec batching
 //
 // Every task writes through labels big enough to be heap-represented
-// (seven tags), so the uncached slow path pays real label work: two
-// CheckFlow subset walks over heap labels per write.
-// The cached path skips all of it — one epoch-guarded array probe — and
-// the vectored path additionally amortizes the fixed per-syscall
-// dispatch work (entry lock, descriptor lookup, hook, verdict) across
-// the batch. Throughput counts LOGICAL writes: one vector element is one
-// op, so scalar and vec rows are directly comparable.
+// (seven tags), so each verdict pays real label work: two CheckFlow
+// subset walks over heap labels. The vectored path pays them once per
+// batch and amortizes the rest of the fixed per-syscall dispatch work
+// (entry lock, descriptor lookup, hook) across it too. Throughput counts
+// LOGICAL writes: one vector element is one op, so scalar and vec rows
+// are directly comparable.
 //
-// The headline — and the PR gate — is new protocol (sharded+vec+cache)
-// vs old protocol (biglock+scalar+uncached) at GOMAXPROCS=8.
+// The headline — and the PR gate — is new protocol (sharded+vec) vs old
+// protocol (biglock+scalar) at GOMAXPROCS=8. The experiment keeps its
+// -verdictcache name and BENCH_verdictcache.json path from when a
+// per-task verdict cache was one of its dimensions.
 
 import (
 	"encoding/json"
@@ -34,17 +34,15 @@ import (
 	"laminar/internal/kernel"
 )
 
-// VCRow is one (GOMAXPROCS, lock mode, write path, cache state) cell.
+// VCRow is one (GOMAXPROCS, lock mode, write path) cell.
 type VCRow struct {
 	Procs      int     `json:"gomaxprocs"`
 	Mode       string  `json:"lock_mode"`  // "biglock" or "sharded"
 	Path       string  `json:"write_path"` // "scalar" or "vec"
-	Cache      bool    `json:"verdict_cache"`
 	Ops        int     `json:"logical_writes"`
 	NsPerOp    float64 `json:"ns_per_op"`
 	OpsPerSec  float64 `json:"ops_per_sec"`
-	SpeedupVsB float64 `json:"speedup_vs_old_protocol"` // this row / biglock+scalar+off at same procs
-	HitRate    float64 `json:"cache_hit_rate"`          // cache-on rows: hits/(hits+misses) during the storm
+	SpeedupVsB float64 `json:"speedup_vs_old_protocol"` // this row / biglock+scalar at same procs
 }
 
 // VerdictCacheReport is the full matrix plus the gated headline.
@@ -54,8 +52,8 @@ type VerdictCacheReport struct {
 	Batch         int     `json:"vec_batch"`
 	HWThreads     int     `json:"hw_threads"`
 	Rows          []VCRow `json:"rows"`
-	// Headline is new-protocol (sharded, vec, cache) throughput over
-	// old-protocol (biglock, scalar, uncached) at GOMAXPROCS=8.
+	// Headline is new-protocol (sharded, vec) throughput over
+	// old-protocol (biglock, scalar) at GOMAXPROCS=8.
 	Headline float64 `json:"headline_speedup"`
 	GateMin  float64 `json:"gate_min"`
 	Pass     bool    `json:"pass"`
@@ -190,16 +188,11 @@ func VerdictCache(nTasks, writesPerTask, batch, trials int) (*VerdictCacheReport
 	prev := runtime.GOMAXPROCS(0)
 	defer runtime.GOMAXPROCS(prev)
 
-	type cfg struct {
-		mode  string
-		path  string
-		cache bool
-	}
+	type cfg struct{ mode, path string }
 	cfgs := []cfg{
-		{"biglock", "scalar", false}, // old protocol, baseline
-		{"sharded", "scalar", false},
-		{"sharded", "scalar", true},
-		{"sharded", "vec", true}, // new protocol, headline
+		{"biglock", "scalar"}, // old protocol, baseline
+		{"sharded", "scalar"},
+		{"sharded", "vec"}, // new protocol, headline
 	}
 	totalOps := nTasks * writesPerTask
 	for _, procs := range []int{1, 8} {
@@ -210,46 +203,35 @@ func VerdictCache(nTasks, writesPerTask, batch, trials int) (*VerdictCacheReport
 			if c.mode == "biglock" {
 				opts = append(opts, kernel.WithBigLock())
 			}
-			if c.cache {
-				opts = append(opts, kernel.WithVerdictCache())
-			}
 			b := 1
 			if c.path == "vec" {
 				b = batch
 			}
 			best := time.Duration(0)
-			var hitRate float64
 			for tr := 0; tr < trials; tr++ {
 				s, err := vcSetup(nTasks, opts...)
 				if err != nil {
 					runtime.GOMAXPROCS(prev)
-					return nil, fmt.Errorf("%s/%s/cache=%v p=%d setup: %w", c.mode, c.path, c.cache, procs, err)
+					return nil, fmt.Errorf("%s/%s p=%d setup: %w", c.mode, c.path, procs, err)
 				}
-				h0, m0, _ := difc.VerdictCacheStats()
 				wall, err := s.vcStorm(writesPerTask, b)
 				if err != nil {
 					runtime.GOMAXPROCS(prev)
-					return nil, fmt.Errorf("%s/%s/cache=%v p=%d: %w", c.mode, c.path, c.cache, procs, err)
+					return nil, fmt.Errorf("%s/%s p=%d: %w", c.mode, c.path, procs, err)
 				}
-				h1, m1, _ := difc.VerdictCacheStats()
 				if best == 0 || wall < best {
 					best = wall
-					if dh, dm := h1-h0, m1-m0; dh+dm > 0 {
-						hitRate = float64(dh) / float64(dh+dm)
-					}
 				}
 			}
 			row := VCRow{
 				Procs:     procs,
 				Mode:      c.mode,
 				Path:      c.path,
-				Cache:     c.cache,
 				Ops:       totalOps,
 				NsPerOp:   float64(best.Nanoseconds()) / float64(totalOps),
 				OpsPerSec: float64(totalOps) / best.Seconds(),
-				HitRate:   hitRate,
 			}
-			if c.mode == "biglock" && c.path == "scalar" && !c.cache {
+			if c.mode == "biglock" {
 				baseOps = row.OpsPerSec
 			} else if baseOps > 0 {
 				row.SpeedupVsB = row.OpsPerSec / baseOps
@@ -260,7 +242,7 @@ func VerdictCache(nTasks, writesPerTask, batch, trials int) (*VerdictCacheReport
 	runtime.GOMAXPROCS(prev)
 
 	for _, r := range rep.Rows {
-		if r.Procs == 8 && r.Mode == "sharded" && r.Path == "vec" && r.Cache {
+		if r.Procs == 8 && r.Mode == "sharded" && r.Path == "vec" {
 			rep.Headline = r.SpeedupVsB
 		}
 	}
@@ -276,32 +258,24 @@ func (r *VerdictCacheReport) JSON() ([]byte, error) {
 // Format renders the paper-style text table.
 func (r *VerdictCacheReport) Format() string {
 	var b strings.Builder
-	b.WriteString(header("Verdict cache: old protocol vs memoized + batched hot path"))
+	b.WriteString(header("Hot path: old protocol vs sharded + batched writes"))
 	fmt.Fprintf(&b, "%d tasks × %d labeled writes each (7-tag heap labels); vec batch %d; %d hardware thread(s)\n\n",
 		r.Tasks, r.WritesPerTask, r.Batch, r.HWThreads)
-	fmt.Fprintf(&b, "%6s %9s %7s %6s %12s %14s %9s %8s\n",
-		"procs", "mode", "path", "cache", "ns/write", "writes/sec", "speedup", "hit%")
+	fmt.Fprintf(&b, "%6s %9s %7s %12s %14s %9s\n",
+		"procs", "mode", "path", "ns/write", "writes/sec", "speedup")
 	for _, row := range r.Rows {
-		cache := "off"
-		if row.Cache {
-			cache = "on"
-		}
 		sp := ""
 		if row.SpeedupVsB > 0 {
 			sp = fmt.Sprintf("%7.2fx", row.SpeedupVsB)
 		}
-		hit := ""
-		if row.Cache {
-			hit = fmt.Sprintf("%7.1f%%", row.HitRate*100)
-		}
-		fmt.Fprintf(&b, "%6d %9s %7s %6s %12.0f %14.0f %9s %8s\n",
-			row.Procs, row.Mode, row.Path, cache, row.NsPerOp, row.OpsPerSec, sp, hit)
+		fmt.Fprintf(&b, "%6d %9s %7s %12.0f %14.0f %9s\n",
+			row.Procs, row.Mode, row.Path, row.NsPerOp, row.OpsPerSec, sp)
 	}
-	fmt.Fprintf(&b, "\nheadline: sharded+vec+cache vs biglock+scalar+uncached at GOMAXPROCS=8: %.2fx (gate ≥%.2fx: %s)\n",
+	fmt.Fprintf(&b, "\nheadline: sharded+vec vs biglock+scalar at GOMAXPROCS=8: %.2fx (gate ≥%.2fx: %s)\n",
 		r.Headline, r.GateMin, map[bool]string{true: "pass", false: "FAIL"}[r.Pass])
-	b.WriteString("the cached path replaces two heap-label subset walks with one\n" +
-		"epoch-guarded array probe per verdict; batching amortizes the fixed\n" +
-		"syscall dispatch (entry lock, fd lookup, hook, verdict) across the\n" +
-		"vector. Throughput counts logical writes: a vector element is one op.\n")
+	b.WriteString("every write re-derives its verdict from two heap-label subset\n" +
+		"walks; batching pays them once per vector and amortizes the fixed\n" +
+		"syscall dispatch (entry lock, fd lookup, hook) across it too.\n" +
+		"Throughput counts logical writes: a vector element is one op.\n")
 	return b.String()
 }

@@ -1,11 +1,7 @@
 // Package govet is a stdlib-only static-analysis mini framework for the
-// Laminar kernel's own Go sources, with three analyzers proving the
+// Laminar kernel's own Go sources, with two analyzers proving the
 // invariants the runtime cannot check for itself:
 //
-//	epochbump   every label/capability/security-blob mutation on a
-//	            kernel object is followed by a BumpLabelEpoch call in
-//	            the same function scope, so the verdict cache can never
-//	            serve a stale allow/deny decision (DESIGN.md §14).
 //	lockorder   lock acquisitions respect the strict task→file→inode
 //	            order (internal/kernel/locking.go), so the sharded
 //	            locking plan stays deadlock-free.
@@ -22,9 +18,6 @@
 // the flagged line, the line above it, or in the enclosing function's
 // doc comment silences that analyzer there. The directives in tree:
 //
-//	//govet:fresh     epochbump: the mutated blob is not yet published
-//	                  (lazy first-attach, pre-link init), so no cached
-//	                  verdict can exist for it.
 //	//govet:failopen  failclosed: the nil return IS the enforcement
 //	                  decision (e.g. silent-drop pipe semantics).
 package govet
@@ -74,7 +67,7 @@ type Analyzer struct {
 
 // Analyzers returns the full checker suite in stable order.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{EpochBump, LockOrder, FailClosed}
+	return []*Analyzer{LockOrder, FailClosed}
 }
 
 // ParseSource parses one file from memory (fixtures, seeded mutations).

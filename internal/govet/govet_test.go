@@ -1,10 +1,6 @@
 package govet_test
 
 import (
-	"fmt"
-	"os"
-	"path/filepath"
-	"strings"
 	"testing"
 
 	"laminar/internal/govet"
@@ -24,113 +20,6 @@ func runOne(t *testing.T, a *govet.Analyzer, src string) []govet.Finding {
 	// Use a path the analyzer applies to so fixtures exercise the same
 	// code path as the real tree.
 	return a.Run(parse(t, "internal/kernel/lsm/fixture.go", src))
-}
-
-// ---------------------------------------------------------------------------
-// epochbump
-
-func TestEpochBumpFlagsUncoveredMutation(t *testing.T) {
-	src := `package lsm
-func (k *K) relabel(t *Task) {
-	t.sec.labels = next
-}
-`
-	fs := runOne(t, govet.EpochBump, src)
-	if len(fs) != 1 || fs[0].Analyzer != "epochbump" || fs[0].Func != "relabel" {
-		t.Fatalf("want 1 epochbump finding in relabel, got %v", fs)
-	}
-}
-
-func TestEpochBumpSatisfiedByLaterBump(t *testing.T) {
-	src := `package lsm
-func (k *K) relabel(t *Task) {
-	t.sec.labels = next
-	t.BumpLabelEpoch()
-}
-`
-	if fs := runOne(t, govet.EpochBump, src); len(fs) != 0 {
-		t.Fatalf("bump after mutation should satisfy, got %v", fs)
-	}
-}
-
-func TestEpochBumpEarlierBumpDoesNotCover(t *testing.T) {
-	src := `package lsm
-func (k *K) relabel(t *Task) {
-	t.BumpLabelEpoch()
-	t.sec.labels = next
-}
-`
-	if fs := runOne(t, govet.EpochBump, src); len(fs) != 1 {
-		t.Fatalf("bump before mutation must not cover it, got %v", fs)
-	}
-}
-
-func TestEpochBumpFuncLitIsOwnScope(t *testing.T) {
-	// The bump lives in the outer scope; the mutation inside the literal
-	// is NOT covered by it.
-	src := `package lsm
-func (k *K) walk(t *Task) {
-	k.each(func(ino *Inode) {
-		ino.sec.labels = next
-	})
-	t.BumpLabelEpoch()
-}
-`
-	fs := runOne(t, govet.EpochBump, src)
-	if len(fs) != 1 || !strings.Contains(fs[0].Func, "func literal") {
-		t.Fatalf("want finding inside func literal scope, got %v", fs)
-	}
-}
-
-func TestEpochBumpDirectiveOnLineAbove(t *testing.T) {
-	src := `package lsm
-func (k *K) attach(t *Task) {
-	//govet:fresh
-	t.Security = s
-}
-`
-	if fs := runOne(t, govet.EpochBump, src); len(fs) != 0 {
-		t.Fatalf("adjacent directive should suppress, got %v", fs)
-	}
-}
-
-func TestEpochBumpDirectiveOpeningCommentGroup(t *testing.T) {
-	// Directive on the FIRST line of a multi-line explanation still
-	// anchors to the statement below the group (regression: the directive
-	// used to only cover its own line and the one below it).
-	src := `package lsm
-func (k *K) attach(t *Task) {
-	//govet:fresh — first attach of an empty blob; nothing published
-	// yet, so no cached verdict can be stale.
-	t.Security = s
-}
-`
-	if fs := runOne(t, govet.EpochBump, src); len(fs) != 0 {
-		t.Fatalf("multi-line directive group should suppress, got %v", fs)
-	}
-}
-
-func TestEpochBumpDocCommentDirective(t *testing.T) {
-	src := `package lsm
-// attach installs the blob on a task not yet visible to anyone
-// (govet:fresh).
-func (k *K) attach(t *Task) {
-	t.Security = s
-}
-`
-	if fs := runOne(t, govet.EpochBump, src); len(fs) != 0 {
-		t.Fatalf("doc-comment directive should suppress, got %v", fs)
-	}
-}
-
-func TestEpochBumpAppliesOnlyToKernel(t *testing.T) {
-	src := `package rt
-func (r *R) set() { r.labels = next }
-`
-	files := []*govet.File{parse(t, "internal/rt/region.go", src)}
-	if fs := govet.RunFiles(files, []*govet.Analyzer{govet.EpochBump}); len(fs) != 0 {
-		t.Fatalf("epochbump must not apply outside internal/kernel, got %v", fs)
-	}
 }
 
 // ---------------------------------------------------------------------------
@@ -257,19 +146,45 @@ func (k *K) drop(t *Task) error {
 	}
 }
 
+// A directive opening a multi-line explanation still covers the statement
+// below the comment group.
+func TestFailClosedDirectiveOpeningCommentGroup(t *testing.T) {
+	src := `package lsm
+func (k *K) drop(t *Task) error {
+	if err := k.verify(t); err != nil {
+		//govet:failopen — the silent success IS the decision: the caller
+		// must not learn whether the flow was legal.
+		return nil
+	}
+	return nil
+}
+`
+	if fs := runOne(t, govet.FailClosed, src); len(fs) != 0 {
+		t.Fatalf("directive opening a comment group should suppress, got %v", fs)
+	}
+}
+
+// A directive in the enclosing function's doc comment covers its body.
+func TestFailClosedDocCommentDirective(t *testing.T) {
+	src := `package lsm
+// drop silently succeeds on a denied flow (govet:failopen).
+func (k *K) drop(t *Task) error {
+	if err := k.verify(t); err != nil {
+		return nil
+	}
+	return nil
+}
+`
+	if fs := runOne(t, govet.FailClosed, src); len(fs) != 0 {
+		t.Fatalf("doc-comment directive should suppress, got %v", fs)
+	}
+}
+
 // ---------------------------------------------------------------------------
 // the real tree
 
 // repoRoot is the module root relative to this package.
 const repoRoot = "../.."
-
-// kernelSources are the files carrying the verdict-cache invalidation
-// discipline; the seeded-removal regression below mutates copies of them.
-var kernelSources = []string{
-	"internal/kernel/lsm/lsm.go",
-	"internal/kernel/lsm/login.go",
-	"internal/kernel/lsm/persist.go",
-}
 
 func TestRepoIsClean(t *testing.T) {
 	fs, err := govet.RunDir(repoRoot, govet.Analyzers())
@@ -278,73 +193,5 @@ func TestRepoIsClean(t *testing.T) {
 	}
 	for _, f := range fs {
 		t.Errorf("unexpected finding: %s", f)
-	}
-}
-
-// TestBumpSiteInventory pins the number of epoch-bump call sites the
-// discipline covers. If you add or remove one, update this count AND make
-// sure TestSeededBumpRemoval still proves each site is load-bearing.
-func TestBumpSiteInventory(t *testing.T) {
-	const wantSites = 14
-	got := 0
-	for _, rel := range kernelSources {
-		for _, ln := range bumpLines(t, rel) {
-			_ = ln
-			got++
-		}
-	}
-	if got != wantSites {
-		t.Fatalf("BumpLabelEpoch call sites: got %d, want %d (update the inventory and the discipline docs together)", got, wantSites)
-	}
-}
-
-// bumpLines returns the 1-based line numbers of BumpLabelEpoch call
-// statements in the given source file.
-func bumpLines(t *testing.T, rel string) []int {
-	t.Helper()
-	src, err := os.ReadFile(filepath.Join(repoRoot, rel))
-	if err != nil {
-		t.Fatalf("read %s: %v", rel, err)
-	}
-	var out []int
-	for i, line := range strings.Split(string(src), "\n") {
-		trimmed := strings.TrimSpace(line)
-		if strings.Contains(trimmed, ".BumpLabelEpoch()") && !strings.HasPrefix(trimmed, "//") {
-			out = append(out, i+1)
-		}
-	}
-	return out
-}
-
-// TestSeededBumpRemoval is the soundness regression for epochbump: for
-// every real bump site, removing JUST that call from a copy of the source
-// must produce at least one epochbump finding. This proves each of the 14
-// sites is load-bearing — none is shadowed by another bump in the same
-// scope — and that the analyzer actually detects its removal.
-func TestSeededBumpRemoval(t *testing.T) {
-	for _, rel := range kernelSources {
-		src, err := os.ReadFile(filepath.Join(repoRoot, rel))
-		if err != nil {
-			t.Fatalf("read %s: %v", rel, err)
-		}
-		lines := strings.Split(string(src), "\n")
-
-		// Baseline: the pristine copy must be clean.
-		base := govet.EpochBump.Run(parse(t, rel, string(src)))
-		if len(base) != 0 {
-			t.Fatalf("%s: baseline not clean: %v", rel, base)
-		}
-
-		for _, ln := range bumpLines(t, rel) {
-			t.Run(fmt.Sprintf("%s:%d", filepath.Base(rel), ln), func(t *testing.T) {
-				mutated := make([]string, len(lines))
-				copy(mutated, lines)
-				mutated[ln-1] = "//" + mutated[ln-1] // seed: drop this one bump
-				fs := govet.EpochBump.Run(parse(t, rel, strings.Join(mutated, "\n")))
-				if len(fs) == 0 {
-					t.Fatalf("removing the bump at %s:%d went undetected — the site is shadowed or the analyzer regressed", rel, ln)
-				}
-			})
-		}
 	}
 }

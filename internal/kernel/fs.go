@@ -602,38 +602,6 @@ func (k *Kernel) WriteVec(t *Task, fd FD, chunks [][]byte) (int, error) {
 	}
 }
 
-// Precheck runs the security check for mask against each descriptor
-// without moving any data. With the verdict cache enabled this warms the
-// acting task's cache, so a following burst of I/O on the descriptors
-// starts on memoized verdicts (the rt layer issues it on security-region
-// entry). A prefetch IS a check: each descriptor's verdict goes through
-// the full hook surface, telemetry included. The first error (denial or
-// bad descriptor) is returned; callers typically ignore it, since the
-// real operation will re-derive any denial itself.
-func (k *Kernel) Precheck(t *Task, mask AccessMask, fds ...FD) error {
-	defer k.begin(t)()
-	var first error
-	for _, fd := range fds {
-		f, err := t.file(fd)
-		if err != nil {
-			if first == nil {
-				first = err
-			}
-			continue
-		}
-		if k.sec != nil {
-			unlock := k.lockFile(f)
-			k.hook()
-			err := k.sec.FilePermission(t, f, mask)
-			unlock()
-			if err != nil && first == nil {
-				first = err
-			}
-		}
-	}
-	return first
-}
-
 // Seek resets a regular file's offset.
 func (k *Kernel) Seek(t *Task, fd FD, offset int) error {
 	defer k.begin(t)()

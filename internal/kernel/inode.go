@@ -69,11 +69,6 @@ type Inode struct {
 	// inside it.
 	Security any
 
-	// labelEpoch counts relabels of this inode (adoption of wire labels,
-	// boot-time system labeling, crash-recovery rebuilds). Verdict caches
-	// key memoized decisions to it; see Task.labelEpoch.
-	labelEpoch atomic.Uint64
-
 	// Regular file state.
 	data []byte
 
@@ -105,13 +100,6 @@ func newInode(t InodeType, mode Mode) *Inode {
 	}
 	return ino
 }
-
-// LabelEpoch returns the inode's relabel counter.
-func (i *Inode) LabelEpoch() uint64 { return i.labelEpoch.Load() }
-
-// BumpLabelEpoch advances the relabel counter; called by the security
-// module whenever an inode's labels change after first publication.
-func (i *Inode) BumpLabelEpoch() { i.labelEpoch.Add(1) }
 
 // Size reports the length in bytes of a regular file's contents.
 func (i *Inode) Size() int { return len(i.data) }

@@ -63,11 +63,6 @@ type Kernel struct {
 	// baseline).
 	telOff bool
 
-	// verdictCache records that WithVerdictCache was requested; New
-	// forwards it to the security module when the module supports
-	// epoch-keyed verdict memoization (VerdictCacheConfigurator).
-	verdictCache bool
-
 	// budget is the optional quantitative flow-budget ledger (ISSUE 10).
 	// nil means unbudgeted: every declassification egress is unmetered,
 	// the pre-budget behavior. Non-nil, the three egress layers (lsm
@@ -99,29 +94,7 @@ func WithFaultInjector(inj faultinject.Injector) Option {
 // runtime consults it on the tcb label-sync path.
 func (k *Kernel) Injector() faultinject.Injector { return k.inj }
 
-// VerdictCacheConfigurator is implemented by security modules that can
-// memoize whole access verdicts keyed by the kernel's label epochs
-// (Task.LabelEpoch / Inode.LabelEpoch). New calls EnableVerdictCache at
-// boot, before any syscall, when WithVerdictCache was requested.
-type VerdictCacheConfigurator interface {
-	EnableVerdictCache()
-}
-
-// WithVerdictCache turns on epoch-keyed verdict memoization in the
-// installed security module (a no-op for modules that do not implement
-// VerdictCacheConfigurator). Off by default so the unoptimized monitor
-// remains the reference for differential oracles.
-func WithVerdictCache() Option {
-	return func(k *Kernel) { k.verdictCache = true }
-}
-
-// VerdictCacheEnabled reports whether WithVerdictCache was requested.
-func (k *Kernel) VerdictCacheEnabled() bool { return k.verdictCache }
-
-// WithBudget installs the flow-budget ledger. New registers the ledger's
-// mutation callback to bump every task's label epoch, so the PR 7
-// verdict cache can never serve an allow computed before an exhaustion,
-// limit drop, or quarantine.
+// WithBudget installs the flow-budget ledger.
 func WithBudget(l *budget.Ledger) Option {
 	return func(k *Kernel) { k.budget = l }
 }
@@ -206,22 +179,6 @@ func New(opts ...Option) *Kernel {
 	k := &Kernel{}
 	for _, o := range opts {
 		o(k)
-	}
-	if k.verdictCache {
-		if c, ok := k.rawSec.(VerdictCacheConfigurator); ok {
-			c.EnableVerdictCache()
-		}
-	}
-	if k.budget != nil {
-		// A budget mutation can turn a cached allow stale (an exhausted
-		// tag must stop flowing NOW, not at the next natural epoch bump),
-		// so every mutation invalidates all task verdict-cache epochs.
-		// The callback runs outside the ledger mutex; taskRange takes
-		// only shard read-locks and per-task atomics, so the order is
-		// cycle-free against charge sites that hold task locks.
-		k.budget.OnMutate(func() {
-			k.taskRange(func(t *Task) { t.BumpLabelEpoch() })
-		})
 	}
 	wrapFaulting(k)
 	wrapTelemetry(k) // outermost: provenance sees fault-injected denials too

@@ -178,7 +178,6 @@ func (m *Module) Login(k *kernel.Kernel, user string) (*kernel.Task, error) {
 	s := m.taskState(shell)
 	s.labels = difc.Labels{}
 	s.caps = caps
-	shell.BumpLabelEpoch()
 	home := "/home/" + user
 	if _, err := k.Stat(init, home); err == kernel.ErrNoEnt {
 		// Creating the home directory writes admin-integrity /home, so

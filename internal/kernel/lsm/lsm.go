@@ -32,15 +32,6 @@ type taskSec struct {
 	labels    difc.Labels
 	caps      difc.CapSet
 	suspended difc.CapSet
-
-	// vc memoizes this task's access verdicts when the module runs with
-	// the verdict cache enabled (EnableVerdictCache). Allocated lazily on
-	// the first cacheable check; only ever touched under the owning
-	// task's syscall-entry lock, like everything else in the blob. It
-	// needs no explicit invalidation: entries are keyed by the label
-	// epochs of the task and the inode, and every mutation path below
-	// bumps the corresponding epoch.
-	vc *difc.VerdictCache
 }
 
 // inodeSec is the security blob attached to an inode.
@@ -86,12 +77,6 @@ type Module struct {
 	// same labels (§4.1); the module enforces that by refusing label
 	// changes once such a process has more than one thread.
 	tcbProcs sync.Map // proc id (uint64) -> struct{}
-
-	// verdictCache enables epoch-keyed memoization of checkAccess
-	// verdicts (set once at boot via EnableVerdictCache, before any
-	// syscall). Off by default: the uncached monitor is the reference
-	// implementation the differential oracles compare against.
-	verdictCache bool
 }
 
 var _ kernel.SecurityModule = (*Module)(nil)
@@ -112,14 +97,6 @@ func (m *Module) allocate() difc.Tag {
 // Name implements kernel.SecurityModule.
 func (m *Module) Name() string { return "laminar" }
 
-// EnableVerdictCache implements kernel.VerdictCacheConfigurator: it turns
-// on per-task verdict memoization. Must be called before the module sees
-// traffic (kernel.New does, when built WithVerdictCache).
-func (m *Module) EnableVerdictCache() { m.verdictCache = true }
-
-// VerdictCacheEnabled reports whether verdict memoization is on.
-func (m *Module) VerdictCacheEnabled() bool { return m.verdictCache }
-
 // TCBTag returns the trusted-VM integrity tag.
 func (m *Module) TCBTag() difc.Tag { return m.tcbTag }
 
@@ -139,8 +116,6 @@ func (m *Module) taskState(t *kernel.Task) *taskSec {
 		return s
 	}
 	s := &taskSec{}
-	//govet:fresh — first attach of an empty blob; no labels changed, so no
-	// cached verdict can be stale.
 	t.Security = s
 	return s
 }
@@ -160,8 +135,6 @@ func (m *Module) inodeState(ino *kernel.Inode) *inodeSec {
 	}
 	labels, _ := m.recoverInodeLabels(ino)
 	s := &inodeSec{labels: labels}
-	//govet:fresh — lazy rebuild before any hook has read the blob; the
-	// epoch was bumped by whoever persisted the labels being recovered.
 	ino.Security = s
 	return s
 }
@@ -190,9 +163,6 @@ func (m *Module) InodeLabels(ino *kernel.Inode) difc.Labels { return m.inodeStat
 func (m *Module) GrantCapability(t *kernel.Task, tag difc.Tag, kind difc.CapKind) {
 	s := m.taskState(t)
 	s.caps = s.caps.Grant(tag, kind)
-	// Capabilities feed the unlink could-read fallback, so capability
-	// changes invalidate cached verdicts just like label changes.
-	t.BumpLabelEpoch()
 }
 
 // AdoptInodeLabels attaches wire-received labels to an inode created by
@@ -207,7 +177,6 @@ func (m *Module) GrantCapability(t *kernel.Task, tag difc.Tag, kind difc.CapKind
 // matching local socketpairs.
 func (m *Module) AdoptInodeLabels(ino *kernel.Inode, labels difc.Labels) {
 	ino.Security = &inodeSec{labels: labels}
-	ino.BumpLabelEpoch()
 }
 
 // AdoptTaskLabels sets a relay task's labels to wire-received channel
@@ -224,7 +193,6 @@ func (m *Module) AdoptInodeLabels(ino *kernel.Inode, labels difc.Labels) {
 func (m *Module) AdoptTaskLabels(t *kernel.Task, labels difc.Labels) {
 	s := m.taskState(t)
 	s.labels = labels
-	t.BumpLabelEpoch()
 }
 
 // RegisterTCBThread marks t as the trusted VM thread of its process by
@@ -235,7 +203,6 @@ func (m *Module) AdoptTaskLabels(t *kernel.Task, labels difc.Labels) {
 func (m *Module) RegisterTCBThread(t *kernel.Task) {
 	s := m.taskState(t)
 	s.labels.I = s.labels.I.Add(m.tcbTag)
-	t.BumpLabelEpoch()
 	m.tcbProcs.Store(t.Proc, struct{}{})
 }
 
@@ -253,7 +220,6 @@ func (m *Module) InstallSystemIntegrity(k *kernel.Kernel) {
 	label := func(ino *kernel.Inode) {
 		s := m.inodeState(ino)
 		s.labels = adminLabels
-		ino.BumpLabelEpoch()
 		// Boot labeling runs before any injector is installed; a persist
 		// error here would mean the image itself is broken.
 		_ = m.persistCommit(ino, adminLabels)
@@ -279,7 +245,7 @@ func (m *Module) InstallSystemIntegrity(k *kernel.Kernel) {
 // TaskAlloc implements fork inheritance: labels copy to the child; the
 // child's capabilities are the parent's restricted to keep (nil = all).
 // The blob is built on a local and attached before the child is
-// runnable, so no verdict for it can predate this (govet:fresh).
+// runnable.
 func (m *Module) TaskAlloc(parent, child *kernel.Task, keep []kernel.Capability) error {
 	ps := m.taskState(parent)
 	cs := &taskSec{labels: ps.labels}
@@ -298,14 +264,14 @@ func (m *Module) TaskAlloc(parent, child *kernel.Task, keep []kernel.Capability)
 }
 
 // TaskFree clears the blob at exit; the task is already unrunnable and
-// its TID retired, so its cache line dies with it (govet:fresh).
+// its TID retired.
 func (m *Module) TaskFree(t *kernel.Task) { t.Security = nil }
 
 // InodeInitSecurity labels a new inode. With explicit labels it enforces
 // the three labeled-create conditions of §5.2; otherwise the inode takes
 // the creating task's current labels (so a tainted thread's new files are
 // as secret as the thread). The hook runs before the entry is linked, so
-// the blob is attached pre-publication (govet:fresh).
+// the blob is attached pre-publication.
 func (m *Module) InodeInitSecurity(t *kernel.Task, dir, ino *kernel.Inode, labels *difc.Labels) error {
 	ts := m.taskState(t)
 	s := &inodeSec{}
@@ -363,8 +329,6 @@ func (m *Module) InodePermission(t *kernel.Task, ino *kernel.Inode, mask kernel.
 // here, on every read and write (§2).
 func (m *Module) FilePermission(t *kernel.Task, f *kernel.File, mask kernel.AccessMask) error {
 	if _, ok := f.Security.(*fileSec); !ok {
-		//govet:fresh — attaches an empty marker blob; fileSec carries no
-		// labels, so no verdict depends on it.
 		f.Security = &fileSec{}
 	}
 	return m.checkAccess(t, f.Inode, mask)
@@ -383,37 +347,13 @@ func (m *Module) MmapFile(t *kernel.Task, ino *kernel.Inode, prot int) error {
 	return m.checkAccess(t, ino, mask)
 }
 
-// checkAccess resolves the task-vs-inode flow decision for mask. With the
-// verdict cache enabled, a repeat of a (task, inode, mask) triple whose
-// label epochs have not moved returns the memoized verdict — the exact
-// same error value, so denial provenance (errors.As on *difc.FlowError)
-// and rendered messages are byte-identical to the uncached monitor. The
-// cache sits BELOW every hook wrapper (telemetry, fault injection, hook
-// counting), so the observable event stream is invariant under caching.
-//
-// Soundness: both epochs are read BEFORE the verdict is derived. Task
-// security state only changes under the task's own entry lock (which we
-// hold) or under begin2 with the target locked (so not mid-check); inode
-// labels change only pre-publication or in quiescent recovery, each bump
-// strictly after the relabel. A verdict stored under stale epochs can
-// match no future lookup.
+// checkAccess resolves the task-vs-inode flow decision for mask. Like
+// Laminar's LSM (§5.2), every hooked operation re-derives its verdict
+// from the task's and the inode's current labels; nothing is memoized,
+// so no mutation path owes an invalidation.
 func (m *Module) checkAccess(t *kernel.Task, ino *kernel.Inode, mask kernel.AccessMask) error {
 	ts := m.taskState(t)
-	var verdict error
-	if !m.verdictCache {
-		verdict = m.checkAccessSlow(ts, m.inodeState(ino).labels, mask)
-	} else {
-		se, oe := t.LabelEpoch(), ino.LabelEpoch()
-		if ts.vc == nil {
-			ts.vc = difc.NewVerdictCache()
-		}
-		if v, ok := ts.vc.Lookup(uint64(ino.Ino), uint32(mask), se, oe); ok {
-			verdict = v
-		} else {
-			verdict = m.checkAccessSlow(ts, m.inodeState(ino).labels, mask)
-			ts.vc.Store(uint64(ino.Ino), uint32(mask), se, oe, verdict)
-		}
-	}
+	verdict := m.decide(ts, m.inodeState(ino).labels, mask)
 	if verdict == nil && m.tel != nil && m.tel.Verbose() && m.tel.TraceBound(uint64(ino.Ino)) {
 		m.emitTracedAllows(t, ts, ino, mask)
 	}
@@ -424,8 +364,7 @@ func (m *Module) checkAccess(t *kernel.Task, ino *kernel.Inode, mask kernel.Acce
 // access on a trace-bound endpoint: full label operands at the site the
 // flow check ran, so explain-route can re-run each hop's check from the
 // dump (the allow-side counterpart of a denial's provenance). Emitted
-// AFTER the verdict — cached or not — from the mask alone, so the event
-// stream stays invariant under the verdict cache. The unlink arm is
+// AFTER the verdict, from the mask alone. The unlink arm is
 // deliberately skipped: its verdict folds in the couldRead escape, which
 // a bare CheckFlow replay cannot reproduce.
 func (m *Module) emitTracedAllows(t *kernel.Task, ts *taskSec, ino *kernel.Inode, mask kernel.AccessMask) {
@@ -446,7 +385,8 @@ func (m *Module) emitTracedAllows(t *kernel.Task, ts *taskSec, ino *kernel.Inode
 	}
 }
 
-func (m *Module) checkAccessSlow(ts *taskSec, obj difc.Labels, mask kernel.AccessMask) error {
+// decide applies the read, write and unlink flow rules for mask.
+func (m *Module) decide(ts *taskSec, obj difc.Labels, mask kernel.AccessMask) error {
 	// Denial wraps use %w for the difc error too (not %v): the rendered
 	// string is identical, but the structured *difc.FlowError stays
 	// reachable through errors.As, which is how the telemetry layer
@@ -501,7 +441,6 @@ func (m *Module) AllocTag(t *kernel.Task) (difc.Tag, error) {
 	tag := m.allocate()
 	s := m.taskState(t)
 	s.caps = s.caps.Grant(tag, difc.CapBoth)
-	t.BumpLabelEpoch()
 	return tag, nil
 }
 
@@ -567,7 +506,6 @@ func (m *Module) SetTaskLabel(t *kernel.Task, typ kernel.LabelType, l difc.Label
 	} else {
 		s.labels.I = l
 	}
-	t.BumpLabelEpoch()
 	return nil
 }
 
@@ -590,7 +528,6 @@ func (m *Module) DropLabelTCB(t, target *kernel.Task) error {
 		return err
 	}
 	tgt.labels = difc.Labels{}
-	target.BumpLabelEpoch()
 	return nil
 }
 
@@ -614,7 +551,6 @@ func (m *Module) SetLabelTCB(t, target *kernel.Task, labels difc.Labels) error {
 		return fmt.Errorf("%w: set_label_tcb outside caller's process", kernel.ErrPerm)
 	}
 	m.taskState(target).labels = labels
-	target.BumpLabelEpoch()
 	return nil
 }
 
@@ -638,7 +574,6 @@ func (m *Module) DropCapabilities(t *kernel.Task, caps []kernel.Capability, tmp 
 			s.suspended = s.suspended.Drop(c.Tag, c.Kind)
 		}
 	}
-	t.BumpLabelEpoch()
 	return nil
 }
 
@@ -648,7 +583,6 @@ func (m *Module) RestoreCapabilities(t *kernel.Task) error {
 	s := m.taskState(t)
 	s.caps = s.caps.Union(s.suspended)
 	s.suspended = difc.EmptyCapSet
-	t.BumpLabelEpoch()
 	return nil
 }
 
@@ -701,6 +635,5 @@ func (m *Module) ReadCapability(t *kernel.Task, f *kernel.File) (kernel.Capabili
 	}
 	p := v.(*capPayload)
 	s.caps = s.caps.Grant(p.cap.Tag, p.cap.Kind)
-	t.BumpLabelEpoch()
 	return p.cap, nil
 }

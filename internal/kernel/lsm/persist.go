@@ -272,9 +272,6 @@ func (m *Module) RecoverLabels(k *kernel.Kernel) RecoveryStats {
 		ino.Security = nil
 		labels, state := m.recoverInodeLabels(ino)
 		ino.Security = &inodeSec{labels: labels}
-		// Recovery may rewrite labels (roll-forward, quarantine), so every
-		// verdict cached against the pre-crash blob must die with it.
-		ino.BumpLabelEpoch()
 		if m.tel != nil && m.tel.Active() {
 			m.tel.M.Extra.Inc("lsm.recovery."+state, 0)
 		}

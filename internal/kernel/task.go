@@ -43,13 +43,6 @@ type Task struct {
 	// Laminar module). Opaque to the kernel.
 	Security any
 
-	// labelEpoch counts every mutation of the task's security state
-	// (labels or capabilities). The security module bumps it on each
-	// change; verdict caches key memoized decisions to the epoch pair
-	// they were derived under, so a bump invalidates every cached
-	// verdict involving this task without touching the caches.
-	labelEpoch atomic.Uint64
-
 	// mu is the task's syscall-entry lock under the sharded discipline:
 	// held for the duration of every syscall the task issues, it guards
 	// all mutable per-task state below plus Cwd and the Security blob
@@ -124,15 +117,6 @@ const (
 
 // Exited reports whether the task has exited.
 func (t *Task) Exited() bool { return t.exited.Load() }
-
-// LabelEpoch returns the task's security-state mutation counter.
-func (t *Task) LabelEpoch() uint64 { return t.labelEpoch.Load() }
-
-// BumpLabelEpoch advances the mutation counter. The security module
-// calls it on every label or capability change; monotonicity is what
-// makes epoch-keyed verdict caching sound (a verdict derived under an
-// older epoch can never be confused with the current state).
-func (t *Task) BumpLabelEpoch() { t.labelEpoch.Add(1) }
 
 // Kernel returns the kernel this task belongs to.
 func (t *Task) Kernel() *Kernel { return t.k }

@@ -116,18 +116,6 @@ func (r *Region) WriteFileVec(fd kernel.FD, chunks [][]byte) (int, error) {
 	return r.thread.vm.k.WriteVec(r.thread.task, fd, chunks)
 }
 
-// Prefetch warms the kernel's verdict cache for the given descriptors
-// under the region's labels: each (descriptor, mask) verdict is derived
-// once, through the full hook surface, so the region's subsequent I/O
-// on those descriptors begins on memoized decisions. Denials are NOT
-// errors here — the real operations will re-derive and report them —
-// so Prefetch never fails region entry; it returns the first verdict
-// error purely as a hint for callers that want it.
-func (r *Region) Prefetch(mask kernel.AccessMask, fds ...kernel.FD) error {
-	r.thread.ensureSynced()
-	return r.thread.vm.k.Precheck(r.thread.task, mask, fds...)
-}
-
 // CloseFile closes the descriptor.
 func (r *Region) CloseFile(fd kernel.FD) error {
 	return r.thread.vm.k.Close(r.thread.task, fd)

@@ -71,9 +71,6 @@ func mergeInto(dst *MetricsSnapshot, s MetricsSnapshot) {
 	dst.LockContention = satAddU64(dst.LockContention, s.LockContention)
 	dst.InternHits = satAddU64(dst.InternHits, s.InternHits)
 	dst.InternMisses = satAddU64(dst.InternMisses, s.InternMisses)
-	dst.VerdictCacheHits = satAddU64(dst.VerdictCacheHits, s.VerdictCacheHits)
-	dst.VerdictCacheMisses = satAddU64(dst.VerdictCacheMisses, s.VerdictCacheMisses)
-	dst.VerdictCacheInvalidations = satAddU64(dst.VerdictCacheInvalidations, s.VerdictCacheInvalidations)
 	dst.DenialsByRule = mergeMap(dst.DenialsByRule, s.DenialsByRule)
 	dst.Hooks = mergeMap(dst.Hooks, s.Hooks)
 	dst.Extra = mergeMap(dst.Extra, s.Extra)

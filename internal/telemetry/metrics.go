@@ -154,8 +154,8 @@ func (m *Metrics) ObserveLayer(l Layer, d time.Duration) {
 func (m *Metrics) Reset() { *m = Metrics{} }
 
 // MetricsSnapshot is a point-in-time fold of a recorder's metrics plus
-// the process-global difc intern-table and verdict-cache stats, in a shape
-// that serialises directly to JSON, expvar and Prometheus text.
+// the process-global difc intern-table stats, in a shape that serialises
+// directly to JSON, expvar and Prometheus text.
 type MetricsSnapshot struct {
 	Level  string `json:"level"`
 	Events uint64 `json:"events"`
@@ -175,10 +175,6 @@ type MetricsSnapshot struct {
 
 	InternHits   uint64 `json:"intern_hits"`
 	InternMisses uint64 `json:"intern_misses"`
-
-	VerdictCacheHits          uint64 `json:"verdict_cache_hits"`
-	VerdictCacheMisses        uint64 `json:"verdict_cache_misses"`
-	VerdictCacheInvalidations uint64 `json:"verdict_cache_invalidations"`
 }
 
 // MetricsSnapshot folds the recorder's counters.
@@ -210,7 +206,6 @@ func (r *Recorder) MetricsSnapshot() MetricsSnapshot {
 		s.LayerLatency[Layer(l).String()] = r.M.LayerLatency[l].snapshot()
 	}
 	s.InternHits, s.InternMisses = difc.InternStats()
-	s.VerdictCacheHits, s.VerdictCacheMisses, s.VerdictCacheInvalidations = difc.VerdictCacheStats()
 	return s
 }
 
@@ -255,10 +250,7 @@ func (s MetricsSnapshot) WritePrometheus(w io.Writer) error {
 		p("laminar_layer_latency_ns_count{layer=%q} %d\n", layer, lcum)
 	}
 	p("laminar_intern_hits_total %d\n", s.InternHits)
-	p("laminar_intern_misses_total %d\n", s.InternMisses)
-	p("laminar_verdict_cache_hits_total %d\n", s.VerdictCacheHits)
-	p("laminar_verdict_cache_misses_total %d\n", s.VerdictCacheMisses)
-	return p("laminar_verdict_cache_invalidations_total %d\n", s.VerdictCacheInvalidations)
+	return p("laminar_intern_misses_total %d\n", s.InternMisses)
 }
 
 func sortedKeys(m map[string]uint64) []string {

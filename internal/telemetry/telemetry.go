@@ -15,8 +15,8 @@
 //     fact and replayable: Explain re-runs the exact check from the
 //     recorded operands.
 //   - Metrics: sharded atomic counters and log-scale latency histograms
-//     for hook rates, denials by rule, barrier hits, intern-table and
-//     verdict-cache traffic, lock contention and fault-injection trips,
+//     for hook rates, denials by rule, barrier hits, intern-table
+//     traffic, lock contention and fault-injection trips,
 //     exported via expvar and a Prometheus-style text dump.
 //   - Flight recorder: a fixed-size lock-free per-shard ring of recent
 //     events that a crash, chaos failure or oracle mismatch dumps for

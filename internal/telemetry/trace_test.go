@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"bytes"
+	"encoding/json"
 	"strings"
 	"testing"
 )
@@ -146,19 +147,28 @@ func TestMergeSnapshots(t *testing.T) {
 			},
 		}
 	}
+	// A stats blob from an older peer still carries the verdict-cache
+	// counters this snapshot no longer has; it decodes (unknown fields
+	// are ignored) and merges like any other slice.
+	var legacy MetricsSnapshot
+	blob := `{"level":"deny","denials":4,"denials_by_rule":{"secrecy":4},"verdict_cache_hits":9,"verdict_cache_misses":1,"verdict_cache_invalidations":2}`
+	if err := json.Unmarshal([]byte(blob), &legacy); err != nil {
+		t.Fatalf("older peer's stats blob did not decode: %v", err)
+	}
 	cs := MergeSnapshots([]NodeSnapshot{
 		mk(3, 5, 1024, 7, true),
+		{Node: 4, Epoch: 1, Snapshot: legacy},
 		mk(1, 2, 1024, 3, false),
 		mk(2, 1, 2048, 4, false),
 	})
-	if got := []uint64{cs.Nodes[0].Node, cs.Nodes[1].Node, cs.Nodes[2].Node}; got[0] != 1 || got[1] != 2 || got[2] != 3 {
+	if got := []uint64{cs.Nodes[0].Node, cs.Nodes[1].Node, cs.Nodes[2].Node, cs.Nodes[3].Node}; got[0] != 1 || got[1] != 2 || got[2] != 3 || got[3] != 4 {
 		t.Fatalf("nodes not sorted: %v", got)
 	}
 	if cs.StaleNodes != 1 {
 		t.Fatalf("stale nodes = %d, want 1", cs.StaleNodes)
 	}
-	if cs.Merged.Denials != 8 || cs.Merged.DenialsByRule["secrecy"] != 8 {
-		t.Fatalf("merged denials = %d/%v, want 8 (stale slices still count)", cs.Merged.Denials, cs.Merged.DenialsByRule)
+	if cs.Merged.Denials != 12 || cs.Merged.DenialsByRule["secrecy"] != 12 {
+		t.Fatalf("merged denials = %d/%v, want 12 (stale and older-peer slices still count)", cs.Merged.Denials, cs.Merged.DenialsByRule)
 	}
 	net := cs.Merged.LayerLatency["net"]
 	if len(net) != 2 || net[0].UpperNS != 1024 || net[0].Count != 10 || net[1].UpperNS != 2048 || net[1].Count != 4 {
@@ -171,7 +181,7 @@ func TestMergeSnapshots(t *testing.T) {
 	}
 	out := buf.String()
 	for _, want := range []string{
-		"laminar_cluster_nodes 3",
+		"laminar_cluster_nodes 4",
 		"laminar_cluster_stale_nodes 1",
 		`laminar_cluster_node_stale{node="3",epoch="1"} 1`,
 	} {

@@ -158,7 +158,7 @@ func CostBytes(n int) uint64 {
 // per tracked tag. When a durable store is attached, charging instead
 // serializes under the mutex so the raise-then-persist ordering holds;
 // the lock-free path serves the memory-only ledgers the kernel runs by
-// default, which is where the -budgetgate ceiling binds.
+// default, which is where the laminar-bench -budget gate binds.
 //
 // Lock order: callers may hold task locks when charging; the ledger
 // mutex is leaf-level below them, and the ledger never calls back into
@@ -392,10 +392,10 @@ func chargeSlot(s *slot, cost uint64) (denied, crossed bool) {
 // peer, stopping at the first denial. Partial spends before the denial
 // stand (they metered real budget headroom the caller is about to not
 // use — rounding up, never down). This is the per-declassify / per-drain
-// hot path the -budgetgate ceiling binds: on a memory-only ledger it is
-// lock-free and allocation-free — one table load and one peer lookup,
-// then a merge walk of the label against the peer's sorted row with a
-// compare-and-swap per tracked tag.
+// hot path the laminar-bench -budget gate binds: on a memory-only ledger
+// it is lock-free and allocation-free — one table load and one peer
+// lookup, then a merge walk of the label against the peer's sorted row
+// with a compare-and-swap per tracked tag.
 func (l *Ledger) ChargeLabel(op string, lab difc.Label, peer, cost uint64) error {
 	if lab.IsEmpty() {
 		return nil

@@ -6,7 +6,7 @@ import (
 	"laminar/internal/difc"
 )
 
-// The charge hot path backs the laminar-bench -budgetgate ceiling
+// The charge hot path backs the laminar-bench -budget gate ceiling
 // (DESIGN.md §17): on a memory-only ledger an unexhausted ChargeLabel
 // must stay lock-free and allocation-free. Run with -benchmem; the
 // allocs/op column is the regression to watch.

@@ -133,17 +133,23 @@ func Ablations(regions, jvmIters int) (*AblationReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	runAll := func(ms []prepared) func() {
-		return func() {
+	runAll := func(ms []prepared) func() (time.Duration, error) {
+		return func() (time.Duration, error) {
+			start := time.Now()
 			for _, pm := range ms {
 				if _, err := pm.mc.Call(pm.th, "run", jvm.IntV(int64(jvmIters))); err != nil {
-					panic(err)
+					return 0, err
 				}
 			}
+			return time.Since(start), nil
 		}
 	}
-	rep.UnoptimizedTime = minTime(5, runAll(plainMachines))
-	rep.OptimizedTime = minTime(5, runAll(optMachines))
+	if rep.UnoptimizedTime, err = minTime(5, runAll(plainMachines)); err != nil {
+		return nil, err
+	}
+	if rep.OptimizedTime, err = minTime(5, runAll(optMachines)); err != nil {
+		return nil, err
+	}
 	return rep, nil
 }
 

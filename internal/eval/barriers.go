@@ -1,7 +1,6 @@
 package eval
 
 import (
-	"encoding/json"
 	"fmt"
 	"strings"
 
@@ -91,11 +90,6 @@ func Barriers() (*BarrierReport, error) {
 		rep.Rows = append(rep.Rows, row)
 	}
 	return rep, nil
-}
-
-// JSON renders the machine-readable result for BENCH_barriers.json.
-func (r *BarrierReport) JSON() ([]byte, error) {
-	return json.MarshalIndent(r, "", "  ")
 }
 
 func cutPct(part, whole uint64) string {

@@ -8,14 +8,13 @@ package eval
 // own LSM re-checks every forwarded byte. The routed-vs-direct ratio is
 // the price of a fully checked intermediate hop.
 //
-// Methodology mirrors eval/netd.go: burst into the endpoint up to the
-// buffer budget, tick every node (pump + relays), drain at the receiver,
-// so no byte ever hits the silent-drop path. Telemetry stays at the
-// production default (recorder absent): the bench measures the plane, not
-// the recorder.
+// Messages flow through netd.go's stream loop — burst into the endpoint
+// up to the buffer budget, tick every node (pump + relays), drain at the
+// receiver — so no byte ever hits the silent-drop path. Telemetry stays
+// at the production default (recorder absent): the bench measures the
+// plane, not the recorder.
 
 import (
-	"encoding/json"
 	"fmt"
 	"strings"
 	"time"
@@ -185,39 +184,8 @@ func runCluster(nodes, msgs int, routed bool) (time.Duration, error) {
 		}
 	}
 
-	burst := netdEndpointBudget / clusterPayload
-	msg := make([]byte, clusterPayload)
-	for i := range msg {
-		msg[i] = byte(i)
-	}
-	total := msgs * clusterPayload
-	sent, received := 0, 0
-	start := time.Now()
-	for received < total {
-		for sent < msgs && sent*clusterPayload-received < burst*clusterPayload {
-			n, serr := src.k.Send(src.user, fdA, msg)
-			if serr != nil || n != clusterPayload {
-				return 0, fmt.Errorf("cluster send = %d, %v", n, serr)
-			}
-			sent++
-		}
-		tickAll()
-		before := received
-		for {
-			n, rerr := dst.k.Recv(dst.user, fdB, rbuf)
-			if rerr != nil {
-				break
-			}
-			received += n
-		}
-		if received == before {
-			time.Sleep(20 * time.Microsecond)
-		}
-		if time.Since(start) > 2*time.Minute {
-			return 0, fmt.Errorf("cluster: stalled at %d/%d bytes (routed=%v)", received, total, routed)
-		}
-	}
-	return time.Since(start), nil
+	return stream("cluster", streamEnd{src.k, src.user, fdA}, streamEnd{dst.k, dst.user, fdB},
+		clusterPayload, msgs, tickAll)
 }
 
 // Cluster runs the throughput matrix: node count {2, 3, 4} × routing
@@ -231,15 +199,9 @@ func Cluster(msgs, trials int) (*ClusterReport, error) {
 			if routed && nodes < 3 {
 				continue
 			}
-			best := time.Duration(0)
-			for tr := 0; tr < trials; tr++ {
-				wall, err := runCluster(nodes, msgs, routed)
-				if err != nil {
-					return nil, fmt.Errorf("nodes %d routed %v: %w", nodes, routed, err)
-				}
-				if best == 0 || wall < best {
-					best = wall
-				}
+			best, err := minTime(trials, func() (time.Duration, error) { return runCluster(nodes, msgs, routed) })
+			if err != nil {
+				return nil, fmt.Errorf("nodes %d routed %v: %w", nodes, routed, err)
 			}
 			row := ClusterRow{
 				Nodes:      nodes,
@@ -258,11 +220,6 @@ func Cluster(msgs, trials int) (*ClusterReport, error) {
 		}
 	}
 	return rep, nil
-}
-
-// JSON renders the report for BENCH_cluster.json.
-func (r *ClusterReport) JSON() ([]byte, error) {
-	return json.MarshalIndent(r, "", "  ")
 }
 
 // Format renders the text table for EXPERIMENTS.md.

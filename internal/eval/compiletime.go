@@ -29,7 +29,7 @@ type CompileTimeReport struct {
 }
 
 // CompileTime measures eager compilation of every dacapo workload under
-// each configuration, median of trials.
+// each configuration, best of trials.
 func CompileTime(trials int) (*CompileTimeReport, error) {
 	configs := []struct {
 		name string
@@ -56,14 +56,15 @@ func CompileTime(trials int) (*CompileTimeReport, error) {
 	for _, cfg := range configs {
 		var rpt jvm.CompileReport
 		const reps = 8 // compile the suite several times per timing sample
-		d := minTime(trials, func() {
+		d, err := minTime(trials, func() (time.Duration, error) {
 			rpt = jvm.CompileReport{}
+			start := time.Now()
 			for rep := 0; rep < reps; rep++ {
 				for _, p := range progs {
 					p.ResetCompilation()
 					r, err := p.CompileAll(cfg.opts)
 					if err != nil {
-						panic(err)
+						return 0, err
 					}
 					if rep > 0 {
 						continue
@@ -74,7 +75,11 @@ func CompileTime(trials int) (*CompileTimeReport, error) {
 					rpt.BarriersElided += r.BarriersElided
 				}
 			}
+			return time.Since(start), nil
 		})
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", cfg.name, err)
+		}
 		row := CompileRow{
 			Config: cfg.name, Time: d,
 			Instrs: rpt.InstrsOut, Barriers: rpt.BarriersEmitted, Elided: rpt.BarriersElided,

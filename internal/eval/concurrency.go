@@ -18,7 +18,6 @@ package eval
 // the op mix is identical across modes; only the interleaving differs.
 
 import (
-	"encoding/json"
 	"fmt"
 	"runtime"
 	"strings"
@@ -172,16 +171,9 @@ func Concurrency(nTasks, opsPerTask, trials int, ioLatency time.Duration) (*Conc
 				if mode == "biglock" {
 					opts = append(opts, kernel.WithBigLock())
 				}
-				best := time.Duration(0)
-				for tr := 0; tr < trials; tr++ {
-					wall, err := runStorm(nTasks, opsPerTask, opts...)
-					if err != nil {
-						runtime.GOMAXPROCS(prev)
-						return nil, fmt.Errorf("%s/%s p=%d: %w", wl.name, mode, procs, err)
-					}
-					if best == 0 || wall < best {
-						best = wall
-					}
+				best, err := minTime(trials, func() (time.Duration, error) { return runStorm(nTasks, opsPerTask, opts...) })
+				if err != nil {
+					return nil, fmt.Errorf("%s/%s p=%d: %w", wl.name, mode, procs, err)
 				}
 				row := ConcRow{
 					Workload:  wl.name,
@@ -201,7 +193,6 @@ func Concurrency(nTasks, opsPerTask, trials int, ioLatency time.Duration) (*Conc
 			}
 		}
 	}
-	runtime.GOMAXPROCS(prev)
 
 	for _, r := range rep.Rows {
 		if r.Workload == "io" && r.Mode == "sharded" && r.Procs == 8 {
@@ -209,11 +200,6 @@ func Concurrency(nTasks, opsPerTask, trials int, ioLatency time.Duration) (*Conc
 		}
 	}
 	return rep, nil
-}
-
-// JSON renders the report for BENCH_concurrency.json.
-func (r *ConcurrencyReport) JSON() ([]byte, error) {
-	return json.MarshalIndent(r, "", "  ")
 }
 
 // Format renders the paper-style text table.

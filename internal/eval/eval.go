@@ -1,7 +1,9 @@
 // Package eval is the evaluation harness: one entry point per table and
 // figure of the Laminar paper (§6–§7), each returning structured results
-// plus a paper-style text rendering. cmd/laminar-bench prints them;
-// bench_test.go wraps them in testing.B; EXPERIMENTS.md records a run.
+// plus a paper-style text rendering. cmd/laminar-bench prints them and
+// writes the machine-readable ones as BENCH_*.json; the package's tests
+// run each at a tiny scale and pin the BENCH schemas; EXPERIMENTS.md
+// records full-scale runs.
 //
 // Absolute numbers come from a simulated kernel and an interpreted
 // MiniJVM, so they are not comparable to the paper's wall-clock values;
@@ -10,6 +12,7 @@
 package eval
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -33,17 +36,29 @@ func medianTime(trials int, f func()) time.Duration {
 	return ds[trials/2]
 }
 
-// minTime takes the fastest of several trials — lmbench's strategy, and
+// errNoTrials: a best-of over no runs has no value, and reporting one
+// would put +Inf rates, and gate verdicts computed from them, in a report.
+var errNoTrials = errors.New("best of zero trials: trials must be at least 1")
+
+// minTime takes the fastest of trials runs of f — lmbench's strategy, and
 // the right estimator when the quantity of interest is the code's cost
-// floor rather than system noise.
-func minTime(trials int, f func()) time.Duration {
-	best := timeIt(f)
-	for i := 1; i < trials; i++ {
-		if d := timeIt(f); d < best {
+// floor rather than system noise. f times itself, so per-run setup can
+// stay outside its clock.
+func minTime(trials int, f func() (time.Duration, error)) (time.Duration, error) {
+	if trials < 1 {
+		return 0, errNoTrials
+	}
+	var best time.Duration
+	for i := 0; i < trials; i++ {
+		d, err := f()
+		if err != nil {
+			return 0, err
+		}
+		if i == 0 || d < best {
 			best = d
 		}
 	}
-	return best
+	return best, nil
 }
 
 // pct returns (a-b)/b in percent.

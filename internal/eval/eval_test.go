@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"encoding/json"
 	"strings"
 	"testing"
 	"time"
@@ -163,7 +164,7 @@ func TestConcurrencyShape(t *testing.T) {
 			t.Errorf("Format missing %q", want)
 		}
 	}
-	if _, err := rep.JSON(); err != nil {
+	if _, err := json.MarshalIndent(rep, "", "  "); err != nil {
 		t.Errorf("JSON render: %v", err)
 	}
 }

@@ -14,7 +14,6 @@ package eval
 // (LevelOff): the bench measures the transport, not the recorder.
 
 import (
-	"encoding/json"
 	"fmt"
 	"strings"
 	"time"
@@ -53,57 +52,69 @@ var netdPayloads = []int{64, 1024, 16384}
 // which would turn lost messages into an infinitely patient benchmark.
 const netdEndpointBudget = 32 * 1024
 
-// runNetd boots two kernels joined by TCP and streams msgs messages of
-// payload bytes through one labeled channel, returning the wall time
-// from first send to last byte received.
-func runNetd(payload, msgs int, batching bool) (time.Duration, error) {
-	mkNode := func(id uint64) (*kernel.Kernel, *kernel.Task, *netlabel.Node, error) {
-		mod := lsm.New()
-		k := kernel.New(kernel.WithSecurityModule(mod))
-		mod.InstallSystemIntegrity(k)
-		task, err := k.Spawn(k.InitTask(), nil)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		n := netlabel.NewNode(netlabel.Config{Kernel: k, Module: mod, NodeID: id, Batching: batching})
-		if err := n.Listen("127.0.0.1:0"); err != nil {
-			return nil, nil, nil, err
-		}
-		return k, task, n, nil
-	}
-	kA, alice, nodeA, err := mkNode(1)
-	if err != nil {
-		return 0, err
-	}
-	defer nodeA.Close()
-	kB, bob, nodeB, err := mkNode(2)
-	if err != nil {
-		return 0, err
-	}
-	defer nodeB.Close()
+// netdPeer is one kernel+LSM stack with an unprivileged user task and a
+// netlabel node listening on a loopback port.
+type netdPeer struct {
+	k    *kernel.Kernel
+	mod  *lsm.Module
+	user *kernel.Task
+	node *netlabel.Node
+}
 
-	fdA, err := nodeA.Open(alice, nodeB.Addr(), difc.Labels{})
-	if err != nil {
-		return 0, err
+// bootNetdPeer boots peer id: a kernel with the LSM plus opts, and a node
+// configured by cfg (its Kernel, Module and NodeID are filled in here; a
+// cfg.Recorder also records the module's verdicts).
+func bootNetdPeer(id uint64, opts []kernel.Option, cfg netlabel.Config) (*netdPeer, error) {
+	mod := lsm.New()
+	k := kernel.New(append([]kernel.Option{kernel.WithSecurityModule(mod)}, opts...)...)
+	mod.InstallSystemIntegrity(k)
+	if cfg.Recorder != nil {
+		mod.SetTelemetry(cfg.Recorder)
 	}
-	var fdB kernel.FD
+	user, err := k.Spawn(k.InitTask(), nil)
+	if err != nil {
+		return nil, err
+	}
+	cfg.Kernel, cfg.Module, cfg.NodeID = k, mod, id
+	node := netlabel.NewNode(cfg)
+	if err := node.Listen("127.0.0.1:0"); err != nil {
+		return nil, err
+	}
+	return &netdPeer{k: k, mod: mod, user: user, node: node}, nil
+}
+
+// openNetdChannel opens a channel labeled labels from a's user task to b
+// and pumps both nodes until b's user task accepts it.
+func openNetdChannel(a, b *netdPeer, labels difc.Labels) (fdA, fdB kernel.FD, err error) {
+	if fdA, err = a.node.Open(a.user, b.node.Addr(), labels); err != nil {
+		return 0, 0, err
+	}
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		nodeA.Pump()
-		nodeB.Pump()
-		var aerr error
-		if fdB, _, aerr = nodeB.Accept(bob); aerr == nil {
-			break
+		a.node.Pump()
+		b.node.Pump()
+		if fdB, _, err = b.node.Accept(b.user); err == nil {
+			return fdA, fdB, nil
 		}
 		if time.Now().After(deadline) {
-			return 0, fmt.Errorf("netd: channel never arrived")
+			return 0, 0, fmt.Errorf("channel never arrived")
 		}
 	}
+}
 
-	burst := netdEndpointBudget / payload
-	if burst < 1 {
-		burst = 1
-	}
+// streamEnd is one end of an established labeled channel.
+type streamEnd struct {
+	k    *kernel.Kernel
+	user *kernel.Task
+	fd   kernel.FD
+}
+
+// stream sends msgs messages of payload bytes from src to dst and returns
+// the wall time from first send to last byte received. pump moves the
+// bytes in between (pumping nodes, ticking a cluster); what names the
+// experiment in errors.
+func stream(what string, src, dst streamEnd, payload, msgs int, pump func()) (time.Duration, error) {
+	burst := max(netdEndpointBudget/payload, 1)
 	msg := make([]byte, payload)
 	for i := range msg {
 		msg[i] = byte(i)
@@ -117,18 +128,17 @@ func runNetd(payload, msgs int, batching bool) (time.Duration, error) {
 		// receiving endpoint and the transport would (correctly, silently)
 		// drop it, turning the bench into a wait for bytes that died.
 		for sent < msgs && sent*payload-received < burst*payload {
-			n, serr := kA.Send(alice, fdA, msg)
-			if serr != nil || n != payload {
-				return 0, fmt.Errorf("netd send = %d, %v", n, serr)
+			n, err := src.k.Send(src.user, src.fd, msg)
+			if err != nil || n != payload {
+				return 0, fmt.Errorf("%s send = %d, %v", what, n, err)
 			}
 			sent++
 		}
-		nodeA.Pump()
-		nodeB.Pump()
+		pump()
 		before := received
 		for {
-			n, rerr := kB.Recv(bob, fdB, rbuf)
-			if rerr != nil {
+			n, err := dst.k.Recv(dst.user, dst.fd, rbuf)
+			if err != nil {
 				break
 			}
 			received += n
@@ -140,10 +150,67 @@ func runNetd(payload, msgs int, batching bool) (time.Duration, error) {
 			time.Sleep(20 * time.Microsecond)
 		}
 		if time.Since(start) > 2*time.Minute {
-			return 0, fmt.Errorf("netd: stalled at %d/%d bytes", received, total)
+			return 0, fmt.Errorf("%s: stalled at %d/%d bytes", what, received, total)
 		}
 	}
 	return time.Since(start), nil
+}
+
+// minTimeModes is minTime for modes compared against each other: one
+// untimed warm-up stream of msgs/4+1 messages under modes[0], then trials
+// rounds that stream msgs messages under every mode, rotated so no mode
+// always runs first in a round. Best-of per mode then samples comparable
+// machine states instead of charging warm-up (frequency ramp, page
+// cache) to whichever mode happens to run first.
+func minTimeModes[M comparable](trials, msgs int, modes []M, run func(mode M, msgs int) (time.Duration, error)) (map[M]time.Duration, error) {
+	if trials < 1 {
+		return nil, errNoTrials
+	}
+	if _, err := run(modes[0], msgs/4+1); err != nil {
+		return nil, fmt.Errorf("warm-up: %w", err)
+	}
+	best := make(map[M]time.Duration, len(modes))
+	for tr := 0; tr < trials; tr++ {
+		for i := range modes {
+			mode := modes[(i+tr)%len(modes)]
+			wall, err := run(mode, msgs)
+			if err != nil {
+				return nil, fmt.Errorf("mode %v: %w", mode, err)
+			}
+			if prev, ok := best[mode]; !ok || wall < prev {
+				best[mode] = wall
+			}
+		}
+	}
+	return best, nil
+}
+
+// openUnlabeled opens an unlabeled channel from a to b.
+func openUnlabeled(a, b *netdPeer) (fdA, fdB kernel.FD, err error) {
+	return openNetdChannel(a, b, difc.Labels{})
+}
+
+// runNetd boots peers 1 and 2 with boot, connects them with open and
+// streams msgs messages of payload bytes from 1 to 2 over localhost TCP.
+// what names the experiment in errors.
+func runNetd(what string, payload, msgs int, boot func(id uint64) (*netdPeer, error),
+	open func(a, b *netdPeer) (fdA, fdB kernel.FD, err error)) (time.Duration, error) {
+	a, err := boot(1)
+	if err != nil {
+		return 0, err
+	}
+	defer a.node.Close()
+	b, err := boot(2)
+	if err != nil {
+		return 0, err
+	}
+	defer b.node.Close()
+	fdA, fdB, err := open(a, b)
+	if err != nil {
+		return 0, fmt.Errorf("%s: %w", what, err)
+	}
+	return stream(what, streamEnd{a.k, a.user, fdA}, streamEnd{b.k, b.user, fdB}, payload, msgs,
+		func() { a.node.Pump(); b.node.Pump() })
 }
 
 // Netd runs the throughput matrix: payload {64, 1K, 16K} × batching
@@ -153,15 +220,14 @@ func Netd(msgs, trials int) (*NetdReport, error) {
 	unbatched := make(map[int]float64)
 	for _, batching := range []bool{false, true} {
 		for _, payload := range netdPayloads {
-			best := time.Duration(0)
-			for tr := 0; tr < trials; tr++ {
-				wall, err := runNetd(payload, msgs, batching)
-				if err != nil {
-					return nil, fmt.Errorf("payload %d batching %v: %w", payload, batching, err)
-				}
-				if best == 0 || wall < best {
-					best = wall
-				}
+			boot := func(id uint64) (*netdPeer, error) {
+				return bootNetdPeer(id, nil, netlabel.Config{Batching: batching})
+			}
+			best, err := minTime(trials, func() (time.Duration, error) {
+				return runNetd("netd", payload, msgs, boot, openUnlabeled)
+			})
+			if err != nil {
+				return nil, fmt.Errorf("payload %d batching %v: %w", payload, batching, err)
 			}
 			row := NetdRow{
 				PayloadBytes: payload,
@@ -180,11 +246,6 @@ func Netd(msgs, trials int) (*NetdReport, error) {
 		}
 	}
 	return rep, nil
-}
-
-// JSON renders the report for BENCH_netd.json.
-func (r *NetdReport) JSON() ([]byte, error) {
-	return json.MarshalIndent(r, "", "  ")
 }
 
 // Format renders the text table for EXPERIMENTS.md.

@@ -15,7 +15,6 @@ package eval
 // GOMAXPROCS=8: ≤1.02× (the "≤2% disabled-path overhead" criterion).
 
 import (
-	"encoding/json"
 	"fmt"
 	"runtime"
 	"strings"
@@ -101,16 +100,11 @@ func Telemetry(nTasks, opsPerTask, trials int, ioLatency time.Duration) (*Teleme
 	} {
 		var baseNs float64
 		for _, cfg := range configs {
-			best := time.Duration(0)
-			for tr := 0; tr < trials; tr++ {
-				opts := append(append([]kernel.Option{}, wl.opts...), cfg.opts()...)
-				wall, err := runStorm(nTasks, opsPerTask, opts...)
-				if err != nil {
-					return nil, fmt.Errorf("%s/%s: %w", wl.name, cfg.name, err)
-				}
-				if best == 0 || wall < best {
-					best = wall
-				}
+			best, err := minTime(trials, func() (time.Duration, error) {
+				return runStorm(nTasks, opsPerTask, append(append([]kernel.Option{}, wl.opts...), cfg.opts()...)...)
+			})
+			if err != nil {
+				return nil, fmt.Errorf("%s/%s: %w", wl.name, cfg.name, err)
 			}
 			row := TelRow{
 				Workload:  wl.name,
@@ -135,9 +129,12 @@ func Telemetry(nTasks, opsPerTask, trials int, ioLatency time.Duration) (*Teleme
 	return rep, nil
 }
 
-// JSON renders the report for BENCH_telemetry.json.
-func (r *TelemetryReport) JSON() ([]byte, error) {
-	return json.MarshalIndent(r, "", "  ")
+// Gate returns why the run misses its gate, or "" when it passes.
+func (r *TelemetryReport) Gate() string {
+	if r.Pass {
+		return ""
+	}
+	return fmt.Sprintf("telemetry disabled-path overhead %.3fx exceeds %.2fx gate", r.HeadlineOff, r.GateMax)
 }
 
 // Format renders the paper-style text table.

@@ -11,18 +11,15 @@ package eval
 // same recording level — tracing only touches opens (mint + bind + a
 // 27-byte wire extension), never the per-message path, so both hold
 // with margin. The cost of active recording itself is a different
-// knob, gated by laminar-bench -telgate; the deny row shows it here
-// for context without gating on it.
+// knob, gated by laminar-bench -telemetry -gate; the deny row shows it
+// here for context without gating on it.
 
 import (
-	"encoding/json"
 	"fmt"
 	"strings"
 	"time"
 
-	"laminar/internal/difc"
 	"laminar/internal/kernel"
-	"laminar/internal/kernel/lsm"
 	"laminar/internal/netlabel"
 	"laminar/internal/telemetry"
 )
@@ -55,138 +52,29 @@ type TraceReport struct {
 	Pass        bool    `json:"pass"`
 }
 
-// runTraceNetd is the netd hot path with a configurable recorder: two
-// kernel+LSM stacks over TCP, one channel, msgs messages of payload
-// bytes, batching on (the production transport default).
-func runTraceNetd(payload, msgs int, mode string) (time.Duration, error) {
-	mkNode := func(id uint64) (*kernel.Kernel, *kernel.Task, *netlabel.Node, error) {
-		mod := lsm.New()
-		var opts []kernel.Option
-		opts = append(opts, kernel.WithSecurityModule(mod))
-		var rec *telemetry.Recorder
-		if mode == "bare" {
-			opts = append(opts, kernel.WithoutTelemetry())
-		} else {
-			rec = telemetry.NewRecorder()
-			if mode == "deny" {
-				rec.SetLevel(telemetry.LevelDeny)
-			} else {
-				rec.SetLevel(telemetry.LevelOff)
-			}
-			opts = append(opts, kernel.WithTelemetry(rec))
-		}
-		k := kernel.New(opts...)
-		mod.InstallSystemIntegrity(k)
-		if rec != nil {
-			mod.SetTelemetry(rec)
-		}
-		task, err := k.Spawn(k.InitTask(), nil)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		n := netlabel.NewNode(netlabel.Config{
-			Kernel: k, Module: mod, Recorder: rec, NodeID: id,
-			Batching: true, Tracing: mode == "on" || mode == "deny",
-		})
-		if err := n.Listen("127.0.0.1:0"); err != nil {
-			return nil, nil, nil, err
-		}
-		return k, task, n, nil
-	}
-	kA, alice, nodeA, err := mkNode(1)
-	if err != nil {
-		return 0, err
-	}
-	defer nodeA.Close()
-	kB, bob, nodeB, err := mkNode(2)
-	if err != nil {
-		return 0, err
-	}
-	defer nodeB.Close()
-
-	fdA, err := nodeA.Open(alice, nodeB.Addr(), difc.Labels{})
-	if err != nil {
-		return 0, err
-	}
-	var fdB kernel.FD
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		nodeA.Pump()
-		nodeB.Pump()
-		var aerr error
-		if fdB, _, aerr = nodeB.Accept(bob); aerr == nil {
-			break
-		}
-		if time.Now().After(deadline) {
-			return 0, fmt.Errorf("trace bench: channel never arrived")
-		}
-	}
-
-	burst := netdEndpointBudget / payload
-	if burst < 1 {
-		burst = 1
-	}
-	msg := make([]byte, payload)
-	for i := range msg {
-		msg[i] = byte(i)
-	}
-	rbuf := make([]byte, 64*1024)
-	total := msgs * payload
-	sent, received := 0, 0
-	start := time.Now()
-	for received < total {
-		for sent < msgs && sent*payload-received < burst*payload {
-			n, serr := kA.Send(alice, fdA, msg)
-			if serr != nil || n != payload {
-				return 0, fmt.Errorf("trace bench send = %d, %v", n, serr)
-			}
-			sent++
-		}
-		nodeA.Pump()
-		nodeB.Pump()
-		before := received
-		for {
-			n, rerr := kB.Recv(bob, fdB, rbuf)
-			if rerr != nil {
-				break
-			}
-			received += n
-		}
-		if received == before {
-			time.Sleep(20 * time.Microsecond)
-		}
-		if time.Since(start) > 2*time.Minute {
-			return 0, fmt.Errorf("trace bench: stalled at %d/%d bytes", received, total)
-		}
-	}
-	return time.Since(start), nil
-}
-
-// Trace runs the three-configuration matrix, best of trials per cell.
+// Trace runs the four-configuration matrix, best of trials per cell: the
+// netd hot path (two kernel+LSM stacks over TCP, one channel, batching
+// on as in production) with each mode's recorder.
 func Trace(msgs, trials int) (*TraceReport, error) {
 	const payload = 1024
 	rep := &TraceReport{Msgs: msgs, Payload: payload, Trials: trials,
 		GateOff: traceGateOff, GateOn: traceGateOn}
 	modes := []string{"bare", "off", "on", "deny"}
-	// One untimed run first, then trials interleaved across modes:
-	// best-of per mode then samples comparable machine states instead of
-	// charging warm-up (frequency ramp, page cache) to whichever mode
-	// happens to run first.
-	if _, err := runTraceNetd(payload, msgs/4+1, "bare"); err != nil {
-		return nil, fmt.Errorf("warm-up: %w", err)
-	}
-	best := map[string]time.Duration{}
-	for tr := 0; tr < trials; tr++ {
-		for i := range modes {
-			mode := modes[(i+tr)%len(modes)] // rotate so no mode always runs first in a round
-			wall, err := runTraceNetd(payload, msgs, mode)
-			if err != nil {
-				return nil, fmt.Errorf("mode %s: %w", mode, err)
+	best, err := minTimeModes(trials, msgs, modes, func(mode string, msgs int) (time.Duration, error) {
+		return runNetd("trace bench", payload, msgs, func(id uint64) (*netdPeer, error) {
+			cfg := netlabel.Config{Batching: true, Tracing: mode == "on" || mode == "deny"}
+			if mode == "bare" {
+				return bootNetdPeer(id, []kernel.Option{kernel.WithoutTelemetry()}, cfg)
 			}
-			if best[mode] == 0 || wall < best[mode] {
-				best[mode] = wall
+			cfg.Recorder = telemetry.NewRecorder() // at LevelOff
+			if mode == "deny" {
+				cfg.Recorder.SetLevel(telemetry.LevelDeny)
 			}
-		}
+			return bootNetdPeer(id, []kernel.Option{kernel.WithTelemetry(cfg.Recorder)}, cfg)
+		}, openUnlabeled)
+	})
+	if err != nil {
+		return nil, err
 	}
 	rates := map[string]float64{}
 	for _, mode := range modes {
@@ -201,9 +89,13 @@ func Trace(msgs, trials int) (*TraceReport, error) {
 	return rep, nil
 }
 
-// JSON renders the report for BENCH_trace.json.
-func (r *TraceReport) JSON() ([]byte, error) {
-	return json.MarshalIndent(r, "", "  ")
+// Gate returns why the run misses its gates, or "" when it passes.
+func (r *TraceReport) Gate() string {
+	if r.Pass {
+		return ""
+	}
+	return fmt.Sprintf("trace overhead off=%.3fx (gate %.2fx) on=%.3fx (gate %.2fx)",
+		r.OverheadOff, r.GateOff, r.OverheadOn, r.GateOn)
 }
 
 // Format renders the text table for EXPERIMENTS.md.

@@ -22,7 +22,6 @@ package eval
 // per-task verdict cache was one of its dimensions.
 
 import (
-	"encoding/json"
 	"fmt"
 	"runtime"
 	"strings"
@@ -207,21 +206,15 @@ func VerdictCache(nTasks, writesPerTask, batch, trials int) (*VerdictCacheReport
 			if c.path == "vec" {
 				b = batch
 			}
-			best := time.Duration(0)
-			for tr := 0; tr < trials; tr++ {
+			best, err := minTime(trials, func() (time.Duration, error) {
 				s, err := vcSetup(nTasks, opts...)
 				if err != nil {
-					runtime.GOMAXPROCS(prev)
-					return nil, fmt.Errorf("%s/%s p=%d setup: %w", c.mode, c.path, procs, err)
+					return 0, fmt.Errorf("setup: %w", err)
 				}
-				wall, err := s.vcStorm(writesPerTask, b)
-				if err != nil {
-					runtime.GOMAXPROCS(prev)
-					return nil, fmt.Errorf("%s/%s p=%d: %w", c.mode, c.path, procs, err)
-				}
-				if best == 0 || wall < best {
-					best = wall
-				}
+				return s.vcStorm(writesPerTask, b)
+			})
+			if err != nil {
+				return nil, fmt.Errorf("%s/%s p=%d: %w", c.mode, c.path, procs, err)
 			}
 			row := VCRow{
 				Procs:     procs,
@@ -239,7 +232,6 @@ func VerdictCache(nTasks, writesPerTask, batch, trials int) (*VerdictCacheReport
 			rep.Rows = append(rep.Rows, row)
 		}
 	}
-	runtime.GOMAXPROCS(prev)
 
 	for _, r := range rep.Rows {
 		if r.Procs == 8 && r.Mode == "sharded" && r.Path == "vec" {
@@ -250,9 +242,12 @@ func VerdictCache(nTasks, writesPerTask, batch, trials int) (*VerdictCacheReport
 	return rep, nil
 }
 
-// JSON renders the report for BENCH_verdictcache.json.
-func (r *VerdictCacheReport) JSON() ([]byte, error) {
-	return json.MarshalIndent(r, "", "  ")
+// Gate returns why the run misses its gate, or "" when it passes.
+func (r *VerdictCacheReport) Gate() string {
+	if r.Pass {
+		return ""
+	}
+	return fmt.Sprintf("hot-path headline speedup %.2fx misses the %.2fx gate", r.Headline, r.GateMin)
 }
 
 // Format renders the paper-style text table.

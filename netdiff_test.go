@@ -164,8 +164,10 @@ func netdiffOps(t *testing.T, ka, kb *kernel.Kernel,
 // netdiffRemote runs the script across two kernels over localhost TCP
 // with seeded link faults, returning the verdict stream and t1. With
 // tracing on, every open mints and propagates a trace context — which
-// must not perturb the stream (see tracediff_test.go).
-func netdiffRemote(t *testing.T, seed int64, bigLock, tracing bool) (string, difc.Tag) {
+// must not perturb the stream (see tracediff_test.go). batching selects
+// the transport's write mode: one coalesced write per connection per
+// Pump (production) or one write per frame.
+func netdiffRemote(t *testing.T, seed int64, bigLock, tracing, batching bool) (string, difc.Tag) {
 	t.Helper()
 	a := netdiffBoot(t, bigLock)
 	b := netdiffBoot(t, bigLock)
@@ -175,8 +177,8 @@ func netdiffRemote(t *testing.T, seed int64, bigLock, tracing bool) (string, dif
 	planB := faultinject.NewPlan(seed + 7919)
 	planB.SetRates("net.", netdiffRates)
 
-	nodeA := netlabel.NewNode(netlabel.Config{Kernel: a.k, Module: a.mod, Recorder: a.rec, Injector: planA, NodeID: 1, Tracing: tracing})
-	nodeB := netlabel.NewNode(netlabel.Config{Kernel: b.k, Module: b.mod, Recorder: b.rec, Injector: planB, NodeID: 2, Tracing: tracing})
+	nodeA := netlabel.NewNode(netlabel.Config{Kernel: a.k, Module: a.mod, Recorder: a.rec, Injector: planA, NodeID: 1, Tracing: tracing, Batching: batching})
+	nodeB := netlabel.NewNode(netlabel.Config{Kernel: b.k, Module: b.mod, Recorder: b.rec, Injector: planB, NodeID: 2, Tracing: tracing, Batching: batching})
 	if err := nodeA.Listen("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
@@ -273,13 +275,16 @@ func netdiffReplay(t *testing.T, bigLock bool) (string, difc.Tag) {
 }
 
 // TestNetDifferentialOracle: 30 seeds of link-kill chaos × both locking
-// disciplines; every remote verdict stream must equal the in-process
-// replay byte for byte.
+// disciplines × both transport write modes; every remote verdict stream
+// must equal the in-process replay byte for byte.
 func TestNetDifferentialOracle(t *testing.T) {
 	for _, mode := range []struct {
-		name    string
-		bigLock bool
-	}{{"sharded", false}, {"biglock", true}} {
+		name              string
+		bigLock, batching bool
+	}{
+		{"sharded", false, false}, {"biglock", true, false},
+		{"sharded-batched", false, true}, {"biglock-batched", true, true},
+	} {
 		mode := mode
 		t.Run(mode.name, func(t *testing.T) {
 			want, wantT1 := netdiffReplay(t, mode.bigLock)
@@ -293,7 +298,7 @@ func TestNetDifferentialOracle(t *testing.T) {
 				seed := seed
 				t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 					t.Parallel()
-					got, gotT1 := netdiffRemote(t, seed, mode.bigLock, false)
+					got, gotT1 := netdiffRemote(t, seed, mode.bigLock, false, mode.batching)
 					if gotT1 != wantT1 {
 						t.Fatalf("tag allocation diverged: remote t1=%d, replay t1=%d", gotT1, wantT1)
 					}

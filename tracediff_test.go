@@ -50,7 +50,7 @@ func TestChaosTraceOracle(t *testing.T) {
 				seed := seed
 				t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 					t.Parallel()
-					got, gotT1 := netdiffRemote(t, seed, mode.bigLock, true)
+					got, gotT1 := netdiffRemote(t, seed, mode.bigLock, true, false)
 					if gotT1 != wantT1 {
 						t.Fatalf("tag allocation diverged: traced t1=%d, replay t1=%d", gotT1, wantT1)
 					}
@@ -72,8 +72,8 @@ func TestTraceOracleDirectAB(t *testing.T) {
 		seed := seed
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			t.Parallel()
-			untraced, t1a := netdiffRemote(t, seed, false, false)
-			traced, t1b := netdiffRemote(t, seed, false, true)
+			untraced, t1a := netdiffRemote(t, seed, false, false, false)
+			traced, t1b := netdiffRemote(t, seed, false, true, false)
 			if t1a != t1b {
 				t.Fatalf("tag allocation diverged: untraced t1=%d, traced t1=%d", t1a, t1b)
 			}

@@ -81,7 +81,7 @@ func BenchmarkCheckEnterRegion48(b *testing.B) {
 	caps := NewCapSet(EmptyLabel, all)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		sinkErr = CheckEnterRegion(Labels{S: all}, caps, Labels{}, caps)
+		sinkErr = CheckEnterRegion(&Labels{S: all}, &caps, &Labels{}, &caps)
 	}
 }
 

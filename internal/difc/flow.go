@@ -70,9 +70,9 @@ func CheckChangeLabels(op string, from, to Labels, caps CapSet) error {
 	return CheckChange(op, from.I, to.I, caps)
 }
 
-// CanEnterRegion checks the security-region initialization rules (§4.3.2)
-// for a principal with labels p and capabilities pc entering a region
-// declared with labels r and capabilities rc:
+// CheckEnterRegion checks the security-region initialization rules
+// (§4.3.2) for a principal with labels p and capabilities pc entering a
+// region declared with labels r and capabilities rc:
 //
 //	(1) SR ⊆ (Cp+ ∪ SP)  and  IR ⊆ (Cp+ ∪ IP)
 //	(2) CR ⊆ CP
@@ -83,31 +83,30 @@ func CheckChangeLabels(op string, from, to Labels, caps CapSet) error {
 // region {S(b), C(a−)} entered from {S(a,b)} type-checks precisely because
 // a− is in the entering thread's capability set; without the drop check, a
 // nested empty region would silently declassify the thread.
-func CanEnterRegion(p Labels, pc CapSet, r Labels, rc CapSet) bool {
-	return CheckEnterRegion(p, pc, r, rc) == nil
-}
-
-// CheckEnterRegion is CanEnterRegion with provenance: it returns nil when
-// entry is legal and a *ChangeError naming the first violated condition
-// and its offending tag delta otherwise. The Op field distinguishes the
-// acquisition half ("region-enter"), the declassification half
-// ("region-drop"), and the capability-subset condition ("region-caps").
-func CheckEnterRegion(p Labels, pc CapSet, r Labels, rc CapSet) error {
-	if err := CheckAcquire("region-enter", p.S, r.S, pc); err != nil {
-		return err
+//
+// It returns nil when entry is legal and a *ChangeError naming the first
+// violated condition and its offending tag delta otherwise. The Op field
+// distinguishes the acquisition half ("region-enter"), the
+// declassification half ("region-drop"), and the capability-subset
+// condition ("region-caps"). The operands are only read: a granted entry
+// copies none of the four 144-byte values, and a refusal copies the ones
+// its error names.
+func CheckEnterRegion(p *Labels, pc *CapSet, r *Labels, rc *CapSet) error {
+	if !r.S.coveredBy(&pc.plus, &p.S) {
+		return acquireError("region-enter", p.S, r.S, *pc)
 	}
-	if err := CheckAcquire("region-enter", p.I, r.I, pc); err != nil {
-		return err
+	if !r.I.coveredBy(&pc.plus, &p.I) {
+		return acquireError("region-enter", p.I, r.I, *pc)
 	}
 	if !p.S.coveredBy(&r.S, &pc.minus) {
-		return &ChangeError{Op: "region-drop", Check: "drop", From: p.S, To: r.S, Caps: pc, Missing: p.S.Minus(r.S).Minus(pc.minus)}
+		return &ChangeError{Op: "region-drop", Check: "drop", From: p.S, To: r.S, Caps: *pc, Missing: p.S.Minus(r.S).Minus(pc.minus)}
 	}
 	if !p.I.coveredBy(&r.I, &pc.minus) {
-		return &ChangeError{Op: "region-drop", Check: "drop", From: p.I, To: r.I, Caps: pc, Missing: p.I.Minus(r.I).Minus(pc.minus)}
+		return &ChangeError{Op: "region-drop", Check: "drop", From: p.I, To: r.I, Caps: *pc, Missing: p.I.Minus(r.I).Minus(pc.minus)}
 	}
 	if !rc.plus.subsetOf(&pc.plus) || !rc.minus.subsetOf(&pc.minus) {
 		missing := rc.plus.Minus(pc.plus).Union(rc.minus.Minus(pc.minus))
-		return &ChangeError{Op: "region-caps", Check: "subset", From: rc.Plus(), To: rc.Minus(), Caps: pc, Missing: missing}
+		return &ChangeError{Op: "region-caps", Check: "subset", From: rc.plus, To: rc.minus, Caps: *pc, Missing: missing}
 	}
 	return nil
 }
@@ -179,6 +178,12 @@ func CheckAcquire(op string, have, want Label, caps CapSet) error {
 	if want.coveredBy(&caps.plus, &have) {
 		return nil
 	}
+	return acquireError(op, have, want, caps)
+}
+
+// acquireError is CheckAcquire's denial: the tags of want that neither
+// the plus capabilities nor the current label have.
+func acquireError(op string, have, want Label, caps CapSet) error {
 	missing := want.Minus(caps.plus.Union(have))
 	return &ChangeError{Op: op, Check: "acquire", From: have, To: want, Caps: caps, Missing: missing}
 }

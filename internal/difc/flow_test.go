@@ -129,25 +129,25 @@ func TestCanEnterRegion(t *testing.T) {
 	// Region {S(a,b), I(i), C(a-)} — legal per Figure 4.
 	r := Labels{S: NewLabel(a, b), I: NewLabel(i)}
 	rc := EmptyCapSet.Grant(a, CapMinus)
-	if !CanEnterRegion(p, pc, r, rc) {
+	if CheckEnterRegion(&p, &pc, &r, &rc) != nil {
 		t.Error("Figure 4 region entry rejected")
 	}
 
 	// Region asking for a capability the thread lacks (b-).
 	rc2 := EmptyCapSet.Grant(b, CapMinus)
-	if CanEnterRegion(p, pc, r, rc2) {
+	if CheckEnterRegion(&p, &pc, &r, &rc2) == nil {
 		t.Error("region got capability thread lacks")
 	}
 
 	// Region asking for a secrecy tag the thread cannot add.
 	r2 := Labels{S: NewLabel(Tag(99))}
-	if CanEnterRegion(p, pc, r2, EmptyCapSet) {
+	if CheckEnterRegion(&p, &pc, &r2, &EmptyCapSet) == nil {
 		t.Error("region got label thread cannot add")
 	}
 
 	// A thread already tainted with the tag can enter without the plus cap.
 	tainted := Labels{S: NewLabel(Tag(99))}
-	if !CanEnterRegion(tainted, EmptyCapSet, Labels{S: NewLabel(Tag(99))}, EmptyCapSet) {
+	if CheckEnterRegion(&tainted, &EmptyCapSet, &Labels{S: NewLabel(Tag(99))}, &EmptyCapSet) != nil {
 		t.Error("tainted thread should enter region with its own label")
 	}
 }
@@ -156,7 +156,7 @@ func TestPropEnterRegionSubsetCaps(t *testing.T) {
 	// Rule (2): any region whose capability set is not a subset of the
 	// thread's must be rejected.
 	f := func(pc, rc CapSet) bool {
-		if CanEnterRegion(Unlabeled, pc, Unlabeled, rc) {
+		if CheckEnterRegion(&Unlabeled, &pc, &Unlabeled, &rc) == nil {
 			return rc.SubsetOf(pc)
 		}
 		return true

@@ -297,7 +297,8 @@ func TestSignatureCollisionsReachTheWalks(t *testing.T) {
 		t.Error("CanChange wrong on colliding labels")
 	}
 	// An integrity tag dropped without its minus capability.
-	err = CheckEnterRegion(Labels{I: one}, NewCapSet(EmptyLabel, other), Labels{}, EmptyCapSet)
+	pc := NewCapSet(EmptyLabel, other)
+	err = CheckEnterRegion(&Labels{I: one}, &pc, &Labels{}, &EmptyCapSet)
 	if ce, ok := err.(*ChangeError); !ok || ce.Op != "region-drop" || !ce.Missing.Equal(one) {
 		t.Errorf("integrity drop = %v, want region-drop missing %v", err, one)
 	}
@@ -311,7 +312,7 @@ func TestRegionCapsRefusal(t *testing.T) {
 		t.Errorf("String = %q, want %q", got, want)
 	}
 	asked := held.Grant(3, CapMinus)
-	err := CheckEnterRegion(NewLabels(EmptyLabel, EmptyLabel), held, Unlabeled, asked)
+	err := CheckEnterRegion(&Labels{}, &held, &Unlabeled, &asked)
 	const want = "difc: region-caps: capability subset violation: need C(t1+-,t2+-,t3-) held for {t3}"
 	if err == nil || err.Error() != want {
 		t.Errorf("CheckEnterRegion = %v, want %q", err, want)

@@ -196,9 +196,10 @@ func (mc *Machine) invoke(t *Thread, m *Method, args []Value, host bool) Value {
 	if m.Secure != nil && mc.opts.Mode != BarrierNone {
 		// Region entry checks (§4.3.2): the invoking context plays the
 		// parent principal.
-		if !difc.CanEnterRegion(t.Labels(), t.effectiveEntryCaps(), m.Secure.Labels, m.Secure.Caps) {
+		cur, curCaps := t.Labels(), t.effectiveEntryCaps()
+		if difc.CheckEnterRegion(&cur, &curCaps, &m.Secure.Labels, &m.Secure.Caps) != nil {
 			mc.trace("deny-enter %s", m.Name)
-			panic(trap{err: &regionEntryError{method: m.Name, labels: m.Secure.Labels, caps: m.Secure.Caps, from: t.Labels()}})
+			panic(trap{err: &regionEntryError{method: m.Name, labels: m.Secure.Labels, caps: m.Secure.Caps, from: cur}})
 		}
 		t.regions = append(t.regions, regionState{labels: m.Secure.Labels, caps: m.Secure.Caps})
 		mc.stats.RegionsEntered++
@@ -253,7 +254,7 @@ func (t *Thread) effectiveEntryCaps() difc.CapSet {
 var allCaps = difc.NewCapSet(allTags, allTags)
 
 // allTags is a pseudo-label treated as containing every tag. difc labels
-// have no top element, so approximate with a broad check: CanEnterRegion
+// have no top element, so approximate with a broad check: CheckEnterRegion
 // uses subset tests against Plus(); we give the host a label containing
 // the first 4096 tags, ample for workloads.
 var allTags = func() difc.Label {

@@ -84,7 +84,7 @@ func TestSetTaskLabelConformance(t *testing.T) {
 }
 
 // TestRegionEntryConformance exhausts the §4.3.2 entry rules over a
-// two-tag secrecy universe against difc.CanEnterRegion.
+// two-tag secrecy universe against difc.CheckEnterRegion.
 func TestRegionEntryConformance(t *testing.T) {
 	tagA, tagB := difc.Tag(201), difc.Tag(202)
 	subsets := []difc.Label{
@@ -102,7 +102,7 @@ func TestRegionEntryConformance(t *testing.T) {
 					r := difc.Labels{S: sr}
 					want := sr.Minus(plus.Union(sp)).IsEmpty() && // rule (1)
 						sp.Minus(sr).SubsetOf(minus) // drop half of label change
-					got := difc.CanEnterRegion(p, pc, r, difc.EmptyCapSet)
+					got := difc.CheckEnterRegion(&p, &pc, &r, &difc.EmptyCapSet) == nil
 					if got != want {
 						t.Fatalf("sp=%v sr=%v caps=%v: got %v want %v", sp, sr, pc, got, want)
 					}

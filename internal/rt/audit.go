@@ -149,7 +149,12 @@ func (vm *VM) SetAudit(fn func(Event)) {
 // region enter and exit paths test it before building their Event, a
 // struct of several hundred bytes.
 func (vm *VM) observed() bool {
-	return vm.audit != nil || (vm.rec != nil && vm.rec.Active())
+	return vm.audit != nil || vm.recording()
+}
+
+// recording reports whether the kernel's telemetry recorder is active.
+func (vm *VM) recording() bool {
+	return vm.rec != nil && vm.rec.Active()
 }
 
 // emit delivers an event to the legacy hook and mirrors it into the
@@ -159,7 +164,7 @@ func (vm *VM) emit(e Event) {
 	if vm.audit != nil {
 		vm.audit(e)
 	}
-	if vm.rec == nil || !vm.rec.Active() {
+	if !vm.recording() {
 		return
 	}
 	te := telemetry.Event{

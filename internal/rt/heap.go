@@ -113,6 +113,7 @@ func NewArray(n int) *Object { return &Object{elems: make([]any, n)} }
 // flows into the object, and any additional tags require the plus
 // capability — the same conditions as labeled file creation.
 func (r *Region) Alloc(labels *difc.Labels) *Object {
+	r.act("alloc")
 	r.thread.vm.stats.AllocBarriers.Add(1)
 	l := r.labels
 	if labels != nil {
@@ -125,6 +126,7 @@ func (r *Region) Alloc(labels *difc.Labels) *Object {
 // AllocArray allocates an n-element array with the same labeling rules as
 // Alloc.
 func (r *Region) AllocArray(n int, labels *difc.Labels) *Object {
+	r.act("alloc")
 	r.thread.vm.stats.AllocBarriers.Add(1)
 	l := r.labels
 	if labels != nil {
@@ -155,6 +157,7 @@ func (r *Region) allocConforms(l difc.Labels) error {
 // paper's use: fields and elements are copied shallowly (they are values
 // or references whose own labels still protect them).
 func (r *Region) CopyAndLabel(o *Object, labels difc.Labels) *Object {
+	r.act("copyAndLabel")
 	r.check("copyAndLabel", difc.CheckChangeLabels("copyAndLabel", o.labels, labels, r.caps))
 	r.thread.vm.emit(Event{Kind: EvCopyAndLabel, Thread: uint64(r.thread.task.TID), Labels: r.labels, From: o.labels, To: labels})
 	o.mu.Lock()
@@ -206,6 +209,7 @@ func (r *Region) SetIndex(o *Object, i int, v any) {
 // o's. The verdict is taken on pointers to the two label pairs; the
 // CheckFlow error, which copies both, is built only for a denial.
 func (r *Region) readBarrier(o *Object) {
+	r.act("read")
 	r.thread.vm.stats.ReadBarriers.Add(1)
 	if !difc.FlowAllowed(&o.labels, &r.labels) {
 		r.check("read", difc.CheckFlow("read", o.labels, r.labels))
@@ -214,6 +218,7 @@ func (r *Region) readBarrier(o *Object) {
 
 // writeBarrier checks thread -> object flow.
 func (r *Region) writeBarrier(o *Object) {
+	r.act("write")
 	r.thread.vm.stats.WriteBarriers.Add(1)
 	if !difc.FlowAllowed(&r.labels, &o.labels) {
 		r.check("write", difc.CheckFlow("write", r.labels, o.labels))

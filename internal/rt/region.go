@@ -1,19 +1,49 @@
 package rt
 
 import (
+	"errors"
+
 	"laminar/internal/difc"
 	"laminar/internal/kernel"
 )
 
 // Region is an active security region: the paper's lexically scoped code
 // block with a secrecy label, an integrity label and a capability set
-// (§4.3). A Region value is only valid inside the Secure call that created
-// it; the Figure 2 library API lives here.
+// (§4.3); the Figure 2 library API lives here.
+//
+// A Region acts only while it is its thread's innermost active region:
+// inside its own body or catch block, and not inside a nested region.
+// Every barrier, allocation, relabeling, capability and file or socket
+// call made through a handle that is not raises *Violation wrapping
+// ErrRegionInactive, as the paper's barriers check each access against
+// the thread's current region (§5.1). The rule is what lets the thread
+// reuse one Region per nesting depth: a handle kept past its Secure call
+// can never act with labels it no longer holds.
 type Region struct {
 	thread *Thread
 	labels difc.Labels
 	caps   difc.CapSet
 	parent *Region
+	child  *Region // the reusable frame of regions nested in this one
+}
+
+// ErrRegionInactive is the error of the *Violation raised when a Region
+// handle acts while it is not its thread's innermost active region.
+var ErrRegionInactive = errors.New("region handle used outside its own region")
+
+// act raises *Violation unless r is its thread's innermost active
+// region. Every acting Region method calls it first.
+func (r *Region) act(op string) {
+	if r != r.thread.region {
+		r.thread.inactive(op)
+	}
+}
+
+// inactive reports and raises a stale-handle violation. The event carries
+// the labels actually in force on the thread, not the stale handle's.
+func (t *Thread) inactive(op string) {
+	t.vm.emit(Event{Kind: EvViolation, Thread: uint64(t.task.TID), Labels: t.Labels(), Op: op, Err: ErrRegionInactive})
+	panic(&Violation{Op: op, Err: ErrRegionInactive})
 }
 
 // Thread returns the thread executing the region.
@@ -36,6 +66,7 @@ func (r *Region) Caps() difc.CapSet { return r.caps }
 // is retained on exit (§4.4), so the grant lands in the thread's base set
 // as well as the region's.
 func (r *Region) CreateAndAddCapability() (difc.Tag, error) {
+	r.act("alloc_tag")
 	tag, err := r.thread.vm.k.AllocTag(r.thread.task)
 	if err != nil {
 		return difc.InvalidTag, err
@@ -53,6 +84,7 @@ func (r *Region) CreateAndAddCapability() (difc.Tag, error) {
 // capability. With global=true the capability is gone permanently, from
 // every enclosing region and the thread's base set.
 func (r *Region) RemoveCapability(tag difc.Tag, kind difc.CapKind, global bool) error {
+	r.act("drop_capabilities")
 	c := []kernel.Capability{{Tag: tag, Kind: kind}}
 	if err := r.thread.vm.k.DropCapabilities(r.thread.task, c, !global); err != nil {
 		return err
@@ -84,24 +116,28 @@ func (r *Region) check(op string, err error) {
 
 // OpenFile opens a file with the region's labels in force.
 func (r *Region) OpenFile(path string, flags kernel.OpenFlag) (kernel.FD, error) {
+	r.act("open")
 	r.thread.ensureSynced()
 	return r.thread.vm.k.Open(r.thread.task, path, flags)
 }
 
 // CreateFileLabeled pre-creates a labeled file (create_file_labeled).
 func (r *Region) CreateFileLabeled(path string, mode kernel.Mode, labels difc.Labels) (kernel.FD, error) {
+	r.act("create")
 	r.thread.ensureSynced()
 	return r.thread.vm.k.CreateFileLabeled(r.thread.task, path, mode, labels)
 }
 
 // ReadFile reads from an open descriptor under the region's labels.
 func (r *Region) ReadFile(fd kernel.FD, buf []byte) (int, error) {
+	r.act("read")
 	r.thread.ensureSynced()
 	return r.thread.vm.k.Read(r.thread.task, fd, buf)
 }
 
 // WriteFile writes to an open descriptor under the region's labels.
 func (r *Region) WriteFile(fd kernel.FD, data []byte) (int, error) {
+	r.act("write")
 	r.thread.ensureSynced()
 	return r.thread.vm.k.Write(r.thread.task, fd, data)
 }
@@ -112,24 +148,28 @@ func (r *Region) WriteFile(fd kernel.FD, data []byte) (int, error) {
 // is equivalent to per-element checks). Regions with bursty output use
 // it to amortize the per-operation barrier cost.
 func (r *Region) WriteFileVec(fd kernel.FD, chunks [][]byte) (int, error) {
+	r.act("write")
 	r.thread.ensureSynced()
 	return r.thread.vm.k.WriteVec(r.thread.task, fd, chunks)
 }
 
 // CloseFile closes the descriptor.
 func (r *Region) CloseFile(fd kernel.FD) error {
+	r.act("close")
 	return r.thread.vm.k.Close(r.thread.task, fd)
 }
 
 // Send transmits on a socket endpoint under the region's labels; illegal
 // flows drop silently, like pipes (§5.2).
 func (r *Region) Send(fd kernel.FD, data []byte) (int, error) {
+	r.act("send")
 	r.thread.ensureSynced()
 	return r.thread.vm.k.Send(r.thread.task, fd, data)
 }
 
 // Recv receives from a socket endpoint under the region's labels.
 func (r *Region) Recv(fd kernel.FD, buf []byte) (int, error) {
+	r.act("recv")
 	r.thread.ensureSynced()
 	return r.thread.vm.k.Recv(r.thread.task, fd, buf)
 }
@@ -137,6 +177,7 @@ func (r *Region) Recv(fd kernel.FD, buf []byte) (int, error) {
 // Socketpair creates a connected socket pair; the connection carries the
 // region's labels (it is created by the tainted thread).
 func (r *Region) Socketpair() (kernel.FD, kernel.FD, error) {
+	r.act("socketpair")
 	r.thread.ensureSynced()
 	return r.thread.vm.k.Socketpair(r.thread.task)
 }

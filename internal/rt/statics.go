@@ -47,6 +47,7 @@ func (t *Thread) SetStatic(name string, v any) {
 // the read is rejected when the region has integrity labels (§5.1); in
 // labeled-statics mode the static's own label is flow-checked instead.
 func (r *Region) GetStatic(name string) any {
+	r.act("static-read")
 	if r.thread.vm.labeledStatics {
 		return r.getStaticLabeled(name)
 	}
@@ -61,6 +62,7 @@ func (r *Region) GetStatic(name string) any {
 // mode the write is rejected when the region has secrecy labels; in
 // labeled-statics mode the static's own label is flow-checked.
 func (r *Region) SetStatic(name string, v any) {
+	r.act("static-write")
 	if r.thread.vm.labeledStatics {
 		r.setStaticLabeled(name, v)
 		return

@@ -25,6 +25,11 @@ type Thread struct {
 	// region is the innermost active security region (nil outside).
 	region *Region
 
+	// frame is the reusable Region of outermost regions; each frame
+	// links the reusable Region of the depth below it (Region.child).
+	// An entry fills its depth's frame and its exit releases it.
+	frame *Region
+
 	// caps caches the thread's base capability set (kernel authoritative).
 	caps difc.CapSet
 
@@ -177,31 +182,27 @@ func (t *Thread) ensureSynced() {
 // catch may be nil when the body cannot raise (the paper still requires
 // the block syntactically; nil here means an empty catch block).
 func (t *Thread) Secure(labels difc.Labels, caps difc.CapSet, body func(*Region), catch func(*Region, any)) error {
-	cur := t.Labels()
-	curCaps := t.Caps()
-	if err := difc.CheckEnterRegion(cur, curCaps, labels, caps); err != nil {
+	cur, curCaps := t.current()
+	if err := difc.CheckEnterRegion(cur, curCaps, &labels, &caps); err != nil {
 		// A refused region entry is a denial like any other: record the
 		// structured ChangeError (which names the violated condition and
 		// the offending tags) before reporting it to the caller.
 		t.vm.emit(Event{Kind: EvViolation, Thread: uint64(t.task.TID), Labels: labels, Op: "region-enter", Err: err})
-		return &regionEntryError{labels: labels, caps: caps, cur: cur, curCaps: curCaps, err: err}
+		return &regionEntryError{labels: labels, caps: caps, cur: *cur, curCaps: *curCaps, err: err}
 	}
-	r := &Region{
-		thread: t,
-		labels: labels,
-		caps:   caps,
-		parent: t.region,
-	}
+	r := t.nextFrame()
+	r.labels, r.caps, r.parent = labels, caps, t.region
 	t.vm.stats.RegionsEntered.Add(1)
 	if t.vm.observed() {
 		t.vm.emit(Event{Kind: EvRegionEnter, Thread: uint64(t.task.TID), Labels: labels})
 	}
 	// Only an outermost region's time is added to RegionNanos (a nested
 	// region's time is already inside its parent's), so only it reads the
-	// entry clock.
-	var start time.Time
+	// clock, and only the monotonic one: time.Since on a time that
+	// carries a monotonic reading never reads the wall clock.
+	var start time.Duration
 	if r.parent == nil {
-		start = now()
+		start = time.Since(epoch)
 	}
 	prevSynced := t.kernelSynced
 	t.region = r
@@ -217,7 +218,9 @@ func (t *Thread) Secure(labels difc.Labels, caps difc.CapSet, body func(*Region)
 		// capabilities stay dropped (handled by RemoveCapability). If the
 		// kernel task was given the region's labels (a syscall happened,
 		// or eager mode), it must be reset to the parent labels now — the
-		// tcb path handles tags the thread cannot drop itself.
+		// tcb path handles tags the thread cannot drop itself. From here
+		// on r no longer acts (Region.act), and the next entry at its
+		// depth may refill it.
 		syncedInRegion := t.kernelSynced
 		t.region = r.parent
 		// Budget charge (ISSUE 10): leaving the region is THE commit
@@ -256,7 +259,13 @@ func (t *Thread) Secure(labels difc.Labels, caps difc.CapSet, body func(*Region)
 			t.kernelSynced = prevSynced
 		}
 		if r.parent == nil {
-			t.vm.stats.RegionNanos.Add(int64(now().Sub(start)))
+			// The second monotonic read closes the interval. Telemetry
+			// reuses it; it adds no read of its own.
+			d := time.Since(epoch) - start
+			t.vm.stats.RegionNanos.Add(int64(d))
+			if t.vm.recording() {
+				t.vm.rec.M.ObserveLayer(telemetry.LayerRT, d)
+			}
 		}
 		if t.vm.observed() {
 			t.vm.emit(Event{Kind: EvRegionExit, Thread: uint64(t.task.TID), Labels: labels})
@@ -288,6 +297,32 @@ func (t *Thread) Secure(labels difc.Labels, caps difc.CapSet, body func(*Region)
 		body(r)
 	}()
 	return nil
+}
+
+// current returns the thread's effective labels and capabilities by
+// pointer, for the region-entry check: the innermost region's own, or
+// the empty labels and the base set outside regions.
+func (t *Thread) current() (*difc.Labels, *difc.CapSet) {
+	if r := t.region; r != nil {
+		return &r.labels, &r.caps
+	}
+	return &difc.Unlabeled, &t.caps
+}
+
+// nextFrame returns the thread's Region frame for the next nesting
+// depth, allocating it on the thread's first entry at that depth. Frames
+// are reused: a frame belongs to at most one active region, because only
+// the innermost active region enters children and each exit releases its
+// depth before the parent continues.
+func (t *Thread) nextFrame() *Region {
+	slot := &t.frame
+	if t.region != nil {
+		slot = &t.region.child
+	}
+	if *slot == nil {
+		*slot = &Region{thread: t}
+	}
+	return *slot
 }
 
 // regionEntryError is a refused region entry. It keeps the operands of

@@ -113,7 +113,7 @@ func (vm *VM) Stats() *Stats { return &vm.stats }
 // per VM at snapshot time (bench/eval teardown). No-op when telemetry is
 // off or the kernel was booted WithoutTelemetry.
 func (vm *VM) PublishTelemetry() {
-	if vm.rec == nil || !vm.rec.Active() {
+	if !vm.recording() {
 		return
 	}
 	add := func(name string, n uint64) {
@@ -158,5 +158,6 @@ func (vm *VM) setKernelLabels(t *Thread, labels difc.Labels) error {
 	return err
 }
 
-// now is indirected for tests.
-var now = time.Now
+// epoch is the origin of the region clock. It carries a monotonic
+// reading, so time.Since(epoch) reads only the monotonic clock.
+var epoch = time.Now()

@@ -215,10 +215,10 @@ func TestReplayEveryRule(t *testing.T) {
 	// region drop + caps subset via CheckEnterRegion
 	p := difc.Labels{S: difc.NewLabel(8)}
 	r.EmitDeny(LayerRT, "s", "region", 1, 1,
-		difc.CheckEnterRegion(p, difc.EmptyCapSet, difc.Labels{}, difc.EmptyCapSet))
+		difc.CheckEnterRegion(&p, &difc.EmptyCapSet, &difc.Labels{}, &difc.EmptyCapSet))
 	rc := difc.EmptyCapSet.Grant(9, difc.CapMinus)
 	r.EmitDeny(LayerRT, "s", "region", 1, 1,
-		difc.CheckEnterRegion(difc.Labels{}, difc.EmptyCapSet, difc.Labels{}, rc))
+		difc.CheckEnterRegion(&difc.Labels{}, &difc.EmptyCapSet, &difc.Labels{}, &rc))
 
 	evs := r.Denials()
 	if len(evs) != 6 {

@@ -55,7 +55,8 @@ type (
 	VM = rt.VM
 	// Thread is a principal: a kernel thread with cached labels.
 	Thread = rt.Thread
-	// Region is an active security region (only valid inside Secure).
+	// Region is an active security region. It acts only while it is its
+	// thread's innermost active region; any other use raises a Violation.
 	Region = rt.Region
 	// Object is a labeled heap value with field and array parts.
 	Object = rt.Object

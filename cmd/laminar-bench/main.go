@@ -15,21 +15,20 @@
 //	laminar-bench -figure apps        # case-study overheads (Figure 9 + Table 3; also -table 3)
 //	laminar-bench -flume              # monitor-vs-LSM IPC comparison, then the wiki
 //	laminar-bench -ablations          # design-decision ablations
-//	laminar-bench -concurrency        # big-lock vs sharded syscall storms
 //	laminar-bench -barriers           # barrier reduction over the optimization corpus
 //	laminar-bench -netd               # cross-kernel labeled throughput over localhost TCP
 //	laminar-bench -cluster            # label-plane throughput, direct vs routed
-//	laminar-bench -verdictcache       # sharded + batched writes vs the old protocol (gated)
-//	laminar-bench -telemetry          # telemetry recording overhead (gated)
+//	laminar-bench -storm              # syscall storms: lock mode, batched writes, telemetry (gated)
 //	laminar-bench -budget             # flow-budget charging overhead (gated)
 //	laminar-bench -trace              # flow-tracing overhead on the netd hot path (gated)
 //	laminar-bench -scale 10           # heavier app workloads (closer to paper scale)
 //
-// The last eight experiments also write their result to BENCH_<name>.json
-// (BENCH_concurrency.json, BENCH_barriers.json, …) in the -out directory,
+// The last six experiments also write their result to BENCH_<name>.json
+// (BENCH_barriers.json, BENCH_storm.json, …) in the -out directory,
 // the current one by default. With -gate, the process exits 1 as soon as
 // a selected gated experiment misses its gate. Trial counts and sizes
-// must be positive: any other value exits 2 before an experiment runs.
+// must be positive, and -concops at least 12, one mixed-storm iteration:
+// any other value exits 2 before an experiment runs.
 package main
 
 import (
@@ -39,19 +38,15 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"time"
 
 	"laminar/internal/eval"
 )
 
 // Sizes the command runs at; only the experiments' tests vary them.
 const (
-	iters      = 300                   // JVM workload loop iterations
-	concTasks  = 8                     // concurrent tasks in the syscall storms
-	concIO     = 30 * time.Microsecond // modeled device latency for the io storm
-	vcTasks    = 8                     // writer tasks in the -verdictcache storm
-	vcBatch    = 16                    // WriteVec vector length for its vec rows
-	budgetMsgs = 4000                  // messages per -budget netd cell
+	iters      = 300  // JVM workload loop iterations
+	stormTasks = 8    // concurrent tasks in the -storm storms
+	budgetMsgs = 4000 // messages per -budget netd cell
 )
 
 // report is what every experiment returns: a printable table.
@@ -72,16 +67,14 @@ func main() {
 		figure    = flag.String("figure", "", "reproduce a figure: jvm, apps, compile, regions")
 		flume     = flag.Bool("flume", false, "monitor-vs-LSM IPC comparison")
 		ablations = flag.Bool("ablations", false, "design-decision ablations")
-		conc      = flag.Bool("concurrency", false, "big-lock vs sharded syscall-storm scaling")
-		concOps   = flag.Int("concops", 12000, "syscalls per task in the -concurrency and -telemetry storms")
+		storm     = flag.Bool("storm", false, "syscall storms under lock mode, write batching and telemetry recording (gates: hot path >= 1.5x, io off <= 1.02x)")
+		concOps   = flag.Int("concops", 12000, "syscalls per task in the -storm mixed rows")
 		barriers  = flag.Bool("barriers", false, "barrier-reduction table over the optimization corpus")
 		netd      = flag.Bool("netd", false, "cross-kernel labeled throughput over localhost TCP (msgs/sec vs payload size, batching on/off)")
 		netdMsgs  = flag.Int("netdmsgs", 4000, "messages per netd cell")
 		clus      = flag.Bool("cluster", false, "cluster label-plane throughput (msgs/sec vs node count, routed vs direct)")
 		clusMsgs  = flag.Int("clustermsgs", 2000, "messages per cluster cell")
-		vcache    = flag.Bool("verdictcache", false, "sharded + batched-write hot path vs the old per-op protocol (gate: 1.5x)")
-		vcWrites  = flag.Int("vcwrites", 16384, "logical writes per task in the -verdictcache write storm")
-		telem     = flag.Bool("telemetry", false, "telemetry overhead: storms under baseline/off/deny/all recording (gate: off <= 1.02x)")
+		vcWrites  = flag.Int("vcwrites", 16384, "logical writes per task in the -storm write and writevec rows")
 		budg      = flag.Bool("budget", false, "flow-budget charging overhead on the declassification hot paths + zipfian tenant-contention table (gate: 1.05x)")
 		trace     = flag.Bool("trace", false, "flow-tracing overhead on the netd hot path (gates: off <= 1.02x, on <= 1.10x)")
 		traceMsgs = flag.Int("tracemsgs", 4000, "messages per trace-bench cell")
@@ -94,14 +87,15 @@ func main() {
 	flag.Parse()
 
 	for _, c := range []struct {
-		name string
-		v    int
+		name   string
+		v, min int
 	}{
-		{"trials", *trials}, {"scale", *scale}, {"concops", *concOps}, {"netdmsgs", *netdMsgs},
-		{"clustermsgs", *clusMsgs}, {"vcwrites", *vcWrites}, {"tracemsgs", *traceMsgs},
+		{"trials", *trials, 1}, {"scale", *scale, 1}, {"concops", *concOps, eval.MixedIterSyscalls},
+		{"netdmsgs", *netdMsgs, 1}, {"clustermsgs", *clusMsgs, 1}, {"vcwrites", *vcWrites, 1},
+		{"tracemsgs", *traceMsgs, 1},
 	} {
-		if c.v < 1 {
-			fmt.Fprintf(os.Stderr, "laminar-bench: -%s %d: must be at least 1\n", c.name, c.v)
+		if c.v < c.min {
+			fmt.Fprintf(os.Stderr, "laminar-bench: -%s %d: must be at least %d\n", c.name, c.v, c.min)
 			os.Exit(2)
 		}
 	}
@@ -124,18 +118,14 @@ func main() {
 			return eval.WikiCompare(3000)
 		}},
 		{on: *all || *ablations, run: func() (report, error) { return eval.Ablations(2000, 50) }},
-		{on: *all || *conc, jsonFile: "BENCH_concurrency.json",
-			run: func() (report, error) { return eval.Concurrency(concTasks, *concOps, *trials, concIO) }},
 		{on: *all || *barriers, jsonFile: "BENCH_barriers.json",
 			run: func() (report, error) { return eval.Barriers() }},
 		{on: *all || *netd, jsonFile: "BENCH_netd.json",
 			run: func() (report, error) { return eval.Netd(*netdMsgs, *trials) }},
 		{on: *all || *clus, jsonFile: "BENCH_cluster.json",
 			run: func() (report, error) { return eval.Cluster(*clusMsgs, *trials) }},
-		{on: *all || *vcache, jsonFile: "BENCH_verdictcache.json",
-			run: func() (report, error) { return eval.VerdictCache(vcTasks, *vcWrites, vcBatch, *trials) }},
-		{on: *all || *telem, jsonFile: "BENCH_telemetry.json",
-			run: func() (report, error) { return eval.Telemetry(concTasks, *concOps, *trials, concIO) }},
+		{on: *all || *storm, jsonFile: "BENCH_storm.json",
+			run: func() (report, error) { return eval.Storm(stormTasks, *concOps, *vcWrites, *trials) }},
 		{on: *all || *budg, jsonFile: "BENCH_budget.json",
 			run: func() (report, error) { return eval.Budget(budgetMsgs, *trials) }},
 		{on: *all || *trace, jsonFile: "BENCH_trace.json",

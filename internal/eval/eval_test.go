@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"strings"
 	"testing"
-	"time"
 )
 
 func TestJVMOverheadShape(t *testing.T) {
@@ -140,12 +139,18 @@ func TestConcurrencyShape(t *testing.T) {
 	// big lock once several tasks issue device waits concurrently. A
 	// single trial at 4 tasks keeps the big-lock run (which serializes
 	// every modeled device wait) to a couple of seconds.
-	rep, err := Concurrency(4, 1200, 1, 30*time.Microsecond)
+	rep, err := Storm(4, 1200, 64, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Rows) != 12 {
-		t.Fatalf("rows = %d, want 12 (2 storms × 3 procs × 2 modes)", len(rep.Rows))
+	lockRows := 0
+	for _, row := range rep.Rows {
+		if row.Workload == "mixed" && row.Recorder == "off" {
+			lockRows++
+		}
+	}
+	if lockRows != 12 {
+		t.Fatalf("mixed recorder-off rows = %d, want 12 (2 storms × 3 procs × 2 modes)", lockRows)
 	}
 	if rep.HeadlineIO < 2.0 {
 		t.Errorf("io-storm sharded/biglock speedup at GOMAXPROCS=8 = %.2fx, want >= 2x", rep.HeadlineIO)
@@ -154,8 +159,8 @@ func TestConcurrencyShape(t *testing.T) {
 	// fine-grained locking may cost a little on one core but not halve
 	// throughput.
 	for _, row := range rep.Rows {
-		if row.Workload == "cpu" && row.Mode == "sharded" && row.SpeedupVsB < 0.5 {
-			t.Errorf("cpu storm at procs=%d: sharded is %.2fx of biglock, want >= 0.5x", row.Procs, row.SpeedupVsB)
+		if row.Workload == "mixed" && row.IOus == 0 && row.Lock == "sharded" && row.Recorder == "off" && row.Speedup < 0.5 {
+			t.Errorf("cpu storm at procs=%d: sharded is %.2fx of biglock, want >= 0.5x", row.Procs, row.Speedup)
 		}
 	}
 	out := rep.Format()

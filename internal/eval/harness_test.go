@@ -16,7 +16,6 @@ import (
 	"sort"
 	"strings"
 	"testing"
-	"time"
 
 	"laminar/internal/jvm/corpus"
 )
@@ -54,16 +53,8 @@ func tinyBudget(t *testing.T) *BudgetReport {
 	return tiny(t, "budget", func() (*BudgetReport, error) { return Budget(100, 1) })
 }
 
-func tinyVerdictCache(t *testing.T) *VerdictCacheReport {
-	return tiny(t, "verdictcache", func() (*VerdictCacheReport, error) { return VerdictCache(2, 64, 16, 1) })
-}
-
-func tinyTelemetry(t *testing.T) *TelemetryReport {
-	return tiny(t, "telemetry", func() (*TelemetryReport, error) { return Telemetry(2, 240, 1, 30*time.Microsecond) })
-}
-
-func tinyConcurrency(t *testing.T) *ConcurrencyReport {
-	return tiny(t, "concurrency", func() (*ConcurrencyReport, error) { return Concurrency(2, 120, 1, 30*time.Microsecond) })
+func tinyStorm(t *testing.T) *StormReport {
+	return tiny(t, "storm", func() (*StormReport, error) { return Storm(2, 120, 64, 1) })
 }
 
 func tinyBarriers(t *testing.T) *BarrierReport {
@@ -198,53 +189,182 @@ func TestBudgetShape(t *testing.T) {
 	checkGate(t, rep, &rep.Pass)
 }
 
-func TestVerdictCacheShape(t *testing.T) {
-	rep := tinyVerdictCache(t)
-	want := []string{"1/biglock/scalar", "1/sharded/scalar", "1/sharded/vec",
-		"8/biglock/scalar", "8/sharded/scalar", "8/sharded/vec"}
+func TestStormShape(t *testing.T) {
+	rep := tinyStorm(t)
+	var want []string
+	for _, io := range []int{0, 30} {
+		for _, p := range []int{1, 4} {
+			want = append(want, fmt.Sprintf("mixed/io%dus/p%d/biglock/off", io, p), fmt.Sprintf("mixed/io%dus/p%d/sharded/off", io, p))
+		}
+		for _, cell := range []string{"biglock/off", "sharded/off", "sharded/none", "sharded/deny", "sharded/all"} {
+			want = append(want, fmt.Sprintf("mixed/io%dus/p8/%s", io, cell))
+		}
+	}
+	for _, p := range []int{1, 8} {
+		for _, cell := range []string{"write/io0us/p%d/biglock/off", "write/io0us/p%d/sharded/off", "writevec/io0us/p%d/sharded/off"} {
+			want = append(want, fmt.Sprintf(cell, p))
+		}
+	}
 	if len(rep.Rows) != len(want) {
 		t.Fatalf("rows = %d, want %d", len(rep.Rows), len(want))
 	}
+	byKey := map[string]StormRow{}
 	for i, row := range rep.Rows {
-		if got := fmt.Sprintf("%d/%s/%s", row.Procs, row.Mode, row.Path); got != want[i] {
+		if got := row.Key(); got != want[i] {
 			t.Errorf("row %d = %s, want %s", i, got, want[i])
 		}
-		if row.Ops != 2*64 {
-			t.Errorf("row %d ops = %d, want 128", i, row.Ops)
+		byKey[row.Key()] = row
+		wantOps := 2 * 120
+		if row.Workload != "mixed" {
+			wantOps = 2 * 64
 		}
-		positive(t, "verdictcache rates", row.OpsPerSec, row.NsPerOp)
-		if row.Mode == "sharded" {
-			positive(t, "verdictcache speedup", row.SpeedupVsB)
+		if row.Ops != wantOps {
+			t.Errorf("%s ops = %d, want %d", row.Key(), row.Ops, wantOps)
+		}
+		positive(t, row.Key()+" rates", row.OpsPerSec, row.NsPerOp, row.Speedup)
+	}
+	// Each reference is a row at the same I/O latency and GOMAXPROCS that
+	// is its own reference.
+	for _, row := range rep.Rows {
+		ref, ok := byKey[row.Ref]
+		switch {
+		case !ok:
+			t.Errorf("%s: reference %s is not a row", row.Key(), row.Ref)
+		case ref.Ref != ref.Key():
+			t.Errorf("%s: reference %s is not itself a reference", row.Key(), row.Ref)
+		case ref.IOus != row.IOus || ref.Procs != row.Procs:
+			t.Errorf("%s: reference %s differs in I/O latency or GOMAXPROCS", row.Key(), row.Ref)
+		case row.Ref == row.Key() && row.Speedup != 1:
+			t.Errorf("%s: speedup over itself = %v", row.Key(), row.Speedup)
 		}
 	}
-	if rep.GateMin != 1.5 {
-		t.Errorf("gate = %v, want 1.5", rep.GateMin)
+	if rep.Tasks != 2 || rep.Batch != 16 {
+		t.Errorf("tasks/batch = %d/%d, want 2/16", rep.Tasks, rep.Batch)
 	}
-	positive(t, "verdictcache headline", rep.Headline)
-	checkGate(t, rep, &rep.Pass)
+	positive(t, "storm headlines", rep.HeadlineIO, rep.HeadlineHotPath, rep.HeadlineIOOff)
+	if want := byKey["mixed/io30us/p8/sharded/off"].Speedup; rep.HeadlineIO != want {
+		t.Errorf("io headline = %v, want the io30us p8 sharded speedup %v", rep.HeadlineIO, want)
+	}
+	if (rep.Gate() == "") != (rep.HotPathPass && rep.TelemetryPass) {
+		t.Errorf("Gate() = %q with passes %v/%v", rep.Gate(), rep.HotPathPass, rep.TelemetryPass)
+	}
+	for _, want := range []string{"headline", "hot path", "overhead", "writevec"} {
+		if !strings.Contains(rep.Format(), want) {
+			t.Errorf("Format missing %q", want)
+		}
+	}
 }
 
+// stormGate drives one of the storm report's two gates both ways while
+// the other one passes.
+func stormGate(t *testing.T, rep *StormReport, pass *bool) {
+	t.Helper()
+	hot, tel := rep.HotPathPass, rep.TelemetryPass
+	defer func() { rep.HotPathPass, rep.TelemetryPass = hot, tel }()
+	rep.HotPathPass, rep.TelemetryPass = true, true
+	checkGate(t, rep, pass)
+}
+
+// TestVerdictCacheShape checks the storm's hot-path cells, the ones the
+// retired -verdictcache experiment measured: scalar and vector 7-tag
+// writes at GOMAXPROCS 1 and 8, each against biglock scalar writes, and
+// the hot-path gate read from the vector row at GOMAXPROCS 8.
+func TestVerdictCacheShape(t *testing.T) {
+	rep := tinyStorm(t)
+	var got []string
+	byKey := map[string]StormRow{}
+	for _, row := range rep.Rows {
+		byKey[row.Key()] = row
+		if row.Workload == "mixed" {
+			continue
+		}
+		got = append(got, row.Key())
+		if row.Ops != 2*64 {
+			t.Errorf("%s ops = %d, want 128", row.Key(), row.Ops)
+		}
+		if want := fmt.Sprintf("write/io0us/p%d/biglock/off", row.Procs); row.Ref != want {
+			t.Errorf("%s reference = %s, want %s", row.Key(), row.Ref, want)
+		}
+		positive(t, row.Key()+" rates", row.OpsPerSec, row.NsPerOp, row.Speedup)
+	}
+	want := []string{
+		"write/io0us/p1/biglock/off", "write/io0us/p1/sharded/off", "writevec/io0us/p1/sharded/off",
+		"write/io0us/p8/biglock/off", "write/io0us/p8/sharded/off", "writevec/io0us/p8/sharded/off",
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("hot-path rows = %v, want %v", got, want)
+	}
+	if rep.HotPathGateMin != 1.5 {
+		t.Errorf("hot-path gate = %v, want 1.5", rep.HotPathGateMin)
+	}
+	if w := byKey["writevec/io0us/p8/sharded/off"].Speedup; rep.HeadlineHotPath != w {
+		t.Errorf("hot-path headline = %v, want the p8 writevec speedup %v", rep.HeadlineHotPath, w)
+	}
+	if rep.HotPathPass != (rep.HeadlineHotPath >= rep.HotPathGateMin) {
+		t.Errorf("hot-path pass = %v with headline %v", rep.HotPathPass, rep.HeadlineHotPath)
+	}
+	stormGate(t, rep, &rep.HotPathPass)
+}
+
+// TestTelemetryShape checks the storm's recorder-level cells, the ones
+// the retired -telemetry experiment measured: the mixed storm at
+// GOMAXPROCS 8 with no recorder and with the recorder off, deny and all,
+// at both I/O latencies, and the telemetry gate read as io off over none.
 func TestTelemetryShape(t *testing.T) {
-	rep := tinyTelemetry(t)
-	if len(rep.Rows) != 8 {
-		t.Fatalf("rows = %d, want 8 (2 storms × 4 configs)", len(rep.Rows))
+	rep := tinyStorm(t)
+	byKey := map[string]StormRow{}
+	for _, row := range rep.Rows {
+		byKey[row.Key()] = row
 	}
-	configs := []string{"baseline", "off", "deny", "all"}
-	for i, row := range rep.Rows {
-		wantWL := "cpu"
-		if i >= 4 {
-			wantWL = "io"
+	for _, io := range []int{0, stormIOus} {
+		none := fmt.Sprintf("mixed/io%dus/p8/sharded/none", io)
+		for _, level := range []string{"none", "off", "deny", "all"} {
+			key := fmt.Sprintf("mixed/io%dus/p8/sharded/%s", io, level)
+			row, ok := byKey[key]
+			if !ok {
+				t.Errorf("recorder row %s missing", key)
+				continue
+			}
+			if row.Ops != 2*120 {
+				t.Errorf("%s ops = %d, want 240", key, row.Ops)
+			}
+			positive(t, key+" rates", row.OpsPerSec, row.NsPerOp, row.NsPerOp/byKey[none].NsPerOp)
 		}
-		if row.Workload != wantWL || row.Config != configs[i%4] {
-			t.Errorf("row %d = %s/%s, want %s/%s", i, row.Workload, row.Config, wantWL, configs[i%4])
+	}
+	if rep.TelemetryGateMax != 1.02 {
+		t.Errorf("telemetry gate = %v, want 1.02", rep.TelemetryGateMax)
+	}
+	off := byKey[fmt.Sprintf("mixed/io%dus/p8/sharded/off", stormIOus)]
+	none := byKey[fmt.Sprintf("mixed/io%dus/p8/sharded/none", stormIOus)]
+	if w := off.NsPerOp / none.NsPerOp; rep.HeadlineIOOff != w {
+		t.Errorf("io off headline = %v, want off/none ns %v", rep.HeadlineIOOff, w)
+	}
+	if rep.TelemetryPass != (rep.HeadlineIOOff <= rep.TelemetryGateMax) {
+		t.Errorf("telemetry pass = %v with headline %v", rep.TelemetryPass, rep.HeadlineIOOff)
+	}
+	stormGate(t, rep, &rep.TelemetryPass)
+}
+
+// TestStormCountsIssuedOps: a row's op count is what its storm issued.
+// A size below one loop iteration issues nothing, so it is refused
+// rather than timed into +Inf rates; a write count that is not a
+// multiple of the batch is rounded up by the vector rows, and counted so.
+func TestStormCountsIssuedOps(t *testing.T) {
+	for _, sizes := range [][2]int{{0, 16}, {5, 16}, {11, 16}, {12, 0}} {
+		if rep, err := Storm(1, sizes[0], sizes[1], 1); err == nil {
+			t.Errorf("Storm(1, %d, %d, 1): no error, report %+v", sizes[0], sizes[1], rep)
 		}
-		positive(t, "telemetry rates", row.OpsPerSec, row.NsPerOp, row.Overhead)
 	}
-	if rep.GateMax != TelemetryGateMax || rep.Procs != 8 {
-		t.Errorf("gate/procs = %v/%d, want %v/8", rep.GateMax, rep.Procs, TelemetryGateMax)
+	rep, err := Storm(1, 30, 20, 1)
+	if err != nil {
+		t.Fatal(err)
 	}
-	positive(t, "telemetry headline", rep.HeadlineOff)
-	checkGate(t, rep, &rep.Pass)
+	for _, row := range rep.Rows {
+		want := map[string]int{"mixed": 24, "write": 20, "writevec": 32}[row.Workload]
+		if row.Ops != want {
+			t.Errorf("%s ops = %d, want %d", row.Key(), row.Ops, want)
+		}
+	}
 }
 
 func TestBarriersShape(t *testing.T) {
@@ -305,14 +425,12 @@ func keySet(t *testing.T, data []byte) []string {
 // so a renamed or dropped field fails tier-1.
 func TestBenchSchemaPinned(t *testing.T) {
 	for file, rep := range map[string]any{
-		"BENCH_netd.json":         tinyNetd(t),
-		"BENCH_cluster.json":      tinyCluster(t),
-		"BENCH_trace.json":        tinyTrace(t),
-		"BENCH_budget.json":       tinyBudget(t),
-		"BENCH_verdictcache.json": tinyVerdictCache(t),
-		"BENCH_telemetry.json":    tinyTelemetry(t),
-		"BENCH_concurrency.json":  tinyConcurrency(t),
-		"BENCH_barriers.json":     tinyBarriers(t),
+		"BENCH_netd.json":     tinyNetd(t),
+		"BENCH_cluster.json":  tinyCluster(t),
+		"BENCH_trace.json":    tinyTrace(t),
+		"BENCH_budget.json":   tinyBudget(t),
+		"BENCH_storm.json":    tinyStorm(t),
+		"BENCH_barriers.json": tinyBarriers(t),
 	} {
 		checked, err := os.ReadFile("../../" + file)
 		if err != nil {
@@ -333,14 +451,12 @@ func TestBenchSchemaPinned(t *testing.T) {
 // (and a gate verdict computed from them).
 func TestZeroTrialsFail(t *testing.T) {
 	for name, run := range map[string]func() (any, error){
-		"netd":         func() (any, error) { return Netd(10, 0) },
-		"cluster":      func() (any, error) { return Cluster(10, 0) },
-		"trace":        func() (any, error) { return Trace(10, 0) },
-		"budget":       func() (any, error) { return Budget(10, 0) },
-		"verdictcache": func() (any, error) { return VerdictCache(2, 16, 16, 0) },
-		"telemetry":    func() (any, error) { return Telemetry(2, 24, 0, time.Microsecond) },
-		"concurrency":  func() (any, error) { return Concurrency(2, 24, 0, time.Microsecond) },
-		"compile":      func() (any, error) { return CompileTime(0) },
+		"netd":    func() (any, error) { return Netd(10, 0) },
+		"cluster": func() (any, error) { return Cluster(10, 0) },
+		"trace":   func() (any, error) { return Trace(10, 0) },
+		"budget":  func() (any, error) { return Budget(10, 0) },
+		"storm":   func() (any, error) { return Storm(2, 24, 16, 0) },
+		"compile": func() (any, error) { return CompileTime(0) },
 	} {
 		rep, err := run()
 		if err == nil {

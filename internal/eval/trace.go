@@ -11,7 +11,7 @@ package eval
 // same recording level — tracing only touches opens (mint + bind + a
 // 27-byte wire extension), never the per-message path, so both hold
 // with margin. The cost of active recording itself is a different
-// knob, gated by laminar-bench -telemetry -gate; the deny row shows it
+// knob, gated by laminar-bench -storm -gate; the deny row shows it
 // here for context without gating on it.
 
 import (

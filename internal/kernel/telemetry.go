@@ -33,8 +33,9 @@ func WithTelemetry(rec *telemetry.Recorder) Option {
 }
 
 // WithoutTelemetry boots the kernel with no telemetry wrapper at all —
-// not even the LevelOff gate. This is the uninstrumented baseline that
-// laminar-bench -telemetry measures disabled-path overhead against.
+// not even the LevelOff gate. This is the uninstrumented baseline (the
+// "none" recorder rows) that laminar-bench -storm measures
+// disabled-path overhead against.
 func WithoutTelemetry() Option {
 	return func(k *Kernel) { k.telOff = true }
 }

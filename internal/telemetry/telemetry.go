@@ -24,7 +24,7 @@
 //
 // Cost model: with the level at LevelOff (the default), every
 // instrumentation site is a single atomic load and a predictable branch;
-// laminar-bench -telemetry proves the disabled path within 2% of an
+// laminar-bench -storm gates the disabled path at 2% over an
 // uninstrumented kernel on the io-storm workload. Event construction,
 // label interning and ring writes happen only past that gate.
 package telemetry

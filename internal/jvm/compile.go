@@ -34,22 +34,9 @@ func (m BarrierMode) String() string {
 	}
 }
 
-// CloneMode selects how BarrierStatic handles methods invoked from both
-// inside and outside security regions.
-type CloneMode int
-
-// Clone modes.
-const (
-	// CloneBoth compiles a variant per context on demand (production
-	// design, method cloning; §5.1).
-	CloneBoth CloneMode = iota
-	// FirstUse freezes the context observed at a method's first
-	// execution, as the paper's prototype does; invoking the method from
-	// the other context later is an error.
-	FirstUse
-)
-
-// CompileOptions configures the baseline compiler.
+// CompileOptions configures the baseline compiler. The pipeline is
+// fixed: inlining, then peephole folding, then redundant-barrier
+// elimination, then barrier insertion.
 type CompileOptions struct {
 	Mode BarrierMode
 	// Optimize enables the redundant-barrier-elimination dataflow pass.
@@ -59,32 +46,13 @@ type CompileOptions struct {
 	// facts let callees skip re-checking arguments proven checked at
 	// every call site, callee summaries let callers skip re-checking
 	// objects the callee checked, and proven barrier-free methods skip
-	// insertion entirely. Implies Optimize; requires CloneBoth in static
-	// mode (host entries compile a separate conservative variant, which
-	// the single first-use slot cannot represent).
+	// insertion entirely. Implies Optimize; host entries compile a
+	// separate conservative variant.
 	Interproc bool
 	// Inline splices small leaf methods into callers before barrier
 	// insertion, widening the optimizer's intraprocedural scope (§5.1).
 	Inline bool
-	// Clone selects static-mode handling of dual-context methods.
-	Clone CloneMode
-	// HotThreshold enables tiered recompilation: a method invoked this
-	// many times is recompiled at the higher optimization level (with
-	// redundant-barrier elimination and inlining), reusing its original
-	// barrier-context decision — "subsequent recompilation at higher
-	// optimization levels reuses this decision" (§5.1). 0 disables.
-	HotThreshold int
-	// PassOrder schedules the pre-insertion passes. Valid names are
-	// "inline", "peephole" and "opt"; nil means the default order
-	// (inline, peephole, opt). A pass only runs when its option is
-	// enabled. Any order is semantically equivalent — earlier "opt"
-	// placements just analyze less-transformed code and may keep more
-	// barriers (inlined bodies spliced after "opt" keep all of theirs).
-	PassOrder []string
 }
-
-// defaultPassOrder is the pipeline used when PassOrder is nil.
-var defaultPassOrder = []string{"inline", "peephole", "opt"}
 
 // compiledMethod is an executable method variant.
 type compiledMethod struct {
@@ -104,23 +72,6 @@ type compiledMethod struct {
 	sites   int
 	elided  int
 	emitted int
-
-	// Tiered-recompilation state: invocation count and whether this
-	// variant is already the optimized tier.
-	invocations int
-	optimized   bool
-}
-
-// variantName names the variant for reports.
-func (cm *compiledMethod) variantName() string {
-	ctx := "outside"
-	if cm.inRegion {
-		ctx = "inside"
-	}
-	if cm.host {
-		return "host-" + ctx
-	}
-	return ctx
 }
 
 // compileStats counts compiler work, feeding the compilation-time
@@ -132,7 +83,6 @@ type compileStats struct {
 	barriersEmitted int
 	barriersElided  int
 	inlinedCalls    int
-	instrsFolded    int
 }
 
 // accessInfo describes a heap-access opcode's object operand depth at
@@ -164,8 +114,10 @@ func (p *Program) compile(m *Method, opts CompileOptions, inRegion, host bool, s
 	st.instrsIn += len(m.Code)
 	cm := &compiledMethod{method: m, inRegion: inRegion, host: host, maxStack: m.maxStack, nLocal: m.NLocal}
 	src := m.Code
-	if opts.Mode == BarrierNone && opts.Inline {
-		src, cm.nLocal, _ = p.inlineCalls(src, m.NLocal, st)
+	if opts.Inline {
+		// Inlining runs first so the later passes see the spliced callee
+		// bodies.
+		src, cm.nLocal = p.inlineCalls(src, m.NLocal, st)
 		// maxStack is a capacity hint for the frame; inlined bodies stack
 		// on top of the caller's operands.
 		cm.maxStack = m.maxStack + 8
@@ -201,79 +153,30 @@ func (p *Program) compile(m *Method, opts CompileOptions, inRegion, host bool, s
 	barrierFree := oc.ip != nil && !opts.Inline &&
 		m.index < len(oc.ip.BarrierFree) && oc.ip.BarrierFree[m.index]
 
-	// Pre-insertion passes, in the scheduled order. The need mask is
-	// decided by "opt"; passes that transform code after it must keep the
-	// mask aligned (peephole is length-preserving, inlining remaps —
-	// spliced callee bodies keep all their barriers, since the analysis
-	// never saw them).
-	order := opts.PassOrder
-	if order == nil {
-		order = defaultPassOrder
+	if optimize {
+		src, _ = peephole(src)
 	}
-	var need barrierNeed
-	haveNeed := false
-	for _, pass := range order {
-		switch pass {
-		case "inline":
-			if !opts.Inline {
-				continue
-			}
-			var newPos []int32
-			prev := src
-			src, cm.nLocal, newPos = p.inlineCalls(src, cm.nLocal, st)
-			// maxStack is a capacity hint for the frame; inlined bodies
-			// stack on top of the caller's operands.
-			cm.maxStack = m.maxStack + 8
-			if haveNeed && newPos != nil {
-				remapped := allBarriers(src)
-				for pc := range prev {
-					if prev[pc].Op == OpInvoke {
-						continue // expanded sites carry no barrier
-					}
-					np := newPos[pc]
-					remapped.access[np] = need.access[pc]
-					remapped.static[np] = need.static[pc]
-					remapped.alloc[np] = need.alloc[pc]
-				}
-				need = remapped
-			}
-		case "peephole":
-			if !optimize {
-				continue
-			}
-			var folded int
-			src, folded = peephole(src)
-			st.instrsFolded += folded
-		case "opt":
-			if !optimize || barrierFree {
-				continue
-			}
-			var entry []uint8
-			if oc.ip != nil && !host && m.Secure == nil && m.index < len(oc.ip.EntryChecked) {
-				entry = oc.ip.EntryChecked[m.index]
-			}
-			need = eliminateRedundant(oc, src, allBarriers(src), entry)
-			haveNeed = true
-		default:
-			panic(fmt.Sprintf("jvm: unknown compiler pass %q", pass))
+	need := allBarriers(src)
+	cm.sites = countBarriers(need)
+	switch {
+	case barrierFree:
+		// Proven barrier-free: no access/static check can ever be needed,
+		// so skip the dataflow pass and insert only allocation labeling.
+		// The proof covers m.Code only, so inlined bodies (which splice in
+		// callee barrier sites the proof never saw) take the dataflow
+		// path instead.
+		for i := range need.access {
+			need.access[i] = false
 		}
-	}
-	cm.sites = countBarriers(allBarriers(src))
-	if !haveNeed {
-		need = allBarriers(src)
-		if barrierFree {
-			// Proven barrier-free: no access/static check can ever be
-			// needed, so skip the dataflow pass and insert only allocation
-			// labeling. The proof covers m.Code only, so inlined bodies
-			// (which splice in callee barrier sites the proof never saw)
-			// take the dataflow path instead.
-			for i := range need.access {
-				need.access[i] = false
-			}
-			for i := range need.static {
-				need.static[i] = false
-			}
+		for i := range need.static {
+			need.static[i] = false
 		}
+	case optimize:
+		var entry []uint8
+		if oc.ip != nil && !host && m.Secure == nil && m.index < len(oc.ip.EntryChecked) {
+			entry = oc.ip.EntryChecked[m.index]
+		}
+		need = eliminateRedundant(oc, src, need, entry)
 	}
 	cm.elided = cm.sites - countBarriers(need)
 	st.barriersElided += cm.elided
@@ -575,14 +478,8 @@ func (p *Program) insertBarriers(code []Instr, need barrierNeed, inRegion, dynam
 
 // interprocCheck validates an interprocedural compilation request.
 func (p *Program) interprocCheck(opts CompileOptions) error {
-	if !opts.Interproc {
-		return nil
-	}
-	if p.interproc == nil {
+	if opts.Interproc && p.interproc == nil {
 		return fmt.Errorf("jvm: CompileOptions.Interproc set but no analysis attached (run analysis.Attach first)")
-	}
-	if opts.Mode == BarrierStatic && opts.Clone == FirstUse {
-		return fmt.Errorf("jvm: interprocedural optimization requires CloneBoth (first-use mode cannot hold separate host-entry variants)")
 	}
 	return nil
 }
@@ -605,27 +502,16 @@ func (p *Program) entryFactsDiffer(m *Method, opts CompileOptions) bool {
 }
 
 // variantFor returns (compiling on demand) the executable variant of m for
-// the given context, honoring the clone mode. It is called by the
-// interpreter at invoke time, mirroring JIT-on-first-execution. With
-// HotThreshold set, hot variants are recompiled at the optimizing tier
-// while keeping their original barrier-context decision. host marks calls
-// entering through Machine.Call: when interprocedural entry facts apply to
-// m, those calls get a separate conservative variant, because host
-// arguments never passed a barrier at any call site.
-func (p *Program) variantFor(m *Method, opts CompileOptions, inRegion, host bool, st *compileStats) (*compiledMethod, error) {
-	if err := p.interprocCheck(opts); err != nil {
-		return nil, err
-	}
+// the given context, cloning methods reached from both contexts (§5.1).
+// It is called by the interpreter at invoke time, mirroring
+// JIT-on-first-execution. host marks calls entering through
+// Machine.Call: when interprocedural entry facts apply to m, those calls
+// get a separate conservative variant, because host arguments never
+// passed a barrier at any call site. Callers validate opts with
+// interprocCheck first.
+func (p *Program) variantFor(m *Method, opts CompileOptions, inRegion, host bool, st *compileStats) *compiledMethod {
 	if m.Secure != nil {
 		inRegion = true // region bodies are always inside
-	}
-	if opts.Mode == BarrierStatic && opts.Clone == FirstUse && m.Secure == nil {
-		if m.firstUse == nil {
-			m.firstUse = p.compile(m, opts, inRegion, host, st)
-		} else if m.firstUse.inRegion != inRegion {
-			return nil, fmt.Errorf("jvm: method %s compiled for inRegion=%v but invoked with inRegion=%v (first-execution-context prototype limitation, §5.1)", m.Name, m.firstUse.inRegion, inRegion)
-		}
-		return p.maybeRecompileHot(m, &m.firstUse, opts, st), nil
 	}
 	idx := 0
 	if inRegion {
@@ -642,28 +528,7 @@ func (p *Program) variantFor(m *Method, opts CompileOptions, inRegion, host bool
 	if slots[idx] == nil {
 		slots[idx] = p.compile(m, opts, inRegion, useHost, st)
 	}
-	return p.maybeRecompileHot(m, &slots[idx], opts, st), nil
-}
-
-// maybeRecompileHot bumps the variant's invocation count and, past the
-// threshold, replaces it with an optimized recompilation that reuses the
-// original in/out-of-region decision.
-func (p *Program) maybeRecompileHot(m *Method, slot **compiledMethod, opts CompileOptions, st *compileStats) *compiledMethod {
-	cm := *slot
-	if opts.HotThreshold <= 0 || cm.optimized {
-		return cm
-	}
-	cm.invocations++
-	if cm.invocations < opts.HotThreshold {
-		return cm
-	}
-	hot := opts
-	hot.Optimize = true
-	hot.Inline = true
-	ncm := p.compile(m, hot, cm.inRegion, cm.host, st)
-	ncm.optimized = true
-	*slot = ncm
-	return ncm
+	return slots[idx]
 }
 
 // ResetCompilation discards all compiled variants (between benchmark
@@ -672,7 +537,6 @@ func (p *Program) ResetCompilation() {
 	for _, m := range p.Methods {
 		m.variants = [2]*compiledMethod{}
 		m.hostVariants = [2]*compiledMethod{}
-		m.firstUse = nil
 	}
 }
 
@@ -690,17 +554,9 @@ func (p *Program) CompileAll(opts CompileOptions) (CompileReport, error) {
 	}
 	st := &compileStats{}
 	for _, m := range p.Methods {
-		if m.Secure != nil || opts.Mode != BarrierStatic || opts.Clone == FirstUse {
-			if _, err := p.variantFor(m, opts, false, false, st); err != nil {
-				return CompileReport{}, err
-			}
-			continue
-		}
-		if _, err := p.variantFor(m, opts, false, false, st); err != nil {
-			return CompileReport{}, err
-		}
-		if _, err := p.variantFor(m, opts, true, false, st); err != nil {
-			return CompileReport{}, err
+		p.variantFor(m, opts, false, false, st)
+		if m.Secure == nil && opts.Mode == BarrierStatic {
+			p.variantFor(m, opts, true, false, st)
 		}
 	}
 	return CompileReport{
@@ -728,7 +584,7 @@ type CompileReport struct {
 // -compiled).
 type MethodBarrierStats struct {
 	Method      string
-	Variant     string // outside, inside, host-outside, host-inside, first-use
+	Variant     string // outside, inside, host-outside, host-inside
 	Sites       int    // access+static barrier sites before elimination
 	Elided      int    // sites removed by the dataflow pass
 	Emitted     int    // barrier instructions inserted (incl. allocation labeling)
@@ -755,9 +611,6 @@ func (p *Program) BarrierStats() []MethodBarrierStats {
 		add(m, m.variants[1], "inside")
 		add(m, m.hostVariants[0], "host-outside")
 		add(m, m.hostVariants[1], "host-inside")
-		if m.firstUse != nil {
-			add(m, m.firstUse, "first-use")
-		}
 	}
 	return out
 }

@@ -70,11 +70,6 @@ func (p *Program) Dump() string {
 			fmt.Fprintf(&b, "  compiled (%s, %d instrs):\n", ctx, len(v.code))
 			b.WriteString(Disassemble(v.code))
 		}
-		if m.firstUse != nil {
-			fmt.Fprintf(&b, "  compiled (first-use inRegion=%v, %d instrs):\n",
-				m.firstUse.inRegion, len(m.firstUse.code))
-			b.WriteString(Disassemble(m.firstUse.code))
-		}
 		b.WriteByte('\n')
 	}
 	return b.String()

@@ -30,11 +30,10 @@ func inlinable(callee *Method) bool {
 
 // inlineCalls returns code with every inlinable call site expanded, plus
 // the new local-slot count (each site gets a fresh frame of callee locals
-// appended to the caller's) and the old-pc → new-pc map (nil when nothing
-// was expanded, so callers can remap per-pc side tables). Jump targets
+// appended to the caller's). Jump targets
 // are remapped across the expansion, and the callee's returns become
 // jumps past the splice.
-func (p *Program) inlineCalls(code []Instr, nLocal int, st *compileStats) ([]Instr, int, []int32) {
+func (p *Program) inlineCalls(code []Instr, nLocal int, st *compileStats) ([]Instr, int) {
 	// Pass 1: site lengths and new positions.
 	siteLen := func(in Instr) int {
 		if in.Op != OpInvoke {
@@ -61,7 +60,7 @@ func (p *Program) inlineCalls(code []Instr, nLocal int, st *compileStats) ([]Ins
 	}
 	newPos[len(code)] = pos
 	if !expanded {
-		return code, nLocal, nil
+		return code, nLocal
 	}
 
 	// Pass 2: emit with remapping.
@@ -101,5 +100,5 @@ func (p *Program) inlineCalls(code []Instr, nLocal int, st *compileStats) ([]Ins
 		}
 		out = append(out, in)
 	}
-	return out, nLocal, newPos
+	return out, nLocal
 }

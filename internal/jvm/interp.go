@@ -59,9 +59,13 @@ type RunStats struct {
 }
 
 // NewMachine prepares a machine: the program is verified and methods will
-// be JIT-compiled on first invocation under opts.
+// be JIT-compiled on first invocation under opts. Interproc requires the
+// program's whole-program analysis to be attached already.
 func NewMachine(prog *Program, opts CompileOptions) (*Machine, error) {
 	if err := prog.Verify(); err != nil {
+		return nil, err
+	}
+	if err := prog.interprocCheck(opts); err != nil {
 		return nil, err
 	}
 	return &Machine{prog: prog, opts: opts, statics: make([]Value, prog.NStatics)}, nil
@@ -125,8 +129,8 @@ func (t *Thread) Caps() difc.CapSet {
 func (t *Thread) inRegion() bool { return len(t.regions) > 0 }
 
 // trap is the interpreter's violation panic payload. fatal traps (machine
-// errors such as first-use compilation conflicts) are not absorbed by
-// security-region catch blocks.
+// errors such as an argument-count mismatch or an exhausted instruction
+// budget) are not absorbed by security-region catch blocks.
 type trap struct {
 	err   error
 	fatal bool
@@ -189,10 +193,7 @@ func (mc *Machine) invoke(t *Thread, m *Method, args []Value, host bool) Value {
 	if len(args) != m.NArgs {
 		panic(trap{err: fmt.Errorf("method %s wants %d args, got %d", m.Name, m.NArgs, len(args)), fatal: true})
 	}
-	cm, err := mc.prog.variantFor(m, mc.opts, t.inRegion(), host, &mc.cstats)
-	if err != nil {
-		panic(trap{err: err, fatal: true})
-	}
+	cm := mc.prog.variantFor(m, mc.opts, t.inRegion(), host, &mc.cstats)
 	if m.Secure != nil && mc.opts.Mode != BarrierNone {
 		// Region entry checks (§4.3.2): the invoking context plays the
 		// parent principal.

@@ -6,7 +6,7 @@
 //   - a baseline compiler that inserts read/write/alloc barriers at every
 //     heap access, in three configurations (none / static / dynamic);
 //   - method cloning for code reachable both inside and outside security
-//     regions, plus the paper prototype's first-execution-context mode;
+//     regions;
 //   - an intraprocedural, flow-sensitive redundant-barrier-elimination
 //     pass ("a barrier is redundant if the object has been read (written),
 //     or was allocated, along every incoming path");

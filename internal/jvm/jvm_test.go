@@ -349,7 +349,9 @@ func TestDynamicBarriersBothContexts(t *testing.T) {
 	}
 }
 
-func TestFirstUseModeFailsOnSecondContext(t *testing.T) {
+func TestDualContextMethodIsCloned(t *testing.T) {
+	// get is called from outside any region and from inside sec: static
+	// mode compiles one variant per context and runs both.
 	p := NewProgram(0)
 	get := &Method{Name: "get", NArgs: 1, NLocal: 1}
 	p.Add(get)
@@ -365,23 +367,32 @@ func TestFirstUseModeFailsOnSecondContext(t *testing.T) {
 		Load(0).Invoke(sec).
 		Const(1).Op(OpReturnVal).MustBuild()
 
-	mc, err := NewMachine(p, CompileOptions{Mode: BarrierStatic, Clone: FirstUse})
+	mc, err := NewMachine(p, CompileOptions{Mode: BarrierStatic})
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = mc.Call(mc.NewThread(), "main")
-	if err == nil || !strings.Contains(err.Error(), "first-execution-context") {
-		t.Errorf("first-use dual context = %v", err)
+	if v, err := mc.Call(mc.NewThread(), "main"); err != nil || v.Int() != 1 {
+		t.Errorf("main = %v, %v", v, err)
 	}
-	// CloneBoth handles it.
-	p.ResetCompilation()
-	mc2, _ := NewMachine(p, CompileOptions{Mode: BarrierStatic, Clone: CloneBoth})
-	if v, err := mc2.Call(mc2.NewThread(), "main"); err != nil || v.Int() != 1 {
-		t.Errorf("clone mode main = %v, %v", v, err)
+	if rep := mc.CompileReport(); rep.Methods != 4 {
+		t.Errorf("compiled %d methods, want 4 (get×2, sec, main)", rep.Methods)
 	}
-	// And get has two variants.
-	if rep := mc2.CompileReport(); rep.Methods != 4 {
-		t.Errorf("clone mode compiled %d methods, want 4 (get×2, sec, main)", rep.Methods)
+	if get.variants[0] == nil || get.variants[1] == nil {
+		t.Errorf("get variants = %v, want outside and inside", get.variants)
+	}
+}
+
+func TestNewMachineRefusesInterprocWithoutAnalysis(t *testing.T) {
+	p := NewProgram(0)
+	main := &Method{Name: "main", NArgs: 0, NLocal: 1}
+	p.Add(main)
+	main.Code = NewAsm().Op(OpReturn).MustBuild()
+	_, err := NewMachine(p, CompileOptions{Mode: BarrierStatic, Interproc: true})
+	if err == nil || !strings.Contains(err.Error(), "no analysis attached") {
+		t.Errorf("NewMachine(Interproc, no analysis) = %v, want no-analysis error", err)
+	}
+	if _, err := p.CompileAll(CompileOptions{Mode: BarrierStatic, Interproc: true}); err == nil {
+		t.Error("CompileAll(Interproc, no analysis) succeeded")
 	}
 }
 

@@ -2,8 +2,9 @@ package jvm
 
 import "math"
 
-// Peephole optimization, run at the optimizing tier before barrier
-// insertion. The pass is deliberately conservative:
+// Peephole optimization, run after inlining and before redundant-barrier
+// elimination whenever optimization is enabled. The pass is deliberately
+// conservative:
 //
 //   - folded instructions become OpNop instead of being removed, so no
 //     branch target ever needs renumbering inside this pass (the barrier

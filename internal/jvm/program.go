@@ -82,7 +82,6 @@ type Method struct {
 	// compiled variants, filled by the compiler.
 	variants     [2]*compiledMethod // [outside, inside]
 	hostVariants [2]*compiledMethod // interproc: conservative host-entry variants
-	firstUse     *compiledMethod    // prototype first-execution-context mode
 	index        int
 	maxStack     int // computed by Verify
 }

@@ -43,7 +43,7 @@ func TestErrnoUniformity(t *testing.T) {
 		{"Stat", func(p string) error { _, err := k.Stat(attacker, p); return err }},
 		{"Open", func(p string) error { _, err := k.Open(attacker, p, kernel.ORead); return err }},
 		{"Unlink", func(p string) error { return k.Unlink(attacker, p) }},
-		{"GetXattr", func(p string) error { _, err := k.GetXattr(attacker, p, XattrSecrecy); return err }},
+		{"GetXattr", func(p string) error { _, err := k.GetXattr(attacker, p, XattrLabel); return err }},
 	}
 	for _, pr := range probes {
 		denied := pr.call("secret")

@@ -17,15 +17,6 @@ import (
 	"laminar/internal/telemetry"
 )
 
-// Legacy per-label xattr names, mirroring Laminar's use of ext3 extended
-// attributes. These are read-compatibility views; the authoritative record
-// is the checksummed XattrLabel written by the shadow/flip protocol in
-// persist.go.
-const (
-	XattrSecrecy   = "security.laminar.secrecy"
-	XattrIntegrity = "security.laminar.integrity"
-)
-
 // taskSec is the security blob attached to a task: its current labels, its
 // capability set, and any temporarily suspended capabilities.
 type taskSec struct {

@@ -514,22 +514,32 @@ func TestXattrPersistence(t *testing.T) {
 	k, _, user := boot(t)
 	tag, _ := k.AllocTag(user)
 	secret := difc.Labels{S: difc.NewLabel(tag)}
+	before := snapshotInos(k)
 	fd, err := k.CreateFileLabeled(user, "persist", 0o600, secret)
 	if err != nil {
 		t.Fatal(err)
 	}
 	k.Close(user, fd)
-	// The label round-trips through the xattr. Taint to read it.
+	// The label round-trips through the commit record. Taint to read it.
 	if err := k.SetTaskLabel(user, kernel.Secrecy, secret.S); err != nil {
 		t.Fatal(err)
 	}
-	data, err := k.GetXattr(user, "persist", XattrSecrecy)
+	data, err := k.GetXattr(user, "persist", XattrLabel)
 	if err != nil {
 		t.Fatal(err)
 	}
-	l, err := difc.UnmarshalLabel(data)
-	if err != nil || !l.Equal(secret.S) {
-		t.Errorf("persisted label = %v, %v", l, err)
+	l, err := decodeLabelRecord(data)
+	if err != nil || !l.S.Equal(secret.S) || !l.I.IsEmpty() {
+		t.Errorf("persisted labels = %v, %v; want %v", l, err, secret)
+	}
+	// A clean create leaves the commit record as the inode's only xattr:
+	// the shadow is cleared and nothing else is written.
+	inos := newRegularInodes(k, before)
+	if len(inos) != 1 {
+		t.Fatalf("new regular inodes = %d, want 1", len(inos))
+	}
+	if names := inos[0].ListXattrs(); len(names) != 1 || names[0] != XattrLabel {
+		t.Errorf("xattrs after clean create = %v, want only %s", names, XattrLabel)
 	}
 }
 

@@ -22,8 +22,7 @@ import (
 //
 //	1. write the full checksummed record to XattrLabelShadow
 //	2. write the same record to XattrLabel (the flip)
-//	3. refresh the legacy per-label views (XattrSecrecy/XattrIntegrity)
-//	4. remove XattrLabelShadow
+//	3. remove XattrLabelShadow
 //
 // A crash at any step leaves a state the recovery pass can classify:
 // a valid commit record wins; a torn or missing commit rolls forward from
@@ -143,9 +142,7 @@ func (m *Module) persistCommit(ino *kernel.Inode, labels difc.Labels) error {
 		// where Table 2's 0k-create number comes from. Only an inode that
 		// once had a record needs an explicit empty one.
 		if _, ok := ino.GetXattr(XattrLabel); !ok {
-			if _, ok := ino.GetXattr(XattrSecrecy); !ok {
-				return nil
-			}
+			return nil
 		}
 	}
 	rec, err := encodeLabelRecord(labels)
@@ -162,14 +159,6 @@ func (m *Module) persistCommit(ino *kernel.Inode, labels difc.Labels) error {
 		return ferr
 	}
 	ino.SetXattr(XattrLabel, rec)
-	// Legacy single-label views, refreshed only after the flip so they
-	// never run ahead of the committed record.
-	if sb, err := labels.S.MarshalBinary(); err == nil {
-		ino.SetXattr(XattrSecrecy, sb)
-	}
-	if ib, err := labels.I.MarshalBinary(); err == nil {
-		ino.SetXattr(XattrIntegrity, ib)
-	}
 	if ferr := m.persistFault("persist.clear"); ferr != nil {
 		return ferr // shadow left behind; commit is valid, recovery clears it
 	}
@@ -184,8 +173,7 @@ func (m *Module) persistCommit(ino *kernel.Inode, labels difc.Labels) error {
 //
 // Return states: "clean" (valid commit, nothing to do), "rolled-forward"
 // (commit rebuilt from a valid shadow), "quarantined" (no trustworthy
-// record — maximally restricted labels installed), "legacy" (pre-record
-// xattrs migrated), "unlabeled".
+// record — maximally restricted labels installed), "unlabeled".
 func (m *Module) recoverInodeLabels(ino *kernel.Inode) (difc.Labels, string) {
 	commit, hasCommit := ino.GetXattr(XattrLabel)
 	shadow, hasShadow := ino.GetXattr(XattrLabelShadow)
@@ -202,7 +190,6 @@ func (m *Module) recoverInodeLabels(ino *kernel.Inode) (difc.Labels, string) {
 			// The flip never landed (or tore); the shadow holds the full
 			// intended record. Roll forward.
 			ino.SetXattr(XattrLabel, shadow)
-			m.writeLegacyViews(ino, labels)
 			ino.RemoveXattr(XattrLabelShadow)
 			return labels, "rolled-forward"
 		}
@@ -215,38 +202,10 @@ func (m *Module) recoverInodeLabels(ino *kernel.Inode) (difc.Labels, string) {
 		if rec, err := encodeLabelRecord(q); err == nil {
 			ino.SetXattr(XattrLabel, rec)
 		}
-		m.writeLegacyViews(ino, q)
 		ino.RemoveXattr(XattrLabelShadow)
 		return q, "quarantined"
 	}
-	// Pre-protocol state: per-label xattrs written by older modules.
-	var labels difc.Labels
-	found := false
-	if data, ok := ino.GetXattr(XattrSecrecy); ok {
-		if l, err := difc.UnmarshalLabel(data); err == nil {
-			labels.S = l
-			found = true
-		}
-	}
-	if data, ok := ino.GetXattr(XattrIntegrity); ok {
-		if l, err := difc.UnmarshalLabel(data); err == nil {
-			labels.I = l
-			found = true
-		}
-	}
-	if found {
-		return labels, "legacy"
-	}
 	return difc.Labels{}, "unlabeled"
-}
-
-func (m *Module) writeLegacyViews(ino *kernel.Inode, labels difc.Labels) {
-	if sb, err := labels.S.MarshalBinary(); err == nil {
-		ino.SetXattr(XattrSecrecy, sb)
-	}
-	if ib, err := labels.I.MarshalBinary(); err == nil {
-		ino.SetXattr(XattrIntegrity, ib)
-	}
 }
 
 // RecoveryStats summarizes a RecoverLabels pass.
@@ -255,7 +214,6 @@ type RecoveryStats struct {
 	Clean         int
 	RolledForward int
 	Quarantined   int
-	Legacy        int
 	Unlabeled     int
 }
 
@@ -282,8 +240,6 @@ func (m *Module) RecoverLabels(k *kernel.Kernel) RecoveryStats {
 			st.RolledForward++
 		case "quarantined":
 			st.Quarantined++
-		case "legacy":
-			st.Legacy++
 		default:
 			st.Unlabeled++
 		}

@@ -24,9 +24,6 @@ func (t *Thread) GetStatic(name string) any {
 	if t.InRegion() {
 		return t.region.GetStatic(name)
 	}
-	if t.vm.labeledStatics {
-		return t.getStaticLabeledOutside(name)
-	}
 	return t.vm.statics.get(name)
 }
 
@@ -36,21 +33,13 @@ func (t *Thread) SetStatic(name string, v any) {
 		t.region.SetStatic(name, v)
 		return
 	}
-	if t.vm.labeledStatics {
-		t.setStaticLabeledOutside(name, v)
-		return
-	}
 	t.vm.statics.set(name, v)
 }
 
-// GetStatic reads a static inside a region. In the default prototype mode
-// the read is rejected when the region has integrity labels (§5.1); in
-// labeled-statics mode the static's own label is flow-checked instead.
+// GetStatic reads a static inside a region. The read is rejected when the
+// region has integrity labels (§5.1).
 func (r *Region) GetStatic(name string) any {
 	r.act("static-read")
-	if r.thread.vm.labeledStatics {
-		return r.getStaticLabeled(name)
-	}
 	r.thread.vm.stats.ReadBarriers.Add(1)
 	if !r.labels.I.IsEmpty() {
 		r.check("static-read", fmt.Errorf("region with integrity label %v may not read statics", r.labels.I))
@@ -58,15 +47,10 @@ func (r *Region) GetStatic(name string) any {
 	return r.thread.vm.statics.get(name)
 }
 
-// SetStatic writes a static inside a region. In the default prototype
-// mode the write is rejected when the region has secrecy labels; in
-// labeled-statics mode the static's own label is flow-checked.
+// SetStatic writes a static inside a region. The write is rejected when
+// the region has secrecy labels (§5.1).
 func (r *Region) SetStatic(name string, v any) {
 	r.act("static-write")
-	if r.thread.vm.labeledStatics {
-		r.setStaticLabeled(name, v)
-		return
-	}
 	r.thread.vm.stats.WriteBarriers.Add(1)
 	if !r.labels.S.IsEmpty() {
 		r.check("static-write", fmt.Errorf("region with secrecy label %v may not write statics", r.labels.S))

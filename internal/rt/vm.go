@@ -41,10 +41,9 @@ type VM struct {
 	// ablation benchmark toggles it.
 	EagerSync bool
 
-	statics        *staticsTable
-	stats          Stats
-	audit          func(Event)
-	labeledStatics bool
+	statics *staticsTable
+	stats   Stats
+	audit   func(Event)
 
 	// rec is the kernel's telemetry recorder (nil when the kernel was
 	// booted WithoutTelemetry): region lifecycle, barrier denials and

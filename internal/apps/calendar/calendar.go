@@ -51,10 +51,9 @@ type Scheduler struct {
 
 	outFile string // labeled {S(alice)}; Alice reads the meeting dates
 
-	mu       sync.Mutex
-	calA     *laminar.Object // labeled {S(a)}
-	calB     *laminar.Object // labeled {S(b)}
-	nextFree int
+	mu   sync.Mutex
+	calA *laminar.Object // labeled {S(a)}
+	calB *laminar.Object // labeled {S(b)}
 }
 
 // New boots the scenario: one VM, three threads (scheduler, alice, bob),
@@ -373,12 +372,11 @@ func (s *Scheduler) BobCannotReadMeetings() bool {
 // files; any user could read any calendar (the feature the paper's port
 // disabled).
 type Unsecured struct {
-	sys   *laminar.System
-	task  *laminar.Task
-	calA  *laminar.Object
-	calB  *laminar.Object
-	out   string
-	nfree int
+	sys  *laminar.System
+	task *laminar.Task
+	calA *laminar.Object
+	calB *laminar.Object
+	out  string
 }
 
 // NewUnsecured builds the baseline scheduler on the same kernel (the

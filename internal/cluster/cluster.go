@@ -24,11 +24,15 @@ import (
 	"laminar/internal/telemetry"
 )
 
-// Defaults for the logical-tick failure detector.
+// Logical-tick timing: the failure detector's default silence
+// thresholds, the ping period, and the stats broadcast period (every 8th
+// tick — frequent enough for tick-driven tests, cheap enough to ride
+// along).
 const (
-	defaultSuspectAfter   = 5
-	defaultDeadAfter      = 12
-	defaultHeartbeatEvery = 2
+	defaultSuspectAfter = 5
+	defaultDeadAfter    = 12
+	heartbeatEvery      = 2
+	statsEvery          = 8
 )
 
 // Config wires a Cluster to its kernel and durable store.
@@ -54,11 +58,10 @@ type Config struct {
 	// Seeds are peer listen addresses to contact when joining.
 	Seeds []string
 
-	// SuspectAfter and DeadAfter are silence thresholds in logical ticks;
-	// HeartbeatEvery is the ping period. Zero values take defaults.
-	SuspectAfter   int
-	DeadAfter      int
-	HeartbeatEvery int
+	// SuspectAfter and DeadAfter are silence thresholds in logical ticks.
+	// Zero values take defaults.
+	SuspectAfter int
+	DeadAfter    int
 
 	// Batching passes through to the transport.
 	Batching bool
@@ -66,16 +69,7 @@ type Config struct {
 	// Tracing passes through to the transport: opened and routed channels
 	// carry a TraceCtx so explain-route can reconstruct multi-hop flows.
 	Tracing bool
-
-	// StatsEvery is the period, in logical ticks, at which a joined node
-	// broadcasts its metrics snapshot to the alive membership. Zero takes
-	// the default; negative disables the broadcast.
-	StatsEvery int
 }
-
-// defaultStatsEvery spaces stats broadcasts out to every 8th tick —
-// frequent enough for tick-driven tests, cheap enough to ride along.
-const defaultStatsEvery = 8
 
 // Cluster is one node's view of the label plane.
 type Cluster struct {
@@ -115,12 +109,6 @@ func New(cfg Config) *Cluster {
 	}
 	if cfg.DeadAfter <= cfg.SuspectAfter {
 		cfg.DeadAfter = cfg.SuspectAfter + defaultDeadAfter - defaultSuspectAfter
-	}
-	if cfg.HeartbeatEvery <= 0 {
-		cfg.HeartbeatEvery = defaultHeartbeatEvery
-	}
-	if cfg.StatsEvery == 0 {
-		cfg.StatsEvery = defaultStatsEvery
 	}
 	c := &Cluster{
 		cfg:     cfg,
@@ -195,13 +183,13 @@ func (c *Cluster) Tick() int {
 	c.mu.Lock()
 	c.now++
 	work += c.settle()
-	if c.joined && c.now%uint64(c.cfg.HeartbeatEvery) == 0 {
+	if c.joined && c.now%heartbeatEvery == 0 {
 		// Only an activated member heartbeats: a node that has not joined
 		// (or has departed via drain) goes silent, and silence is exactly
 		// what its peers' detectors are built to classify.
 		c.heartbeat() // unlocks around the sends
 	}
-	if c.joined && c.cfg.StatsEvery > 0 && c.now%uint64(c.cfg.StatsEvery) == 0 {
+	if c.joined && c.now%statsEvery == 0 {
 		c.broadcastStats() // unlocks around the sends
 	}
 	c.detect()

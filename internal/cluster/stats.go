@@ -22,7 +22,7 @@ import (
 //
 // Staleness is marked, not kept forever: a peer that goes dead (detector
 // or orderly leave) keeps its cached slices — stale-labeled — for one
-// more merge cycle (StatsEvery ticks), then the sweep evicts them. A
+// more merge cycle (statsEvery ticks), then the sweep evicts them. A
 // long-running cluster that churns members no longer grows its caches
 // without bound (ISSUE 10); the postmortem window where "dead" and
 // "epoch N < M" reasons are visible is preserved.
@@ -144,7 +144,6 @@ func (c *Cluster) broadcastStats() {
 // is then evicted from both caches. A peer that comes back (restart
 // under a bumped epoch) un-marks before the cycle elapses. locked.
 func (c *Cluster) sweepStats() {
-	retain := uint64(c.cfg.StatsEvery)
 	for id, ps := range c.stats {
 		m, known := c.members[id]
 		dead := !known || m.state == StateDead
@@ -157,7 +156,7 @@ func (c *Cluster) sweepStats() {
 		case ps.deadTick == 0:
 			ps.deadTick = c.now
 			c.stats[id] = ps
-		case c.now-ps.deadTick >= retain:
+		case c.now-ps.deadTick >= statsEvery:
 			delete(c.stats, id)
 			c.count("cluster.stats.evicted", 1)
 		}
@@ -174,7 +173,7 @@ func (c *Cluster) sweepStats() {
 		case pb.deadTick == 0:
 			pb.deadTick = c.now
 			c.budgetFacts[id] = pb
-		case c.now-pb.deadTick >= retain:
+		case c.now-pb.deadTick >= statsEvery:
 			delete(c.budgetFacts, id)
 			c.count("cluster.budget.evicted", 1)
 		}

@@ -184,31 +184,6 @@ func TestStatsStaleness(t *testing.T) {
 	n1.cl.PublishExpvar()
 }
 
-// TestStatsDisabled: StatsEvery < 0 turns broadcasting off entirely.
-func TestStatsDisabled(t *testing.T) {
-	n1 := bootCluster(t, Config{ID: 1, StatsEvery: -1})
-	if _, err := n1.cl.Join(); err != nil {
-		t.Fatal(err)
-	}
-	n2 := bootCluster(t, Config{ID: 2, Seeds: []string{n1.cl.Addr()}, StatsEvery: -1})
-	if _, err := n2.cl.Join(); err != nil {
-		t.Fatal(err)
-	}
-	tickUntil(t, func() bool {
-		return n1.cl.Converged(1, 2) && n2.cl.Converged(1, 2) && n1.cl.Joined() && n2.cl.Joined()
-	}, n1, n2)
-	for i := 0; i < 64; i++ {
-		n1.cl.Tick()
-		n2.cl.Tick()
-	}
-	if got := len(n1.cl.ClusterSnapshot().Nodes); got != 1 {
-		t.Fatalf("snapshot has %d slices with stats disabled, want local only", got)
-	}
-	if n1.rec.M.Extra.Get("cluster.stats.heard").Load() != 0 {
-		t.Fatal("stats heard despite StatsEvery < 0")
-	}
-}
-
 // TestStatsBlobDecodeFailureIsProvenance: a syntactically valid control
 // frame whose JSON blob does not decode is dropped with a LayerCluster
 // denial event, never a crash or partial apply.

@@ -424,8 +424,10 @@ func (r *StormReport) Format() string {
 		"sleeps overlap; cpu rows (io_us 0) isolate locking overhead. Every\n" +
 		"write re-derives its verdict from two heap-label subset walks; a\n" +
 		"vector pays them once and is counted as one op per element.\n" +
-		"\"off\" is the production default: the telemetry wrapper installed but\n" +
-		"gated by one atomic level load per hook; \"deny\" adds always-on\n" +
-		"counters and latency timing; \"all\" records every allow.\n")
+		"\"none\" boots with no recorder, so the kernel's hook gate skips even\n" +
+		"the level load; \"off\" is the production default: a recorder whose\n" +
+		"one atomic level load per hook is the whole disabled-path cost;\n" +
+		"\"deny\" adds always-on counters and latency timing; \"all\"\n" +
+		"records every allow.\n")
 	return b.String()
 }

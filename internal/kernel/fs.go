@@ -105,13 +105,7 @@ func (k *Kernel) lookupCheck(t *Task, dir *Inode) error {
 	if !dir.IsDir() {
 		return ErrNotDir
 	}
-	if k.sec != nil {
-		k.hook()
-		if err := k.sec.InodePermission(t, dir, MayRead); err != nil {
-			return err
-		}
-	}
-	return nil
+	return k.inodePermission(t, dir, MayRead)
 }
 
 // lookupIn is lookup for callers that already hold dir's write lock
@@ -153,11 +147,8 @@ func (k *Kernel) Stat(t *Task, path string) (Stat, error) {
 	if err != nil {
 		return Stat{}, hideDenied(err)
 	}
-	if k.sec != nil {
-		k.hook()
-		if err := k.sec.InodePermission(t, ino, MayRead); err != nil {
-			return Stat{}, hideDenied(err)
-		}
+	if err := k.inodePermission(t, ino, MayRead); err != nil {
+		return Stat{}, hideDenied(err)
 	}
 	unlock := k.rlockInode(ino)
 	st := Stat{Ino: ino.Ino, Type: ino.Type, Mode: ino.Mode, Size: ino.Size(), Nlink: ino.nlink}
@@ -225,40 +216,33 @@ func (k *Kernel) openLabeled(t *Task, path string, flags OpenFlag, labels *difc.
 		case lerr == ErrNoEnt:
 			ino = newInode(TypeRegular, 0o644)
 			ino.parent = dir
-			if k.sec != nil {
-				k.hook()
-				if err := k.sec.InodeInitSecurity(t, dir, ino, labels); err != nil {
-					unlock()
-					return -1, err
-				}
-				// Creating an entry writes the parent directory.
-				k.hook()
-				if err := k.sec.InodePermission(t, dir, MayWrite); err != nil {
-					unlock()
-					return -1, err
-				}
+			if err := k.inodeInitSecurity(t, dir, ino, labels); err != nil {
+				unlock()
+				return -1, err
+			}
+			// Creating an entry writes the parent directory.
+			if err := k.inodePermission(t, dir, MayWrite); err != nil {
+				unlock()
+				return -1, err
 			}
 			dir.children[name] = ino
 			created = true
 			charge(workCreate - workStat)
-			if k.sec != nil {
-				// Persist the new inode's labels now that the entry is linked.
-				// A crash here (EKILLED) models the machine dying mid-persist:
-				// the entry stays linked with torn xattrs for the recovery pass
-				// to repair or quarantine. Any other error unwinds the create.
-				k.hook()
-				if perr := k.sec.InodePostCreate(t, dir, ino); perr != nil {
-					if errIsKilled(perr) {
-						// The module's persist path crashed: the creating task
-						// dies here, and the linked-but-torn inode awaits the
-						// recovery pass. No unwind — a real crash can't unwind.
-						k.killTaskHolding(t)
-					} else {
-						delete(dir.children, name)
-					}
-					unlock()
-					return -1, perr
+			// Persist the new inode's labels now that the entry is linked.
+			// A crash here (EKILLED) models the machine dying mid-persist:
+			// the entry stays linked with torn xattrs for the recovery pass
+			// to repair or quarantine. Any other error unwinds the create.
+			if perr := k.inodePostCreate(t, dir, ino); perr != nil {
+				if errIsKilled(perr) {
+					// The module's persist path crashed: the creating task
+					// dies here, and the linked-but-torn inode awaits the
+					// recovery pass. No unwind — a real crash can't unwind.
+					k.killTaskHolding(t)
+				} else {
+					delete(dir.children, name)
 				}
+				unlock()
+				return -1, perr
 			}
 			unlock()
 		default:
@@ -290,11 +274,8 @@ func (k *Kernel) openLabeled(t *Task, path string, flags OpenFlag, labels *difc.
 		if flags&(OWrite|OTrunc|OAppend) != 0 {
 			mask |= MayWrite
 		}
-		if k.sec != nil {
-			k.hook()
-			if err := k.sec.InodePermission(t, ino, mask); err != nil {
-				return -1, hideDenied(err)
-			}
+		if err := k.inodePermission(t, ino, mask); err != nil {
+			return -1, hideDenied(err)
 		}
 	}
 	f := &File{Inode: ino, Flags: flags}
@@ -347,11 +328,8 @@ func (k *Kernel) Read(t *Task, fd FD, buf []byte) (int, error) {
 	// The file lock covers the offset and the lazily attached file blob;
 	// a File may be shared across tasks via DupTo.
 	defer k.lockFile(f)()
-	if k.sec != nil {
-		k.hook()
-		if err := k.sec.FilePermission(t, f, MayRead); err != nil {
-			return 0, err
-		}
+	if err := k.filePermission(t, f, MayRead); err != nil {
+		return 0, err
 	}
 	// Faults fire only after the policy hook approved the read, so a fault
 	// can never disclose the outcome of a denied check. A faulted pipe read
@@ -429,13 +407,7 @@ func (k *Kernel) Write(t *Task, fd FD, data []byte) (int, error) {
 		// failure, exactly like a full buffer. An injected write-side
 		// fault takes the same silent-drop path — the caller cannot tell
 		// a policy drop, a fault drop and a delivery apart.
-		delivered := true
-		if k.sec != nil {
-			k.hook()
-			if err := k.sec.FilePermission(t, f, MayWrite); err != nil {
-				delivered = false
-			}
-		}
+		delivered := k.filePermission(t, f, MayWrite) == nil
 		if err := k.inject("fs.write", t); err != nil {
 			if errIsKilled(err) {
 				return 0, err
@@ -449,11 +421,8 @@ func (k *Kernel) Write(t *Task, fd FD, data []byte) (int, error) {
 		}
 		return len(data), nil
 	}
-	if k.sec != nil {
-		k.hook()
-		if err := k.sec.FilePermission(t, f, MayWrite); err != nil {
-			return 0, err
-		}
+	if err := k.filePermission(t, f, MayWrite); err != nil {
+		return 0, err
 	}
 	switch f.Inode.Type {
 	case TypeRegular:
@@ -530,13 +499,7 @@ func (k *Kernel) WriteVec(t *Task, fd FD, chunks [][]byte) (int, error) {
 	defer k.lockFile(f)()
 	if f.Inode.Type == TypePipe {
 		charge(len(chunks) * workPipeData)
-		delivered := true
-		if k.sec != nil {
-			k.hook()
-			if err := k.sec.FilePermission(t, f, MayWrite); err != nil {
-				delivered = false
-			}
-		}
+		delivered := k.filePermission(t, f, MayWrite) == nil
 		if err := k.inject("fs.writev", t); err != nil {
 			if errIsKilled(err) {
 				return 0, err
@@ -552,11 +515,8 @@ func (k *Kernel) WriteVec(t *Task, fd FD, chunks [][]byte) (int, error) {
 		}
 		return total, nil
 	}
-	if k.sec != nil {
-		k.hook()
-		if err := k.sec.FilePermission(t, f, MayWrite); err != nil {
-			return 0, err
-		}
+	if err := k.filePermission(t, f, MayWrite); err != nil {
+		return 0, err
 	}
 	switch f.Inode.Type {
 	case TypeRegular:
@@ -643,24 +603,19 @@ func (k *Kernel) Unlink(t *Task, path string) error {
 	if ino.IsDir() {
 		return ErrIsDir
 	}
-	if k.sec != nil {
-		// Unlink's success/failure observably reveals the entry, so the
-		// module checks visibility (MayUnlink): a caller that cannot read
-		// the inode — and could not after any legal label change — must see
-		// the same ENOENT as for a nonexistent path. Checked first so
-		// read-denial wins over any EACCES from the write checks.
-		k.hook()
-		if err := k.sec.InodePermission(t, ino, MayUnlink); err != nil {
-			return hideDenied(err)
-		}
-		k.hook()
-		if err := k.sec.InodePermission(t, dir, MayWrite); err != nil {
-			return err
-		}
-		k.hook()
-		if err := k.sec.InodePermission(t, ino, MayWrite); err != nil {
-			return err
-		}
+	// Unlink's success/failure observably reveals the entry, so the
+	// module checks visibility (MayUnlink): a caller that cannot read the
+	// inode — and could not after any legal label change — must see the
+	// same ENOENT as for a nonexistent path. Checked first so read-denial
+	// wins over any EACCES from the write checks.
+	if err := k.inodePermission(t, ino, MayUnlink); err != nil {
+		return hideDenied(err)
+	}
+	if err := k.inodePermission(t, dir, MayWrite); err != nil {
+		return err
+	}
+	if err := k.inodePermission(t, ino, MayWrite); err != nil {
+		return err
 	}
 	delete(dir.children, name)
 	unlockC := k.lockInode(ino) // parent→child order, dir still held
@@ -701,27 +656,20 @@ func (k *Kernel) mkdirLabeled(t *Task, path string, mode Mode, labels *difc.Labe
 	}
 	child := newInode(TypeDir, mode)
 	child.parent = dir
-	if k.sec != nil {
-		k.hook()
-		if err := k.sec.InodeInitSecurity(t, dir, child, labels); err != nil {
-			return err
-		}
-		k.hook()
-		if err := k.sec.InodePermission(t, dir, MayWrite); err != nil {
-			return err
-		}
+	if err := k.inodeInitSecurity(t, dir, child, labels); err != nil {
+		return err
+	}
+	if err := k.inodePermission(t, dir, MayWrite); err != nil {
+		return err
 	}
 	dir.children[name] = child
-	if k.sec != nil {
-		k.hook()
-		if perr := k.sec.InodePostCreate(t, dir, child); perr != nil {
-			if errIsKilled(perr) {
-				k.killTaskHolding(t)
-			} else {
-				delete(dir.children, name)
-			}
-			return perr
+	if perr := k.inodePostCreate(t, dir, child); perr != nil {
+		if errIsKilled(perr) {
+			k.killTaskHolding(t)
+		} else {
+			delete(dir.children, name)
 		}
+		return perr
 	}
 	return nil
 }
@@ -740,11 +688,8 @@ func (k *Kernel) ReadDir(t *Task, path string) ([]string, error) {
 	if !ino.IsDir() {
 		return nil, ErrNotDir
 	}
-	if k.sec != nil {
-		k.hook()
-		if err := k.sec.InodePermission(t, ino, MayRead); err != nil {
-			return nil, hideDenied(err)
-		}
+	if err := k.inodePermission(t, ino, MayRead); err != nil {
+		return nil, hideDenied(err)
 	}
 	unlock := k.rlockInode(ino)
 	names := ino.childNames()
@@ -760,11 +705,8 @@ func (k *Kernel) Pipe(t *Task) (FD, FD, error) {
 		return -1, -1, err
 	}
 	ino := newInode(TypePipe, 0o600)
-	if k.sec != nil {
-		k.hook()
-		if err := k.sec.InodeInitSecurity(t, nil, ino, nil); err != nil {
-			return -1, -1, err
-		}
+	if err := k.inodeInitSecurity(t, nil, ino, nil); err != nil {
+		return -1, -1, err
 	}
 	r := &File{Inode: ino, Flags: ORead, pipeReadEnd: true}
 	w := &File{Inode: ino, Flags: OWrite}
@@ -797,11 +739,8 @@ func (k *Kernel) GetXattr(t *Task, path, name string) ([]byte, error) {
 	if err != nil {
 		return nil, hideDenied(err)
 	}
-	if k.sec != nil {
-		k.hook()
-		if err := k.sec.InodePermission(t, ino, MayRead); err != nil {
-			return nil, hideDenied(err)
-		}
+	if err := k.inodePermission(t, ino, MayRead); err != nil {
+		return nil, hideDenied(err)
 	}
 	unlock := k.rlockInode(ino)
 	v, ok := ino.GetXattr(name)
@@ -830,11 +769,8 @@ func (k *Kernel) Mmap(t *Task, length int, prot int, file FD) (uint64, error) {
 			return 0, err
 		}
 		backing = f.Inode
-		if k.sec != nil {
-			k.hook()
-			if err := k.sec.MmapFile(t, backing, prot); err != nil {
-				return 0, err
-			}
+		if err := k.mmapFile(t, backing, prot); err != nil {
+			return 0, err
 		}
 	}
 	npages := (length + PageSize - 1) / PageSize
@@ -896,9 +832,8 @@ func (k *Kernel) PageFault(t *Task, addr uint64, write bool) error {
 			if v.prot&want == 0 {
 				return ErrFault
 			}
-			if v.file != nil && k.sec != nil {
-				k.hook()
-				if err := k.sec.MmapFile(t, v.file, want); err != nil {
+			if v.file != nil {
+				if err := k.mmapFile(t, v.file, want); err != nil {
 					return err
 				}
 			}

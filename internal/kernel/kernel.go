@@ -25,11 +25,9 @@ type Kernel struct {
 	mu   sync.Mutex
 	mode lockMode
 
+	// sec is the security module; every error-returning hook call goes
+	// through gate (security.go).
 	sec SecurityModule
-	// rawSec is the module as installed, before any fault-injection
-	// wrapper; New uses it for InodePrimer detection (the wrapper embeds
-	// the interface, so type assertions on k.sec would miss extensions).
-	rawSec SecurityModule
 
 	root   *Inode
 	shards [taskShardCount]taskShard
@@ -55,11 +53,10 @@ type Kernel struct {
 	// injection point. nil (production) injects nothing.
 	inj faultinject.Injector
 
-	// tel is the telemetry recorder observing this kernel's enforcement
-	// points (telemetry.go). Defaults to telemetry.Default; nil under
-	// WithoutTelemetry, in which case no wrapper is installed at all.
+	// tel is the telemetry recorder gate reports hook calls to. Defaults
+	// to telemetry.Default; nil under WithoutTelemetry.
 	tel *telemetry.Recorder
-	// telOff suppresses the telemetry wrapper entirely (the benchmark
+	// telOff boots the kernel with no recorder at all (the benchmark
 	// baseline).
 	telOff bool
 
@@ -77,10 +74,7 @@ type Option func(*Kernel)
 // WithSecurityModule installs the security module. Without this option the
 // kernel behaves as unmodified Linux.
 func WithSecurityModule(m SecurityModule) Option {
-	return func(k *Kernel) {
-		k.sec = m
-		k.rawSec = m
-	}
+	return func(k *Kernel) { k.sec = m }
 }
 
 // WithFaultInjector installs a fault injector consulted at the syscall
@@ -89,6 +83,26 @@ func WithSecurityModule(m SecurityModule) Option {
 func WithFaultInjector(inj faultinject.Injector) Option {
 	return func(k *Kernel) { k.inj = inj }
 }
+
+// WithTelemetry installs a specific telemetry recorder. The default is
+// the process-wide telemetry.Default; tests and the chaos harness pass
+// private recorders so parallel kernels do not share flight rings.
+func WithTelemetry(rec *telemetry.Recorder) Option {
+	return func(k *Kernel) { k.tel = rec }
+}
+
+// WithoutTelemetry boots the kernel with no recorder at all — not even
+// the LevelOff gate's atomic load. This is the uninstrumented baseline
+// (the "none" recorder rows) that laminar-bench -storm measures the
+// disabled-path overhead against; hooks are still counted for HookCalls.
+func WithoutTelemetry() Option {
+	return func(k *Kernel) { k.telOff = true }
+}
+
+// Telemetry returns the kernel's recorder (nil under WithoutTelemetry).
+// The VM runtime emits its region/barrier provenance through it so one
+// ring carries the whole stack's events.
+func (k *Kernel) Telemetry() *telemetry.Recorder { return k.tel }
 
 // Injector exposes the installed fault injector (nil when none); the VM
 // runtime consults it on the tcb label-sync path.
@@ -103,58 +117,25 @@ func WithBudget(l *budget.Ledger) Option {
 // unbudgeted.
 func (k *Kernel) Budget() *budget.Ledger { return k.budget }
 
-// hook counts one security-hook invocation.
-func (k *Kernel) hook() { k.hookCalls.Add(1) }
-
-// inject consults the injector at site for the acting task. Called with
-// the acting task's syscall-entry lock held, at the top of (or inside)
-// faultable syscalls. It doubles as the killed-task gate: a task that was
-// crash-killed mid-operation gets ESRCH from every subsequent syscall.
-//
-//   - Error: the syscall aborts with EIO.
-//   - Crash: the acting task is killed in place — descriptors dropped,
-//     security state freed, no error-path cleanup of partial operation
-//     state — and the syscall reports EKILLED.
-//   - Delay: a scheduling hiccup; no semantic effect.
+// inject consults the injector at site for the acting task (see trip).
+// Called with the acting task's syscall-entry lock held, at the top of
+// (or inside) faultable syscalls. It doubles as the killed-task gate: a
+// task that was crash-killed mid-operation gets ESRCH from every
+// subsequent syscall. An injected Error aborts the syscall with EIO, a
+// Crash with EKILLED; a Delay is a scheduling hiccup with no semantic
+// effect.
 func (k *Kernel) inject(site string, t *Task) error {
 	if t != nil && t.exited.Load() {
 		return ErrSrch
 	}
-	if k.inj == nil {
-		return nil
-	}
-	switch k.inj.At(site) {
+	switch k.trip(site, t) {
 	case faultinject.Error:
-		k.faultTrip(site, t, "error")
 		return ErrIO
 	case faultinject.Crash:
-		k.faultTrip(site, t, "crash")
-		if t != nil && t.TID == 1 {
-			// Killing init would be a whole-machine crash, which the
-			// harness models as a reboot (RecoverLabels), not task death.
-			return ErrIO
-		}
-		if t != nil {
-			k.killTaskHolding(t)
-		}
 		return ErrKilled
 	default:
 		return nil
 	}
-}
-
-// faultTrip records an injector firing at a syscall-layer site — the
-// provenance for denials that come from fail-closed fault handling
-// rather than a DIFC rule.
-func (k *Kernel) faultTrip(site string, t *Task, kind string) {
-	if k.tel == nil || !k.tel.Active() {
-		return
-	}
-	var tid uint64
-	if t != nil {
-		tid = uint64(t.TID)
-	}
-	k.tel.EmitFaultTrip(telemetry.LayerKernel, site, tid, kind)
 }
 
 // killTaskHolding terminates t mid-operation (fault-injected crash): the
@@ -180,8 +161,11 @@ func New(opts ...Option) *Kernel {
 	for _, o := range opts {
 		o(k)
 	}
-	wrapFaulting(k)
-	wrapTelemetry(k) // outermost: provenance sees fault-injected denials too
+	if k.telOff {
+		k.tel = nil
+	} else if k.tel == nil {
+		k.tel = telemetry.Default
+	}
 	k.root = newInode(TypeDir, 0o755)
 	init := k.newTask(nil, "root")
 	k.taskInsert(init)
@@ -207,7 +191,7 @@ func New(opts ...Option) *Kernel {
 	// syscall: under the sharded discipline, hooks read blobs without
 	// inode locks, which is only race-free if no blob is ever created
 	// lazily on a hot path (locking.go).
-	if p, ok := k.rawSec.(InodePrimer); ok {
+	if p, ok := k.sec.(InodePrimer); ok {
 		var prime func(*Inode)
 		prime = func(ino *Inode) {
 			p.PrimeInode(ino)
@@ -338,11 +322,8 @@ func (k *Kernel) fork(parent *Task, keep []Capability, newProc bool) (*Task, err
 	if newProc {
 		child.Proc = k.nextProc.Add(1)
 	}
-	if k.sec != nil {
-		k.hook()
-		if err := k.sec.TaskAlloc(parent, child, keep); err != nil {
-			return nil, err
-		}
+	if err := k.taskAlloc(parent, child, keep); err != nil {
+		return nil, err
 	}
 	// Publish only after the security blob is attached: table readers
 	// (TasksInProc, Kill) must never see a half-built task.
@@ -366,11 +347,8 @@ func (k *Kernel) Exec(t *Task, path string) error {
 	if ino.IsDir() {
 		return ErrIsDir
 	}
-	if k.sec != nil {
-		k.hook()
-		if err := k.sec.InodePermission(t, ino, MayRead|MayExec); err != nil {
-			return hideDenied(err)
-		}
+	if err := k.inodePermission(t, ino, MayRead|MayExec); err != nil {
+		return hideDenied(err)
 	}
 	t.vmas = nil
 	return nil
@@ -405,11 +383,8 @@ func (k *Kernel) Kill(t *Task, target TID, sig Signal) error {
 	if dst == nil || dst.exited.Load() {
 		return ErrSrch
 	}
-	if k.sec != nil {
-		k.hook()
-		if err := k.sec.TaskKill(t, dst, sig); err != nil {
-			return err
-		}
+	if err := k.taskKill(t, dst, sig); err != nil {
+		return err
 	}
 	dst.sigs = append(dst.sigs, sig)
 	return nil
@@ -432,8 +407,12 @@ func (k *Kernel) AllocTag(t *Task) (difc.Tag, error) {
 		return difc.InvalidTag, ErrNoSys
 	}
 	defer k.begin(t)()
-	k.hook()
-	return k.sec.AllocTag(t)
+	var tag difc.Tag
+	err := k.gate("hook.AllocTag", "alloc_tag", t, 0, false, func() (e error) {
+		tag, e = k.sec.AllocTag(t)
+		return
+	})
+	return tag, err
 }
 
 // SetTaskLabel implements set_task_label for the given label type.
@@ -442,8 +421,11 @@ func (k *Kernel) SetTaskLabel(t *Task, typ LabelType, l difc.Label) error {
 		return ErrNoSys
 	}
 	defer k.begin(t)()
-	k.hook()
-	return k.sec.SetTaskLabel(t, typ, l)
+	// Denying a label change is safe in both directions: a refused raise
+	// blocks the caller from reading up; a refused clear keeps taint.
+	return k.gate("hook.SetTaskLabel", "set_task_label", t, 0, true, func() error {
+		return k.sec.SetTaskLabel(t, typ, l)
+	})
 }
 
 // DropLabelTCB implements drop_label_tcb: clears target's labels without
@@ -460,8 +442,9 @@ func (k *Kernel) DropLabelTCB(t *Task, target TID) error {
 	if dst.exited.Load() {
 		return ErrSrch
 	}
-	k.hook()
-	return k.sec.DropLabelTCB(t, dst)
+	return k.gate("hook.DropLabelTCB", "drop_label_tcb", t, 0, false, func() error {
+		return k.sec.DropLabelTCB(t, dst)
+	})
 }
 
 // DropCapabilities implements drop_capabilities; tmp suspends rather than
@@ -471,8 +454,9 @@ func (k *Kernel) DropCapabilities(t *Task, caps []Capability, tmp bool) error {
 		return ErrNoSys
 	}
 	defer k.begin(t)()
-	k.hook()
-	return k.sec.DropCapabilities(t, caps, tmp)
+	return k.gate("hook.DropCapabilities", "drop_capabilities", t, 0, false, func() error {
+		return k.sec.DropCapabilities(t, caps, tmp)
+	})
 }
 
 // RestoreCapabilities undoes temporary capability drops.
@@ -481,8 +465,9 @@ func (k *Kernel) RestoreCapabilities(t *Task) error {
 		return ErrNoSys
 	}
 	defer k.begin(t)()
-	k.hook()
-	return k.sec.RestoreCapabilities(t)
+	return k.gate("hook.RestoreCapabilities", "restore_capabilities", t, 0, false, func() error {
+		return k.sec.RestoreCapabilities(t)
+	})
 }
 
 // WriteCapability implements write_capability: sends a capability to
@@ -502,8 +487,9 @@ func (k *Kernel) WriteCapability(t *Task, cap Capability, fd FD) error {
 	// The module's implementation queues the capability on the pipe
 	// inode, so the pipe-state lock is held across the hook.
 	defer k.lockInode(f.Inode)()
-	k.hook()
-	return k.sec.WriteCapability(t, cap, f)
+	return k.gate("hook.WriteCapability", "write_capability", t, uint64(f.Inode.Ino), true, func() error {
+		return k.sec.WriteCapability(t, cap, f)
+	})
 }
 
 // ReadCapability claims a capability previously queued on the pipe.
@@ -520,8 +506,12 @@ func (k *Kernel) ReadCapability(t *Task, fd FD) (Capability, error) {
 		return Capability{}, ErrInval
 	}
 	defer k.lockInode(f.Inode)()
-	k.hook()
-	return k.sec.ReadCapability(t, f)
+	var c Capability
+	err = k.gate("hook.ReadCapability", "read_capability", t, uint64(f.Inode.Ino), true, func() (e error) {
+		c, e = k.sec.ReadCapability(t, f)
+		return
+	})
+	return c, err
 }
 
 // String describes the kernel configuration.

@@ -57,8 +57,8 @@ type Module struct {
 	// (nil in production); see persist.go.
 	inj faultinject.Injector
 
-	// tel is the telemetry recorder for LSM-internal decisions the kernel
-	// wrapper cannot see: capability transfers silently dropped by pipe
+	// tel is the telemetry recorder for LSM-internal decisions the kernel's
+	// hook gate cannot see: capability transfers silently dropped by pipe
 	// semantics and quarantine relabels during crash recovery. nil means
 	// unobserved (see SetTelemetry).
 	tel *telemetry.Recorder
@@ -597,8 +597,8 @@ func (m *Module) WriteCapability(t *kernel.Task, c kernel.Capability, f *kernel.
 		// Silently dropped: the caller sees success so the result cannot
 		// leak information — but the drop IS a flow denial, and it is
 		// exactly the kind of invisible decision provenance exists for.
-		// The kernel's hook wrapper never sees an error here, so the
-		// module emits the event itself.
+		// The kernel's hook gate never sees an error here, so the module
+		// emits the event itself.
 		if m.tel != nil && m.tel.Active() {
 			m.tel.EmitDeny(telemetry.LayerLSM, "lsm.WriteCapability.silent-drop",
 				"write_capability", uint64(t.TID), t.Proc, err)

@@ -105,7 +105,7 @@ func decodeLabelRecord(data []byte) (difc.Labels, error) {
 func (m *Module) SetFaultInjector(inj faultinject.Injector) { m.inj = inj }
 
 // SetTelemetry installs the telemetry recorder for LSM-internal events
-// the kernel's hook wrapper cannot observe: silently dropped capability
+// the kernel's hook gate cannot observe: silently dropped capability
 // transfers and crash-recovery outcomes. laminar.NewSystem wires this to
 // the kernel's recorder; nil disables.
 func (m *Module) SetTelemetry(rec *telemetry.Recorder) { m.tel = rec }

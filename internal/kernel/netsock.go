@@ -36,12 +36,8 @@ func (k *Kernel) NetSocket(t *Task, labels difc.Labels) (FD, *File, error) {
 		return -1, nil, err
 	}
 	ino := newInode(TypePipe, 0o600)
-	if k.sec != nil {
-		k.hook()
-		l := labels
-		if err := k.sec.InodeInitSecurity(t, nil, ino, &l); err != nil {
-			return -1, nil, err
-		}
+	if err := k.inodeInitSecurity(t, nil, ino, &labels); err != nil {
+		return -1, nil, err
 	}
 	f := newNetEndpoint(ino)
 	return t.installFD(f), f, nil
@@ -55,12 +51,8 @@ func (k *Kernel) SocketpairLabeled(t *Task, labels difc.Labels) (FD, FD, error) 
 	defer k.begin(t)()
 	charge(workSocketSetup)
 	ino := newInode(TypePipe, 0o600)
-	if k.sec != nil {
-		k.hook()
-		l := labels
-		if err := k.sec.InodeInitSecurity(t, nil, ino, &l); err != nil {
-			return -1, -1, err
-		}
+	if err := k.inodeInitSecurity(t, nil, ino, &labels); err != nil {
+		return -1, -1, err
 	}
 	ab := newPipeBuf()
 	ba := newPipeBuf()

@@ -46,11 +46,8 @@ func (k *Kernel) Socketpair(t *Task) (FD, FD, error) {
 
 func (k *Kernel) newSocketPair(t *Task) (*File, *File, error) {
 	ino := newInode(TypePipe, 0o600) // label carrier for the connection
-	if k.sec != nil {
-		k.hook()
-		if err := k.sec.InodeInitSecurity(t, nil, ino, nil); err != nil {
-			return nil, nil, err
-		}
+	if err := k.inodeInitSecurity(t, nil, ino, nil); err != nil {
+		return nil, nil, err
 	}
 	ab := newPipeBuf()
 	ba := newPipeBuf()
@@ -72,13 +69,7 @@ func (k *Kernel) Send(t *Task, fd FD, data []byte) (int, error) {
 		return 0, ErrInval
 	}
 	defer k.lockFile(f)()
-	delivered := true
-	if k.sec != nil {
-		k.hook()
-		if err := k.sec.FilePermission(t, f, MayWrite); err != nil {
-			delivered = false
-		}
-	}
+	delivered := k.filePermission(t, f, MayWrite) == nil
 	// Injected send faults ride the same silent-drop path as policy drops
 	// and full buffers: success is reported either way (§5.2).
 	if err := k.inject("socket.send", t); err != nil {
@@ -108,11 +99,8 @@ func (k *Kernel) Recv(t *Task, fd FD, buf []byte) (int, error) {
 		return 0, ErrInval
 	}
 	defer k.lockFile(f)()
-	if k.sec != nil {
-		k.hook()
-		if err := k.sec.FilePermission(t, f, MayRead); err != nil {
-			return 0, err
-		}
+	if err := k.filePermission(t, f, MayRead); err != nil {
+		return 0, err
 	}
 	// A faulted receive looks like an empty buffer, never a distinct error.
 	if err := k.inject("socket.recv", t); err != nil {
@@ -152,14 +140,11 @@ func (k *Kernel) Listen(t *Task, name string) error {
 	if _, dup := k.listeners[name]; dup {
 		return ErrExist
 	}
-	if k.sec != nil {
-		k.hook()
-		// The namespace is an unlabeled shared resource: advertising a
-		// name is a write to it, so a tainted task cannot leak through
-		// listener names.
-		if err := k.sec.InodePermission(t, k.socketNS, MayWrite); err != nil {
-			return err
-		}
+	// The namespace is an unlabeled shared resource: advertising a name
+	// is a write to it, so a tainted task cannot leak through listener
+	// names.
+	if err := k.inodePermission(t, k.socketNS, MayWrite); err != nil {
+		return err
 	}
 	k.listeners[name] = &listener{owner: t}
 	return nil

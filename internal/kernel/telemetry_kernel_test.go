@@ -2,6 +2,7 @@ package kernel
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"laminar/internal/difc"
@@ -9,13 +10,16 @@ import (
 	"laminar/internal/telemetry"
 )
 
-// siteInjector injects a scripted fault kind at exactly one site.
+// siteInjector injects a scripted fault kind at exactly one site and
+// records every site it is asked about.
 type siteInjector struct {
-	site string
-	kind faultinject.Kind
+	site  string
+	kind  faultinject.Kind
+	asked []string
 }
 
 func (s *siteInjector) At(site string) faultinject.Kind {
+	s.asked = append(s.asked, site)
 	if site == s.site {
 		return s.kind
 	}
@@ -103,19 +107,28 @@ func TestMaskOp(t *testing.T) {
 	}
 }
 
-// TestFaultableHooks covers the fault-injection wrappers for the hooks the
-// chaos schedules rarely reach: mmap, signal delivery, and capability
-// transfer. Each is driven twice — once with an injected Error (must fail
-// closed with ErrIO and be classified RuleFault by telemetry) and once
-// clean (must pass through to the module).
+// TestFaultableHooks pins which hooks are fault-injection points. Each of
+// the 14 error-returning hooks is driven through one syscall twice: once
+// with an injected Error at hook.<Name> and once clean. The ten faultable
+// hooks must consult hook.<Name>, fail closed with ErrIO and be
+// classified RuleFault. AllocTag, DropLabelTCB and the privilege-shedding
+// DropCapabilities and RestoreCapabilities must never consult any hook.*
+// site, so the Error changes nothing (DESIGN.md §8). Clean runs must pass
+// through to the module.
 func TestFaultableHooks(t *testing.T) {
-	for _, hook := range []string{"MmapFile", "TaskKill", "WriteCapability", "ReadCapability"} {
+	notFaultable := map[string]bool{
+		"AllocTag": true, "DropLabelTCB": true, "DropCapabilities": true, "RestoreCapabilities": true,
+	}
+	hooks := []string{
+		"TaskAlloc", "InodeInitSecurity", "InodePostCreate", "InodePermission",
+		"FilePermission", "MmapFile", "TaskKill", "SetTaskLabel",
+		"WriteCapability", "ReadCapability",
+		"AllocTag", "DropLabelTCB", "DropCapabilities", "RestoreCapabilities",
+	}
+	for _, hook := range hooks {
 		t.Run(hook, func(t *testing.T) {
 			for _, faulty := range []bool{true, false} {
-				inj := &siteInjector{}
-				if faulty {
-					inj = &siteInjector{site: "hook." + hook, kind: faultinject.Error}
-				}
+				inj := &siteInjector{kind: faultinject.Error} // armed after set-up
 				rec := telemetry.NewRecorder()
 				rec.SetLevel(telemetry.LevelDeny)
 				k := New(WithSecurityModule(tagModule{}), WithFaultInjector(inj), WithTelemetry(rec))
@@ -135,20 +148,57 @@ func TestFaultableHooks(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
+				if faulty {
+					inj.site = "hook." + hook
+				}
+				inj.asked = nil
 
 				var got error
 				switch hook {
+				case "TaskAlloc":
+					_, got = k.Fork(init, nil)
+				case "InodeInitSecurity":
+					_, _, got = k.Pipe(init)
+				case "InodePostCreate":
+					got = k.Mkdir(init, "/tmp/d", 0o755)
+				case "InodePermission":
+					_, got = k.Stat(init, "/tmp/f")
+				case "FilePermission":
+					_, got = k.Write(init, fd, []byte("y"))
 				case "MmapFile":
 					_, got = k.Mmap(init, PageSize, ProtRead, fd)
 				case "TaskKill":
 					got = k.Kill(init, child.TID, SIGUSR1)
+				case "SetTaskLabel":
+					got = k.SetTaskLabel(init, Secrecy, difc.Label{})
 				case "WriteCapability":
 					got = k.WriteCapability(init, Capability{}, wp)
 				case "ReadCapability":
 					_, got = k.ReadCapability(init, rp)
+				case "AllocTag":
+					_, got = k.AllocTag(init)
+				case "DropLabelTCB":
+					got = k.DropLabelTCB(init, child.TID)
+				case "DropCapabilities":
+					got = k.DropCapabilities(init, nil, true)
+				case "RestoreCapabilities":
+					got = k.RestoreCapabilities(init)
 				}
 
-				if faulty {
+				consulted := false
+				for _, site := range inj.asked {
+					if site == "hook."+hook {
+						consulted = true
+					}
+					if notFaultable[hook] && strings.HasPrefix(site, "hook.") {
+						t.Fatalf("%s consulted the injector at %s (asked: %v)", hook, site, inj.asked)
+					}
+				}
+				if !notFaultable[hook] && !consulted {
+					t.Fatalf("%s never consulted hook.%s (asked: %v)", hook, hook, inj.asked)
+				}
+
+				if faulty && !notFaultable[hook] {
 					if !errors.Is(got, ErrIO) {
 						t.Fatalf("injected fault in %s returned %v, want ErrIO", hook, got)
 					}
@@ -156,16 +206,16 @@ func TestFaultableHooks(t *testing.T) {
 					if len(denials) == 0 || denials[len(denials)-1].Rule != telemetry.RuleFault {
 						t.Fatalf("fault in %s not recorded as RuleFault: %v", hook, denials)
 					}
-				} else {
-					// tagModule allows everything except ReadCapability,
-					// which reports ENOSYS from the module itself.
-					if hook == "ReadCapability" {
-						if !errors.Is(got, ErrNoSys) {
-							t.Fatalf("clean %s returned %v, want ErrNoSys", hook, got)
-						}
-					} else if got != nil {
-						t.Fatalf("clean %s returned %v", hook, got)
+					continue
+				}
+				// tagModule allows everything except AllocTag and
+				// ReadCapability, which report ENOSYS from the module.
+				if hook == "AllocTag" || hook == "ReadCapability" {
+					if !errors.Is(got, ErrNoSys) {
+						t.Fatalf("%s returned %v, want the module's ErrNoSys", hook, got)
 					}
+				} else if got != nil {
+					t.Fatalf("%s returned %v", hook, got)
 				}
 			}
 		})

@@ -816,7 +816,7 @@ func (n *Node) Close() {
 
 // deny records transport-layer provenance (LayerNet): handshake
 // rejections, malformed frames, dead links. Policy denials never come
-// through here — they are emitted by the kernels' own hook wrappers.
+// through here — they are emitted by the kernels' own hook gates.
 // chargeSend meters one drained chunk against the flow budget: each
 // secrecy tag on the channel spends ceil(len/1KiB) units (min 1) keyed
 // to the receiving peer's node id. A nil ledger or an unlabeled channel

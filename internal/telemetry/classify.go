@@ -18,8 +18,8 @@ import (
 //
 // Anything else — policy refusals without label operands, injected
 // faults — records as an unclassified denial carrying only the error
-// text; the kernel wrapper upgrades fault-injected denials to RuleFault
-// itself because only it knows the injector fired.
+// text; the kernel's hook gate upgrades fault-injected denials to
+// RuleFault itself because only it knows the injector fired.
 //
 // Labels are interned here, on the already-cold denial path, so the
 // event stores ids, never tag-slice copies; the Delta is the one

@@ -297,39 +297,8 @@ func runClusterSmoke(batching bool) error {
 		return err
 	}
 
-	members := func() []*clusterMember { return []*clusterMember{n1, n2, n3} }
-	// tickAll advances every node one logical tick, paced so that a TCP
-	// round-trip spans about one tick: busy-ticking would outrun heartbeat
-	// delivery and flap the failure detector through suspect windows.
-	tickAll := func() {
-		for _, m := range members() {
-			m.cl.Tick()
-		}
-		time.Sleep(200 * time.Microsecond)
-	}
-	converge := func(what string) error {
-		deadline := time.Now().Add(30 * time.Second)
-		for {
-			tickAll()
-			done := true
-			for _, m := range members() {
-				if !m.cl.Joined() || !m.cl.Converged(1, 2, 3) {
-					done = false
-				}
-			}
-			if done {
-				return nil
-			}
-			if time.Now().After(deadline) {
-				var view strings.Builder
-				for _, m := range members() {
-					fmt.Fprintf(&view, " [joined=%v members=%v]", m.cl.Joined(), m.cl.Members())
-				}
-				return fmt.Errorf("cluster never converged (%s):%s", what, view.String())
-			}
-		}
-	}
-	if err := converge("initial join"); err != nil {
+	members := []*clusterMember{n1, n2, n3}
+	if err := convergeCluster(members, "initial join", 1, 2, 3); err != nil {
 		return err
 	}
 	epoch0 := n3.cl.Epoch()
@@ -345,7 +314,8 @@ func runClusterSmoke(batching bool) error {
 		return fmt.Errorf("restart epoch %d, want > %d (stale incarnations must be distinguishable)",
 			n3.cl.Epoch(), epoch0)
 	}
-	if err := converge("after kill+restart"); err != nil {
+	members = []*clusterMember{n1, n2, n3}
+	if err := convergeCluster(members, "after kill+restart", 1, 2, 3); err != nil {
 		return err
 	}
 
@@ -370,14 +340,14 @@ func runClusterSmoke(batching bool) error {
 		attempt++
 		fd, oerr := n1.cl.OpenVia(n1.user, 2, 3, difc.Labels{})
 		if oerr != nil {
-			tickAll()
+			tickCluster(members)
 			continue
 		}
 		if _, serr := n1.k.Send(n1.user, fd, []byte{0xA5, attempt}); serr != nil {
 			return fmt.Errorf("routed probe send: %w", serr)
 		}
 		for i := 0; i < 400 && !established; i++ {
-			tickAll()
+			tickCluster(members)
 			for {
 				afd, _, aerr := n3.cl.Node().Accept(n3.user)
 				if aerr != nil {
@@ -401,7 +371,7 @@ func runClusterSmoke(batching bool) error {
 	}
 	var got string
 	for got != hello {
-		tickAll()
+		tickCluster(members)
 		if nr, rerr := n3.k.Recv(n3.user, fdC, buf); rerr == nil && nr > 0 {
 			got += string(buf[:nr])
 		}

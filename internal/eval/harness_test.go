@@ -1,11 +1,12 @@
 package eval
 
 // Tier-1 tests for the JSON-emitting experiments: each runs at a tiny
-// scale and is checked for shape only — row count, order and labels,
-// finite positive rates, the gate thresholds the report records, and
-// that Gate agrees with Pass. Timing bands are deliberately absent: a
-// loaded host makes them flaky, and the gated numbers themselves are
-// checked at full scale by laminar-bench -gate.
+// scale and is checked for shape — row count, order and labels, finite
+// positive rates, the gate thresholds the report records, and that Gate
+// agrees with Pass. Timing bands are deliberately absent: a loaded host
+// makes them flaky, and the gated numbers themselves are checked at full
+// scale by laminar-bench -gate. The barrier table holds deterministic
+// counts only, so it is also pinned to the checked-in values.
 
 import (
 	"encoding/json"
@@ -384,6 +385,24 @@ func TestBarriersShape(t *testing.T) {
 	}
 	if !strings.Contains(rep.Format(), "total") {
 		t.Error("Format missing total row")
+	}
+	// The barrier counts are deterministic, so the checked-in table pins
+	// the elimination results themselves, not just their shape.
+	data, err := os.ReadFile("../../BENCH_barriers.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var checked BarrierReport
+	if err := json.Unmarshal(data, &checked); err != nil {
+		t.Fatal(err)
+	}
+	if len(checked.Rows) != len(rep.Rows) {
+		t.Fatalf("BENCH_barriers.json has %d rows, Barriers() %d", len(checked.Rows), len(rep.Rows))
+	}
+	for i, row := range rep.Rows {
+		if row != checked.Rows[i] {
+			t.Errorf("row %d drifted from BENCH_barriers.json\n got: %+v\nwant: %+v", i, row, checked.Rows[i])
+		}
 	}
 }
 

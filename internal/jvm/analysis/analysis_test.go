@@ -271,6 +271,30 @@ end
 	}
 }
 
+// TestLintUndefinedInvoke: lint runs on unverified programs, so a stack
+// trace that walks back across an invoke of an undefined method must stop
+// there instead of indexing past the method table.
+func TestLintUndefinedInvoke(t *testing.T) {
+	p := parse(t, `
+method h args=0 locals=0
+    return
+end
+
+secure method r args=1 locals=1 secrecy=1
+    load 0
+    invoke h
+    getfield 0
+    pop
+    return
+catch:
+    return
+end
+`)
+	p.Methods[1].Code[1].A = 99 // no such method
+	Lint(p)
+	LintTaint(p)
+}
+
 func TestBackwardSolverReachability(t *testing.T) {
 	p := parse(t, `
 method loopy args=0 locals=1
@@ -283,8 +307,8 @@ done:
 end
 `)
 	m := p.Methods[0]
-	cfg := BuildCFG(m.Code)
-	states := Solve(cfg, &reachProblem{cfg: cfg})
+	cfg := jvm.BuildCFG(m.Code)
+	states := jvm.Solve(cfg, &reachProblem{cfg: cfg})
 	entry := cfg.BlockOf(0)
 	spin := cfg.BlockOf(2)
 	if !bool(*states[entry].(*reachState)) {

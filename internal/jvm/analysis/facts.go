@@ -43,7 +43,7 @@ func newFactState(nLocal, nArgs int) *factState {
 	}
 }
 
-func (s *factState) Clone() State {
+func (s *factState) Clone() jvm.State {
 	c := newFactState(len(s.slots), len(s.args))
 	copy(c.slots, s.slots)
 	copy(c.orig, s.orig)
@@ -54,7 +54,7 @@ func (s *factState) Clone() State {
 
 // Merge intersects facts (must-analysis). Origins merge as: top absorbs,
 // equal survives, conflict decays to unknown.
-func (s *factState) Merge(other State) bool {
+func (s *factState) Merge(other jvm.State) bool {
 	o := other.(*factState)
 	changed := false
 	for i := range s.slots {
@@ -87,43 +87,24 @@ func (s *factState) Merge(other State) bool {
 	return changed
 }
 
-func (s *factState) Equal(other State) bool {
-	o := other.(*factState)
-	if s.stat != o.stat {
-		return false
-	}
-	for i := range s.slots {
-		if s.slots[i] != o.slots[i] || s.orig[i] != o.orig[i] {
-			return false
-		}
-	}
-	for i := range s.args {
-		if s.args[i] != o.args[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // factProblem instantiates the checked-facts analysis over one code array
 // (a method body or a catch block).
 type factProblem struct {
 	an  *analyzer
 	m   *jvm.Method
-	cfg *CFG
-	jt  []bool
+	cfg *jvm.CFG
 	// entry seeds fact bits for leading parameter slots at the boundary;
 	// nil means no entry facts (conservative, valid for host entry).
 	entry []uint8
 }
 
 func (a *analyzer) problemFor(m *jvm.Method, code []jvm.Instr, entry []uint8) *factProblem {
-	return &factProblem{an: a, m: m, cfg: BuildCFG(code), jt: jumpTargets(code), entry: entry}
+	return &factProblem{an: a, m: m, cfg: jvm.BuildCFG(code), entry: entry}
 }
 
-func (pr *factProblem) Direction() Direction { return Forward }
+func (pr *factProblem) Direction() jvm.Direction { return jvm.Forward }
 
-func (pr *factProblem) Boundary() State {
+func (pr *factProblem) Boundary() jvm.State {
 	s := newFactState(pr.m.NLocal, pr.m.NArgs)
 	for k := 0; k < pr.m.NArgs && k < pr.m.NLocal; k++ {
 		s.orig[k] = int16(k)
@@ -137,7 +118,7 @@ func (pr *factProblem) Boundary() State {
 	return s
 }
 
-func (pr *factProblem) Top() State {
+func (pr *factProblem) Top() jvm.State {
 	s := newFactState(pr.m.NLocal, pr.m.NArgs)
 	for i := range s.slots {
 		s.slots[i] = jvm.FactAll
@@ -150,45 +131,12 @@ func (pr *factProblem) Top() State {
 	return s
 }
 
-func (pr *factProblem) Transfer(b int, st State) {
+func (pr *factProblem) Transfer(b int, st jvm.State) {
 	s := st.(*factState)
 	blk := pr.cfg.Blocks[b]
 	for pc := blk.Start; pc < blk.End; pc++ {
 		pr.step(s, pc)
 	}
-}
-
-// src traces the stack value at the given depth (0 = top of stack just
-// before code[pc]) back to its producing pc within the basic block, or -1.
-// Unlike the compiler's intraprocedural tracer it always walks through
-// OpInvoke, since a call cannot touch stack values below its arguments.
-func (pr *factProblem) src(pc, depth int) int {
-	code := pr.cfg.Code
-	want := depth
-	for i := pc - 1; i >= 0; i-- {
-		in := code[i]
-		if in.Op.IsJump() || in.Op == jvm.OpReturn || in.Op == jvm.OpReturnVal {
-			return -1
-		}
-		if pr.jt[i+1] {
-			return -1
-		}
-		var pops, pushes int
-		if in.Op == jvm.OpInvoke {
-			callee := pr.an.prog.Methods[in.A]
-			pops = callee.NArgs
-			if callee.ReturnsValue() {
-				pushes = 1
-			}
-		} else {
-			pops, pushes = in.Op.StackEffect()
-		}
-		if pushes > want {
-			return i
-		}
-		want = want - pushes + pops
-	}
-	return -1
 }
 
 // step is the per-instruction transfer function.
@@ -201,7 +149,7 @@ func (pr *factProblem) step(s *factState, pc int) {
 		if in.Op.IsWrite() {
 			bit = jvm.FactWrite
 		}
-		if src := pr.src(pc, in.Op.AccessDepth()); src >= 0 && code[src].Op == jvm.OpLoad {
+		if src := pr.an.prog.StackSource(pr.cfg, pc, in.Op.AccessDepth(), true); src >= 0 && code[src].Op == jvm.OpLoad {
 			slot := int(code[src].A)
 			if slot < len(s.slots) {
 				s.slots[slot] |= bit
@@ -228,7 +176,7 @@ func (pr *factProblem) step(s *factState, pc int) {
 			}
 			// Argument k sits at depth NArgs-1-k (last argument on top)
 			// just before the invoke executes.
-			if src := pr.src(pc, callee.NArgs-1-k); src >= 0 && code[src].Op == jvm.OpLoad {
+			if src := pr.an.prog.StackSource(pr.cfg, pc, callee.NArgs-1-k, true); src >= 0 && code[src].Op == jvm.OpLoad {
 				slot := int(code[src].A)
 				if slot < len(s.slots) {
 					s.slots[slot] |= bits
@@ -243,7 +191,7 @@ func (pr *factProblem) step(s *factState, pc int) {
 		if d >= len(s.slots) {
 			return
 		}
-		src := pr.src(pc, 0)
+		src := pr.an.prog.StackSource(pr.cfg, pc, 0, true)
 		switch {
 		case src >= 0 && (code[src].Op == jvm.OpNew || code[src].Op == jvm.OpNewArray):
 			s.slots[d] = jvm.FactAll
@@ -273,7 +221,7 @@ func (pr *factProblem) step(s *factState, pc int) {
 
 // stateAt replays the transfer function from pc's block entry up to (but
 // not including) pc, given the solved per-block input states.
-func (pr *factProblem) stateAt(states []State, pc int) *factState {
+func (pr *factProblem) stateAt(states []jvm.State, pc int) *factState {
 	b := pr.cfg.BlockOf(pc)
 	s := states[b].Clone().(*factState)
 	for i := pr.cfg.Blocks[b].Start; i < pc; i++ {
@@ -287,7 +235,7 @@ func (pr *factProblem) stateAt(states []State, pc int) *factState {
 // allocation, and which parameter object it is (or -1).
 func (pr *factProblem) valueFacts(s *factState, pc, depth int) (bits uint8, fresh bool, param int) {
 	param = -1
-	src := pr.src(pc, depth)
+	src := pr.an.prog.StackSource(pr.cfg, pc, depth, true)
 	if src < 0 {
 		return 0, false, -1
 	}

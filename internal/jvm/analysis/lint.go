@@ -56,9 +56,9 @@ func (f Finding) String() string {
 //   - region code from which no return is reachable never exits the
 //     region (found with the backward return-reachability analysis).
 //
-// Lint requires only structural well-formedness (in-range targets are
-// tolerated by BuildCFG); it does not require Verify to pass, so verifier
-// rejections and lint findings can be reported together.
+// Lint requires only structural well-formedness (out-of-range targets
+// are tolerated by jvm.BuildCFG); it does not require Verify to pass, so
+// verifier rejections and lint findings can be reported together.
 func Lint(p *jvm.Program) []Finding {
 	a := &analyzer{prog: p, graph: BuildCallGraph(p), sums: make([]*Summary, len(p.Methods))}
 	// Zero summaries everywhere: lint must not assume facts that only
@@ -112,7 +112,7 @@ func lintRegion(a *analyzer, m *jvm.Method) []Finding {
 					"security region writes parameter slot %d", in.A)
 			}
 		case jvm.OpLoad:
-			if int(in.A) < m.NArgs && !derefConsumed(m.Code, pc) {
+			if int(in.A) < m.NArgs && !jvm.DerefFollows(m.Code, pc) {
 				add(pc, false, "region-param-value-use", false,
 					"parameter slot %d used as a value; regions may only dereference parameters", in.A)
 			}
@@ -140,9 +140,9 @@ func lintLabeled(a *analyzer, m *jvm.Method, code []jvm.Instr, inCatch bool, add
 	hasI := !sec.I.IsEmpty()
 
 	pr := a.problemFor(m, code, nil)
-	var states []State
+	var states []jvm.State
 	if hasS || hasI {
-		states = Solve(pr.cfg, pr)
+		states = jvm.Solve(pr.cfg, pr)
 	}
 	stateFor := func(pc int) *factState { return pr.stateAt(states, pc) }
 
@@ -196,7 +196,7 @@ func lintLabeled(a *analyzer, m *jvm.Method, code []jvm.Instr, inCatch bool, add
 
 	// Non-fall-through exits: region code from which no return is
 	// reachable keeps the region's labels on the thread forever.
-	reach := Solve(pr.cfg, &reachProblem{cfg: pr.cfg})
+	reach := jvm.Solve(pr.cfg, &reachProblem{cfg: pr.cfg})
 	if len(pr.cfg.Blocks) > 0 {
 		entry := pr.cfg.BlockOf(0)
 		if !bool(*reach[entry].(*reachState)) {
@@ -206,40 +206,13 @@ func lintLabeled(a *analyzer, m *jvm.Method, code []jvm.Instr, inCatch bool, add
 	}
 }
 
-// derefConsumed mirrors the verifier's parameter-use rule: the value
-// pushed at pc must be consumed by a dereference-style instruction or a
-// call.
-func derefConsumed(code []jvm.Instr, pc int) bool {
-	height := 0
-	for i := pc + 1; i < len(code); i++ {
-		op := code[i].Op
-		if op == jvm.OpInvoke {
-			return true
-		}
-		pops, pushes := op.StackEffect()
-		if pops > height {
-			switch op {
-			case jvm.OpGetField, jvm.OpPutField, jvm.OpALoad, jvm.OpAStore, jvm.OpArrayLen:
-				return true
-			default:
-				return false
-			}
-		}
-		if op.IsJump() || op == jvm.OpReturn || op == jvm.OpReturnVal {
-			return false
-		}
-		height = height - pops + pushes
-	}
-	return false
-}
-
 // reachProblem is the backward may-analysis "is a return reachable from
 // here": Merge is a union, boundary (at exit blocks) is true, and the
 // per-instruction transfer is the identity.
 type reachState bool
 
-func (s *reachState) Clone() State { c := *s; return &c }
-func (s *reachState) Merge(other State) bool {
+func (s *reachState) Clone() jvm.State { c := *s; return &c }
+func (s *reachState) Merge(other jvm.State) bool {
 	o := *other.(*reachState)
 	if o && !*s {
 		*s = true
@@ -247,17 +220,16 @@ func (s *reachState) Merge(other State) bool {
 	}
 	return false
 }
-func (s *reachState) Equal(other State) bool { return *s == *other.(*reachState) }
 
-type reachProblem struct{ cfg *CFG }
+type reachProblem struct{ cfg *jvm.CFG }
 
-func (p *reachProblem) Direction() Direction { return Backward }
-func (p *reachProblem) Boundary() State {
+func (p *reachProblem) Direction() jvm.Direction { return jvm.Backward }
+func (p *reachProblem) Boundary() jvm.State {
 	s := reachState(true)
 	return &s
 }
-func (p *reachProblem) Top() State {
+func (p *reachProblem) Top() jvm.State {
 	s := reachState(false)
 	return &s
 }
-func (p *reachProblem) Transfer(b int, s State) {}
+func (p *reachProblem) Transfer(b int, s jvm.State) {}

@@ -127,7 +127,7 @@ func topSummary(m *jvm.Method) *Summary {
 func (a *analyzer) summarize(mi int) *Summary {
 	m := a.prog.Methods[mi]
 	pr := a.problemFor(m, m.Code, nil)
-	states := Solve(pr.cfg, pr)
+	states := jvm.Solve(pr.cfg, pr)
 
 	out := topSummary(m)
 	for bi, b := range pr.cfg.Blocks {
@@ -174,7 +174,7 @@ func (a *analyzer) entryChecked() {
 	}
 	collect := func(caller *jvm.Method, code []jvm.Instr) {
 		pr := a.problemFor(caller, code, nil)
-		states := Solve(pr.cfg, pr)
+		states := jvm.Solve(pr.cfg, pr)
 		for pc, in := range code {
 			if in.Op != jvm.OpInvoke {
 				continue

@@ -19,10 +19,11 @@ import (
 //	                         distinguishable public effects (the
 //	                         "evil router" control-flow encoding).
 //
-// The analysis is a forward may-analysis over the same CFG/worklist
-// machinery as the checked-facts pass (facts.go), generalized in three
-// ways: the lattice tracks a two-bit taint (secret, low-integrity) per
-// value plus symbolic dependences on the enclosing method's parameters;
+// The analysis is a forward may-analysis over the same CFG, worklist
+// solver and stack tracer (package jvm's dataflow.go) as the checked-facts
+// pass (facts.go), generalized in three ways: the lattice tracks a
+// two-bit taint (secret, low-integrity) per value plus symbolic
+// dependences on the enclosing method's parameters;
 // implicit flows are modeled with a per-pc control taint derived from
 // postdominator-based control dependence; and the interprocedural part is
 // a global fixpoint over per-method entry/return/heap-effect tables
@@ -132,7 +133,7 @@ func newTaintState(nLocal, nArgs, nSites int) *taintState {
 	}
 }
 
-func (s *taintState) Clone() State {
+func (s *taintState) Clone() jvm.State {
 	c := newTaintState(len(s.slots), len(s.hparam), len(s.sites))
 	copy(c.slots, s.slots)
 	copy(c.orig, s.orig)
@@ -143,7 +144,7 @@ func (s *taintState) Clone() State {
 
 // Merge joins taint (may-analysis: union). Origins merge as in facts.go:
 // top absorbs, equal survives, conflict decays to unknown.
-func (s *taintState) Merge(other State) bool {
+func (s *taintState) Merge(other jvm.State) bool {
 	o := other.(*taintState)
 	changed := false
 	for i := range s.slots {
@@ -178,30 +179,9 @@ func (s *taintState) Merge(other State) bool {
 	return changed
 }
 
-func (s *taintState) Equal(other State) bool {
-	o := other.(*taintState)
-	for i := range s.slots {
-		if s.slots[i] != o.slots[i] || s.orig[i] != o.orig[i] {
-			return false
-		}
-	}
-	for i := range s.hparam {
-		if s.hparam[i] != o.hparam[i] {
-			return false
-		}
-	}
-	for i := range s.sites {
-		if s.sites[i] != o.sites[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // methodInfo caches the per-code-array structures the analysis needs.
 type methodInfo struct {
-	cfg     *CFG
-	jt      []bool
+	cfg     *jvm.CFG
 	sites   map[int]int // pc of OpNew/OpNewArray -> allocation site index
 	nsites  int
 	pcT     []taintVal // per-pc control taint (symbolic), grows monotonically
@@ -210,8 +190,7 @@ type methodInfo struct {
 
 func newMethodInfo(code []jvm.Instr, inCatch bool) *methodInfo {
 	mi := &methodInfo{
-		cfg:     BuildCFG(code),
-		jt:      jumpTargets(code),
+		cfg:     jvm.BuildCFG(code),
 		sites:   make(map[int]int),
 		pcT:     make([]taintVal, len(code)),
 		inCatch: inCatch,
@@ -491,9 +470,9 @@ func (pr *taintProblem) conservativeAll() taintVal {
 	return taintVal{bits: bits, deps: paramMask(pr.m.NArgs), hdeps: paramMask(pr.m.NArgs)}
 }
 
-func (pr *taintProblem) Direction() Direction { return Forward }
+func (pr *taintProblem) Direction() jvm.Direction { return jvm.Forward }
 
-func (pr *taintProblem) Boundary() State {
+func (pr *taintProblem) Boundary() jvm.State {
 	s := newTaintState(pr.m.NLocal, pr.m.NArgs, pr.info.nsites)
 	for i := range s.orig {
 		// Non-parameter locals start as the integer zero.
@@ -518,7 +497,7 @@ func (pr *taintProblem) Boundary() State {
 	return s
 }
 
-func (pr *taintProblem) Top() State {
+func (pr *taintProblem) Top() jvm.State {
 	s := newTaintState(pr.m.NLocal, pr.m.NArgs, pr.info.nsites)
 	for i := range s.orig {
 		s.orig[i] = originTop
@@ -526,7 +505,7 @@ func (pr *taintProblem) Top() State {
 	return s
 }
 
-func (pr *taintProblem) Transfer(b int, st State) {
+func (pr *taintProblem) Transfer(b int, st jvm.State) {
 	s := st.(*taintState)
 	blk := pr.info.cfg.Blocks[b]
 	for pc := blk.Start; pc < blk.End; pc++ {
@@ -534,45 +513,10 @@ func (pr *taintProblem) Transfer(b int, st State) {
 	}
 }
 
-// src traces the stack value at depth (0 = top) just before code[pc] back
-// to its producing pc within the block, or -1 (same algorithm as
-// facts.go, shared via the cached jt array).
-func (pr *taintProblem) src(pc, depth int) int {
-	code := pr.info.cfg.Code
-	want := depth
-	for i := pc - 1; i >= 0; i-- {
-		in := code[i]
-		if in.Op.IsJump() || in.Op == jvm.OpReturn || in.Op == jvm.OpReturnVal {
-			return -1
-		}
-		if pr.info.jt[i+1] {
-			return -1
-		}
-		var pops, pushes int
-		if in.Op == jvm.OpInvoke {
-			if int(in.A) < 0 || int(in.A) >= len(pr.ta.prog.Methods) {
-				return -1
-			}
-			callee := pr.ta.prog.Methods[in.A]
-			pops = callee.NArgs
-			if callee.ReturnsValue() {
-				pushes = 1
-			}
-		} else {
-			pops, pushes = in.Op.StackEffect()
-		}
-		if pushes > want {
-			return i
-		}
-		want = want - pushes + pops
-	}
-	return -1
-}
-
 // valueTaint computes the symbolic taint of the stack value at depth just
 // before pc.
 func (pr *taintProblem) valueTaint(s *taintState, pc, depth int) taintVal {
-	src := pr.src(pc, depth)
+	src := pr.ta.prog.StackSource(pr.info.cfg, pc, depth, true)
 	if src < 0 {
 		return pr.conservativeAll()
 	}
@@ -628,7 +572,7 @@ func (pr *taintProblem) valueTaint(s *taintState, pc, depth int) taintVal {
 // parameter, a local allocation site, a definite int, or unknown (which
 // conservatively means "possibly a reference to anything").
 func (pr *taintProblem) valueOrigin(s *taintState, pc, depth int) int16 {
-	src := pr.src(pc, depth)
+	src := pr.ta.prog.StackSource(pr.info.cfg, pc, depth, true)
 	if src < 0 {
 		return originUnknown
 	}
@@ -689,7 +633,7 @@ func (pr *taintProblem) bucketTaint(s *taintState, origin int16) taintVal {
 // nested reference after linking it is out of model, which the random
 // generator and fixtures respect by keeping fields integer-valued).
 func (pr *taintProblem) heapTaint(s *taintState, pc, depth int) taintVal {
-	src := pr.src(pc, depth)
+	src := pr.ta.prog.StackSource(pr.info.cfg, pc, depth, true)
 	if src < 0 {
 		return pr.conservativeAll()
 	}
@@ -823,7 +767,7 @@ func (pr *taintProblem) substCallee(s *taintState, pc, ci int, tv taintVal) tain
 // with the control-taint computation: branch-condition taint is smeared
 // over the branch's control-dependent blocks, the problem re-solved, until
 // the (finite, monotone) pcT assignment stabilizes.
-func (pr *taintProblem) solveWithControl() []State {
+func (pr *taintProblem) solveWithControl() []jvm.State {
 	cd := controlDeps(pr.info.cfg)
 	if pr.info.inCatch {
 		// Whether catch code runs at all is violation-dependent.
@@ -832,9 +776,9 @@ func (pr *taintProblem) solveWithControl() []State {
 			pr.info.pcT[pc] = pr.info.pcT[pc].or(all)
 		}
 	}
-	var states []State
+	var states []jvm.State
 	for {
-		states = Solve(pr.info.cfg, pr)
+		states = jvm.Solve(pr.info.cfg, pr)
 		changed := false
 		for b, blk := range pr.info.cfg.Blocks {
 			if blk.End <= blk.Start {
@@ -867,7 +811,7 @@ func (pr *taintProblem) solveWithControl() []State {
 
 // stateAt replays the transfer from pc's block entry up to (not
 // including) pc.
-func (pr *taintProblem) stateAt(states []State, pc int) *taintState {
+func (pr *taintProblem) stateAt(states []jvm.State, pc int) *taintState {
 	b := pr.info.cfg.BlockOf(pc)
 	s := states[b].Clone().(*taintState)
 	for i := pr.info.cfg.Blocks[b].Start; i < pc; i++ {
@@ -876,71 +820,64 @@ func (pr *taintProblem) stateAt(states []State, pc int) *taintState {
 	return s
 }
 
+// pdomState is a set of blocks. Merge intersects: a block postdominates
+// a point only if it does so along every successor.
+type pdomState []bool
+
+func (s pdomState) Clone() jvm.State { return append(pdomState(nil), s...) }
+
+func (s pdomState) Merge(other jvm.State) bool {
+	changed := false
+	for j, in := range other.(pdomState) {
+		if s[j] && !in {
+			s[j] = false
+			changed = true
+		}
+	}
+	return changed
+}
+
+// pdomProblem solves postdominators backward: the state at a block's exit
+// (what Solve returns) holds the blocks that postdominate it, itself
+// excluded; crossing a block adds it. A block that cannot reach an exit
+// is postdominated by nothing: crossing it leaves {self}, and controlDeps
+// ignores its own exit state.
+type pdomProblem struct{ canExit []bool }
+
+func (p *pdomProblem) Direction() jvm.Direction { return jvm.Backward }
+func (p *pdomProblem) Boundary() jvm.State      { return make(pdomState, len(p.canExit)) }
+func (p *pdomProblem) Top() jvm.State {
+	s := make(pdomState, len(p.canExit))
+	for j := range s {
+		s[j] = true
+	}
+	return s
+}
+func (p *pdomProblem) Transfer(b int, st jvm.State) {
+	s := st.(pdomState)
+	if !p.canExit[b] {
+		clear(s)
+	}
+	s[b] = true
+}
+
 // controlDeps computes, per block, the blocks control-dependent on its
 // terminal conditional branch: blocks reachable from a successor that do
 // not postdominate the branch. Blocks that cannot reach an exit are
 // treated as postdominated by nothing, which over-approximates dependence
 // (conservative for a may-taint).
-func controlDeps(g *CFG) [][]int {
+func controlDeps(g *jvm.CFG) [][]int {
 	n := len(g.Blocks)
 	cd := make([][]int, n)
-	if n == 0 {
-		return cd
-	}
-	// Which blocks can reach an exit (a block with no successors).
+	// Which blocks can reach an exit (a block with no Succs), then
+	// postdominators, both solved backward over the CFG.
+	exits := jvm.Solve(g, &reachProblem{cfg: g})
 	canExit := make([]bool, n)
-	var work []int
-	for i, b := range g.Blocks {
-		if len(b.Succs) == 0 {
-			canExit[i] = true
-			work = append(work, i)
-		}
+	for i := range canExit {
+		canExit[i] = bool(*exits[i].(*reachState))
 	}
-	for len(work) > 0 {
-		b := work[len(work)-1]
-		work = work[:len(work)-1]
-		for _, p := range g.Blocks[b].Preds {
-			if !canExit[p] {
-				canExit[p] = true
-				work = append(work, p)
-			}
-		}
-	}
-	// Postdominator sets by greatest fixpoint. Blocks that cannot reach
-	// an exit are pinned to {self}: nothing is guaranteed to execute
-	// after them.
-	pdom := make([][]bool, n)
-	for i := range pdom {
-		pdom[i] = make([]bool, n)
-		if len(g.Blocks[i].Succs) == 0 || !canExit[i] {
-			pdom[i][i] = true
-			continue
-		}
-		for j := range pdom[i] {
-			pdom[i][j] = true
-		}
-	}
-	for changed := true; changed; {
-		changed = false
-		for i := range pdom {
-			if len(g.Blocks[i].Succs) == 0 || !canExit[i] {
-				continue
-			}
-			for j := 0; j < n; j++ {
-				if !pdom[i][j] || j == i {
-					continue
-				}
-				for _, s := range g.Blocks[i].Succs {
-					if !pdom[s][j] {
-						pdom[i][j] = false
-						changed = true
-						break
-					}
-				}
-			}
-		}
-	}
-	// reach[i]: forward closure over successors.
+	pdom := jvm.Solve(g, &pdomProblem{canExit: canExit})
+	// reach[i]: forward closure over Succs.
 	reach := make([][]bool, n)
 	for i := range reach {
 		reach[i] = make([]bool, n)
@@ -972,7 +909,7 @@ func controlDeps(g *CFG) [][]int {
 			if !fromSucc {
 				continue
 			}
-			if pdom[i][j] && j != i {
+			if canExit[i] && pdom[i].(pdomState)[j] && j != i {
 				continue // j runs no matter which way the branch goes
 			}
 			cd[i] = append(cd[i], j)

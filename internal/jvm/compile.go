@@ -330,29 +330,20 @@ func (p *Program) validateCompiled(m *Method, code []Instr) error {
 		work = work[:len(work)-1]
 		in := code[pc]
 		d := depth[pc]
-		var pops, pushes int
 		switch in.Op {
 		case OpBarrierRead, OpBarrierWrite, OpBarrierOutR, OpBarrierOutW, OpBarrierAlloc:
 			if d <= int(in.A) {
 				return fmt.Errorf("jvm: compiled %s: barrier at %d peeks depth %d with stack %d", m.Name, pc, in.A, d)
 			}
 		case OpBarrierSelR, OpBarrierSelW:
-			pops = 1 // consumes the OpInRegion flag
+			// The select barrier consumes the OpInRegion flag first.
 			if d-1 <= int(in.A) {
 				return fmt.Errorf("jvm: compiled %s: select barrier at %d peeks depth %d with stack %d", m.Name, pc, in.A, d-1)
 			}
-		case OpBarrierStaticR, OpBarrierStaticW:
-			// no stack effect
-		case OpInRegion:
-			pushes = 1
-		case OpInvoke:
-			callee := p.Methods[in.A]
-			pops = callee.NArgs
-			if callee.returnsValue() {
-				pushes = 1
-			}
-		default:
-			pops, pushes = stackEffect(in.Op)
+		}
+		pops, pushes, ok := p.effect(in)
+		if !ok {
+			return fmt.Errorf("jvm: compiled %s: invoke of undefined method %d at %d", m.Name, in.A, pc)
 		}
 		if d < pops {
 			return fmt.Errorf("jvm: compiled %s: stack underflow at %d", m.Name, pc)

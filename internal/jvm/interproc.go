@@ -10,9 +10,10 @@ package jvm
 // barrier-free.
 //
 // The package split keeps the dependency one-way: analysis imports jvm,
-// never the reverse. The exported helpers below (StackEffect, AccessDepth,
-// …) exist so the analysis package shares the compiler's opcode model
-// instead of re-deriving it.
+// never the reverse. The exported helpers below (AccessDepth, IsWrite, …),
+// Op.StackEffect and the dataflow framework in dataflow.go exist so the
+// analysis package shares the compiler's opcode model, CFG, solver and
+// stack tracer instead of re-deriving them.
 
 // Fact bits tracked per object by the barrier dataflow analyses, both the
 // intraprocedural pass in opt.go and the interprocedural summaries. A bit
@@ -145,32 +146,12 @@ func (p *Program) RemainingBarriers(m *Method, entry []uint8) int {
 
 // --- exported opcode model, shared with internal/jvm/analysis ---
 
-// StackEffect returns (pops, pushes) for the opcode. OpInvoke's effect
-// depends on the callee and must be handled by the caller; barrier opcodes
-// are reported with their runtime effect (only the select barriers pop the
-// OpInRegion flag).
-func (o Op) StackEffect() (pops, pushes int) {
-	switch o {
-	case OpBarrierSelR, OpBarrierSelW:
-		return 1, 0
-	case OpInRegion:
-		return 0, 1
-	}
-	return stackEffect(o)
-}
-
-// IsJump reports whether the opcode's A operand is a branch target.
-func (o Op) IsJump() bool { return o.isJump() }
-
 // IsBarrier reports whether the opcode is compiler-inserted.
 func (o Op) IsBarrier() bool { return o.isBarrier() }
 
 // AccessDepth returns the stack depth of a heap-access opcode's object
 // operand at barrier time, or -1 for non-access opcodes.
 func (o Op) AccessDepth() int { return accessDepth(o) }
-
-// IsRead reports whether the opcode is a heap read access.
-func (o Op) IsRead() bool { return isRead(o) }
 
 // IsWrite reports whether the opcode is a heap write access.
 func (o Op) IsWrite() bool { return isWrite(o) }

@@ -11,10 +11,12 @@ package jvm
 // check, or was allocated in this method (allocation implies both: a
 // fresh object carries the region's own labels). Facts meet by
 // intersection at join points, giving the "along every incoming path"
-// semantics. Object operands are traced to their producing instruction by
-// backwards stack simulation within the basic block; operands that cannot
-// be traced to a local load or a fresh allocation conservatively keep
-// their barriers.
+// semantics. The pass is a forward Problem solved by Solve over BuildCFG's
+// graph (dataflow.go), the same framework the analysis package runs its
+// summaries, lint and taint analyses on. Object operands are traced to
+// their producing instruction by Program.StackSource within the basic
+// block; operands that cannot be traced to a local load or a fresh
+// allocation conservatively keep their barriers.
 //
 // Soundness rests on two Laminar invariants: object labels are immutable
 // (§4.5) and a security region's labels cannot change during its execution
@@ -35,39 +37,38 @@ package jvm
 //   - backwards stack tracing walks through calls, since a call never
 //     touches stack values below its arguments.
 
-// localFacts maps a local slot to its fact bits. Slots absent from the map
-// hold unknown objects.
+// localFacts is the elimination pass's lattice element: the fact bits of
+// the object each local slot holds, plus whether a static read or write
+// check already ran in this region.
 type localFacts struct {
 	bits    []uint8
 	staticR bool // a static-read check already ran in this region
 	staticW bool
 }
 
-func newFacts(nLocal int) localFacts {
-	return localFacts{bits: make([]uint8, nLocal)}
-}
-
-func (f localFacts) clone() localFacts {
-	out := localFacts{bits: make([]uint8, len(f.bits)), staticR: f.staticR, staticW: f.staticW}
+// Clone copies the facts.
+func (f *localFacts) Clone() State {
+	out := &localFacts{bits: make([]uint8, len(f.bits)), staticR: f.staticR, staticW: f.staticW}
 	copy(out.bits, f.bits)
 	return out
 }
 
-// meet intersects two fact sets; reports whether the receiver changed.
-func (f *localFacts) meet(other localFacts) bool {
+// Merge intersects other into f; reports whether f changed.
+func (f *localFacts) Merge(other State) bool {
+	o := other.(*localFacts)
 	changed := false
 	for i := range f.bits {
-		nb := f.bits[i] & other.bits[i]
+		nb := f.bits[i] & o.bits[i]
 		if nb != f.bits[i] {
 			f.bits[i] = nb
 			changed = true
 		}
 	}
-	if f.staticR && !other.staticR {
+	if f.staticR && !o.staticR {
 		f.staticR = false
 		changed = true
 	}
-	if f.staticW && !other.staticW {
+	if f.staticW && !o.staticW {
 		f.staticW = false
 		changed = true
 	}
@@ -92,160 +93,55 @@ func (oc optContext) explain(pc int, reason string) {
 	}
 }
 
-// stackSource walks backwards from pc to find the instruction that
-// produced the stack value at the given depth (0 = value on top just
-// before code[pc] executes). It stays within the basic block — the walk
-// stops at branches, returns and join targets (jumpTarget marks them) —
-// and returns the producing pc, or -1 when unknown. With interprocedural
-// summaries available the walk continues through OpInvoke for values below
-// the call's arguments (a call cannot touch them), and reports the invoke
-// itself as the producer of its return value.
-func (oc optContext) stackSource(code []Instr, jumpTarget []bool, pc, depth int) int {
-	want := depth
-	for i := pc - 1; i >= 0; i-- {
-		in := code[i]
-		if in.Op.isJump() || in.Op == OpReturn || in.Op == OpReturnVal {
-			return -1
-		}
-		if jumpTarget[i+1] {
-			// Something jumps to i+1; the values below may come from
-			// elsewhere on another path.
-			return -1
-		}
-		var pops, pushes int
-		if in.Op == OpInvoke {
-			if oc.ip == nil {
-				return -1 // values across calls are not traced intraprocedurally
-			}
-			callee := oc.p.Methods[in.A]
-			pops = callee.NArgs
-			if callee.returnsValue() {
-				pushes = 1
-			}
-		} else {
-			pops, pushes = stackEffect(in.Op)
-		}
-		if pushes > want {
-			return i
-		}
-		want = want - pushes + pops
-	}
-	return -1
+// elimination is the §5.1 pass as a forward must-problem over one code
+// array: the boundary holds the caller-proven entry facts, every other
+// block starts from all facts, and facts meet by intersection. need is
+// nil while Solve runs; the final pass sets it to mark redundant sites.
+type elimination struct {
+	optContext
+	g      *CFG
+	nLocal int
+	entry  []uint8
+	need   *barrierNeed
 }
 
-// jumpTargets marks every pc that some branch lands on.
-func jumpTargets(code []Instr) []bool {
-	t := make([]bool, len(code)+1)
-	for _, in := range code {
-		if in.Op.isJump() && int(in.A) <= len(code) {
-			t[in.A] = true
-		}
+func (e *elimination) Direction() Direction { return Forward }
+
+func (e *elimination) Boundary() State {
+	f := &localFacts{bits: make([]uint8, e.nLocal)}
+	copy(f.bits, e.entry)
+	return f
+}
+
+func (e *elimination) Top() State {
+	f := &localFacts{bits: make([]uint8, e.nLocal), staticR: true, staticW: true}
+	for s := range f.bits {
+		f.bits[s] = FactAll
 	}
-	return t
+	return f
+}
+
+// src traces the stack value at depth just before pc to its producer.
+// Values are traced across calls only with interprocedural summaries.
+func (e *elimination) src(pc, depth int) int {
+	return e.p.StackSource(e.g, pc, depth, e.ip != nil)
 }
 
 // eliminateRedundant computes which barriers must stay. need starts as the
 // all-barriers set from allBarriers. entry seeds fact bits for the leading
 // local slots (parameters) at method entry; nil means no entry facts.
 func eliminateRedundant(oc optContext, code []Instr, need barrierNeed, entry []uint8) barrierNeed {
-	blocks, blockOf := buildBlocks(code)
-	jt := jumpTargets(code)
-	nLocal := maxLocalSlot(code) + 1
-	if len(entry) > nLocal {
-		nLocal = len(entry)
+	e := &elimination{optContext: oc, g: BuildCFG(code), nLocal: maxLocalSlot(code) + 1, entry: entry}
+	if len(entry) > e.nLocal {
+		e.nLocal = len(entry)
 	}
-
-	in := make([]localFacts, len(blocks))
-	out := make([]localFacts, len(blocks))
-	for i := range blocks {
-		in[i] = newFacts(nLocal)
-		out[i] = newFacts(nLocal)
-	}
-	// Entry block starts with only the caller-proven facts; all others
-	// optimistically start "all facts" so the intersection fixpoint
-	// converges from above.
-	copy(in[0].bits, entry)
-	for i := 1; i < len(blocks); i++ {
-		for s := range in[i].bits {
-			in[i].bits[s] = FactAll
-		}
-		in[i].staticR, in[i].staticW = true, true
-	}
-
-	// Fixpoint: iterate transfer until stable.
-	for changed := true; changed; {
-		changed = false
-		for bi, b := range blocks {
-			f := in[bi].clone()
-			transferBlock(oc, code, jt, b, &f, nil)
-			if !factsEqual(out[bi], f) {
-				out[bi] = f
-				changed = true
-			}
-			for _, succ := range successors(code, b) {
-				si := blockOf[succ]
-				if in[si].meet(out[bi]) {
-					changed = true
-				}
-			}
-		}
-	}
-
+	states := Solve(e.g, e)
 	// Final pass: with stable entry facts, mark redundant barriers.
-	for bi, b := range blocks {
-		f := in[bi].clone()
-		transferBlock(oc, code, jt, b, &f, &need)
+	e.need = &need
+	for bi := range e.g.Blocks {
+		e.Transfer(bi, states[bi])
 	}
 	return need
-}
-
-// block is a half-open instruction range [start, end).
-type block struct{ start, end int }
-
-// buildBlocks splits code into basic blocks and maps start pc -> index.
-func buildBlocks(code []Instr) ([]block, map[int]int) {
-	leader := make([]bool, len(code)+1)
-	leader[0] = true
-	for pc, in := range code {
-		if in.Op.isJump() {
-			leader[in.A] = true
-			leader[pc+1] = true
-		}
-		if in.Op == OpReturn || in.Op == OpReturnVal {
-			leader[pc+1] = true
-		}
-	}
-	var blocks []block
-	blockOf := make(map[int]int)
-	start := 0
-	for pc := 1; pc <= len(code); pc++ {
-		if pc == len(code) || leader[pc] {
-			if start < pc {
-				blockOf[start] = len(blocks)
-				blocks = append(blocks, block{start, pc})
-			}
-			start = pc
-		}
-	}
-	return blocks, blockOf
-}
-
-// successors lists the start pcs of b's successor blocks.
-func successors(code []Instr, b block) []int {
-	last := code[b.end-1]
-	switch {
-	case last.Op == OpReturn || last.Op == OpReturnVal:
-		return nil
-	case last.Op == OpJmp:
-		return []int{int(last.A)}
-	case last.Op == OpJmpIf || last.Op == OpJmpIfNot:
-		return []int{int(last.A), b.end}
-	default:
-		if b.end < len(code) {
-			return []int{b.end}
-		}
-		return nil
-	}
 }
 
 // calleeEnsures returns the interprocedural summary facts for a callee's
@@ -269,14 +165,15 @@ func (oc optContext) calleeReturn(calleeIdx int) uint8 {
 	return oc.ip.Return[calleeIdx]
 }
 
-// transferBlock runs the transfer function over a block. When need is
-// non-nil, barriers proven redundant are cleared in it.
-func transferBlock(oc optContext, code []Instr, jt []bool, b block, f *localFacts, need *barrierNeed) {
-	for pc := b.start; pc < b.end; pc++ {
+// Transfer runs the transfer function over block b. When e.need is set,
+// barriers proven redundant are cleared in it.
+func (e *elimination) Transfer(b int, s State) {
+	f, code, need := s.(*localFacts), e.g.Code, e.need
+	for pc := e.g.Blocks[b].Start; pc < e.g.Blocks[b].End; pc++ {
 		in := code[pc]
 		switch {
 		case accessDepth(in.Op) >= 0:
-			src := oc.stackSource(code, jt, pc, accessDepth(in.Op))
+			src := e.src(pc, accessDepth(in.Op))
 			bit := FactRead
 			if isWrite(in.Op) {
 				bit = FactWrite
@@ -286,7 +183,7 @@ func transferBlock(oc optContext, code []Instr, jt []bool, b block, f *localFact
 				// Freshly allocated on this path: always redundant.
 				if need != nil {
 					need.access[pc] = false
-					oc.explain(pc, "object freshly allocated in this method; a fresh object carries the context's own labels")
+					e.explain(pc, "object freshly allocated in this method; a fresh object carries the context's own labels")
 				}
 			case src >= 0 && code[src].Op == OpLoad:
 				slot := int(code[src].A)
@@ -294,16 +191,16 @@ func transferBlock(oc optContext, code []Instr, jt []bool, b block, f *localFact
 					if f.bits[slot]&bit != 0 {
 						if need != nil {
 							need.access[pc] = false
-							oc.explain(pc, "object in local slot passed the same check on every incoming path")
+							e.explain(pc, "object in local slot passed the same check on every incoming path")
 						}
 					}
 					f.bits[slot] |= bit
 				}
 			case src >= 0 && code[src].Op == OpInvoke:
 				// The accessed object is a callee's return value.
-				if oc.calleeReturn(int(code[src].A))&bit != 0 && need != nil {
+				if e.calleeReturn(int(code[src].A))&bit != 0 && need != nil {
 					need.access[pc] = false
-					oc.explain(pc, "callee's Return summary proves its result checked or freshly allocated")
+					e.explain(pc, "callee's Return summary proves its result checked or freshly allocated")
 				}
 			case src >= 0 && code[src].Op == OpDup:
 				// Conservatively keep the barrier; no fact update.
@@ -311,23 +208,23 @@ func transferBlock(oc optContext, code []Instr, jt []bool, b block, f *localFact
 		case in.Op == OpGetStatic:
 			if f.staticR && need != nil {
 				need.static[pc] = false
-				oc.explain(pc, "a checked static read already ran on every incoming path")
+				e.explain(pc, "a checked static read already ran on every incoming path")
 			}
 			f.staticR = true
 		case in.Op == OpPutStatic:
 			if f.staticW && need != nil {
 				need.static[pc] = false
-				oc.explain(pc, "a checked static write already ran on every incoming path")
+				e.explain(pc, "a checked static write already ran on every incoming path")
 			}
 			f.staticW = true
-		case in.Op == OpInvoke && oc.ip != nil:
+		case in.Op == OpInvoke && e.ip != nil:
 			// Callee summaries: the callee checked these arguments on
 			// every path, so the source slots gain the facts for the rest
 			// of this activation (the callee ran in this activation's
 			// context — secure callees publish empty summaries).
-			callee := oc.p.Methods[in.A]
-			if idx := int(in.A); idx < len(oc.ip.EnsuresStatic) {
-				if bits := oc.ip.EnsuresStatic[idx]; bits != 0 {
+			callee := e.p.Methods[in.A]
+			if idx := int(in.A); idx < len(e.ip.EnsuresStatic) {
+				if bits := e.ip.EnsuresStatic[idx]; bits != 0 {
 					// The callee ran checked static accesses in this same
 					// region on every path, so our later ones are covered.
 					f.staticR = f.staticR || bits&FactRead != 0
@@ -335,13 +232,13 @@ func transferBlock(oc optContext, code []Instr, jt []bool, b block, f *localFact
 				}
 			}
 			for k := 0; k < callee.NArgs; k++ {
-				bits := oc.calleeEnsures(int(in.A), k)
+				bits := e.calleeEnsures(int(in.A), k)
 				if bits == 0 {
 					continue
 				}
 				// Argument k sits at depth NArgs-1-k (last argument on
 				// top) just before the invoke executes.
-				src := oc.stackSource(code, jt, pc, callee.NArgs-1-k)
+				src := e.src(pc, callee.NArgs-1-k)
 				if src >= 0 && code[src].Op == OpLoad {
 					if slot := int(code[src].A); slot < len(f.bits) {
 						f.bits[slot] |= bits
@@ -353,31 +250,19 @@ func transferBlock(oc optContext, code []Instr, jt []bool, b block, f *localFact
 			if slot < len(f.bits) {
 				// What is being stored? A fresh allocation transfers
 				// full facts; anything else clears them.
-				src := oc.stackSource(code, jt, pc, 0)
+				src := e.src(pc, 0)
 				if src >= 0 && (code[src].Op == OpNew || code[src].Op == OpNewArray) {
 					f.bits[slot] = FactAll
 				} else if src >= 0 && code[src].Op == OpLoad && int(code[src].A) < len(f.bits) {
 					f.bits[slot] = f.bits[int(code[src].A)]
 				} else if src >= 0 && code[src].Op == OpInvoke {
-					f.bits[slot] = oc.calleeReturn(int(code[src].A))
+					f.bits[slot] = e.calleeReturn(int(code[src].A))
 				} else {
 					f.bits[slot] = 0
 				}
 			}
 		}
 	}
-}
-
-func factsEqual(a, b localFacts) bool {
-	if a.staticR != b.staticR || a.staticW != b.staticW {
-		return false
-	}
-	for i := range a.bits {
-		if a.bits[i] != b.bits[i] {
-			return false
-		}
-	}
-	return true
 }
 
 func maxLocalSlot(code []Instr) int {

@@ -83,15 +83,18 @@ func (p *Program) verifyMethod(m *Method) error {
 	return nil
 }
 
-// stackEffect returns (pops, pushes) for an instruction; OpInvoke is
-// handled by the caller.
-func stackEffect(op Op) (int, int) {
-	switch op {
+// StackEffect returns (pops, pushes) for the opcode. OpInvoke's effect
+// depends on the callee (see Program.effect); barrier opcodes report
+// their runtime effect (only the select barriers pop the OpInRegion
+// flag).
+func (o Op) StackEffect() (pops, pushes int) {
+	switch o {
 	case OpNop, OpJmp, OpReturn:
 		return 0, 0
-	case OpConst, OpLoad, OpGetStatic, OpNew:
+	case OpConst, OpLoad, OpGetStatic, OpNew, OpInRegion:
 		return 0, 1
-	case OpStore, OpPop, OpJmpIf, OpJmpIfNot, OpPutStatic, OpReturnVal:
+	case OpStore, OpPop, OpJmpIf, OpJmpIfNot, OpPutStatic, OpReturnVal,
+		OpBarrierSelR, OpBarrierSelW:
 		return 1, 0
 	case OpDup:
 		return 1, 2
@@ -109,6 +112,24 @@ func stackEffect(op Op) (int, int) {
 	default:
 		return 0, 0
 	}
+}
+
+// effect returns (pops, pushes) for one instruction, resolving an
+// OpInvoke's effect from its callee. ok is false for an invoke of an
+// undefined method.
+func (p *Program) effect(in Instr) (pops, pushes int, ok bool) {
+	if in.Op != OpInvoke {
+		pops, pushes = in.Op.StackEffect()
+		return pops, pushes, true
+	}
+	if in.A < 0 || int(in.A) >= len(p.Methods) {
+		return 0, 0, false
+	}
+	callee := p.Methods[in.A]
+	if callee.returnsValue() {
+		pushes = 1
+	}
+	return callee.NArgs, pushes, true
 }
 
 // verifyCode abstract-interprets stack depth over the CFG, rejecting
@@ -147,16 +168,9 @@ func (p *Program) verifyCode(m *Method, code []Instr, isCatch bool) (int, error)
 		if in.Op.isBarrier() {
 			return 0, &VerifyError{m.Name, pc, fmt.Sprintf("barrier opcode %v in source code", in.Op)}
 		}
-		pops, pushes := stackEffect(in.Op)
-		if in.Op == OpInvoke {
-			if int(in.A) < 0 || int(in.A) >= len(p.Methods) {
-				return 0, &VerifyError{m.Name, pc, fmt.Sprintf("invoke of undefined method %d", in.A)}
-			}
-			callee := p.Methods[in.A]
-			pops = callee.NArgs
-			if callee.returnsValue() {
-				pushes = 1
-			}
+		pops, pushes, ok := p.effect(in)
+		if !ok {
+			return 0, &VerifyError{m.Name, pc, fmt.Sprintf("invoke of undefined method %d", in.A)}
 		}
 		switch in.Op {
 		case OpLoad, OpStore:
@@ -237,7 +251,7 @@ func (p *Program) verifySecureRestrictions(m *Method) error {
 			}
 		case OpLoad:
 			if int(in.A) < m.NArgs {
-				if !derefFollows(m.Code, pc) {
+				if !DerefFollows(m.Code, pc) {
 					return &VerifyError{m.Name, pc, fmt.Sprintf("security region reads parameter slot %d as a value (only dereference is allowed)", in.A)}
 				}
 			}
@@ -246,19 +260,21 @@ func (p *Program) verifySecureRestrictions(m *Method) error {
 	return nil
 }
 
-// derefFollows reports whether the value pushed at pc is consumed by a
-// dereference-style instruction. It scans forward over pushes that stack
-// on top (a conservative pattern sufficient for parameter uses like
-// "load p; const i; putfield/aload/invoke").
-func derefFollows(code []Instr, pc int) bool {
+// DerefFollows reports whether the value pushed at pc is consumed by a
+// dereference-style instruction or a call: the §5.1 rule for parameter
+// uses in a security region, shared by the verifier and the region lint.
+// It scans forward over pushes that stack on top (a conservative pattern
+// sufficient for parameter uses like "load p; const i;
+// putfield/aload/invoke").
+func DerefFollows(code []Instr, pc int) bool {
 	height := 0 // operands stacked on top of the loaded parameter
 	for i := pc + 1; i < len(code); i++ {
 		op := code[i].Op
-		pops, pushes := stackEffect(op)
 		if op == OpInvoke {
 			// Calls consume parameters by reference; allowed.
 			return true
 		}
+		pops, pushes := op.StackEffect()
 		if pops > height {
 			// This instruction consumes the parameter value.
 			switch op {

@@ -37,8 +37,8 @@ import (
 	"time"
 
 	"laminar/internal/budget"
-	"laminar/internal/cluster"
 	"laminar/internal/difc"
+	"laminar/internal/durable"
 	"laminar/internal/faultinject"
 	"laminar/internal/kernel"
 	"laminar/internal/kernel/lsm"
@@ -460,7 +460,7 @@ func TestBudgetCrashRecoveryNeverUndercounts(t *testing.T) {
 				seed := seed
 				t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 					t.Parallel()
-					store := cluster.NewMemStore()
+					store := durable.NewMemStore()
 					plan := faultinject.NewPlan(seed)
 					plan.SetRates("budget.ckpt.", faultinject.Rates{Error: 0.15, Crash: 0.10})
 					led := budget.New(budget.WithStore(store), budget.WithInjector(plan))

@@ -31,6 +31,7 @@ import (
 
 	"laminar/internal/cluster"
 	"laminar/internal/difc"
+	"laminar/internal/durable"
 	"laminar/internal/faultinject"
 	"laminar/internal/kernel"
 	"laminar/internal/telemetry"
@@ -46,14 +47,14 @@ var clusterdiffCkptRates = faultinject.Rates{Error: 0.05}
 type clusterdiffNode struct {
 	stack *netdiffStack
 	cl    *cluster.Cluster
-	store cluster.Store
+	store durable.Store
 }
 
 // clusterdiffBoot attaches a cluster node to a fresh stack. The store is
 // the node's durable identity: passing the same store after a kill is
 // the restart of the same member (epoch bumped, changes resumed).
 func clusterdiffBoot(t *testing.T, bigLock bool, id uint64, seeds []string,
-	store cluster.Store, seed int64, log *verdictLog) *clusterdiffNode {
+	store durable.Store, seed int64, log *verdictLog) *clusterdiffNode {
 	t.Helper()
 	s := netdiffBoot(t, bigLock)
 	plan := faultinject.NewPlan(seed + int64(id)*7919)
@@ -83,18 +84,18 @@ func clusterdiffRemote(t *testing.T, seed int64, bigLock bool) (string, difc.Tag
 	t.Helper()
 	log := &verdictLog{}
 
-	n1 := clusterdiffBoot(t, bigLock, 1, nil, cluster.NewMemStore(), seed, log)
+	n1 := clusterdiffBoot(t, bigLock, 1, nil, durable.NewMemStore(), seed, log)
 	defer n1.cl.Close()
 	if _, err := n1.cl.Join(); err != nil {
 		t.Fatal(err)
 	}
 	seeds := []string{n1.cl.Addr()}
-	n2 := clusterdiffBoot(t, bigLock, 2, seeds, cluster.NewMemStore(), seed, log)
+	n2 := clusterdiffBoot(t, bigLock, 2, seeds, durable.NewMemStore(), seed, log)
 	defer n2.cl.Close()
 	if _, err := n2.cl.Join(); err != nil {
 		t.Fatal(err)
 	}
-	store3 := cluster.NewMemStore()
+	store3 := durable.NewMemStore()
 	n3 := clusterdiffBoot(t, bigLock, 3, seeds, store3, seed, log)
 	if _, err := n3.cl.Join(); err != nil {
 		t.Fatal(err)
@@ -220,12 +221,12 @@ func TestClusterDifferentialOracle(t *testing.T) {
 // never surfaces in the kernel/LSM verdict stream the oracle compares.
 func TestClusterOracleEpochRejectInvisible(t *testing.T) {
 	log := &verdictLog{}
-	n1 := clusterdiffBoot(t, false, 1, nil, cluster.NewMemStore(), 5, log)
+	n1 := clusterdiffBoot(t, false, 1, nil, durable.NewMemStore(), 5, log)
 	defer n1.cl.Close()
 	if _, err := n1.cl.Join(); err != nil {
 		t.Fatal(err)
 	}
-	store := cluster.NewMemStore()
+	store := durable.NewMemStore()
 	n2 := clusterdiffBoot(t, false, 2, []string{n1.cl.Addr()}, store, 5, log)
 	if _, err := n2.cl.Join(); err != nil {
 		t.Fatal(err)

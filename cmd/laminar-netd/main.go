@@ -56,6 +56,7 @@ import (
 
 	"laminar/internal/cluster"
 	"laminar/internal/difc"
+	"laminar/internal/durable"
 	"laminar/internal/kernel"
 	"laminar/internal/kernel/lsm"
 	"laminar/internal/netlabel"
@@ -247,14 +248,14 @@ func runSmoke(batching bool) error {
 type clusterMember struct {
 	*node
 	cl    *cluster.Cluster
-	store cluster.Store
+	store durable.Store
 }
 
-func bootClusterMember(id uint64, seeds []string, store cluster.Store, batching bool) (*clusterMember, error) {
+func bootClusterMember(id uint64, seeds []string, store durable.Store, batching bool) (*clusterMember, error) {
 	return bootClusterMemberAt(id, seeds, store, batching, telemetry.LevelDeny, false)
 }
 
-func bootClusterMemberAt(id uint64, seeds []string, store cluster.Store, batching bool,
+func bootClusterMemberAt(id uint64, seeds []string, store durable.Store, batching bool,
 	level telemetry.Level, tracing bool) (*clusterMember, error) {
 	n, err := bootNodeAt(id, batching, level, tracing)
 	if err != nil {
@@ -280,14 +281,14 @@ func bootClusterMemberAt(id uint64, seeds []string, store cluster.Store, batchin
 // node 1 through the relay at node 2 to node 3 must deliver — every hop
 // re-checked by that hop's own LSM.
 func runClusterSmoke(batching bool) error {
-	store3 := cluster.NewMemStore()
-	n1, err := bootClusterMember(1, nil, cluster.NewMemStore(), batching)
+	store3 := durable.NewMemStore()
+	n1, err := bootClusterMember(1, nil, durable.NewMemStore(), batching)
 	if err != nil {
 		return err
 	}
 	defer n1.cl.Close()
 	seeds := []string{n1.cl.Addr()}
-	n2, err := bootClusterMember(2, seeds, cluster.NewMemStore(), batching)
+	n2, err := bootClusterMember(2, seeds, durable.NewMemStore(), batching)
 	if err != nil {
 		return err
 	}
@@ -425,18 +426,18 @@ func convergeCluster(members []*clusterMember, what string, ids ...uint64) error
 // from the merged three-node dump (every hop present), with every
 // recorded check re-run.
 func runTraceSmoke(batching bool, dumpdir string) error {
-	n1, err := bootClusterMemberAt(1, nil, cluster.NewMemStore(), batching, telemetry.LevelAll, true)
+	n1, err := bootClusterMemberAt(1, nil, durable.NewMemStore(), batching, telemetry.LevelAll, true)
 	if err != nil {
 		return err
 	}
 	defer n1.cl.Close()
 	seeds := []string{n1.cl.Addr()}
-	n2, err := bootClusterMemberAt(2, seeds, cluster.NewMemStore(), batching, telemetry.LevelAll, true)
+	n2, err := bootClusterMemberAt(2, seeds, durable.NewMemStore(), batching, telemetry.LevelAll, true)
 	if err != nil {
 		return err
 	}
 	defer n2.cl.Close()
-	n3, err := bootClusterMemberAt(3, seeds, cluster.NewMemStore(), batching, telemetry.LevelAll, true)
+	n3, err := bootClusterMemberAt(3, seeds, durable.NewMemStore(), batching, telemetry.LevelAll, true)
 	if err != nil {
 		return err
 	}
@@ -571,18 +572,18 @@ func runTraceSmoke(batching bool, dumpdir string) error {
 // broadcasts land on every peer, a killed node's slice goes stale, and
 // the merged snapshot renders as Prometheus text.
 func runClusterStats(batching bool) error {
-	n1, err := bootClusterMember(1, nil, cluster.NewMemStore(), batching)
+	n1, err := bootClusterMember(1, nil, durable.NewMemStore(), batching)
 	if err != nil {
 		return err
 	}
 	defer n1.cl.Close()
 	seeds := []string{n1.cl.Addr()}
-	n2, err := bootClusterMember(2, seeds, cluster.NewMemStore(), batching)
+	n2, err := bootClusterMember(2, seeds, durable.NewMemStore(), batching)
 	if err != nil {
 		return err
 	}
 	defer n2.cl.Close()
-	n3, err := bootClusterMember(3, seeds, cluster.NewMemStore(), batching)
+	n3, err := bootClusterMember(3, seeds, durable.NewMemStore(), batching)
 	if err != nil {
 		return err
 	}

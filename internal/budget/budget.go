@@ -43,7 +43,6 @@ package budget
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"math"
 	"math/bits"
 	"sort"
@@ -53,20 +52,10 @@ import (
 	"sync/atomic"
 
 	"laminar/internal/difc"
+	"laminar/internal/durable"
 	"laminar/internal/faultinject"
 	"laminar/internal/telemetry"
 )
-
-// Store is the durable keyspace ledger facts live in. It is structurally
-// identical to cluster.Store (PR 6) so the same MemStore a test harness
-// keeps across simulated kills serves both; budget deliberately does not
-// import cluster (the kernel imports budget, cluster imports the kernel).
-type Store interface {
-	Get(key string) ([]byte, bool)
-	Set(key string, val []byte)
-	Delete(key string)
-	Keys() []string
-}
 
 // Key identifies one budget fact: a secrecy tag and the peer (remote node
 // id) the spend is against. Peer 0 is the local context — capability
@@ -167,7 +156,7 @@ type Ledger struct {
 	mu    sync.Mutex // serializes mutators and persistence
 	facts atomic.Pointer[table]
 
-	store Store
+	store durable.Store
 	inj   faultinject.Injector
 	rec   *telemetry.Recorder
 }
@@ -291,7 +280,7 @@ type Option func(*Ledger)
 
 // WithStore attaches the durable store; facts persist through the
 // shadow-write protocol and are recovered (merged, fail closed) by New.
-func WithStore(s Store) Option { return func(l *Ledger) { l.store = s } }
+func WithStore(s durable.Store) Option { return func(l *Ledger) { l.store = s } }
 
 // WithInjector attaches the deterministic fault plan consulted at the
 // budget.ckpt.* checkpoint sites.
@@ -666,21 +655,21 @@ func (l *Ledger) Snapshot() map[Key]Fact {
 
 // ---- persistence: shadow-write + flip, merge-on-recover ------------------
 
-// Per-fact records reuse the PR 1 protocol byte for byte (magic "LMB1",
-// crc32 seal, <key>#shadow staging) with one deliberate divergence in
-// recovery: where the cluster change engine trusts a valid COMMIT and
-// ignores the shadow, the ledger MERGES every record that decodes. A
-// crash between the shadow write and the flip leaves the newer spend in
-// the shadow; preferring the stale commit would round spend DOWN. The
+// Per-fact records go through the shared record store (internal/durable:
+// magic "LMB1", crc32 seal, <key>#shadow staging) with one deliberate
+// addition in recovery: where the store's commit-wins classifier trusts
+// a valid COMMIT, the ledger also MERGES a valid shadow left beside it.
+// A crash between the shadow write and the flip leaves the newer spend
+// in the shadow; preferring the stale commit would round spend DOWN. The
 // semilattice makes the merge safe: max(spent) is exactly "never
 // under-count".
 
 var recMagic = [4]byte{'L', 'M', 'B', '1'}
 
-const (
-	keyPrefix    = "budget/"
-	shadowSuffix = "#shadow"
-)
+const keyPrefix = "budget/"
+
+// ckptSites are the fault sites of a fact checkpoint.
+var ckptSites = durable.Sites{Shadow: "budget.ckpt.shadow", Commit: "budget.ckpt.commit", Clear: "budget.ckpt.clear"}
 
 func storeKey(k Key) string {
 	return keyPrefix + strconv.FormatUint(uint64(k.Tag), 10) + "/" + strconv.FormatUint(k.Peer, 10)
@@ -706,30 +695,24 @@ func parseStoreKey(s string) (Key, bool) {
 }
 
 func sealFact(f Fact) []byte {
-	buf := make([]byte, 0, 4+3*8+4)
-	buf = append(buf, recMagic[:]...)
+	buf := durable.Begin(recMagic, 3*8)
 	buf = binary.BigEndian.AppendUint64(buf, f.Spent)
 	buf = binary.BigEndian.AppendUint64(buf, f.Limit)
 	buf = binary.BigEndian.AppendUint64(buf, f.Epoch)
-	return binary.BigEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf))
+	return durable.Seal(buf)
 }
 
-func openFact(rec []byte) (Fact, error) {
-	if len(rec) != 4+3*8+4 {
-		return Fact{}, fmt.Errorf("budget record truncated (%d bytes)", len(rec))
-	}
-	if [4]byte(rec[:4]) != recMagic {
-		return Fact{}, fmt.Errorf("budget record bad magic %q", rec[:4])
-	}
-	body, sum := rec[:len(rec)-4], rec[len(rec)-4:]
-	if crc32.ChecksumIEEE(body) != binary.BigEndian.Uint32(sum) {
-		return Fact{}, fmt.Errorf("budget record checksum mismatch")
+// decodeFact parses an opened record's payload; nil (a record that did
+// not open) is not a fact.
+func decodeFact(p []byte) (Fact, bool) {
+	if len(p) != 3*8 {
+		return Fact{}, false
 	}
 	return Fact{
-		Spent: binary.BigEndian.Uint64(body[4:]),
-		Limit: binary.BigEndian.Uint64(body[12:]),
-		Epoch: binary.BigEndian.Uint64(body[20:]),
-	}, nil
+		Spent: binary.BigEndian.Uint64(p),
+		Limit: binary.BigEndian.Uint64(p[8:]),
+		Epoch: binary.BigEndian.Uint64(p[16:]),
+	}, true
 }
 
 // ckptFault consults the injector at a checkpoint step. Both Error and
@@ -747,71 +730,39 @@ func (l *Ledger) ckptFault(site string) error {
 	}
 }
 
-// persistLocked runs shadow-write + flip for one fact. Called with l.mu
-// held; a nil store persists nothing (memory-only ledger). Under an
-// injected fault the step in progress tears — half the record lands —
-// and the error propagates so the charge is denied.
+// persistLocked checkpoints one fact. Called with l.mu held; a nil store
+// persists nothing (memory-only ledger). Under an injected fault the step
+// in progress tears and the error propagates so the charge is denied.
 func (l *Ledger) persistLocked(k Key, f Fact) error {
 	if l.store == nil {
 		return nil
 	}
 	key := storeKey(k)
-	rec := sealFact(f)
-	if err := l.ckptFault("budget.ckpt.shadow"); err != nil {
-		l.store.Set(key+shadowSuffix, rec[:len(rec)/2])
-		return err
-	}
-	l.store.Set(key+shadowSuffix, rec)
-	if err := l.ckptFault("budget.ckpt.commit"); err != nil {
-		l.store.Set(key, rec[:len(rec)/2])
-		return err
-	}
-	l.store.Set(key, rec)
-	if err := l.ckptFault("budget.ckpt.clear"); err != nil {
-		return err // shadow left behind; both records valid, recovery merges
-	}
-	l.store.Delete(key + shadowSuffix)
-	return nil
+	return durable.Write(l.store, key, key+durable.ShadowSuffix, sealFact(f), ckptSites, l.ckptFault)
 }
 
-// recover loads every persisted fact at boot. Per key: merge whatever
-// decodes (commit, shadow, or both — spent=max rounds a torn flip UP);
-// if records exist but nothing decodes, the fact is QUARANTINED to
-// {Spent: MaxUint64, Limit: 0} — zero budget until an administrator
-// installs a fresh limit under a higher epoch. Recovery writes bypass
-// fault injection: this is the quiesced fsck pass.
+// recover loads every persisted fact at boot. Per key: the store's
+// recovery pass picks the commit (or rolls a valid shadow forward), and
+// a valid shadow found beside a valid commit is merged in — spent=max
+// rounds a torn flip UP. If records exist but nothing decodes, the fact
+// is QUARANTINED to {Spent: MaxUint64, Limit: 0} — zero budget until an
+// administrator installs a fresh limit under a higher epoch. Recovery
+// writes bypass fault injection: this is the quiesced fsck pass.
 func (l *Ledger) recover() {
 	if l.store == nil {
 		return
 	}
-	seen := make(map[string]bool)
-	for _, key := range l.store.Keys() {
-		base := strings.TrimSuffix(key, shadowSuffix)
-		if !strings.HasPrefix(base, keyPrefix) || seen[base] {
-			continue
-		}
-		seen[base] = true
+	for _, base := range durable.BaseKeys(l.store, keyPrefix) {
 		k, ok := parseStoreKey(base)
 		if !ok {
 			continue
 		}
-		commit, hasCommit := l.store.Get(base)
-		shadow, hasShadow := l.store.Get(base + shadowSuffix)
-		var f Fact
-		valid := false
-		if hasCommit {
-			if p, err := openFact(commit); err == nil {
-				f, valid = p, true
-			}
-		}
-		if hasShadow {
-			if p, err := openFact(shadow); err == nil {
-				if valid {
-					f, _ = f.merge(p)
-				} else {
-					f, valid = p, true
-				}
-			}
+		shadowRec, _ := l.store.Get(base + durable.ShadowSuffix)
+		shadowPayload, _ := durable.Open(recMagic, shadowRec) // nil unless valid
+		payload, _ := durable.Recover(l.store, recMagic, base, base+durable.ShadowSuffix)
+		f, valid := decodeFact(payload)
+		if sf, ok := decodeFact(shadowPayload); ok && valid {
+			f, _ = f.merge(sf)
 		}
 		if !valid {
 			// Nothing trustworthy: quarantine to zero budget. The fact
@@ -822,6 +773,5 @@ func (l *Ledger) recover() {
 		}
 		l.installLocked(k, newSlot(f))
 		l.store.Set(base, sealFact(f))
-		l.store.Delete(base + shadowSuffix)
 	}
 }

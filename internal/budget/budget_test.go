@@ -3,53 +3,13 @@ package budget
 import (
 	"errors"
 	"math"
-	"sort"
-	"sync"
 	"testing"
 
 	"laminar/internal/difc"
+	"laminar/internal/durable"
 	"laminar/internal/faultinject"
 	"laminar/internal/telemetry"
 )
-
-// memStore mirrors cluster.MemStore locally (budget must not depend on
-// cluster) — a map the test keeps across simulated reboots.
-type memStore struct {
-	mu sync.Mutex
-	m  map[string][]byte
-}
-
-func newMemStore() *memStore { return &memStore{m: make(map[string][]byte)} }
-
-func (s *memStore) Get(key string) ([]byte, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	v, ok := s.m[key]
-	return v, ok
-}
-
-func (s *memStore) Set(key string, val []byte) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.m[key] = append([]byte(nil), val...)
-}
-
-func (s *memStore) Delete(key string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	delete(s.m, key)
-}
-
-func (s *memStore) Keys() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	keys := make([]string, 0, len(s.m))
-	for k := range s.m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
 
 func TestSatAdd(t *testing.T) {
 	cases := []struct{ a, b, want uint64 }{
@@ -305,7 +265,7 @@ func TestMergeFactsAdoptAndTighten(t *testing.T) {
 }
 
 func TestPersistRecoverClean(t *testing.T) {
-	st := newMemStore()
+	st := durable.NewMemStore()
 	l := New(WithStore(st))
 	l.SetLimit(difc.Tag(2), 1, 10)
 	l.Charge("send", difc.Tag(2), 1, 4)
@@ -325,7 +285,7 @@ func TestPersistRecoverClean(t *testing.T) {
 func TestPersistFaultDeniesAndNeverUndercounts(t *testing.T) {
 	for _, site := range []string{"budget.ckpt.shadow", "budget.ckpt.commit", "budget.ckpt.clear"} {
 		t.Run(site, func(t *testing.T) {
-			st := newMemStore()
+			st := durable.NewMemStore()
 			plan := faultinject.NewPlan(1)
 			l := New(WithStore(st), WithInjector(plan))
 			l.SetLimit(difc.Tag(8), 0, 100)
@@ -361,17 +321,17 @@ func TestPersistFaultDeniesAndNeverUndercounts(t *testing.T) {
 // the flip leaves newer spend in the shadow; recovery must take the max,
 // not prefer the stale commit.
 func TestRecoverMergesShadowForward(t *testing.T) {
-	st := newMemStore()
+	st := durable.NewMemStore()
 	k := Key{Tag: 6, Peer: 2}
 	st.Set(storeKey(k), sealFact(Fact{Spent: 5, Limit: 50, Epoch: 1}))
-	st.Set(storeKey(k)+shadowSuffix, sealFact(Fact{Spent: 9, Limit: 50, Epoch: 1}))
+	st.Set(storeKey(k)+durable.ShadowSuffix, sealFact(Fact{Spent: 9, Limit: 50, Epoch: 1}))
 
 	l := New(WithStore(st))
 	f, ok := l.Fact(difc.Tag(6), 2)
 	if !ok || f.Spent != 9 {
 		t.Fatalf("recovery rounded down: %+v ok=%v", f, ok)
 	}
-	if _, hasShadow := st.Get(storeKey(k) + shadowSuffix); hasShadow {
+	if _, hasShadow := st.Get(storeKey(k) + durable.ShadowSuffix); hasShadow {
 		t.Fatal("recovery left the shadow behind")
 	}
 }
@@ -379,11 +339,11 @@ func TestRecoverMergesShadowForward(t *testing.T) {
 // TestRecoverQuarantine: when nothing decodes the fact quarantines to
 // zero budget — fail closed, not fail open.
 func TestRecoverQuarantine(t *testing.T) {
-	st := newMemStore()
+	st := durable.NewMemStore()
 	k := Key{Tag: 11, Peer: 0}
 	good := sealFact(Fact{Spent: 1, Limit: 100, Epoch: 1})
 	st.Set(storeKey(k), good[:len(good)/2])
-	st.Set(storeKey(k)+shadowSuffix, good[:3])
+	st.Set(storeKey(k)+durable.ShadowSuffix, good[:3])
 
 	l := New(WithStore(st))
 	f, ok := l.Fact(difc.Tag(11), 0)

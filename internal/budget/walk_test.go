@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"laminar/internal/difc"
+	"laminar/internal/durable"
 	"laminar/internal/telemetry"
 )
 
@@ -87,9 +88,9 @@ func randLabel(r *rand.Rand) difc.Label {
 // compares the error, every fact, and the budget.* counters, on a
 // memory-only and on a store-backed ledger.
 func TestChargeLabelWalkMatchesPerTagReference(t *testing.T) {
-	for _, durable := range []bool{false, true} {
+	for _, stored := range []bool{false, true} {
 		name := "memory"
-		if durable {
+		if stored {
 			name = "store"
 		}
 		t.Run(name, func(t *testing.T) {
@@ -97,8 +98,8 @@ func TestChargeLabelWalkMatchesPerTagReference(t *testing.T) {
 			for trial := 0; trial < 20; trial++ {
 				rec := telemetry.NewRecorder()
 				opts := []Option{WithRecorder(rec)}
-				if durable {
-					opts = append(opts, WithStore(newMemStore()))
+				if stored {
+					opts = append(opts, WithStore(durable.NewMemStore()))
 				}
 				l := New(opts...)
 				noted := make(map[Key]bool)
@@ -152,10 +153,10 @@ func TestChargeLabelWalkMatchesPerTagReference(t *testing.T) {
 // label: the tag before the exhausted one is charged, the exhausted tag
 // denies, and the tag after it is untouched.
 func TestChargeLabelStopsAtFirstDenial(t *testing.T) {
-	for _, durable := range []bool{false, true} {
+	for _, stored := range []bool{false, true} {
 		var opts []Option
-		if durable {
-			opts = append(opts, WithStore(newMemStore()))
+		if stored {
+			opts = append(opts, WithStore(durable.NewMemStore()))
 		}
 		l := New(opts...)
 		for _, tag := range []difc.Tag{3, 5, 9} {
@@ -164,11 +165,11 @@ func TestChargeLabelStopsAtFirstDenial(t *testing.T) {
 		l.SetLimit(5, 0, 0)
 		err := l.ChargeLabel("region_exit", difc.NewLabel(1, 3, 5, 7, 9), 0, 2)
 		if !reflect.DeepEqual(err, ExhaustedError("region_exit", 5)) {
-			t.Fatalf("durable=%v: err = %v, want the exhaustion of t5", durable, err)
+			t.Fatalf("durable=%v: err = %v, want the exhaustion of t5", stored, err)
 		}
 		for tag, spent := range map[difc.Tag]uint64{3: 2, 5: 0, 9: 0} {
 			if f, _ := l.Fact(tag, 0); f.Spent != spent {
-				t.Errorf("durable=%v: %v spent %d, want %d", durable, tag, f.Spent, spent)
+				t.Errorf("durable=%v: %v spent %d, want %d", stored, tag, f.Spent, spent)
 			}
 		}
 	}

@@ -17,6 +17,7 @@ import (
 	"sync"
 	"time"
 
+	"laminar/internal/durable"
 	"laminar/internal/faultinject"
 	"laminar/internal/kernel"
 	"laminar/internal/kernel/lsm"
@@ -52,9 +53,9 @@ type Config struct {
 	Injector faultinject.Injector
 	// Store is the durable keyspace for this node's incarnation epoch and
 	// change records; it must survive restarts (the harness keeps it
-	// across simulated kills). Nil gets a fresh MemStore — fine for a
+	// across simulated kills). Nil gets a fresh durable.MemStore — fine for a
 	// node that never crashes, useless for one that does.
-	Store Store
+	Store durable.Store
 	// Seeds are peer listen addresses to contact when joining.
 	Seeds []string
 
@@ -102,7 +103,7 @@ type Cluster struct {
 // killed mid-join comes back knowing exactly which step was in flight.
 func New(cfg Config) *Cluster {
 	if cfg.Store == nil {
-		cfg.Store = NewMemStore()
+		cfg.Store = durable.NewMemStore()
 	}
 	if cfg.SuspectAfter <= 0 {
 		cfg.SuspectAfter = defaultSuspectAfter

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"laminar/internal/difc"
+	"laminar/internal/durable"
 	"laminar/internal/kernel"
 	"laminar/internal/kernel/lsm"
 	"laminar/internal/netlabel"
@@ -264,13 +265,39 @@ func TestReincarnationRejectsStaleRoutedOpen(t *testing.T) {
 }
 
 func TestIncarnationEpochBumpsAcrossRestart(t *testing.T) {
-	store := NewMemStore()
+	store := durable.NewMemStore()
 	a := bootCluster(t, Config{ID: 1, Store: store})
 	e1 := a.cl.Epoch()
 	a.cl.Close()
 	b := bootCluster(t, Config{ID: 1, Store: store})
 	if e2 := b.cl.Epoch(); e2 <= e1 {
 		t.Fatalf("restart epoch %d, want > %d", e2, e1)
+	}
+}
+
+// TestTornEpochQuarantinesFarAhead tears the persisted incarnation
+// epoch: its value is unknowable, so the restart must not guess a small
+// one a peer may already have seen. It jumps 2^20 ahead instead and
+// counts the quarantine.
+func TestTornEpochQuarantinesFarAhead(t *testing.T) {
+	store := durable.NewMemStore()
+	a := bootCluster(t, Config{ID: 1, Store: store})
+	prev := a.cl.Epoch()
+	a.cl.Close()
+	rec, ok := store.Get(epochKey)
+	if !ok {
+		t.Fatal("no epoch record persisted")
+	}
+	store.Set(epochKey, rec[:len(rec)/2])
+	b := bootCluster(t, Config{ID: 1, Store: store})
+	if got, floor := b.cl.Epoch(), uint64(1<<20+1); got < floor || got <= prev {
+		t.Fatalf("epoch after a torn record = %d, want >= %d and > %d", got, floor, prev)
+	}
+	if n := b.rec.M.Extra.Get("cluster.epoch.quarantined").Load(); n != 1 {
+		t.Fatalf("cluster.epoch.quarantined = %d, want 1", n)
+	}
+	if n := b.rec.M.Extra.Get("cluster.recovery.quarantined").Load(); n != 0 {
+		t.Fatalf("a torn epoch counted %d change quarantines, want 0", n)
 	}
 }
 
@@ -281,7 +308,7 @@ func TestJoinKilledMidChangeResumes(t *testing.T) {
 	}
 	seed := seedNode.cl.Addr()
 
-	store := NewMemStore() // survives the kill: the harness owns it
+	store := durable.NewMemStore() // survives the kill: the harness owns it
 	n2 := bootCluster(t, Config{ID: 2, Seeds: []string{seed}, Store: store})
 	ch, err := n2.cl.Join()
 	if err != nil {
@@ -333,7 +360,7 @@ func TestJoinKilledMidChangeResumes(t *testing.T) {
 }
 
 func TestQuarantinedChangeAbandonedFailClosed(t *testing.T) {
-	store := NewMemStore()
+	store := durable.NewMemStore()
 	// Both the commit and its shadow are garbage: progress unknowable.
 	store.Set("chg/5", []byte("torn beyond hope"))
 	store.Set("chg/5#shadow", []byte("also torn"))

@@ -6,8 +6,8 @@ import (
 	"fmt"
 	"sort"
 	"strconv"
-	"strings"
 
+	"laminar/internal/durable"
 	"laminar/internal/telemetry"
 )
 
@@ -269,22 +269,10 @@ func (c *Cluster) settleUndoing(ch *Change) int {
 // (torn beyond recovery) are abandoned fail-closed: the change is gone
 // and whatever it was configuring stays unconfigured. locked.
 func (c *Cluster) resumeChanges() {
-	// Collect base keys from commits AND orphan shadows (a crash between
-	// the shadow write and the flip leaves only the shadow behind).
-	seen := map[string]bool{}
-	var keys []string
-	for _, key := range c.cfg.Store.Keys() {
-		base := strings.TrimSuffix(key, shadowSuffix)
-		if strings.HasPrefix(base, "chg/") && !seen[base] {
-			seen[base] = true
-			keys = append(keys, base)
-		}
-	}
-	sort.Strings(keys)
-	for _, key := range keys {
-		payload, state, ok := c.recoverRecord(key)
+	for _, key := range durable.BaseKeys(c.cfg.Store, "chg/") {
+		payload, state := durable.Recover(c.cfg.Store, ckptMagic, key, key+durable.ShadowSuffix)
 		c.count("cluster.recovery."+state, 1)
-		if !ok {
+		if payload == nil {
 			c.denyEvent("cluster.ckpt", "recover",
 				fmt.Errorf("change record %s torn beyond recovery; abandoned fail-closed", key))
 			continue

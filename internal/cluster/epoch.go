@@ -3,6 +3,8 @@ package cluster
 import (
 	"encoding/binary"
 	"fmt"
+
+	"laminar/internal/durable"
 )
 
 // Incarnation epochs.
@@ -26,10 +28,10 @@ const epochKey = "node/epoch"
 // for the last one).
 func (c *Cluster) loadEpoch() uint64 {
 	var prev uint64
-	payload, state, ok := c.recoverRecord(epochKey)
-	if ok && len(payload) == 8 {
+	payload, state := durable.Recover(c.cfg.Store, ckptMagic, epochKey, epochKey+durable.ShadowSuffix)
+	if len(payload) == 8 {
 		prev = binary.BigEndian.Uint64(payload)
-	} else if state == "quarantined" {
+	} else if state == durable.Quarantined {
 		prev += 1 << 20 // unknowable history: jump far past any plausible epoch
 		c.count("cluster.epoch.quarantined", 1)
 	}

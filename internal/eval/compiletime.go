@@ -28,13 +28,20 @@ type CompileTimeReport struct {
 	Rows []CompileRow
 }
 
+// compileConfig is one compiler configuration of the experiment.
+type compileConfig struct {
+	name string
+	opts jvm.CompileOptions
+}
+
+func (c compileConfig) String() string { return c.name }
+
 // CompileTime measures eager compilation of every dacapo workload under
-// each configuration, best of trials.
+// each configuration, best of trials. Each trial times every
+// configuration once, in rotated order, so host drift spreads over all
+// configurations instead of landing between them.
 func CompileTime(trials int) (*CompileTimeReport, error) {
-	configs := []struct {
-		name string
-		opts jvm.CompileOptions
-	}{
+	configs := []compileConfig{
 		{"none", jvm.CompileOptions{Mode: jvm.BarrierNone}},
 		{"static", jvm.CompileOptions{Mode: jvm.BarrierStatic}},
 		{"static+opt", jvm.CompileOptions{Mode: jvm.BarrierStatic, Optimize: true}},
@@ -51,46 +58,40 @@ func CompileTime(trials int) (*CompileTimeReport, error) {
 		}
 		progs[i] = p
 	}
-	rep := &CompileTimeReport{}
-	var baseline time.Duration
-	for _, cfg := range configs {
+	rpts := make(map[compileConfig]jvm.CompileReport, len(configs))
+	const reps = 8 // compile the suite several times per timing sample
+	best, err := minTimeModes(trials, reps, configs, func(cfg compileConfig, n int) (time.Duration, error) {
 		var rpt jvm.CompileReport
-		const reps = 8 // compile the suite several times per timing sample
-		d, err := minTime(trials, func() (time.Duration, error) {
-			rpt = jvm.CompileReport{}
-			start := time.Now()
-			for rep := 0; rep < reps; rep++ {
-				for _, p := range progs {
-					p.ResetCompilation()
-					r, err := p.CompileAll(cfg.opts)
-					if err != nil {
-						return 0, err
-					}
-					if rep > 0 {
-						continue
-					}
-					rpt.Methods += r.Methods
-					rpt.InstrsOut += r.InstrsOut
-					rpt.BarriersEmitted += r.BarriersEmitted
-					rpt.BarriersElided += r.BarriersElided
+		start := time.Now()
+		for rep := 0; rep < n; rep++ {
+			for _, p := range progs {
+				p.ResetCompilation()
+				r, err := p.CompileAll(cfg.opts)
+				if err != nil {
+					return 0, err
 				}
+				if rep > 0 {
+					continue
+				}
+				rpt.InstrsOut += r.InstrsOut
+				rpt.BarriersEmitted += r.BarriersEmitted
+				rpt.BarriersElided += r.BarriersElided
 			}
-			return time.Since(start), nil
-		})
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", cfg.name, err)
 		}
-		row := CompileRow{
-			Config: cfg.name, Time: d,
+		d := time.Since(start)
+		rpts[cfg] = rpt // the counts are deterministic; any run's will do
+		return d, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	rep := &CompileTimeReport{}
+	for _, cfg := range configs {
+		rpt := rpts[cfg]
+		rep.Rows = append(rep.Rows, CompileRow{
+			Config: cfg.name, Time: best[cfg], Ratio: float64(best[cfg]) / float64(best[configs[0]]),
 			Instrs: rpt.InstrsOut, Barriers: rpt.BarriersEmitted, Elided: rpt.BarriersElided,
-		}
-		if cfg.name == "none" {
-			baseline = d
-			row.Ratio = 1
-		} else if baseline > 0 {
-			row.Ratio = float64(d) / float64(baseline)
-		}
-		rep.Rows = append(rep.Rows, row)
+		})
 	}
 	return rep, nil
 }
@@ -99,10 +100,14 @@ func CompileTime(trials int) (*CompileTimeReport, error) {
 func (r *CompileTimeReport) Format() string {
 	var b strings.Builder
 	b.WriteString(header("Compilation time by barrier configuration (§6.1)"))
-	fmt.Fprintf(&b, "%-12s %12s %8s %10s %10s %8s\n", "config", "time", "ratio", "instrs", "barriers", "elided")
+	w := len("config")
 	for _, row := range r.Rows {
-		fmt.Fprintf(&b, "%-12s %12s %7.2fx %10d %10d %8d\n",
-			row.Config, fmtDur(row.Time), row.Ratio, row.Instrs, row.Barriers, row.Elided)
+		w = max(w, len(row.Config))
+	}
+	fmt.Fprintf(&b, "%-*s %12s %8s %10s %10s %8s\n", w, "config", "time", "ratio", "instrs", "barriers", "elided")
+	for _, row := range r.Rows {
+		fmt.Fprintf(&b, "%-*s %12s %7.2fx %10d %10d %8d\n",
+			w, row.Config, fmtDur(row.Time), row.Ratio, row.Instrs, row.Barriers, row.Elided)
 	}
 	fmt.Fprintf(&b, "\npaper: static barriers ≈ 2× compile time, dynamic ≈ 3×.\n")
 	return b.String()

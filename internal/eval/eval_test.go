@@ -2,6 +2,8 @@ package eval
 
 import (
 	"encoding/json"
+	"reflect"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -58,8 +60,34 @@ func TestCompileTimeShape(t *testing.T) {
 	if byName["static+opt"].Elided == 0 {
 		t.Error("optimizing compile elided nothing")
 	}
-	if !strings.Contains(rep.Format(), "Compilation time") {
+	out := rep.Format()
+	if !strings.Contains(out, "Compilation time") {
 		t.Error("Format missing title")
+	}
+	// Every row's columns end where the header's do: the config column
+	// is as wide as the longest name.
+	lines := strings.Split(out, "\n")
+	head := -1
+	for i, line := range lines {
+		if strings.HasPrefix(line, "config ") {
+			head = i
+		}
+	}
+	if head < 0 || head+len(rep.Rows) >= len(lines) {
+		t.Fatalf("no table in:\n%s", out)
+	}
+	ends := regexp.MustCompile(`\S+`)
+	colEnds := func(line string) (out []int) {
+		for _, m := range ends.FindAllStringIndex(line, -1)[1:] {
+			out = append(out, m[1])
+		}
+		return out
+	}
+	want := colEnds(lines[head])
+	for _, line := range lines[head+1 : head+1+len(rep.Rows)] {
+		if got := colEnds(line); !reflect.DeepEqual(got, want) {
+			t.Errorf("row %q column ends %v, header's %v", line, got, want)
+		}
 	}
 }
 

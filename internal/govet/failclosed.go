@@ -8,12 +8,13 @@ import (
 	"strings"
 )
 
-// FailClosed flags the fail-open shape in the enforcement packages: a
-// `return nil` whose enclosing if-statement tested an error for
-// non-nilness. Swallowing an error on an enforcement path converts a
-// denial into an allow — a silent leak. Intentional silent-drop
-// semantics (e.g. pipe capability writes, where success must not leak
-// the verdict) carry a //govet:failopen directive at the return.
+// FailClosed flags the fail-open shape in the enforcement packages and
+// in the record store they persist through: a `return nil` whose
+// enclosing if-statement tested an error for non-nilness. Swallowing an
+// error on an enforcement path converts a denial into an allow — a
+// silent leak. Intentional silent-drop semantics (e.g. pipe capability
+// writes, where success must not leak the verdict) carry a
+// //govet:failopen directive at the return.
 var FailClosed = &Analyzer{
 	Name: "failclosed",
 	Doc:  "enforcement error paths must not swallow errors by returning nil",
@@ -22,7 +23,8 @@ var FailClosed = &Analyzer{
 		return strings.Contains(p, "internal/kernel/lsm/") ||
 			strings.Contains(p, "internal/netlabel/") ||
 			strings.Contains(p, "internal/cluster/") ||
-			strings.Contains(p, "internal/budget/")
+			strings.Contains(p, "internal/budget/") ||
+			strings.Contains(p, "internal/durable/")
 	},
 	Run: runFailClosed,
 }

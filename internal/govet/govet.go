@@ -6,8 +6,10 @@
 //	            order (internal/kernel/locking.go), so the sharded
 //	            locking plan stays deadlock-free.
 //	failclosed  error paths in the enforcement packages (lsm, netlabel,
-//	            cluster) must not swallow a non-nil error by returning
-//	            nil — fail-open enforcement is a silent leak.
+//	            cluster, budget) and in the crash-consistent record
+//	            store they persist through (durable) must not swallow a
+//	            non-nil error by returning nil — fail-open enforcement
+//	            is a silent leak.
 //
 // The framework deliberately avoids golang.org/x/tools: analyzers work
 // on single-file syntax (go/parser + go/ast), which is all these

@@ -82,6 +82,20 @@ func (k *K) odd(t *Task, i *Inode, f *File) {
 // ---------------------------------------------------------------------------
 // failclosed
 
+func TestFailClosedScope(t *testing.T) {
+	for path, want := range map[string]bool{
+		"internal/kernel/lsm/persist.go": true,
+		"internal/cluster/store.go":      true,
+		"internal/budget/budget.go":      true,
+		"internal/durable/durable.go":    true,
+		"internal/eval/compiletime.go":   false,
+	} {
+		if got := govet.FailClosed.AppliesTo(path); got != want {
+			t.Errorf("failclosed applies to %s = %v, want %v", path, got, want)
+		}
+	}
+}
+
 func TestFailClosedFlagsSwallowedError(t *testing.T) {
 	src := `package lsm
 func (k *K) check(t *Task) error {

@@ -138,6 +138,25 @@ func (k *Kernel) inject(site string, t *Task) error {
 	}
 }
 
+// PersistFault consults inj at a persistence step outside any syscall
+// (label records, cluster checkpoints). An Error is a transient media
+// failure (EIO naming the site); a Crash is the machine dying mid-step
+// (EKILLED), leaving the store exactly as the steps so far left it. A
+// nil injector never faults.
+func PersistFault(inj faultinject.Injector, site string) error {
+	if inj == nil {
+		return nil
+	}
+	switch inj.At(site) {
+	case faultinject.Error:
+		return fmt.Errorf("%w: injected fault at %s", ErrIO, site)
+	case faultinject.Crash:
+		return ErrKilled
+	default:
+		return nil
+	}
+}
+
 // killTaskHolding terminates t mid-operation (fault-injected crash): the
 // task table entry is removed and security state freed, exactly as Exit,
 // but without any syscall-level cleanup of the operation in flight. Init

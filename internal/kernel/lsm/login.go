@@ -18,8 +18,8 @@ import (
 // capsDir is where per-user persistent capability files live.
 const capsDir = "/etc/laminar/caps"
 
-// capsMagic heads a checksummed capability file. Files without it are
-// treated as legacy plain text for compatibility.
+// capsMagic heads a checksummed capability file. A file without it is
+// unverifiable and loads as no capabilities at all.
 const capsMagic = "LMCAPS1"
 
 // encodeCapsFile wraps the textual capability set in a checksummed
@@ -32,12 +32,14 @@ func encodeCapsFile(caps difc.CapSet) []byte {
 	return []byte(fmt.Sprintf("%s %08x\n%s", capsMagic, sum, payload))
 }
 
-// decodeCapsFile validates and parses a capability file. Legacy files
-// (no envelope) parse as plain text.
+// decodeCapsFile validates and parses a capability file. A file without
+// the envelope is an error like a torn one: plain text carries no
+// checksum, so a half-written or planted file would otherwise parse into
+// some capability set (DESIGN.md §8).
 func decodeCapsFile(data []byte) (difc.CapSet, error) {
 	s := string(data)
 	if !strings.HasPrefix(s, capsMagic+" ") {
-		return difc.ParseCapSetText(s)
+		return difc.EmptyCapSet, fmt.Errorf("caps file has no %s envelope", capsMagic)
 	}
 	head, payload, ok := strings.Cut(s, "\n")
 	if !ok {

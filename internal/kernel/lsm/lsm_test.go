@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"laminar/internal/difc"
+	"laminar/internal/durable"
 	"laminar/internal/kernel"
 )
 
@@ -528,7 +529,11 @@ func TestXattrPersistence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l, err := decodeLabelRecord(data)
+	payload, err := durable.Open(recMagic, data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := decodeLabelPayload(payload)
 	if err != nil || !l.S.Equal(secret.S) || !l.I.IsEmpty() {
 		t.Errorf("persisted labels = %v, %v; want %v", l, err, secret)
 	}

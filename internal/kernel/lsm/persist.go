@@ -3,9 +3,9 @@ package lsm
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 
 	"laminar/internal/difc"
+	"laminar/internal/durable"
 	"laminar/internal/faultinject"
 	"laminar/internal/kernel"
 	"laminar/internal/telemetry"
@@ -16,20 +16,15 @@ import (
 // Labels are durable state: if an inode's labels are lost while its data
 // survives, a previously secret file becomes world-readable — the one
 // failure DIFC can never afford. Laminar inherits ext3's xattr journaling
-// for this; the simulated module instead implements its own shadow-write +
-// flip protocol over the kernel's (deliberately non-atomic under fault
-// injection) xattr store:
-//
-//	1. write the full checksummed record to XattrLabelShadow
-//	2. write the same record to XattrLabel (the flip)
-//	3. remove XattrLabelShadow
-//
-// A crash at any step leaves a state the recovery pass can classify:
-// a valid commit record wins; a torn or missing commit rolls forward from
-// a valid shadow; a torn shadow with no valid commit means the labels are
-// unknowable, and the inode is QUARANTINED — relabeled with a secrecy tag
-// for which no principal holds capabilities, i.e. maximally restricted.
-// Recovery never guesses toward readable (fail closed, DESIGN.md §8).
+// for this; the simulated module instead commits label records through
+// the shared shadow-write + flip protocol (internal/durable) over the
+// kernel's (deliberately non-atomic under fault injection) xattr store:
+// XattrLabelShadow is the shadow, XattrLabel the commit. What stays here
+// is the module's policy: unlabeled inodes carry no record at all, and a
+// record torn beyond repair QUARANTINES the inode — relabeled with a
+// secrecy tag for which no principal holds capabilities, i.e. maximally
+// restricted. Recovery never guesses toward readable (fail closed,
+// DESIGN.md §8).
 
 // Xattr names for the commit/shadow label records.
 const (
@@ -39,6 +34,18 @@ const (
 
 // recMagic heads every label record.
 var recMagic = [4]byte{'L', 'M', 'L', '1'}
+
+// persistSites are the fault sites of a label commit.
+var persistSites = durable.Sites{Shadow: "persist.shadow", Commit: "persist.commit", Clear: "persist.clear"}
+
+// xattrs adapts an inode's extended attributes to durable.Store. It is
+// one pointer wide, so wrapping an inode allocates nothing.
+type xattrs struct{ ino *kernel.Inode }
+
+func (x xattrs) Get(name string) ([]byte, bool) { return x.ino.GetXattr(name) }
+func (x xattrs) Set(name string, val []byte)    { x.ino.SetXattr(name, val) }
+func (x xattrs) Delete(name string)             { x.ino.RemoveXattr(name) }
+func (x xattrs) Keys() []string                 { return x.ino.ListXattrs() }
 
 // encodeLabelRecord serializes labels as
 // magic | uvarint len(S) | S | uvarint len(I) | I | crc32(payload).
@@ -51,32 +58,18 @@ func encodeLabelRecord(labels difc.Labels) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	buf := make([]byte, 0, 4+2*binary.MaxVarintLen64+len(sb)+len(ib)+4)
-	buf = append(buf, recMagic[:]...)
+	buf := durable.Begin(recMagic, 2*binary.MaxVarintLen64+len(sb)+len(ib))
 	buf = binary.AppendUvarint(buf, uint64(len(sb)))
 	buf = append(buf, sb...)
 	buf = binary.AppendUvarint(buf, uint64(len(ib)))
 	buf = append(buf, ib...)
-	sum := crc32.ChecksumIEEE(buf)
-	buf = binary.BigEndian.AppendUint32(buf, sum)
-	return buf, nil
+	return durable.Seal(buf), nil
 }
 
-// decodeLabelRecord validates and parses a record; any truncation, magic
-// mismatch or checksum failure is an error (the record is "torn").
-func decodeLabelRecord(data []byte) (difc.Labels, error) {
+// decodeLabelPayload parses an opened record's payload; a malformed
+// payload is an error (the record is as unusable as a torn one).
+func decodeLabelPayload(rest []byte) (difc.Labels, error) {
 	var out difc.Labels
-	if len(data) < len(recMagic)+4 {
-		return out, fmt.Errorf("label record truncated (%d bytes)", len(data))
-	}
-	if [4]byte(data[:4]) != recMagic {
-		return out, fmt.Errorf("label record bad magic %q", data[:4])
-	}
-	payload, sumBytes := data[:len(data)-4], data[len(data)-4:]
-	if crc32.ChecksumIEEE(payload) != binary.BigEndian.Uint32(sumBytes) {
-		return out, fmt.Errorf("label record checksum mismatch")
-	}
-	rest := payload[4:]
 	sLen, n := binary.Uvarint(rest)
 	if n <= 0 || uint64(len(rest)-n) < sLen {
 		return out, fmt.Errorf("label record bad secrecy length")
@@ -110,28 +103,14 @@ func (m *Module) SetFaultInjector(inj faultinject.Injector) { m.inj = inj }
 // the kernel's recorder; nil disables.
 func (m *Module) SetTelemetry(rec *telemetry.Recorder) { m.tel = rec }
 
-// persistFault consults the injector at a persistence step. An Error is a
-// transient media failure (EIO); a Crash is the machine dying mid-step
-// (EKILLED) — the kernel kills the acting task and the on-disk state stays
-// exactly as the steps so far left it.
-func (m *Module) persistFault(site string) error {
-	if m.inj == nil {
-		return nil
-	}
-	switch m.inj.At(site) {
-	case faultinject.Error:
-		return fmt.Errorf("%w: injected fault at %s", kernel.ErrIO, site)
-	case faultinject.Crash:
-		return kernel.ErrKilled
-	default:
-		return nil
-	}
-}
+// persistFault consults the injector at a persistence step (see
+// kernel.PersistFault): on a Crash the kernel kills the acting task.
+func (m *Module) persistFault(site string) error { return kernel.PersistFault(m.inj, site) }
 
-// persistCommit runs the shadow-write + flip protocol for ino's labels.
-// Under an injected fault the step in progress tears — half the record is
-// written — and the error propagates; every reachable intermediate state
-// is one the recovery pass handles.
+// persistCommit commits ino's labels through the shadow-write + flip
+// protocol. Under an injected fault the step in progress tears and the
+// error propagates; every reachable intermediate state is one the
+// recovery pass handles.
 func (m *Module) persistCommit(ino *kernel.Inode, labels difc.Labels) error {
 	if ino.Type != kernel.TypeRegular && ino.Type != kernel.TypeDir {
 		return nil // pipes and devices have no persistent labels
@@ -149,63 +128,33 @@ func (m *Module) persistCommit(ino *kernel.Inode, labels difc.Labels) error {
 	if err != nil {
 		return err
 	}
-	if ferr := m.persistFault("persist.shadow"); ferr != nil {
-		ino.SetXattr(XattrLabelShadow, rec[:len(rec)/2]) // torn shadow
-		return ferr
-	}
-	ino.SetXattr(XattrLabelShadow, rec)
-	if ferr := m.persistFault("persist.commit"); ferr != nil {
-		ino.SetXattr(XattrLabel, rec[:len(rec)/2]) // torn commit, shadow intact
-		return ferr
-	}
-	ino.SetXattr(XattrLabel, rec)
-	if ferr := m.persistFault("persist.clear"); ferr != nil {
-		return ferr // shadow left behind; commit is valid, recovery clears it
-	}
-	ino.RemoveXattr(XattrLabelShadow)
-	return nil
+	return durable.Write(xattrs{ino}, XattrLabel, XattrLabelShadow, rec, persistSites, m.persistFault)
 }
 
 // recoverInodeLabels classifies an inode's persistent label state and
-// returns the labels to use, repairing the records in place. Recovery
-// writes bypass fault injection: this is the fsck-style pass that runs
-// with the system quiesced and must complete.
+// returns the labels to use, repairing the records in place (see
+// durable.Recover). The module's policy on top: a record that opens but
+// does not parse is as unknowable as a torn one, and an unknowable record
+// is replaced by the quarantine label — never by the readable empty one.
 //
-// Return states: "clean" (valid commit, nothing to do), "rolled-forward"
-// (commit rebuilt from a valid shadow), "quarantined" (no trustworthy
-// record — maximally restricted labels installed), "unlabeled".
+// Return states: "clean", "rolled-forward", "quarantined", "unlabeled".
 func (m *Module) recoverInodeLabels(ino *kernel.Inode) (difc.Labels, string) {
-	commit, hasCommit := ino.GetXattr(XattrLabel)
-	shadow, hasShadow := ino.GetXattr(XattrLabelShadow)
-	if hasCommit {
-		if labels, err := decodeLabelRecord(commit); err == nil {
-			// Commit is authoritative; a leftover shadow just means the
-			// crash hit after the flip.
-			ino.RemoveXattr(XattrLabelShadow)
-			return labels, "clean"
+	payload, state := durable.Recover(xattrs{ino}, recMagic, XattrLabel, XattrLabelShadow)
+	if state == durable.Absent {
+		return difc.Labels{}, "unlabeled"
+	}
+	if payload != nil {
+		if labels, err := decodeLabelPayload(payload); err == nil {
+			return labels, state
 		}
 	}
-	if hasShadow {
-		if labels, err := decodeLabelRecord(shadow); err == nil {
-			// The flip never landed (or tore); the shadow holds the full
-			// intended record. Roll forward.
-			ino.SetXattr(XattrLabel, shadow)
-			ino.RemoveXattr(XattrLabelShadow)
-			return labels, "rolled-forward"
-		}
+	// Fail closed: quarantine with a secrecy tag no principal holds
+	// capabilities for, never fall back to readable.
+	q := difc.Labels{S: difc.NewLabel(m.quarantineTag)}
+	if rec, err := encodeLabelRecord(q); err == nil {
+		ino.SetXattr(XattrLabel, rec)
 	}
-	if hasCommit || hasShadow {
-		// Some record existed but nothing decodes: the true labels are
-		// unknowable. Fail closed — quarantine with a secrecy tag no
-		// principal holds capabilities for, never fall back to readable.
-		q := difc.Labels{S: difc.NewLabel(m.quarantineTag)}
-		if rec, err := encodeLabelRecord(q); err == nil {
-			ino.SetXattr(XattrLabel, rec)
-		}
-		ino.RemoveXattr(XattrLabelShadow)
-		return q, "quarantined"
-	}
-	return difc.Labels{}, "unlabeled"
+	return q, durable.Quarantined
 }
 
 // RecoveryStats summarizes a RecoverLabels pass.

@@ -19,6 +19,7 @@ import (
 
 	"laminar/internal/cluster"
 	"laminar/internal/difc"
+	"laminar/internal/durable"
 	"laminar/internal/kernel"
 	"laminar/internal/kernel/lsm"
 	"laminar/internal/telemetry"
@@ -32,7 +33,7 @@ type traceMember struct {
 	cl   *cluster.Cluster
 }
 
-func traceBoot(t *testing.T, id uint64, seeds []string, store cluster.Store) *traceMember {
+func traceBoot(t *testing.T, id uint64, seeds []string, store durable.Store) *traceMember {
 	t.Helper()
 	mod := lsm.New()
 	rec := telemetry.NewRecorder()
@@ -181,12 +182,12 @@ func TestTraceRouteExplain(t *testing.T) {
 	if testing.Short() {
 		t.Skip("routed trace explain is long; skipped in -short")
 	}
-	store2 := cluster.NewMemStore()
-	n1 := traceBoot(t, 1, nil, cluster.NewMemStore())
+	store2 := durable.NewMemStore()
+	n1 := traceBoot(t, 1, nil, durable.NewMemStore())
 	defer n1.cl.Close()
 	seeds := []string{n1.cl.Addr()}
 	n2 := traceBoot(t, 2, seeds, store2)
-	n3 := traceBoot(t, 3, seeds, cluster.NewMemStore())
+	n3 := traceBoot(t, 3, seeds, durable.NewMemStore())
 	defer n3.cl.Close()
 	members := []*traceMember{n1, n2, n3}
 	traceConverge(t, members, "initial join")

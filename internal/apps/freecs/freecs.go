@@ -59,8 +59,8 @@ type Group struct {
 	members *laminar.Object
 	theme   *laminar.Object
 
-	// messages is ordinary unlabeled chat history.
-	messages *laminar.Object
+	// msgCount counts posted messages. Like the unsecured baseline, the
+	// server keeps no history: nothing reads it back.
 	msgCount int
 	banCount int
 	memCount int
@@ -115,7 +115,7 @@ func (s *Server) CreateGroup(name string) (*Group, error) {
 	if err != nil {
 		return nil, err
 	}
-	g := &Group{Name: name, suTag: suTag, messages: laminar.NewArray(0)}
+	g := &Group{Name: name, suTag: suTag}
 	banLabels := laminar.Labels{I: laminar.NewLabel(s.vipTag, suTag)}
 	suLabels := laminar.Labels{I: laminar.NewLabel(suTag)}
 	err = s.main.Secure(banLabels, laminar.EmptyCapSet, func(r *laminar.Region) {
@@ -230,7 +230,6 @@ func (s *Server) Say(u *ChatUser, gname, text string) error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	g.messages.RawSet(fmt.Sprintf("m%d", g.msgCount), u.Name+": "+text)
 	g.msgCount++
 	return nil
 }

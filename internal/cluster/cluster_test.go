@@ -301,6 +301,65 @@ func TestTornEpochQuarantinesFarAhead(t *testing.T) {
 	}
 }
 
+// TestEpochMonotoneUnderRepeatedTears boots one node over one store
+// again and again, tearing records between boots, and requires every
+// boot's epoch to be strictly greater than the last. The fixed sequence
+// tears the epoch record before boots 2 and 4: a second quarantine must
+// resume past the epochs issued since the first, not restart at the
+// same far-ahead value. The enumeration then tries every pattern of
+// torn epoch and torn floor records over five boots.
+func TestEpochMonotoneUnderRepeatedTears(t *testing.T) {
+	boot := func(store *durable.MemStore) uint64 {
+		mod := lsm.New()
+		k := kernel.New(kernel.WithSecurityModule(mod))
+		c := New(Config{ID: 1, Kernel: k, Module: mod, Store: store})
+		defer c.Close()
+		return c.Epoch()
+	}
+	tear := func(store *durable.MemStore, key string) {
+		if rec, ok := store.Get(key); ok {
+			store.Set(key, rec[:len(rec)/2])
+		}
+	}
+	run := func(tears []int) []uint64 {
+		store := durable.NewMemStore()
+		var epochs []uint64
+		for i := 0; i <= len(tears); i++ {
+			if i > 0 {
+				switch tears[i-1] {
+				case 1:
+					tear(store, epochKey)
+				case 2:
+					tear(store, epochFloorKey)
+				}
+			}
+			epochs = append(epochs, boot(store))
+		}
+		return epochs
+	}
+	increasing := func(epochs []uint64) bool {
+		for i := 1; i < len(epochs); i++ {
+			if epochs[i] <= epochs[i-1] {
+				return false
+			}
+		}
+		return true
+	}
+
+	if got := run([]int{1, 0, 1, 0}); !increasing(got) {
+		t.Fatalf("epochs with tears before boots 2 and 4 = %v, want strictly increasing", got)
+	}
+	tears := make([]int, 4)
+	for pattern := 0; pattern < 81; pattern++ {
+		for i, p := 0, pattern; i < len(tears); i, p = i+1, p/3 {
+			tears[i] = p % 3
+		}
+		if got := run(tears); !increasing(got) {
+			t.Fatalf("epochs with tears %v (1 epoch, 2 floor) = %v, want strictly increasing", tears, got)
+		}
+	}
+}
+
 func TestJoinKilledMidChangeResumes(t *testing.T) {
 	seedNode := bootCluster(t, Config{ID: 1})
 	if _, err := seedNode.cl.Join(); err != nil {

@@ -21,27 +21,51 @@ import (
 // epochKey is the store key of this node's incarnation epoch.
 const epochKey = "node/epoch"
 
+// epochFloorKey is the store key of the epoch floor: the highest epoch
+// issued since the node's first quarantined epoch record. A node whose
+// epoch record was never torn has no floor record.
+const epochFloorKey = "node/epoch-floor"
+
 // loadEpoch reads the persisted incarnation epoch, bumps it for this
-// boot, and persists the new value through the checkpoint protocol. A
-// torn epoch record quarantines to a fresh high epoch rather than risk
-// reusing one (fail closed: peers must never mistake this incarnation
-// for the last one).
+// boot, and persists the new value. A torn epoch record is unknowable,
+// so the node must not guess a small epoch a peer may already have seen
+// (fail closed: peers must never mistake this incarnation for the last
+// one). The first quarantine jumps far ahead and starts the floor
+// record; from then on every boot max-merges the floor with the epoch
+// record and writes both, so a later tear resumes just past the last
+// epoch issued and the epoch never moves backwards. Only losing both
+// records at once falls back to the far jump.
 func (c *Cluster) loadEpoch() uint64 {
-	var prev uint64
-	payload, state := durable.Recover(c.cfg.Store, ckptMagic, epochKey, epochKey+durable.ShadowSuffix)
-	if len(payload) == 8 {
-		prev = binary.BigEndian.Uint64(payload)
-	} else if state == durable.Quarantined {
-		prev += 1 << 20 // unknowable history: jump far past any plausible epoch
+	prev, state := c.readEpoch(epochKey)
+	floor, floorState := c.readEpoch(epochFloorKey)
+	quarantined := state == durable.Quarantined
+	if quarantined {
 		c.count("cluster.epoch.quarantined", 1)
+		if floor == 0 {
+			floor = 1 << 20 // no history survives: jump far past any plausible epoch
+		}
 	}
-	next := prev + 1
+	next := max(prev, floor) + 1
 	var buf [8]byte
 	binary.BigEndian.PutUint64(buf[:], next)
 	// Epoch persistence must complete before the node speaks; recovery
-	// writes bypass injection, so write directly.
+	// writes bypass injection, so write directly. The floor goes first,
+	// so it is never below an epoch on file.
+	if quarantined || floorState != durable.Absent {
+		c.cfg.Store.Set(epochFloorKey, sealRecord(buf[:]))
+	}
 	c.cfg.Store.Set(epochKey, sealRecord(buf[:]))
 	return next
+}
+
+// readEpoch recovers the epoch record at key: its value (0 unless it
+// opens) and its recovery state.
+func (c *Cluster) readEpoch(key string) (uint64, string) {
+	payload, state := durable.Recover(c.cfg.Store, ckptMagic, key, key+durable.ShadowSuffix)
+	if len(payload) != 8 {
+		return 0, state
+	}
+	return binary.BigEndian.Uint64(payload), state
 }
 
 // checkEpoch validates a frame's (peer, epoch) against the incarnation

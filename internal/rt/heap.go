@@ -15,14 +15,25 @@ import (
 // them without synchronization.
 //
 // An Object has named fields and an optional array part, enough to model
-// the Java objects and arrays the paper instruments.
+// the Java objects and arrays the paper instruments. The named fields are
+// a flat slice of slots, allocated on the first write and searched
+// linearly: every object in the repo holds at most a few fixed names (a
+// Java object's field count is fixed by its class), so a scan costs less
+// than hashing the name and the object pays nothing at rest for a map it
+// never fills (DESIGN.md §2).
 type Object struct {
 	labels  difc.Labels
 	labeled bool
 
 	mu     sync.Mutex
-	fields map[string]any
+	fields []slot
 	elems  []any
+}
+
+// slot is one named field.
+type slot struct {
+	name  string
+	value any
 }
 
 // Violation is the panic payload for a DIFC check failure inside a
@@ -60,16 +71,24 @@ func (o *Object) Len() int {
 func (o *Object) rawGet(field string) any {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	return o.fields[field]
+	for i := range o.fields {
+		if o.fields[i].name == field {
+			return o.fields[i].value
+		}
+	}
+	return nil
 }
 
 func (o *Object) rawSet(field string, v any) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	if o.fields == nil {
-		o.fields = make(map[string]any)
+	for i := range o.fields {
+		if o.fields[i].name == field {
+			o.fields[i].value = v
+			return
+		}
 	}
-	o.fields[field] = v
+	o.fields = append(o.fields, slot{field, v})
 }
 
 func (o *Object) rawIndex(i int) any {
@@ -120,7 +139,7 @@ func (r *Region) Alloc(labels *difc.Labels) *Object {
 		l = *labels
 		r.check("alloc", r.allocConforms(l))
 	}
-	return &Object{labels: l, labeled: !l.IsEmpty(), fields: make(map[string]any)}
+	return &Object{labels: l, labeled: !l.IsEmpty()}
 }
 
 // AllocArray allocates an n-element array with the same labeling rules as
@@ -164,10 +183,8 @@ func (r *Region) CopyAndLabel(o *Object, labels difc.Labels) *Object {
 	defer o.mu.Unlock()
 	cp := &Object{labels: labels, labeled: !labels.IsEmpty()}
 	if o.fields != nil {
-		cp.fields = make(map[string]any, len(o.fields))
-		for k, v := range o.fields {
-			cp.fields[k] = v
-		}
+		cp.fields = make([]slot, len(o.fields))
+		copy(cp.fields, o.fields)
 	}
 	if o.elems != nil {
 		cp.elems = make([]any, len(o.elems))

@@ -18,10 +18,13 @@ import (
 // recorder-global Seq (assigned in Emit) restores a total order when the
 // shards are merged in Snapshot.
 //
-// The ring never blocks and never allocates beyond the one Event the
-// emitter already built: overwrite is the eviction policy, which is what
-// a flight recorder wants — on a crash the freshest ringShards×ringSize
-// events are still there to dump.
+// The ring set (64 KiB of slots) is allocated by the first record, not
+// by NewRecorder: a recorder that stays at LevelOff, the production
+// default, never pays for it. Readers treat a missing ring set as empty.
+// After that one allocation the ring never blocks and never allocates
+// beyond the one Event the emitter already built: overwrite is the
+// eviction policy, which is what a flight recorder wants — on a crash the
+// freshest ringShards×ringSize events are still there to dump.
 
 const (
 	ringShards = 8
@@ -34,20 +37,44 @@ type ring struct {
 	slots  [ringSize]atomic.Pointer[Event]
 }
 
+// ringSet is a recorder's shards; the first record allocates it.
+type ringSet [ringShards]ring
+
 // record publishes e into the ring shard for its TID.
 func (r *Recorder) record(e *Event) {
-	rg := &r.rings[e.TID%ringShards]
+	rs := r.rings.Load()
+	if rs == nil {
+		rs = r.allocRings()
+	}
+	rg := &rs[e.TID%ringShards]
 	slot := rg.cursor.Add(1) - 1
 	rg.slots[slot&ringMask].Store(e)
+}
+
+// allocRings installs the ring set on first use. The lock makes
+// concurrent first records allocate exactly one set between them.
+func (r *Recorder) allocRings() *ringSet {
+	r.ringMu.Lock()
+	defer r.ringMu.Unlock()
+	rs := r.rings.Load()
+	if rs == nil {
+		rs = new(ringSet)
+		r.rings.Store(rs)
+	}
+	return rs
 }
 
 // Snapshot returns every event currently held by the flight recorder,
 // merged across shards in Seq order. It is safe to call concurrently
 // with writers; events published during the walk may or may not appear.
 func (r *Recorder) Snapshot() []Event {
+	rs := r.rings.Load()
+	if rs == nil {
+		return nil
+	}
 	var out []Event
-	for s := range r.rings {
-		rg := &r.rings[s]
+	for s := range rs {
+		rg := &rs[s]
 		n := rg.cursor.Load()
 		if n > ringSize {
 			n = ringSize
@@ -76,15 +103,10 @@ func (r *Recorder) Denials() []Event {
 }
 
 // Reset clears the flight recorder's rings and sequence counter (metrics
-// are left alone; see Metrics.Reset). Meant for tests and between chaos
-// seeds; not safe against concurrent writers.
+// are left alone; see Metrics.Reset). It drops the ring set, so the
+// recorder is back at rest until its next record. Meant for tests and
+// between chaos seeds; not safe against concurrent writers.
 func (r *Recorder) Reset() {
 	r.seq.Store(0)
-	for s := range r.rings {
-		rg := &r.rings[s]
-		rg.cursor.Store(0)
-		for i := range rg.slots {
-			rg.slots[i].Store(nil)
-		}
-	}
+	r.rings.Store(nil)
 }

@@ -304,9 +304,10 @@ func (e Event) Caps() (difc.CapSet, bool) {
 // recorder serves normal processes; tests and the chaos harness create
 // private recorders so parallel runs do not share rings.
 type Recorder struct {
-	level atomic.Int32
-	seq   atomic.Uint64
-	rings [ringShards]ring
+	level  atomic.Int32
+	seq    atomic.Uint64
+	rings  atomic.Pointer[ringSet] // nil until the first record (ring.go)
+	ringMu sync.Mutex
 
 	// Node identity and the trace registry (trace.go). Telemetry-only
 	// state: enforcement never reads these, so binding a trace cannot

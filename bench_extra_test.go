@@ -29,7 +29,10 @@ func BenchmarkRegionDensity(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				th := mc.NewThread()
+				th, err := jvm.HostThread(prog)
+				if err != nil {
+					b.Fatal(err)
+				}
 				if _, err := mc.Call(th, "run", jvm.IntV(4)); err != nil {
 					b.Fatal(err)
 				}
@@ -65,7 +68,10 @@ func BenchmarkInlining(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			th := mc.NewThread()
+			th, err := jvm.HostThread(prog)
+			if err != nil {
+				b.Fatal(err)
+			}
 			if _, err := mc.Call(th, "run", jvm.IntV(4)); err != nil {
 				b.Fatal(err)
 			}

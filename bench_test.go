@@ -46,7 +46,10 @@ func BenchmarkJVMOverhead(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				th := mc.NewThread()
+				th, err := jvm.HostThread(prog)
+				if err != nil {
+					b.Fatal(err)
+				}
 				if _, err := mc.Call(th, "run", jvm.IntV(4)); err != nil {
 					b.Fatal(err)
 				}

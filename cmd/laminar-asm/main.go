@@ -116,7 +116,11 @@ func main() {
 				args = append(args, jvm.IntV(n))
 			}
 		}
-		v, err := mc.Call(mc.NewThread(), *entry, args...)
+		th, err := jvm.HostThread(prog)
+		if err != nil {
+			fatal(err)
+		}
+		v, err := mc.Call(th, *entry, args...)
 		if err != nil {
 			fatal(err)
 		}

@@ -107,7 +107,7 @@ func main() {
 		{on: *all || *figure == "jvm", run: func() (report, error) { return eval.JVMOverhead(iters, *trials, *optimize) }},
 		{on: *all || *figure == "regions", run: func() (report, error) { return eval.RegionDensity(iters, *trials) }},
 		{on: *all || *figure == "compile", run: func() (report, error) { return eval.CompileTime(*trials) }},
-		{on: *all || *figure == "apps" || *table == 3, run: func() (report, error) { return eval.Apps(*scale) }},
+		{on: *all || *figure == "apps" || *table == 3, run: func() (report, error) { return eval.Apps(*scale, *trials) }},
 		{on: *all || *flume, run: func() (report, error) {
 			// Two tables: the IPC comparison prints before the wiki runs.
 			rep, err := eval.FlumeCompare(20000)
@@ -117,7 +117,7 @@ func main() {
 			fmt.Println(rep.Format())
 			return eval.WikiCompare(3000)
 		}},
-		{on: *all || *ablations, run: func() (report, error) { return eval.Ablations(2000, 50) }},
+		{on: *all || *ablations, run: func() (report, error) { return eval.Ablations(2000, 50, *trials) }},
 		{on: *all || *barriers, jsonFile: "BENCH_barriers.json",
 			run: func() (report, error) { return eval.Barriers() }},
 		{on: *all || *netd, jsonFile: "BENCH_netd.json",

@@ -12,6 +12,7 @@ import (
 	"log"
 
 	"laminar/internal/jvm"
+	"laminar/internal/rt"
 )
 
 // Figure 7, §5.1. Tags: 1 = s1 (student 1), 2 = s2 (student 2). The
@@ -76,12 +77,19 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	th := mc.NewThread()
+	// The thread is an rt thread, and its kernel task is the principal:
+	// HostThread grants the task the credentials the program's secure
+	// methods name (t1+, t2+, t1-, t2-), and rt judges each outermost
+	// region entry against them.
+	th, err := jvm.HostThread(prog)
+	if err != nil {
+		log.Fatal(err)
+	}
 	// The host (playing the professor) would hand labeled student objects
-	// to sumMarks; building labeled host objects is the rt layer's job,
-	// so here we show the compiled form instead and run the declassifier
-	// on an unlabeled holder.
-	holder := hostObject(42 + 35)
+	// to sumMarks. A MiniJVM object takes labels only from the allocation
+	// barrier inside a region, so here we show the compiled form instead
+	// and run the declassifier on an unlabeled holder.
+	holder := hostObject(th, 42+35)
 	if _, err := mc.Call(th, "publish", holder); err != nil {
 		log.Fatal(err)
 	}
@@ -91,8 +99,8 @@ func main() {
 		st.Instructions, st.BarrierChecks, st.RegionsEntered)
 }
 
-// hostObject builds a one-field object holding v.
-func hostObject(v int64) jvm.Value {
+// hostObject builds a one-field object holding v, running on th.
+func hostObject(th *rt.Thread, v int64) jvm.Value {
 	p := jvm.NewProgram(0)
 	mk := &jvm.Method{Name: "mk", NArgs: 0, NLocal: 1}
 	p.Add(mk)
@@ -104,7 +112,7 @@ func hostObject(v int64) jvm.Value {
 	if err != nil {
 		log.Fatal(err)
 	}
-	out, err := mc.Call(mc.NewThread(), "mk")
+	out, err := mc.Call(th, "mk")
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -81,14 +81,6 @@ func (f Fact) Exhausted() bool { return f.Spent >= f.Limit }
 // quarantined reports the recovery sentinel: zero limit, saturated spend.
 func (f Fact) quarantined() bool { return f.Limit == 0 && f.Spent == math.MaxUint64 }
 
-// Remaining returns the budget left under this fact.
-func (f Fact) Remaining() uint64 {
-	if f.Spent >= f.Limit {
-		return 0
-	}
-	return f.Limit - f.Spent
-}
-
 // merge folds other into f per the semilattice and reports whether f
 // changed. Equal-epoch merge takes max spend and min limit; the higher
 // epoch wins wholesale.

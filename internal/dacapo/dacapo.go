@@ -145,7 +145,11 @@ func Run(m Mix, iters int, opts jvm.CompileOptions) (int64, jvm.RunStats, error)
 	if err != nil {
 		return 0, jvm.RunStats{}, err
 	}
-	v, err := mc.Call(mc.NewThread(), "run", jvm.IntV(int64(iters)))
+	th, err := jvm.HostThread(p)
+	if err != nil {
+		return 0, jvm.RunStats{}, err
+	}
+	v, err := mc.Call(th, "run", jvm.IntV(int64(iters)))
 	if err != nil {
 		return 0, jvm.RunStats{}, err
 	}

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"laminar/internal/jvm"
+	"laminar/internal/rt"
 )
 
 func TestRegionSweepPoints(t *testing.T) {
@@ -32,7 +33,7 @@ func TestRegionSweepProgramsVerifyAndRun(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			v, err := mc.Call(mc.NewThread(), "run", jvm.IntV(20))
+			v, err := mc.Call(hostThread(t, p), "run", jvm.IntV(20))
 			if err != nil {
 				t.Fatalf("%s mode %v: %v", pt.Name, mode, err)
 			}
@@ -71,11 +72,21 @@ func TestRegionSweepOutsideWorkMatchesChecksum(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, err := mc.Call(mc.NewThread(), "run", jvm.IntV(20))
+	v, err := mc.Call(hostThread(t, p), "run", jvm.IntV(20))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if v.Int() != 20*40 {
 		t.Errorf("checksum = %d, want %d", v.Int(), 20*40)
 	}
+}
+
+// hostThread returns a thread holding p's credentials.
+func hostThread(t *testing.T, p *jvm.Program) *rt.Thread {
+	t.Helper()
+	th, err := jvm.HostThread(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return th
 }

@@ -13,9 +13,6 @@ type Labels struct {
 // Unlabeled is the implicit label pair of every unlabeled resource.
 var Unlabeled = Labels{}
 
-// NewLabels builds a label pair from explicit secrecy and integrity sets.
-func NewLabels(s, i Label) Labels { return Labels{S: s, I: i} }
-
 // IsEmpty reports whether both labels are empty ({S(),I()}).
 func (l Labels) IsEmpty() bool { return l.S.IsEmpty() && l.I.IsEmpty() }
 

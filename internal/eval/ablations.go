@@ -29,8 +29,9 @@ type AblationReport struct {
 	OptimizedTime     time.Duration
 }
 
-// Ablations runs both studies.
-func Ablations(regions, jvmIters int) (*AblationReport, error) {
+// Ablations runs both studies, timing each configuration as the best of
+// trials runs (minTimeModes).
+func Ablations(regions, jvmIters, trials int) (*AblationReport, error) {
 	rep := &AblationReport{}
 
 	// --- lazy vs eager kernel label sync ---
@@ -53,40 +54,32 @@ func Ablations(regions, jvmIters int) (*AblationReport, error) {
 		r.Set(o, "x", 1)
 		r.Get(o, "x")
 	}
-	// Interleave lazy and eager trials and keep each mode's minimum, so
-	// drift hits both configurations equally. The deterministic quantity
-	// — how many set_task_label syscalls each policy issues — is recorded
-	// alongside the (noisier) wall time.
-	var lazyBest, eagerBest time.Duration
-	for trial := 0; trial < 7; trial++ {
-		vm.EagerSync = false
+	// The deterministic quantity — how many set_task_label syscalls each
+	// policy issues — is recorded alongside the (noisier) wall time.
+	best, err := minTimeModes(trials, regions, []bool{false, true}, func(eager bool, n int) (time.Duration, error) {
+		vm.EagerSync = eager
 		vm.Stats().LabelSyncs.Store(0)
 		d := timeIt(func() {
-			for i := 0; i < regions; i++ {
+			for i := 0; i < n; i++ {
 				th.Secure(labels, laminar.EmptyCapSet, body, nil)
 			}
 		})
-		rep.LazySyncs = vm.Stats().LabelSyncs.Load()
-		if trial == 0 || d < lazyBest {
-			lazyBest = d
+		if eager {
+			rep.EagerSyncs = vm.Stats().LabelSyncs.Load()
+		} else {
+			rep.LazySyncs = vm.Stats().LabelSyncs.Load()
 		}
-		vm.EagerSync = true
-		vm.Stats().LabelSyncs.Store(0)
-		d = timeIt(func() {
-			for i := 0; i < regions; i++ {
-				th.Secure(labels, laminar.EmptyCapSet, body, nil)
-			}
-		})
-		rep.EagerSyncs = vm.Stats().LabelSyncs.Load()
-		if trial == 0 || d < eagerBest {
-			eagerBest = d
-		}
-	}
+		return d, nil
+	})
 	vm.EagerSync = false
-	rep.LazyRegionNs = float64(lazyBest.Nanoseconds()) / float64(regions)
-	rep.EagerRegionNs = float64(eagerBest.Nanoseconds()) / float64(regions)
+	if err != nil {
+		return nil, err
+	}
+	rep.LazyRegionNs = float64(best[false].Nanoseconds()) / float64(regions)
+	rep.EagerRegionNs = float64(best[true].Nanoseconds()) / float64(regions)
 
 	// --- redundant-barrier elimination ---
+	var builds []func() (*jvm.Program, error)
 	for _, m := range dacapo.Workloads {
 		_, plain, err := dacapo.Run(m, jvmIters, jvm.CompileOptions{Mode: jvm.BarrierStatic})
 		if err != nil {
@@ -98,58 +91,21 @@ func Ablations(regions, jvmIters int) (*AblationReport, error) {
 		}
 		rep.UnoptimizedChecks += plain.BarrierChecks
 		rep.OptimizedChecks += opt.BarrierChecks
+		builds = append(builds, func() (*jvm.Program, error) { return dacapo.Build(m) })
 	}
-	// Execution-only timing: compile both configurations up front, then
-	// time the runs (compilation cost is the compile-time experiment's
-	// subject, not this one's).
-	type prepared struct {
-		mc *jvm.Machine
-		th *jvm.Thread
-	}
-	prep := func(optimize bool) ([]prepared, error) {
-		out := make([]prepared, 0, len(dacapo.Workloads))
-		for _, m := range dacapo.Workloads {
-			prog, err := dacapo.Build(m)
-			if err != nil {
-				return nil, err
-			}
-			mc, err := jvm.NewMachine(prog, jvm.CompileOptions{Mode: jvm.BarrierStatic, Optimize: optimize})
-			if err != nil {
-				return nil, err
-			}
-			th := mc.NewThread()
-			if _, err := mc.Call(th, "run", jvm.IntV(4)); err != nil {
-				return nil, err
-			}
-			out = append(out, prepared{mc, th})
-		}
-		return out, nil
-	}
-	plainMachines, err := prep(false)
+	// Execution-only timing of the whole suite: jvmRunner compiles every
+	// machine before the clock starts (compilation cost is the
+	// compile-time experiment's subject, not this one's).
+	cfgs := []jvm.CompileOptions{{Mode: jvm.BarrierStatic}, {Mode: jvm.BarrierStatic, Optimize: true}}
+	run, err := jvmRunner(cfgs, builds...)
 	if err != nil {
 		return nil, err
 	}
-	optMachines, err := prep(true)
+	suite, err := minTimeModes(trials, jvmIters, cfgs, run)
 	if err != nil {
 		return nil, err
 	}
-	runAll := func(ms []prepared) func() (time.Duration, error) {
-		return func() (time.Duration, error) {
-			start := time.Now()
-			for _, pm := range ms {
-				if _, err := pm.mc.Call(pm.th, "run", jvm.IntV(int64(jvmIters))); err != nil {
-					return 0, err
-				}
-			}
-			return time.Since(start), nil
-		}
-	}
-	if rep.UnoptimizedTime, err = minTime(5, runAll(plainMachines)); err != nil {
-		return nil, err
-	}
-	if rep.OptimizedTime, err = minTime(5, runAll(optMachines)); err != nil {
-		return nil, err
-	}
+	rep.UnoptimizedTime, rep.OptimizedTime = suite[cfgs[0]], suite[cfgs[1]]
 	return rep, nil
 }
 

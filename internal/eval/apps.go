@@ -112,17 +112,21 @@ func MeasureUnitCosts() (UnitCosts, error) {
 	return u, nil
 }
 
-// appDriver runs one case study's secured and unsecured variants.
+// appDriver runs one case study's secured and unsecured variants at a
+// given size (queries, games, meetings or users).
 type appDriver struct {
 	name      string
-	secured   func() (*rt.Stats, time.Duration, error)
-	unsecured func() (time.Duration, error)
+	size      int
+	secured   func(n int) (*rt.Stats, time.Duration, error)
+	unsecured func(n int) (time.Duration, error)
 }
 
 // Apps runs all four case studies at the given scale factor (1 = a quick
 // run, larger = closer to the paper's workloads: 15×15 full games, 1,000
-// meetings, thousands of chat commands).
-func Apps(scale int) (*AppsReport, error) {
+// meetings, thousands of chat commands). Each variant's time is the best
+// of trials runs (minTimeModes); a row's counts and in-region time come
+// from its fastest secured run.
+func Apps(scale, trials int) (*AppsReport, error) {
 	units, err := MeasureUnitCosts()
 	if err != nil {
 		return nil, err
@@ -135,14 +139,22 @@ func Apps(scale int) (*AppsReport, error) {
 	}
 	rep := &AppsReport{Units: units}
 	for _, d := range drivers {
-		un, err := d.unsecured()
+		var stats *rt.Stats
+		var statsAt time.Duration
+		best, err := minTimeModes(trials, d.size, []bool{false, true}, func(secured bool, n int) (time.Duration, error) {
+			if !secured {
+				return d.unsecured(n)
+			}
+			st, t, err := d.secured(n)
+			if err == nil && n == d.size && (stats == nil || t < statsAt) {
+				stats, statsAt = st, t
+			}
+			return t, err
+		})
 		if err != nil {
-			return nil, fmt.Errorf("%s unsecured: %w", d.name, err)
+			return nil, fmt.Errorf("%s: %w", d.name, err)
 		}
-		stats, sec, err := d.secured()
-		if err != nil {
-			return nil, fmt.Errorf("%s secured: %w", d.name, err)
-		}
+		un, sec := best[false], best[true]
 		row := AppRow{
 			Name:        d.name,
 			Unsecured:   un,
@@ -167,10 +179,11 @@ func Apps(scale int) (*AppsReport, error) {
 	return rep, nil
 }
 
-func gradesheetDriver(queries int) appDriver {
+func gradesheetDriver(size int) appDriver {
 	return appDriver{
 		name: "GradeSheet",
-		secured: func() (*rt.Stats, time.Duration, error) {
+		size: size,
+		secured: func(queries int) (*rt.Stats, time.Duration, error) {
 			s, err := gradesheet.New(laminar.NewSystem(), 16, 8)
 			if err != nil {
 				return nil, 0, err
@@ -181,7 +194,7 @@ func gradesheetDriver(queries int) appDriver {
 			d := timeIt(func() { w.RunSecured(s, queries) })
 			return s.VM().Stats(), d, nil
 		},
-		unsecured: func() (time.Duration, error) {
+		unsecured: func(queries int) (time.Duration, error) {
 			u := gradesheet.NewUnsecured(16, 8)
 			w := gradesheet.NewWorkload(1)
 			w.RunUnsecured(u, 16)
@@ -190,10 +203,11 @@ func gradesheetDriver(queries int) appDriver {
 	}
 }
 
-func battleshipDriver(games int) appDriver {
+func battleshipDriver(size int) appDriver {
 	return appDriver{
 		name: "Battleship",
-		secured: func() (*rt.Stats, time.Duration, error) {
+		size: size,
+		secured: func(games int) (*rt.Stats, time.Duration, error) {
 			agg := &rt.Stats{}
 			var total time.Duration
 			for g := 0; g < games; g++ {
@@ -217,7 +231,7 @@ func battleshipDriver(games int) appDriver {
 			}
 			return agg, total, nil
 		},
-		unsecured: func() (time.Duration, error) {
+		unsecured: func(games int) (time.Duration, error) {
 			var total time.Duration
 			for g := 0; g < games; g++ {
 				game := battleship.NewUnsecuredGame(int64(g + 1))
@@ -228,10 +242,11 @@ func battleshipDriver(games int) appDriver {
 	}
 }
 
-func calendarDriver(meetings int) appDriver {
+func calendarDriver(size int) appDriver {
 	return appDriver{
 		name: "Calendar",
-		secured: func() (*rt.Stats, time.Duration, error) {
+		size: size,
+		secured: func(meetings int) (*rt.Stats, time.Duration, error) {
 			s, err := calendar.New(laminar.NewSystem())
 			if err != nil {
 				return nil, 0, err
@@ -255,7 +270,7 @@ func calendarDriver(meetings int) appDriver {
 			})
 			return s.VM().Stats(), d, serr
 		},
-		unsecured: func() (time.Duration, error) {
+		unsecured: func(meetings int) (time.Duration, error) {
 			u, err := calendar.NewUnsecured(laminar.NewSystem())
 			if err != nil {
 				return 0, err
@@ -278,10 +293,11 @@ func calendarDriver(meetings int) appDriver {
 	}
 }
 
-func freecsDriver(users int) appDriver {
+func freecsDriver(size int) appDriver {
 	return appDriver{
 		name: "FreeCS",
-		secured: func() (*rt.Stats, time.Duration, error) {
+		size: size,
+		secured: func(users int) (*rt.Stats, time.Duration, error) {
 			s, err := freecs.NewServer(laminar.NewSystem())
 			if err != nil {
 				return nil, 0, err
@@ -291,7 +307,7 @@ func freecsDriver(users int) appDriver {
 			d := timeIt(func() { _, serr = freecs.RunWorkload(s, users) })
 			return s.VM().Stats(), d, serr
 		},
-		unsecured: func() (time.Duration, error) {
+		unsecured: func(users int) (time.Duration, error) {
 			s := freecs.NewUnsecuredServer()
 			var serr error
 			d := timeIt(func() { _, serr = freecs.RunUnsecuredWorkload(s, users) })

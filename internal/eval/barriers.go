@@ -52,7 +52,11 @@ func barrierTier(src string, opts jvm.CompileOptions) (sites, emitted, free int,
 	if _, cerr := p.CompileAll(opts); cerr != nil {
 		return 0, 0, 0, 0, cerr
 	}
-	if _, rerr := mc.Call(mc.NewThread(), "main"); rerr != nil {
+	th, herr := jvm.HostThread(p)
+	if herr != nil {
+		return 0, 0, 0, 0, herr
+	}
+	if _, rerr := mc.Call(th, "main"); rerr != nil {
 		return 0, 0, 0, 0, fmt.Errorf("corpus program must run clean: %w", rerr)
 	}
 	seen := map[string]bool{}

@@ -203,7 +203,7 @@ func TestConcurrencyShape(t *testing.T) {
 }
 
 func TestAppsReport(t *testing.T) {
-	rep, err := Apps(1)
+	rep, err := Apps(1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,7 +274,7 @@ func TestTable4Format(t *testing.T) {
 }
 
 func TestAblations(t *testing.T) {
-	rep, err := Ablations(3000, 20)
+	rep, err := Ablations(3000, 20, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

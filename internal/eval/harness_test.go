@@ -470,12 +470,16 @@ func TestBenchSchemaPinned(t *testing.T) {
 // (and a gate verdict computed from them).
 func TestZeroTrialsFail(t *testing.T) {
 	for name, run := range map[string]func() (any, error){
-		"netd":    func() (any, error) { return Netd(10, 0) },
-		"cluster": func() (any, error) { return Cluster(10, 0) },
-		"trace":   func() (any, error) { return Trace(10, 0) },
-		"budget":  func() (any, error) { return Budget(10, 0) },
-		"storm":   func() (any, error) { return Storm(2, 24, 16, 0) },
-		"compile": func() (any, error) { return CompileTime(0) },
+		"netd":      func() (any, error) { return Netd(10, 0) },
+		"cluster":   func() (any, error) { return Cluster(10, 0) },
+		"trace":     func() (any, error) { return Trace(10, 0) },
+		"budget":    func() (any, error) { return Budget(10, 0) },
+		"storm":     func() (any, error) { return Storm(2, 24, 16, 0) },
+		"compile":   func() (any, error) { return CompileTime(0) },
+		"jvm":       func() (any, error) { return JVMOverhead(10, 0, false) },
+		"regions":   func() (any, error) { return RegionDensity(10, 0) },
+		"apps":      func() (any, error) { return Apps(1, 0) },
+		"ablations": func() (any, error) { return Ablations(10, 2, 0) },
 	} {
 		rep, err := run()
 		if err == nil {

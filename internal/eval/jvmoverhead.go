@@ -7,6 +7,7 @@ import (
 
 	"laminar/internal/dacapo"
 	"laminar/internal/jvm"
+	"laminar/internal/rt"
 )
 
 // JVMRow is one benchmark's result in the JVM-overhead experiment (§6.1's
@@ -28,56 +29,31 @@ type JVMOverheadReport struct {
 	Optimized  bool
 }
 
-// JVMOverhead measures every workload for iters loop iterations, taking
-// the median of trials runs per configuration — the paper's methodology
-// (second iteration, compilation excluded: our measurement calls run once
-// to force JIT compilation before timing).
+// JVMOverhead measures every workload for iters loop iterations, best of
+// trials runs per configuration (minTimeModes). Compilation is excluded,
+// as in the paper's methodology (second iteration): jvmRunner warms each
+// machine up with one call before timing.
 func JVMOverhead(iters, trials int, optimize bool) (*JVMOverheadReport, error) {
 	rep := &JVMOverheadReport{Optimized: optimize}
-	modes := []jvm.BarrierMode{jvm.BarrierNone, jvm.BarrierStatic, jvm.BarrierDynamic}
+	var cfgs []jvm.CompileOptions
+	for _, mode := range []jvm.BarrierMode{jvm.BarrierNone, jvm.BarrierStatic, jvm.BarrierDynamic} {
+		cfgs = append(cfgs, jvm.CompileOptions{Mode: mode, Optimize: optimize})
+	}
 	sumS, sumD := 0.0, 0.0
 	for _, m := range dacapo.Workloads {
-		// Build all three machines up front and interleave the timing
-		// trials across configurations, so slow drift (frequency scaling,
-		// background load) hits every mode equally; keep the per-mode
-		// minimum, lmbench-style.
-		machines := make([]*jvm.Machine, len(modes))
-		threads := make([]*jvm.Thread, len(modes))
-		for mi, mode := range modes {
-			prog, err := dacapo.Build(m)
-			if err != nil {
-				return nil, err
-			}
-			mc, err := jvm.NewMachine(prog, jvm.CompileOptions{Mode: mode, Optimize: optimize})
-			if err != nil {
-				return nil, err
-			}
-			th := mc.NewThread()
-			// Warm-up run compiles the method (first iteration in the
-			// paper's methodology).
-			if _, err := mc.Call(th, "run", jvm.IntV(8)); err != nil {
-				return nil, err
-			}
-			machines[mi] = mc
-			threads[mi] = th
+		run, err := jvmRunner(cfgs, func() (*jvm.Program, error) { return dacapo.Build(m) })
+		if err != nil {
+			return nil, err
 		}
-		var times [3]time.Duration
-		for trial := 0; trial < trials; trial++ {
-			for mi := range modes {
-				d := timeIt(func() {
-					if _, err := machines[mi].Call(threads[mi], "run", jvm.IntV(int64(iters))); err != nil {
-						panic(err)
-					}
-				})
-				if trial == 0 || d < times[mi] {
-					times[mi] = d
-				}
-			}
+		best, err := minTimeModes(trials, iters, cfgs, run)
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", m.Name, err)
 		}
+		base, static, dynamic := best[cfgs[0]], best[cfgs[1]], best[cfgs[2]]
 		row := JVMRow{
-			Name: m.Name, Base: times[0], Static: times[1], Dynamic: times[2],
-			StaticPct:  pct(times[1], times[0]),
-			DynamicPct: pct(times[2], times[0]),
+			Name: m.Name, Base: base, Static: static, Dynamic: dynamic,
+			StaticPct:  pct(static, base),
+			DynamicPct: pct(dynamic, base),
 		}
 		sumS += row.StaticPct
 		sumD += row.DynamicPct
@@ -86,6 +62,49 @@ func JVMOverhead(iters, trials int, optimize bool) (*JVMOverheadReport, error) {
 	rep.GeoStatic = sumS / float64(len(rep.Rows))
 	rep.GeoDynamic = sumD / float64(len(rep.Rows))
 	return rep, nil
+}
+
+// jvmRunner prepares, for each compiler configuration, one machine per
+// program that build returns (a fresh build per configuration: compiled
+// variants are cached on the program's methods), each on a host thread
+// holding its program's credentials and warmed up by one call of "run",
+// which compiles it. The returned function times one call of "run" with
+// n iterations on every machine of a configuration, for minTimeModes.
+func jvmRunner(cfgs []jvm.CompileOptions, build ...func() (*jvm.Program, error)) (func(jvm.CompileOptions, int) (time.Duration, error), error) {
+	type machine struct {
+		mc *jvm.Machine
+		th *rt.Thread
+	}
+	machines := make(map[jvm.CompileOptions][]machine, len(cfgs))
+	for _, cfg := range cfgs {
+		for _, b := range build {
+			prog, err := b()
+			if err != nil {
+				return nil, err
+			}
+			mc, err := jvm.NewMachine(prog, cfg)
+			if err != nil {
+				return nil, err
+			}
+			th, err := jvm.HostThread(prog)
+			if err != nil {
+				return nil, err
+			}
+			if _, err := mc.Call(th, "run", jvm.IntV(4)); err != nil {
+				return nil, err
+			}
+			machines[cfg] = append(machines[cfg], machine{mc, th})
+		}
+	}
+	return func(cfg jvm.CompileOptions, n int) (time.Duration, error) {
+		start := time.Now()
+		for _, m := range machines[cfg] {
+			if _, err := m.mc.Call(m.th, "run", jvm.IntV(int64(n))); err != nil {
+				return 0, err
+			}
+		}
+		return time.Since(start), nil
+	}, nil
 }
 
 // Format renders the figure as text.

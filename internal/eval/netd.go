@@ -156,35 +156,6 @@ func stream(what string, src, dst streamEnd, payload, msgs int, pump func()) (ti
 	return time.Since(start), nil
 }
 
-// minTimeModes is minTime for modes compared against each other: one
-// untimed warm-up stream of msgs/4+1 messages under modes[0], then trials
-// rounds that stream msgs messages under every mode, rotated so no mode
-// always runs first in a round. Best-of per mode then samples comparable
-// machine states instead of charging warm-up (frequency ramp, page
-// cache) to whichever mode happens to run first.
-func minTimeModes[M comparable](trials, msgs int, modes []M, run func(mode M, msgs int) (time.Duration, error)) (map[M]time.Duration, error) {
-	if trials < 1 {
-		return nil, errNoTrials
-	}
-	if _, err := run(modes[0], msgs/4+1); err != nil {
-		return nil, fmt.Errorf("warm-up: %w", err)
-	}
-	best := make(map[M]time.Duration, len(modes))
-	for tr := 0; tr < trials; tr++ {
-		for i := range modes {
-			mode := modes[(i+tr)%len(modes)]
-			wall, err := run(mode, msgs)
-			if err != nil {
-				return nil, fmt.Errorf("mode %v: %w", mode, err)
-			}
-			if prev, ok := best[mode]; !ok || wall < prev {
-				best[mode] = wall
-			}
-		}
-	}
-	return best, nil
-}
-
 // openUnlabeled opens an unlabeled channel from a to b.
 func openUnlabeled(a, b *netdPeer) (fdA, fdB kernel.FD, err error) {
 	return openNetdChannel(a, b, difc.Labels{})

@@ -26,47 +26,27 @@ type RegionDensityReport struct {
 	Rows []RegionDensityRow
 }
 
-// RegionDensity runs the sweep.
+// RegionDensity runs the sweep, best of trials runs per configuration
+// (minTimeModes).
 func RegionDensity(iters, trials int) (*RegionDensityReport, error) {
 	rep := &RegionDensityReport{}
+	cfgs := []jvm.CompileOptions{{Mode: jvm.BarrierNone}, {Mode: jvm.BarrierStatic}}
 	for _, pt := range dacapo.RegionSweep() {
-		var times [2]time.Duration
-		machines := make([]*jvm.Machine, 2)
-		threads := make([]*jvm.Thread, 2)
-		for mi, mode := range []jvm.BarrierMode{jvm.BarrierNone, jvm.BarrierStatic} {
-			prog, err := dacapo.BuildRegionSweep(pt)
-			if err != nil {
-				return nil, err
-			}
-			mc, err := jvm.NewMachine(prog, jvm.CompileOptions{Mode: mode})
-			if err != nil {
-				return nil, err
-			}
-			th := mc.NewThread()
-			if _, err := mc.Call(th, "run", jvm.IntV(4)); err != nil {
-				return nil, err
-			}
-			machines[mi] = mc
-			threads[mi] = th
+		run, err := jvmRunner(cfgs, func() (*jvm.Program, error) { return dacapo.BuildRegionSweep(pt) })
+		if err != nil {
+			return nil, err
 		}
-		for trial := 0; trial < trials; trial++ {
-			for mi := range machines {
-				d := timeIt(func() {
-					if _, err := machines[mi].Call(threads[mi], "run", jvm.IntV(int64(iters))); err != nil {
-						panic(err)
-					}
-				})
-				if trial == 0 || d < times[mi] {
-					times[mi] = d
-				}
-			}
+		best, err := minTimeModes(trials, iters, cfgs, run)
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", pt.Name, err)
 		}
+		base, secured := best[cfgs[0]], best[cfgs[1]]
 		rep.Rows = append(rep.Rows, RegionDensityRow{
 			Name:      pt.Name,
 			PctInside: pt.PctInside,
-			Base:      times[0],
-			Secured:   times[1],
-			Overhead:  pct(times[1], times[0]),
+			Base:      base,
+			Secured:   secured,
+			Overhead:  pct(secured, base),
 		})
 	}
 	return rep, nil

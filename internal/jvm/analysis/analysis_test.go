@@ -163,7 +163,11 @@ func TestInterprocBeatsIntraproc(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := mc.Call(mc.NewThread(), "main"); err != nil {
+		th, err := jvm.HostThread(p2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := mc.Call(th, "main"); err != nil {
 			t.Fatal(err)
 		}
 		return mc.Stats()

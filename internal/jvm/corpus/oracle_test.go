@@ -19,6 +19,7 @@ import (
 	"laminar/internal/jvm"
 	"laminar/internal/jvm/analysis"
 	"laminar/internal/jvm/corpus"
+	"laminar/internal/rt"
 )
 
 // config is one compiler configuration under test.
@@ -79,7 +80,7 @@ func run(t *testing.T, src string, cfg config) outcome {
 		return outcome{verifyErr: err.Error()}
 	}
 	mc.Trace = &jvm.TraceLog{}
-	v, callErr := mc.Call(mc.NewThread(), "main")
+	v, callErr := mc.Call(hostThread(t, src, p), "main")
 	var statics []string
 	for i := 0; i < p.NStatics; i++ {
 		statics = append(statics, renderValue(mc.Static(i)))
@@ -96,6 +97,29 @@ func run(t *testing.T, src string, cfg config) outcome {
 		out.callErr = callErr.Error()
 	}
 	return out
+}
+
+// lastHost is the host thread of the most recent source run. A thread
+// keeps nothing between calls but its task's capabilities, which depend
+// only on the source, so the runs of one source under every
+// configuration share it instead of booting a kernel each.
+var lastHost struct {
+	src string
+	th  *rt.Thread
+}
+
+// hostThread returns a thread holding the credentials of p, parsed from
+// src (jvm.HostThread).
+func hostThread(t *testing.T, src string, p *jvm.Program) *rt.Thread {
+	t.Helper()
+	if lastHost.th == nil || lastHost.src != src {
+		th, err := jvm.HostThread(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lastHost.src, lastHost.th = src, th
+	}
+	return lastHost.th
 }
 
 // hasMain reports whether the program defines main (lint-only corpus

@@ -87,7 +87,7 @@ func runTaintOracle(t *testing.T, src string, cfg config, secret, low int64) tai
 	for i := range args {
 		args[i] = jvm.IntV(secret)
 	}
-	mc.Call(mc.NewThread(), "main", args...) // errors are themselves part of the trace
+	mc.Call(hostThread(t, src, p), "main", args...) // errors are themselves part of the trace
 	out := taintRun{}
 	isD, isE := make(map[string]bool), make(map[string]bool)
 	for _, m := range p.Methods {

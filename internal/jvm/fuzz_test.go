@@ -79,6 +79,10 @@ func FuzzCompileRun(f *testing.F) {
 				t.Fatalf("compile verified program: %v", err)
 			}
 			mc.MaxInstructions = 50_000
+			th, err := jvm.HostThread(q)
+			if err != nil {
+				t.Fatal(err)
+			}
 			for _, m := range q.Methods {
 				if m.NArgs > 4 {
 					continue
@@ -89,7 +93,7 @@ func FuzzCompileRun(f *testing.F) {
 				}
 				// Errors (denials, budget, type confusion) are expected;
 				// panics are the bug.
-				mc.Call(mc.NewThread(), m.Name, args...)
+				mc.Call(th, m.Name, args...)
 			}
 		}
 	})

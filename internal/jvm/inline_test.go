@@ -41,7 +41,7 @@ func TestInlinePreservesSemantics(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			v, err := mc.Call(mc.NewThread(), "main")
+			v, err := mc.Call(hostThread(t, mc), "main")
 			if err != nil {
 				t.Fatalf("inline=%v mode=%v: %v", inline, mode, err)
 			}
@@ -73,7 +73,7 @@ func TestInlineValueReturnOnStack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, err := mc.Call(mc.NewThread(), "main")
+	v, err := mc.Call(hostThread(t, mc), "main")
 	if err != nil || v.Int() != 17 {
 		t.Fatalf("main = %v, %v", v, err)
 	}
@@ -103,7 +103,7 @@ func TestInlineBranchyCallee(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, err := mc.Call(mc.NewThread(), "main")
+	v, err := mc.Call(hostThread(t, mc), "main")
 	if err != nil || v.Int() != 8 {
 		t.Fatalf("main = %v, %v", v, err)
 	}
@@ -140,7 +140,7 @@ func TestInlineSkipsSecureAndBigAndNonLeaf(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, err := mc.Call(mc.NewThread(), "main")
+	v, err := mc.Call(hostThread(t, mc), "main")
 	if err != nil || v.Int() != 1 {
 		t.Fatalf("main = %v, %v", v, err)
 	}
@@ -188,7 +188,7 @@ func TestInlineWidensRedundancyElimination(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		v, err := mc.Call(mc.NewThread(), "main")
+		v, err := mc.Call(hostThread(t, mc), "main")
 		if err != nil || v.Int() != 700 {
 			t.Fatalf("inline=%v: main = %v, %v", inline, v, err)
 		}
@@ -228,7 +228,7 @@ func TestInlineWithSecureCallerContext(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, err := mc.Call(mc.NewThread(), "main")
+	v, err := mc.Call(hostThread(t, mc), "main")
 	if err != nil || v.Int() != 1 {
 		t.Fatalf("main = %v, %v", v, err)
 	}

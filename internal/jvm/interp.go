@@ -3,11 +3,12 @@ package jvm
 import (
 	"fmt"
 
-	"laminar/internal/difc"
+	"laminar/internal/rt"
 )
 
 // Machine executes a compiled Program. It owns the statics table and the
-// per-run security configuration; Threads carry the region stack.
+// per-run security configuration; the host's rt.Thread carries the
+// principal and its region stack.
 type Machine struct {
 	prog    *Program
 	opts    CompileOptions
@@ -93,61 +94,12 @@ func (mc *Machine) Static(i int) Value { return mc.statics[i] }
 // SetStatic writes a statics slot (host access for tests).
 func (mc *Machine) SetStatic(i int, v Value) { mc.statics[i] = v }
 
-// Thread is a MiniJVM execution context with Laminar's principal state: a
-// stack of active security regions.
-type Thread struct {
-	mc      *Machine
-	regions []regionState
-}
-
-type regionState struct {
-	labels difc.Labels
-	caps   difc.CapSet
-}
-
-// NewThread creates an unlabeled thread.
-func (mc *Machine) NewThread() *Thread { return &Thread{mc: mc} }
-
-// Labels returns the thread's effective labels.
-func (t *Thread) Labels() difc.Labels {
-	if n := len(t.regions); n > 0 {
-		return t.regions[n-1].labels
-	}
-	return difc.Labels{}
-}
-
-// Caps returns the thread's effective capability set (empty outside
-// regions: MiniJVM threads hold capabilities only through region
-// credentials, which the host assembles).
-func (t *Thread) Caps() difc.CapSet {
-	if n := len(t.regions); n > 0 {
-		return t.regions[n-1].caps
-	}
-	return difc.EmptyCapSet
-}
-
-func (t *Thread) inRegion() bool { return len(t.regions) > 0 }
-
 // trap is the interpreter's violation panic payload. fatal traps (machine
 // errors such as an argument-count mismatch or an exhausted instruction
 // budget) are not absorbed by security-region catch blocks.
 type trap struct {
 	err   error
 	fatal bool
-}
-
-// regionEntryError is a refused region entry. It keeps the operands and
-// renders them only when Error is called: a trap that an enclosing
-// region's catch block absorbs is dropped unread.
-type regionEntryError struct {
-	method string
-	labels difc.Labels
-	caps   difc.CapSet
-	from   difc.Labels
-}
-
-func (e *regionEntryError) Error() string {
-	return fmt.Sprintf("cannot enter security region %s with %v %v from %v", e.method, e.labels, e.caps, e.from)
 }
 
 // TrapError is the error produced when bytecode violates the DIFC rules
@@ -161,9 +113,12 @@ func (e *TrapError) Error() string { return fmt.Sprintf("jvm: trap: %v", e.Err) 
 // Unwrap exposes the cause.
 func (e *TrapError) Unwrap() error { return e.Err }
 
-// Call invokes the named method with integer/reference arguments and
-// returns the method's result (zero Value for void).
-func (mc *Machine) Call(t *Thread, name string, args ...Value) (v Value, err error) {
+// Call invokes the named method on the host's thread t and returns the
+// method's result (zero Value for void). t is an rt thread: its kernel
+// task holds the capabilities that outermost security regions are judged
+// against, and rt keeps its region stack (HostThread builds such a thread
+// for a program).
+func (mc *Machine) Call(t *rt.Thread, name string, args ...Value) (v Value, err error) {
 	m, err := mc.prog.Lookup(name)
 	if err != nil {
 		return Value{}, err
@@ -183,91 +138,54 @@ func (mc *Machine) Call(t *Thread, name string, args ...Value) (v Value, err err
 	return mc.invoke(t, m, args, true), nil
 }
 
-// invoke runs one method activation. Secure methods enter their region
-// here and leave on return; a violation raised in the body transfers to
-// the compiled catch code with the region still active (§4.3.3), and all
-// exceptions are suppressed at the region boundary. host marks entries
-// through Machine.Call, whose arguments never passed a barrier (the
+// invoke runs one method activation. A secure method runs as an rt
+// security region (rt.Thread.Secure): rt judges the entry, keeps the
+// region frame, and restores the parent context on exit. A violation
+// raised in the body transfers to the compiled catch code with the region
+// still active (§4.3.3), and all exceptions are suppressed at the region
+// boundary. A fatal trap, or any panic that is not a trap, is not the
+// program's to catch: the catch closure stashes it and invoke raises it
+// again once the region has exited. host marks entries through
+// Machine.Call, whose arguments never passed a barrier (the
 // interprocedural optimizer compiles a conservative variant for them).
-func (mc *Machine) invoke(t *Thread, m *Method, args []Value, host bool) Value {
+func (mc *Machine) invoke(t *rt.Thread, m *Method, args []Value, host bool) Value {
 	if len(args) != m.NArgs {
 		panic(trap{err: fmt.Errorf("method %s wants %d args, got %d", m.Name, m.NArgs, len(args)), fatal: true})
 	}
-	cm := mc.prog.variantFor(m, mc.opts, t.inRegion(), host, &mc.cstats)
-	if m.Secure != nil && mc.opts.Mode != BarrierNone {
-		// Region entry checks (§4.3.2): the invoking context plays the
-		// parent principal.
-		cur, curCaps := t.Labels(), t.effectiveEntryCaps()
-		if difc.CheckEnterRegion(&cur, &curCaps, &m.Secure.Labels, &m.Secure.Caps) != nil {
-			mc.trace("deny-enter %s", m.Name)
-			panic(trap{err: &regionEntryError{method: m.Name, labels: m.Secure.Labels, caps: m.Secure.Caps, from: cur}})
-		}
-		t.regions = append(t.regions, regionState{labels: m.Secure.Labels, caps: m.Secure.Caps})
+	cm := mc.prog.variantFor(m, mc.opts, t.Region() != nil, host, &mc.cstats)
+	if m.Secure == nil || mc.opts.Mode == BarrierNone {
+		return mc.exec(t, cm, cm.code, args)
+	}
+	var ret Value
+	var fatal any
+	err := t.Secure(m.Secure.Labels, m.Secure.Caps, func(*rt.Region) {
 		mc.stats.RegionsEntered++
 		mc.trace("enter %s", m.Name)
-		defer func() {
-			t.regions = t.regions[:len(t.regions)-1]
-			mc.trace("exit %s", m.Name)
-		}()
-
-		ret := func() (v Value) {
-			defer func() {
-				if e := recover(); e != nil {
-					tr, ok := e.(trap)
-					if !ok || tr.fatal {
-						panic(e)
-					}
-					mc.stats.Violations++
-					mc.trace("catch %s", m.Name)
-					// Run the catch code, suppress anything it raises.
-					if cm.catch != nil {
-						func() {
-							defer func() { recover() }()
-							mc.exec(t, cm, cm.catch, args)
-						}()
-					}
-					v = Value{}
-				}
-			}()
-			return mc.exec(t, cm, cm.code, args)
-		}()
-		return ret
+		ret = mc.exec(t, cm, cm.code, args)
+	}, func(_ *rt.Region, e any) {
+		if tr, ok := e.(trap); !ok || tr.fatal {
+			fatal = e
+			return
+		}
+		mc.stats.Violations++
+		mc.trace("catch %s", m.Name)
+		if cm.catch != nil {
+			mc.exec(t, cm, cm.catch, args)
+		}
+	})
+	if err != nil {
+		mc.trace("deny-enter %s", m.Name)
+		panic(trap{err: err})
 	}
-	return mc.exec(t, cm, cm.code, args)
+	mc.trace("exit %s", m.Name)
+	if fatal != nil {
+		panic(fatal)
+	}
+	return ret
 }
-
-// effectiveEntryCaps returns the capability set used to judge region
-// entry. Outside any region the thread is granted the credentials it
-// presents (MiniJVM has no kernel capability store; the host constructs
-// programs whose outermost credentials model the thread's persistent
-// capabilities). Inside a region, rule (2) applies against the region's
-// capability set.
-func (t *Thread) effectiveEntryCaps() difc.CapSet {
-	if n := len(t.regions); n > 0 {
-		return t.regions[n-1].caps
-	}
-	// Outermost entry: the host vouches for the thread's credentials.
-	return allCaps
-}
-
-// allCaps is the top capability set used for outermost region entry; see
-// effectiveEntryCaps.
-var allCaps = difc.NewCapSet(allTags, allTags)
-
-// allTags is a pseudo-label treated as containing every tag. difc labels
-// have no top element, so approximate with a broad check: CheckEnterRegion
-// uses subset tests against Plus(); we give the host a label containing
-// the first 4096 tags, ample for workloads.
-var allTags = func() difc.Label {
-	tags := make([]difc.Tag, 4096)
-	for i := range tags {
-		tags[i] = difc.Tag(i + 1)
-	}
-	return difc.NewLabel(tags...)
-}()
 
 // exec is the interpreter loop.
-func (mc *Machine) exec(t *Thread, cm *compiledMethod, code []Instr, args []Value) Value {
+func (mc *Machine) exec(t *rt.Thread, cm *compiledMethod, code []Instr, args []Value) Value {
 	m := cm.method
 	locals := make([]Value, cm.nLocal)
 	copy(locals, args)
@@ -421,66 +339,51 @@ func (mc *Machine) exec(t *Thread, cm *compiledMethod, code []Instr, args []Valu
 		case OpReturnVal:
 			return pop()
 
-		// --- compiler-inserted barriers ---
+		// --- compiler-inserted barriers: each applies one of rt's rules ---
 		case OpBarrierRead:
 			mc.stats.BarrierChecks++
 			o := mustRef(peek(in.A), m, pc)
-			if err := difc.CheckFlow("read", o.labels, t.Labels()); err != nil {
-				mc.raise(t, err)
-			}
+			mc.check(t.CheckRead(&o.labels))
 		case OpBarrierWrite:
 			mc.stats.BarrierChecks++
 			o := mustRef(peek(in.A), m, pc)
-			if err := difc.CheckFlow("write", t.Labels(), o.labels); err != nil {
-				mc.raise(t, err)
-			}
+			mc.check(t.CheckWrite(&o.labels))
 		case OpBarrierOutR, OpBarrierOutW:
 			mc.stats.BarrierChecks++
 			o := mustRef(peek(in.A), m, pc)
-			if o.labeled {
-				mc.raise(t, fmt.Errorf("labeled object %v accessed outside a security region", o.labels))
-			}
+			mc.check(rt.CheckOutside(&o.labels, o.labeled))
 		case OpBarrierSelR:
 			mc.stats.BarrierChecks++
 			inReg := pop().i != 0
 			o := mustRef(peek(in.A), m, pc)
 			if inReg {
-				if err := difc.CheckFlow("read", o.labels, t.Labels()); err != nil {
-					mc.raise(t, err)
-				}
-			} else if o.labeled {
-				mc.raise(t, fmt.Errorf("labeled object %v accessed outside a security region", o.labels))
+				mc.check(t.CheckRead(&o.labels))
+			} else {
+				mc.check(rt.CheckOutside(&o.labels, o.labeled))
 			}
 		case OpBarrierSelW:
 			mc.stats.BarrierChecks++
 			inReg := pop().i != 0
 			o := mustRef(peek(in.A), m, pc)
 			if inReg {
-				if err := difc.CheckFlow("write", t.Labels(), o.labels); err != nil {
-					mc.raise(t, err)
-				}
-			} else if o.labeled {
-				mc.raise(t, fmt.Errorf("labeled object %v accessed outside a security region", o.labels))
+				mc.check(t.CheckWrite(&o.labels))
+			} else {
+				mc.check(rt.CheckOutside(&o.labels, o.labeled))
 			}
 		case OpBarrierAlloc:
 			mc.stats.BarrierChecks++
 			o := mustRef(peek(0), m, pc)
-			l := t.Labels()
-			o.labels = l
-			o.labeled = !l.IsEmpty()
+			o.labels = t.Labels()
+			o.labeled = !o.labels.IsEmpty()
 		case OpBarrierStaticR:
 			mc.stats.BarrierChecks++
-			if !t.Labels().I.IsEmpty() {
-				mc.raise(t, fmt.Errorf("region with integrity labels may not read statics"))
-			}
+			mc.check(t.CheckStaticRead())
 		case OpBarrierStaticW:
 			mc.stats.BarrierChecks++
-			if !t.Labels().S.IsEmpty() {
-				mc.raise(t, fmt.Errorf("region with secrecy labels may not write statics"))
-			}
+			mc.check(t.CheckStaticWrite())
 		case OpInRegion:
 			mc.stats.ContextChecks++
-			push(boolV(t.inRegion()))
+			push(boolV(t.Region() != nil))
 		default:
 			panic(trap{err: fmt.Errorf("bad opcode %v in %s@%d", in.Op, m.Name, pc)})
 		}
@@ -488,9 +391,16 @@ func (mc *Machine) exec(t *Thread, cm *compiledMethod, code []Instr, args []Valu
 	}
 }
 
-// raise reports a DIFC violation: inside a region it unwinds to the
-// enclosing secure method's catch; outside, it surfaces as a TrapError.
-func (mc *Machine) raise(t *Thread, err error) {
+// check reports a barrier's denial, if any, as a DIFC violation: inside a
+// region it unwinds to the enclosing secure method's catch; outside, it
+// surfaces as a TrapError.
+func (mc *Machine) check(err error) {
+	if err != nil {
+		mc.raise(err)
+	}
+}
+
+func (mc *Machine) raise(err error) {
 	mc.trace("violation %v", err)
 	panic(trap{err: err})
 }

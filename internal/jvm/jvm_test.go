@@ -19,7 +19,7 @@ func run(t *testing.T, p *Program, opts CompileOptions, name string, args ...Val
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, err := mc.Call(mc.NewThread(), name, args...)
+	v, err := mc.Call(hostThread(t, mc), name, args...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +137,7 @@ func TestStatics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	th := mc.NewThread()
+	th := hostThread(t, mc)
 	for i := 1; i <= 3; i++ {
 		v, err := mc.Call(th, "inc")
 		if err != nil {
@@ -179,7 +179,7 @@ func TestTraps(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
-		_, err = mc.Call(mc.NewThread(), "m")
+		_, err = mc.Call(hostThread(t, mc), "m")
 		var te *TrapError
 		if !errors.As(err, &te) || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s: err = %v, want containing %q", c.name, err, c.want)
@@ -238,7 +238,7 @@ func TestSecureRegionViolationAndCatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	th := mc.NewThread()
+	th := hostThread(t, mc)
 	// main then reads box.f0 (never assigned => null) and traps on null
 	// deref outside a region.
 	_, err = mc.Call(th, "main")
@@ -286,7 +286,7 @@ func TestSecureRegionLabeledAllocAndOutsideAccess(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, err := mc.Call(mc.NewThread(), "main")
+	v, err := mc.Call(hostThread(t, mc), "main")
 	if err != nil || v.Int() != 0 {
 		t.Fatalf("main = %v, %v", v, err)
 	}
@@ -303,7 +303,7 @@ func TestBarrierNoneHasNoChecks(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Unmodified VM: the "leak" just works and main returns 42.
-	v, err := mc.Call(mc.NewThread(), "main")
+	v, err := mc.Call(hostThread(t, mc), "main")
 	if err != nil || v.Int() != 42 {
 		t.Fatalf("main = %v, %v", v, err)
 	}
@@ -336,7 +336,7 @@ func TestDynamicBarriersBothContexts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v, err := mc.Call(mc.NewThread(), "main"); err != nil || v.Int() != 1 {
+	if v, err := mc.Call(hostThread(t, mc), "main"); err != nil || v.Int() != 1 {
 		t.Fatalf("main = %v, %v", v, err)
 	}
 	if mc.Stats().ContextChecks == 0 {
@@ -371,7 +371,7 @@ func TestDualContextMethodIsCloned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v, err := mc.Call(mc.NewThread(), "main"); err != nil || v.Int() != 1 {
+	if v, err := mc.Call(hostThread(t, mc), "main"); err != nil || v.Int() != 1 {
 		t.Errorf("main = %v, %v", v, err)
 	}
 	if rep := mc.CompileReport(); rep.Methods != 4 {
@@ -414,7 +414,7 @@ func TestRegionEntryRequiresCapsForNested(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := mc.Call(mc.NewThread(), "outer"); err != nil {
+	if _, err := mc.Call(hostThread(t, mc), "outer"); err != nil {
 		t.Fatalf("outer call = %v (violation should be suppressed at region boundary)", err)
 	}
 	// inner never ran: the static stayed zero.
@@ -448,7 +448,7 @@ func TestNestedRegionWithCapability(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := mc.Call(mc.NewThread(), "outer"); err != nil {
+	if _, err := mc.Call(hostThread(t, mc), "outer"); err != nil {
 		t.Fatal(err)
 	}
 	if mc.Static(0).Int() != 1 {
@@ -483,7 +483,7 @@ func TestCatchRunsOnViolation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, err := mc.Call(mc.NewThread(), "main")
+	v, err := mc.Call(hostThread(t, mc), "main")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -223,7 +223,7 @@ func TestElimPreservesSemantics(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, err = mc.Call(mc.NewThread(), "main")
+		_, err = mc.Call(hostThread(t, mc), "main")
 		if err == nil {
 			t.Errorf("optimize=%v: expected trap after suppressed violation", optimize)
 		}
@@ -260,7 +260,7 @@ func TestElimReducesRuntimeChecks(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		v, err := mc.Call(mc.NewThread(), "hot")
+		v, err := mc.Call(hostThread(t, mc), "hot")
 		if err != nil || v.Int() != 1000 {
 			t.Fatalf("optimize=%v: hot = %v, %v", optimize, v, err)
 		}

@@ -41,7 +41,7 @@ func TestParseAndRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, err := mc.Call(mc.NewThread(), "main")
+	v, err := mc.Call(hostThread(t, mc), "main")
 	if err != nil || v.Int() != 0 {
 		t.Fatalf("main = %v, %v", v, err)
 	}
@@ -70,7 +70,7 @@ end
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, err := mc.Call(mc.NewThread(), "main")
+	v, err := mc.Call(hostThread(t, mc), "main")
 	if err != nil || v.Int() != 12 {
 		t.Fatalf("main = %v, %v", v, err)
 	}
@@ -117,7 +117,7 @@ end
 	}
 	// Reading an unlabeled object from an integrity region violates; the
 	// catch writes 99 into the static.
-	v, err := mc.Call(mc.NewThread(), "main")
+	v, err := mc.Call(hostThread(t, mc), "main")
 	if err != nil || v.Int() != 99 {
 		t.Fatalf("main = %v, %v", v, err)
 	}

@@ -50,7 +50,7 @@ func TestPeepholeDivByZeroNotFolded(t *testing.T) {
 		t.Fatal(err)
 	}
 	var te *TrapError
-	if _, err := mc.Call(mc.NewThread(), "m"); !errors.As(err, &te) {
+	if _, err := mc.Call(hostThread(t, mc), "m"); !errors.As(err, &te) {
 		t.Errorf("folded div-by-zero = %v, want trap", err)
 	}
 }
@@ -72,7 +72,7 @@ func TestPeepholeConstantBranch(t *testing.T) {
 		t.Fatalf("folded code fails verification: %v\n%s", err, Disassemble(out))
 	}
 	mc, _ := NewMachine(p, CompileOptions{})
-	v, err := mc.Call(mc.NewThread(), "m")
+	v, err := mc.Call(hostThread(t, mc), "m")
 	if err != nil || v.Int() != 10 {
 		t.Errorf("m = %v, %v", v, err)
 	}
@@ -127,7 +127,7 @@ func TestPeepholeRespectsJumpTargetsInPattern(t *testing.T) {
 		t.Fatalf("folded code fails verification: %v\n%s", err, Disassemble(out))
 	}
 	mc, _ := NewMachine(p, CompileOptions{})
-	v, err := mc.Call(mc.NewThread(), "m")
+	v, err := mc.Call(hostThread(t, mc), "m")
 	if err != nil || v.Int() != 15 {
 		t.Errorf("m = %v, %v (want 15)", v, err)
 	}
@@ -166,13 +166,13 @@ end
 		t.Fatal(err)
 	}
 	mc1, _ := NewMachine(p1, CompileOptions{Mode: BarrierStatic})
-	v1, err := mc1.Call(mc1.NewThread(), "main")
+	v1, err := mc1.Call(hostThread(t, mc1), "main")
 	if err != nil {
 		t.Fatal(err)
 	}
 	p2, _ := Parse(src)
 	mc2, _ := NewMachine(p2, CompileOptions{Mode: BarrierStatic, Optimize: true})
-	v2, err := mc2.Call(mc2.NewThread(), "main")
+	v2, err := mc2.Call(hostThread(t, mc2), "main")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -45,15 +45,6 @@ func (o *Obj) Labels() difc.Labels { return o.labels }
 // IsLabeled reports whether the object is in the labeled object space.
 func (o *Obj) IsLabeled() bool { return o.labeled }
 
-// Field reads a field slot without barriers (host/test access).
-func (o *Obj) Field(i int) Value { return o.fields[i] }
-
-// SetField writes a field slot without barriers (host/test access).
-func (o *Obj) SetField(i int, v Value) { o.fields[i] = v }
-
-// Elem reads an array slot without barriers (host/test access).
-func (o *Obj) Elem(i int) Value { return o.elems[i] }
-
 // Len returns the array length.
 func (o *Obj) Len() int { return len(o.elems) }
 

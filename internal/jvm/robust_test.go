@@ -23,7 +23,7 @@ end
 		t.Fatal(err)
 	}
 	mc.MaxInstructions = 10000
-	_, err = mc.Call(mc.NewThread(), "spin")
+	_, err = mc.Call(hostThread(t, mc), "spin")
 	var te *TrapError
 	if !errors.As(err, &te) || !strings.Contains(err.Error(), "budget") {
 		t.Fatalf("spin = %v, want budget trap", err)
@@ -33,7 +33,7 @@ end
 	mc2, _ := NewMachine(p2, CompileOptions{})
 	mc2.MaxInstructions = 100
 	for i := 0; i < 5; i++ {
-		if _, err := mc2.Call(mc2.NewThread(), "ok"); err != nil {
+		if _, err := mc2.Call(hostThread(t, mc2), "ok"); err != nil {
 			t.Fatalf("call %d: %v", i, err)
 		}
 	}
@@ -106,7 +106,7 @@ func TestRandomProgramsNeverCrashTheVM(t *testing.T) {
 				// is not. Array bounds panics from Go slices must be
 				// caught by the interpreter as traps... the interpreter
 				// lets Go's bounds check panic; harden below if needed.
-				_, _ = mc.Call(mc.NewThread(), "m")
+				_, _ = mc.Call(hostThread(t, mc), "m")
 			}()
 		}
 	}

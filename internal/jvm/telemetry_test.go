@@ -19,7 +19,7 @@ func TestPublishTelemetry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := mc.Call(mc.NewThread(), "f", IntV(2), IntV(3)); err != nil {
+	if _, err := mc.Call(hostThread(t, mc), "f", IntV(2), IntV(3)); err != nil {
 		t.Fatal(err)
 	}
 

@@ -145,9 +145,6 @@ func (m *Module) TaskLabels(t *kernel.Task) difc.Labels { return m.taskState(t).
 // TaskCaps reports a task's current capability set.
 func (m *Module) TaskCaps(t *kernel.Task) difc.CapSet { return m.taskState(t).caps }
 
-// InodeLabels reports an inode's labels.
-func (m *Module) InodeLabels(ino *kernel.Inode) difc.Labels { return m.inodeState(ino).labels }
-
 // GrantCapability hands t the kind capabilities for tag. This is the
 // trusted-path equivalent of receiving capabilities at login or from the
 // tag allocator; only trusted callers (the VM runtime, login) use it.

@@ -221,26 +221,63 @@ func (r *Region) SetIndex(o *Object, i int, v any) {
 	o.rawSetIndex(i, v)
 }
 
-// readBarrier checks object -> thread flow: the region may read o only if
-// o's secrecy is within the region's and the region's integrity within
-// o's. The verdict is taken on pointers to the two label pairs; the
-// CheckFlow error, which copies both, is built only for a denial.
+// readBarrier checks object -> thread flow (checkRead).
 func (r *Region) readBarrier(o *Object) {
 	r.act("read")
 	r.thread.vm.stats.ReadBarriers.Add(1)
-	if !difc.FlowAllowed(&o.labels, &r.labels) {
-		r.check("read", difc.CheckFlow("read", o.labels, r.labels))
-	}
+	r.check("read", checkRead(&o.labels, &r.labels))
 }
 
-// writeBarrier checks thread -> object flow.
+// writeBarrier checks thread -> object flow (checkWrite).
 func (r *Region) writeBarrier(o *Object) {
 	r.act("write")
 	r.thread.vm.stats.WriteBarriers.Add(1)
-	if !difc.FlowAllowed(&r.labels, &o.labels) {
-		r.check("write", difc.CheckFlow("write", r.labels, o.labels))
-	}
+	r.check("write", checkWrite(&r.labels, &o.labels))
 }
+
+// --- barrier rules ---
+// Each §5.1 barrier rule has one implementation. It takes the accessed
+// object's label words (and the context's labels) and returns the denial,
+// or nil. rt.Object's barriers call these functions, and so do the
+// compiled barrier opcodes of the MiniJVM interpreter (package jvm),
+// through the Thread methods below. The verdict is taken on pointers to
+// the label pairs; the error, which copies them, is built only for a
+// denial.
+
+// checkRead is the read rule: a context labeled cur may read an object
+// labeled obj only if obj's secrecy is within cur's and cur's integrity
+// within obj's.
+func checkRead(obj, cur *difc.Labels) error {
+	if difc.FlowAllowed(obj, cur) {
+		return nil
+	}
+	return difc.CheckFlow("read", *obj, *cur)
+}
+
+// checkWrite is the write rule: cur -> obj flow.
+func checkWrite(cur, obj *difc.Labels) error {
+	if difc.FlowAllowed(cur, obj) {
+		return nil
+	}
+	return difc.CheckFlow("write", *cur, *obj)
+}
+
+// CheckOutside is the outside-region rule: code running outside every
+// security region may not touch a labeled object.
+func CheckOutside(obj *difc.Labels, labeled bool) error {
+	if labeled {
+		return fmt.Errorf("labeled object %v accessed outside a security region", *obj)
+	}
+	return nil
+}
+
+// CheckRead applies the read rule to an object labeled obj against the
+// thread's current labels.
+func (t *Thread) CheckRead(obj *difc.Labels) error { return checkRead(obj, t.labels()) }
+
+// CheckWrite applies the write rule to an object labeled obj against the
+// thread's current labels.
+func (t *Thread) CheckWrite(obj *difc.Labels) error { return checkWrite(t.labels(), obj) }
 
 // --- dynamic barriers: context resolved at run time ---
 // When a method compiles once but runs both inside and outside regions,
@@ -278,10 +315,8 @@ func (t *Thread) dynamicReadBarrier(o *Object) {
 		return
 	}
 	t.vm.stats.ReadBarriers.Add(1)
-	if o.labeled {
-		err := fmt.Errorf("labeled object %v accessed outside a security region", o.labels)
-		t.vm.emit(Event{Kind: EvViolation, Thread: uint64(t.task.TID), Op: "read", Err: err})
-		panic(&Violation{Op: "read", Err: err})
+	if err := CheckOutside(&o.labels, o.labeled); err != nil {
+		t.raise("read", err)
 	}
 }
 
@@ -291,9 +326,7 @@ func (t *Thread) dynamicWriteBarrier(o *Object) {
 		return
 	}
 	t.vm.stats.WriteBarriers.Add(1)
-	if o.labeled {
-		err := fmt.Errorf("labeled object %v accessed outside a security region", o.labels)
-		t.vm.emit(Event{Kind: EvViolation, Thread: uint64(t.task.TID), Op: "write", Err: err})
-		panic(&Violation{Op: "write", Err: err})
+	if err := CheckOutside(&o.labels, o.labeled); err != nil {
+		t.raise("write", err)
 	}
 }

@@ -35,15 +35,17 @@ var ErrRegionInactive = errors.New("region handle used outside its own region")
 // region. Every acting Region method calls it first.
 func (r *Region) act(op string) {
 	if r != r.thread.region {
-		r.thread.inactive(op)
+		r.thread.raise(op, ErrRegionInactive)
 	}
 }
 
-// inactive reports and raises a stale-handle violation. The event carries
-// the labels actually in force on the thread, not the stale handle's.
-func (t *Thread) inactive(op string) {
-	t.vm.emit(Event{Kind: EvViolation, Thread: uint64(t.task.TID), Labels: t.Labels(), Op: op, Err: ErrRegionInactive})
-	panic(&Violation{Op: op, Err: ErrRegionInactive})
+// raise reports a violation and raises it as *Violation, modeling the
+// VM-thrown exception that transfers control to the region's catch
+// block. The event carries the labels actually in force on the thread
+// (for a stale handle, not the handle's own).
+func (t *Thread) raise(op string, err error) {
+	t.vm.emit(Event{Kind: EvViolation, Thread: uint64(t.task.TID), Labels: t.Labels(), Op: op, Err: err})
+	panic(&Violation{Op: op, Err: err})
 }
 
 // Thread returns the thread executing the region.
@@ -100,13 +102,10 @@ func (r *Region) RemoveCapability(tag difc.Tag, kind difc.CapKind, global bool) 
 	return nil
 }
 
-// check verifies an information flow and panics with *Violation on
-// failure, modeling the VM-thrown exception that transfers control to the
-// region's catch block.
+// check raises err, if any, on the region's thread; r is active.
 func (r *Region) check(op string, err error) {
 	if err != nil {
-		r.thread.vm.emit(Event{Kind: EvViolation, Thread: uint64(r.thread.task.TID), Labels: r.labels, Op: op, Err: err})
-		panic(&Violation{Op: op, Err: err})
+		r.thread.raise(op, err)
 	}
 }
 

@@ -3,6 +3,8 @@ package rt
 import (
 	"fmt"
 	"sync"
+
+	"laminar/internal/difc"
 )
 
 // staticsTable is the VM's global (static variable) table. The prototype
@@ -41,9 +43,7 @@ func (t *Thread) SetStatic(name string, v any) {
 func (r *Region) GetStatic(name string) any {
 	r.act("static-read")
 	r.thread.vm.stats.ReadBarriers.Add(1)
-	if !r.labels.I.IsEmpty() {
-		r.check("static-read", fmt.Errorf("region with integrity label %v may not read statics", r.labels.I))
-	}
+	r.check("static-read", checkStaticRead(&r.labels))
 	return r.thread.vm.statics.get(name)
 }
 
@@ -52,11 +52,35 @@ func (r *Region) GetStatic(name string) any {
 func (r *Region) SetStatic(name string, v any) {
 	r.act("static-write")
 	r.thread.vm.stats.WriteBarriers.Add(1)
-	if !r.labels.S.IsEmpty() {
-		r.check("static-write", fmt.Errorf("region with secrecy label %v may not write statics", r.labels.S))
-	}
+	r.check("static-write", checkStaticWrite(&r.labels))
 	r.thread.vm.statics.set(name, v)
 }
+
+// checkStaticRead is the §5.1 statics read rule for a context labeled cur.
+func checkStaticRead(cur *difc.Labels) error {
+	if !cur.I.IsEmpty() {
+		return fmt.Errorf("region with integrity label %v may not read statics", cur.I)
+	}
+	return nil
+}
+
+// checkStaticWrite is the §5.1 statics write rule for a context labeled
+// cur.
+func checkStaticWrite(cur *difc.Labels) error {
+	if !cur.S.IsEmpty() {
+		return fmt.Errorf("region with secrecy label %v may not write statics", cur.S)
+	}
+	return nil
+}
+
+// CheckStaticRead applies the statics read rule to the thread's current
+// labels. The MiniJVM interpreter keeps its own slot-indexed statics
+// table and calls this from its static-read barrier.
+func (t *Thread) CheckStaticRead() error { return checkStaticRead(t.labels()) }
+
+// CheckStaticWrite applies the statics write rule to the thread's current
+// labels.
+func (t *Thread) CheckStaticWrite() error { return checkStaticWrite(t.labels()) }
 
 func (s *staticsTable) get(name string) any {
 	s.mu.RLock()

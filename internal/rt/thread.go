@@ -47,12 +47,7 @@ func (t *Thread) Task() *kernel.Task { return t.task }
 
 // Labels reports the thread's current effective labels: the innermost
 // region's labels, or empty outside regions.
-func (t *Thread) Labels() difc.Labels {
-	if t.region != nil {
-		return t.region.labels
-	}
-	return difc.Labels{}
-}
+func (t *Thread) Labels() difc.Labels { return *t.labels() }
 
 // Caps reports the thread's current effective capability set: inside a
 // region, the region's capability subset; outside, the thread's base set.
@@ -307,6 +302,14 @@ func (t *Thread) current() (*difc.Labels, *difc.CapSet) {
 		return &r.labels, &r.caps
 	}
 	return &difc.Unlabeled, &t.caps
+}
+
+// labels is current's label half, for the barrier rules.
+func (t *Thread) labels() *difc.Labels {
+	if r := t.region; r != nil {
+		return &r.labels
+	}
+	return &difc.Unlabeled
 }
 
 // nextFrame returns the thread's Region frame for the next nesting

@@ -11,9 +11,12 @@
 // field and array access. Go's runtime cannot be instrumented that way, so
 // this package exposes the barriers as an explicit API over rt.Object
 // heap values: every access runs exactly the check the paper's compiled
-// barrier runs. The MiniJVM substrate (package jvm) layers the
-// compiler-inserted-barrier model on top for the barrier-placement and
-// optimization experiments.
+// barrier runs. The MiniJVM substrate (package jvm) adds the
+// compiler-inserted-barrier model for the barrier-placement and
+// optimization experiments, and runs on this package: its programs run on
+// an rt Thread, its secure methods are rt regions, and its barrier
+// opcodes apply the same rules (Thread.CheckRead and its siblings,
+// CheckOutside) that Object's barriers apply.
 package rt
 
 import (

@@ -21,7 +21,7 @@
 //	laminar-bench -storm              # syscall storms: lock mode, batched writes, telemetry (gated)
 //	laminar-bench -budget             # flow-budget charging overhead (gated)
 //	laminar-bench -trace              # flow-tracing overhead on the netd hot path (gated)
-//	laminar-bench -scale 10           # heavier app workloads (closer to paper scale)
+//	laminar-bench -scale 10           # heavier app and JVM workloads (closer to paper scale)
 //
 // The last six experiments also write their result to BENCH_<name>.json
 // (BENCH_barriers.json, BENCH_storm.json, …) in the -out directory,
@@ -44,7 +44,7 @@ import (
 
 // Sizes the command runs at; only the experiments' tests vary them.
 const (
-	iters      = 300  // JVM workload loop iterations
+	iters      = 300  // JVM workload loop iterations at -scale 1
 	stormTasks = 8    // concurrent tasks in the -storm storms
 	budgetMsgs = 4000 // messages per -budget netd cell
 )
@@ -78,7 +78,7 @@ func main() {
 		budg      = flag.Bool("budget", false, "flow-budget charging overhead on the declassification hot paths + zipfian tenant-contention table (gate: 1.05x)")
 		trace     = flag.Bool("trace", false, "flow-tracing overhead on the netd hot path (gates: off <= 1.02x, on <= 1.10x)")
 		traceMsgs = flag.Int("tracemsgs", 4000, "messages per trace-bench cell")
-		scale     = flag.Int("scale", 1, "workload scale factor (apps)")
+		scale     = flag.Int("scale", 1, "workload scale factor (apps; multiplies the jvm and regions loop iterations)")
 		trials    = flag.Int("trials", 5, "trials per measurement (median/min)")
 		optimize  = flag.Bool("opt", false, "enable redundant-barrier elimination in the jvm figure")
 		gate      = flag.Bool("gate", false, "exit nonzero if a selected gated experiment misses its gate")
@@ -104,8 +104,8 @@ func main() {
 		{on: *all || *table == 1, run: func() (report, error) { return eval.Table1() }},
 		{on: *all || *table == 2, run: func() (report, error) { return eval.Table2(2000, *trials) }},
 		{on: *all || *table == 4, run: func() (report, error) { return eval.Table4(16, 8), nil }},
-		{on: *all || *figure == "jvm", run: func() (report, error) { return eval.JVMOverhead(iters, *trials, *optimize) }},
-		{on: *all || *figure == "regions", run: func() (report, error) { return eval.RegionDensity(iters, *trials) }},
+		{on: *all || *figure == "jvm", run: func() (report, error) { return eval.JVMOverhead(*scale*iters, *trials, *optimize) }},
+		{on: *all || *figure == "regions", run: func() (report, error) { return eval.RegionDensity(*scale*iters, *trials) }},
 		{on: *all || *figure == "compile", run: func() (report, error) { return eval.CompileTime(*trials) }},
 		{on: *all || *figure == "apps" || *table == 3, run: func() (report, error) { return eval.Apps(*scale, *trials) }},
 		{on: *all || *flume, run: func() (report, error) {

@@ -25,6 +25,8 @@ func (l Label) MarshalBinary() ([]byte, error) {
 }
 
 // UnmarshalLabel decodes a label previously produced by MarshalBinary.
+// It decodes into stack scratch, so decoding a label that already exists
+// allocates nothing.
 func UnmarshalLabel(data []byte) (Label, error) {
 	if len(data) < 4 {
 		return Label{}, fmt.Errorf("difc: label encoding too short: %d bytes", len(data))
@@ -33,9 +35,10 @@ func UnmarshalLabel(data []byte) (Label, error) {
 	if len(data) != 4+8*n {
 		return Label{}, fmt.Errorf("difc: label encoding length mismatch: header says %d tags, body has %d bytes", n, len(data)-4)
 	}
-	tags := make([]Tag, n)
+	var s scratchTags
+	tags := s.buffer(n)
 	for i := 0; i < n; i++ {
-		tags[i] = Tag(binary.BigEndian.Uint64(data[4+8*i:]))
+		tags = append(tags, Tag(binary.BigEndian.Uint64(data[4+8*i:])))
 	}
 	return NewLabel(tags...), nil
 }

@@ -29,11 +29,10 @@ func (l Labels) Equal(other Labels) bool { return l.S.Equal(other.S) && l.I.Equa
 // own labels under the label-change rule; that is CanChange's job.
 func (l Labels) CanFlowTo(dst Labels) bool { return FlowAllowed(&l, &dst) }
 
-// FlowAllowed is CanFlowTo on pointers: the same verdict, without copying
-// either 144-byte label pair. Barriers that already hold both pairs call
-// it first and build a CheckFlow error only when it says no.
+// FlowAllowed is CanFlowTo on pointers. Barriers that already hold both
+// pairs call it first and build a CheckFlow error only when it says no.
 func FlowAllowed(src, dst *Labels) bool {
-	return src.S.subsetOf(&dst.S) && dst.I.subsetOf(&src.I)
+	return src.S.SubsetOf(dst.S) && dst.I.SubsetOf(src.I)
 }
 
 // String renders the pair in the paper's {S(...),I(...)} notation.
@@ -49,7 +48,7 @@ func (l Labels) String() string {
 //
 // Added tags need the plus capability, dropped tags the minus capability.
 func CanChange(from, to Label, caps CapSet) bool {
-	return to.coveredBy(&from, &caps.plus) && from.coveredBy(&to, &caps.minus)
+	return to.coveredBy(from, caps.plus) && from.coveredBy(to, caps.minus)
 }
 
 // CanChangeLabels applies CanChange to both components of a label pair.
@@ -85,23 +84,22 @@ func CheckChangeLabels(op string, from, to Labels, caps CapSet) error {
 // violated condition and its offending tag delta otherwise. The Op field
 // distinguishes the acquisition half ("region-enter"), the
 // declassification half ("region-drop"), and the capability-subset
-// condition ("region-caps"). The operands are only read: a granted entry
-// copies none of the four 144-byte values, and a refusal copies the ones
-// its error names.
+// condition ("region-caps"). The operands are only read, and a refusal
+// copies the ones its error names.
 func CheckEnterRegion(p *Labels, pc *CapSet, r *Labels, rc *CapSet) error {
-	if !r.S.coveredBy(&pc.plus, &p.S) {
+	if !r.S.coveredBy(pc.plus, p.S) {
 		return acquireError("region-enter", p.S, r.S, *pc)
 	}
-	if !r.I.coveredBy(&pc.plus, &p.I) {
+	if !r.I.coveredBy(pc.plus, p.I) {
 		return acquireError("region-enter", p.I, r.I, *pc)
 	}
-	if !p.S.coveredBy(&r.S, &pc.minus) {
+	if !p.S.coveredBy(r.S, pc.minus) {
 		return &ChangeError{Op: "region-drop", Check: "drop", From: p.S, To: r.S, Caps: *pc, Missing: p.S.Minus(r.S).Minus(pc.minus)}
 	}
-	if !p.I.coveredBy(&r.I, &pc.minus) {
+	if !p.I.coveredBy(r.I, pc.minus) {
 		return &ChangeError{Op: "region-drop", Check: "drop", From: p.I, To: r.I, Caps: *pc, Missing: p.I.Minus(r.I).Minus(pc.minus)}
 	}
-	if !rc.plus.subsetOf(&pc.plus) || !rc.minus.subsetOf(&pc.minus) {
+	if !rc.plus.SubsetOf(pc.plus) || !rc.minus.SubsetOf(pc.minus) {
 		missing := rc.plus.Minus(pc.plus).Union(rc.minus.Minus(pc.minus))
 		return &ChangeError{Op: "region-caps", Check: "subset", From: rc.plus, To: rc.minus, Caps: *pc, Missing: missing}
 	}
@@ -172,7 +170,7 @@ func CheckChange(op string, from, to Label, caps CapSet) error {
 // and region entry — and a *ChangeError naming the unobtainable tags
 // otherwise.
 func CheckAcquire(op string, have, want Label, caps CapSet) error {
-	if want.coveredBy(&caps.plus, &have) {
+	if want.coveredBy(caps.plus, have) {
 		return nil
 	}
 	return acquireError(op, have, want, caps)
@@ -188,10 +186,10 @@ func acquireError(op string, have, want Label, caps CapSet) error {
 // CheckFlow returns nil when information may flow src → dst, and a
 // *FlowError naming the violated rule otherwise.
 func CheckFlow(op string, src, dst Labels) error {
-	if !src.S.subsetOf(&dst.S) {
+	if !src.S.SubsetOf(dst.S) {
 		return &FlowError{Op: op, Src: src, Dst: dst, Rule: "secrecy"}
 	}
-	if !dst.I.subsetOf(&src.I) {
+	if !dst.I.SubsetOf(src.I) {
 		return &FlowError{Op: op, Src: src, Dst: dst, Rule: "integrity"}
 	}
 	return nil

@@ -2,6 +2,7 @@ package difc
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 )
 
@@ -52,33 +53,33 @@ func FuzzUnmarshalLabel(f *testing.F) {
 	})
 }
 
-// FuzzInlineLabel cross-checks the two physical label representations:
-// the inline value-type form (≤ inlineCap tags, no heap slice)
-// and the heap form. Both are built from the same fuzzed tag multiset —
-// NewLabel picks the representation by size, newLabelHeap forces heap —
-// and every observable must agree across all representation pairings:
-// SubsetOf in both directions, Equal, Has, Len, the canonical wire bytes
-// from MarshalBinary, the text form, and the set algebra results. The
-// fuzzer deliberately draws tags from a tiny universe so the inline
-// boundary (4→5 tags) and duplicate-heavy inputs are hit constantly.
-func FuzzInlineLabel(f *testing.F) {
+// FuzzCanonicalLabel builds one fuzzed tag set by every route the
+// package offers and requires each route to return the identical (==)
+// label: NewLabel on the raw input with its duplicates and InvalidTags,
+// on a reversed copy with every tag doubled, the Union of the two
+// halves, Minus from a superset, Add and Remove chains, and the binary
+// and text codecs. Against a second fuzzed set it checks SubsetOf, Equal
+// and the set algebra with the reference model. The universe
+// is tiny so duplicates, subsets and signature collisions are common.
+func FuzzCanonicalLabel(f *testing.F) {
 	f.Add([]byte{}, []byte{})
 	f.Add([]byte{1}, []byte{1})
-	f.Add([]byte{1, 2, 3, 4}, []byte{1, 2})                // inline vs inline, superset
-	f.Add([]byte{1, 2, 3, 4, 5}, []byte{1, 2, 3, 4})       // heap vs inline at the boundary
-	f.Add([]byte{1, 2, 3, 4, 5, 6, 7}, []byte{5, 6, 7, 8}) // heap vs inline, overlap
-	f.Add([]byte{9, 9, 9, 9, 9, 9}, []byte{9})             // dup-heavy collapses to inline
-	// Inline a against heap b: the binary-search subset path.
-	f.Add([]byte{1, 3, 5}, []byte{0, 1, 2, 3, 4, 5, 6})  // subset
+	f.Add([]byte{1, 2, 3, 4}, []byte{1, 2})                // superset
+	f.Add([]byte{1, 2, 3, 4, 5}, []byte{1, 2, 3, 4})       // one tag more
+	f.Add([]byte{1, 2, 3, 4, 5, 6, 7}, []byte{5, 6, 7, 8}) // overlap
+	f.Add([]byte{9, 9, 9, 9, 9, 9}, []byte{9})             // duplicates collapse
+	// A short a against a long b: the binary-search subset path.
+	f.Add([]byte{1, 3, 5}, []byte{0, 1, 2, 3, 4, 5, 6})  // subset, InvalidTag in b
 	f.Add([]byte{0, 7}, []byte{0, 1, 2, 3, 4, 5, 6, 7})  // subset at both ends
 	f.Add([]byte{1, 9}, []byte{0, 1, 2, 3, 4, 5, 6})     // non-subset, signature rejects
-	f.Add([]byte{0, 11}, []byte{0, 1, 2, 3, 6})          // non-subset, t78 passes on t7's bit
-	f.Add([]byte{11}, []byte{0, 1, 2, 3, 4, 5, 6, 7, 8}) // lone t78 against a superset of t7
+	f.Add([]byte{0, 12}, []byte{0, 1, 2, 3, 6})          // non-subset, t78 passes on t7's bit
+	f.Add([]byte{12}, []byte{0, 1, 2, 3, 4, 5, 6, 7, 8}) // lone t78 against a superset of t7
+	f.Add([]byte{12, 7, 0, 12, 3}, []byte{3, 7, 12, 0})  // unsorted, duplicated, zeros
 	f.Fuzz(func(t *testing.T, aRaw, bRaw []byte) {
-		// Tiny universe, so collisions and subsets are common: t1..t11
-		// plus t78, which shares t7's signature bit, so some non-subsets
-		// pass the signature check and reach the tag walk.
-		universe := [...]Tag{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 78}
+		// t1..t11 plus t78, which shares t7's signature bit, so some
+		// non-subsets pass the signature check and reach the tag walk;
+		// byte 0 maps to InvalidTag, which every route must drop.
+		universe := [...]Tag{InvalidTag, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 78}
 		toTags := func(raw []byte) []Tag {
 			if len(raw) > 16 {
 				raw = raw[:16]
@@ -89,146 +90,111 @@ func FuzzInlineLabel(f *testing.F) {
 			}
 			return tags
 		}
-		aTags, bTags := toTags(aRaw), toTags(bRaw)
-
-		// Model: plain tag-set semantics over maps.
-		toSet := func(tags []Tag) map[Tag]bool {
-			s := map[Tag]bool{}
+		toSet := func(tags []Tag) refSet {
+			s := refSet{}
 			for _, tg := range tags {
-				s[tg] = true
+				if tg != InvalidTag {
+					s[tg] = true
+				}
 			}
 			return s
 		}
+		aTags, bTags := toTags(aRaw), toTags(bRaw)
 		aSet, bSet := toSet(aTags), toSet(bTags)
-		subsetModel := func(x, y map[Tag]bool) bool {
-			for tg := range x {
-				if !y[tg] {
-					return false
-				}
-			}
-			return true
+
+		a := NewLabel(aTags...)
+		if !refEqual(aSet, a) || !slices.IsSorted(a.Tags()) {
+			t.Fatalf("NewLabel(%v) = %v, model %v", aTags, a, aSet)
 		}
-
-		aInline, aHeap := NewLabel(aTags...), newLabelHeap(aTags...)
-		bInline, bHeap := NewLabel(bTags...), newLabelHeap(bTags...)
-		aForms := []Label{aInline, aHeap}
-		bForms := []Label{bInline, bHeap}
-
-		wantAB, wantBA := subsetModel(aSet, bSet), subsetModel(bSet, aSet)
-		wantEq := wantAB && wantBA
-		for _, a := range aForms {
-			if a.Len() != len(aSet) {
-				t.Fatalf("Len diverges from model: %d != %d", a.Len(), len(aSet))
-			}
-			for _, tg := range append(universe[:], 12) { // t12 is never a member
-				if a.Has(tg) != aSet[tg] {
-					t.Fatalf("Has(%d) diverges from model on %v", tg, a)
-				}
-			}
-			for _, b := range bForms {
-				if got := a.SubsetOf(b); got != wantAB {
-					t.Fatalf("SubsetOf(a⊆b) = %v, model says %v (a=%v b=%v)", got, wantAB, a, b)
-				}
-				if got := b.SubsetOf(a); got != wantBA {
-					t.Fatalf("SubsetOf(b⊆a) = %v, model says %v (a=%v b=%v)", got, wantBA, a, b)
-				}
-				if got := a.Equal(b); got != wantEq {
-					t.Fatalf("Equal = %v, model says %v (a=%v b=%v)", got, wantEq, a, b)
-				}
+		doubled := make([]Tag, 0, 2*len(aTags))
+		for i := len(aTags) - 1; i >= 0; i-- {
+			doubled = append(doubled, aTags[i], aTags[i])
+		}
+		h := len(aTags) / 2
+		full := NewLabel(universe[:]...)
+		added, removed := EmptyLabel, full
+		for _, tg := range aTags {
+			added = added.Add(tg)
+		}
+		for _, tg := range universe {
+			if !aSet[tg] {
+				removed = removed.Remove(tg)
 			}
 		}
-		// Interning ignores the representation: both forms of a label
-		// get one id, and two labels share an id exactly when the model
-		// says they are equal.
-		ia, ib := Intern(aInline), Intern(bInline)
-		if Intern(aHeap) != ia || Intern(bHeap) != ib {
-			t.Fatalf("intern id depends on representation (a=%v b=%v)", aInline, bInline)
+		wire, _ := a.MarshalBinary()
+		decoded, err := UnmarshalLabel(wire)
+		if err != nil {
+			t.Fatalf("UnmarshalLabel: %v", err)
 		}
-		if ia != 0 && ib != 0 && (ia == ib) != wantEq {
-			t.Fatalf("ids %d, %d disagree with model equality %v (a=%v b=%v)", ia, ib, wantEq, aInline, bInline)
+		parsed, err := ParseLabelText(a.FormatText())
+		if err != nil {
+			t.Fatalf("ParseLabelText: %v", err)
 		}
-
-		// Canonical wire bytes and text form must not depend on the
-		// representation: the differential oracle relies on this when it
-		// compares label records across cached and uncached kernels.
-		wireInline, err1 := aInline.MarshalBinary()
-		wireHeap, err2 := aHeap.MarshalBinary()
-		if err1 != nil || err2 != nil {
-			t.Fatalf("marshal failed: %v / %v", err1, err2)
-		}
-		if !bytes.Equal(wireInline, wireHeap) {
-			t.Fatalf("wire bytes depend on representation: %x != %x", wireInline, wireHeap)
-		}
-		if aInline.FormatText() != aHeap.FormatText() {
-			t.Fatalf("text form depends on representation: %q != %q", aInline.FormatText(), aHeap.FormatText())
-		}
-		back, err := UnmarshalLabel(wireInline)
-		if err != nil || !back.Equal(aInline) || !back.Equal(aHeap) {
-			t.Fatalf("wire round trip broke equality: err=%v back=%v", err, back)
-		}
-
-		// Set algebra agrees across representations (compare via Equal,
-		// which itself was just cross-checked against the model).
-		for _, op := range []struct {
-			name string
-			f    func(x, y Label) Label
+		for _, r := range []struct {
+			route string
+			l     Label
 		}{
-			{"Union", func(x, y Label) Label { return x.Union(y) }},
-			{"Meet", func(x, y Label) Label { return x.Meet(y) }},
-			{"Minus", func(x, y Label) Label { return x.Minus(y) }},
+			{"NewLabel on reversed, doubled input", NewLabel(doubled...)},
+			{"Union of the halves", NewLabel(aTags[:h]...).Union(NewLabel(aTags[h:]...))},
+			{"Minus from a superset", full.Minus(full.Minus(a))},
+			{"Add chain", added},
+			{"Remove chain", removed},
+			{"UnmarshalLabel(MarshalBinary)", decoded},
+			{"ParseLabelText(FormatText)", parsed},
 		} {
-			want := op.f(aInline, bInline)
-			for _, a := range aForms {
-				for _, b := range bForms {
-					if got := op.f(a, b); !got.Equal(want) {
-						t.Fatalf("%s depends on representation: %v != %v", op.name, got, want)
-					}
-				}
+			if r.l != a {
+				t.Fatalf("%s gave %v (%p), NewLabel gave %v (%p)", r.route, r.l, r.l.n, a, a.n)
 			}
 		}
 
-		// Union and Minus against the model, on both representations:
-		// either may hand back an operand unchanged. Each result must
-		// intern to the id of the label built from the model's set.
-		unionSet, minusSet := map[Tag]bool{}, map[Tag]bool{}
+		b := NewLabel(bTags...)
+		wantAB, wantBA := refSubset(aSet, bSet), refSubset(bSet, aSet)
+		if got := a.SubsetOf(b); got != wantAB {
+			t.Fatalf("SubsetOf(a⊆b) = %v, model says %v (a=%v b=%v)", got, wantAB, a, b)
+		}
+		if got := b.SubsetOf(a); got != wantBA {
+			t.Fatalf("SubsetOf(b⊆a) = %v, model says %v (a=%v b=%v)", got, wantBA, a, b)
+		}
+		if got := a.Equal(b); got != (wantAB && wantBA) {
+			t.Fatalf("Equal = %v, model says %v (a=%v b=%v)", got, wantAB && wantBA, a, b)
+		}
+		for _, tg := range append(universe[:], 12) { // t12 is never a member
+			if a.Has(tg) != aSet[tg] {
+				t.Fatalf("Has(%d) diverges from model on %v", tg, a)
+			}
+		}
+		union, meet, minus := refSet{}, refSet{}, refSet{}
 		for tg := range aSet {
-			unionSet[tg] = true
-			if !bSet[tg] {
-				minusSet[tg] = true
+			union[tg] = true
+			if bSet[tg] {
+				meet[tg] = true
+			} else {
+				minus[tg] = true
 			}
 		}
 		for tg := range bSet {
-			unionSet[tg] = true
+			union[tg] = true
 		}
-		modelEqual := func(m map[Tag]bool, l Label) bool {
-			return subsetModel(m, toSet(l.Tags())) && l.Len() == len(m)
-		}
-		modelID := func(m map[Tag]bool) uint64 {
-			tags := make([]Tag, 0, len(m))
-			for tg := range m {
-				tags = append(tags, tg)
-			}
-			return Intern(NewLabel(tags...))
-		}
-		unionID, minusID := modelID(unionSet), modelID(minusSet)
-		for _, a := range aForms {
-			for _, b := range bForms {
-				for _, r := range []struct {
-					name  string
-					model map[Tag]bool
-					id    uint64
-					got   Label
-				}{{"Union", unionSet, unionID, a.Union(b)}, {"Minus", minusSet, minusID, a.Minus(b)}} {
-					if !modelEqual(r.model, r.got) {
-						t.Fatalf("%s = %v, model says %v (a=%v b=%v)", r.name, r.got, r.model, a, b)
-					}
-					if id := Intern(r.got); id != r.id {
-						t.Fatalf("%s = %v interns as %d, the model's set as %d", r.name, r.got, id, r.id)
-					}
-				}
+		for _, r := range []struct {
+			name  string
+			model refSet
+			got   Label
+		}{{"Union", union, a.Union(b)}, {"Meet", meet, a.Meet(b)}, {"Minus", minus, a.Minus(b)}} {
+			if !refEqual(r.model, r.got) || r.got != fromRef(r.model) {
+				t.Fatalf("%s = %v, model says %v (a=%v b=%v)", r.name, r.got, r.model, a, b)
 			}
 		}
 	})
+}
+
+// refSubset is x ⊆ y on the reference model.
+func refSubset(x, y refSet) bool {
+	for tg := range x {
+		if !y[tg] {
+			return false
+		}
+	}
+	return true
 }
 
 func FuzzParseLabelText(f *testing.F) {

@@ -29,37 +29,33 @@ const InvalidTag Tag = 0
 // String formats the tag as t<n> for readable test and log output.
 func (t Tag) String() string { return fmt.Sprintf("t%d", uint64(t)) }
 
-// inlineCap is the largest tag count stored inline in the Label value
-// itself. Real DIFC labels are tiny — a principal's secrecy label is
-// typically one or two tags — so the inline representation covers the
-// hot path without ever touching the heap.
-const inlineCap = 4
-
 // Label is an immutable set of tags. A label is attached to principals and
 // data objects, once for secrecy and once for integrity. The subset
 // relation over labels forms the lattice of Denning's model; the empty
 // label is the lattice bottom and is the implicit label of every unlabeled
 // resource (§3.1).
 //
-// Labels at or below inlineCap tags are stored inline in the value itself
-// (heap == nil, tags in inline[:n]); larger labels spill to a heap slice.
-// The representation is invisible through the API: Equal, SubsetOf and the
-// codecs agree between an inline label and a heap twin with the same tags.
+// A label is one word: a pointer to the one live canonical node for its
+// tag set (canon.go), or nil for the empty label. Every constructor
+// returns that node, so two labels hold the same tags exactly when they
+// are ==, and Equal is pointer equality. This is the paper's "label word"
+// (§5.1): copying a label, a Labels pair or a CapSet moves pointers, never
+// tags.
 //
 // The zero value is the empty label and is ready to use.
 type Label struct {
-	// heap holds the tags, sorted ascending with no duplicates, when the
-	// label is too large for the inline array. nil means the inline
-	// representation is in use. Never mutated after construction.
-	heap []Tag
+	n *node
+}
+
+// node is the canonical, immutable representation of one non-empty tag
+// set. Only the table in canon.go creates nodes.
+type node struct {
+	// tags are sorted ascending with no duplicates and no InvalidTag.
+	tags []Tag
 	// sig is a 64-bit membership signature (one hashed bit per tag).
 	// l ⊆ other requires l.sig &^ other.sig == 0, giving SubsetOf and Has
-	// an O(1) rejection path that never consults the tag storage.
+	// an O(1) rejection path that never consults the tags.
 	sig uint64
-	// inline and n hold small tag sets by value; meaningful only when
-	// heap == nil.
-	inline [inlineCap]Tag
-	n      uint8
 }
 
 // EmptyLabel is the label of unlabeled resources: {S()} or {I()}.
@@ -72,75 +68,65 @@ func tagBit(t Tag) uint64 {
 	return 1 << (h & 63)
 }
 
-// view returns the label's tags without copying. The result aliases the
-// receiver (the inline array for small labels), so it must not escape or
-// outlive the *Label it came from; every use in this package reads it and
-// drops it within the calling function.
-func (l *Label) view() []Tag {
-	if l.heap != nil {
-		return l.heap
+// view returns the label's tags without copying. The result is the
+// canonical node's slice and must not be mutated.
+func (l Label) view() []Tag {
+	if l.n == nil {
+		return nil
 	}
-	return l.inline[:l.n]
+	return l.n.tags
 }
 
-// labelOf builds a label from a sorted, deduplicated, InvalidTag-free
-// slice. Small sets are copied into the inline array and the input slice
-// is not retained; larger sets retain the slice, so it must be a fresh
-// heap slice. Results built in stack scratch go through labelCopy.
-func labelOf(tags []Tag) Label {
-	if len(tags) <= inlineCap {
-		return labelInline(tags)
+// signature returns the label's membership signature (0 when empty).
+func (l Label) signature() uint64 {
+	if l.n == nil {
+		return 0
 	}
-	l := Label{heap: tags}
-	for _, t := range tags {
-		l.sig |= tagBit(t)
-	}
-	return l
+	return l.n.sig
 }
 
-// labelInline is labelOf for at most inlineCap tags. It never retains
-// the slice, which is what lets callers keep their scratch on the stack.
-func labelInline(tags []Tag) Label {
-	var l Label
-	for _, t := range tags {
-		l.sig |= tagBit(t)
-	}
-	l.n = uint8(copy(l.inline[:], tags))
-	return l
-}
+// scratchTags is the stack buffer in which the constructors build a
+// result before looking it up; a result that may be larger is built in a
+// heap slice instead. The canonical table copies what it keeps, so a
+// lookup that hits allocates nothing.
+type scratchTags [64]Tag
 
-// labelCopy is labelOf for slices the label must not retain (stack
-// scratch): large results are copied to a fresh heap slice first.
-func labelCopy(tags []Tag) Label {
-	if len(tags) > inlineCap {
-		h := make([]Tag, len(tags))
-		copy(h, tags)
-		return labelOf(h)
+// buffer returns an empty slice with room for n tags: the scratch array
+// when it is large enough, else a fresh heap slice.
+func (s *scratchTags) buffer(n int) []Tag {
+	if n <= len(s) {
+		return s[:0]
 	}
-	return labelInline(tags)
+	return make([]Tag, 0, n)
 }
-
-// buildScratch is the stack scratch in which the label constructors
-// build results of up to 2*inlineCap tags. Each constructor fills either
-// a buildScratch, finished by labelCopy, or, when the result may be
-// larger, a fresh heap slice finished by labelOf without a second copy.
-// The two paths are separate calls so that escape analysis can keep the
-// scratch on the stack.
-type buildScratch [2 * inlineCap]Tag
 
 // NewLabel builds a label from the given tags. Duplicates are collapsed and
-// InvalidTag entries are dropped. Small inputs are normalized entirely on
-// the stack, so constructing the one- and two-tag labels that dominate real
-// workloads performs no allocation.
+// InvalidTag entries are dropped. Input that is already strictly ascending
+// and free of InvalidTag, the common case, is looked up as it stands after
+// one pass; anything else is normalized in stack scratch first. A label
+// that already exists is returned without allocating.
 func NewLabel(tags ...Tag) Label {
 	if len(tags) == 0 {
 		return Label{}
 	}
-	var scratch buildScratch
-	if len(tags) <= len(scratch) {
-		return labelCopy(appendNormalized(scratch[:0], tags))
+	if isCanonical(tags) {
+		return canonical(tags)
 	}
-	return labelOf(appendNormalized(make([]Tag, 0, len(tags)), tags))
+	var s scratchTags
+	return canonical(appendNormalized(s.buffer(len(tags)), tags))
+}
+
+// isCanonical reports whether tags is strictly ascending and holds no
+// InvalidTag, the form the canonical table stores.
+func isCanonical(tags []Tag) bool {
+	prev := InvalidTag
+	for _, t := range tags {
+		if t <= prev {
+			return false
+		}
+		prev = t
+	}
+	return true
 }
 
 // appendNormalized appends tags to out sorted, deduplicated and without
@@ -155,39 +141,18 @@ func appendNormalized(out, tags []Tag) []Tag {
 	return slices.Compact(out)
 }
 
-// newLabelHeap builds a label that uses the heap representation even when
-// the tag set would fit inline. It exists so tests (FuzzInlineLabel) can
-// pit the two representations against each other; nothing else should
-// create small heap labels.
-func newLabelHeap(tags ...Tag) Label {
-	l := NewLabel(tags...)
-	if l.heap == nil && l.n > 0 {
-		h := make([]Tag, l.n)
-		copy(h, l.inline[:l.n])
-		l.heap = h
-		l.n = 0
-		l.inline = [inlineCap]Tag{}
-	}
-	return l
-}
-
 // Len reports the number of tags in the label.
-func (l Label) Len() int {
-	if l.heap != nil {
-		return len(l.heap)
-	}
-	return int(l.n)
-}
+func (l Label) Len() int { return len(l.view()) }
 
 // IsEmpty reports whether the label is the empty (bottom) label.
-func (l Label) IsEmpty() bool { return l.heap == nil && l.n == 0 }
+func (l Label) IsEmpty() bool { return l.n == nil }
 
 // Has reports whether tag t is a member of the label.
 func (l Label) Has(t Tag) bool {
-	if l.sig&tagBit(t) == 0 {
+	if l.signature()&tagBit(t) == 0 {
 		return false
 	}
-	_, ok := slices.BinarySearch(l.view(), t)
+	_, ok := slices.BinarySearch(l.n.tags, t)
 	return ok
 }
 
@@ -198,9 +163,7 @@ func (l Label) Tags() []Tag {
 	if len(v) == 0 {
 		return nil
 	}
-	out := make([]Tag, len(v))
-	copy(out, v)
-	return out
+	return slices.Clone(v)
 }
 
 // Each calls fn for every tag in ascending order, stopping early when fn
@@ -215,33 +178,32 @@ func (l Label) Each(fn func(Tag) bool) {
 }
 
 // SubsetOf reports whether every tag in l is also in other (l ⊆ other).
-// The signature word rejects most non-subsets in one AND-NOT, and a
-// longer l is rejected by its length. A surviving inline l (at most
-// inlineCap tags) against a heap other binary-searches each of its few
-// tags; every other pair is decided by one merge walk. No answer is
-// memoized: the check reads only the two labels.
-func (l Label) SubsetOf(other Label) bool { return l.subsetOf(&other) }
-
-// subsetOf is SubsetOf without copying either 72-byte operand; the
-// barrier and region-entry checks call it on labels they already hold.
-func (l *Label) subsetOf(other *Label) bool {
-	if l.sig&^other.sig != 0 {
-		return false // some tag of l hashes outside other's signature
-	}
-	if len(l.view()) > len(other.view()) {
-		return false
-	}
-	if l.heap == nil && other.heap != nil {
-		return l.subsetSearch(other.heap)
-	}
-	return l.subsetMerge(other)
+// Identical operands and an empty l answer here, in code small enough
+// to inline into the barriers. For the rest, the signature word rejects
+// most non-subsets in one AND-NOT, and a longer l is rejected by its
+// length. A pair that survives is decided by a walk over the tags.
+func (l Label) SubsetOf(other Label) bool {
+	return l.n == other.n || l.n == nil || l.n.subsetOf(other.n)
 }
 
-// subsetSearch decides an inline l ⊆ b by binary-searching each of l's
-// tags in the part of sorted b beyond the previous match: at most
-// inlineCap searches, no lock and no allocation.
-func (l *Label) subsetSearch(b []Tag) bool {
-	for _, t := range l.inline[:l.n] {
+// searchCap is the longest left operand that SubsetOf decides by binary
+// search in a longer right operand rather than by a merge walk.
+const searchCap = 4
+
+func (a *node) subsetOf(b *node) bool {
+	if b == nil || a.sig&^b.sig != 0 || len(a.tags) > len(b.tags) {
+		return false
+	}
+	if len(a.tags) <= searchCap && len(b.tags) > searchCap {
+		return subsetSearch(a.tags, b.tags)
+	}
+	return subsetMerge(a.tags, b.tags)
+}
+
+// subsetSearch decides a ⊆ b by binary-searching each of a's few tags in
+// the part of sorted b beyond the previous match.
+func subsetSearch(a, b []Tag) bool {
+	for _, t := range a {
 		i := searchTags(b, t)
 		if i == len(b) || b[i] != t {
 			return false
@@ -273,9 +235,8 @@ func searchTags(b []Tag, t Tag) int {
 	return base + int(borrow)
 }
 
-// subsetMerge decides l ⊆ other by one sorted-merge walk over both.
-func (l *Label) subsetMerge(other *Label) bool {
-	a, b := l.view(), other.view()
+// subsetMerge decides a ⊆ b by one sorted-merge walk over both.
+func subsetMerge(a, b []Tag) bool {
 	i, j := 0, 0
 	for i < len(a) && j < len(b) {
 		switch {
@@ -294,14 +255,28 @@ func (l *Label) subsetMerge(other *Label) bool {
 // coveredBy reports whether every tag of l is in x or in y
 // (l ⊆ x ∪ y) without building the union: the allocation-free form of
 // "l.Minus(x.Union(y)) is empty" that the label-change and region-entry
-// checks ask before they build the missing set of a denial.
-func (l *Label) coveredBy(x, y *Label) bool {
-	if l.sig&^(x.sig|y.sig) != 0 {
+// checks ask before they build the missing set of a denial. With an
+// empty side it is SubsetOf of the other side.
+func (l Label) coveredBy(x, y Label) bool {
+	return l.n == x.n || l.n == y.n || l.n.coveredBy(x.n, y.n)
+}
+
+// coveredBy on a nil (empty) node is true.
+func (a *node) coveredBy(x, y *node) bool {
+	switch {
+	case a == nil:
+		return true
+	case x == nil:
+		return a.subsetOf(y)
+	case y == nil:
+		return a.subsetOf(x)
+	}
+	if a.sig&^(x.sig|y.sig) != 0 {
 		return false
 	}
-	a, b, c := l.view(), x.view(), y.view()
+	b, c := x.tags, y.tags
 	j, k := 0, 0
-	for _, t := range a {
+	for _, t := range a.tags {
 		for j < len(b) && b[j] < t {
 			j++
 		}
@@ -315,37 +290,21 @@ func (l *Label) coveredBy(x, y *Label) bool {
 	return true
 }
 
-// Equal reports whether two labels contain exactly the same tags.
-func (l Label) Equal(other Label) bool {
-	if l.sig != other.sig {
-		return false
-	}
-	a, b := l.view(), other.view()
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
+// Equal reports whether two labels contain exactly the same tags. Labels
+// are canonical, so that is pointer equality.
+func (l Label) Equal(other Label) bool { return l.n == other.n }
 
 // Union returns the least upper bound of l and other in the label lattice.
 func (l Label) Union(other Label) Label {
-	if l.IsEmpty() {
+	if l.n == nil || l.n == other.n {
 		return other
 	}
-	if other.IsEmpty() {
+	if other.n == nil {
 		return l
 	}
-	a, b := l.view(), other.view()
-	var scratch buildScratch
-	if len(a)+len(b) <= len(scratch) {
-		return labelCopy(appendUnion(scratch[:0], a, b))
-	}
-	return labelOf(appendUnion(make([]Tag, 0, len(a)+len(b)), a, b))
+	a, b := l.n.tags, other.n.tags
+	var s scratchTags
+	return canonical(appendUnion(s.buffer(len(a)+len(b)), a, b))
 }
 
 // appendUnion appends the sorted merge of a and b to out.
@@ -371,16 +330,15 @@ func appendUnion(out, a, b []Tag) []Tag {
 
 // Meet returns the greatest lower bound (intersection) of l and other.
 func (l Label) Meet(other Label) Label {
-	if l.IsEmpty() || other.IsEmpty() {
+	if l.n == nil || other.n == nil {
 		return Label{}
 	}
-	a, b := l.view(), other.view()
-	var scratch buildScratch
-	m := min(len(a), len(b))
-	if m <= len(scratch) {
-		return labelCopy(appendMeet(scratch[:0], a, b))
+	if l.n == other.n {
+		return l
 	}
-	return labelOf(appendMeet(make([]Tag, 0, m), a, b))
+	a, b := l.n.tags, other.n.tags
+	var s scratchTags
+	return canonical(appendMeet(s.buffer(min(len(a), len(b))), a, b))
 }
 
 // appendMeet appends the tags both a and b hold to out.
@@ -404,10 +362,13 @@ func appendMeet(out, a, b []Tag) []Tag {
 // Minus returns the set difference l − other. When other holds none of
 // l's tags the result is l itself.
 func (l Label) Minus(other Label) Label {
-	if l.IsEmpty() || l.sig&other.sig == 0 {
+	if l.n == nil || l.n.sig&other.signature() == 0 {
 		return l // disjoint signatures: nothing to remove
 	}
-	a, b := l.view(), other.view()
+	if l.n == other.n {
+		return Label{}
+	}
+	a, b := l.n.tags, other.n.tags
 	// Find the first tag of l that other holds.
 	i, j := 0, 0
 	for i < len(a) && j < len(b) && a[i] != b[j] {
@@ -421,11 +382,8 @@ func (l Label) Minus(other Label) Label {
 		return l
 	}
 	// a[i] goes; keep a[:i] and whatever of a[i+1:] other lacks.
-	var scratch buildScratch
-	if len(a)-1 <= len(scratch) {
-		return labelCopy(appendMinus(append(scratch[:0], a[:i]...), a[i+1:], b[j+1:]))
-	}
-	return labelOf(appendMinus(append(make([]Tag, 0, len(a)-1), a[:i]...), a[i+1:], b[j+1:]))
+	var s scratchTags
+	return canonical(appendMinus(append(s.buffer(len(a)-1), a[:i]...), a[i+1:], b[j+1:]))
 }
 
 // appendMinus appends the tags of a that b lacks to out.
@@ -442,20 +400,24 @@ func appendMinus(out, a, b []Tag) []Tag {
 	return out
 }
 
-// Add returns a new label that also contains t.
+// Add returns a label that also contains t.
 func (l Label) Add(t Tag) Label {
 	if t == InvalidTag || l.Has(t) {
 		return l
 	}
-	return l.Union(NewLabel(t))
+	a := l.view()
+	var s scratchTags
+	return canonical(appendUnion(s.buffer(len(a)+1), a, []Tag{t}))
 }
 
-// Remove returns a new label without t.
+// Remove returns a label without t.
 func (l Label) Remove(t Tag) Label {
 	if !l.Has(t) {
 		return l
 	}
-	return l.Minus(NewLabel(t))
+	a := l.n.tags
+	var s scratchTags
+	return canonical(appendMinus(s.buffer(len(a)-1), a, []Tag{t}))
 }
 
 // String renders the label as {t1,t2,...}; the empty label renders as {}.
@@ -470,11 +432,4 @@ func (l Label) String() string {
 	}
 	b.WriteByte('}')
 	return b.String()
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -243,7 +243,7 @@ func TestPropPartition(t *testing.T) {
 	}
 }
 
-// TestSearchTags pins the branchless lower bound behind the inline×heap
+// TestSearchTags pins the branchless lower bound behind the short×long
 // subset check against slices.BinarySearch, on every length up to 70 and
 // on tags at the top of the 64-bit range, where a signed or truncated
 // compare would break.

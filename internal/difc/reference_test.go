@@ -156,8 +156,8 @@ func TestDiffAddRemove(t *testing.T) {
 	}
 }
 
-// genWide draws a label of up to 64 tags, so the heap representation
-// and the >2*inlineCap build paths occur. Tags come from 1..32, where
+// genWide draws a label of up to 64 tags, so the merge walks and
+// wide scratch builds occur. Tags come from 1..32, where
 // the signature bits do not collide and overlaps are common, or from
 // 1..100, where collisions let the signature filter pass and leave the
 // verdict to the walks.
@@ -180,10 +180,9 @@ func fromRef(m refSet) Label {
 }
 
 // TestDiffAlgebraInterned checks Union, Minus and Meet on wide operands
-// against the reference model, and that each result interns to the same
-// canonical id as the label built from the model's answer. It also
-// cross-checks SubsetOf and Equal on the same (mostly heap×heap) pairs,
-// and Equal against a separately built twin.
+// against the reference model, and that each result is the same node as
+// the label built from the model's answer. It also cross-checks SubsetOf
+// and Equal on the same pairs, and Equal against a separately built twin.
 func TestDiffAlgebraInterned(t *testing.T) {
 	r := rand.New(rand.NewSource(*difcSeed))
 	for n := 0; n < 2000; n++ {
@@ -213,8 +212,8 @@ func TestDiffAlgebraInterned(t *testing.T) {
 			if !refEqual(c.want, c.got) {
 				t.Fatalf("%v.%s(%v) = %v, reference disagrees", a, c.op, b, c.got)
 			}
-			if got, want := Intern(c.got), Intern(fromRef(c.want)); got != want {
-				t.Fatalf("%v.%s(%v) = %v interns as %d, the reference result as %d", a, c.op, b, c.got, got, want)
+			if want := fromRef(c.want); c.got != want {
+				t.Fatalf("%v.%s(%v) = %v is not the node of the reference result", a, c.op, b, c.got)
 			}
 		}
 		subset := len(minus) == 0
@@ -224,7 +223,7 @@ func TestDiffAlgebraInterned(t *testing.T) {
 		if eq := subset && len(am) == len(bm); a.Equal(b) != eq {
 			t.Fatalf("%v.Equal(%v) = %v, reference %v", a, b, a.Equal(b), eq)
 		}
-		if twin := newLabelHeap(a.Tags()...); !a.Equal(twin) || !twin.Equal(a) || !a.SubsetOf(twin) {
+		if twin := NewLabel(a.Tags()...); !a.Equal(twin) || !twin.Equal(a) || !a.SubsetOf(twin) {
 			t.Fatalf("%v differs from its separately built twin", a)
 		}
 	}
@@ -271,23 +270,23 @@ func TestSignatureCollisionsReachTheWalks(t *testing.T) {
 	a := Tag(1)
 	c := collidingTag(a)
 	one, other, two := NewLabel(a), NewLabel(c), NewLabel(a, c)
-	if one.sig != other.sig || two.sig != one.sig {
+	if one.n.sig != other.n.sig || two.n.sig != one.n.sig {
 		t.Fatal("signatures differ: the test needs colliding tags")
 	}
 	if two.SubsetOf(one) || other.SubsetOf(one) || !one.SubsetOf(two) {
-		t.Error("SubsetOf wrong on colliding inline labels")
+		t.Error("SubsetOf wrong on colliding short labels")
 	}
 	if two.Equal(one) || other.Equal(one) {
 		t.Error("Equal wrong on colliding labels")
 	}
-	// Heap labels take the merge walk.
+	// Longer labels take the merge walk.
 	wide := NewLabel(a, 2, 3, 4, 5, 6)
 	wideC := NewLabel(c, 2, 3, 4, 5, 6)
-	if wideC.sig != wide.sig {
-		t.Fatal("heap signatures differ")
+	if wideC.n.sig != wide.n.sig {
+		t.Fatal("wide signatures differ")
 	}
 	if wideC.SubsetOf(wide) || wide.SubsetOf(wideC) || wide.Equal(wideC) {
-		t.Error("SubsetOf or Equal wrong on colliding heap labels")
+		t.Error("SubsetOf or Equal wrong on colliding wide labels")
 	}
 	err := CheckAcquire("test", one, other, EmptyCapSet)
 	if ce, ok := err.(*ChangeError); !ok || !ce.Missing.Equal(other) {
@@ -316,8 +315,5 @@ func TestRegionCapsRefusal(t *testing.T) {
 	const want = "difc: region-caps: capability subset violation: need C(t1+-,t2+-,t3-) held for {t3}"
 	if err == nil || err.Error() != want {
 		t.Errorf("CheckEnterRegion = %v, want %q", err, want)
-	}
-	if _, ok := LabelByID(1 << 62); ok {
-		t.Error("LabelByID resolved an id never assigned")
 	}
 }

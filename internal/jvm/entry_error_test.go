@@ -112,3 +112,24 @@ func TestFatalTrapLeavesRegion(t *testing.T) {
 		t.Errorf("violations = %d, want 0: a fatal trap is not a violation", v)
 	}
 }
+
+// TestSecureCallAllocs pins a host call of an empty secure method with
+// tracing off at zero allocations: the region entry, the body and the
+// exit record no trace event, so nothing may be formatted or boxed.
+func TestSecureCallAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector adds allocations")
+	}
+	mc := secureOnly(t, difc.Labels{}, difc.EmptyCapSet, NewAsm().Op(OpReturn).MustBuild())
+	mc.Trace = nil
+	th := hostThread(t, mc)
+	call := func() {
+		if _, err := mc.Call(th, "sec"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	call()
+	if got := testing.AllocsPerRun(100, call); got != 0 {
+		t.Errorf("a secure call allocates %v times, want 0", got)
+	}
+}

@@ -50,6 +50,14 @@ func (mc *Machine) trace(format string, args ...any) {
 	}
 }
 
+// traceMethod records "<event> <method name>". Its string parameters box
+// nothing, so a secure call with tracing off allocates no event.
+func (mc *Machine) traceMethod(event, name string) {
+	if mc.Trace != nil {
+		mc.Trace.Events = append(mc.Trace.Events, event+" "+name)
+	}
+}
+
 // RunStats counts dynamic security work during execution.
 type RunStats struct {
 	Instructions   uint64
@@ -160,7 +168,7 @@ func (mc *Machine) invoke(t *rt.Thread, m *Method, args []Value, host bool) Valu
 	var fatal any
 	err := t.Secure(m.Secure.Labels, m.Secure.Caps, func(*rt.Region) {
 		mc.stats.RegionsEntered++
-		mc.trace("enter %s", m.Name)
+		mc.traceMethod("enter", m.Name)
 		ret = mc.exec(t, cm, cm.code, args)
 	}, func(_ *rt.Region, e any) {
 		if tr, ok := e.(trap); !ok || tr.fatal {
@@ -168,16 +176,16 @@ func (mc *Machine) invoke(t *rt.Thread, m *Method, args []Value, host bool) Valu
 			return
 		}
 		mc.stats.Violations++
-		mc.trace("catch %s", m.Name)
+		mc.traceMethod("catch", m.Name)
 		if cm.catch != nil {
 			mc.exec(t, cm, cm.catch, args)
 		}
 	})
 	if err != nil {
-		mc.trace("deny-enter %s", m.Name)
+		mc.traceMethod("deny-enter", m.Name)
 		panic(trap{err: err})
 	}
-	mc.trace("exit %s", m.Name)
+	mc.traceMethod("exit", m.Name)
 	if fatal != nil {
 		panic(fatal)
 	}

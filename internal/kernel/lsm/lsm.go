@@ -356,20 +356,19 @@ func (m *Module) checkAccess(t *kernel.Task, ino *kernel.Inode, mask kernel.Acce
 // deliberately skipped: its verdict folds in the couldRead escape, which
 // a bare CheckFlow replay cannot reproduce.
 func (m *Module) emitTracedAllows(t *kernel.Task, ts *taskSec, ino *kernel.Inode, mask kernel.AccessMask) {
-	// Labels are interned only here, where the dump needs stable ids.
 	subj, obj := ts.labels, m.inodeState(ino).labels
-	tid, proc, inum := uint64(t.TID), t.Proc, uint64(ino.Ino)
+	allow := func(op string, src, dst difc.Labels) {
+		e := telemetry.Event{Layer: telemetry.LayerLSM, Kind: telemetry.KindAllow,
+			Site: "lsm.checkAccess", Op: op, TID: uint64(t.TID), Proc: t.Proc, Ino: uint64(ino.Ino)}
+		e.SetSrc(src)
+		e.SetDst(dst)
+		m.tel.Emit(e)
+	}
 	if mask&(kernel.MayRead|kernel.MayExec) != 0 {
-		m.tel.Emit(telemetry.Event{Layer: telemetry.LayerLSM, Kind: telemetry.KindAllow,
-			Site: "lsm.checkAccess", Op: "read", TID: tid, Proc: proc, Ino: inum,
-			SrcS: difc.Intern(obj.S), SrcI: difc.Intern(obj.I),
-			DstS: difc.Intern(subj.S), DstI: difc.Intern(subj.I)})
+		allow("read", obj, subj)
 	}
 	if mask&kernel.MayWrite != 0 {
-		m.tel.Emit(telemetry.Event{Layer: telemetry.LayerLSM, Kind: telemetry.KindAllow,
-			Site: "lsm.checkAccess", Op: "write", TID: tid, Proc: proc, Ino: inum,
-			SrcS: difc.Intern(subj.S), SrcI: difc.Intern(subj.I),
-			DstS: difc.Intern(obj.S), DstI: difc.Intern(obj.I)})
+		allow("write", subj, obj)
 	}
 }
 

@@ -108,7 +108,7 @@ func (e Event) String() string {
 // an adapter over it. It still receives every VM-side event, and — when
 // the kernel has a telemetry recorder — kernel/LSM denials for this VM's
 // process as EvKernelDeny events. Prefer the telemetry recorder for new
-// consumers: it adds rule provenance, interned label operands, metrics
+// consumers: it adds rule provenance, label operands, metrics
 // and the flight ring.
 func (vm *VM) SetAudit(fn func(Event)) {
 	if vm.auditCancel != nil {
@@ -181,18 +181,16 @@ func (vm *VM) emit(e Event) {
 	case EvRegionEnter:
 		te.Kind = telemetry.KindRegionEnter
 		te.Site = "rt.region.enter"
-		te.SrcS = difc.Intern(e.Labels.S)
-		te.SrcI = difc.Intern(e.Labels.I)
+		te.SetSrc(e.Labels)
 	case EvRegionExit:
 		te.Kind = telemetry.KindRegionExit
 		te.Site = "rt.region.exit"
-		te.SrcS = difc.Intern(e.Labels.S)
-		te.SrcI = difc.Intern(e.Labels.I)
+		te.SetSrc(e.Labels)
 	case EvCopyAndLabel:
 		te.Kind = telemetry.KindCopyAndLabel
 		te.Site = "rt.copyAndLabel"
-		te.SrcS, te.SrcI = difc.Intern(e.From.S), difc.Intern(e.From.I)
-		te.DstS, te.DstI = difc.Intern(e.To.S), difc.Intern(e.To.I)
+		te.SetSrc(e.From)
+		te.SetDst(e.To)
 	case EvCapabilityGained:
 		te.Kind = telemetry.KindCapGained
 		te.Site = "rt.capability"

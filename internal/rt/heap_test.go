@@ -101,8 +101,9 @@ func TestFieldSlotsDifferential(t *testing.T) {
 
 // TestLabeledObjectFootprint pins what a labeled object costs at rest:
 // Alloc plus one Set is the object itself and a one-slot field slice,
-// two allocations of at most 240 B together. A per-object map costs a
-// third allocation and more than twice the bytes.
+// two allocations of at most 112 B together (an 80 B object, whose
+// label pair is two words, and a 32 B slot). A per-object map costs a
+// third allocation and several times the bytes.
 func TestLabeledObjectFootprint(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector adds allocations")
@@ -121,8 +122,8 @@ func TestLabeledObjectFootprint(t *testing.T) {
 		if got := testing.AllocsPerRun(100, cell); got != 2 {
 			t.Errorf("labeled Alloc + Set allocates %v times, want 2", got)
 		}
-		if got := bytesPerRun(1000, cell); got > 240 {
-			t.Errorf("labeled Alloc + Set allocates %d B, want at most 240", got)
+		if got := bytesPerRun(1000, cell); got > 112 {
+			t.Errorf("labeled Alloc + Set allocates %d B, want at most 112", got)
 		}
 	}, func(_ *Region, e any) { t.Errorf("region refused: %v", e) })
 	if err != nil {

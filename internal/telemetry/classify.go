@@ -21,9 +21,8 @@ import (
 // text; the kernel's hook gate upgrades fault-injected denials to
 // RuleFault itself because only it knows the injector fired.
 //
-// Labels are interned here, on the already-cold denial path, so the
-// event stores ids, never tag-slice copies; the Delta is the one
-// allocation that survives per event.
+// The event stores the operands' label words, never tag-slice copies;
+// the Delta is the one allocation that survives per event.
 func DenyEvent(layer Layer, site, op string, tid, proc uint64, err error) Event {
 	e := Event{Layer: layer, Kind: KindDeny, Op: op, Site: site, TID: tid, Proc: proc}
 	if err == nil {
@@ -41,8 +40,8 @@ func DenyEvent(layer Layer, site, op string, tid, proc uint64, err error) Event 
 			e.Rule = RuleSecrecy
 		}
 		e.Op = fe.Op
-		e.SrcS, e.SrcI = difc.Intern(fe.Src.S), difc.Intern(fe.Src.I)
-		e.DstS, e.DstI = difc.Intern(fe.Dst.S), difc.Intern(fe.Dst.I)
+		e.SetSrc(fe.Src)
+		e.SetDst(fe.Dst)
 		e.Delta = fe.Delta().Tags()
 	case errors.As(err, &ce):
 		if ce.Check == "subset" {
@@ -52,10 +51,9 @@ func DenyEvent(layer Layer, site, op string, tid, proc uint64, err error) Event 
 		}
 		e.Op = ce.Op
 		e.Check = ce.Check
-		e.SrcS = difc.Intern(ce.From)
-		e.DstS = difc.Intern(ce.To)
-		e.CapP = difc.Intern(ce.Caps.Plus())
-		e.CapM = difc.Intern(ce.Caps.Minus())
+		e.SrcS, e.DstS = ce.From, ce.To
+		e.CapP, e.CapM = ce.Caps.Plus(), ce.Caps.Minus()
+		e.Has |= HasSrcS | HasDstS | HasCapP | HasCapM
 		e.Delta = ce.Missing.Tags()
 	}
 	return e

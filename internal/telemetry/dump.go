@@ -9,10 +9,11 @@ import (
 	"laminar/internal/difc"
 )
 
-// Flight-recorder dumps. In-memory events carry labels as intern ids,
-// which are meaningless outside the emitting process; a dump resolves
-// every id to its tag set so laminar-trace can filter, pretty-print and
-// replay the stream from another process entirely. The format is JSONL —
+// Flight-recorder dumps. In-memory events carry labels as pointers to
+// canonical nodes, which are meaningless outside the emitting process; a
+// dump writes every recorded label as its tag list so laminar-trace can
+// filter, pretty-print and replay the stream from another process
+// entirely. The format is JSONL —
 // one DumpEvent per line — because dumps happen in crash paths where an
 // incremental, append-only encoding beats one big document.
 
@@ -23,8 +24,8 @@ import (
 const DumpVersion = 2
 
 // DumpEvent is the wire form of an Event. Label fields distinguish
-// "empty" ([]) from "unknown / never interned" (null): replay requires
-// known operands and refuses events with null where a label is needed.
+// "empty" ([]) from "not recorded" (null): replay requires recorded
+// operands and refuses events with null where a label is needed.
 type DumpEvent struct {
 	V     int    `json:"v,omitempty"`
 	Seq   uint64 `json:"seq"`
@@ -61,18 +62,17 @@ type DumpEvent struct {
 	Detail string `json:"detail,omitempty"`
 }
 
-// resolveID renders an intern id as a tag slice: nil when the id is
-// unknown, a non-nil (possibly empty) slice when it resolves.
-func resolveID(id uint64) []uint64 {
-	l, ok := difc.LabelByID(id)
-	if !ok {
+// labelToWire renders one of e's label fields as a tag slice: nil when
+// the field is not recorded, a non-nil (possibly empty) slice when it is.
+func (e Event) labelToWire(l difc.Label, f Operands) []uint64 {
+	if e.Has&f == 0 {
 		return nil
 	}
-	tags := l.Tags()
-	out := make([]uint64, 0, len(tags))
-	for _, t := range tags {
+	out := make([]uint64, 0, l.Len())
+	l.Each(func(t difc.Tag) bool {
 		out = append(out, uint64(t))
-	}
+		return true
+	})
 	return out
 }
 
@@ -98,8 +98,7 @@ func wireToLabel(ts []uint64) (difc.Label, bool) {
 	return difc.NewLabel(tags...), true
 }
 
-// ToDump resolves the event's intern ids into a self-contained wire
-// record.
+// ToDump renders the event as a self-contained wire record.
 func (e Event) ToDump() DumpEvent {
 	d := DumpEvent{
 		V:     DumpVersion,
@@ -120,12 +119,12 @@ func (e Event) ToDump() DumpEvent {
 		Op:     e.Op,
 		Check:  e.Check,
 		Site:   e.Site,
-		SrcS:   resolveID(e.SrcS),
-		SrcI:   resolveID(e.SrcI),
-		DstS:   resolveID(e.DstS),
-		DstI:   resolveID(e.DstI),
-		CapP:   resolveID(e.CapP),
-		CapM:   resolveID(e.CapM),
+		SrcS:   e.labelToWire(e.SrcS, HasSrcS),
+		SrcI:   e.labelToWire(e.SrcI, HasSrcI),
+		DstS:   e.labelToWire(e.DstS, HasDstS),
+		DstI:   e.labelToWire(e.DstI, HasDstI),
+		CapP:   e.labelToWire(e.CapP, HasCapP),
+		CapM:   e.labelToWire(e.CapM, HasCapM),
 		Delta:  tagsToWire(e.Delta),
 		Tag:    uint64(e.Tag),
 		Detail: e.Detail,
@@ -139,7 +138,7 @@ func (e Event) ToDump() DumpEvent {
 	return d
 }
 
-// ToEvent rebuilds an in-memory event from its wire form, re-interning
+// ToEvent rebuilds an in-memory event from its wire form, rebuilding
 // the label operands in the reading process so SrcLabels/DstLabels/Caps
 // and Replay work on loaded dumps exactly as on live events.
 func (d DumpEvent) ToEvent() Event {
@@ -165,16 +164,20 @@ func (d DumpEvent) ToEvent() Event {
 		Tag:    difc.Tag(d.Tag),
 		Detail: d.Detail,
 	}
-	intern := func(ts []uint64) uint64 {
-		l, ok := wireToLabel(ts)
-		if !ok {
-			return 0
+	for _, f := range []struct {
+		wire []uint64
+		l    *difc.Label
+		has  Operands
+	}{
+		{d.SrcS, &e.SrcS, HasSrcS}, {d.SrcI, &e.SrcI, HasSrcI},
+		{d.DstS, &e.DstS, HasDstS}, {d.DstI, &e.DstI, HasDstI},
+		{d.CapP, &e.CapP, HasCapP}, {d.CapM, &e.CapM, HasCapM},
+	} {
+		if l, ok := wireToLabel(f.wire); ok {
+			*f.l = l
+			e.Has |= f.has
 		}
-		return difc.Intern(l)
 	}
-	e.SrcS, e.SrcI = intern(d.SrcS), intern(d.SrcI)
-	e.DstS, e.DstI = intern(d.DstS), intern(d.DstI)
-	e.CapP, e.CapM = intern(d.CapP), intern(d.CapM)
 	if len(d.Delta) > 0 {
 		e.Delta = make([]difc.Tag, len(d.Delta))
 		for i, t := range d.Delta {

@@ -41,7 +41,7 @@ func Replay(e Event) ReplayResult {
 	case RuleFault:
 		return ReplayResult{Reason: "fault-injected denial: no DIFC check to replay"}
 	default:
-		if e.Kind == KindAllow && e.SrcS != 0 && e.DstS != 0 {
+		if e.Kind == KindAllow && e.hasFlowOperands() {
 			return replayFlow(e)
 		}
 		return ReplayResult{Reason: "no label operands recorded for this event"}
@@ -52,7 +52,7 @@ func replayFlow(e Event) ReplayResult {
 	src, okS := e.SrcLabels()
 	dst, okD := e.DstLabels()
 	if !okS || !okD {
-		return ReplayResult{Reason: "label operands not resolvable (uninterned id)"}
+		return ReplayResult{Reason: "label operands not recorded"}
 	}
 	res := ReplayResult{Replayable: true}
 	err := difc.CheckFlow(e.Op, src, dst)
@@ -75,14 +75,11 @@ func replayFlow(e Event) ReplayResult {
 }
 
 func replayChange(e Event) ReplayResult {
-	from, okF := difc.LabelByID(e.SrcS)
-	to, okT := difc.LabelByID(e.DstS)
-	capP, okP := difc.LabelByID(e.CapP)
-	capM, okM := difc.LabelByID(e.CapM)
-	if !okF || !okT || !okP || !okM {
-		return ReplayResult{Reason: "label-change operands not resolvable (uninterned id)"}
+	const operands = HasSrcS | HasDstS | HasCapP | HasCapM
+	if e.Has&operands != operands {
+		return ReplayResult{Reason: "label-change operands not recorded"}
 	}
-	caps := difc.NewCapSet(capP, capM)
+	from, to, caps := e.SrcS, e.DstS, difc.NewCapSet(e.CapP, e.CapM)
 	res := ReplayResult{Replayable: true}
 
 	var err error
@@ -157,11 +154,7 @@ func Explain(e Event) string {
 			fmt.Fprintf(&b, "  check: Biba requires I(dst) ⊆ I(src); destination demands %v beyond the source\n", e.Delta)
 		}
 	case RuleLabelChange, RuleCapability:
-		from, _ := difc.LabelByID(e.SrcS)
-		to, _ := difc.LabelByID(e.DstS)
-		capP, _ := difc.LabelByID(e.CapP)
-		capM, _ := difc.LabelByID(e.CapM)
-		caps := difc.NewCapSet(capP, capM)
+		from, to, caps := e.SrcS, e.DstS, difc.NewCapSet(e.CapP, e.CapM)
 		if e.Check == "subset" {
 			fmt.Fprintf(&b, "  rule: %s (%s)\n  required: %v\n  held: %v\n", e.Rule, e.Check, difc.NewCapSet(from, to), caps)
 		} else {

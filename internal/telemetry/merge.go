@@ -69,7 +69,6 @@ func mergeInto(dst *MetricsSnapshot, s MetricsSnapshot) {
 	dst.Allows = satAddU64(dst.Allows, s.Allows)
 	dst.FaultTrips = satAddU64(dst.FaultTrips, s.FaultTrips)
 	dst.LockContention = satAddU64(dst.LockContention, s.LockContention)
-	dst.InternHits = satAddU64(dst.InternHits, s.InternHits)
 	dst.InternMisses = satAddU64(dst.InternMisses, s.InternMisses)
 	dst.DenialsByRule = mergeMap(dst.DenialsByRule, s.DenialsByRule)
 	dst.Hooks = mergeMap(dst.Hooks, s.Hooks)

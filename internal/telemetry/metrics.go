@@ -154,7 +154,7 @@ func (m *Metrics) ObserveLayer(l Layer, d time.Duration) {
 func (m *Metrics) Reset() { *m = Metrics{} }
 
 // MetricsSnapshot is a point-in-time fold of a recorder's metrics plus
-// the process-global difc intern-table stats, in a shape that serialises
+// the process-global difc label-table stats, in a shape that serialises
 // directly to JSON, expvar and Prometheus text.
 type MetricsSnapshot struct {
 	Level  string `json:"level"`
@@ -173,8 +173,7 @@ type MetricsSnapshot struct {
 	HookLatency  []HistBucket            `json:"hook_latency,omitempty"`
 	LayerLatency map[string][]HistBucket `json:"layer_latency,omitempty"`
 
-	InternHits   uint64 `json:"intern_hits"`
-	InternMisses uint64 `json:"intern_misses"`
+	InternMisses uint64 `json:"intern_misses"` // label-table misses, each inserting a node
 }
 
 // MetricsSnapshot folds the recorder's counters.
@@ -205,7 +204,7 @@ func (r *Recorder) MetricsSnapshot() MetricsSnapshot {
 		}
 		s.LayerLatency[Layer(l).String()] = r.M.LayerLatency[l].snapshot()
 	}
-	s.InternHits, s.InternMisses = difc.InternStats()
+	_, s.InternMisses = difc.InternStats()
 	return s
 }
 
@@ -249,7 +248,6 @@ func (s MetricsSnapshot) WritePrometheus(w io.Writer) error {
 		}
 		p("laminar_layer_latency_ns_count{layer=%q} %d\n", layer, lcum)
 	}
-	p("laminar_intern_hits_total %d\n", s.InternHits)
 	return p("laminar_intern_misses_total %d\n", s.InternMisses)
 }
 

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+
+	"laminar/internal/difc"
 )
 
 // explain-route: reconstruct the hop-by-hop path of one traced flow from
@@ -45,7 +47,8 @@ type dedupKey struct {
 	site, op               string
 	kind                   Kind
 	rule                   Rule
-	srcS, srcI, dstS, dstI uint64
+	srcS, srcI, dstS, dstI difc.Label
+	has                    Operands
 }
 
 // ExplainRoute filters events to one trace id and reconstructs its
@@ -60,11 +63,11 @@ func ExplainRoute(traceID uint64, events []Event) (RouteReport, error) {
 		if e.TraceID != traceID {
 			continue
 		}
-		if e.Kind != KindDeny && !(e.Kind == KindAllow && e.SrcS != 0 && e.DstS != 0) {
+		if e.Kind != KindDeny && !(e.Kind == KindAllow && e.hasFlowOperands()) {
 			continue
 		}
 		rep.Origin, rep.OriginEpoch = e.TraceOrigin, e.TraceEpoch
-		k := dedupKey{e.Node, e.NodeEpoch, e.TraceHop, e.Site, e.Op, e.Kind, e.Rule, e.SrcS, e.SrcI, e.DstS, e.DstI}
+		k := dedupKey{e.Node, e.NodeEpoch, e.TraceHop, e.Site, e.Op, e.Kind, e.Rule, e.SrcS, e.SrcI, e.DstS, e.DstI, e.Has}
 		if seen[k] {
 			continue
 		}

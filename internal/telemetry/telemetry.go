@@ -2,7 +2,7 @@
 // Laminar reproduction: one low-overhead event stream threaded through
 // every enforcement point — kernel syscalls and LSM hooks, the VM
 // runtime's read/write barriers and security regions, the MiniJVM's
-// compiled barriers, the label intern table, and the fault-injection
+// compiled barriers, the canonical label table, and the fault-injection
 // layer.
 //
 // It has three parts (DESIGN.md §11):
@@ -10,13 +10,13 @@
 //   - Decision provenance: every denial (and, at LevelAll, every allow)
 //     records which rule fired — Bell–LaPadula secrecy, Biba integrity,
 //     the label-change capability rule — together with the offending tag
-//     delta, the subject/object labels as interned ids (never copies),
+//     delta, the subject/object labels as label words (never copies),
 //     and the syscall/hook/barrier site. Denials are queryable after the
 //     fact and replayable: Explain re-runs the exact check from the
 //     recorded operands.
 //   - Metrics: sharded atomic counters and log-scale latency histograms
-//     for hook rates, denials by rule, barrier hits, intern-table
-//     traffic, lock contention and fault-injection trips,
+//     for hook rates, denials by rule, barrier hits, label-table
+//     inserts, lock contention and fault-injection trips,
 //     exported via expvar and a Prometheus-style text dump.
 //   - Flight recorder: a fixed-size lock-free per-shard ring of recent
 //     events that a crash, chaos failure or oracle mismatch dumps for
@@ -218,10 +218,12 @@ func ruleFromString(s string) Rule {
 	return RuleNone
 }
 
-// Event is one provenance record. Labels are carried as interned ids
-// (difc.LabelByID resolves them) so recording never copies tag slices;
-// the Delta — the exact tags that fired a denial — is the only per-event
-// allocation beyond the record itself.
+// Event is one provenance record. Labels are carried as difc.Label
+// words, so recording never copies tag slices and the event keeps its
+// operands alive for as long as a ring holds it; the Delta — the exact
+// tags that fired a denial — is the only per-event allocation beyond the
+// record itself. Has records which label fields the emitter filled in,
+// because an empty label and one never recorded are both the zero word.
 //
 // For flow-rule events Src/Dst are the operands exactly as the check saw
 // them (CheckFlow(Op, Src, Dst)); for label-change events Src is the
@@ -249,9 +251,10 @@ type Event struct {
 	Check string // check shape for label-change denials: "change", "acquire", "drop", "subset"
 	Site  string // emission site: "hook.FilePermission", "rt.barrier.read", ...
 
-	SrcS, SrcI uint64 // interned ids of the source/from label pair
-	DstS, DstI uint64 // interned ids of the destination/to label pair
-	CapP, CapM uint64 // interned ids of the acting capability set (label-change)
+	SrcS, SrcI difc.Label // source/from label pair
+	DstS, DstI difc.Label // destination/to label pair
+	CapP, CapM difc.Label // acting capability set (label-change)
+	Has        Operands   // which of the six label fields are recorded
 
 	Delta []difc.Tag   // offending tag delta (denials)
 	Tag   difc.Tag     // capability-movement events
@@ -277,26 +280,49 @@ func (e Event) String() string {
 	}
 }
 
-// SrcLabels resolves the event's source label pair. ok is false when
-// either component was never interned (unknown at emission time).
+// Operands is a set of an Event's label fields, one bit per field.
+type Operands uint8
+
+// The label fields of an Event.
+const (
+	HasSrcS Operands = 1 << iota
+	HasSrcI
+	HasDstS
+	HasDstI
+	HasCapP
+	HasCapM
+)
+
+// SetSrc records the source/from label pair.
+func (e *Event) SetSrc(l difc.Labels) {
+	e.SrcS, e.SrcI = l.S, l.I
+	e.Has |= HasSrcS | HasSrcI
+}
+
+// SetDst records the destination/to label pair.
+func (e *Event) SetDst(l difc.Labels) {
+	e.DstS, e.DstI = l.S, l.I
+	e.Has |= HasDstS | HasDstI
+}
+
+// hasFlowOperands reports whether the event records both secrecy labels
+// of a flow, so a flow check can be replayed from it.
+func (e Event) hasFlowOperands() bool { return e.Has&(HasSrcS|HasDstS) == HasSrcS|HasDstS }
+
+// SrcLabels returns the event's source label pair. ok is false when
+// either component was not recorded.
 func (e Event) SrcLabels() (difc.Labels, bool) {
-	s, ok1 := difc.LabelByID(e.SrcS)
-	i, ok2 := difc.LabelByID(e.SrcI)
-	return difc.Labels{S: s, I: i}, ok1 && ok2
+	return difc.Labels{S: e.SrcS, I: e.SrcI}, e.Has&(HasSrcS|HasSrcI) == HasSrcS|HasSrcI
 }
 
-// DstLabels resolves the event's destination label pair.
+// DstLabels returns the event's destination label pair.
 func (e Event) DstLabels() (difc.Labels, bool) {
-	s, ok1 := difc.LabelByID(e.DstS)
-	i, ok2 := difc.LabelByID(e.DstI)
-	return difc.Labels{S: s, I: i}, ok1 && ok2
+	return difc.Labels{S: e.DstS, I: e.DstI}, e.Has&(HasDstS|HasDstI) == HasDstS|HasDstI
 }
 
-// Caps resolves the event's recorded capability set.
+// Caps returns the event's recorded capability set.
 func (e Event) Caps() (difc.CapSet, bool) {
-	p, ok1 := difc.LabelByID(e.CapP)
-	m, ok2 := difc.LabelByID(e.CapM)
-	return difc.NewCapSet(p, m), ok1 && ok2
+	return difc.NewCapSet(e.CapP, e.CapM), e.Has&(HasCapP|HasCapM) == HasCapP|HasCapM
 }
 
 // Recorder is one telemetry domain: a level gate, a flight-recorder ring,
@@ -405,7 +431,7 @@ func (r *Recorder) EmitDeny(layer Layer, site, op string, tid, proc uint64, err 
 }
 
 // EmitAllow records a passed check (LevelAll). Label operands are
-// optional: pass interned ids when the call site has them cheaply.
+// optional: set them on the event when the call site has them cheaply.
 func (r *Recorder) EmitAllow(layer Layer, site, op string, tid, proc uint64) {
 	r.Emit(Event{Layer: layer, Kind: KindAllow, Op: op, Site: site, TID: tid, Proc: proc})
 }

@@ -327,16 +327,15 @@ func TestPrometheusExport(t *testing.T) {
 }
 
 func TestEmptyVsUnknownLabelInDump(t *testing.T) {
-	// An event with an empty interned label must round-trip as empty
-	// (replayable); one with id 0 must round-trip as unknown.
+	// An event with a recorded empty label must round-trip as empty
+	// (replayable); one whose labels were never recorded must round-trip
+	// as unknown.
 	e := Event{
 		Kind: KindDeny, Rule: RuleSecrecy, Op: "read", Layer: LayerLSM,
-		SrcS:  difc.Intern(difc.NewLabel(11)),
-		SrcI:  difc.Intern(difc.EmptyLabel),
-		DstS:  difc.Intern(difc.EmptyLabel),
-		DstI:  difc.Intern(difc.EmptyLabel),
 		Delta: []difc.Tag{11},
 	}
+	e.SetSrc(difc.Labels{S: difc.NewLabel(11)})
+	e.SetDst(difc.Unlabeled)
 	var buf bytes.Buffer
 	if err := WriteDump(&buf, []Event{e}); err != nil {
 		t.Fatal(err)

@@ -236,7 +236,7 @@ func TestExplainRouteGroupsAndDedups(t *testing.T) {
 		Site: "hook.FilePermission", Op: "read",
 		Node: 3, NodeEpoch: 1, TraceID: 77, TraceHop: 2, TraceOrigin: 1, TraceEpoch: 1}
 	relay := Event{Seq: 4, Layer: LayerLSM, Kind: KindAllow,
-		Site: "lsm.checkAccess", Op: "read", SrcS: 1, SrcI: 1, DstS: 1, DstI: 1,
+		Site: "lsm.checkAccess", Op: "read", Has: HasSrcS | HasSrcI | HasDstS | HasDstI,
 		Node: 2, NodeEpoch: 1, TraceID: 77, TraceHop: 1, TraceOrigin: 1, TraceEpoch: 1}
 	relayDup := relay
 	relayDup.Seq = 5 // the relay pump re-checks every tick

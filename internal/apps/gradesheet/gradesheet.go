@@ -28,11 +28,16 @@ type Server struct {
 	professor *laminar.Thread
 	tas       []*laminar.Thread
 	students  []*laminar.Thread
-	sTags     []laminar.Tag // s_i, one per student
-	pTags     []laminar.Tag // p_j, one per project
-	cells     [][]*laminar.Object
-	nStud     int
-	nProj     int
+	// The region labels, built once: {s_i} per student, {p_j} per
+	// project, every student tag, and the professor's minus capability
+	// over them for the declassifying average.
+	sLabels  []laminar.Label
+	pLabels  []laminar.Label
+	all      laminar.Label
+	minusAll laminar.CapSet
+	cells    [][]*laminar.Object
+	nStud    int
+	nProj    int
 }
 
 // New builds a secured server with the Table 4 capability distribution.
@@ -48,19 +53,25 @@ func New(sys *laminar.System, nStudents, nProjects int) (*Server, error) {
 	s := &Server{
 		vm: vm, professor: prof,
 		nStud: nStudents, nProj: nProjects,
-		sTags: make([]laminar.Tag, nStudents),
-		pTags: make([]laminar.Tag, nProjects),
+		sLabels: make([]laminar.Label, nStudents),
+		pLabels: make([]laminar.Label, nProjects),
 	}
-	for i := range s.sTags {
-		if s.sTags[i], err = prof.CreateTag(); err != nil {
+	sTags := make([]laminar.Tag, nStudents) // s_i, one per student
+	pTags := make([]laminar.Tag, nProjects) // p_j, one per project
+	for i := range sTags {
+		if sTags[i], err = prof.CreateTag(); err != nil {
 			return nil, err
 		}
+		s.sLabels[i] = laminar.NewLabel(sTags[i])
 	}
-	for j := range s.pTags {
-		if s.pTags[j], err = prof.CreateTag(); err != nil {
+	for j := range pTags {
+		if pTags[j], err = prof.CreateTag(); err != nil {
 			return nil, err
 		}
+		s.pLabels[j] = laminar.NewLabel(pTags[j])
 	}
+	s.all = laminar.NewLabel(sTags...)
+	s.minusAll = laminar.NewCapSet(laminar.EmptyLabel, s.all)
 	// Allocate the labeled cells: the professor enters a region per cell
 	// label pair. (Entering needs s_i+ and p_j+, which the professor has
 	// as tag creator.)
@@ -68,10 +79,7 @@ func New(sys *laminar.System, nStudents, nProjects int) (*Server, error) {
 	for i := 0; i < nStudents; i++ {
 		s.cells[i] = make([]*laminar.Object, nProjects)
 		for j := 0; j < nProjects; j++ {
-			labels := laminar.Labels{
-				S: laminar.NewLabel(s.sTags[i]),
-				I: laminar.NewLabel(s.pTags[j]),
-			}
+			labels := laminar.Labels{S: s.sLabels[i], I: s.pLabels[j]}
 			i, j := i, j
 			err := prof.Secure(labels, laminar.EmptyCapSet, func(r *laminar.Region) {
 				cell := r.Alloc(nil)
@@ -86,7 +94,7 @@ func New(sys *laminar.System, nStudents, nProjects int) (*Server, error) {
 	// Fork the principal threads with Table 4 capability subsets.
 	s.students = make([]*laminar.Thread, nStudents)
 	for i := range s.students {
-		keep := []laminar.Capability{{Tag: s.sTags[i], Kind: laminar.CapBoth}}
+		keep := []laminar.Capability{{Tag: sTags[i], Kind: laminar.CapBoth}}
 		if s.students[i], err = prof.Fork(keep); err != nil {
 			return nil, err
 		}
@@ -94,10 +102,10 @@ func New(sys *laminar.System, nStudents, nProjects int) (*Server, error) {
 	s.tas = make([]*laminar.Thread, nProjects)
 	for j := range s.tas {
 		keep := make([]laminar.Capability, 0, nStudents+1)
-		for i := range s.sTags {
-			keep = append(keep, laminar.Capability{Tag: s.sTags[i], Kind: laminar.CapPlus})
+		for _, tag := range sTags {
+			keep = append(keep, laminar.Capability{Tag: tag, Kind: laminar.CapPlus})
 		}
-		keep = append(keep, laminar.Capability{Tag: s.pTags[j], Kind: laminar.CapBoth})
+		keep = append(keep, laminar.Capability{Tag: pTags[j], Kind: laminar.CapBoth})
 		if s.tas[j], err = prof.Fork(keep); err != nil {
 			return nil, err
 		}
@@ -116,7 +124,7 @@ var ErrDenied = fmt.Errorf("gradesheet: access denied")
 // even enter the region.
 func (s *Server) StudentRead(student, i, j int) (int, error) {
 	th := s.students[student]
-	labels := laminar.Labels{S: laminar.NewLabel(s.sTags[i])}
+	labels := laminar.Labels{S: s.sLabels[i]}
 	marks, violated := 0, false
 	err := th.Secure(labels, laminar.EmptyCapSet, func(r *laminar.Region) {
 		marks = r.Get(s.cells[i][j], "marks").(int)
@@ -131,10 +139,7 @@ func (s *Server) StudentRead(student, i, j int) (int, error) {
 // guarantees only project j's TA can modify its column.
 func (s *Server) TAWrite(ta, i, j, marks int) error {
 	th := s.tas[ta]
-	labels := laminar.Labels{
-		S: laminar.NewLabel(s.sTags[i]),
-		I: laminar.NewLabel(s.pTags[j]),
-	}
+	labels := laminar.Labels{S: s.sLabels[i], I: s.pLabels[j]}
 	violated := false
 	err := th.Secure(labels, laminar.EmptyCapSet, func(r *laminar.Region) {
 		r.Set(s.cells[i][j], "marks", marks)
@@ -149,7 +154,7 @@ func (s *Server) TAWrite(ta, i, j, marks int) error {
 // every s_i+).
 func (s *Server) TAReadColumn(ta, j int) ([]int, error) {
 	th := s.tas[ta]
-	labels := laminar.Labels{S: laminar.NewLabel(s.sTags...)}
+	labels := laminar.Labels{S: s.all}
 	out := make([]int, s.nStud)
 	violated := false
 	err := th.Secure(labels, laminar.EmptyCapSet, func(r *laminar.Region) {
@@ -168,7 +173,7 @@ func (s *Server) TAReadColumn(ta, j int) ([]int, error) {
 // s_i+ and cannot enter a region covering other students' tags.
 func (s *Server) StudentAverage(student, j int) (int, error) {
 	th := s.students[student]
-	labels := laminar.Labels{S: laminar.NewLabel(s.sTags...)}
+	labels := laminar.Labels{S: s.all}
 	sum, violated := 0, false
 	err := th.Secure(labels, laminar.EmptyCapSet, func(r *laminar.Region) {
 		for i := 0; i < s.nStud; i++ {
@@ -186,11 +191,9 @@ func (s *Server) StudentAverage(student, j int) (int, error) {
 // declassify the aggregate in a nested region using the professor's minus
 // capabilities (the paper's corrected policy).
 func (s *Server) ProfessorAverage(j int) (int, error) {
-	all := laminar.NewLabel(s.sTags...)
-	minus := laminar.NewCapSet(laminar.EmptyLabel, all)
 	out := laminar.NewObject()
 	violated := false
-	err := s.professor.Secure(laminar.Labels{S: all}, minus, func(r *laminar.Region) {
+	err := s.professor.Secure(laminar.Labels{S: s.all}, s.minusAll, func(r *laminar.Region) {
 		agg := r.Alloc(nil)
 		sum := 0
 		for i := 0; i < s.nStud; i++ {
@@ -198,7 +201,7 @@ func (s *Server) ProfessorAverage(j int) (int, error) {
 		}
 		r.Set(agg, "avg", sum/s.nStud)
 		// Nested declassification region.
-		err := s.professor.Secure(laminar.Labels{}, minus, func(r2 *laminar.Region) {
+		err := s.professor.Secure(laminar.Labels{}, s.minusAll, func(r2 *laminar.Region) {
 			pub := r2.CopyAndLabel(agg, laminar.Labels{})
 			out.RawSet("avg", r2.Get(pub, "avg"))
 		}, nil)
@@ -233,7 +236,7 @@ type Unsecured struct {
 }
 
 // NewUnsecured builds the baseline server. Cells are the same rt.Object
-// containers (same locking, same layout) without labels, so overhead
+// containers (same field reads and writes, same layout) without labels, so overhead
 // comparisons isolate the DIFC checks.
 func NewUnsecured(nStudents, nProjects int) *Unsecured {
 	u := &Unsecured{nStud: nStudents, nProj: nProjects}

@@ -145,39 +145,39 @@ func (c *Cluster) broadcastStats() {
 // under a bumped epoch) un-marks before the cycle elapses. locked.
 func (c *Cluster) sweepStats() {
 	for id, ps := range c.stats {
-		m, known := c.members[id]
-		dead := !known || m.state == StateDead
-		switch {
-		case !dead:
-			if ps.deadTick != 0 {
-				ps.deadTick = 0
-				c.stats[id] = ps
-			}
-		case ps.deadTick == 0:
-			ps.deadTick = c.now
-			c.stats[id] = ps
-		case c.now-ps.deadTick >= statsEvery:
+		if evict, changed := c.age(id, &ps.deadTick); evict {
 			delete(c.stats, id)
 			c.count("cluster.stats.evicted", 1)
+		} else if changed {
+			c.stats[id] = ps
 		}
 	}
 	for id, pb := range c.budgetFacts {
-		m, known := c.members[id]
-		dead := !known || m.state == StateDead
-		switch {
-		case !dead:
-			if pb.deadTick != 0 {
-				pb.deadTick = 0
-				c.budgetFacts[id] = pb
-			}
-		case pb.deadTick == 0:
-			pb.deadTick = c.now
-			c.budgetFacts[id] = pb
-		case c.now-pb.deadTick >= statsEvery:
+		if evict, changed := c.age(id, &pb.deadTick); evict {
 			delete(c.budgetFacts, id)
 			c.count("cluster.budget.evicted", 1)
+		} else if changed {
+			c.budgetFacts[id] = pb
 		}
 	}
+}
+
+// age is the one aging rule for a cached peer entry whose dead mark is
+// *deadTick (0 = live): a live peer clears the mark, a dead one is marked
+// at the current tick, and one marked a merge cycle ago is due for
+// eviction. changed reports that *deadTick moved. locked.
+func (c *Cluster) age(id uint64, deadTick *uint64) (evict, changed bool) {
+	m, known := c.members[id]
+	switch {
+	case known && m.state != StateDead:
+		changed = *deadTick != 0
+		*deadTick = 0
+	case *deadTick == 0:
+		*deadTick, changed = c.now, true
+	case c.now-*deadTick >= statsEvery:
+		evict = true
+	}
+	return evict, changed
 }
 
 // PeerBudgetFacts returns the cached fact set last heard from one peer

@@ -59,6 +59,63 @@ func TestRawIndexAccessors(t *testing.T) {
 	}
 }
 
+// TestRawAccessorsRefuseLabeled pins the raw-accessor leak shut: the
+// unchecked accessors raise a *Violation on a labeled object, outside a
+// region and inside one, and neither reveal nor change its contents.
+func TestRawAccessorsRefuseLabeled(t *testing.T) {
+	_, main := newVM(t)
+	tag, err := main.CreateTag()
+	if err != nil {
+		t.Fatal(err)
+	}
+	secret := difc.Labels{S: difc.NewLabel(tag)}
+	var obj, arr *Object
+	err = main.Secure(secret, difc.EmptyCapSet, func(r *Region) {
+		obj = r.Alloc(nil)
+		r.Set(obj, "pw", "hunter2")
+		arr = r.AllocArray(2, nil)
+		r.SetIndex(arr, 0, "hunter2")
+	}, func(_ *Region, e any) { t.Fatalf("region refused: %v", e) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	refused := func(where, op string, f func() any) {
+		t.Helper()
+		var got any
+		var v *Violation
+		func() {
+			defer func() {
+				e := recover()
+				v, _ = e.(*Violation)
+			}()
+			got = f()
+		}()
+		if v == nil || v.Op != op {
+			t.Errorf("%s: %s on a labeled object returned %v, want a *Violation", where, op, got)
+		}
+	}
+	try := func(where string) {
+		t.Helper()
+		refused(where, "rawGet", func() any { return obj.RawGet("pw") })
+		refused(where, "rawSet", func() any { obj.RawSet("pw", "public"); return nil })
+		refused(where, "rawIndex", func() any { return arr.RawIndex(0) })
+		refused(where, "rawSetIndex", func() any { arr.RawSetIndex(0, "public"); return nil })
+	}
+	try("outside a region")
+	err = main.Secure(secret, difc.EmptyCapSet, func(r *Region) {
+		try("inside a region")
+		if got := r.Get(obj, "pw"); got != "hunter2" {
+			t.Errorf("refused RawSet changed the field: %v", got)
+		}
+		if got := r.Index(arr, 0); got != "hunter2" {
+			t.Errorf("refused RawSetIndex changed the element: %v", got)
+		}
+	}, func(_ *Region, e any) { t.Fatalf("region refused: %v", e) })
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestDynamicWriteBarrierOutside(t *testing.T) {
 	_, main := newVM(t)
 	a, _ := main.CreateTag()

@@ -139,8 +139,9 @@ func TestConcurrentRegionsStress(t *testing.T) {
 	}
 	// Each object was incremented by its owner and its left neighbor:
 	// 2 × nOps/2 increments each. (Increments are not atomic across
-	// regions — the mutex serializes the field map, not the read-modify-
-	// write — so just check the objects remain readable and labeled.)
+	// regions — writers serialize each field write, not the
+	// read-modify-write — so just check the objects remain readable and
+	// labeled.)
 	total := 0
 	for i := 0; i < nThreads; i++ {
 		main.Secure(difc.Labels{S: difc.NewLabel(tags[i])}, difc.EmptyCapSet, func(r *Region) {

@@ -3,6 +3,7 @@ package rt
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"laminar/internal/difc"
 )
@@ -16,24 +17,32 @@ import (
 //
 // An Object has named fields and an optional array part, enough to model
 // the Java objects and arrays the paper instruments. The named fields are
-// a flat slice of slots, allocated on the first write and searched
-// linearly: every object in the repo holds at most a few fixed names (a
-// Java object's field count is fixed by its class), so a scan costs less
-// than hashing the name and the object pays nothing at rest for a map it
-// never fills (DESIGN.md §2).
+// a list of immutable slots published through one atomic pointer, empty
+// until the first write and searched linearly: every object in the repo
+// holds at most a few fixed names (a Java object's field count is fixed
+// by its class), so a scan costs less than hashing the name and the
+// object pays nothing at rest for a map it never fills (DESIGN.md §2).
+//
+// A field read takes no lock: it loads the head and scans, so a barrier
+// is a label check followed by a plain load, as in the paper. Writers
+// serialize on mu and never change a slot a reader can reach: a write
+// builds the slots it changes and publishes them with one atomic store,
+// since an interface value written in place could tear under a
+// concurrent read. The array part is read and written under mu.
 type Object struct {
 	labels  difc.Labels
 	labeled bool
 
-	mu     sync.Mutex
-	fields []slot
+	mu     sync.Mutex // serializes field writers; guards elems
+	fields atomic.Pointer[slot]
 	elems  []any
 }
 
-// slot is one named field.
+// slot is one named field. A slot never changes once published.
 type slot struct {
 	name  string
 	value any
+	next  *slot
 }
 
 // Violation is the panic payload for a DIFC check failure inside a
@@ -66,29 +75,49 @@ func (o *Object) Len() int {
 	return len(o.elems)
 }
 
-// rawGet reads a field without barriers (unsecured baseline and trusted
-// declassifier internals).
+// rawGet reads a field without barriers (unsecured baseline, trusted
+// declassifier internals, and the load behind every checked read).
 func (o *Object) rawGet(field string) any {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	for i := range o.fields {
-		if o.fields[i].name == field {
-			return o.fields[i].value
+	for s := o.fields.Load(); s != nil; s = s.next {
+		if s.name == field {
+			return s.value
 		}
 	}
 	return nil
 }
 
+// rawSet publishes a new value for field. A new name is one slot pushed
+// on the head; an existing name gets a new slot, behind copies of the
+// slots before it, and shares the rest.
 func (o *Object) rawSet(field string, v any) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	for i := range o.fields {
-		if o.fields[i].name == field {
-			o.fields[i].value = v
+	head := o.fields.Load()
+	n := 0
+	for s := head; s != nil; s = s.next {
+		if s.name == field {
+			o.fields.Store(cloneSlots(head, n, &slot{name: field, value: v, next: s.next}))
 			return
 		}
+		n++
 	}
-	o.fields = append(o.fields, slot{field, v})
+	o.fields.Store(&slot{name: field, value: v, next: head})
+}
+
+// cloneSlots copies the first n slots of the list at head into fresh
+// slots, in one allocation, and links the last copy to tail.
+func cloneSlots(head *slot, n int, tail *slot) *slot {
+	if n == 0 {
+		return tail
+	}
+	cp := make([]slot, n)
+	for i, s := 0, head; i < n; i, s = i+1, s.next {
+		cp[i] = slot{name: s.name, value: s.value, next: tail}
+		if i > 0 {
+			cp[i-1].next = &cp[i]
+		}
+	}
+	return &cp[0]
 }
 
 func (o *Object) rawIndex(i int) any {
@@ -103,19 +132,43 @@ func (o *Object) rawSetIndex(i int, v any) {
 	o.elems[i] = v
 }
 
-// RawGet is the barrier-free field read used by unsecured application
-// variants (the Figure 9 baselines). It performs the same locking as the
-// checked path so overhead comparisons isolate the security checks.
-func (o *Object) RawGet(field string) any { return o.rawGet(field) }
+// The raw accessors are the barrier-free reads and writes used by
+// unsecured application variants (the Figure 9 baselines) and by trusted
+// code moving values between unlabeled objects. They check no flow, so
+// they serve unlabeled objects only: on a labeled object each raises a
+// *Violation instead of touching it (fail closed), inside a region or
+// outside. RawGet reads through the same lock-free rawGet as the checked
+// read, so overhead comparisons isolate the security checks.
 
-// RawSet is the barrier-free field write (unsecured baselines).
-func (o *Object) RawSet(field string, v any) { o.rawSet(field, v) }
+// RawGet is the barrier-free field read.
+func (o *Object) RawGet(field string) any {
+	o.refuseLabeled("rawGet")
+	return o.rawGet(field)
+}
 
-// RawIndex is the barrier-free element read (unsecured baselines).
-func (o *Object) RawIndex(i int) any { return o.rawIndex(i) }
+// RawSet is the barrier-free field write.
+func (o *Object) RawSet(field string, v any) {
+	o.refuseLabeled("rawSet")
+	o.rawSet(field, v)
+}
 
-// RawSetIndex is the barrier-free element write (unsecured baselines).
-func (o *Object) RawSetIndex(i int, v any) { o.rawSetIndex(i, v) }
+// RawIndex is the barrier-free element read.
+func (o *Object) RawIndex(i int) any {
+	o.refuseLabeled("rawIndex")
+	return o.rawIndex(i)
+}
+
+// RawSetIndex is the barrier-free element write.
+func (o *Object) RawSetIndex(i int, v any) {
+	o.refuseLabeled("rawSetIndex")
+	o.rawSetIndex(i, v)
+}
+
+func (o *Object) refuseLabeled(op string) {
+	if o.labeled {
+		panic(&Violation{Op: op, Err: fmt.Errorf("raw access to labeled object %v", o.labels)})
+	}
+}
 
 // --- allocation ---
 
@@ -179,13 +232,16 @@ func (r *Region) CopyAndLabel(o *Object, labels difc.Labels) *Object {
 	r.act("copyAndLabel")
 	r.check("copyAndLabel", difc.CheckChangeLabels("copyAndLabel", o.labels, labels, r.caps))
 	r.thread.vm.emit(Event{Kind: EvCopyAndLabel, Thread: uint64(r.thread.task.TID), Labels: r.labels, From: o.labels, To: labels})
+	// Under mu, so the copy's fields and elements come from one instant.
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	cp := &Object{labels: labels, labeled: !labels.IsEmpty()}
-	if o.fields != nil {
-		cp.fields = make([]slot, len(o.fields))
-		copy(cp.fields, o.fields)
+	head := o.fields.Load()
+	n := 0
+	for s := head; s != nil; s = s.next {
+		n++
 	}
+	cp.fields.Store(cloneSlots(head, n, nil)) // no slot shared with o
 	if o.elems != nil {
 		cp.elems = make([]any, len(o.elems))
 		copy(cp.elems, o.elems)

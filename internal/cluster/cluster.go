@@ -28,7 +28,9 @@ import (
 // Logical-tick timing: the failure detector's default silence
 // thresholds, the ping period, and the stats broadcast period (every 8th
 // tick — frequent enough for tick-driven tests, cheap enough to ride
-// along).
+// along). heartbeatEvery is the period at the default thresholds; a
+// longer SuspectAfter stretches the period of pings to alive members in
+// proportion (Cluster.alivePingEvery).
 const (
 	defaultSuspectAfter = 5
 	defaultDeadAfter    = 12
@@ -89,6 +91,13 @@ type Cluster struct {
 	stats       map[uint64]peerStats  // latest snapshot heard per peer
 	budgetFacts map[uint64]peerBudget // latest budget facts heard per peer
 
+	// alivePingEvery is the ping period for members held alive, in
+	// ticks: heartbeatEvery scaled by SuspectAfter/defaultSuspectAfter
+	// and rounded down to whole heartbeat periods, so an alive member
+	// hears us as often, relative to its detector window, as at the
+	// default thresholds. Suspects are pinged every heartbeatEvery.
+	alivePingEvery uint64
+
 	relays    []*relay
 	draining  bool
 	joined    bool
@@ -111,11 +120,13 @@ func New(cfg Config) *Cluster {
 	if cfg.DeadAfter <= cfg.SuspectAfter {
 		cfg.DeadAfter = cfg.SuspectAfter + defaultDeadAfter - defaultSuspectAfter
 	}
+	every := uint64(cfg.SuspectAfter) * heartbeatEvery / defaultSuspectAfter
 	c := &Cluster{
-		cfg:     cfg,
-		rec:     cfg.Recorder,
-		members: make(map[uint64]*member),
-		changes: make(map[uint64]*Change),
+		cfg:            cfg,
+		rec:            cfg.Recorder,
+		members:        make(map[uint64]*member),
+		changes:        make(map[uint64]*Change),
+		alivePingEvery: max(heartbeatEvery, every-every%heartbeatEvery),
 	}
 	c.node = netlabel.NewNode(netlabel.Config{
 		Kernel:   cfg.Kernel,
@@ -239,8 +250,9 @@ func (c *Cluster) onControl(peerID uint64, payload []byte) {
 	var replyTo string
 	switch m.Type {
 	case msgPing:
-		c.observe(m.From, m.Epoch, m.Addr)
+		sender := c.observe(m.From, m.Epoch, m.Addr)
 		c.gossip(m.Members)
+		c.answerSuspicion(sender, m.Members)
 	case msgJoinReq:
 		c.observe(m.From, m.Epoch, m.Addr)
 		reply = encodeCtrl(ctrlMsg{Type: msgJoinAck, From: c.cfg.ID, Epoch: c.epoch,

@@ -66,14 +66,22 @@ func tickUntil(t *testing.T, cond func() bool, nodes ...*testClusterNode) {
 // full mutual convergence.
 func formCluster(t *testing.T, n int) []*testClusterNode {
 	t.Helper()
-	nodes := []*testClusterNode{bootCluster(t, Config{ID: 1})}
+	return formClusterWindow(t, n, 0, 0)
+}
+
+// formClusterWindow is formCluster with the detector thresholds given
+// (zero takes the defaults).
+func formClusterWindow(t *testing.T, n, suspectAfter, deadAfter int) []*testClusterNode {
+	t.Helper()
+	nodes := []*testClusterNode{bootCluster(t, Config{ID: 1, SuspectAfter: suspectAfter, DeadAfter: deadAfter})}
 	if _, err := nodes[0].cl.Join(); err != nil {
 		t.Fatal(err)
 	}
 	seed := nodes[0].cl.Addr()
 	ids := []uint64{1}
 	for i := 2; i <= n; i++ {
-		nd := bootCluster(t, Config{ID: uint64(i), Seeds: []string{seed}})
+		nd := bootCluster(t, Config{ID: uint64(i), Seeds: []string{seed},
+			SuspectAfter: suspectAfter, DeadAfter: deadAfter})
 		if _, err := nd.cl.Join(); err != nil {
 			t.Fatal(err)
 		}

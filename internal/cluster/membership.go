@@ -54,6 +54,7 @@ type member struct {
 	addr      string
 	epoch     uint64
 	state     MemberState
+	owed      bool   // its last ping did not list us alive: our next heartbeat pings it
 	lastHeard uint64 // tick of the last direct message
 }
 
@@ -193,19 +194,52 @@ func (c *Cluster) detect() {
 	}
 }
 
-// heartbeat sends a ping (with full membership gossip) to every member
-// not yet declared dead. Send failures are silence — the peer's detector
-// handles them. locked on entry; unlocks around the sends.
-func (c *Cluster) heartbeat() {
-	msg := encodeCtrl(ctrlMsg{Type: msgPing, From: c.cfg.ID, Epoch: c.epoch,
-		Addr: c.node.Addr(), Members: c.memberWireLocked()})
+// answerSuspicion marks sender owed a ping when the membership its ping
+// carried does not list us alive. Its detector suspects us, or knows us
+// only by gossip, and only a message from us clears that; the stretched
+// alive period would otherwise leave it suspecting us for up to
+// alivePingEvery ticks. locked.
+func (c *Cluster) answerSuspicion(sender *member, gossiped []memberWire) {
+	if sender == nil {
+		return
+	}
+	for _, e := range gossiped {
+		if e.ID == c.cfg.ID {
+			sender.owed = e.State != StateAlive
+			return
+		}
+	}
+	sender.owed = true
+}
+
+// heartbeatTargets picks the members this heartbeat pings, sorted by
+// address: every suspect, and the alive members on alive-ping ticks or
+// when owed a ping. At the default thresholds every heartbeat is an
+// alive-ping tick, so every member not yet declared dead is pinged.
+// locked.
+func (c *Cluster) heartbeatTargets() []string {
+	aliveTick := c.now%c.alivePingEvery == 0
 	targets := make([]string, 0, len(c.members))
 	for _, m := range c.members {
-		if m.state != StateDead {
+		if m.state == StateSuspect || (m.state == StateAlive && (aliveTick || m.owed)) {
 			targets = append(targets, m.addr)
+			m.owed = false
 		}
 	}
 	sort.Strings(targets)
+	return targets
+}
+
+// heartbeat sends a ping (with full membership gossip) to the members
+// heartbeatTargets picks. Send failures are silence — the peer's
+// detector handles them. locked on entry; unlocks around the sends.
+func (c *Cluster) heartbeat() {
+	targets := c.heartbeatTargets()
+	if len(targets) == 0 {
+		return
+	}
+	msg := encodeCtrl(ctrlMsg{Type: msgPing, From: c.cfg.ID, Epoch: c.epoch,
+		Addr: c.node.Addr(), Members: c.memberWireLocked()})
 	c.mu.Unlock()
 	for _, addr := range targets {
 		c.node.SendControl(addr, msg)

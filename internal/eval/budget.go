@@ -37,7 +37,6 @@ package eval
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 	"strings"
 	"time"
 
@@ -201,11 +200,6 @@ func runBudgetRelabel(cycles int) (wall map[string]time.Duration, overhead, char
 			batches[budgeted] = append(batches[budgeted], float64(d))
 		}
 		ratios = append(ratios, float64(times[true])/float64(times[false]))
-	}
-	median := func(xs []float64) float64 {
-		s := append([]float64(nil), xs...)
-		sort.Float64s(s)
-		return s[len(s)/2]
 	}
 	overhead = median(ratios)
 	chargeNs = (median(batches[true]) - median(batches[false])) / relabelBatch

@@ -36,6 +36,14 @@ func medianTime(trials int, f func()) time.Duration {
 	return ds[trials/2]
 }
 
+// median returns the middle value of xs (the upper one of an even
+// count), leaving xs unsorted.
+func median(xs []float64) float64 {
+	s := append([]float64(nil), xs...)
+	sort.Float64s(s)
+	return s[len(s)/2]
+}
+
 // errNoTrials: a best-of over no runs has no value, and reporting one
 // would put +Inf rates, and gate verdicts computed from them, in a report.
 var errNoTrials = errors.New("best of zero trials: trials must be at least 1")

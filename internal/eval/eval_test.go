@@ -255,9 +255,12 @@ func TestRegionDensityShape(t *testing.T) {
 	if lo.PctInside != 0 || hi.PctInside != 100 {
 		t.Fatalf("sweep endpoints = %d%%..%d%%", lo.PctInside, hi.PctInside)
 	}
-	if hi.Overhead <= lo.Overhead {
-		t.Errorf("density curve flat or inverted: 0%% -> %.1f%%, 100%% -> %.1f%%",
-			lo.Overhead, hi.Overhead)
+	// Decided from paired rounds (the median of the per-round
+	// differences), not from the two best-of rows: host drift between
+	// the rows' fastest runs cannot invert it.
+	if rep.Gap <= 0 {
+		t.Errorf("density curve flat or inverted: 100%% minus 0%% overhead = %+.1f points over paired rounds (best-of rows 0%% -> %.1f%%, 100%% -> %.1f%%)",
+			rep.Gap, lo.Overhead, hi.Overhead)
 	}
 	if !strings.Contains(rep.Format(), "inside-50%") {
 		t.Error("Format missing sweep point")

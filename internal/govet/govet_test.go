@@ -28,8 +28,8 @@ func runOne(t *testing.T, a *govet.Analyzer, src string) []govet.Finding {
 func TestLockOrderFlagsInversion(t *testing.T) {
 	src := `package kernel
 func (k *K) bad(t *Task, i *Inode, f *File) {
-	defer k.lockInode(i)()
-	defer k.lockFile(f)()
+	defer k.lockInode(i).Unlock()
+	defer k.lockFile(f).Unlock()
 }
 `
 	fs := runOne(t, govet.LockOrder, src)
@@ -41,9 +41,9 @@ func (k *K) bad(t *Task, i *Inode, f *File) {
 func TestLockOrderAcceptsDocumentedOrder(t *testing.T) {
 	src := `package kernel
 func (k *K) good(t *Task, i *Inode, f *File) {
-	defer k.begin(t)()
-	defer k.lockFile(f)()
-	defer k.lockInode(i)()
+	defer k.begin(t).Unlock()
+	defer k.lockFile(f).Unlock()
+	defer k.lockInode(i).Unlock()
 }
 `
 	if fs := runOne(t, govet.LockOrder, src); len(fs) != 0 {
@@ -56,9 +56,9 @@ func TestLockOrderAssignedFormNotHeld(t *testing.T) {
 	// holder for later acquisitions.
 	src := `package kernel
 func (k *K) early(t *Task, i *Inode) {
-	unlock := k.lockInode(i)
-	unlock()
-	defer k.begin(t)()
+	held := k.lockInode(i)
+	held.Unlock()
+	defer k.begin(t).Unlock()
 }
 `
 	if fs := runOne(t, govet.LockOrder, src); len(fs) != 0 {
@@ -69,9 +69,9 @@ func (k *K) early(t *Task, i *Inode) {
 func TestLockOrderDirectiveSuppresses(t *testing.T) {
 	src := `package kernel
 func (k *K) odd(t *Task, i *Inode, f *File) {
-	defer k.lockInode(i)()
+	defer k.lockInode(i).Unlock()
 	//govet:lockorder
-	defer k.lockFile(f)()
+	defer k.lockFile(f).Unlock()
 }
 `
 	if fs := runOne(t, govet.LockOrder, src); len(fs) != 0 {

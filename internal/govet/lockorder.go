@@ -25,11 +25,12 @@ var lockRank = map[string]int{
 var lockRankName = [...]string{1: "task", 2: "file", 3: "inode"}
 
 // LockOrder flags lock acquisitions that appear after a defer-held
-// acquisition of a higher rank in the same function scope. Defer-held
-// locks (`defer k.begin(t)()`) are provably held until the scope
-// returns, so any later lower-rank acquire is an order inversion; the
-// assigned form (`unlock := k.lockInode(i)`) may be released early and
-// is only treated as the later acquire, never the holder.
+// acquisition of a higher rank in the same function scope. Every guard
+// returns the lock it took. Defer-held locks (`defer k.begin(t).Unlock()`)
+// are provably held until the scope returns, so any later lower-rank
+// acquire is an order inversion; the assigned form
+// (`held := k.lockInode(i)`) may be released early and is only treated
+// as the later acquire, never the holder.
 var LockOrder = &Analyzer{
 	Name: "lockorder",
 	Doc:  "lock acquisitions must respect the task→file→inode order",
@@ -78,12 +79,14 @@ func runLockOrder(f *File) []Finding {
 			descend := true
 			switch st := n.(type) {
 			case *ast.DeferStmt:
-				// defer k.begin(t)() — the acquire is the inner call.
-				// Skip children so the inner call is not revisited.
-				if inner, ok := st.Call.Fun.(*ast.CallExpr); ok {
-					call = inner
-					isDefer = true
-					descend = false
+				// defer k.begin(t).Unlock() — the acquire is the
+				// receiver. Skip children so it is not revisited.
+				if sel, ok := st.Call.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "Unlock" {
+					if inner, ok := sel.X.(*ast.CallExpr); ok {
+						call = inner
+						isDefer = true
+						descend = false
+					}
 				}
 			case *ast.CallExpr:
 				call = st

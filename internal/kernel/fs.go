@@ -35,8 +35,13 @@ func (k *Kernel) resolve(t *Task, path string) (*Inode, error) {
 }
 
 // resolveParent resolves everything but the last component, returning the
-// parent directory and the final name. A path ending in "/" or resolving
-// to the walk root returns name == "".
+// parent directory and the final name. Empty and "." components are
+// skipped, so a trailing "/" changes nothing; a path with no components
+// left (such as "/" or ".") returns the walk root with name == "".
+//
+// The walk reads components in place: a component is looked up only
+// once a later one shows it is not the last, so lookups, and with them
+// the permission checks, run in path order with no split slice.
 func (k *Kernel) resolveParent(t *Task, path string) (*Inode, string, error) {
 	if path == "" {
 		return nil, "", ErrNoEnt
@@ -45,36 +50,38 @@ func (k *Kernel) resolveParent(t *Task, path string) (*Inode, string, error) {
 		return nil, "", ErrNameLong
 	}
 	cur := t.Cwd
-	if strings.HasPrefix(path, "/") {
+	if path[0] == '/' {
 		cur = k.root
 	}
 	if cur == nil {
 		return nil, "", ErrNoEnt
 	}
-	parts := make([]string, 0, 8)
-	for _, p := range strings.Split(path, "/") {
+	name := "" // the latest component, not yet looked up
+	for rest := path; rest != ""; {
+		var p string
+		p, rest, _ = strings.Cut(rest, "/")
 		if p == "" || p == "." {
 			continue
 		}
-		parts = append(parts, p)
+		if name != "" {
+			next, err := k.lookup(t, cur, name)
+			if err != nil {
+				return nil, "", err
+			}
+			if !next.IsDir() {
+				return nil, "", ErrNotDir
+			}
+			cur = next
+		}
+		name = p
 	}
-	if len(parts) == 0 {
+	if name == "" {
 		return cur, "", nil
-	}
-	for _, p := range parts[:len(parts)-1] {
-		next, err := k.lookup(t, cur, p)
-		if err != nil {
-			return nil, "", err
-		}
-		if !next.IsDir() {
-			return nil, "", ErrNotDir
-		}
-		cur = next
 	}
 	if !cur.IsDir() {
 		return nil, "", ErrNotDir
 	}
-	return cur, parts[len(parts)-1], nil
+	return cur, name, nil
 }
 
 // lookup finds name in dir, charging the directory-read permission check.
@@ -90,9 +97,9 @@ func (k *Kernel) lookup(t *Task, dir *Inode, name string) (*Inode, error) {
 		}
 		return dir.parent, nil
 	}
-	unlock := k.rlockInode(dir)
+	held := k.rlockInode(dir)
 	child, ok := dir.children[name]
-	unlock()
+	held.Unlock()
 	if !ok {
 		return nil, ErrNoEnt
 	}
@@ -138,7 +145,7 @@ func (k *Kernel) mkdirInternal(dir *Inode, name string) *Inode {
 
 // Stat returns metadata for path.
 func (k *Kernel) Stat(t *Task, path string) (Stat, error) {
-	defer k.begin(t)()
+	defer k.begin(t).Unlock()
 	charge(workStat)
 	if err := k.inject("fs.stat", t); err != nil {
 		return Stat{}, err
@@ -150,15 +157,15 @@ func (k *Kernel) Stat(t *Task, path string) (Stat, error) {
 	if err := k.inodePermission(t, ino, MayRead); err != nil {
 		return Stat{}, hideDenied(err)
 	}
-	unlock := k.rlockInode(ino)
+	held := k.rlockInode(ino)
 	st := Stat{Ino: ino.Ino, Type: ino.Type, Mode: ino.Mode, Size: ino.Size(), Nlink: ino.nlink}
-	unlock()
+	held.Unlock()
 	return st, nil
 }
 
 // Chdir changes the task's working directory.
 func (k *Kernel) Chdir(t *Task, path string) error {
-	defer k.begin(t)()
+	defer k.begin(t).Unlock()
 	ino, err := k.resolve(t, path)
 	if err != nil {
 		return hideDenied(err)
@@ -186,7 +193,7 @@ func (k *Kernel) CreateFileLabeled(t *Task, path string, mode Mode, labels difc.
 }
 
 func (k *Kernel) openLabeled(t *Task, path string, flags OpenFlag, labels *difc.Labels) (FD, error) {
-	defer k.begin(t)()
+	defer k.begin(t).Unlock()
 	charge(workStat) // open path-walk cost; creation charges more below
 	if err := k.inject("fs.open", t); err != nil {
 		return -1, err
@@ -204,11 +211,11 @@ func (k *Kernel) openLabeled(t *Task, path string, flags OpenFlag, labels *difc.
 	created := false
 	var ino *Inode
 	if flags&OCreate != 0 {
-		unlock := k.lockInode(dir)
+		held := k.lockInode(dir)
 		existing, lerr := k.lookupIn(t, dir, name)
 		switch {
 		case lerr == nil:
-			unlock()
+			held.Unlock()
 			if labels != nil {
 				return -1, ErrExist // labeled create requires a fresh file
 			}
@@ -217,12 +224,12 @@ func (k *Kernel) openLabeled(t *Task, path string, flags OpenFlag, labels *difc.
 			ino = newInode(TypeRegular, 0o644)
 			ino.parent = dir
 			if err := k.inodeInitSecurity(t, dir, ino, labels); err != nil {
-				unlock()
+				held.Unlock()
 				return -1, err
 			}
 			// Creating an entry writes the parent directory.
 			if err := k.inodePermission(t, dir, MayWrite); err != nil {
-				unlock()
+				held.Unlock()
 				return -1, err
 			}
 			dir.children[name] = ino
@@ -241,12 +248,12 @@ func (k *Kernel) openLabeled(t *Task, path string, flags OpenFlag, labels *difc.
 				} else {
 					delete(dir.children, name)
 				}
-				unlock()
+				held.Unlock()
 				return -1, perr
 			}
-			unlock()
+			held.Unlock()
 		default:
-			unlock()
+			held.Unlock()
 			// hideDenied must run only on this arm: mapping a read-denial to
 			// ENOENT before the switch would route it into the create arm and
 			// clobber an entry the caller cannot even see.
@@ -280,21 +287,21 @@ func (k *Kernel) openLabeled(t *Task, path string, flags OpenFlag, labels *difc.
 	}
 	f := &File{Inode: ino, Flags: flags}
 	if flags&OTrunc != 0 && ino.Type == TypeRegular {
-		unlock := k.lockInode(ino)
+		held := k.lockInode(ino)
 		ino.data = nil
-		unlock()
+		held.Unlock()
 	}
 	if flags&OAppend != 0 {
-		unlock := k.rlockInode(ino)
+		held := k.rlockInode(ino)
 		f.offset = ino.Size()
-		unlock()
+		held.Unlock()
 	}
 	return t.installFD(f), nil
 }
 
 // Close releases the descriptor.
 func (k *Kernel) Close(t *Task, fd FD) error {
-	defer k.begin(t)()
+	defer k.begin(t).Unlock()
 	if _, err := t.file(fd); err != nil {
 		return err
 	}
@@ -306,7 +313,7 @@ func (k *Kernel) Close(t *Task, fd FD) error {
 // non-blocking: an empty pipe returns ErrAgain, never EOF, because an EOF
 // from an exiting writer would leak information (§5.2).
 func (k *Kernel) Read(t *Task, fd FD, buf []byte) (int, error) {
-	defer k.begin(t)()
+	defer k.begin(t).Unlock()
 	f, err := t.file(fd)
 	if err != nil {
 		return 0, err
@@ -327,7 +334,7 @@ func (k *Kernel) Read(t *Task, fd FD, buf []byte) (int, error) {
 	}
 	// The file lock covers the offset and the lazily attached file blob;
 	// a File may be shared across tasks via DupTo.
-	defer k.lockFile(f)()
+	defer k.lockFile(f).Unlock()
 	if err := k.filePermission(t, f, MayRead); err != nil {
 		return 0, err
 	}
@@ -344,23 +351,23 @@ func (k *Kernel) Read(t *Task, fd FD, buf []byte) (int, error) {
 	switch f.Inode.Type {
 	case TypeRegular:
 		ino := f.Inode
-		unlock := k.rlockInode(ino)
+		held := k.rlockInode(ino)
 		var n int
 		eof := f.offset >= len(ino.data)
 		if !eof {
 			n = copy(buf, ino.data[f.offset:])
 			f.offset += n
 		}
-		unlock()
+		held.Unlock()
 		if eof {
 			return 0, nil // EOF
 		}
 		k.ioWait()
 		return n, nil
 	case TypePipe:
-		unlock := k.lockInode(f.Inode)
+		held := k.lockInode(f.Inode)
 		n := f.Inode.pipe.read(buf)
-		unlock()
+		held.Unlock()
 		if n == 0 {
 			return 0, ErrAgain
 		}
@@ -381,7 +388,7 @@ func (k *Kernel) Read(t *Task, fd FD, buf []byte) (int, error) {
 // check or overflow the buffer are silently dropped: the caller sees
 // success either way (§5.2).
 func (k *Kernel) Write(t *Task, fd FD, data []byte) (int, error) {
-	defer k.begin(t)()
+	defer k.begin(t).Unlock()
 	f, err := t.file(fd)
 	if err != nil {
 		return 0, err
@@ -400,7 +407,7 @@ func (k *Kernel) Write(t *Task, fd FD, data []byte) (int, error) {
 	default:
 		charge(workDeviceIO)
 	}
-	defer k.lockFile(f)()
+	defer k.lockFile(f).Unlock()
 	if f.Inode.Type == TypePipe {
 		// The label check result must not be observable: consult the hook
 		// but report success regardless, dropping the message on a
@@ -415,9 +422,9 @@ func (k *Kernel) Write(t *Task, fd FD, data []byte) (int, error) {
 			delivered = false
 		}
 		if delivered {
-			unlock := k.lockInode(f.Inode)
+			held := k.lockInode(f.Inode)
 			f.Inode.pipe.write(data)
-			unlock()
+			held.Unlock()
 		}
 		return len(data), nil
 	}
@@ -432,7 +439,7 @@ func (k *Kernel) Write(t *Task, fd FD, data []byte) (int, error) {
 		// The offset does not advance — exactly a half-flushed page cache.
 		if err := k.inject("fs.write", t); err != nil {
 			torn := data[:len(data)/2]
-			unlock := k.lockInode(ino)
+			held := k.lockInode(ino)
 			end := f.offset + len(torn)
 			if end > len(ino.data) {
 				grown := make([]byte, end)
@@ -440,10 +447,10 @@ func (k *Kernel) Write(t *Task, fd FD, data []byte) (int, error) {
 				ino.data = grown
 			}
 			copy(ino.data[f.offset:], torn)
-			unlock()
+			held.Unlock()
 			return 0, err
 		}
-		unlock := k.lockInode(ino)
+		held := k.lockInode(ino)
 		end := f.offset + len(data)
 		if end > len(ino.data) {
 			grown := make([]byte, end)
@@ -452,7 +459,7 @@ func (k *Kernel) Write(t *Task, fd FD, data []byte) (int, error) {
 		}
 		copy(ino.data[f.offset:], data)
 		f.offset = end
-		unlock()
+		held.Unlock()
 		k.ioWait()
 		return len(data), nil
 	case TypeDevNull, TypeDevZero:
@@ -480,7 +487,7 @@ func (k *Kernel) Write(t *Task, fd FD, data []byte) (int, error) {
 // boundary — the first half of the chunks land, the rest are lost, the
 // offset does not advance, and the syscall reports the fault.
 func (k *Kernel) WriteVec(t *Task, fd FD, chunks [][]byte) (int, error) {
-	defer k.begin(t)()
+	defer k.begin(t).Unlock()
 	f, err := t.file(fd)
 	if err != nil {
 		return 0, err
@@ -496,7 +503,7 @@ func (k *Kernel) WriteVec(t *Task, fd FD, chunks [][]byte) (int, error) {
 	for _, c := range chunks {
 		total += len(c)
 	}
-	defer k.lockFile(f)()
+	defer k.lockFile(f).Unlock()
 	if f.Inode.Type == TypePipe {
 		charge(len(chunks) * workPipeData)
 		delivered := k.filePermission(t, f, MayWrite) == nil
@@ -507,11 +514,11 @@ func (k *Kernel) WriteVec(t *Task, fd FD, chunks [][]byte) (int, error) {
 			delivered = false
 		}
 		if delivered {
-			unlock := k.lockInode(f.Inode)
+			held := k.lockInode(f.Inode)
 			for _, c := range chunks {
 				f.Inode.pipe.write(c)
 			}
-			unlock()
+			held.Unlock()
 		}
 		return total, nil
 	}
@@ -524,7 +531,7 @@ func (k *Kernel) WriteVec(t *Task, fd FD, chunks [][]byte) (int, error) {
 		ino := f.Inode
 		if err := k.inject("fs.writev", t); err != nil {
 			torn := chunks[:len(chunks)/2]
-			unlock := k.lockInode(ino)
+			held := k.lockInode(ino)
 			off := f.offset
 			for _, c := range torn {
 				end := off + len(c)
@@ -536,10 +543,10 @@ func (k *Kernel) WriteVec(t *Task, fd FD, chunks [][]byte) (int, error) {
 				copy(ino.data[off:], c)
 				off = end
 			}
-			unlock()
+			held.Unlock()
 			return 0, err
 		}
-		unlock := k.lockInode(ino)
+		held := k.lockInode(ino)
 		end := f.offset + total
 		if end > len(ino.data) {
 			grown := make([]byte, end)
@@ -552,7 +559,7 @@ func (k *Kernel) WriteVec(t *Task, fd FD, chunks [][]byte) (int, error) {
 			off += len(c)
 		}
 		f.offset = end
-		unlock()
+		held.Unlock()
 		k.ioWait()
 		return total, nil
 	case TypeDevNull, TypeDevZero:
@@ -564,7 +571,7 @@ func (k *Kernel) WriteVec(t *Task, fd FD, chunks [][]byte) (int, error) {
 
 // Seek resets a regular file's offset.
 func (k *Kernel) Seek(t *Task, fd FD, offset int) error {
-	defer k.begin(t)()
+	defer k.begin(t).Unlock()
 	f, err := t.file(fd)
 	if err != nil {
 		return err
@@ -572,7 +579,7 @@ func (k *Kernel) Seek(t *Task, fd FD, offset int) error {
 	if f.Inode.Type != TypeRegular || offset < 0 {
 		return ErrInval
 	}
-	defer k.lockFile(f)()
+	defer k.lockFile(f).Unlock()
 	f.offset = offset
 	return nil
 }
@@ -580,7 +587,7 @@ func (k *Kernel) Seek(t *Task, fd FD, offset int) error {
 // Unlink removes the entry at path. Removing a name writes the parent
 // directory, and removing the inode requires write access to it.
 func (k *Kernel) Unlink(t *Task, path string) error {
-	defer k.begin(t)()
+	defer k.begin(t).Unlock()
 	charge(workUnlink)
 	if err := k.inject("fs.unlink", t); err != nil {
 		return err
@@ -594,8 +601,7 @@ func (k *Kernel) Unlink(t *Task, path string) error {
 	}
 	// Hold dir's write lock across lookup → checks → delete so the entry
 	// cannot be swapped or re-created between the check and the removal.
-	unlock := k.lockInode(dir)
-	defer unlock()
+	defer k.lockInode(dir).Unlock()
 	ino, err := k.lookupIn(t, dir, name)
 	if err != nil {
 		return hideDenied(err)
@@ -618,9 +624,9 @@ func (k *Kernel) Unlink(t *Task, path string) error {
 		return err
 	}
 	delete(dir.children, name)
-	unlockC := k.lockInode(ino) // parent→child order, dir still held
+	heldC := k.lockInode(ino) // parent→child order, dir still held
 	ino.nlink--
-	unlockC()
+	heldC.Unlock()
 	return nil
 }
 
@@ -635,7 +641,7 @@ func (k *Kernel) MkdirLabeled(t *Task, path string, mode Mode, labels difc.Label
 }
 
 func (k *Kernel) mkdirLabeled(t *Task, path string, mode Mode, labels *difc.Labels) error {
-	defer k.begin(t)()
+	defer k.begin(t).Unlock()
 	charge(workMkdir)
 	if err := k.inject("fs.mkdir", t); err != nil {
 		return err
@@ -647,8 +653,7 @@ func (k *Kernel) mkdirLabeled(t *Task, path string, mode Mode, labels *difc.Labe
 	if name == "" {
 		return ErrExist
 	}
-	unlock := k.lockInode(dir)
-	defer unlock()
+	defer k.lockInode(dir).Unlock()
 	if _, err := k.lookupIn(t, dir, name); err == nil {
 		return ErrExist
 	} else if err != ErrNoEnt {
@@ -676,7 +681,7 @@ func (k *Kernel) mkdirLabeled(t *Task, path string, mode Mode, labels *difc.Labe
 
 // ReadDir lists the entries of the directory at path.
 func (k *Kernel) ReadDir(t *Task, path string) ([]string, error) {
-	defer k.begin(t)()
+	defer k.begin(t).Unlock()
 	charge(workReadDir)
 	if err := k.inject("fs.readdir", t); err != nil {
 		return nil, err
@@ -691,16 +696,16 @@ func (k *Kernel) ReadDir(t *Task, path string) ([]string, error) {
 	if err := k.inodePermission(t, ino, MayRead); err != nil {
 		return nil, hideDenied(err)
 	}
-	unlock := k.rlockInode(ino)
+	held := k.rlockInode(ino)
 	names := ino.childNames()
-	unlock()
+	held.Unlock()
 	return names, nil
 }
 
 // Pipe creates a pipe and returns (read end, write end). The pipe's inode
 // label is initialized from the creating task by the security module.
 func (k *Kernel) Pipe(t *Task) (FD, FD, error) {
-	defer k.begin(t)()
+	defer k.begin(t).Unlock()
 	if err := k.inject("fs.pipe", t); err != nil {
 		return -1, -1, err
 	}
@@ -718,7 +723,7 @@ func (k *Kernel) Pipe(t *Task) (FD, FD, error) {
 // belong to the same simulated process for this to be meaningful; the
 // security hooks still check every subsequent operation.
 func (k *Kernel) DupTo(src *Task, fd FD, dst *Task) (FD, error) {
-	defer k.begin2(src, dst)()
+	defer k.begin2(src, dst).Unlock()
 	f, err := src.file(fd)
 	if err != nil {
 		return -1, err
@@ -730,7 +735,7 @@ func (k *Kernel) DupTo(src *Task, fd FD, dst *Task) (FD, error) {
 
 // GetXattr reads an extended attribute from the inode at path.
 func (k *Kernel) GetXattr(t *Task, path, name string) ([]byte, error) {
-	defer k.begin(t)()
+	defer k.begin(t).Unlock()
 	charge(workXattr)
 	if err := k.inject("fs.xattr", t); err != nil {
 		return nil, err
@@ -742,9 +747,9 @@ func (k *Kernel) GetXattr(t *Task, path, name string) ([]byte, error) {
 	if err := k.inodePermission(t, ino, MayRead); err != nil {
 		return nil, hideDenied(err)
 	}
-	unlock := k.rlockInode(ino)
+	held := k.rlockInode(ino)
 	v, ok := ino.GetXattr(name)
-	unlock()
+	held.Unlock()
 	if !ok {
 		return nil, ErrNoAttr
 	}
@@ -757,7 +762,7 @@ func (k *Kernel) GetXattr(t *Task, path, name string) ([]byte, error) {
 // otherwise the mapping is backed by the open file, and the security
 // module checks the flow implied by prot.
 func (k *Kernel) Mmap(t *Task, length int, prot int, file FD) (uint64, error) {
-	defer k.begin(t)()
+	defer k.begin(t).Unlock()
 	charge(workMmap)
 	if length <= 0 {
 		return 0, ErrInval
@@ -788,7 +793,7 @@ func (k *Kernel) Mmap(t *Task, length int, prot int, file FD) (uint64, error) {
 
 // Munmap removes the mapping starting at addr.
 func (k *Kernel) Munmap(t *Task, addr uint64) error {
-	defer k.begin(t)()
+	defer k.begin(t).Unlock()
 	charge(workMmap / 6)
 	for i := range t.vmas {
 		if t.vmas[i].addr == addr {
@@ -803,7 +808,7 @@ func (k *Kernel) Munmap(t *Task, addr uint64) error {
 // pages not-present, so the next access takes a protection fault — the
 // lat_protfault pattern from lmbench.
 func (k *Kernel) Mprotect(t *Task, addr uint64, prot int) error {
-	defer k.begin(t)()
+	defer k.begin(t).Unlock()
 	for i := range t.vmas {
 		if t.vmas[i].addr == addr {
 			t.vmas[i].prot = prot
@@ -820,7 +825,7 @@ func (k *Kernel) Mprotect(t *Task, addr uint64, prot int) error {
 // intent. It validates the vma, applies the module's mmap check for
 // file-backed pages, and maps the page in.
 func (k *Kernel) PageFault(t *Task, addr uint64, write bool) error {
-	defer k.begin(t)()
+	defer k.begin(t).Unlock()
 	charge(workProtFault)
 	for i := range t.vmas {
 		v := &t.vmas[i]

@@ -102,9 +102,11 @@ func TestEveryHookRunsThroughGate(t *testing.T) {
 }
 
 // TestHookGateAllocs pins the gate's cost discipline: an allowed hook
-// allocates nothing extra whether the kernel has no recorder, a recorder
-// at LevelOff, or one at LevelDeny — only the denial path allocates. The
-// body is a seek and read of a regular file (one FilePermission hook).
+// allocates nothing whether the kernel has no recorder, a recorder at
+// LevelOff, or one at LevelDeny — only the denial path allocates. The
+// body is a seek and read of a regular file (one FilePermission hook),
+// so it also pins the syscall entry, file and inode guards, which
+// return the lock they hold rather than a release closure.
 func TestHookGateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector adds allocations")
@@ -127,8 +129,10 @@ func TestHookGateAllocs(t *testing.T) {
 		}
 	}
 	t.Logf("allocs per seek and read (none, off, deny): %v", allocs)
-	if allocs[1] != allocs[0] || allocs[2] != allocs[0] {
-		t.Fatalf("allowed hook allocates differently by recorder (none, off, deny): %v", allocs)
+	for _, a := range allocs {
+		if a != 0 {
+			t.Fatalf("allowed seek and read allocate (none, off, deny): %v, want 0 each", allocs)
+		}
 	}
 }
 

@@ -166,6 +166,7 @@ func (k *Kernel) killTaskHolding(t *Task) {
 	if t.TID == 1 || !t.exited.CompareAndSwap(false, true) {
 		return
 	}
+	t.proc.threads.Add(-1)
 	t.fds = make(map[FD]*File)
 	if k.sec != nil {
 		k.sec.TaskFree(t)
@@ -187,6 +188,7 @@ func New(opts ...Option) *Kernel {
 	}
 	k.root = newInode(TypeDir, 0o755)
 	init := k.newTask(nil, "root")
+	init.proc.threads.Add(1)
 	k.taskInsert(init)
 	k.nextProc.Store(1)
 	init.Proc = 1
@@ -250,12 +252,12 @@ func (k *Kernel) WalkInodes(fn func(*Inode)) {
 	var walk func(*Inode)
 	walk = func(ino *Inode) {
 		fn(ino)
-		unlock := k.rlockInode(ino)
+		held := k.rlockInode(ino)
 		kids := make([]*Inode, 0, len(ino.children))
 		for _, name := range ino.childNames() {
 			kids = append(kids, ino.children[name])
 		}
-		unlock()
+		held.Unlock()
 		for _, c := range kids {
 			walk(c)
 		}
@@ -267,20 +269,23 @@ func (k *Kernel) WalkInodes(fn func(*Inode)) {
 func (k *Kernel) HookCalls() uint64 { return k.hookCalls.Load() }
 
 // newTask allocates a task without publishing it in the table; callers
-// insert it once fully initialized, so concurrent table readers never see
-// a half-built task.
+// count it in its process and insert it once fully initialized, so
+// concurrent table readers never see a half-built task. A task without a
+// parent starts a process of its own.
 func (k *Kernel) newTask(parent *Task, user string) *Task {
 	t := &Task{
 		TID:  TID(k.nextTID.Add(1)),
 		User: user,
-		k:    k,
 		fds:  make(map[FD]*File),
 	}
-	if parent != nil {
+	if parent == nil {
+		t.proc = &process{k: k}
+	} else {
 		t.Parent = parent.TID
 		t.Proc = parent.Proc
 		t.Cwd = parent.Cwd
 		t.User = parent.User
+		t.proc = parent.proc
 	}
 	return t
 }
@@ -289,20 +294,6 @@ func (k *Kernel) newTask(parent *Task, user string) *Task {
 func (k *Kernel) InitTask() *Task {
 	t, _ := k.taskLookup(1)
 	return t
-}
-
-// TasksInProc counts live tasks in the given process — the security
-// module uses it to restrict label changes in multithreaded processes
-// without a trusted VM (§4.1). It reads only the task-table shards plus
-// per-task atomics, so hooks may call it while holding task locks.
-func (k *Kernel) TasksInProc(proc uint64) int {
-	n := 0
-	k.taskRange(func(t *Task) {
-		if t.Proc == proc && !t.exited.Load() {
-			n++
-		}
-	})
-	return n
 }
 
 // Task looks up a live task by TID.
@@ -329,7 +320,7 @@ func (k *Kernel) Spawn(parent *Task, keep []Capability) (*Task, error) {
 }
 
 func (k *Kernel) fork(parent *Task, keep []Capability, newProc bool) (*Task, error) {
-	defer k.begin(parent)()
+	defer k.begin(parent).Unlock()
 	charge(workFork)
 	if parent.exited.Load() {
 		return nil, ErrSrch
@@ -340,12 +331,16 @@ func (k *Kernel) fork(parent *Task, keep []Capability, newProc bool) (*Task, err
 	child := k.newTask(parent, parent.User)
 	if newProc {
 		child.Proc = k.nextProc.Add(1)
+		child.proc = &process{k: k}
 	}
 	if err := k.taskAlloc(parent, child, keep); err != nil {
 		return nil, err
 	}
 	// Publish only after the security blob is attached: table readers
-	// (TasksInProc, Kill) must never see a half-built task.
+	// (Kill, DropLabelTCB) must never see a half-built task. Count the
+	// child first, so ThreadsInProc never reads below the published,
+	// unexited tasks of the process and the §4.1 refusal never opens.
+	child.proc.threads.Add(1)
 	k.taskInsert(child)
 	return child, nil
 }
@@ -354,7 +349,7 @@ func (k *Kernel) fork(parent *Task, keep []Capability, newProc bool) (*Task, err
 // dropped) after the security module approves executing the file at path.
 // Labels and capabilities persist across exec, as in Laminar.
 func (k *Kernel) Exec(t *Task, path string) error {
-	defer k.begin(t)()
+	defer k.begin(t).Unlock()
 	charge(workExec)
 	if err := k.inject("task.exec", t); err != nil {
 		return err
@@ -378,10 +373,11 @@ func (k *Kernel) Exec(t *Task, path string) error {
 // boundaries (termination-channel hygiene, §4.3.3): there is no wait
 // syscall that reports status to arbitrary tasks.
 func (k *Kernel) Exit(t *Task) {
-	defer k.begin(t)()
+	defer k.begin(t).Unlock()
 	if !t.exited.CompareAndSwap(false, true) {
 		return
 	}
+	t.proc.threads.Add(-1)
 	t.fds = make(map[FD]*File)
 	if k.sec != nil {
 		k.sec.TaskFree(t)
@@ -394,7 +390,7 @@ func (k *Kernel) Kill(t *Task, target TID, sig Signal) error {
 	// The table lookup takes only shard locks, so it happens before the
 	// task locks; liveness is re-checked once they are held.
 	dst, _ := k.taskLookup(target)
-	defer k.begin2(t, dst)()
+	defer k.begin2(t, dst).Unlock()
 	charge(workSignal)
 	if err := k.inject("task.kill", t); err != nil {
 		return err
@@ -411,7 +407,7 @@ func (k *Kernel) Kill(t *Task, target TID, sig Signal) error {
 
 // SigPending drains and returns the task's pending signals.
 func (k *Kernel) SigPending(t *Task) []Signal {
-	defer k.begin(t)()
+	defer k.begin(t).Unlock()
 	out := t.sigs
 	t.sigs = nil
 	return out
@@ -425,7 +421,7 @@ func (k *Kernel) AllocTag(t *Task) (difc.Tag, error) {
 	if k.sec == nil {
 		return difc.InvalidTag, ErrNoSys
 	}
-	defer k.begin(t)()
+	defer k.begin(t).Unlock()
 	var tag difc.Tag
 	err := k.gate("hook.AllocTag", "alloc_tag", t, 0, false, func() (e error) {
 		tag, e = k.sec.AllocTag(t)
@@ -439,7 +435,7 @@ func (k *Kernel) SetTaskLabel(t *Task, typ LabelType, l difc.Label) error {
 	if k.sec == nil {
 		return ErrNoSys
 	}
-	defer k.begin(t)()
+	defer k.begin(t).Unlock()
 	// Denying a label change is safe in both directions: a refused raise
 	// blocks the caller from reading up; a refused clear keeps taint.
 	return k.gate("hook.SetTaskLabel", "set_task_label", t, 0, true, func() error {
@@ -457,7 +453,7 @@ func (k *Kernel) DropLabelTCB(t *Task, target TID) error {
 	if !ok || dst.exited.Load() {
 		return ErrSrch
 	}
-	defer k.begin2(t, dst)()
+	defer k.begin2(t, dst).Unlock()
 	if dst.exited.Load() {
 		return ErrSrch
 	}
@@ -472,7 +468,7 @@ func (k *Kernel) DropCapabilities(t *Task, caps []Capability, tmp bool) error {
 	if k.sec == nil {
 		return ErrNoSys
 	}
-	defer k.begin(t)()
+	defer k.begin(t).Unlock()
 	return k.gate("hook.DropCapabilities", "drop_capabilities", t, 0, false, func() error {
 		return k.sec.DropCapabilities(t, caps, tmp)
 	})
@@ -483,7 +479,7 @@ func (k *Kernel) RestoreCapabilities(t *Task) error {
 	if k.sec == nil {
 		return ErrNoSys
 	}
-	defer k.begin(t)()
+	defer k.begin(t).Unlock()
 	return k.gate("hook.RestoreCapabilities", "restore_capabilities", t, 0, false, func() error {
 		return k.sec.RestoreCapabilities(t)
 	})
@@ -495,7 +491,7 @@ func (k *Kernel) WriteCapability(t *Task, cap Capability, fd FD) error {
 	if k.sec == nil {
 		return ErrNoSys
 	}
-	defer k.begin(t)()
+	defer k.begin(t).Unlock()
 	f, err := t.file(fd)
 	if err != nil {
 		return err
@@ -505,7 +501,7 @@ func (k *Kernel) WriteCapability(t *Task, cap Capability, fd FD) error {
 	}
 	// The module's implementation queues the capability on the pipe
 	// inode, so the pipe-state lock is held across the hook.
-	defer k.lockInode(f.Inode)()
+	defer k.lockInode(f.Inode).Unlock()
 	return k.gate("hook.WriteCapability", "write_capability", t, uint64(f.Inode.Ino), true, func() error {
 		return k.sec.WriteCapability(t, cap, f)
 	})
@@ -516,7 +512,7 @@ func (k *Kernel) ReadCapability(t *Task, fd FD) (Capability, error) {
 	if k.sec == nil {
 		return Capability{}, ErrNoSys
 	}
-	defer k.begin(t)()
+	defer k.begin(t).Unlock()
 	f, err := t.file(fd)
 	if err != nil {
 		return Capability{}, err
@@ -524,7 +520,7 @@ func (k *Kernel) ReadCapability(t *Task, fd FD) (Capability, error) {
 	if f.Inode.Type != TypePipe {
 		return Capability{}, ErrInval
 	}
-	defer k.lockInode(f.Inode)()
+	defer k.lockInode(f.Inode).Unlock()
 	var c Capability
 	err = k.gate("hook.ReadCapability", "read_capability", t, uint64(f.Inode.Ino), true, func() (e error) {
 		c, e = k.sec.ReadCapability(t, f)

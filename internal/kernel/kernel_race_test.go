@@ -358,15 +358,15 @@ func TestForkExitChurnTaskTable(t *testing.T) {
 	})
 	// Every task left in the table must be either init or a survivor.
 	count := 0
-	k.taskRange(func(task *Task) {
+	for _, task := range tableTasks(k) {
 		count++
 		if task.TID == 1 {
-			return
+			continue
 		}
 		if _, ok := survivors.Load(task.TID); !ok {
 			t.Errorf("task %d in table but neither init nor survivor", task.TID)
 		}
-	})
+	}
 	want := 1
 	survivors.Range(func(_, _ any) bool { want++; return true })
 	if count != want {

@@ -37,8 +37,9 @@ import (
 // are only mutated under that task's lock (own-task syscalls, begin2 for
 // cross-task ones, WithTasksLocked for the VM runtime's trusted path).
 //
-// The counters nextTID/nextProc/hookCalls and the flags Task.exited are
-// atomics, readable without any lock in both modes.
+// The counters nextTID/nextProc/hookCalls, the flags Task.exited and the
+// per-process live-thread counts (process.threads) are atomics, readable
+// without any lock in both modes.
 
 // lockMode selects the concurrency discipline for one kernel instance.
 type lockMode uint8
@@ -91,21 +92,30 @@ type InodePrimer interface {
 
 // --- syscall entry guards -------------------------------------------------
 
-// nopUnlock is returned by guards that had nothing to lock.
-func nopUnlock() {}
+// Every guard returns the lock it took, so a caller releases it with
+// `defer k.begin(t).Unlock()` or a later `held.Unlock()`. A pointer to a
+// mutex (or the RWMutex's own RLocker view) fits in an interface without
+// boxing, so no guard allocates; a method value or closure as the
+// release would cost a heap object per syscall.
 
-// begin enters a syscall on behalf of t and returns the matching unlock.
+// noLock is what begin returns when there is no task to lock.
+type noLock struct{}
+
+func (noLock) Lock()   {}
+func (noLock) Unlock() {}
+
+// begin enters a syscall on behalf of t and returns the lock it holds.
 // Big-lock mode: the big kernel lock. Sharded mode: t's task lock, held
 // for the whole syscall (a task is a thread; its syscalls are serial by
 // construction, so this is uncontended unless tests share a Task across
 // goroutines — which the task lock makes safe too).
-func (k *Kernel) begin(t *Task) func() {
+func (k *Kernel) begin(t *Task) sync.Locker {
 	if k.mode == lockBig {
 		k.mu.Lock()
-		return k.mu.Unlock
+		return &k.mu
 	}
 	if t == nil {
-		return nopUnlock
+		return noLock{}
 	}
 	// With telemetry active, a failed TryLock counts as one contended
 	// syscall entry before falling back to the blocking acquire. The
@@ -115,25 +125,38 @@ func (k *Kernel) begin(t *Task) func() {
 			rec.M.LockContention.Inc(uint64(t.TID))
 			t.mu.Lock()
 		}
-		return t.mu.Unlock
+		return &t.mu
 	}
 	t.mu.Lock()
-	return t.mu.Unlock
+	return &t.mu
+}
+
+// taskPair is the entry guard of a syscall that touches two tasks: the
+// locks begin2 took, released inner first. hi is nil when one lock
+// covers both tasks.
+type taskPair struct{ lo, hi sync.Locker }
+
+// Unlock releases the pair.
+func (p taskPair) Unlock() {
+	if p.hi != nil {
+		p.hi.Unlock()
+	}
+	p.lo.Unlock()
 }
 
 // begin2 enters a syscall that touches two tasks (kill, dup-to,
 // drop_label_tcb). Locks are taken in ascending TID order so concurrent
 // cross-task syscalls cannot deadlock.
-func (k *Kernel) begin2(a, b *Task) func() {
+func (k *Kernel) begin2(a, b *Task) taskPair {
 	if k.mode == lockBig {
 		k.mu.Lock()
-		return k.mu.Unlock
+		return taskPair{lo: &k.mu}
 	}
 	switch {
 	case b == nil || a == b:
-		return k.begin(a)
+		return taskPair{lo: k.begin(a)}
 	case a == nil:
-		return k.begin(b)
+		return taskPair{lo: k.begin(b)}
 	}
 	lo, hi := a, b
 	if lo.TID > hi.TID {
@@ -141,10 +164,7 @@ func (k *Kernel) begin2(a, b *Task) func() {
 	}
 	lo.mu.Lock()
 	hi.mu.Lock()
-	return func() {
-		hi.mu.Unlock()
-		lo.mu.Unlock()
-	}
+	return taskPair{lo: &lo.mu, hi: &hi.mu}
 }
 
 // WithTasksLocked runs fn with the syscall-entry locks of a and b held —
@@ -152,7 +172,7 @@ func (k *Kernel) begin2(a, b *Task) func() {
 // module methods (SetLabelTCB) directly rather than through a syscall.
 // Either task may be nil.
 func (k *Kernel) WithTasksLocked(a, b *Task, fn func()) {
-	defer k.begin2(a, b)()
+	defer k.begin2(a, b).Unlock()
 	fn()
 }
 
@@ -162,19 +182,19 @@ func (k *Kernel) WithTasksLocked(a, b *Task, fn func()) {
 // big-lock mode they are uncontended by construction, and sharing one
 // code path is what makes the serial kernel a meaningful oracle.
 
-func (k *Kernel) lockInode(i *Inode) func() {
+func (k *Kernel) lockInode(i *Inode) sync.Locker {
 	i.mu.Lock()
-	return i.mu.Unlock
+	return &i.mu
 }
 
-func (k *Kernel) rlockInode(i *Inode) func() {
+func (k *Kernel) rlockInode(i *Inode) sync.Locker {
 	i.mu.RLock()
-	return i.mu.RUnlock
+	return i.mu.RLocker()
 }
 
-func (k *Kernel) lockFile(f *File) func() {
+func (k *Kernel) lockFile(f *File) sync.Locker {
 	f.mu.Lock()
-	return f.mu.Unlock
+	return &f.mu
 }
 
 // --- sharded task table ---------------------------------------------------
@@ -217,17 +237,4 @@ func (k *Kernel) taskDelete(tid TID) {
 	sh.mu.Lock()
 	delete(sh.m, tid)
 	sh.mu.Unlock()
-}
-
-// taskRange visits every live table entry. The callback runs under the
-// shard's read lock and must not acquire task locks (lock order).
-func (k *Kernel) taskRange(fn func(*Task)) {
-	for i := range k.shards {
-		sh := &k.shards[i]
-		sh.mu.RLock()
-		for _, t := range sh.m {
-			fn(t)
-		}
-		sh.mu.RUnlock()
-	}
 }

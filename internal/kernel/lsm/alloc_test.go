@@ -9,8 +9,9 @@ import (
 // labeledCreateAllocs is the allocation count of one labeled create,
 // close and unlink cycle. The create persists a two-tag label record
 // through the shadow-write + flip protocol, so the pin covers the
-// record store's write path as the file-churn workload drives it.
-const labeledCreateAllocs = 17
+// record store's write path as the file-churn workload drives it. The
+// syscall guards and the path walk allocate nothing.
+const labeledCreateAllocs = 12
 
 // TestLabeledCreateAllocs pins the allocations of a labeled
 // CreateFileLabeled: routing label records through the shared record

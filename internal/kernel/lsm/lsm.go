@@ -462,7 +462,7 @@ func (m *Module) SetTaskLabel(t *kernel.Task, typ kernel.LabelType, l difc.Label
 	// changes in such processes (single-threaded processes and processes
 	// with a registered VM are unrestricted).
 	if _, trusted := m.tcbProcs.Load(t.Proc); !trusted {
-		if t.Kernel().TasksInProc(t.Proc) > 1 {
+		if t.ThreadsInProc() > 1 {
 			return fmt.Errorf("%w: label change in a multithreaded process without a trusted VM", kernel.ErrPerm)
 		}
 	}

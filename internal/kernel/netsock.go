@@ -30,7 +30,7 @@ import "laminar/internal/difc"
 // the returned *File is the trusted transport's handle for NetFeed and
 // NetDrain (the application only ever sees the FD).
 func (k *Kernel) NetSocket(t *Task, labels difc.Labels) (FD, *File, error) {
-	defer k.begin(t)()
+	defer k.begin(t).Unlock()
 	charge(workSocketSetup)
 	if err := k.inject("socket.net", t); err != nil {
 		return -1, nil, err
@@ -48,7 +48,7 @@ func (k *Kernel) NetSocket(t *Task, labels difc.Labels) (FD, *File, error) {
 // same labeled-create checks as NetSocket. The differential oracle uses
 // it to replay a remote two-kernel flow through one in-process kernel.
 func (k *Kernel) SocketpairLabeled(t *Task, labels difc.Labels) (FD, FD, error) {
-	defer k.begin(t)()
+	defer k.begin(t).Unlock()
 	charge(workSocketSetup)
 	ino := newInode(TypePipe, 0o600)
 	if err := k.inodeInitSecurity(t, nil, ino, &labels); err != nil {
@@ -79,7 +79,7 @@ func (k *Kernel) NetSocketAdopted(attach func(*Inode)) *File {
 // path: the netlabel Accept hands an adopted endpoint to the accepting
 // task. Subsequent operations on the FD are fully checked.
 func (k *Kernel) InstallFile(t *Task, f *File) FD {
-	defer k.begin(t)()
+	defer k.begin(t).Unlock()
 	return t.installFD(f)
 }
 
@@ -102,9 +102,9 @@ func (k *Kernel) NetFeed(f *File, data []byte) bool {
 	if f == nil || f.sock == nil {
 		return false
 	}
-	unlock := k.lockInode(f.Inode)
+	held := k.lockInode(f.Inode)
 	ok := f.sock.readBuf.write(data)
-	unlock()
+	held.Unlock()
 	return ok
 }
 
@@ -116,8 +116,7 @@ func (k *Kernel) NetDrain(f *File, max int) []byte {
 	if f == nil || f.sock == nil {
 		return nil
 	}
-	unlock := k.lockInode(f.Inode)
-	defer unlock()
+	defer k.lockInode(f.Inode).Unlock()
 	n := f.sock.writeBuf.len()
 	if n == 0 {
 		return nil

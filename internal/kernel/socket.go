@@ -35,7 +35,7 @@ const (
 // two descriptors. The socket inode takes the creating task's labels via
 // InodeInitSecurity, like a pipe.
 func (k *Kernel) Socketpair(t *Task) (FD, FD, error) {
-	defer k.begin(t)()
+	defer k.begin(t).Unlock()
 	charge(workSocketSetup)
 	a, b, err := k.newSocketPair(t)
 	if err != nil {
@@ -59,7 +59,7 @@ func (k *Kernel) newSocketPair(t *Task) (*File, *File, error) {
 // Send writes data to a socket endpoint. Illegal flows and full buffers
 // drop silently, exactly like pipe writes (§5.2).
 func (k *Kernel) Send(t *Task, fd FD, data []byte) (int, error) {
-	defer k.begin(t)()
+	defer k.begin(t).Unlock()
 	charge(workSocketIO)
 	f, err := t.file(fd)
 	if err != nil {
@@ -68,7 +68,7 @@ func (k *Kernel) Send(t *Task, fd FD, data []byte) (int, error) {
 	if f.sock == nil {
 		return 0, ErrInval
 	}
-	defer k.lockFile(f)()
+	defer k.lockFile(f).Unlock()
 	delivered := k.filePermission(t, f, MayWrite) == nil
 	// Injected send faults ride the same silent-drop path as policy drops
 	// and full buffers: success is reported either way (§5.2).
@@ -80,16 +80,16 @@ func (k *Kernel) Send(t *Task, fd FD, data []byte) (int, error) {
 	}
 	if delivered {
 		// The connection inode's lock covers both direction buffers.
-		unlock := k.lockInode(f.Inode)
+		held := k.lockInode(f.Inode)
 		f.sock.writeBuf.write(data)
-		unlock()
+		held.Unlock()
 	}
 	return len(data), nil
 }
 
 // Recv reads from a socket endpoint; empty buffers return EAGAIN.
 func (k *Kernel) Recv(t *Task, fd FD, buf []byte) (int, error) {
-	defer k.begin(t)()
+	defer k.begin(t).Unlock()
 	charge(workSocketIO)
 	f, err := t.file(fd)
 	if err != nil {
@@ -98,7 +98,7 @@ func (k *Kernel) Recv(t *Task, fd FD, buf []byte) (int, error) {
 	if f.sock == nil {
 		return 0, ErrInval
 	}
-	defer k.lockFile(f)()
+	defer k.lockFile(f).Unlock()
 	if err := k.filePermission(t, f, MayRead); err != nil {
 		return 0, err
 	}
@@ -109,9 +109,9 @@ func (k *Kernel) Recv(t *Task, fd FD, buf []byte) (int, error) {
 		}
 		return 0, ErrAgain
 	}
-	unlock := k.lockInode(f.Inode)
+	held := k.lockInode(f.Inode)
 	n := f.sock.readBuf.read(buf)
-	unlock()
+	held.Unlock()
 	if n == 0 {
 		return 0, ErrAgain
 	}
@@ -123,7 +123,7 @@ func (k *Kernel) Recv(t *Task, fd FD, buf []byte) (int, error) {
 // a tainted task cannot advertise a name (the name would leak), mirroring
 // the labeled-file-creation rule.
 func (k *Kernel) Listen(t *Task, name string) error {
-	defer k.begin(t)()
+	defer k.begin(t).Unlock()
 	charge(workSocketSetup)
 	if err := k.inject("socket.listen", t); err != nil {
 		return err
@@ -164,7 +164,7 @@ type listener struct {
 // labels; whether the listener can use it is decided by the per-operation
 // checks on its side.
 func (k *Kernel) Connect(t *Task, name string) (FD, error) {
-	defer k.begin(t)()
+	defer k.begin(t).Unlock()
 	charge(workSocketSetup)
 	if err := k.inject("socket.connect", t); err != nil {
 		return -1, err
@@ -188,7 +188,7 @@ func (k *Kernel) Connect(t *Task, name string) (FD, error) {
 // Accept dequeues a pending connection on the named listener; EAGAIN when
 // none is waiting. Only the listener's owner may accept.
 func (k *Kernel) Accept(t *Task, name string) (FD, error) {
-	defer k.begin(t)()
+	defer k.begin(t).Unlock()
 	charge(workSocketSetup)
 	if err := k.inject("socket.accept", t); err != nil {
 		return -1, err

@@ -49,13 +49,21 @@ type Task struct {
 	// (see locking.go for the full ordering).
 	mu sync.Mutex
 
-	k       *Kernel
+	proc    *process // shared by every task of Proc
 	fds     map[FD]*File
 	nextFD  FD
 	exited  atomic.Bool
 	sigs    []Signal
 	vmas    []vma
 	nextMap uint64
+}
+
+// process is what the tasks of one simulated process share: their
+// kernel and the number of them still live. Keeping the kernel pointer
+// here rather than in each Task keeps a Task at 160 bytes.
+type process struct {
+	k       *Kernel
+	threads atomic.Int32
 }
 
 // vma is a fake virtual memory area for the mmap/prot-fault
@@ -118,8 +126,17 @@ const (
 // Exited reports whether the task has exited.
 func (t *Task) Exited() bool { return t.exited.Load() }
 
+// ThreadsInProc counts the live tasks of t's process, t included while
+// it lives — the security module uses it to restrict label changes in
+// multithreaded processes without a trusted VM (§4.1). It is one atomic
+// load, so hooks may call it while holding task locks. A task is
+// counted before it is published in the task table and uncounted when
+// its exited flag flips, so the count is never below the number of
+// published, unexited tasks of the process.
+func (t *Task) ThreadsInProc() int { return int(t.proc.threads.Load()) }
+
 // Kernel returns the kernel this task belongs to.
-func (t *Task) Kernel() *Kernel { return t.k }
+func (t *Task) Kernel() *Kernel { return t.proc.k }
 
 func (t *Task) file(fd FD) (*File, error) {
 	f, ok := t.fds[fd]

@@ -107,7 +107,7 @@ func TestAttackCapabilityForgery(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if ath.Caps().CanAdd(tag) || ath.Caps().CanDrop(tag) {
+	if ath.Caps().Has(tag, laminar.CapPlus) || ath.Caps().Has(tag, laminar.CapMinus) {
 		t.Fatal("attacker minted the victim's capability")
 	}
 	if err := ath.Secure(laminar.Labels{S: laminar.NewLabel(tag)}, laminar.EmptyCapSet, func(r *laminar.Region) {
@@ -204,7 +204,7 @@ func TestAttackRegionExitLaundering(t *testing.T) {
 			t.Errorf("global drop: %v", err)
 		}
 	}, nil)
-	if th.Caps().CanDrop(tag) {
+	if th.Caps().Has(tag, laminar.CapMinus) {
 		t.Error("globally dropped capability survived region exit")
 	}
 	// The thread can still re-enter (has tag+) but can never declassify.

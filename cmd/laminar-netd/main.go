@@ -50,6 +50,7 @@ import (
 	"os"
 	"os/signal"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"syscall"
 	"time"
@@ -650,7 +651,17 @@ func runDaemon(addr string, echo, batching bool, interval time.Duration) error {
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	go func() { <-sig; stop.Store(true); n.nl.Close() }()
 
-	buf := make([]byte, 64*1024)
+	serve(n, echo, interval, &stop)
+	return nil
+}
+
+// serve pumps n and accepts every channel peers open until stop is set.
+// With echo on, each accepted channel gets its own goroutine and buffer
+// that sends back whatever the channel receives. It returns once every
+// echo goroutine has seen stop.
+func serve(n *node, echo bool, interval time.Duration, stop *atomic.Bool) {
+	var wg sync.WaitGroup
+	defer wg.Wait()
 	for !stop.Load() {
 		n.nl.Pump()
 		for {
@@ -662,22 +673,28 @@ func runDaemon(addr string, echo, batching bool, interval time.Duration) error {
 			if !echo {
 				continue
 			}
-			go func(fd kernel.FD) {
-				for !stop.Load() {
-					nr, rerr := n.k.Recv(n.user, fd, buf)
-					if rerr == nil && nr > 0 {
-						// A denied or dropped echo is silence, like any
-						// other unreliable delivery.
-						n.k.Send(n.user, fd, buf[:nr])
-					} else {
-						time.Sleep(interval)
-					}
-				}
-			}(fd)
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				echoChannel(n, fd, interval, stop)
+			}()
 		}
 		time.Sleep(interval)
 	}
-	return nil
+}
+
+// echoChannel sends back what channel fd receives until stop is set. A
+// denied or dropped echo is silence, like any other unreliable delivery.
+func echoChannel(n *node, fd kernel.FD, interval time.Duration, stop *atomic.Bool) {
+	buf := make([]byte, 64*1024)
+	for !stop.Load() {
+		nr, rerr := n.k.Recv(n.user, fd, buf)
+		if rerr == nil && nr > 0 {
+			n.k.Send(n.user, fd, buf[:nr])
+		} else {
+			time.Sleep(interval)
+		}
+	}
 }
 
 // runClient opens one unlabeled channel to addr, sends msg, and prints

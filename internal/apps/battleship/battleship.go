@@ -65,9 +65,9 @@ func (p *Player) VMStats() *rt.Stats { return p.thread.VM().Stats() }
 // Thread returns the player's principal thread (used by security probes).
 func (p *Player) Thread() *laminar.Thread { return p.thread }
 
-// NewPlayer creates a player with a private tag and a labeled board with
+// newPlayer creates a player with a private tag and a labeled board with
 // ships placed by the seeded rng.
-func NewPlayer(vm *laminar.VM, parent *laminar.Thread, name string, rng *rand.Rand) (*Player, error) {
+func newPlayer(vm *laminar.VM, parent *laminar.Thread, name string, rng *rand.Rand) (*Player, error) {
 	th, err := parent.Fork([]laminar.Capability{}) // no inherited caps
 	if err != nil {
 		return nil, err
@@ -127,11 +127,11 @@ func placeShip(r *laminar.Region, board *laminar.Object, rng *rand.Rand, length 
 	}
 }
 
-// ProcessShot handles an incoming shot at (x, y): the board update runs in
+// processShot handles an incoming shot at (x, y): the board update runs in
 // the owner's security region, and only the hit/miss result is
 // declassified (via copyAndLabel in a nested empty region, using the
 // owner's minus capability).
-func (p *Player) ProcessShot(x, y int) (bool, error) {
+func (p *Player) processShot(x, y int) (bool, error) {
 	if x < 0 || y < 0 || x >= GridSize || y >= GridSize {
 		return false, fmt.Errorf("battleship: shot (%d,%d) out of range", x, y)
 	}
@@ -209,11 +209,11 @@ func NewGame(sys *laminar.System, seed int64) (*Game, error) {
 		return nil, err
 	}
 	rng := rand.New(rand.NewSource(seed))
-	a, err := NewPlayer(vm, main, "alice", rng)
+	a, err := newPlayer(vm, main, "alice", rng)
 	if err != nil {
 		return nil, err
 	}
-	b, err := NewPlayer(vm, main, "bob", rng)
+	b, err := newPlayer(vm, main, "bob", rng)
 	if err != nil {
 		return nil, err
 	}
@@ -229,7 +229,7 @@ func (g *Game) Play() (*Player, error) {
 	for turn := 0; turn < GridSize*GridSize; turn++ {
 		// A shoots at B.
 		idx := orderA[turn]
-		if _, err := g.B.ProcessShot(idx%GridSize, idx/GridSize); err != nil {
+		if _, err := g.B.processShot(idx%GridSize, idx/GridSize); err != nil {
 			return nil, err
 		}
 		if g.B.cells == 0 {
@@ -237,7 +237,7 @@ func (g *Game) Play() (*Player, error) {
 		}
 		// B shoots at A.
 		idx = orderB[turn]
-		if _, err := g.A.ProcessShot(idx%GridSize, idx/GridSize); err != nil {
+		if _, err := g.A.processShot(idx%GridSize, idx/GridSize); err != nil {
 			return nil, err
 		}
 		if g.A.cells == 0 {
@@ -257,8 +257,8 @@ type UnsecuredPlayer struct {
 	cells int
 }
 
-// NewUnsecuredPlayer places ships on an unlabeled board.
-func NewUnsecuredPlayer(name string, rng *rand.Rand) *UnsecuredPlayer {
+// newUnsecuredPlayer places ships on an unlabeled board.
+func newUnsecuredPlayer(name string, rng *rand.Rand) *UnsecuredPlayer {
 	p := &UnsecuredPlayer{name: name, board: laminar.NewArray(GridSize * GridSize)}
 	for i := 0; i < GridSize*GridSize; i++ {
 		p.board.RawSetIndex(i, cellEmpty)
@@ -297,8 +297,8 @@ func placeShipRaw(board *laminar.Object, rng *rand.Rand, length int) int {
 	}
 }
 
-// ProcessShot mutates the board directly, no regions.
-func (p *UnsecuredPlayer) ProcessShot(x, y int) bool {
+// processShot mutates the board directly, no regions.
+func (p *UnsecuredPlayer) processShot(x, y int) bool {
 	simwork.Do(shotExchangeWork)
 	idx := y*GridSize + x
 	if p.board.RawIndex(idx).(int) == cellShip {
@@ -320,8 +320,8 @@ type UnsecuredGame struct {
 func NewUnsecuredGame(seed int64) *UnsecuredGame {
 	rng := rand.New(rand.NewSource(seed))
 	return &UnsecuredGame{
-		A:   NewUnsecuredPlayer("alice", rng),
-		B:   NewUnsecuredPlayer("bob", rng),
+		A:   newUnsecuredPlayer("alice", rng),
+		B:   newUnsecuredPlayer("bob", rng),
 		rng: rng,
 	}
 }
@@ -332,12 +332,12 @@ func (g *UnsecuredGame) Play() *UnsecuredPlayer {
 	orderB := g.rng.Perm(GridSize * GridSize)
 	for turn := 0; turn < GridSize*GridSize; turn++ {
 		idx := orderA[turn]
-		g.B.ProcessShot(idx%GridSize, idx/GridSize)
+		g.B.processShot(idx%GridSize, idx/GridSize)
 		if g.B.cells == 0 {
 			return g.A
 		}
 		idx = orderB[turn]
-		g.A.ProcessShot(idx%GridSize, idx/GridSize)
+		g.A.processShot(idx%GridSize, idx/GridSize)
 		if g.A.cells == 0 {
 			return g.B
 		}

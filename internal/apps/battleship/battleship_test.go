@@ -74,7 +74,7 @@ func TestShotResultsDeclassifiedOnly(t *testing.T) {
 	hits := 0
 	for y := 0; y < GridSize; y++ {
 		for x := 0; x < GridSize; x++ {
-			hit, err := g.B.ProcessShot(x, y)
+			hit, err := g.B.processShot(x, y)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -100,10 +100,10 @@ func TestShotOutOfRange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := g.A.ProcessShot(-1, 0); err == nil {
+	if _, err := g.A.processShot(-1, 0); err == nil {
 		t.Error("out-of-range shot accepted")
 	}
-	if _, err := g.A.ProcessShot(0, GridSize); err == nil {
+	if _, err := g.A.processShot(0, GridSize); err == nil {
 		t.Error("out-of-range shot accepted")
 	}
 }

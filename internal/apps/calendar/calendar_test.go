@@ -147,7 +147,7 @@ func TestConcurrentLoadersUsedHeterogeneousLabels(t *testing.T) {
 	if s.calA.Labels().Equal(s.calB.Labels()) {
 		t.Error("calendars share a label")
 	}
-	if !s.calA.IsLabeled() || !s.calB.IsLabeled() {
+	if s.calA.Labels().S.IsEmpty() || s.calB.Labels().S.IsEmpty() {
 		t.Error("calendars not labeled")
 	}
 }

@@ -94,7 +94,7 @@ func NewServer(sys *laminar.System) (*Server, error) {
 	if s.vipTag, err = main.CreateTag(); err != nil {
 		return nil, err
 	}
-	if _, err := s.CreateGroup("lobby"); err != nil {
+	if _, err := s.createGroup("lobby"); err != nil {
 		return nil, err
 	}
 	return s, nil
@@ -103,9 +103,9 @@ func NewServer(sys *laminar.System) (*Server, error) {
 // VM exposes the runtime for statistics.
 func (s *Server) VM() *laminar.VM { return s.vm }
 
-// CreateGroup allocates a group with a fresh superuser tag and labeled
+// createGroup allocates a group with a fresh superuser tag and labeled
 // state objects. Runs as the server principal, which holds all tags.
-func (s *Server) CreateGroup(name string) (*Group, error) {
+func (s *Server) createGroup(name string) (*Group, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if _, dup := s.groups[name]; dup {
@@ -193,9 +193,9 @@ func (s *Server) group(name string) (*Group, error) {
 	return g, nil
 }
 
-// IsBanned reads the ban list inside an empty-label region (integrity
+// isBanned reads the ban list inside an empty-label region (integrity
 // labels restrict writers, not readers).
-func (s *Server) IsBanned(u *ChatUser, gname string) (bool, error) {
+func (s *Server) isBanned(u *ChatUser, gname string) (bool, error) {
 	g, err := s.group(gname)
 	if err != nil {
 		return false, err
@@ -217,7 +217,7 @@ func (s *Server) IsBanned(u *ChatUser, gname string) (bool, error) {
 // Say posts a message to the group unless the speaker is banned.
 func (s *Server) Say(u *ChatUser, gname, text string) error {
 	simwork.Do(commandWork)
-	banned, err := s.IsBanned(u, gname)
+	banned, err := s.isBanned(u, gname)
 	if err != nil {
 		return err
 	}
@@ -245,10 +245,10 @@ func (s *Server) Messages(gname string) int {
 	return g.msgCount
 }
 
-// Invite adds a user name to the group's member list; only the group's
+// invite adds a user name to the group's member list; only the group's
 // superuser can modify membership (the {I(su)} label enforces it — no
 // if..then check anywhere).
-func (s *Server) Invite(u *ChatUser, gname, invitee string) error {
+func (s *Server) invite(u *ChatUser, gname, invitee string) error {
 	simwork.Do(commandWork)
 	g, err := s.group(gname)
 	if err != nil {
@@ -352,12 +352,12 @@ type UnsecUser struct {
 // NewUnsecuredServer boots the baseline with one group.
 func NewUnsecuredServer() *UnsecuredServer {
 	s := &UnsecuredServer{groups: make(map[string]*unsecGroup)}
-	s.CreateGroup("lobby")
+	s.createGroup("lobby")
 	return s
 }
 
-// CreateGroup adds a group.
-func (s *UnsecuredServer) CreateGroup(name string) {
+// createGroup adds a group.
+func (s *UnsecuredServer) createGroup(name string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.groups[name] = &unsecGroup{
@@ -368,8 +368,8 @@ func (s *UnsecuredServer) CreateGroup(name string) {
 	}
 }
 
-// GrantSuperuser records superuser power (the original role table).
-func (s *UnsecuredServer) GrantSuperuser(gname, user string) {
+// grantSuperuser records superuser power (the original role table).
+func (s *UnsecuredServer) grantSuperuser(gname, user string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if g, ok := s.groups[gname]; ok {
@@ -403,8 +403,8 @@ func (s *UnsecuredServer) Messages(gname string) int {
 	return 0
 }
 
-// Invite: original check — superuser only.
-func (s *UnsecuredServer) Invite(u *UnsecUser, gname, invitee string) error {
+// invite: original check — superuser only.
+func (s *UnsecuredServer) invite(u *UnsecUser, gname, invitee string) error {
 	simwork.Do(commandWork)
 	s.mu.Lock()
 	defer s.mu.Unlock()

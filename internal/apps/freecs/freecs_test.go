@@ -72,20 +72,20 @@ func TestThemeAndInvitePolicy(t *testing.T) {
 	if err != nil || got != "maintenance" {
 		t.Errorf("theme = %q, %v", got, err)
 	}
-	if err := s.Invite(vip, "lobby", "friend"); !errors.Is(err, ErrDenied) {
+	if err := s.invite(vip, "lobby", "friend"); !errors.Is(err, ErrDenied) {
 		t.Errorf("vip invite = %v, want denied", err)
 	}
-	if err := s.Invite(admin, "lobby", "friend"); err != nil {
+	if err := s.invite(admin, "lobby", "friend"); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestGroupLifecycle(t *testing.T) {
 	s := newChat(t)
-	if _, err := s.CreateGroup("dev"); err != nil {
+	if _, err := s.createGroup("dev"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.CreateGroup("dev"); err == nil {
+	if _, err := s.createGroup("dev"); err == nil {
 		t.Error("duplicate group accepted")
 	}
 	// A superuser of lobby is NOT a superuser of dev.
@@ -126,7 +126,7 @@ func TestWorkloads(t *testing.T) {
 
 func TestUnsecuredPolicyChecks(t *testing.T) {
 	s := NewUnsecuredServer()
-	s.GrantSuperuser("lobby", "admin")
+	s.grantSuperuser("lobby", "admin")
 	admin := &UnsecUser{Name: "admin", Role: RoleSuperuser}
 	vip := &UnsecUser{Name: "vip", Role: RoleVIP}
 	troll := &UnsecUser{Name: "troll", Role: RoleGuest}
@@ -142,7 +142,7 @@ func TestUnsecuredPolicyChecks(t *testing.T) {
 	if err := s.SetTheme(admin, "lobby", "x"); err != nil {
 		t.Errorf("admin theme = %v", err)
 	}
-	if err := s.Invite(vip, "lobby", "y"); !errors.Is(err, ErrDenied) {
+	if err := s.invite(vip, "lobby", "y"); !errors.Is(err, ErrDenied) {
 		t.Errorf("vip invite = %v", err)
 	}
 }

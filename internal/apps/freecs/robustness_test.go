@@ -39,8 +39,8 @@ func TestListenerShedsOverCapacity(t *testing.T) {
 	if got := l.liveConns(); got != maxConns {
 		t.Errorf("live connections = %d, want the %d cap", got, maxConns)
 	}
-	if l.Shed() != extra {
-		t.Errorf("shed = %d, want %d over-capacity connections dropped", l.Shed(), extra)
+	if l.shed != extra {
+		t.Errorf("shed = %d, want %d over-capacity connections dropped", l.shed, extra)
 	}
 	// The ones inside the cap still work.
 	if got := roundTrip(t, l, clients[0], "LOGIN first guest"); got != "OK" {
@@ -89,8 +89,8 @@ func TestListenerBacksOffAndSheds(t *testing.T) {
 	if pumps < 8 {
 		t.Errorf("connection shed after only %d pumps: backoff not engaged", pumps)
 	}
-	if l.Shed() != 1 {
-		t.Errorf("shed = %d, want 1", l.Shed())
+	if l.shed != 1 {
+		t.Errorf("shed = %d, want 1", l.shed)
 	}
 	if len(s.users) != 0 {
 		t.Errorf("users = %d after shed, want 0 (logged out)", len(s.users))

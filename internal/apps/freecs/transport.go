@@ -215,10 +215,6 @@ func (l *Listener) liveConns() int {
 	return n
 }
 
-// Shed reports how many connections the listener has dropped for capacity
-// or repeated failures.
-func (l *Listener) Shed() int { return l.shed }
-
 // dispatch executes one protocol line for a connection.
 func (l *Listener) dispatch(c *conn, line string) string {
 	fields := strings.Fields(line)
@@ -272,7 +268,7 @@ func (l *Listener) dispatch(c *conn, line string) string {
 		if len(fields) != 3 {
 			return "ERR INVITE <group> <user>"
 		}
-		if err := l.srv.Invite(c.user, fields[1], fields[2]); err != nil {
+		if err := l.srv.invite(c.user, fields[1], fields[2]); err != nil {
 			return "ERR " + err.Error()
 		}
 		return "OK"

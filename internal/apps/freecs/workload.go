@@ -63,7 +63,7 @@ func RunUnsecuredWorkload(s *UnsecuredServer, nUsers int) (int, error) {
 		role := RoleGuest
 		if i%100 == 0 {
 			role = RoleSuperuser
-			s.GrantSuperuser("lobby", name)
+			s.grantSuperuser("lobby", name)
 		} else if i%10 == 0 {
 			role = RoleVIP
 		}

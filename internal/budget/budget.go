@@ -75,8 +75,8 @@ type Fact struct {
 	Epoch uint64
 }
 
-// Exhausted reports whether no further spend fits under the limit.
-func (f Fact) Exhausted() bool { return f.Spent >= f.Limit }
+// exhausted reports whether no further spend fits under the limit.
+func (f Fact) exhausted() bool { return f.Spent >= f.Limit }
 
 // quarantined reports the recovery sentinel: zero limit, saturated spend.
 func (f Fact) quarantined() bool { return f.Limit == 0 && f.Spent == math.MaxUint64 }
@@ -440,7 +440,7 @@ func (l *Ledger) chargeLabelDurable(op string, lab difc.Label, peer, cost uint64
 	eachTracked(lab, l.table()[peer], func(tag difc.Tag, s *slot) bool {
 		f := s.fact()
 		newSpent := satAdd(f.Spent, cost)
-		if f.Exhausted() || newSpent > f.Limit {
+		if f.exhausted() || newSpent > f.Limit {
 			if s.noted.CompareAndSwap(false, true) {
 				exhausted++
 			}
@@ -600,7 +600,7 @@ func (l *Ledger) MergeFacts(facts map[Key]Fact) int {
 		s.limit.Store(m.Limit)
 		s.epoch.Store(m.Epoch)
 		mergeSpent(s, cur, m)
-		if m.Epoch > cur.Epoch || m.Limit < cur.Limit || (m.Exhausted() && !cur.Exhausted()) {
+		if m.Epoch > cur.Epoch || m.Limit < cur.Limit || (m.exhausted() && !cur.exhausted()) {
 			s.noted.Store(false)
 		}
 		l.persistLocked(k, s.fact())

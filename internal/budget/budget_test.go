@@ -48,7 +48,7 @@ func TestChargeSaturationRegression(t *testing.T) {
 	if got.Spent != math.MaxUint64 {
 		t.Fatalf("spent = %d, want saturated MaxUint64", got.Spent)
 	}
-	if !got.Exhausted() {
+	if !got.exhausted() {
 		t.Fatal("fact at MaxUint64/MaxUint64 must be exhausted")
 	}
 	// Any further charge must deny — a wrapping add would have
@@ -239,7 +239,7 @@ func TestMergeFactsAdoptAndTighten(t *testing.T) {
 	l.Charge("send", difc.Tag(5), 0, 10)
 	l.MergeFacts(map[Key]Fact{{Tag: 5, Peer: 0}: {Spent: 100, Limit: 100, Epoch: 2}})
 	f, _ := l.Fact(difc.Tag(5), 0)
-	if !f.Exhausted() || f.Spent != 100 {
+	if !f.exhausted() || f.Spent != 100 {
 		t.Fatalf("tightening merge gave %+v", f)
 	}
 	if err := l.Charge("send", difc.Tag(5), 0, 1); err == nil {
@@ -350,7 +350,7 @@ func TestRecoverQuarantine(t *testing.T) {
 	if !ok {
 		t.Fatal("quarantined fact absent")
 	}
-	if f.Limit != 0 || f.Spent != math.MaxUint64 || !f.Exhausted() {
+	if f.Limit != 0 || f.Spent != math.MaxUint64 || !f.exhausted() {
 		t.Fatalf("quarantine gave %+v, want zero budget", f)
 	}
 	if err := l.Charge("send", difc.Tag(11), 0, 1); err == nil {

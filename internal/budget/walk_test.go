@@ -42,7 +42,7 @@ func refCharge(l *Ledger, lab difc.Label, peer, cost uint64, noted map[Key]bool,
 		}
 		k := Key{Tag: tag, Peer: peer}
 		next := satAdd(f.Spent, cost)
-		if f.Exhausted() || next > f.Limit {
+		if f.exhausted() || next > f.Limit {
 			if !noted[k] {
 				noted[k] = true
 				c.exhausted++

@@ -85,11 +85,10 @@ type Cluster struct {
 	epoch   uint64 // this incarnation's persisted epoch
 	members map[uint64]*member
 
-	changes     map[uint64]*Change
-	nextChange  uint64
-	stepDefs    map[string][]stepDef
-	stats       map[uint64]peerStats  // latest snapshot heard per peer
-	budgetFacts map[uint64]peerBudget // latest budget facts heard per peer
+	changes    map[uint64]*Change
+	nextChange uint64
+	stepDefs   map[string][]stepDef
+	stats      map[uint64]peerStats // latest snapshot heard per peer
 
 	// alivePingEvery is the ping period for members held alive, in
 	// ticks: heartbeatEvery scaled by SuspectAfter/defaultSuspectAfter

@@ -386,8 +386,11 @@ func TestJoinKilledMidChangeResumes(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		n2.cl.Tick()
 	}
-	if got, _ := n2.cl.Change(ch.ID); got.Status != StatusDoing {
-		t.Fatalf("pre-kill change status = %v, want doing", got.Status)
+	n2.cl.mu.Lock()
+	status := n2.cl.changes[ch.ID].Status
+	n2.cl.mu.Unlock()
+	if status != StatusDoing {
+		t.Fatalf("pre-kill change status = %v, want doing", status)
 	}
 	n2.cl.Close()
 
@@ -415,14 +418,18 @@ func TestJoinKilledMidChangeResumes(t *testing.T) {
 	if !resumed {
 		t.Fatal("persisted change was not resumed on restart")
 	}
-	got, ok := c2.Change(ch.ID)
+	c2.mu.Lock()
+	got, ok := c2.changes[ch.ID]
+	c2.mu.Unlock()
 	if !ok || got.Kind != "join" {
 		t.Fatalf("resumed change lost: %+v ok=%v", got, ok)
 	}
 	n2b := &testClusterNode{k: k, mod: mod, rec: rec, cl: c2}
 	tickUntil(t, func() bool {
-		g, _ := c2.Change(ch.ID)
-		return g != nil && g.Status == StatusDone && c2.Joined()
+		c2.mu.Lock()
+		done := c2.changes[ch.ID].Status == StatusDone
+		c2.mu.Unlock()
+		return done && c2.Joined()
 	}, seedNode, n2b)
 }
 
@@ -559,8 +566,10 @@ func TestDrainStopsIntakeAndAnnouncesDeparture(t *testing.T) {
 		t.Fatal(err)
 	}
 	tickUntil(t, func() bool {
-		g, _ := b.cl.Change(ch.ID)
-		return g != nil && g.Status == StatusDone && a.cl.State(2) == StateDead
+		b.cl.mu.Lock()
+		done := b.cl.changes[ch.ID].Status == StatusDone
+		b.cl.mu.Unlock()
+		return done && a.cl.State(2) == StateDead
 	}, a, b)
 	// New routed work toward the drained node is refused at its door.
 	before := b.rec.M.Extra.Get("cluster.route.draining").Load()

@@ -301,14 +301,6 @@ func (c *Cluster) resumeChanges() {
 	}
 }
 
-// Change returns the tracked change with the given id.
-func (c *Cluster) Change(id uint64) (*Change, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	ch, ok := c.changes[id]
-	return ch, ok
-}
-
 // Changes lists every tracked change, sorted by id.
 func (c *Cluster) Changes() []*Change {
 	c.mu.Lock()

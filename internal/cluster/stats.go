@@ -3,7 +3,6 @@ package cluster
 import (
 	"bytes"
 	"encoding/json"
-	"expvar"
 	"fmt"
 	"sort"
 
@@ -27,11 +26,11 @@ import (
 // without bound (ISSUE 10); the postmortem window where "dead" and
 // "epoch N < M" reasons are visible is preserved.
 //
-// Since ISSUE 10 the same frame optionally carries the sender's budget
-// fact set; receivers fold it into their own ledger with the semilattice
-// merge (spent=max, limit=min, higher epoch wins), which makes the
-// cluster-wide spend monotone and order-independent, and cache the raw
-// facts per peer under the same eviction rule as the stats cache.
+// The same frame optionally carries the sender's budget fact set;
+// receivers fold it into their own ledger with the semilattice merge
+// (spent=max, limit=min, higher epoch wins), which makes the cluster-wide
+// spend monotone and order-independent. The ledger is the only copy: the
+// raw per-peer fact sets are not kept.
 
 // peerStats is the latest snapshot heard from one peer.
 type peerStats struct {
@@ -40,15 +39,6 @@ type peerStats struct {
 	deadTick uint64 // tick the sweep first saw the peer dead; 0 = live
 	blob     []byte // the JSON snap was decoded from, owned (parseCtrl copies it)
 	snap     telemetry.MetricsSnapshot
-}
-
-// peerBudget is the latest budget fact set heard from one peer, cached
-// under the same staleness/eviction rules as peerStats.
-type peerBudget struct {
-	epoch    uint64
-	tick     uint64
-	deadTick uint64
-	facts    map[budget.Key]budget.Fact
 }
 
 // ledger returns the local kernel's budget ledger, nil when the node
@@ -94,10 +84,6 @@ func (c *Cluster) onStats(m ctrlMsg) {
 		c.denyEvent("cluster.budget", "decode", err)
 		return
 	}
-	if c.budgetFacts == nil {
-		c.budgetFacts = make(map[uint64]peerBudget)
-	}
-	c.budgetFacts[m.From] = peerBudget{epoch: m.Epoch, tick: c.now, facts: facts}
 	if led := c.ledger(); led != nil {
 		if n := led.MergeFacts(facts); n > 0 {
 			c.count("cluster.budget.merged", n)
@@ -138,71 +124,28 @@ func (c *Cluster) broadcastStats() {
 	c.mu.Lock()
 }
 
-// sweepStats ages the per-peer caches: a peer the membership calls dead
-// (or has forgotten) keeps its slices for one merge cycle — so a
-// postmortem ClusterSnapshot still shows the labeled last numbers — and
-// is then evicted from both caches. A peer that comes back (restart
-// under a bumped epoch) un-marks before the cycle elapses. locked.
+// sweepStats ages the stats cache: a peer the membership calls dead (or
+// has forgotten) keeps its slice for one merge cycle — so a postmortem
+// ClusterSnapshot still shows the labeled last numbers — and is then
+// evicted. A peer that comes back (restart under a bumped epoch)
+// un-marks before the cycle elapses. locked.
 func (c *Cluster) sweepStats() {
 	for id, ps := range c.stats {
-		if evict, changed := c.age(id, &ps.deadTick); evict {
+		m, known := c.members[id]
+		switch {
+		case known && m.state != StateDead:
+			if ps.deadTick != 0 {
+				ps.deadTick = 0
+				c.stats[id] = ps
+			}
+		case ps.deadTick == 0:
+			ps.deadTick = c.now
+			c.stats[id] = ps
+		case c.now-ps.deadTick >= statsEvery:
 			delete(c.stats, id)
 			c.count("cluster.stats.evicted", 1)
-		} else if changed {
-			c.stats[id] = ps
 		}
 	}
-	for id, pb := range c.budgetFacts {
-		if evict, changed := c.age(id, &pb.deadTick); evict {
-			delete(c.budgetFacts, id)
-			c.count("cluster.budget.evicted", 1)
-		} else if changed {
-			c.budgetFacts[id] = pb
-		}
-	}
-}
-
-// age is the one aging rule for a cached peer entry whose dead mark is
-// *deadTick (0 = live): a live peer clears the mark, a dead one is marked
-// at the current tick, and one marked a merge cycle ago is due for
-// eviction. changed reports that *deadTick moved. locked.
-func (c *Cluster) age(id uint64, deadTick *uint64) (evict, changed bool) {
-	m, known := c.members[id]
-	switch {
-	case known && m.state != StateDead:
-		changed = *deadTick != 0
-		*deadTick = 0
-	case *deadTick == 0:
-		*deadTick, changed = c.now, true
-	case c.now-*deadTick >= statsEvery:
-		evict = true
-	}
-	return evict, changed
-}
-
-// PeerBudgetFacts returns the cached fact set last heard from one peer
-// (nil when none is cached) — the merged truth lives in the ledger; this
-// is the per-peer provenance view.
-func (c *Cluster) PeerBudgetFacts(id uint64) map[budget.Key]budget.Fact {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	pb, ok := c.budgetFacts[id]
-	if !ok {
-		return nil
-	}
-	out := make(map[budget.Key]budget.Fact, len(pb.facts))
-	for k, f := range pb.facts {
-		out[k] = f
-	}
-	return out
-}
-
-// StatsCacheSize reports the cached peer counts (stats, budget) — the
-// quantity the ISSUE 10 eviction keeps bounded.
-func (c *Cluster) StatsCacheSize() (int, int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.stats), len(c.budgetFacts)
 }
 
 // ClusterSnapshot merges the live local snapshot with every cached peer
@@ -235,15 +178,4 @@ func (c *Cluster) ClusterSnapshot() telemetry.ClusterSnapshot {
 	}
 	c.mu.Unlock()
 	return telemetry.MergeSnapshots(nodes)
-}
-
-// PublishExpvar exposes this node's merged cluster view on /debug/vars
-// under "laminar.cluster.<id>". Idempotent per name; expvar panics on
-// double-publish, so the guard matters when tests boot the same id twice.
-func (c *Cluster) PublishExpvar() {
-	name := fmt.Sprintf("laminar.cluster.%d", c.cfg.ID)
-	if expvar.Get(name) != nil {
-		return
-	}
-	expvar.Publish(name, expvar.Func(func() any { return c.ClusterSnapshot() }))
 }

@@ -123,7 +123,7 @@ func TestInternPreservesSemantics(t *testing.T) {
 // route, and it behaves as the lattice bottom.
 func TestInternEmptyLabel(t *testing.T) {
 	for _, e := range []Label{NewLabel(), NewLabel(InvalidTag, InvalidTag), NewLabel(3, 4).Minus(NewLabel(3, 4)),
-		NewLabel(3).Remove(3), NewLabel(3).Meet(NewLabel(4))} {
+		NewLabel(3).remove(3), NewLabel(3).Meet(NewLabel(4))} {
 		if e != (Label{}) || !e.IsEmpty() {
 			t.Fatalf("empty label %v is not the zero word", e)
 		}

@@ -63,21 +63,13 @@ func (c CapSet) Grant(t Tag, kind CapKind) CapSet {
 func (c CapSet) Drop(t Tag, kind CapKind) CapSet {
 	out := c
 	if kind&CapPlus != 0 {
-		out.plus = out.plus.Remove(t)
+		out.plus = out.plus.remove(t)
 	}
 	if kind&CapMinus != 0 {
-		out.minus = out.minus.Remove(t)
+		out.minus = out.minus.remove(t)
 	}
 	return out
 }
-
-// CanAdd reports whether the holder may add tag t to one of its labels
-// (t+ ∈ Cp).
-func (c CapSet) CanAdd(t Tag) bool { return c.plus.Has(t) }
-
-// CanDrop reports whether the holder may remove tag t from one of its
-// labels (t− ∈ Cp).
-func (c CapSet) CanDrop(t Tag) bool { return c.minus.Has(t) }
 
 // Has reports whether the set holds all the kind capabilities for tag t.
 func (c CapSet) Has(t Tag, kind CapKind) bool {
@@ -102,11 +94,6 @@ func (c CapSet) IsEmpty() bool { return c.plus.IsEmpty() && c.minus.IsEmpty() }
 // Union returns the combined capabilities of c and other.
 func (c CapSet) Union(other CapSet) CapSet {
 	return CapSet{plus: c.plus.Union(other.plus), minus: c.minus.Union(other.minus)}
-}
-
-// Intersect returns the capabilities held by both c and other.
-func (c CapSet) Intersect(other CapSet) CapSet {
-	return CapSet{plus: c.plus.Meet(other.plus), minus: c.minus.Meet(other.minus)}
 }
 
 // SubsetOf reports whether every capability in c is also in other

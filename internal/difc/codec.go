@@ -55,8 +55,8 @@ func (l Label) FormatText() string {
 	return strings.Join(parts, ",")
 }
 
-// ParseLabelText parses FormatText output.
-func ParseLabelText(s string) (Label, error) {
+// parseLabelText parses FormatText output.
+func parseLabelText(s string) (Label, error) {
 	s = strings.TrimSpace(s)
 	if s == "" {
 		return Label{}, nil
@@ -85,11 +85,11 @@ func ParseCapSetText(s string) (CapSet, error) {
 	if !ok {
 		return CapSet{}, fmt.Errorf("difc: bad capset encoding %q: missing separator", s)
 	}
-	plus, err := ParseLabelText(plusStr)
+	plus, err := parseLabelText(plusStr)
 	if err != nil {
 		return CapSet{}, err
 	}
-	minus, err := ParseLabelText(minusStr)
+	minus, err := parseLabelText(minusStr)
 	if err != nil {
 		return CapSet{}, err
 	}

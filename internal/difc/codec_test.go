@@ -36,7 +36,7 @@ func TestUnmarshalLabelErrors(t *testing.T) {
 
 func TestLabelTextRoundTrip(t *testing.T) {
 	f := func(l Label) bool {
-		got, err := ParseLabelText(l.FormatText())
+		got, err := parseLabelText(l.FormatText())
 		return err == nil && got.Equal(l)
 	}
 	if err := quick.Check(f, quickCfg(t, 100)); err != nil {
@@ -45,17 +45,17 @@ func TestLabelTextRoundTrip(t *testing.T) {
 }
 
 func TestParseLabelText(t *testing.T) {
-	l, err := ParseLabelText(" 3 , 1 ,2 ")
+	l, err := parseLabelText(" 3 , 1 ,2 ")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !l.Equal(NewLabel(1, 2, 3)) {
 		t.Errorf("parsed %v", l)
 	}
-	if _, err := ParseLabelText("1,x"); err == nil {
+	if _, err := parseLabelText("1,x"); err == nil {
 		t.Error("bad tag accepted")
 	}
-	empty, err := ParseLabelText("")
+	empty, err := parseLabelText("")
 	if err != nil || !empty.IsEmpty() {
 		t.Errorf("empty parse = %v, %v", empty, err)
 	}

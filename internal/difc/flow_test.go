@@ -194,12 +194,12 @@ func TestPropCanChangeSound(t *testing.T) {
 			return true
 		}
 		for _, tg := range to.Minus(from).Tags() {
-			if !caps.CanAdd(tg) {
+			if !caps.Has(tg, CapPlus) {
 				return false
 			}
 		}
 		for _, tg := range from.Minus(to).Tags() {
-			if !caps.CanDrop(tg) {
+			if !caps.Has(tg, CapMinus) {
 				return false
 			}
 		}

@@ -118,7 +118,7 @@ func FuzzCanonicalLabel(f *testing.F) {
 		}
 		for _, tg := range universe {
 			if !aSet[tg] {
-				removed = removed.Remove(tg)
+				removed = removed.remove(tg)
 			}
 		}
 		wire, _ := a.MarshalBinary()
@@ -126,9 +126,9 @@ func FuzzCanonicalLabel(f *testing.F) {
 		if err != nil {
 			t.Fatalf("UnmarshalLabel: %v", err)
 		}
-		parsed, err := ParseLabelText(a.FormatText())
+		parsed, err := parseLabelText(a.FormatText())
 		if err != nil {
-			t.Fatalf("ParseLabelText: %v", err)
+			t.Fatalf("parseLabelText: %v", err)
 		}
 		for _, r := range []struct {
 			route string
@@ -140,7 +140,7 @@ func FuzzCanonicalLabel(f *testing.F) {
 			{"Add chain", added},
 			{"Remove chain", removed},
 			{"UnmarshalLabel(MarshalBinary)", decoded},
-			{"ParseLabelText(FormatText)", parsed},
+			{"parseLabelText(FormatText)", parsed},
 		} {
 			if r.l != a {
 				t.Fatalf("%s gave %v (%p), NewLabel gave %v (%p)", r.route, r.l, r.l.n, a, a.n)
@@ -208,11 +208,11 @@ func FuzzParseLabelText(f *testing.F) {
 	f.Add("1,,2")
 	f.Add("-1")
 	f.Fuzz(func(t *testing.T, s string) {
-		l, err := ParseLabelText(s)
+		l, err := parseLabelText(s)
 		if err != nil {
 			return
 		}
-		back, err2 := ParseLabelText(l.FormatText())
+		back, err2 := parseLabelText(l.FormatText())
 		if err2 != nil {
 			t.Fatalf("re-parse of formatted label failed: %v", err2)
 		}

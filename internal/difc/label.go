@@ -410,8 +410,8 @@ func (l Label) Add(t Tag) Label {
 	return canonical(appendUnion(s.buffer(len(a)+1), a, []Tag{t}))
 }
 
-// Remove returns a label without t.
-func (l Label) Remove(t Tag) Label {
+// remove returns a label without t.
+func (l Label) remove(t Tag) Label {
 	if !l.Has(t) {
 		return l
 	}

@@ -116,7 +116,7 @@ func TestLabelAddRemove(t *testing.T) {
 	if !l.Equal(NewLabel(1)) {
 		t.Errorf("Add mutated receiver: %v", l)
 	}
-	l3 := l2.Remove(1)
+	l3 := l2.remove(1)
 	if !l3.Equal(NewLabel(2)) {
 		t.Errorf("Remove = %v", l3)
 	}

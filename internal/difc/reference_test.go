@@ -149,7 +149,7 @@ func TestDiffAddRemove(t *testing.T) {
 			return false
 		}
 		delete(want, tag)
-		return refEqual(want, a.Add(tag).Remove(tag))
+		return refEqual(want, a.Add(tag).remove(tag))
 	}
 	if err := quick.Check(f, quickCfg(t, 1000)); err != nil {
 		t.Error(err)

@@ -49,8 +49,8 @@ type UnitCosts struct {
 	AllocNs   float64 // one labeled allocation barrier (minus base alloc)
 }
 
-// MeasureUnitCosts microbenchmarks the primitives.
-func MeasureUnitCosts() (UnitCosts, error) {
+// measureUnitCosts microbenchmarks the primitives.
+func measureUnitCosts() (UnitCosts, error) {
 	sys := laminar.NewSystem()
 	shell, err := sys.Login("unitbench")
 	if err != nil {
@@ -131,7 +131,7 @@ type appDriver struct {
 // of trials runs (minTimeModes); a row's counts and in-region time come
 // from its fastest secured run.
 func Apps(scale, trials int) (*AppsReport, error) {
-	units, err := MeasureUnitCosts()
+	units, err := measureUnitCosts()
 	if err != nil {
 		return nil, err
 	}

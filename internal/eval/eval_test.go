@@ -299,7 +299,7 @@ func TestAblations(t *testing.T) {
 }
 
 func TestUnitCosts(t *testing.T) {
-	u, err := MeasureUnitCosts()
+	u, err := measureUnitCosts()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -211,18 +211,18 @@ func TestStormShape(t *testing.T) {
 	}
 	byKey := map[string]StormRow{}
 	for i, row := range rep.Rows {
-		if got := row.Key(); got != want[i] {
+		if got := row.key(); got != want[i] {
 			t.Errorf("row %d = %s, want %s", i, got, want[i])
 		}
-		byKey[row.Key()] = row
+		byKey[row.key()] = row
 		wantOps := 2 * 120
 		if row.Workload != "mixed" {
 			wantOps = 2 * 64
 		}
 		if row.Ops != wantOps {
-			t.Errorf("%s ops = %d, want %d", row.Key(), row.Ops, wantOps)
+			t.Errorf("%s ops = %d, want %d", row.key(), row.Ops, wantOps)
 		}
-		positive(t, row.Key()+" rates", row.OpsPerSec, row.NsPerOp, row.Speedup)
+		positive(t, row.key()+" rates", row.OpsPerSec, row.NsPerOp, row.Speedup)
 	}
 	// Each reference is a row at the same I/O latency and GOMAXPROCS that
 	// is its own reference.
@@ -230,13 +230,13 @@ func TestStormShape(t *testing.T) {
 		ref, ok := byKey[row.Ref]
 		switch {
 		case !ok:
-			t.Errorf("%s: reference %s is not a row", row.Key(), row.Ref)
-		case ref.Ref != ref.Key():
-			t.Errorf("%s: reference %s is not itself a reference", row.Key(), row.Ref)
+			t.Errorf("%s: reference %s is not a row", row.key(), row.Ref)
+		case ref.Ref != ref.key():
+			t.Errorf("%s: reference %s is not itself a reference", row.key(), row.Ref)
 		case ref.IOus != row.IOus || ref.Procs != row.Procs:
-			t.Errorf("%s: reference %s differs in I/O latency or GOMAXPROCS", row.Key(), row.Ref)
-		case row.Ref == row.Key() && row.Speedup != 1:
-			t.Errorf("%s: speedup over itself = %v", row.Key(), row.Speedup)
+			t.Errorf("%s: reference %s differs in I/O latency or GOMAXPROCS", row.key(), row.Ref)
+		case row.Ref == row.key() && row.Speedup != 1:
+			t.Errorf("%s: speedup over itself = %v", row.key(), row.Speedup)
 		}
 	}
 	if rep.Tasks != 2 || rep.Batch != 16 {
@@ -275,18 +275,18 @@ func TestVerdictCacheShape(t *testing.T) {
 	var got []string
 	byKey := map[string]StormRow{}
 	for _, row := range rep.Rows {
-		byKey[row.Key()] = row
+		byKey[row.key()] = row
 		if row.Workload == "mixed" {
 			continue
 		}
-		got = append(got, row.Key())
+		got = append(got, row.key())
 		if row.Ops != 2*64 {
-			t.Errorf("%s ops = %d, want 128", row.Key(), row.Ops)
+			t.Errorf("%s ops = %d, want 128", row.key(), row.Ops)
 		}
 		if want := fmt.Sprintf("write/io0us/p%d/biglock/off", row.Procs); row.Ref != want {
-			t.Errorf("%s reference = %s, want %s", row.Key(), row.Ref, want)
+			t.Errorf("%s reference = %s, want %s", row.key(), row.Ref, want)
 		}
-		positive(t, row.Key()+" rates", row.OpsPerSec, row.NsPerOp, row.Speedup)
+		positive(t, row.key()+" rates", row.OpsPerSec, row.NsPerOp, row.Speedup)
 	}
 	want := []string{
 		"write/io0us/p1/biglock/off", "write/io0us/p1/sharded/off", "writevec/io0us/p1/sharded/off",
@@ -315,7 +315,7 @@ func TestTelemetryShape(t *testing.T) {
 	rep := tinyStorm(t)
 	byKey := map[string]StormRow{}
 	for _, row := range rep.Rows {
-		byKey[row.Key()] = row
+		byKey[row.key()] = row
 	}
 	for _, io := range []int{0, stormIOus} {
 		none := fmt.Sprintf("mixed/io%dus/p8/sharded/none", io)
@@ -363,7 +363,7 @@ func TestStormCountsIssuedOps(t *testing.T) {
 	for _, row := range rep.Rows {
 		want := map[string]int{"mixed": 24, "write": 20, "writevec": 32}[row.Workload]
 		if row.Ops != want {
-			t.Errorf("%s ops = %d, want %d", row.Key(), row.Ops, want)
+			t.Errorf("%s ops = %d, want %d", row.key(), row.Ops, want)
 		}
 	}
 }

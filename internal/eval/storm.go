@@ -71,8 +71,8 @@ type StormRow struct {
 	Speedup   float64 `json:"speedup_vs_ref"` // the reference's ns/op over this row's
 }
 
-// Key names the row's cell.
-func (r *StormRow) Key() string {
+// key names the row's cell.
+func (r *StormRow) key() string {
 	return fmt.Sprintf("%s/io%dus/p%d/%s/%s", r.Workload, r.IOus, r.Procs, r.Lock, r.Recorder)
 }
 
@@ -102,9 +102,9 @@ func stormMatrix() []StormRow {
 		rows = append(rows, StormRow{Workload: wl, IOus: io, Procs: procs, Lock: lock, Recorder: rec, Ref: ref})
 		r := &rows[len(rows)-1]
 		if ref == "" {
-			r.Ref = r.Key()
+			r.Ref = r.key()
 		}
-		return r.Key()
+		return r.key()
 	}
 	for _, io := range []int{0, stormIOus} {
 		for _, procs := range []int{1, 4, 8} {
@@ -367,9 +367,9 @@ func Storm(tasks, mixedOps, writes, trials int) (*StormReport, error) {
 		r := &rep.Rows[i]
 		runtime.GOMAXPROCS(r.Procs)
 		if err := r.measure(tasks, mixedOps, writes, trials); err != nil {
-			return nil, fmt.Errorf("%s: %w", r.Key(), err)
+			return nil, fmt.Errorf("%s: %w", r.key(), err)
 		}
-		byKey[r.Key()] = r
+		byKey[r.key()] = r
 	}
 	for i := range rep.Rows {
 		r := &rep.Rows[i]
@@ -408,7 +408,7 @@ func (r *StormReport) Format() string {
 		"workload", "io_us", "procs", "lock", "recorder", "ns/op", "ops/sec", "vs ref", "ref")
 	for _, row := range r.Rows {
 		ref := row.Ref
-		if ref == row.Key() {
+		if ref == row.key() {
 			ref = "-"
 		}
 		fmt.Fprintf(&b, "%-8s %5d %5d %8s %8s %10.0f %12.0f %8.2fx  %s\n",

@@ -97,9 +97,6 @@ func NewPlan(seed int64) *Plan {
 	return &Plan{seed: seed, rates: make(map[string]Rates)}
 }
 
-// Seed returns the plan's seed.
-func (p *Plan) Seed() int64 { return p.seed }
-
 // SetDefaultRates sets the rates used by sites with no matching prefix.
 func (p *Plan) SetDefaultRates(r Rates) {
 	p.mu.Lock()
@@ -149,13 +146,6 @@ func (p *Plan) At(site string) Kind {
 	return k
 }
 
-// Steps reports how many injection points have been consulted.
-func (p *Plan) Steps() uint64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.step
-}
-
 // Decisions returns the recorded non-None decisions in consultation order.
 func (p *Plan) Decisions() []Decision {
 	p.mu.Lock()
@@ -203,23 +193,4 @@ func splitmix64(x uint64) uint64 {
 	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
 	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
 	return x ^ (x >> 31)
-}
-
-// Sub derives a child plan from the parent's seed and a stream label, so
-// a concurrent phase can draw from its own stream without perturbing the
-// parent's step sequence (which would break byte-for-byte replay of the
-// sequential portion).
-func (p *Plan) Sub(label string) *Plan {
-	h := splitmix64(uint64(p.seed))
-	for _, c := range []byte(label) {
-		h = splitmix64(h ^ uint64(c))
-	}
-	child := NewPlan(int64(h))
-	p.mu.Lock()
-	child.defaults = p.defaults
-	for k, v := range p.rates {
-		child.rates[k] = v
-	}
-	p.mu.Unlock()
-	return child
 }

@@ -83,26 +83,3 @@ func TestRateClasses(t *testing.T) {
 		t.Errorf("class starvation: errs=%d crashes=%d", errs, crashes)
 	}
 }
-
-// TestSubStreamIndependence: drawing from a child stream does not perturb
-// the parent's step sequence.
-func TestSubStreamIndependence(t *testing.T) {
-	run := func(useSub bool) string {
-		p := NewPlan(5)
-		p.Record()
-		p.SetDefaultRates(Rates{Error: 0.4})
-		for i := 0; i < 50; i++ {
-			p.At("a")
-			if useSub {
-				sub := p.Sub("worker")
-				for j := 0; j < 10; j++ {
-					sub.At("b")
-				}
-			}
-		}
-		return p.Schedule()
-	}
-	if run(false) != run(true) {
-		t.Fatal("child stream perturbed the parent schedule")
-	}
-}

@@ -14,7 +14,7 @@ func TestSpawnAndTag(t *testing.T) {
 	if tag == difc.InvalidTag {
 		t.Fatal("invalid tag")
 	}
-	if !p.Caps().CanAdd(tag) || !p.Caps().CanDrop(tag) {
+	if !p.Caps().Has(tag, difc.CapPlus) || !p.Caps().Has(tag, difc.CapMinus) {
 		t.Error("tag creator missing privileges")
 	}
 }

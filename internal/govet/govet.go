@@ -72,8 +72,8 @@ func Analyzers() []*Analyzer {
 	return []*Analyzer{LockOrder, FailClosed}
 }
 
-// ParseSource parses one file from memory (fixtures, seeded mutations).
-func ParseSource(path, src string) (*File, error) {
+// parseSource parses one file from memory (fixtures, seeded mutations).
+func parseSource(path, src string) (*File, error) {
 	fset := token.NewFileSet()
 	af, err := parser.ParseFile(fset, path, src, parser.ParseComments)
 	if err != nil {
@@ -82,19 +82,11 @@ func ParseSource(path, src string) (*File, error) {
 	return &File{Path: path, Fset: fset, AST: af}, nil
 }
 
-// ParseFile parses one file from disk.
-func ParseFile(path string) (*File, error) {
-	src, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	return ParseSource(path, string(src))
-}
-
-// LoadDir parses every non-test .go file under root, skipping vendored
-// and generated trees.
-func LoadDir(root string) ([]*File, error) {
-	var out []*File
+// RunDir parses every non-test .go file under root, skipping vendored
+// and generated trees, applies each analyzer to every file it applies
+// to, and returns the findings sorted by file, line, analyzer.
+func RunDir(root string, analyzers []*Analyzer) ([]Finding, error) {
+	var out []Finding
 	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -109,27 +101,23 @@ func LoadDir(root string) ([]*File, error) {
 		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
 			return nil
 		}
-		f, perr := ParseFile(path)
-		if perr != nil {
-			return fmt.Errorf("%s: %w", path, perr)
+		src, err := os.ReadFile(path)
+		if err != nil {
+			return fmt.Errorf("%s: %w", path, err)
 		}
-		out = append(out, f)
+		f, err := parseSource(path, string(src))
+		if err != nil {
+			return fmt.Errorf("%s: %w", path, err)
+		}
+		for _, a := range analyzers {
+			if a.AppliesTo == nil || a.AppliesTo(path) {
+				out = append(out, a.Run(f)...)
+			}
+		}
 		return nil
 	})
-	return out, err
-}
-
-// RunFiles applies each analyzer to every file it applies to and returns
-// the findings sorted by file, line, analyzer.
-func RunFiles(files []*File, analyzers []*Analyzer) []Finding {
-	var out []Finding
-	for _, f := range files {
-		for _, a := range analyzers {
-			if a.AppliesTo != nil && !a.AppliesTo(f.Path) {
-				continue
-			}
-			out = append(out, a.Run(f)...)
-		}
+	if err != nil {
+		return nil, err
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].File != out[j].File {
@@ -140,16 +128,7 @@ func RunFiles(files []*File, analyzers []*Analyzer) []Finding {
 		}
 		return out[i].Analyzer < out[j].Analyzer
 	})
-	return out
-}
-
-// RunDir is LoadDir + RunFiles.
-func RunDir(root string, analyzers []*Analyzer) ([]Finding, error) {
-	files, err := LoadDir(root)
-	if err != nil {
-		return nil, err
-	}
-	return RunFiles(files, analyzers), nil
+	return out, nil
 }
 
 // line returns n's 1-based source line.

@@ -1,21 +1,19 @@
-package govet_test
+package govet
 
 import (
 	"testing"
-
-	"laminar/internal/govet"
 )
 
-func parse(t *testing.T, path, src string) *govet.File {
+func parse(t *testing.T, path, src string) *File {
 	t.Helper()
-	f, err := govet.ParseSource(path, src)
+	f, err := parseSource(path, src)
 	if err != nil {
 		t.Fatalf("parse %s: %v", path, err)
 	}
 	return f
 }
 
-func runOne(t *testing.T, a *govet.Analyzer, src string) []govet.Finding {
+func runOne(t *testing.T, a *Analyzer, src string) []Finding {
 	t.Helper()
 	// Use a path the analyzer applies to so fixtures exercise the same
 	// code path as the real tree.
@@ -32,7 +30,7 @@ func (k *K) bad(t *Task, i *Inode, f *File) {
 	defer k.lockFile(f).Unlock()
 }
 `
-	fs := runOne(t, govet.LockOrder, src)
+	fs := runOne(t, LockOrder, src)
 	if len(fs) != 1 || fs[0].Analyzer != "lockorder" {
 		t.Fatalf("want 1 lockorder finding, got %v", fs)
 	}
@@ -46,7 +44,7 @@ func (k *K) good(t *Task, i *Inode, f *File) {
 	defer k.lockInode(i).Unlock()
 }
 `
-	if fs := runOne(t, govet.LockOrder, src); len(fs) != 0 {
+	if fs := runOne(t, LockOrder, src); len(fs) != 0 {
 		t.Fatalf("documented order must be clean, got %v", fs)
 	}
 }
@@ -61,7 +59,7 @@ func (k *K) early(t *Task, i *Inode) {
 	defer k.begin(t).Unlock()
 }
 `
-	if fs := runOne(t, govet.LockOrder, src); len(fs) != 0 {
+	if fs := runOne(t, LockOrder, src); len(fs) != 0 {
 		t.Fatalf("assigned-form lock must not be treated as held, got %v", fs)
 	}
 }
@@ -74,7 +72,7 @@ func (k *K) odd(t *Task, i *Inode, f *File) {
 	defer k.lockFile(f).Unlock()
 }
 `
-	if fs := runOne(t, govet.LockOrder, src); len(fs) != 0 {
+	if fs := runOne(t, LockOrder, src); len(fs) != 0 {
 		t.Fatalf("directive should suppress, got %v", fs)
 	}
 }
@@ -90,7 +88,7 @@ func TestFailClosedScope(t *testing.T) {
 		"internal/durable/durable.go":    true,
 		"internal/eval/compiletime.go":   false,
 	} {
-		if got := govet.FailClosed.AppliesTo(path); got != want {
+		if got := FailClosed.AppliesTo(path); got != want {
 			t.Errorf("failclosed applies to %s = %v, want %v", path, got, want)
 		}
 	}
@@ -105,7 +103,7 @@ func (k *K) check(t *Task) error {
 	return nil
 }
 `
-	fs := runOne(t, govet.FailClosed, src)
+	fs := runOne(t, FailClosed, src)
 	if len(fs) != 1 || fs[0].Analyzer != "failclosed" || fs[0].Line != 4 {
 		t.Fatalf("want 1 failclosed finding at line 4, got %v", fs)
 	}
@@ -120,7 +118,7 @@ func (k *K) check(t *Task) error {
 	return nil
 }
 `
-	if fs := runOne(t, govet.FailClosed, src); len(fs) != 0 {
+	if fs := runOne(t, FailClosed, src); len(fs) != 0 {
 		t.Fatalf("propagating the error must be clean, got %v", fs)
 	}
 }
@@ -139,7 +137,7 @@ func (k *K) check(t *Task) error {
 	return nil
 }
 `
-	if fs := runOne(t, govet.FailClosed, src); len(fs) != 0 {
+	if fs := runOne(t, FailClosed, src); len(fs) != 0 {
 		t.Fatalf("nested-if returns must not be attributed to the error branch, got %v", fs)
 	}
 }
@@ -155,7 +153,7 @@ func (k *K) drop(t *Task) error {
 	return nil
 }
 `
-	if fs := runOne(t, govet.FailClosed, src); len(fs) != 0 {
+	if fs := runOne(t, FailClosed, src); len(fs) != 0 {
 		t.Fatalf("failopen directive should suppress, got %v", fs)
 	}
 }
@@ -173,7 +171,7 @@ func (k *K) drop(t *Task) error {
 	return nil
 }
 `
-	if fs := runOne(t, govet.FailClosed, src); len(fs) != 0 {
+	if fs := runOne(t, FailClosed, src); len(fs) != 0 {
 		t.Fatalf("directive opening a comment group should suppress, got %v", fs)
 	}
 }
@@ -189,7 +187,7 @@ func (k *K) drop(t *Task) error {
 	return nil
 }
 `
-	if fs := runOne(t, govet.FailClosed, src); len(fs) != 0 {
+	if fs := runOne(t, FailClosed, src); len(fs) != 0 {
 		t.Fatalf("doc-comment directive should suppress, got %v", fs)
 	}
 }
@@ -201,7 +199,7 @@ func (k *K) drop(t *Task) error {
 const repoRoot = "../.."
 
 func TestRepoIsClean(t *testing.T) {
-	fs, err := govet.RunDir(repoRoot, govet.Analyzers())
+	fs, err := RunDir(repoRoot, Analyzers())
 	if err != nil {
 		t.Fatalf("RunDir: %v", err)
 	}

@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"slices"
 	"testing"
 
 	"laminar/internal/jvm"
@@ -124,14 +125,14 @@ func TestRecursiveSCCFixpoint(t *testing.T) {
 		t.Errorf("walk.Ensures[0] = %b, want FactRead only (no writes on any path)", got)
 	}
 	// walk invokes itself, so its SCC has a self-loop.
-	if !r.Graph.InSameSCC(m.Index(), m.Index()) {
+	if !slices.Contains(r.Graph.Callees[m.Index()], m.Index()) {
 		t.Error("walk should be in a self-recursive SCC")
 	}
 }
 
 func TestSCCBottomUpOrder(t *testing.T) {
 	p := parse(t, summarySrc)
-	g := BuildCallGraph(p)
+	g := buildCallGraph(p)
 	pos := make(map[int]int)
 	for i, scc := range g.SCCs {
 		for _, mi := range scc {
@@ -326,7 +327,7 @@ end
 func TestAnalyzeRejectsUnverifiable(t *testing.T) {
 	p := jvm.NewProgram(0)
 	p.Add(&jvm.Method{Name: "bad", NArgs: 0, NLocal: 0, Code: []jvm.Instr{{Op: jvm.OpPop}, {Op: jvm.OpReturn}}})
-	if _, err := Analyze(p); err == nil {
-		t.Fatal("Analyze should refuse an unverifiable program")
+	if _, err := analyze(p); err == nil {
+		t.Fatal("analyze should refuse an unverifiable program")
 	}
 }

@@ -44,8 +44,8 @@ type CallGraph struct {
 	SCCs [][]int
 }
 
-// BuildCallGraph scans every method's code and catch block.
-func BuildCallGraph(p *jvm.Program) *CallGraph {
+// buildCallGraph scans every method's code and catch block.
+func buildCallGraph(p *jvm.Program) *CallGraph {
 	n := len(p.Methods)
 	g := &CallGraph{
 		Callees: make([][]int, n),
@@ -132,20 +132,4 @@ func tarjan(n int, edges [][]int) [][]int {
 		}
 	}
 	return sccs
-}
-
-// InSameSCC reports whether a and b are mutually recursive (or a == b
-// with a self-loop component).
-func (g *CallGraph) InSameSCC(a, b int) bool {
-	for _, scc := range g.SCCs {
-		ina, inb := false, false
-		for _, m := range scc {
-			ina = ina || m == a
-			inb = inb || m == b
-		}
-		if ina {
-			return inb
-		}
-	}
-	return false
 }

@@ -60,7 +60,7 @@ func (f Finding) String() string {
 // are tolerated by jvm.BuildCFG); it does not require Verify to pass, so
 // verifier rejections and lint findings can be reported together.
 func Lint(p *jvm.Program) []Finding {
-	a := &analyzer{prog: p, graph: BuildCallGraph(p), sums: make([]*Summary, len(p.Methods))}
+	a := &analyzer{prog: p, graph: buildCallGraph(p), sums: make([]*Summary, len(p.Methods))}
 	// Zero summaries everywhere: lint must not assume facts that only
 	// hold after a full (verified) summary computation.
 	for mi, m := range p.Methods {

@@ -40,7 +40,7 @@ func (s *Summary) equal(o *Summary) bool {
 	return true
 }
 
-// Result is the output of Analyze: per-method summaries plus the call
+// Result is the output of analyze: per-method summaries plus the call
 // graph they were computed over, indexed by method table slot.
 type Result struct {
 	Prog      *jvm.Program
@@ -64,19 +64,19 @@ func (a *analyzer) summaryOf(mi int) *Summary {
 	return a.sums[mi]
 }
 
-// Analyze verifies the program and computes summaries bottom-up over call
+// analyze verifies the program and computes summaries bottom-up over call
 // graph SCCs: each component starts from the optimistic top summary and
 // iterates its members to a greatest fixpoint (facts only shrink, so the
 // iteration terminates). The fixpoint is sound by induction over completed
 // sub-executions: a fact consumed from a callee summary concerns a call
 // that returned normally, and only normal returns feed post-call code.
-func Analyze(p *jvm.Program) (*Result, error) {
+func analyze(p *jvm.Program) (*Result, error) {
 	if err := p.Verify(); err != nil {
 		return nil, fmt.Errorf("analysis: program does not verify: %w", err)
 	}
 	a := &analyzer{
 		prog:  p,
-		graph: BuildCallGraph(p),
+		graph: buildCallGraph(p),
 		sums:  make([]*Summary, len(p.Methods)),
 	}
 	for mi, m := range p.Methods {
@@ -218,7 +218,7 @@ func (a *analyzer) entryChecked() {
 // decided last, by the compiler's own elimination pass running over the
 // just-attached summaries — the prover and the compiler cannot disagree.
 func Attach(p *jvm.Program) (*Result, error) {
-	r, err := Analyze(p)
+	r, err := analyze(p)
 	if err != nil {
 		return nil, err
 	}

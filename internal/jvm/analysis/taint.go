@@ -250,7 +250,7 @@ func newTaintAnalysis(p *jvm.Program) *taintAnalysis {
 	n := len(p.Methods)
 	ta := &taintAnalysis{
 		prog:      p,
-		graph:     BuildCallGraph(p),
+		graph:     buildCallGraph(p),
 		mainIdx:   -1,
 		body:      make([]*methodInfo, n),
 		catch:     make([]*methodInfo, n),

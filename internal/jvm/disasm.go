@@ -5,9 +5,9 @@ import (
 	"strings"
 )
 
-// Disassemble renders code with pc labels and symbolic branch targets, for
+// disassemble renders code with pc labels and symbolic branch targets, for
 // compiler debugging and golden tests.
-func Disassemble(code []Instr) string {
+func disassemble(code []Instr) string {
 	var b strings.Builder
 	targets := map[int32]bool{}
 	for _, in := range code {
@@ -54,10 +54,10 @@ func (p *Program) Dump() string {
 			kind = fmt.Sprintf(" secure%v%v", m.Secure.Labels, m.Secure.Caps)
 		}
 		fmt.Fprintf(&b, "method %s (args=%d locals=%d)%s\n", m.Name, m.NArgs, m.NLocal, kind)
-		b.WriteString(Disassemble(m.Code))
+		b.WriteString(disassemble(m.Code))
 		if m.Secure != nil && m.Secure.Catch != nil {
 			b.WriteString("  catch:\n")
-			b.WriteString(Disassemble(m.Secure.Catch))
+			b.WriteString(disassemble(m.Secure.Catch))
 		}
 		for vi, v := range m.variants {
 			if v == nil {
@@ -68,7 +68,7 @@ func (p *Program) Dump() string {
 				ctx = "inside"
 			}
 			fmt.Fprintf(&b, "  compiled (%s, %d instrs):\n", ctx, len(v.code))
-			b.WriteString(Disassemble(v.code))
+			b.WriteString(disassemble(v.code))
 		}
 		b.WriteByte('\n')
 	}

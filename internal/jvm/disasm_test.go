@@ -15,7 +15,7 @@ func TestDisassemble(t *testing.T) {
 		Load(0).Const(1).Op(OpSub).Store(0).
 		Jmp("loop").
 		Label("done").Op(OpReturn).MustBuild()
-	out := Disassemble(code)
+	out := disassemble(code)
 	for _, want := range []string{"const", "store", "jmpif", "-> ", "L:"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("disassembly missing %q:\n%s", want, out)

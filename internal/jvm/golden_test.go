@@ -39,7 +39,7 @@ func compileCanon(t *testing.T, opts CompileOptions, inRegion bool) string {
 	}
 	st := &compileStats{}
 	cm := p.compile(m, opts, inRegion, false, st)
-	return Disassemble(cm.code)
+	return disassemble(cm.code)
 }
 
 func TestGoldenStaticInside(t *testing.T) {
@@ -137,7 +137,7 @@ end
 	m, _ := p.Lookup("canon2")
 	st := &compileStats{}
 	cm := p.compile(m, CompileOptions{Mode: BarrierStatic, Optimize: true}, true, false, st)
-	got := Disassemble(cm.code)
+	got := disassemble(cm.code)
 	if strings.Count(got, "barrier.r") != 1 {
 		t.Errorf("want exactly one read barrier after optimization:\n%s", got)
 	}

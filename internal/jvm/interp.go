@@ -282,13 +282,13 @@ func (mc *Machine) exec(t *rt.Thread, cm *compiledMethod, code []Instr, args []V
 				continue
 			}
 		case OpNew:
-			push(RefV(&Obj{fields: make([]Value, in.A)}))
+			push(refV(&Obj{fields: make([]Value, in.A)}))
 		case OpNewArray:
 			n := pop().i
 			if n < 0 {
 				panic(trap{err: fmt.Errorf("negative array length in %s@%d", m.Name, pc)})
 			}
-			push(RefV(&Obj{elems: make([]Value, n)}))
+			push(refV(&Obj{elems: make([]Value, n)}))
 		case OpGetField:
 			o := mustRef(pop(), m, pc)
 			if int(in.A) >= len(o.fields) {

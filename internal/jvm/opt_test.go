@@ -98,7 +98,7 @@ func TestElimJoinPathsMustAgree(t *testing.T) {
 	// if (c) { read obj } ; read obj — the second read is NOT redundant:
 	// only one incoming path checked it.
 	code := NewAsm().
-		Load(1).JmpIfNot("skip").
+		Load(1).jump(OpJmpIfNot, "skip").
 		Load(0).GetField(0).Op(OpPop).
 		Label("skip").
 		Load(0).GetField(0).Op(OpPop).
@@ -119,7 +119,7 @@ func TestElimJoinPathsMustAgree(t *testing.T) {
 func TestElimBothPathsChecked(t *testing.T) {
 	// if (c) { read obj } else { read obj }; read obj — now redundant.
 	code := NewAsm().
-		Load(1).JmpIfNot("else").
+		Load(1).jump(OpJmpIfNot, "else").
 		Load(0).GetField(0).Op(OpPop).
 		Jmp("join").
 		Label("else").

@@ -159,7 +159,7 @@ func TestParseDisassembleRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := Disassemble(m.Code)
+	out := disassemble(m.Code)
 	// Every mnemonic used in the source appears in the disassembly.
 	for _, want := range []string{"const", "store", "load", "cmple", "jmpif", "sub", "jmp", "returnval"} {
 		if !strings.Contains(out, want) {

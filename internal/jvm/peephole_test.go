@@ -26,7 +26,7 @@ func TestPeepholeConstantFolding(t *testing.T) {
 		}
 	}
 	if consts != 1 {
-		t.Errorf("consts = %d, want 1:\n%s", consts, Disassemble(out))
+		t.Errorf("consts = %d, want 1:\n%s", consts, disassemble(out))
 	}
 }
 
@@ -69,7 +69,7 @@ func TestPeepholeConstantBranch(t *testing.T) {
 	p := NewProgram(0)
 	p.Add(&Method{Name: "m", NArgs: 0, NLocal: 0, Code: out})
 	if err := p.Verify(); err != nil {
-		t.Fatalf("folded code fails verification: %v\n%s", err, Disassemble(out))
+		t.Fatalf("folded code fails verification: %v\n%s", err, disassemble(out))
 	}
 	mc, _ := NewMachine(p, CompileOptions{})
 	v, err := mc.Call(hostThread(t, mc), "m")
@@ -91,7 +91,7 @@ func TestPeepholeJumpThreading(t *testing.T) {
 	}
 	// The threaded target must point at the const 1, not the middle jmp.
 	if out[out[0].A].Op != OpConst || out[out[0].A].A != 1 {
-		t.Errorf("threaded target = %v\n%s", out[out[0].A], Disassemble(out))
+		t.Errorf("threaded target = %v\n%s", out[out[0].A], disassemble(out))
 	}
 }
 
@@ -117,14 +117,14 @@ func TestPeepholeRespectsJumpTargetsInPattern(t *testing.T) {
 		}
 	}
 	if !hasAdd {
-		t.Fatalf("folded across a jump target:\n%s", Disassemble(out))
+		t.Fatalf("folded across a jump target:\n%s", disassemble(out))
 	}
 	// Semantics preserved end to end: 9 + 6 on the (always-taken) jump
 	// path.
 	p := NewProgram(0)
 	p.Add(&Method{Name: "m", NArgs: 0, NLocal: 0, Code: out})
 	if err := p.Verify(); err != nil {
-		t.Fatalf("folded code fails verification: %v\n%s", err, Disassemble(out))
+		t.Fatalf("folded code fails verification: %v\n%s", err, disassemble(out))
 	}
 	mc, _ := NewMachine(p, CompileOptions{})
 	v, err := mc.Call(hostThread(t, mc), "m")

@@ -16,8 +16,8 @@ type Value struct {
 // IntV boxes an integer.
 func IntV(i int64) Value { return Value{i: i} }
 
-// RefV boxes an object reference.
-func RefV(o *Obj) Value { return Value{ref: o} }
+// refV boxes an object reference.
+func refV(o *Obj) Value { return Value{ref: o} }
 
 // IsRef reports whether the value is an object reference.
 func (v Value) IsRef() bool { return v.ref != nil }
@@ -222,10 +222,9 @@ func (a *Asm) Label(name string) *Asm {
 	return a
 }
 
-// Jmp, JmpIf and JmpIfNot branch to a label.
-func (a *Asm) Jmp(label string) *Asm      { return a.jump(OpJmp, label) }
-func (a *Asm) JmpIf(label string) *Asm    { return a.jump(OpJmpIf, label) }
-func (a *Asm) JmpIfNot(label string) *Asm { return a.jump(OpJmpIfNot, label) }
+// Jmp and JmpIf branch to a label.
+func (a *Asm) Jmp(label string) *Asm   { return a.jump(OpJmp, label) }
+func (a *Asm) JmpIf(label string) *Asm { return a.jump(OpJmpIf, label) }
 
 func (a *Asm) jump(op Op, label string) *Asm {
 	a.refs = append(a.refs, labelRef{pc: len(a.code), label: label})

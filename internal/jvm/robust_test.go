@@ -93,7 +93,7 @@ func TestRandomProgramsNeverCrashTheVM(t *testing.T) {
 			func() {
 				defer func() {
 					if e := recover(); e != nil {
-						t.Fatalf("trial %d mode %v: raw panic %v\n%s", trial, mode, e, Disassemble(code))
+						t.Fatalf("trial %d mode %v: raw panic %v\n%s", trial, mode, e, disassemble(code))
 					}
 				}()
 				mc, err := NewMachine(p, CompileOptions{Mode: mode, Optimize: trial%2 == 0})

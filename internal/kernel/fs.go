@@ -158,7 +158,7 @@ func (k *Kernel) Stat(t *Task, path string) (Stat, error) {
 		return Stat{}, hideDenied(err)
 	}
 	held := k.rlockInode(ino)
-	st := Stat{Ino: ino.Ino, Type: ino.Type, Mode: ino.Mode, Size: ino.Size(), Nlink: ino.nlink}
+	st := Stat{Ino: ino.Ino, Type: ino.Type, Mode: ino.Mode, Size: len(ino.data), Nlink: ino.nlink}
 	held.Unlock()
 	return st, nil
 }
@@ -293,7 +293,7 @@ func (k *Kernel) openLabeled(t *Task, path string, flags OpenFlag, labels *difc.
 	}
 	if flags&OAppend != 0 {
 		held := k.rlockInode(ino)
-		f.offset = ino.Size()
+		f.offset = len(ino.data)
 		held.Unlock()
 	}
 	return t.installFD(f), nil

@@ -101,9 +101,6 @@ func newInode(t InodeType, mode Mode) *Inode {
 	return ino
 }
 
-// Size reports the length in bytes of a regular file's contents.
-func (i *Inode) Size() int { return len(i.data) }
-
 // IsDir reports whether the inode is a directory.
 func (i *Inode) IsDir() bool { return i.Type == TypeDir }
 

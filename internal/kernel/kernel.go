@@ -227,15 +227,6 @@ func New(opts ...Option) *Kernel {
 	return k
 }
 
-// SecurityModuleName returns the registered module's name, or "" when the
-// kernel runs without one.
-func (k *Kernel) SecurityModuleName() string {
-	if k.sec == nil {
-		return ""
-	}
-	return k.sec.Name()
-}
-
 // Root returns the root directory inode (used by the security module to
 // install system integrity labels at boot).
 func (k *Kernel) Root() *Inode { return k.root }
@@ -294,15 +285,6 @@ func (k *Kernel) newTask(parent *Task, user string) *Task {
 func (k *Kernel) InitTask() *Task {
 	t, _ := k.taskLookup(1)
 	return t
-}
-
-// Task looks up a live task by TID.
-func (k *Kernel) Task(tid TID) (*Task, error) {
-	t, ok := k.taskLookup(tid)
-	if !ok || t.exited.Load() {
-		return nil, ErrSrch
-	}
-	return t, nil
 }
 
 // Fork creates a child task. keep restricts the capabilities the child
@@ -531,9 +513,9 @@ func (k *Kernel) ReadCapability(t *Task, fd FD) (Capability, error) {
 
 // String describes the kernel configuration.
 func (k *Kernel) String() string {
-	name := k.SecurityModuleName()
-	if name == "" {
-		name = "none"
+	name := "none"
+	if k.sec != nil {
+		name = k.sec.Name()
 	}
 	mode := "sharded"
 	if k.mode == lockBig {

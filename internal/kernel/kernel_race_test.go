@@ -346,9 +346,9 @@ func TestForkExitChurnTaskTable(t *testing.T) {
 
 	survivors.Range(func(key, _ any) bool {
 		tid := key.(TID)
-		task, err := k.Task(tid)
-		if err != nil {
-			t.Errorf("survivor %d vanished from the task table: %v", tid, err)
+		task, ok := k.taskLookup(tid)
+		if !ok {
+			t.Errorf("survivor %d vanished from the task table", tid)
 			return true
 		}
 		if task.Exited() {

@@ -263,12 +263,12 @@ func TestForkAndExit(t *testing.T) {
 	if child.Parent != init.TID || child.Proc != init.Proc {
 		t.Errorf("child parent/proc = %v/%v", child.Parent, child.Proc)
 	}
-	if _, err := k.Task(child.TID); err != nil {
-		t.Errorf("child not found: %v", err)
+	if c, ok := k.taskLookup(child.TID); !ok || c.exited.Load() {
+		t.Error("child not found")
 	}
 	k.Exit(child)
-	if _, err := k.Task(child.TID); !errors.Is(err, ErrSrch) {
-		t.Errorf("exited child still visible: %v", err)
+	if c, ok := k.taskLookup(child.TID); ok && !c.exited.Load() {
+		t.Error("exited child still visible")
 	}
 	k.Exit(child) // double exit is a no-op
 }

@@ -88,18 +88,6 @@ func (m *Module) allocate() difc.Tag {
 // Name implements kernel.SecurityModule.
 func (m *Module) Name() string { return "laminar" }
 
-// TCBTag returns the trusted-VM integrity tag.
-func (m *Module) TCBTag() difc.Tag { return m.tcbTag }
-
-// AdminTag returns the system-administrator integrity tag.
-func (m *Module) AdminTag() difc.Tag { return m.adminTag }
-
-// QuarantineTag returns the secrecy tag used to seal inodes whose label
-// records were unrecoverable after a crash. No GrantCapability call for it
-// exists anywhere: quarantined data stays unreadable until an operator
-// with raw access to the store intervenes.
-func (m *Module) QuarantineTag() difc.Tag { return m.quarantineTag }
-
 // taskState fetches (or lazily creates) a task's security blob. A task
 // that predates module attachment starts unlabeled with no capabilities.
 func (m *Module) taskState(t *kernel.Task) *taskSec {

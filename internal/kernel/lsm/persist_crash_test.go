@@ -111,7 +111,7 @@ func TestCrashAtShadowWriteQuarantines(t *testing.T) {
 	// denied too, because the quarantine tag has no capability holders.
 	for _, ino := range newRegularInodes(k, before) {
 		labels := m.inodeState(ino).labels
-		if !labels.S.Has(m.QuarantineTag()) {
+		if !labels.S.Has(m.quarantineTag) {
 			t.Errorf("recovered labels %v missing quarantine tag", labels)
 		}
 	}

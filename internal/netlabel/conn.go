@@ -144,7 +144,7 @@ func (c *conn) enqueue(f Frame) bool {
 	if c.dead || len(c.out)+HeaderSize+len(f.Payload) > c.node.cfg.MaxQueue {
 		return false
 	}
-	c.out = AppendFrame(c.out, f)
+	c.out = appendFrame(c.out, f)
 	c.frames++
 	return true
 }
@@ -163,19 +163,21 @@ func (c *conn) queueSpace() int {
 // per frame with it off. The queue's buffer swaps with the spare, so a
 // steady link encodes and writes without allocating. A write error or
 // an injected link fault kills the connection; the frames are gone
-// either way, exactly like messages lost on the wire.
-func (c *conn) flush() int {
+// either way, exactly like messages lost on the wire. It reports whether
+// the link is dead, read under the lock it already takes.
+func (c *conn) flush() (dead bool) {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
 	c.mu.Lock()
-	batch, frames, dead := c.out, c.frames, c.dead
+	batch, frames := c.out, c.frames
+	dead = c.dead
 	if !dead && frames > 0 {
 		c.out, c.frames = c.spare[:0], 0
 		c.spare = nil
 	}
 	c.mu.Unlock()
 	if dead || frames == 0 {
-		return 0
+		return dead
 	}
 	switch c.node.injectAt("net.flush") {
 	case faultError:
@@ -184,19 +186,19 @@ func (c *conn) flush() int {
 		// ride a later flush.
 		c.node.count("net.flush.dropped", frames)
 		c.keepSpare(batch)
-		return 0
+		return false
 	case faultCrash:
 		c.kill()
-		return 0
+		return true
 	}
 	c.nc.SetWriteDeadline(time.Now().Add(writeTimeout))
 	if err := c.write(batch); err != nil {
 		c.kill()
-		return 0
+		return true
 	}
 	c.keepSpare(batch)
 	c.node.count("net.tx.frames", frames)
-	return frames
+	return false
 }
 
 // keepSpare keeps a flushed batch's buffer for the next batch unless it
@@ -241,7 +243,7 @@ func (c *conn) readLoop() {
 		end += n
 		start := 0
 		for {
-			f, consumed, derr := DecodeFrame(buf[start:end])
+			f, consumed, derr := decodeFrame(buf[start:end])
 			if derr == ErrShort {
 				break
 			}
@@ -271,7 +273,7 @@ func (c *conn) readLoop() {
 			buf = dst
 		}
 		if end == len(buf) {
-			// One frame larger than the buffer. DecodeFrame has checked its
+			// One frame larger than the buffer. decodeFrame has checked its
 			// header and bounded its length by MaxPayload.
 			grown := make([]byte, HeaderSize+int(binary.BigEndian.Uint32(buf[8:])))
 			copy(grown, buf)
@@ -299,7 +301,7 @@ func readFrameSync(nc net.Conn, deadline time.Duration) (Frame, error) {
 	var acc []byte
 	tmp := make([]byte, 4096)
 	for {
-		f, _, err := DecodeFrame(acc)
+		f, _, err := decodeFrame(acc)
 		if err == nil {
 			return f, nil
 		}
@@ -318,6 +320,6 @@ func readFrameSync(nc net.Conn, deadline time.Duration) (Frame, error) {
 func writeFrameSync(nc net.Conn, f Frame) error {
 	nc.SetWriteDeadline(time.Now().Add(handshakeTimeout))
 	defer nc.SetWriteDeadline(time.Time{})
-	_, err := nc.Write(AppendFrame(nil, f))
+	_, err := nc.Write(appendFrame(nil, f))
 	return err
 }

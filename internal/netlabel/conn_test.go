@@ -89,12 +89,12 @@ func (r *frameReader) await(t *testing.T, want int) []Frame {
 	return got
 }
 
-// decodeAll is the reference: DecodeFrame applied to a whole stream.
+// decodeAll is the reference: decodeFrame applied to a whole stream.
 func decodeAll(t *testing.T, stream []byte) []Frame {
 	t.Helper()
 	var out []Frame
 	for len(stream) > 0 {
-		f, n, err := DecodeFrame(stream)
+		f, n, err := decodeFrame(stream)
 		if err != nil {
 			t.Fatalf("reference decode: %v", err)
 		}
@@ -105,7 +105,7 @@ func decodeAll(t *testing.T, stream []byte) []Frame {
 }
 
 // TestReaderDecodesInPlace: the reader's fixed buffer yields exactly the
-// frames DecodeFrame finds in the whole stream, however the bytes are
+// frames decodeFrame finds in the whole stream, however the bytes are
 // split into reads, including a full default Data frame and two
 // back-to-back frames larger than the buffer.
 func TestReaderDecodesInPlace(t *testing.T) {
@@ -115,23 +115,23 @@ func TestReaderDecodesInPlace(t *testing.T) {
 	}
 	var stream []byte
 	for i := 0; i < 40; i++ {
-		stream = AppendFrame(stream, Frame{Version: Version, Type: FrameData, Channel: uint32(i),
+		stream = appendFrame(stream, Frame{Version: Version, Type: FrameData, Channel: uint32(i),
 			Payload: bytes.Repeat([]byte{byte(i)}, 1+i*97)})
-		stream = AppendFrame(stream, Frame{Version: Version, Type: FrameCtrl,
+		stream = appendFrame(stream, Frame{Version: Version, Type: FrameCtrl,
 			Payload: []byte(fmt.Sprintf("ctrl %d", i))})
 		switch i {
 		case 10:
-			stream = AppendFrame(stream, Frame{Version: Version, Type: FrameData, Channel: 98,
+			stream = appendFrame(stream, Frame{Version: Version, Type: FrameData, Channel: 98,
 				Payload: big[:defaultDrainChunk]})
 		case 20:
-			stream = AppendFrame(stream, Frame{Version: Version, Type: FrameData, Channel: 99, Payload: big})
-			stream = AppendFrame(stream, Frame{Version: Version, Type: FrameData, Channel: 99,
+			stream = appendFrame(stream, Frame{Version: Version, Type: FrameData, Channel: 99, Payload: big})
+			stream = appendFrame(stream, Frame{Version: Version, Type: FrameData, Channel: 99,
 				Payload: big[:MaxPayload/2]})
 		}
 	}
-	stream = AppendFrame(stream, Frame{Version: Version, Type: FrameOpen, Channel: 3,
-		Payload: AppendLabels(nil, difc.Labels{S: difc.NewLabel(1, 2)})})
-	stream = AppendFrame(stream, Frame{Version: Version, Type: FrameClose, Channel: 3})
+	stream = appendFrame(stream, Frame{Version: Version, Type: FrameOpen, Channel: 3,
+		Payload: appendLabels(nil, difc.Labels{S: difc.NewLabel(1, 2)})})
+	stream = appendFrame(stream, Frame{Version: Version, Type: FrameClose, Channel: 3})
 	want := decodeAll(t, stream)
 
 	for _, tc := range []struct {
@@ -141,7 +141,7 @@ func TestReaderDecodesInPlace(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			r := newFrameReader(t, &chunkedConn{rest: stream, chunk: tc.chunk})
 			if got := r.await(t, len(want)); !reflect.DeepEqual(got, want) {
-				t.Fatal("inbox differs from DecodeFrame over the whole stream")
+				t.Fatal("inbox differs from decodeFrame over the whole stream")
 			}
 		})
 	}
@@ -163,10 +163,10 @@ func TestReaderBadMagicFailsClosed(t *testing.T) {
 	defer unsub()
 
 	var stream []byte
-	stream = AppendFrame(stream, Frame{Version: Version, Type: FrameCtrl, Payload: []byte("one")})
-	stream = AppendFrame(stream, Frame{Version: Version, Type: FrameData, Channel: 1, Payload: []byte("two")})
+	stream = appendFrame(stream, Frame{Version: Version, Type: FrameCtrl, Payload: []byte("one")})
+	stream = appendFrame(stream, Frame{Version: Version, Type: FrameData, Channel: 1, Payload: []byte("two")})
 	want := decodeAll(t, stream)
-	bad := AppendFrame(nil, Frame{Version: Version, Type: FrameCtrl, Payload: []byte("three")})
+	bad := appendFrame(nil, Frame{Version: Version, Type: FrameCtrl, Payload: []byte("three")})
 	binary.BigEndian.PutUint16(bad, 0xBAD0)
 	stream = append(stream, bad...)
 	go a.Write(stream) // the reader hangs up mid-stream; the error is expected
@@ -309,7 +309,7 @@ func TestFlushFaultDropsOnlyBatch(t *testing.T) {
 		n.SendControl("peer", f.Payload)
 		n.Pump()
 		want = append(want, f)
-		wireLen += int64(len(AppendFrame(nil, f)))
+		wireLen += int64(len(appendFrame(nil, f)))
 	}
 	got := r.await(t, 2)
 	if cc.writes.Load() != 2 || cc.bytes.Load() != wireLen || !reflect.DeepEqual(got, want) {

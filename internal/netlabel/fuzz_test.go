@@ -12,20 +12,20 @@ import (
 // same lattice point (parse∘encode is the identity on canonical forms,
 // and parse canonicalizes everything else).
 func FuzzLabelWire(f *testing.F) {
-	f.Add(AppendLabels(nil, difc.Labels{}))
-	f.Add(AppendLabels(nil, difc.Labels{S: difc.NewLabel(1, 2, 3), I: difc.NewLabel(9)}))
+	f.Add(appendLabels(nil, difc.Labels{}))
+	f.Add(appendLabels(nil, difc.Labels{S: difc.NewLabel(1, 2, 3), I: difc.NewLabel(9)}))
 	f.Add([]byte{0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0, 5, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 0})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		l, n, err := ParseLabels(data)
+		l, n, err := parseLabels(data)
 		if err != nil {
 			return
 		}
 		if n > len(data) {
 			t.Fatalf("consumed %d of %d bytes", n, len(data))
 		}
-		enc := AppendLabels(nil, l)
-		l2, n2, err := ParseLabels(enc)
+		enc := appendLabels(nil, l)
+		l2, n2, err := parseLabels(enc)
 		if err != nil {
 			t.Fatalf("re-parse of canonical encoding failed: %v", err)
 		}
@@ -33,7 +33,7 @@ func FuzzLabelWire(f *testing.F) {
 			t.Fatalf("round trip changed labels: %v -> %v", l, l2)
 		}
 		// Canonical encodings are a fixed point.
-		if !bytes.Equal(AppendLabels(nil, l2), enc) {
+		if !bytes.Equal(appendLabels(nil, l2), enc) {
 			t.Fatal("canonical encoding is not stable")
 		}
 	})
@@ -43,19 +43,19 @@ func FuzzLabelWire(f *testing.F) {
 // proportional to attacker-claimed lengths, and decoded frames re-encode
 // to the exact consumed bytes.
 func FuzzFrameDecode(f *testing.F) {
-	f.Add(AppendFrame(nil, Frame{Version: Version, Type: FrameData, Channel: 5, Payload: []byte("hi")}))
-	f.Add(AppendFrame(nil, Frame{Version: Version, Type: FrameHello, Payload: AppendHello(nil, Version, 1)}))
+	f.Add(appendFrame(nil, Frame{Version: Version, Type: FrameData, Channel: 5, Payload: []byte("hi")}))
+	f.Add(appendFrame(nil, Frame{Version: Version, Type: FrameHello, Payload: appendHello(nil, Version, 1)}))
 	f.Add([]byte{0x4C, 0x4E, 1, 4, 0, 0, 0, 0, 0xff, 0xff, 0xff, 0xff})
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		fr, n, err := DecodeFrame(data)
+		fr, n, err := decodeFrame(data)
 		if err != nil {
 			return
 		}
 		if n < HeaderSize || n > len(data) {
 			t.Fatalf("consumed %d of %d bytes", n, len(data))
 		}
-		if !bytes.Equal(AppendFrame(nil, fr), data[:n]) {
+		if !bytes.Equal(appendFrame(nil, fr), data[:n]) {
 			t.Fatal("re-encode differs from consumed bytes")
 		}
 	})

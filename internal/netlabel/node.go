@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -139,7 +140,7 @@ type Node struct {
 	closed bool
 
 	// pumpMu serializes Pump so frame application order is well defined
-	// even when tests and a Run loop overlap.
+	// even when several goroutines pump one node.
 	pumpMu sync.Mutex
 
 	// traceSeq numbers the channels this node opens; with the node id it
@@ -276,7 +277,7 @@ func (n *Node) handshakeServer(nc net.Conn) {
 		nc.Close()
 		return
 	}
-	ver, peerID, perr := ParseHello(f.Payload)
+	ver, peerID, perr := parseHello(f.Payload)
 	if perr != nil || f.Version != Version || ver != Version {
 		// Full provenance for the rejection: who dialed (address and, when
 		// the payload parsed, the claimed node id) and both version pairs.
@@ -293,7 +294,7 @@ func (n *Node) handshakeServer(nc net.Conn) {
 		return
 	}
 	if err := writeFrameSync(nc, Frame{Version: Version, Type: FrameHelloAck,
-		Payload: AppendHello(nil, Version, n.cfg.NodeID)}); err != nil {
+		Payload: appendHello(nil, Version, n.cfg.NodeID)}); err != nil {
 		nc.Close()
 		return
 	}
@@ -312,7 +313,7 @@ func (n *Node) handshakeClient(nc net.Conn, addr string) (*conn, error) {
 		return nil, errors.New("netlabel: link fault mid-handshake")
 	}
 	if err := writeFrameSync(nc, Frame{Version: Version, Type: FrameHello,
-		Payload: AppendHello(nil, Version, n.cfg.NodeID)}); err != nil {
+		Payload: appendHello(nil, Version, n.cfg.NodeID)}); err != nil {
 		nc.Close()
 		return nil, err
 	}
@@ -321,7 +322,7 @@ func (n *Node) handshakeClient(nc net.Conn, addr string) (*conn, error) {
 		nc.Close()
 		return nil, err
 	}
-	ver, peerID, perr := ParseHello(f.Payload)
+	ver, peerID, perr := parseHello(f.Payload)
 	if f.Type != FrameHelloAck || perr != nil || f.Version != Version || ver != Version {
 		n.deny("netd.handshake", "version", fmt.Errorf("bad hello-ack (type %s)", f.Type))
 		nc.Close()
@@ -354,19 +355,41 @@ func (n *Node) register(c *conn) bool {
 }
 
 // reapLocked forgets connections that died with nothing left for Pump
-// to apply, so dead links stop counting against MaxConns. Without it a
-// run of link faults fills the table and the node sheds every reconnect
-// for good: a permanent partition, where the unreliable channel only
-// permits loss. n.mu held.
+// to apply, together with their pool entries, their channels and the
+// channels' trace bindings. Dead links then stop counting against
+// MaxConns: without that a run of link faults fills the table and the
+// node sheds every reconnect for good, a permanent partition where the
+// unreliable channel only permits loss. Their channels stop costing
+// every Pump a probe, and the recorder stops holding their traces.
+// Channels still waiting for Accept stay offered. n.mu held.
 func (n *Node) reapLocked() {
+	var gone []*conn
 	live := n.conns[:0]
 	for _, c := range n.conns {
 		if !c.finished() {
 			live = append(live, c)
+			continue
 		}
+		gone = append(gone, c)
+		if n.dialed[c.addr] == c {
+			delete(n.dialed, c.addr)
+		}
+	}
+	if gone == nil {
+		return
 	}
 	clear(n.conns[len(live):])
 	n.conns = live
+	chans := n.chans[:0]
+	for _, ch := range n.chans {
+		if !slices.Contains(gone, ch.conn) {
+			chans = append(chans, ch)
+		} else if n.rec != nil {
+			n.rec.UnbindTrace(uint64(ch.file.Inode.Ino))
+		}
+	}
+	clear(n.chans[len(chans):])
+	n.chans = chans
 }
 
 // dial returns the pooled connection to addr, establishing one with
@@ -428,11 +451,11 @@ func (n *Node) Open(t *kernel.Task, addr string, labels difc.Labels) (kernel.FD,
 	n.mu.Lock()
 	n.chans = append(n.chans, ch)
 	n.mu.Unlock()
-	payload := AppendLabels(nil, labels)
+	payload := appendLabels(nil, labels)
 	if n.cfg.Tracing {
 		ctx := n.mintTrace()
 		n.bindTrace(file, ctx)
-		payload = AppendTraceExt(payload, ctx.NextHop())
+		payload = appendTraceExt(payload, ctx.NextHop())
 	}
 	if !c.enqueue(Frame{Version: Version, Type: FrameOpen, Channel: id, Payload: payload}) {
 		// Queue full or link already dead: the Open is lost in flight.
@@ -517,9 +540,9 @@ func (n *Node) sendRoutedOpen(c *conn, file *kernel.File, labels difc.Labels, me
 	n.mu.Lock()
 	n.chans = append(n.chans, ch)
 	n.mu.Unlock()
-	payload := AppendRoutedOpen(nil, labels, meta)
+	payload := appendRoutedOpen(nil, labels, meta)
 	if trace != nil {
-		payload = AppendTraceExt(payload, trace.NextHop())
+		payload = appendTraceExt(payload, trace.NextHop())
 	}
 	if !c.enqueue(Frame{Version: Version, Type: FrameOpenRouted, Channel: id, Payload: payload}) {
 		n.count("net.open.dropped", 1)
@@ -545,8 +568,9 @@ func (n *Node) Accept(t *kernel.Task) (kernel.FD, difc.Labels, error) {
 }
 
 // Pump applies received frames and ships approved outbound bytes: the
-// transport's event loop, driven explicitly so tests control ordering
-// (Run wraps it for daemons). Returns the number of frames moved in
+// transport's event loop, driven explicitly so callers control ordering.
+// A link found dead at the final flush, with nothing left to apply, is
+// forgotten with its channels. Returns the number of frames moved in
 // either direction; zero means quiescent.
 func (n *Node) Pump() int {
 	n.pumpMu.Lock()
@@ -611,8 +635,16 @@ func (n *Node) Pump() int {
 	n.mu.Lock()
 	conns = append(conns[:0], n.conns...)
 	n.mu.Unlock()
+	dead := false
 	for _, c := range conns {
-		c.flush()
+		if c.flush() {
+			dead = true
+		}
+	}
+	if dead {
+		n.mu.Lock()
+		n.reapLocked()
+		n.mu.Unlock()
 	}
 	return work
 }
@@ -627,7 +659,7 @@ func (n *Node) apply(c *conn, f Frame) {
 			n.count("net.open.lost", 1)
 			return
 		}
-		labels, consumed, err := ParseLabels(f.Payload)
+		labels, consumed, err := parseLabels(f.Payload)
 		if err != nil {
 			n.deny("netd.open", "labels", err)
 			c.kill()
@@ -687,7 +719,7 @@ func (n *Node) apply(c *conn, f Frame) {
 			n.count("net.open.lost", 1)
 			return
 		}
-		labels, meta, ext, err := ParseRoutedOpen(f.Payload)
+		labels, meta, ext, err := parseRoutedOpen(f.Payload)
 		if err != nil {
 			n.deny("netd.open", "labels", err)
 			c.kill()
@@ -741,7 +773,7 @@ func (n *Node) apply(c *conn, f Frame) {
 // stands — while structurally broken bytes kill the link like any other
 // malformed frame. ok=false means the caller must drop the open.
 func (n *Node) parseOpenExt(c *conn, ext []byte) (telemetry.TraceCtx, bool, bool) {
-	tctx, traced, err := ParseTraceExt(ext)
+	tctx, traced, err := parseTraceExt(ext)
 	if err == nil {
 		return tctx, traced, true
 	}
@@ -773,20 +805,6 @@ func (n *Node) removeChan(c *conn, id uint32) {
 			n.chans = append(n.chans[:i], n.chans[i+1:]...)
 			return
 		}
-	}
-}
-
-// Run pumps on a fixed cadence until Close; daemon mode.
-func (n *Node) Run(interval time.Duration) {
-	for {
-		n.mu.Lock()
-		closed := n.closed
-		n.mu.Unlock()
-		if closed {
-			return
-		}
-		n.Pump()
-		time.Sleep(interval)
 	}
 }
 

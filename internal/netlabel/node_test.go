@@ -232,8 +232,8 @@ func TestHandshakeRejectsVersionMismatch(t *testing.T) {
 	}
 	defer nc.Close()
 	// Speak protocol version 2 at a version-1 node.
-	bad := Frame{Version: 2, Type: FrameHello, Payload: AppendHello(nil, 2, 77)}
-	if _, err := nc.Write(AppendFrame(nil, bad)); err != nil {
+	bad := Frame{Version: 2, Type: FrameHello, Payload: appendHello(nil, 2, 77)}
+	if _, err := nc.Write(appendFrame(nil, bad)); err != nil {
 		t.Fatal(err)
 	}
 	// The node must reject fail-closed: connection torn down, no ack.
@@ -262,7 +262,7 @@ func TestMalformedFrameKillsConnection(t *testing.T) {
 	}
 	defer nc.Close()
 	if err := writeFrameSync(nc, Frame{Version: Version, Type: FrameHello,
-		Payload: AppendHello(nil, Version, 7)}); err != nil {
+		Payload: appendHello(nil, Version, 7)}); err != nil {
 		t.Fatal(err)
 	}
 	if f, err := readFrameSync(nc, 5*time.Second); err != nil || f.Type != FrameHelloAck {

@@ -136,8 +136,8 @@ func TestVersionMismatchProvenanceReplayable(t *testing.T) {
 	}
 	defer nc.Close()
 	local := nc.LocalAddr().String()
-	bad := Frame{Version: 2, Type: FrameHello, Payload: AppendHello(nil, 2, 77)}
-	if _, err := nc.Write(AppendFrame(nil, bad)); err != nil {
+	bad := Frame{Version: 2, Type: FrameHello, Payload: appendHello(nil, 2, 77)}
+	if _, err := nc.Write(appendFrame(nil, bad)); err != nil {
 		t.Fatal(err)
 	}
 	nc.SetReadDeadline(time.Now().Add(5 * time.Second))
@@ -201,5 +201,81 @@ func TestDeadLinksFreeAcceptSlots(t *testing.T) {
 	}
 	if n := b.rec.M.Extra.Get("net.accept.shed").Load(); n != 0 {
 		t.Errorf("accept shed %d reconnects of dead links", n)
+	}
+}
+
+// TestDeadLinksForgetChannelsAndTraces: a dead link takes its channels,
+// its pool entry and their trace bindings with it once Pump has applied
+// its inbox, so open → accept → link death cycles leave both nodes with
+// only the live link's state. Without the reap, each cycle leaves one
+// channel, one conn and one trace binding behind on each side for good.
+func TestDeadLinksForgetChannelsAndTraces(t *testing.T) {
+	const cycles = 50
+	a := bootNode(t, Config{NodeID: 1, Tracing: true})
+	b := bootNode(t, Config{NodeID: 2, Tracing: true})
+	live := bootNode(t, Config{NodeID: 3, Tracing: true})
+	addr := b.node.Addr()
+	if _, err := live.node.Open(live.user, addr, difc.Labels{}); err != nil {
+		t.Fatal(err)
+	}
+	acceptOne(t, b, live, b)
+
+	sizes := func(n *Node) (conns, chans, dialed int) {
+		n.mu.Lock()
+		defer n.mu.Unlock()
+		return len(n.conns), len(n.chans), len(n.dialed)
+	}
+	// inodes lists the endpoints of n's channels to one peer.
+	inodes := func(n *Node, peer uint64) (inos []uint64) {
+		n.mu.Lock()
+		defer n.mu.Unlock()
+		for _, ch := range n.chans {
+			if ch.conn.peerID == peer {
+				inos = append(inos, uint64(ch.file.Inode.Ino))
+			}
+		}
+		return inos
+	}
+	liveIno := inodes(b.node, 3)
+	var deadA, deadB []uint64
+	for i := 0; i < cycles; i++ {
+		if _, err := a.node.Open(a.user, addr, difc.Labels{}); err != nil {
+			t.Fatalf("cycle %d: %v", i, err)
+		}
+		acceptOne(t, b, a, b)
+		deadA = append(deadA, inodes(a.node, 2)...)
+		deadB = append(deadB, inodes(b.node, 1)...)
+		a.node.mu.Lock()
+		c := a.node.dialed[addr]
+		a.node.mu.Unlock()
+		c.kill()
+		pumpUntil(t, func() bool {
+			ac, _, _ := sizes(a.node)
+			bc, _, _ := sizes(b.node)
+			return ac == 0 && bc == 1
+		}, a, b)
+	}
+
+	if conns, chans, dialed := sizes(a.node); conns != 0 || chans != 0 || dialed != 0 {
+		t.Errorf("opener after %d dead links: %d conns, %d channels, %d pooled; want 0, 0, 0", cycles, conns, chans, dialed)
+	}
+	if conns, chans, _ := sizes(b.node); conns != 1 || chans != 1 {
+		t.Errorf("accepter after %d dead links: %d conns, %d channels; want the live link's 1, 1", cycles, conns, chans)
+	}
+	if len(deadA) != cycles || len(deadB) != cycles {
+		t.Fatalf("saw %d opener and %d accepter channels on dead links, want %d each", len(deadA), len(deadB), cycles)
+	}
+	for _, ino := range deadA {
+		if a.rec.TraceBound(ino) {
+			t.Fatalf("opener still binds a trace to dead channel inode %d", ino)
+		}
+	}
+	for _, ino := range deadB {
+		if b.rec.TraceBound(ino) {
+			t.Fatalf("accepter still binds a trace to dead channel inode %d", ino)
+		}
+	}
+	if len(liveIno) != 1 || !b.rec.TraceBound(liveIno[0]) {
+		t.Errorf("live channel's trace binding lost (inodes %v)", liveIno)
 	}
 }

@@ -9,10 +9,10 @@ import (
 
 func TestTraceExtRoundTrip(t *testing.T) {
 	ctx := telemetry.TraceCtx{TraceID: 1<<32 | 7, Hop: 2, Origin: 1, OriginEpoch: 5}
-	b := AppendTraceExt(nil, ctx)
-	got, ok, err := ParseTraceExt(b)
+	b := appendTraceExt(nil, ctx)
+	got, ok, err := parseTraceExt(b)
 	if err != nil || !ok {
-		t.Fatalf("ParseTraceExt = %v, %v", ok, err)
+		t.Fatalf("parseTraceExt = %v, %v", ok, err)
 	}
 	if got != ctx {
 		t.Fatalf("round trip = %+v, want %+v", got, ctx)
@@ -21,14 +21,14 @@ func TestTraceExtRoundTrip(t *testing.T) {
 
 func TestTraceExtAbsentTolerated(t *testing.T) {
 	// Old peers send no extension at all: not an error, just no context.
-	if _, ok, err := ParseTraceExt(nil); ok || err != nil {
+	if _, ok, err := parseTraceExt(nil); ok || err != nil {
 		t.Fatalf("absent ext = %v, %v; want false, nil", ok, err)
 	}
 }
 
 func TestTraceExtZeroIDMeansUnset(t *testing.T) {
-	b := AppendTraceExt(nil, telemetry.TraceCtx{})
-	if _, ok, err := ParseTraceExt(b); ok || err != nil {
+	b := appendTraceExt(nil, telemetry.TraceCtx{})
+	if _, ok, err := parseTraceExt(b); ok || err != nil {
 		t.Fatalf("zero-id ext = %v, %v; want false, nil", ok, err)
 	}
 }
@@ -37,18 +37,18 @@ func TestTraceExtFutureVersionFailsClosed(t *testing.T) {
 	// A future build's extension must be refused with ErrTraceVersion —
 	// distinguishable from hostile bytes so only the open dies, not the
 	// connection.
-	b := AppendTraceExt(nil, telemetry.TraceCtx{TraceID: 9, Origin: 1})
+	b := appendTraceExt(nil, telemetry.TraceCtx{TraceID: 9, Origin: 1})
 	b[1] = TraceExtVersion + 1
-	if _, _, err := ParseTraceExt(b); !errors.Is(err, ErrTraceVersion) {
+	if _, _, err := parseTraceExt(b); !errors.Is(err, ErrTraceVersion) {
 		t.Fatalf("future version error = %v, want ErrTraceVersion", err)
 	}
-	if _, _, err := ParseTraceExt(b); errors.Is(err, ErrMalformed) {
+	if _, _, err := parseTraceExt(b); errors.Is(err, ErrMalformed) {
 		t.Fatal("future version misclassified as malformed")
 	}
 }
 
 func TestTraceExtMalformed(t *testing.T) {
-	good := AppendTraceExt(nil, telemetry.TraceCtx{TraceID: 9, Origin: 1})
+	good := appendTraceExt(nil, telemetry.TraceCtx{TraceID: 9, Origin: 1})
 	cases := map[string][]byte{
 		"unknown magic":   {0xFF, TraceExtVersion, 0, 0},
 		"truncated magic": {traceExtMagic},
@@ -56,7 +56,7 @@ func TestTraceExtMalformed(t *testing.T) {
 		"trailing bytes":  append(append([]byte(nil), good...), 0x00),
 	}
 	for name, b := range cases {
-		if _, _, err := ParseTraceExt(b); !errors.Is(err, ErrMalformed) {
+		if _, _, err := parseTraceExt(b); !errors.Is(err, ErrMalformed) {
 			t.Fatalf("%s: err = %v, want ErrMalformed", name, err)
 		}
 	}

@@ -118,8 +118,8 @@ var (
 	ErrMalformed = errors.New("netlabel: malformed frame")
 )
 
-// AppendFrame encodes f onto dst and returns the extended slice.
-func AppendFrame(dst []byte, f Frame) []byte {
+// appendFrame encodes f onto dst and returns the extended slice.
+func appendFrame(dst []byte, f Frame) []byte {
 	var hdr [HeaderSize]byte
 	binary.BigEndian.PutUint16(hdr[0:], Magic)
 	hdr[2] = f.Version
@@ -130,13 +130,13 @@ func AppendFrame(dst []byte, f Frame) []byte {
 	return append(dst, f.Payload...)
 }
 
-// DecodeFrame parses one frame from the front of b, returning the frame
+// decodeFrame parses one frame from the front of b, returning the frame
 // and the bytes consumed. ErrShort means b holds a valid prefix of a
 // frame; anything structurally wrong is ErrMalformed. The payload is
 // copied, so the caller may reuse b. The version byte is NOT validated
 // here: the handshake and the per-connection receive path reject
 // mismatches with provenance, which a codec error could not carry.
-func DecodeFrame(b []byte) (Frame, int, error) {
+func decodeFrame(b []byte) (Frame, int, error) {
 	if len(b) < HeaderSize {
 		return Frame{}, 0, ErrShort
 	}
@@ -166,21 +166,21 @@ func DecodeFrame(b []byte) (Frame, int, error) {
 	return f, total, nil
 }
 
-// AppendLabels encodes a label pair in the canonical difc binary form
+// appendLabels encodes a label pair in the canonical difc binary form
 // (each label length-prefixed, tags sorted big-endian — the layout the
 // LSM persists in xattrs), secrecy first.
-func AppendLabels(dst []byte, l difc.Labels) []byte {
+func appendLabels(dst []byte, l difc.Labels) []byte {
 	s, _ := l.S.MarshalBinary()
 	i, _ := l.I.MarshalBinary()
 	return append(append(dst, s...), i...)
 }
 
-// ParseLabels decodes a label pair from the front of b, returning the
+// parseLabels decodes a label pair from the front of b, returning the
 // labels and bytes consumed. The decoded labels are canonicalized by
 // construction (difc.NewLabel sorts and deduplicates), so a hostile
 // non-canonical encoding cannot smuggle a second representation of the
 // same lattice point into the label checks.
-func ParseLabels(b []byte) (difc.Labels, int, error) {
+func parseLabels(b []byte) (difc.Labels, int, error) {
 	s, n, err := parseLabel(b)
 	if err != nil {
 		return difc.Labels{}, 0, err
@@ -211,23 +211,23 @@ func parseLabel(b []byte) (difc.Label, int, error) {
 	return l, total, nil
 }
 
-// AppendRoutedOpen encodes an OpenRouted payload: the channel labels in
+// appendRoutedOpen encodes an OpenRouted payload: the channel labels in
 // the canonical form, then a length-prefixed opaque routing blob.
-func AppendRoutedOpen(dst []byte, l difc.Labels, meta []byte) []byte {
-	dst = AppendLabels(dst, l)
+func appendRoutedOpen(dst []byte, l difc.Labels, meta []byte) []byte {
+	dst = appendLabels(dst, l)
 	var n [4]byte
 	binary.BigEndian.PutUint32(n[:], uint32(len(meta)))
 	dst = append(dst, n[:]...)
 	return append(dst, meta...)
 }
 
-// ParseRoutedOpen decodes an OpenRouted payload. The meta blob is
+// parseRoutedOpen decodes an OpenRouted payload. The meta blob is
 // copied. Bytes after the meta blob are returned as ext — the region
-// versioned extensions (the trace context) occupy; ParseTraceExt decides
+// versioned extensions (the trace context) occupy; parseTraceExt decides
 // whether that region is acceptable, so an empty tail stays valid for
 // peers that send none.
-func ParseRoutedOpen(b []byte) (difc.Labels, []byte, []byte, error) {
-	labels, n, err := ParseLabels(b)
+func parseRoutedOpen(b []byte) (difc.Labels, []byte, []byte, error) {
+	labels, n, err := parseLabels(b)
 	if err != nil {
 		return difc.Labels{}, nil, nil, err
 	}
@@ -265,8 +265,8 @@ const (
 // carrying open is refused fail-closed, the connection survives.
 var ErrTraceVersion = errors.New("netlabel: unsupported trace extension version")
 
-// AppendTraceExt encodes the trace context as a trailing extension.
-func AppendTraceExt(dst []byte, ctx telemetry.TraceCtx) []byte {
+// appendTraceExt encodes the trace context as a trailing extension.
+func appendTraceExt(dst []byte, ctx telemetry.TraceCtx) []byte {
 	var p [traceExtSize]byte
 	p[0] = traceExtMagic
 	p[1] = TraceExtVersion
@@ -277,11 +277,11 @@ func AppendTraceExt(dst []byte, ctx telemetry.TraceCtx) []byte {
 	return append(dst, p[:]...)
 }
 
-// ParseTraceExt decodes the extension region of an Open/OpenRouted
+// parseTraceExt decodes the extension region of an Open/OpenRouted
 // payload. An empty region means no context (ok=false, no error); an
 // unknown version is ErrTraceVersion; anything else that does not parse
 // exactly is ErrMalformed.
-func ParseTraceExt(b []byte) (telemetry.TraceCtx, bool, error) {
+func parseTraceExt(b []byte) (telemetry.TraceCtx, bool, error) {
 	if len(b) == 0 {
 		return telemetry.TraceCtx{}, false, nil
 	}
@@ -311,16 +311,16 @@ func ParseTraceExt(b []byte) (telemetry.TraceCtx, bool, error) {
 // even if header parsing becomes laxer) and its 8-byte node id.
 const helloPayloadSize = 9
 
-// AppendHello encodes a Hello/HelloAck payload.
-func AppendHello(dst []byte, version byte, nodeID uint64) []byte {
+// appendHello encodes a Hello/HelloAck payload.
+func appendHello(dst []byte, version byte, nodeID uint64) []byte {
 	var p [helloPayloadSize]byte
 	p[0] = version
 	binary.BigEndian.PutUint64(p[1:], nodeID)
 	return append(dst, p[:]...)
 }
 
-// ParseHello decodes a Hello/HelloAck payload.
-func ParseHello(b []byte) (version byte, nodeID uint64, err error) {
+// parseHello decodes a Hello/HelloAck payload.
+func parseHello(b []byte) (version byte, nodeID uint64, err error) {
 	if len(b) != helloPayloadSize {
 		return 0, 0, fmt.Errorf("%w: hello payload %d bytes", ErrMalformed, len(b))
 	}

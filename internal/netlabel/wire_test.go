@@ -11,7 +11,7 @@ import (
 
 func TestFrameRoundTrip(t *testing.T) {
 	frames := []Frame{
-		{Version: Version, Type: FrameHello, Payload: AppendHello(nil, Version, 42)},
+		{Version: Version, Type: FrameHello, Payload: appendHello(nil, Version, 42)},
 		{Version: Version, Type: FrameOpen, Channel: 7, Payload: []byte{0, 0, 0, 0, 0, 0, 0, 0}},
 		{Version: Version, Type: FrameData, Channel: 3, Payload: []byte("payload")},
 		{Version: Version, Type: FrameClose, Channel: 1 << 30},
@@ -19,10 +19,10 @@ func TestFrameRoundTrip(t *testing.T) {
 	}
 	var wire []byte
 	for _, f := range frames {
-		wire = AppendFrame(wire, f)
+		wire = appendFrame(wire, f)
 	}
 	for i, want := range frames {
-		got, n, err := DecodeFrame(wire)
+		got, n, err := decodeFrame(wire)
 		if err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}
@@ -38,30 +38,30 @@ func TestFrameRoundTrip(t *testing.T) {
 }
 
 func TestDecodeFrameShort(t *testing.T) {
-	full := AppendFrame(nil, Frame{Version: Version, Type: FrameData, Channel: 1, Payload: []byte("abcd")})
+	full := appendFrame(nil, Frame{Version: Version, Type: FrameData, Channel: 1, Payload: []byte("abcd")})
 	for cut := 0; cut < len(full); cut++ {
-		if _, _, err := DecodeFrame(full[:cut]); err != ErrShort {
+		if _, _, err := decodeFrame(full[:cut]); err != ErrShort {
 			t.Fatalf("prefix %d: err = %v, want ErrShort", cut, err)
 		}
 	}
 }
 
 func TestDecodeFrameMalformed(t *testing.T) {
-	good := AppendFrame(nil, Frame{Version: Version, Type: FrameData, Payload: []byte("x")})
+	good := appendFrame(nil, Frame{Version: Version, Type: FrameData, Payload: []byte("x")})
 
 	badMagic := append([]byte(nil), good...)
 	badMagic[0] = 0xFF
-	if _, _, err := DecodeFrame(badMagic); !errors.Is(err, ErrMalformed) {
+	if _, _, err := decodeFrame(badMagic); !errors.Is(err, ErrMalformed) {
 		t.Errorf("bad magic: %v", err)
 	}
 
 	badType := append([]byte(nil), good...)
 	badType[3] = byte(frameTypeMax) + 1
-	if _, _, err := DecodeFrame(badType); !errors.Is(err, ErrMalformed) {
+	if _, _, err := decodeFrame(badType); !errors.Is(err, ErrMalformed) {
 		t.Errorf("bad type: %v", err)
 	}
 	badType[3] = 0
-	if _, _, err := DecodeFrame(badType); !errors.Is(err, ErrMalformed) {
+	if _, _, err := decodeFrame(badType); !errors.Is(err, ErrMalformed) {
 		t.Errorf("zero type: %v", err)
 	}
 
@@ -69,14 +69,14 @@ func TestDecodeFrameMalformed(t *testing.T) {
 	// before any allocation, not treated as a short read forever.
 	oversize := append([]byte(nil), good...)
 	binary.BigEndian.PutUint32(oversize[8:], MaxPayload+1)
-	if _, _, err := DecodeFrame(oversize); !errors.Is(err, ErrMalformed) {
+	if _, _, err := decodeFrame(oversize); !errors.Is(err, ErrMalformed) {
 		t.Errorf("oversize: %v", err)
 	}
 }
 
 func TestDecodePayloadIsCopied(t *testing.T) {
-	wire := AppendFrame(nil, Frame{Version: Version, Type: FrameData, Payload: []byte("abcd")})
-	f, _, err := DecodeFrame(wire)
+	wire := appendFrame(nil, Frame{Version: Version, Type: FrameData, Payload: []byte("abcd")})
+	f, _, err := decodeFrame(wire)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,8 +94,8 @@ func TestLabelsRoundTrip(t *testing.T) {
 		{S: difc.NewLabel(7, 8), I: difc.NewLabel(1, 1<<62)},
 	}
 	for i, want := range cases {
-		b := AppendLabels(nil, want)
-		got, n, err := ParseLabels(b)
+		b := appendLabels(nil, want)
+		got, n, err := parseLabels(b)
 		if err != nil {
 			t.Fatalf("case %d: %v", i, err)
 		}
@@ -118,7 +118,7 @@ func TestParseLabelsCanonicalizes(t *testing.T) {
 		b = binary.BigEndian.AppendUint64(b, tag)
 	}
 	b = binary.BigEndian.AppendUint32(b, 0) // empty integrity label
-	got, _, err := ParseLabels(b)
+	got, _, err := parseLabels(b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,19 +135,19 @@ func TestParseLabelsMalformed(t *testing.T) {
 		binary.BigEndian.AppendUint32(nil, MaxPayload), // absurd tag count
 	}
 	for i, b := range cases {
-		if _, _, err := ParseLabels(b); !errors.Is(err, ErrMalformed) {
+		if _, _, err := parseLabels(b); !errors.Is(err, ErrMalformed) {
 			t.Errorf("case %d: err = %v, want ErrMalformed", i, err)
 		}
 	}
 }
 
 func TestHelloRoundTrip(t *testing.T) {
-	b := AppendHello(nil, Version, 0xDEADBEEF)
-	ver, id, err := ParseHello(b)
+	b := appendHello(nil, Version, 0xDEADBEEF)
+	ver, id, err := parseHello(b)
 	if err != nil || ver != Version || id != 0xDEADBEEF {
 		t.Fatalf("hello = %d, %#x, %v", ver, id, err)
 	}
-	if _, _, err := ParseHello(b[:4]); !errors.Is(err, ErrMalformed) {
+	if _, _, err := parseHello(b[:4]); !errors.Is(err, ErrMalformed) {
 		t.Errorf("short hello: %v", err)
 	}
 }

@@ -10,7 +10,6 @@
 package pagelabel
 
 import (
-	"errors"
 	"fmt"
 
 	"laminar/internal/difc"
@@ -18,9 +17,6 @@ import (
 
 // PageSize is the tracking granularity in bytes.
 const PageSize = 4096
-
-// ErrFlow reports a label incompatibility.
-var ErrFlow = errors.New("pagelabel: flow violation")
 
 // page is one labeled page with a bump allocator inside it.
 type page struct {
@@ -64,22 +60,6 @@ func (h *Heap) Alloc(size int, labels difc.Labels) (*Object, error) {
 	p := &page{labels: labels, used: size}
 	h.pages = append(h.pages, p)
 	return &Object{page: p, size: size}, nil
-}
-
-// Access checks a thread's access to an object: page-granularity
-// enforcement means the *page's* label governs, and the thread's label
-// must be compatible in the direction of the access.
-func (h *Heap) Access(thread difc.Labels, o *Object, write bool) error {
-	if write {
-		if err := difc.CheckFlow("write", thread, o.page.labels); err != nil {
-			return fmt.Errorf("%w: %v", ErrFlow, err)
-		}
-		return nil
-	}
-	if err := difc.CheckFlow("read", o.page.labels, thread); err != nil {
-		return fmt.Errorf("%w: %v", ErrFlow, err)
-	}
-	return nil
 }
 
 // Stats reports the heap's space usage.

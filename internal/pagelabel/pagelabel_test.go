@@ -1,7 +1,6 @@
 package pagelabel
 
 import (
-	"errors"
 	"testing"
 
 	"laminar/internal/difc"
@@ -72,19 +71,20 @@ func TestAccessChecks(t *testing.T) {
 	if !o.Labels().Equal(secret) {
 		t.Errorf("labels = %v", o.Labels())
 	}
-	// Unlabeled thread cannot read, may write (up).
-	if err := h.Access(difc.Labels{}, o, false); !errors.Is(err, ErrFlow) {
-		t.Errorf("unlabeled read = %v", err)
+	// The page's label governs access: an unlabeled thread cannot read
+	// the object and may write it (up); a labeled thread reads it and
+	// cannot write an unlabeled page.
+	if err := difc.CheckFlow("read", o.Labels(), difc.Labels{}); err == nil {
+		t.Error("unlabeled read allowed")
 	}
-	if err := h.Access(difc.Labels{}, o, true); err != nil {
+	if err := difc.CheckFlow("write", difc.Labels{}, o.Labels()); err != nil {
 		t.Errorf("write up = %v", err)
 	}
-	// Labeled thread reads fine, cannot write an unlabeled page.
-	if err := h.Access(secret, o, false); err != nil {
+	if err := difc.CheckFlow("read", o.Labels(), secret); err != nil {
 		t.Errorf("labeled read = %v", err)
 	}
 	pub, _ := h.Alloc(32, difc.Labels{})
-	if err := h.Access(secret, pub, true); !errors.Is(err, ErrFlow) {
-		t.Errorf("tainted write down = %v", err)
+	if err := difc.CheckFlow("write", secret, pub.Labels()); err == nil {
+		t.Error("tainted write down allowed")
 	}
 }

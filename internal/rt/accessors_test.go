@@ -20,9 +20,6 @@ func TestRegionAccessors(t *testing.T) {
 		if !r.Labels().Equal(labels) {
 			t.Errorf("Labels() = %v", r.Labels())
 		}
-		if !r.SecrecyLabel().Equal(labels.S) || !r.IntegrityLabel().Equal(labels.I) {
-			t.Error("label accessors mismatch")
-		}
 	}, nil)
 	if main.VM() != vm {
 		t.Error("VM() mismatch")
@@ -166,7 +163,7 @@ func TestGrantCapability(t *testing.T) {
 	_, main := newVM(t)
 	tag := difc.Tag(777)
 	main.GrantCapability(tag, difc.CapPlus)
-	if !main.Caps().CanAdd(tag) {
+	if !main.Caps().Has(tag, difc.CapPlus) {
 		t.Error("granted capability missing")
 	}
 	if err := main.Secure(difc.Labels{S: difc.NewLabel(tag)}, difc.EmptyCapSet, func(r *Region) {}, nil); err != nil {

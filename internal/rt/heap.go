@@ -65,9 +65,6 @@ func (v *Violation) Unwrap() error { return v.Err }
 // that by never exposing tag internals except to trusted code.
 func (o *Object) Labels() difc.Labels { return o.labels }
 
-// IsLabeled reports whether the object lives in the labeled object space.
-func (o *Object) IsLabeled() bool { return o.labeled }
-
 // Len returns the length of the object's array part.
 func (o *Object) Len() int {
 	o.mu.Lock()
@@ -366,7 +363,7 @@ func (t *Thread) SetIndex(o *Object, i int, v any) {
 }
 
 func (t *Thread) dynamicReadBarrier(o *Object) {
-	if t.InRegion() {
+	if t.inRegion() {
 		t.region.readBarrier(o)
 		return
 	}
@@ -377,7 +374,7 @@ func (t *Thread) dynamicReadBarrier(o *Object) {
 }
 
 func (t *Thread) dynamicWriteBarrier(o *Object) {
-	if t.InRegion() {
+	if t.inRegion() {
 		t.region.writeBarrier(o)
 		return
 	}

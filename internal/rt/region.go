@@ -54,12 +54,6 @@ func (r *Region) Thread() *Thread { return r.thread }
 // Labels returns the region's label pair (getCurrentLabel for both types).
 func (r *Region) Labels() difc.Labels { return r.labels }
 
-// SecrecyLabel implements getCurrentLabel(SECRECY).
-func (r *Region) SecrecyLabel() difc.Label { return r.labels.S }
-
-// IntegrityLabel implements getCurrentLabel(INTEGRITY).
-func (r *Region) IntegrityLabel() difc.Label { return r.labels.I }
-
 // Caps returns the region's capability set.
 func (r *Region) Caps() difc.CapSet { return r.caps }
 

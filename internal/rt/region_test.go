@@ -101,7 +101,6 @@ func TestRegionHandleActingMethods(t *testing.T) {
 		"Alloc":                  func() { kept.Alloc(nil) },
 		"AllocArray":             func() { kept.AllocArray(1, nil) },
 		"CopyAndLabel":           func() { kept.CopyAndLabel(o, difc.Labels{}) },
-		"NewList":                func() { kept.NewList() },
 		"GetStatic":              func() { kept.GetStatic("s") },
 		"SetStatic":              func() { kept.SetStatic("s", 1) },
 		"CreateAndAddCapability": func() { _, _ = kept.CreateAndAddCapability() },

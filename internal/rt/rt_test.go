@@ -51,8 +51,8 @@ func TestSecureEntryRules(t *testing.T) {
 	ran := false
 	err = main.Secure(difc.Labels{S: difc.NewLabel(a)}, difc.EmptyCapSet, func(r *Region) {
 		ran = true
-		if !r.SecrecyLabel().Equal(difc.NewLabel(a)) {
-			t.Errorf("region secrecy = %v", r.SecrecyLabel())
+		if !r.Labels().S.Equal(difc.NewLabel(a)) {
+			t.Errorf("region secrecy = %v", r.Labels().S)
 		}
 	}, nil)
 	if err != nil || !ran {
@@ -155,7 +155,7 @@ func TestLabeledObjectAccess(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !obj.IsLabeled() || !obj.Labels().Equal(secret) {
+	if !obj.labeled || !obj.Labels().Equal(secret) {
 		t.Errorf("obj labels = %v", obj.Labels())
 	}
 	// Outside any region, the dynamic barrier rejects the labeled object.
@@ -499,11 +499,11 @@ func TestRegionCapabilityManagement(t *testing.T) {
 		if err := r.RemoveCapability(gained, difc.CapMinus, false); err != nil {
 			t.Fatal(err)
 		}
-		if r.Caps().CanDrop(gained) {
+		if r.Caps().Has(gained, difc.CapMinus) {
 			t.Error("capability still present after scoped drop")
 		}
 	}, nil)
-	if !main.Caps().CanDrop(gained) {
+	if !main.Caps().Has(gained, difc.CapMinus) {
 		t.Error("scoped drop leaked out of the region")
 	}
 
@@ -513,7 +513,7 @@ func TestRegionCapabilityManagement(t *testing.T) {
 			t.Fatal(err)
 		}
 	}, nil)
-	if main.Caps().CanDrop(gained) {
+	if main.Caps().Has(gained, difc.CapMinus) {
 		t.Error("global drop did not persist")
 	}
 }
@@ -525,7 +525,7 @@ func TestThreadForkCapabilitySubset(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !child.Caps().CanAdd(a) || child.Caps().CanDrop(a) {
+	if !child.Caps().Has(a, difc.CapPlus) || child.Caps().Has(a, difc.CapMinus) {
 		t.Errorf("child caps = %v", child.Caps())
 	}
 	// Fork inside a region is rejected.

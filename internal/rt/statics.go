@@ -23,7 +23,7 @@ func newStaticsTable() *staticsTable {
 
 // GetStatic reads a static variable from outside any security region.
 func (t *Thread) GetStatic(name string) any {
-	if t.InRegion() {
+	if t.inRegion() {
 		return t.region.GetStatic(name)
 	}
 	return t.vm.statics.get(name)
@@ -31,7 +31,7 @@ func (t *Thread) GetStatic(name string) any {
 
 // SetStatic writes a static variable from outside any security region.
 func (t *Thread) SetStatic(name string, v any) {
-	if t.InRegion() {
+	if t.inRegion() {
 		t.region.SetStatic(name, v)
 		return
 	}

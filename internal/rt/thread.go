@@ -58,9 +58,9 @@ func (t *Thread) Caps() difc.CapSet {
 	return t.caps
 }
 
-// InRegion reports whether the thread is executing inside a security
+// inRegion reports whether the thread is executing inside a security
 // region. This is the check a dynamic barrier performs on every access.
-func (t *Thread) InRegion() bool {
+func (t *Thread) inRegion() bool {
 	t.vm.stats.DynamicChecks.Add(1)
 	return t.region != nil
 }

@@ -109,28 +109,6 @@ func (vm *VM) Module() *lsm.Module { return vm.mod }
 // Stats exposes the VM's dynamic-check counters.
 func (vm *VM) Stats() *Stats { return &vm.stats }
 
-// PublishTelemetry folds the VM's dynamic-check counters into the
-// recorder's free-form metric series. Like the region barriers themselves
-// the counters stay plain atomics on the hot path; this fold runs once
-// per VM at snapshot time (bench/eval teardown). No-op when telemetry is
-// off or the kernel was booted WithoutTelemetry.
-func (vm *VM) PublishTelemetry() {
-	if !vm.recording() {
-		return
-	}
-	add := func(name string, n uint64) {
-		if n > 0 {
-			vm.rec.M.Extra.Get(name).Add(0, n)
-		}
-	}
-	add("rt.regions.entered", vm.stats.RegionsEntered.Load())
-	add("rt.barrier.read", vm.stats.ReadBarriers.Load())
-	add("rt.barrier.write", vm.stats.WriteBarriers.Load())
-	add("rt.barrier.alloc", vm.stats.AllocBarriers.Load())
-	add("rt.barrier.dynamic", vm.stats.DynamicChecks.Load())
-	add("rt.label.syncs", vm.stats.LabelSyncs.Load())
-}
-
 // setKernelLabels pushes labels onto the thread's kernel task using the
 // trusted tcb path, which works regardless of the thread's capabilities
 // (needed when leaving a region whose tags the thread cannot drop). The

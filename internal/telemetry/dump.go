@@ -98,8 +98,8 @@ func wireToLabel(ts []uint64) (difc.Label, bool) {
 	return difc.NewLabel(tags...), true
 }
 
-// ToDump renders the event as a self-contained wire record.
-func (e Event) ToDump() DumpEvent {
+// toDump renders the event as a self-contained wire record.
+func (e Event) toDump() DumpEvent {
 	d := DumpEvent{
 		V:     DumpVersion,
 		Seq:   e.Seq,
@@ -138,10 +138,10 @@ func (e Event) ToDump() DumpEvent {
 	return d
 }
 
-// ToEvent rebuilds an in-memory event from its wire form, rebuilding
-// the label operands in the reading process so SrcLabels/DstLabels/Caps
+// toEvent rebuilds an in-memory event from its wire form, rebuilding
+// the label operands in the reading process so srcLabels/dstLabels/Caps
 // and Replay work on loaded dumps exactly as on live events.
-func (d DumpEvent) ToEvent() Event {
+func (d DumpEvent) toEvent() Event {
 	e := Event{
 		Seq:   d.Seq,
 		TID:   d.TID,
@@ -214,12 +214,12 @@ type metaEnvelope struct {
 
 // WriteDump writes events as JSONL.
 func WriteDump(w io.Writer, events []Event) error {
-	return WriteDumpMeta(w, nil, events)
+	return writeDumpMeta(w, nil, events)
 }
 
-// WriteDumpMeta writes an optional meta header line followed by the
+// writeDumpMeta writes an optional meta header line followed by the
 // events as JSONL.
-func WriteDumpMeta(w io.Writer, meta *DumpMeta, events []Event) error {
+func writeDumpMeta(w io.Writer, meta *DumpMeta, events []Event) error {
 	bw := bufio.NewWriter(w)
 	enc := json.NewEncoder(bw)
 	if meta != nil {
@@ -232,7 +232,7 @@ func WriteDumpMeta(w io.Writer, meta *DumpMeta, events []Event) error {
 		}
 	}
 	for _, e := range events {
-		if err := enc.Encode(e.ToDump()); err != nil {
+		if err := enc.Encode(e.toDump()); err != nil {
 			return err
 		}
 	}
@@ -250,7 +250,7 @@ func (r *Recorder) DumpWithMeta(w io.Writer) error {
 	node, epoch := r.NodeIdentity()
 	snap := r.MetricsSnapshot()
 	meta := &DumpMeta{V: DumpVersion, Node: node, NodeEpoch: epoch, Snapshot: &snap}
-	return WriteDumpMeta(w, meta, r.Snapshot())
+	return writeDumpMeta(w, meta, r.Snapshot())
 }
 
 // ReadDump parses a JSONL dump back into events. Blank lines and the
@@ -285,7 +285,7 @@ func ReadDumpFull(rd io.Reader) (*DumpMeta, []Event, error) {
 		if err := json.Unmarshal(raw, &d); err != nil {
 			return nil, nil, fmt.Errorf("telemetry: dump line %d: %w", line, err)
 		}
-		out = append(out, d.ToEvent())
+		out = append(out, d.toEvent())
 	}
 	if err := sc.Err(); err != nil {
 		return nil, nil, err

@@ -49,8 +49,8 @@ func Replay(e Event) ReplayResult {
 }
 
 func replayFlow(e Event) ReplayResult {
-	src, okS := e.SrcLabels()
-	dst, okD := e.DstLabels()
+	src, okS := e.srcLabels()
+	dst, okD := e.dstLabels()
 	if !okS || !okD {
 		return ReplayResult{Reason: "label operands not recorded"}
 	}
@@ -145,8 +145,8 @@ func Explain(e Event) string {
 	}
 	switch e.Rule {
 	case RuleSecrecy, RuleIntegrity:
-		src, _ := e.SrcLabels()
-		dst, _ := e.DstLabels()
+		src, _ := e.srcLabels()
+		dst, _ := e.dstLabels()
 		fmt.Fprintf(&b, "  rule: %s\n  source: %v\n  destination: %v\n", e.Rule, src, dst)
 		if e.Rule == RuleSecrecy {
 			fmt.Fprintf(&b, "  check: Bell–LaPadula requires S(src) ⊆ S(dst); source carries %v beyond the destination\n", e.Delta)

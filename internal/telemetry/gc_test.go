@@ -36,7 +36,7 @@ func TestDenialsSurviveGC(t *testing.T) {
 		t.Fatalf("recorded %d denials, want 32", len(live))
 	}
 	for _, e := range live {
-		src, ok := e.SrcLabels()
+		src, ok := e.srcLabels()
 		if e.Rule == RuleSecrecy && (!ok || src.S.Len() != 2 || difc.NewLabel(src.S.Tags()...) != src.S) {
 			t.Fatalf("event #%d: source %v (ok %v) did not survive the collector", e.Seq, src, ok)
 		}

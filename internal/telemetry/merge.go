@@ -73,12 +73,12 @@ func mergeInto(dst *MetricsSnapshot, s MetricsSnapshot) {
 	dst.DenialsByRule = mergeMap(dst.DenialsByRule, s.DenialsByRule)
 	dst.Hooks = mergeMap(dst.Hooks, s.Hooks)
 	dst.Extra = mergeMap(dst.Extra, s.Extra)
-	dst.HookLatency = MergeHistograms(dst.HookLatency, s.HookLatency)
+	dst.HookLatency = mergeHistograms(dst.HookLatency, s.HookLatency)
 	for layer, buckets := range s.LayerLatency {
 		if dst.LayerLatency == nil {
 			dst.LayerLatency = map[string][]HistBucket{}
 		}
-		dst.LayerLatency[layer] = MergeHistograms(dst.LayerLatency[layer], buckets)
+		dst.LayerLatency[layer] = mergeHistograms(dst.LayerLatency[layer], buckets)
 	}
 }
 
@@ -95,9 +95,9 @@ func mergeMap(dst, src map[string]uint64) map[string]uint64 {
 	return dst
 }
 
-// MergeHistograms adds two bucket lists bucket-wise, keyed on the upper
+// mergeHistograms adds two bucket lists bucket-wise, keyed on the upper
 // bound. Both inputs are ascending (snapshot order); the result is too.
-func MergeHistograms(a, b []HistBucket) []HistBucket {
+func mergeHistograms(a, b []HistBucket) []HistBucket {
 	if len(a) == 0 {
 		return append([]HistBucket(nil), b...)
 	}

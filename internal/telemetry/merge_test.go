@@ -109,7 +109,7 @@ func TestHistQuantileEdgeCases(t *testing.T) {
 func TestMergeHistogramsSaturates(t *testing.T) {
 	a := []HistBucket{{UpperNS: 63, Count: math.MaxUint64 - 1}}
 	b := []HistBucket{{UpperNS: 63, Count: 2}}
-	m := MergeHistograms(a, b)
+	m := mergeHistograms(a, b)
 	if len(m) != 1 {
 		t.Fatalf("merged %d buckets, want 1", len(m))
 	}
@@ -127,7 +127,7 @@ func TestMergeHistogramsSaturates(t *testing.T) {
 func TestMergeHistogramsDisjointBounds(t *testing.T) {
 	a := []HistBucket{{UpperNS: 63, Count: 1}, {UpperNS: 255, Count: 2}}
 	b := []HistBucket{{UpperNS: 127, Count: 3}}
-	m := MergeHistograms(a, b)
+	m := mergeHistograms(a, b)
 	want := []HistBucket{{UpperNS: 63, Count: 1}, {UpperNS: 127, Count: 3}, {UpperNS: 255, Count: 2}}
 	if len(m) != len(want) {
 		t.Fatalf("merged %v, want %v", m, want)

@@ -149,10 +149,6 @@ func (m *Metrics) ObserveLayer(l Layer, d time.Duration) {
 	}
 }
 
-// Reset zeroes the whole block. For tests and bench warmup; not safe
-// against concurrent writers.
-func (m *Metrics) Reset() { *m = Metrics{} }
-
 // MetricsSnapshot is a point-in-time fold of a recorder's metrics plus
 // the process-global difc label-table stats, in a shape that serialises
 // directly to JSON, expvar and Prometheus text.

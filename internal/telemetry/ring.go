@@ -102,10 +102,9 @@ func (r *Recorder) Denials() []Event {
 	return out
 }
 
-// Reset clears the flight recorder's rings and sequence counter (metrics
-// are left alone; see Metrics.Reset). It drops the ring set, so the
-// recorder is back at rest until its next record. Meant for tests and
-// between chaos seeds; not safe against concurrent writers.
+// Reset clears the flight recorder's rings and sequence counter; metrics
+// are left alone. It drops the ring set, so the recorder is back at rest
+// until its next record. Not safe against concurrent writers.
 func (r *Recorder) Reset() {
 	r.seq.Store(0)
 	r.rings.Store(nil)

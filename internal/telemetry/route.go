@@ -146,8 +146,8 @@ func FormatRoute(rep RouteReport) string {
 		fmt.Fprintf(&b, "hop %d @ node %d (epoch %d): %s\n", h.Hop, h.Node, h.NodeEpoch, verdict)
 		for _, c := range h.Checks {
 			e := c.Event
-			src, _ := e.SrcLabels()
-			dst, _ := e.DstLabels()
+			src, _ := e.srcLabels()
+			dst, _ := e.dstLabels()
 			switch e.Kind {
 			case KindDeny:
 				fmt.Fprintf(&b, "  %s %s deny rule=%s %v -> %v delta=%v\n",

@@ -309,14 +309,14 @@ func (e *Event) SetDst(l difc.Labels) {
 // of a flow, so a flow check can be replayed from it.
 func (e Event) hasFlowOperands() bool { return e.Has&(HasSrcS|HasDstS) == HasSrcS|HasDstS }
 
-// SrcLabels returns the event's source label pair. ok is false when
+// srcLabels returns the event's source label pair. ok is false when
 // either component was not recorded.
-func (e Event) SrcLabels() (difc.Labels, bool) {
+func (e Event) srcLabels() (difc.Labels, bool) {
 	return difc.Labels{S: e.SrcS, I: e.SrcI}, e.Has&(HasSrcS|HasSrcI) == HasSrcS|HasSrcI
 }
 
-// DstLabels returns the event's destination label pair.
-func (e Event) DstLabels() (difc.Labels, bool) {
+// dstLabels returns the event's destination label pair.
+func (e Event) dstLabels() (difc.Labels, bool) {
 	return difc.Labels{S: e.DstS, I: e.DstI}, e.Has&(HasDstS|HasDstI) == HasDstS|HasDstI
 }
 
@@ -428,12 +428,6 @@ func (r *Recorder) Emit(e Event) {
 // detail text only. Callers gate on Active.
 func (r *Recorder) EmitDeny(layer Layer, site, op string, tid, proc uint64, err error) {
 	r.Emit(DenyEvent(layer, site, op, tid, proc, err))
-}
-
-// EmitAllow records a passed check (LevelAll). Label operands are
-// optional: set them on the event when the call site has them cheaply.
-func (r *Recorder) EmitAllow(layer Layer, site, op string, tid, proc uint64) {
-	r.Emit(Event{Layer: layer, Kind: KindAllow, Op: op, Site: site, TID: tid, Proc: proc})
 }
 
 // EmitFaultTrip records a fault-injection firing and bumps the trip

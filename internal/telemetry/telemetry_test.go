@@ -57,7 +57,7 @@ func TestEmitDenyClassifiesFlowError(t *testing.T) {
 	if len(e.Delta) != 1 || e.Delta[0] != 9 {
 		t.Fatalf("delta = %v, want [t9]", e.Delta)
 	}
-	src, ok := e.SrcLabels()
+	src, ok := e.srcLabels()
 	if !ok || !src.S.Equal(difc.NewLabel(7, 9)) {
 		t.Fatalf("source labels not recoverable: %v ok=%v", src, ok)
 	}
@@ -135,7 +135,7 @@ func TestRingConcurrentEmitRaceClean(t *testing.T) {
 		go func(tid uint64) {
 			defer wg.Done()
 			for i := 0; i < 500; i++ {
-				r.EmitAllow(LayerKernel, "sys.write", "write", tid, 1)
+				r.Emit(Event{Layer: LayerKernel, Kind: KindAllow, Op: "write", Site: "sys.write", TID: tid, Proc: 1})
 			}
 		}(uint64(g))
 	}

@@ -88,8 +88,8 @@ func (r *Recorder) UnbindTrace(ino uint64) {
 	r.traces.mu.Unlock()
 }
 
-// TraceFor looks up the context bound to an inode.
-func (r *Recorder) TraceFor(ino uint64) (TraceCtx, bool) {
+// traceFor looks up the context bound to an inode.
+func (r *Recorder) traceFor(ino uint64) (TraceCtx, bool) {
 	if r.traceBound.Load() == 0 {
 		return TraceCtx{}, false
 	}
@@ -105,7 +105,7 @@ func (r *Recorder) TraceBound(ino uint64) bool {
 	if r.traceBound.Load() == 0 {
 		return false
 	}
-	_, ok := r.TraceFor(ino)
+	_, ok := r.traceFor(ino)
 	return ok
 }
 
@@ -119,7 +119,7 @@ func (r *Recorder) stampTrace(e *Event) {
 	if e.TraceID != 0 || e.Ino == 0 || r.traceBound.Load() == 0 {
 		return
 	}
-	if ctx, ok := r.TraceFor(e.Ino); ok {
+	if ctx, ok := r.traceFor(e.Ino); ok {
 		e.TraceID = ctx.TraceID
 		e.TraceHop = ctx.Hop
 		e.TraceOrigin = ctx.Origin

@@ -196,7 +196,7 @@ func TestMergeSnapshots(t *testing.T) {
 func TestMergeHistogramsDisjointAndEmpty(t *testing.T) {
 	a := []HistBucket{{UpperNS: 1, Count: 1}, {UpperNS: 4, Count: 2}}
 	b := []HistBucket{{UpperNS: 2, Count: 3}}
-	m := MergeHistograms(a, b)
+	m := mergeHistograms(a, b)
 	want := []HistBucket{{UpperNS: 1, Count: 1}, {UpperNS: 2, Count: 3}, {UpperNS: 4, Count: 2}}
 	if len(m) != len(want) {
 		t.Fatalf("merged = %+v", m)
@@ -206,10 +206,10 @@ func TestMergeHistogramsDisjointAndEmpty(t *testing.T) {
 			t.Fatalf("merged[%d] = %+v, want %+v", i, m[i], want[i])
 		}
 	}
-	cp := MergeHistograms(nil, b)
+	cp := mergeHistograms(nil, b)
 	cp[0].Count = 77
 	if b[0].Count != 3 {
-		t.Fatal("MergeHistograms(nil, b) aliased b")
+		t.Fatal("mergeHistograms(nil, b) aliased b")
 	}
 }
 

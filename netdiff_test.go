@@ -42,8 +42,8 @@ var netdiffRates = faultinject.Rates{Error: 0.05, Crash: 0.02}
 // TID/Proc/Seq are deliberately excluded (they name kernel-local task
 // identities); everything the CHECK saw is included.
 func netdiffVerdict(e telemetry.Event) string {
-	src, _ := e.SrcLabels()
-	dst, _ := e.DstLabels()
+	src := difc.Labels{S: e.SrcS, I: e.SrcI}
+	dst := difc.Labels{S: e.DstS, I: e.DstI}
 	return fmt.Sprintf("%s|%s|%s|%v|%v->%v", e.Site, e.Op, e.Rule, e.Delta, src, dst)
 }
 

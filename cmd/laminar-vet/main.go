@@ -203,7 +203,6 @@ func runSummaries(args []string) int {
 		fmt.Fprintln(os.Stderr, "laminar-vet:", err)
 		return 1
 	}
-	ip := prog.Interproc()
 	fmt.Printf("%-16s %-10s %-12s %-6s %-8s %-12s %s\n",
 		"METHOD", "KIND", "ENSURES", "RET", "STATICS", "ENTRY", "BARRIER-FREE")
 	for i, m := range prog.Methods {
@@ -213,7 +212,7 @@ func runSummaries(args []string) int {
 		}
 		s := res.Summaries[i]
 		free := ""
-		if ip != nil && i < len(ip.BarrierFree) && ip.BarrierFree[i] {
+		if s.BarrierFree {
 			free = "yes"
 		}
 		fmt.Printf("%-16s %-10s %-12s %-6s %-8s %-12s %s\n",
@@ -238,11 +237,11 @@ func runExplain(args []string) int {
 		fmt.Fprintln(os.Stderr, "laminar-vet:", err)
 		return 1
 	}
-	if _, err := analysis.Attach(prog); err != nil {
+	res, err := analysis.Attach(prog)
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "laminar-vet:", err)
 		return 1
 	}
-	ip := prog.Interproc()
 	for i, m := range prog.Methods {
 		if *method != "" && m.Name != *method {
 			continue
@@ -250,8 +249,8 @@ func runExplain(args []string) int {
 		// Invoke-reached code assumes the caller-proven entry facts;
 		// secure methods and host entries assume none.
 		var entry []uint8
-		if ip != nil && m.Secure == nil && i < len(ip.EntryChecked) {
-			entry = ip.EntryChecked[i]
+		if m.Secure == nil {
+			entry = res.Summaries[i].EntryChecked
 		}
 		decisions := prog.BarrierDecisions(m, entry)
 		if len(decisions) == 0 {

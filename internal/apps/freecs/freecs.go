@@ -337,8 +337,6 @@ type UnsecuredServer struct {
 
 type unsecGroup struct {
 	banList  map[string]bool
-	members  map[string]bool
-	theme    string
 	msgCount int
 	supers   map[string]bool
 }
@@ -362,9 +360,7 @@ func (s *UnsecuredServer) createGroup(name string) {
 	defer s.mu.Unlock()
 	s.groups[name] = &unsecGroup{
 		banList: make(map[string]bool),
-		members: make(map[string]bool),
 		supers:  make(map[string]bool),
-		theme:   "welcome",
 	}
 }
 
@@ -393,32 +389,6 @@ func (s *UnsecuredServer) Say(u *UnsecUser, gname, text string) error {
 	return nil
 }
 
-// Messages returns the count.
-func (s *UnsecuredServer) Messages(gname string) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if g, ok := s.groups[gname]; ok {
-		return g.msgCount
-	}
-	return 0
-}
-
-// invite: original check — superuser only.
-func (s *UnsecuredServer) invite(u *UnsecUser, gname, invitee string) error {
-	simwork.Do(commandWork)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	g, ok := s.groups[gname]
-	if !ok {
-		return fmt.Errorf("freecs: no group %q", gname)
-	}
-	if !g.supers[u.Name] {
-		return ErrDenied
-	}
-	g.members[invitee] = true
-	return nil
-}
-
 // Ban: original check — VIP with superuser power.
 func (s *UnsecuredServer) Ban(u *UnsecUser, gname, target string) error {
 	simwork.Do(commandWork)
@@ -432,21 +402,5 @@ func (s *UnsecuredServer) Ban(u *UnsecUser, gname, target string) error {
 		return ErrDenied
 	}
 	g.banList[target] = true
-	return nil
-}
-
-// SetTheme: original check — superuser.
-func (s *UnsecuredServer) SetTheme(u *UnsecUser, gname, theme string) error {
-	simwork.Do(commandWork)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	g, ok := s.groups[gname]
-	if !ok {
-		return fmt.Errorf("freecs: no group %q", gname)
-	}
-	if !g.supers[u.Name] {
-		return ErrDenied
-	}
-	g.theme = theme
 	return nil
 }

@@ -54,7 +54,6 @@ import (
 	"laminar/internal/difc"
 	"laminar/internal/durable"
 	"laminar/internal/faultinject"
-	"laminar/internal/telemetry"
 )
 
 // Key identifies one budget fact: a secrecy tag and the peer (remote node
@@ -150,19 +149,15 @@ type Ledger struct {
 
 	store durable.Store
 	inj   faultinject.Injector
-	rec   *telemetry.Recorder
 }
 
 // slot holds one fact's live counters. Spent is raced by lock-free
 // chargers (compare-and-swap); limit and epoch are written only under
-// the ledger mutex and read atomically everywhere. noted latches
-// "exhaustion already counted in budget.exhausted" and resets when a
-// limit change or merge reopens the budget.
+// the ledger mutex and read atomically everywhere.
 type slot struct {
 	spent atomic.Uint64
 	limit atomic.Uint64
 	epoch atomic.Uint64
-	noted atomic.Bool
 }
 
 func newSlot(f Fact) *slot {
@@ -278,9 +273,6 @@ func WithStore(s durable.Store) Option { return func(l *Ledger) { l.store = s } 
 // budget.ckpt.* checkpoint sites.
 func WithInjector(inj faultinject.Injector) Option { return func(l *Ledger) { l.inj = inj } }
 
-// WithRecorder attaches a telemetry recorder for the budget.* counters.
-func WithRecorder(rec *telemetry.Recorder) Option { return func(l *Ledger) { l.rec = rec } }
-
 // New builds a ledger and, if a store is attached, recovers every
 // persisted fact. Recovery merges whatever decodes and quarantines
 // undecodable records to zero budget.
@@ -315,10 +307,8 @@ func (l *Ledger) SetLimit(tag difc.Tag, peer, limit uint64) error {
 	}
 	s.limit.Store(limit)
 	s.epoch.Store(old.Epoch + 1)
-	s.noted.Store(false)
 	err := l.persistLocked(k, s.fact())
 	l.mu.Unlock()
-	l.count("budget.limit.set", 1)
 	return err
 }
 
@@ -349,22 +339,17 @@ func (l *Ledger) Charge(op string, tag difc.Tag, peer, cost uint64) error {
 	return l.ChargeLabel(op, difc.NewLabel(tag), peer, cost)
 }
 
-// chargeSlot spends cost on s lock-free. denied reports exhaustion;
-// crossed reports that this call was the first to observe it (the
-// caller counts it in budget.exhausted).
-func chargeSlot(s *slot, cost uint64) (denied, crossed bool) {
+// chargeSlot spends cost on s lock-free and reports exhaustion.
+func chargeSlot(s *slot, cost uint64) (denied bool) {
 	limit := s.limit.Load()
 	for {
 		cur := s.spent.Load()
 		newSpent := satAdd(cur, cost)
 		if cur >= limit || newSpent > limit {
-			return true, s.noted.CompareAndSwap(false, true)
+			return true
 		}
 		if s.spent.CompareAndSwap(cur, newSpent) {
-			if newSpent >= limit {
-				return false, s.noted.CompareAndSwap(false, true)
-			}
-			return false, false
+			return false
 		}
 	}
 }
@@ -394,29 +379,15 @@ func (l *Ledger) ChargeLabel(op string, lab difc.Label, peer, cost uint64) error
 	var (
 		deniedTag difc.Tag
 		denied    bool
-		charged   uint64
-		exhausted uint64
 	)
 	eachTracked(lab, row, func(tag difc.Tag, s *slot) bool {
-		d, crossed := chargeSlot(s, cost)
-		if crossed {
-			exhausted++
-		}
-		if d {
+		if chargeSlot(s, cost) {
 			deniedTag, denied = tag, true
 			return false
 		}
-		charged++
 		return true
 	})
-	if charged > 0 {
-		l.count("budget.charged", charged)
-	}
-	if exhausted > 0 {
-		l.count("budget.exhausted", exhausted)
-	}
 	if denied {
-		l.count("budget.denied", 1)
 		return ExhaustedError(op, deniedTag)
 	}
 	return nil
@@ -430,51 +401,27 @@ func (l *Ledger) ChargeLabel(op string, lab difc.Label, peer, cost uint64) error
 // under-count.
 func (l *Ledger) chargeLabelDurable(op string, lab difc.Label, peer, cost uint64) error {
 	var (
-		deniedTag  difc.Tag
-		denied     bool
-		charged    uint64
-		exhausted  uint64
-		persistErr bool
+		deniedTag difc.Tag
+		denied    bool
 	)
 	l.mu.Lock()
 	eachTracked(lab, l.table()[peer], func(tag difc.Tag, s *slot) bool {
 		f := s.fact()
 		newSpent := satAdd(f.Spent, cost)
 		if f.exhausted() || newSpent > f.Limit {
-			if s.noted.CompareAndSwap(false, true) {
-				exhausted++
-			}
 			deniedTag, denied = tag, true
 			return false
 		}
 		s.spent.Store(newSpent)
-		charged++
-		err := l.persistLocked(Key{Tag: tag, Peer: peer}, s.fact())
-		if newSpent >= f.Limit && s.noted.CompareAndSwap(false, true) {
-			exhausted++
-		}
-		if err != nil {
+		if err := l.persistLocked(Key{Tag: tag, Peer: peer}, s.fact()); err != nil {
 			// Fail closed: the raised spend stands, the operation is
 			// denied.
-			persistErr = true
 			deniedTag, denied = tag, true
 			return false
 		}
 		return true
 	})
 	l.mu.Unlock()
-	if charged > 0 {
-		l.count("budget.charged", charged)
-	}
-	if denied && !persistErr {
-		l.count("budget.denied", 1)
-	}
-	if exhausted > 0 {
-		l.count("budget.exhausted", exhausted)
-	}
-	if persistErr {
-		l.count("budget.persist.fail", 1)
-	}
 	if denied {
 		return ExhaustedError(op, deniedTag)
 	}
@@ -492,13 +439,6 @@ func ExhaustedError(op string, tag difc.Tag) *difc.FlowError {
 		Dst:  difc.Labels{},
 		Rule: "secrecy",
 	}
-}
-
-func (l *Ledger) count(name string, delta uint64) {
-	if l.rec == nil {
-		return
-	}
-	l.rec.M.Extra.Get(name).Add(0, delta)
 }
 
 // ---- cluster fact exchange ----------------------------------------------
@@ -576,8 +516,7 @@ func DecodeFacts(b []byte) (map[Key]Fact, error) {
 // MergeFacts folds a decoded fact set into the ledger with the
 // semilattice merge and reports how many facts changed. Facts the ledger
 // has never seen are adopted as-is (a peer budgeted a pair we had no
-// opinion on). Changed facts persist; a tightening merge re-arms the
-// exhaustion latch.
+// opinion on). Changed facts persist.
 func (l *Ledger) MergeFacts(facts map[Key]Fact) int {
 	if len(facts) == 0 {
 		return 0
@@ -600,16 +539,10 @@ func (l *Ledger) MergeFacts(facts map[Key]Fact) int {
 		s.limit.Store(m.Limit)
 		s.epoch.Store(m.Epoch)
 		mergeSpent(s, cur, m)
-		if m.Epoch > cur.Epoch || m.Limit < cur.Limit || (m.exhausted() && !cur.exhausted()) {
-			s.noted.Store(false)
-		}
 		l.persistLocked(k, s.fact())
 		changed++
 	}
 	l.mu.Unlock()
-	if changed > 0 {
-		l.count("budget.merge.facts", uint64(changed))
-	}
 	return changed
 }
 
@@ -761,7 +694,6 @@ func (l *Ledger) recover() {
 			// merges safely cluster-wide (max spend, min limit) and only
 			// a deliberate higher-epoch SetLimit clears it.
 			f = Fact{Spent: math.MaxUint64, Limit: 0, Epoch: 0}
-			l.count("budget.quarantined", 1)
 		}
 		l.installLocked(k, newSlot(f))
 		l.store.Set(base, sealFact(f))

@@ -8,7 +8,6 @@ import (
 	"laminar/internal/difc"
 	"laminar/internal/durable"
 	"laminar/internal/faultinject"
-	"laminar/internal/telemetry"
 )
 
 func TestSatAdd(t *testing.T) {
@@ -73,15 +72,8 @@ func TestChargeUntrackedIsFree(t *testing.T) {
 	}
 }
 
-// exhaustedCounter returns a reader for rec's budget.exhausted counter.
-func exhaustedCounter(rec *telemetry.Recorder) func() uint64 {
-	return func() uint64 { return rec.M.Extra.Get("budget.exhausted").Load() }
-}
-
 func TestChargeExhaustion(t *testing.T) {
-	rec := telemetry.NewRecorder()
-	l := New(WithRecorder(rec))
-	exhausted := exhaustedCounter(rec)
+	l := New()
 	const tag = difc.Tag(3)
 	l.SetLimit(tag, 0, 3)
 	for i := 0; i < 3; i++ {
@@ -89,29 +81,29 @@ func TestChargeExhaustion(t *testing.T) {
 			t.Fatalf("charge %d within budget denied: %v", i, err)
 		}
 	}
-	if n := exhausted(); n != 1 {
-		t.Fatalf("exhaustion crossing counted %d times, want 1", n)
+	// Every charge past the limit denies and leaves the spend alone.
+	for i := 0; i < 3; i++ {
+		if err := l.Charge("drop", tag, 0, 1); err == nil {
+			t.Fatal("charge past limit must deny")
+		}
 	}
-	if err := l.Charge("drop", tag, 0, 1); err == nil {
-		t.Fatal("charge past limit must deny")
-	}
-	// Repeated denials must not re-count the exhaustion.
-	l.Charge("drop", tag, 0, 1)
-	l.Charge("drop", tag, 0, 1)
-	if n := exhausted(); n != 1 {
-		t.Fatalf("repeat denials counted %d exhaustions, want 1", n)
+	if f, _ := l.Fact(tag, 0); f != (Fact{Spent: 3, Limit: 3, Epoch: 1}) {
+		t.Fatalf("exhausted fact %+v", f)
 	}
 	// Peer 1 is a different key: still unlimited.
 	if err := l.Charge("drop", tag, 1, 1); err != nil {
 		t.Fatalf("other peer charge denied: %v", err)
 	}
-	// A limit change re-arms the latch: the next crossing counts again.
+	// A limit change reopens the budget under a new epoch.
 	l.SetLimit(tag, 0, 4)
 	if err := l.Charge("drop", tag, 0, 1); err != nil {
 		t.Fatalf("charge under the raised limit denied: %v", err)
 	}
-	if n := exhausted(); n != 2 {
-		t.Fatalf("crossing after a limit change counted %d exhaustions, want 2", n)
+	if err := l.Charge("drop", tag, 0, 1); err == nil {
+		t.Fatal("charge past the raised limit must deny")
+	}
+	if f, _ := l.Fact(tag, 0); f != (Fact{Spent: 4, Limit: 4, Epoch: 2}) {
+		t.Fatalf("fact after the raised limit %+v", f)
 	}
 }
 
@@ -209,58 +201,51 @@ func TestFactsCodecRoundTrip(t *testing.T) {
 }
 
 func TestMergeFactsAdoptAndTighten(t *testing.T) {
-	rec := telemetry.NewRecorder()
-	l := New(WithRecorder(rec))
-	exhausted := exhaustedCounter(rec)
+	l := New()
+	fact := func(tag difc.Tag, peer uint64) Fact {
+		f, _ := l.Fact(tag, peer)
+		return f
+	}
 
-	// An adopted, already-exhausted fact denies, and the first denial
-	// counts the exhaustion once.
-	n := l.MergeFacts(map[Key]Fact{{Tag: 4, Peer: 2}: {Spent: 10, Limit: 10, Epoch: 1}})
+	// An adopted, already-exhausted fact denies.
+	adopted := Fact{Spent: 10, Limit: 10, Epoch: 1}
+	n := l.MergeFacts(map[Key]Fact{{Tag: 4, Peer: 2}: adopted})
 	if n != 1 {
 		t.Fatalf("adopt: changed=%d", n)
 	}
 	if err := l.Charge("send", difc.Tag(4), 2, 1); err == nil {
 		t.Fatal("charge against an adopted exhausted fact allowed")
 	}
-	if got := exhausted(); got != 1 {
-		t.Fatalf("adopted exhaustion counted %d times, want 1", got)
-	}
-	// Re-merging the same facts is a no-op: nothing changes and the
-	// latch stays set, so a further denial does not re-count.
-	if n := l.MergeFacts(map[Key]Fact{{Tag: 4, Peer: 2}: {Spent: 10, Limit: 10, Epoch: 1}}); n != 0 {
+	// Re-merging the same facts is a no-op.
+	if n := l.MergeFacts(map[Key]Fact{{Tag: 4, Peer: 2}: adopted}); n != 0 {
 		t.Fatalf("idempotent re-merge changed %d facts", n)
 	}
-	l.Charge("send", difc.Tag(4), 2, 1)
-	if got := exhausted(); got != 1 {
-		t.Fatalf("re-merge re-counted the exhaustion (%d)", got)
+	if f := fact(4, 2); f != adopted {
+		t.Fatalf("re-merge moved the fact to %+v", f)
 	}
 	// A peer reporting more spend tightens the fact.
 	l.SetLimit(difc.Tag(5), 0, 100)
 	l.Charge("send", difc.Tag(5), 0, 10)
 	l.MergeFacts(map[Key]Fact{{Tag: 5, Peer: 0}: {Spent: 100, Limit: 100, Epoch: 2}})
-	f, _ := l.Fact(difc.Tag(5), 0)
+	f := fact(5, 0)
 	if !f.exhausted() || f.Spent != 100 {
 		t.Fatalf("tightening merge gave %+v", f)
 	}
 	if err := l.Charge("send", difc.Tag(5), 0, 1); err == nil {
 		t.Fatal("charge after merged exhaustion allowed")
 	}
-	if got := exhausted(); got != 2 {
-		t.Fatalf("merged exhaustion counted %d times in total, want 2", got)
-	}
-	// A tightening merge re-arms a latch that an earlier crossing set: a
-	// same-epoch merge lowering the limit reopens the count.
+	// A same-epoch merge lowering the limit tightens a fact this ledger
+	// already spent to its limit.
 	l.SetLimit(difc.Tag(6), 0, 10)
-	l.Charge("send", difc.Tag(6), 0, 10)
-	if got := exhausted(); got != 3 {
-		t.Fatalf("local crossing counted %d exhaustions in total, want 3", got)
+	if err := l.Charge("send", difc.Tag(6), 0, 10); err != nil {
+		t.Fatalf("charge up to the limit denied: %v", err)
 	}
 	l.MergeFacts(map[Key]Fact{{Tag: 6, Peer: 0}: {Spent: 10, Limit: 5, Epoch: 1}})
+	if f := fact(6, 0); f != (Fact{Spent: 10, Limit: 5, Epoch: 1}) {
+		t.Fatalf("lowered merged limit gave %+v", f)
+	}
 	if err := l.Charge("send", difc.Tag(6), 0, 1); err == nil {
 		t.Fatal("charge after a lowered merged limit allowed")
-	}
-	if got := exhausted(); got != 4 {
-		t.Fatalf("denial after a tightening merge counted %d exhaustions in total, want 4", got)
 	}
 }
 

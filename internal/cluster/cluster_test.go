@@ -14,6 +14,17 @@ import (
 	"laminar/internal/telemetry"
 )
 
+// memberState reads the tracked state of peer id; StateDead for ids
+// never heard of.
+func memberState(c *Cluster, id uint64) MemberState {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if m, ok := c.members[id]; ok {
+		return m.state
+	}
+	return StateDead
+}
+
 // testClusterNode is one full stack: kernel, LSM, user task, recorder,
 // and a listening cluster node.
 type testClusterNode struct {
@@ -127,7 +138,7 @@ func TestFailureDetectionSuspectThenDead(t *testing.T) {
 	// Kill node 3 (stop ticking it, tear the transport down).
 	c.cl.Close()
 	tickUntil(t, func() bool {
-		return a.cl.State(3) == StateDead && b.cl.State(3) == StateDead
+		return memberState(a.cl, 3) == StateDead && memberState(b.cl, 3) == StateDead
 	}, a, b)
 	// The detector passed through suspect before dead.
 	if a.rec.M.Extra.Get("cluster.member.suspect").Load() == 0 {
@@ -145,7 +156,7 @@ func TestFailureDetectionSuspectThenDead(t *testing.T) {
 	}, a, b)
 	// With EVERY possible intermediary gone too, the origin has no route.
 	b.cl.Close()
-	tickUntil(t, func() bool { return a.cl.State(2) == StateDead }, a)
+	tickUntil(t, func() bool { return memberState(a.cl, 2) == StateDead }, a)
 	if _, err := a.cl.Open(a.user, 3, difc.Labels{}); !errors.Is(err, ErrNoRoute) {
 		t.Errorf("open with no alive members = %v, want ErrNoRoute", err)
 	}
@@ -569,7 +580,7 @@ func TestDrainStopsIntakeAndAnnouncesDeparture(t *testing.T) {
 		b.cl.mu.Lock()
 		done := b.cl.changes[ch.ID].Status == StatusDone
 		b.cl.mu.Unlock()
-		return done && a.cl.State(2) == StateDead
+		return done && memberState(a.cl, 2) == StateDead
 	}, a, b)
 	// New routed work toward the drained node is refused at its door.
 	before := b.rec.M.Extra.Get("cluster.route.draining").Load()

@@ -78,20 +78,6 @@ func (c *Cluster) Members() []MemberInfo {
 	return out
 }
 
-// State reports the tracked state of node id (self is always alive);
-// StateDead for ids never heard of — an unknown node gets no traffic.
-func (c *Cluster) State(id uint64) MemberState {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if id == c.cfg.ID {
-		return StateAlive
-	}
-	if m, ok := c.members[id]; ok {
-		return m.state
-	}
-	return StateDead
-}
-
 // Converged reports whether every listed id is currently alive (self
 // counts). The smoke harness and oracle poll this.
 func (c *Cluster) Converged(ids ...uint64) bool {

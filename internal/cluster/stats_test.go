@@ -172,7 +172,7 @@ func TestStatsStaleness(t *testing.T) {
 
 	// Liveness staleness: kill node 3 and wait for the detector.
 	n3.cl.Close()
-	tickUntil(t, func() bool { return n1.cl.State(3) != StateAlive }, n1, n2)
+	tickUntil(t, func() bool { return memberState(n1.cl, 3) != StateAlive }, n1, n2)
 	for _, n := range n1.cl.ClusterSnapshot().Nodes {
 		if n.Node == 3 && !n.Stale {
 			t.Fatalf("dead peer's slice not stale: %+v", n)
@@ -396,7 +396,7 @@ func TestStatsEvictionOnDeath(t *testing.T) {
 	}, nodes...)
 
 	n3.cl.Close()
-	tickUntil(t, func() bool { return n1.cl.State(3) == StateDead }, n1, n2)
+	tickUntil(t, func() bool { return memberState(n1.cl, 3) == StateDead }, n1, n2)
 
 	// Immediately after the dead verdict the slice is still cached and
 	// stale-labeled — the postmortem window.

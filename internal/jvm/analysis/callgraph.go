@@ -1,15 +1,16 @@
 // Package analysis holds the whole-program analyses over MiniJVM
 // bytecode. They run on package jvm's dataflow framework — jvm.BuildCFG,
 // the worklist solver jvm.Solve and the stack tracer
-// Program.StackSource, the same copies the compiler's barrier
-// elimination uses — plus a call graph with bottom-up SCC iteration
+// Program.StackSource — plus a call graph with bottom-up SCC iteration
 // (this file). Its clients:
 //
-//   - interprocedural barrier summaries (facts.go, summary.go), attached
-//     to a jvm.Program so compilation with CompileOptions.Interproc can
-//     eliminate barriers across call boundaries;
+//   - interprocedural barrier summaries (summary.go): the summary table
+//     ([]jvm.Summary), computed with package jvm's checked-facts problem
+//     and attached to a jvm.Program so compilation with
+//     CompileOptions.Interproc can eliminate barriers across calls;
 //   - a static region-safety lint (lint.go) reporting §5.1 restriction
-//     violations at analysis time instead of as runtime denials;
+//     violations at analysis time instead of as runtime denials, from
+//     the same checked-facts problem;
 //   - a barrier-freedom prover (summary.go), which reuses the compiler's
 //     own elimination pass so a "no barriers needed" verdict cannot drift
 //     from what compilation actually does;
@@ -17,7 +18,7 @@
 //     transparent-endorsement and implicit-flow-fanout rules.
 //
 // The dependency is one-way: analysis imports jvm, never the reverse.
-// Results cross back into the compiler through jvm.InterprocResult.
+// Results cross back into the compiler through the summary table.
 package analysis
 
 import "laminar/internal/jvm"

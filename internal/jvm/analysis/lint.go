@@ -60,18 +60,12 @@ func (f Finding) String() string {
 // are tolerated by jvm.BuildCFG); it does not require Verify to pass, so
 // verifier rejections and lint findings can be reported together.
 func Lint(p *jvm.Program) []Finding {
-	a := &analyzer{prog: p, graph: buildCallGraph(p), sums: make([]*Summary, len(p.Methods))}
-	// Zero summaries everywhere: lint must not assume facts that only
-	// hold after a full (verified) summary computation.
-	for mi, m := range p.Methods {
-		a.sums[mi] = &Summary{Ensures: make([]uint8, m.NArgs)}
-	}
 	var out []Finding
 	for _, m := range p.Methods {
 		if m.Secure == nil {
 			continue
 		}
-		out = append(out, lintRegion(a, m)...)
+		out = append(out, lintRegion(p, m)...)
 	}
 	sort.SliceStable(out, func(i, j int) bool {
 		if out[i].Method != out[j].Method {
@@ -85,7 +79,7 @@ func Lint(p *jvm.Program) []Finding {
 	return out
 }
 
-func lintRegion(a *analyzer, m *jvm.Method) []Finding {
+func lintRegion(p *jvm.Program, m *jvm.Method) []Finding {
 	var out []Finding
 	add := func(pc int, inCatch bool, rule string, advisory bool, format string, args ...any) {
 		out = append(out, Finding{
@@ -125,84 +119,69 @@ func lintRegion(a *analyzer, m *jvm.Method) []Finding {
 
 	// Label-aware rules over body and catch (both run with the region's
 	// labels).
-	lintLabeled(a, m, m.Code, false, add)
+	lintLabeled(p, m, m.Code, false, add)
 	if m.Secure.Catch != nil {
-		lintLabeled(a, m, m.Secure.Catch, true, add)
+		lintLabeled(p, m, m.Secure.Catch, true, add)
 	}
 	return out
 }
 
 type addFn func(pc int, inCatch bool, rule string, advisory bool, format string, args ...any)
 
-func lintLabeled(a *analyzer, m *jvm.Method, code []jvm.Instr, inCatch bool, add addFn) {
+func lintLabeled(p *jvm.Program, m *jvm.Method, code []jvm.Instr, inCatch bool, add addFn) {
 	sec := m.Secure.Labels
 	hasS := !sec.S.IsEmpty()
 	hasI := !sec.I.IsEmpty()
 
-	pr := a.problemFor(m, code, nil)
-	var states []jvm.State
 	if hasS || hasI {
-		states = jvm.Solve(pr.cfg, pr)
-	}
-	stateFor := func(pc int) *factState { return pr.stateAt(states, pc) }
-
-	for pc, in := range code {
-		switch in.Op {
-		case jvm.OpGetStatic:
-			if hasI {
-				add(pc, inCatch, "region-static-read-integrity", false,
-					"static read in a region with integrity labels %v is always denied (barrier.sr)", sec.I)
-			}
-		case jvm.OpPutStatic:
-			if hasS {
-				add(pc, inCatch, "region-static-write-secrecy", false,
-					"static write in a region with secrecy labels %v is always denied (barrier.sw)", sec.S)
-			}
-			if hasS || hasI {
-				s := stateFor(pc)
-				if _, fresh, _ := pr.valueFacts(s, pc, 0); fresh {
+		// No summaries: lint runs on unverified programs and must not
+		// assume facts that only hold after a full summary computation.
+		// Only operand origins (fresh, parameter) matter here.
+		f := p.CheckedFacts(m, code, nil)
+		f.Walk(func(pc int, s *jvm.FactState) {
+			in := code[pc]
+			switch in.Op {
+			case jvm.OpGetStatic:
+				if hasI {
+					add(pc, inCatch, "region-static-read-integrity", false,
+						"static read in a region with integrity labels %v is always denied (barrier.sr)", sec.I)
+				}
+			case jvm.OpPutStatic:
+				if hasS {
+					add(pc, inCatch, "region-static-write-secrecy", false,
+						"static write in a region with secrecy labels %v is always denied (barrier.sw)", sec.S)
+				}
+				if f.Operand(s, pc, 0).Fresh {
 					add(pc, inCatch, "region-ref-escape", false,
 						"in-region allocation stored to static slot %d escapes the region; any outside access traps", in.A)
 				}
-			}
-		case jvm.OpPutField, jvm.OpAStore:
-			if !hasS && !hasI {
-				continue
-			}
-			s := stateFor(pc)
-			objDepth := in.Op.AccessDepth()
-			_, objFresh, objParam := pr.valueFacts(s, pc, objDepth)
-			if hasS && objParam >= 0 {
-				add(pc, inCatch, "region-outer-write", false,
-					"write to parameter %d's object is denied unless the caller passes an object labeled with the region's secrecy %v", objParam, sec.S)
-			}
-			if objParam >= 0 && !objFresh {
-				if _, valFresh, _ := pr.valueFacts(s, pc, 0); valFresh {
+			case jvm.OpPutField, jvm.OpAStore:
+				obj := f.Operand(s, pc, in.Op.AccessDepth())
+				if hasS && obj.Param >= 0 {
+					add(pc, inCatch, "region-outer-write", false,
+						"write to parameter %d's object is denied unless the caller passes an object labeled with the region's secrecy %v", obj.Param, sec.S)
+				}
+				if obj.Param >= 0 && !obj.Fresh && f.Operand(s, pc, 0).Fresh {
 					add(pc, inCatch, "region-ref-escape", false,
-						"in-region allocation stored into parameter %d's object escapes the region; any outside access traps", objParam)
+						"in-region allocation stored into parameter %d's object escapes the region; any outside access traps", obj.Param)
+				}
+			case jvm.OpGetField, jvm.OpALoad, jvm.OpArrayLen:
+				obj := f.Operand(s, pc, in.Op.AccessDepth())
+				if hasI && obj.Param >= 0 && !obj.Fresh {
+					add(pc, inCatch, "region-outer-read", false,
+						"read of parameter %d's object is denied unless the caller passes an object labeled with the region's integrity %v", obj.Param, sec.I)
 				}
 			}
-		case jvm.OpGetField, jvm.OpALoad, jvm.OpArrayLen:
-			if !hasI {
-				continue
-			}
-			s := stateFor(pc)
-			if _, fresh, param := pr.valueFacts(s, pc, in.Op.AccessDepth()); param >= 0 && !fresh {
-				add(pc, inCatch, "region-outer-read", false,
-					"read of parameter %d's object is denied unless the caller passes an object labeled with the region's integrity %v", param, sec.I)
-			}
-		}
+		})
 	}
 
 	// Non-fall-through exits: region code from which no return is
 	// reachable keeps the region's labels on the thread forever.
-	reach := jvm.Solve(pr.cfg, &reachProblem{cfg: pr.cfg})
-	if len(pr.cfg.Blocks) > 0 {
-		entry := pr.cfg.BlockOf(0)
-		if !bool(*reach[entry].(*reachState)) {
-			add(-1, inCatch, "region-no-exit", false,
-				"no return is reachable from region entry; the region never exits and its labels are never popped")
-		}
+	g := jvm.BuildCFG(code)
+	reach := jvm.Solve(g, &reachProblem{cfg: g})
+	if len(g.Blocks) > 0 && !bool(*reach[g.BlockOf(0)].(*reachState)) {
+		add(-1, inCatch, "region-no-exit", false,
+			"no return is reachable from region entry; the region never exits and its labels are never popped")
 	}
 }
 

@@ -2,86 +2,41 @@ package analysis
 
 import (
 	"fmt"
+	"slices"
 
 	"laminar/internal/jvm"
 )
 
-// Summary is one method's interprocedural contract, computed bottom-up
-// over the call graph. Secure methods are opaque boundaries (checks inside
-// run against the region's labels, not the caller's), so their summaries
-// are empty and they receive no entry facts.
-type Summary struct {
-	// Ensures[k]: fact bits the method establishes for the object passed
-	// as parameter k on every path to every normal return.
-	Ensures []uint8
-	// Return: fact bits carried by the return value on every path
-	// (FactAll for factories returning fresh allocations).
-	Return uint8
-	// Statics: FactRead/FactWrite bits for checked static accesses the
-	// method performs on every path to every normal return.
-	Statics uint8
-	// EntryChecked[k]: fact bits proven for argument k at every OpInvoke
-	// site in the program (zero for host-only and secure methods).
-	EntryChecked []uint8
-	// BarrierFree: the compiler's own elimination pass keeps zero
-	// access/static barrier sites even with conservative entry facts.
-	BarrierFree bool
-}
-
-func (s *Summary) equal(o *Summary) bool {
-	if o == nil || s.Return != o.Return || s.Statics != o.Statics || len(s.Ensures) != len(o.Ensures) {
-		return false
-	}
-	for i := range s.Ensures {
-		if s.Ensures[i] != o.Ensures[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// Result is the output of analyze: per-method summaries plus the call
-// graph they were computed over, indexed by method table slot.
+// Result is the output of Attach: the summary table attached to the
+// program and the call graph it was computed over, both indexed by
+// method table slot.
 type Result struct {
-	Prog      *jvm.Program
 	Graph     *CallGraph
-	Summaries []*Summary
+	Summaries []jvm.Summary
 }
 
 type analyzer struct {
 	prog  *jvm.Program
 	graph *CallGraph
-	sums  []*Summary
+	sums  []jvm.Summary
 }
 
-// summaryOf returns the (possibly still-iterating) summary for a method,
-// or nil when no facts may be assumed. Secure methods hold an all-zero
-// summary, so callers naturally learn nothing across a region boundary.
-func (a *analyzer) summaryOf(mi int) *Summary {
-	if mi < 0 || mi >= len(a.sums) {
-		return nil
-	}
-	return a.sums[mi]
-}
-
-// analyze verifies the program and computes summaries bottom-up over call
-// graph SCCs: each component starts from the optimistic top summary and
-// iterates its members to a greatest fixpoint (facts only shrink, so the
-// iteration terminates). The fixpoint is sound by induction over completed
-// sub-executions: a fact consumed from a callee summary concerns a call
-// that returned normally, and only normal returns feed post-call code.
-func analyze(p *jvm.Program) (*Result, error) {
+// analyze verifies the program and computes the summary table bottom-up
+// over call graph SCCs: each component starts from the optimistic top
+// summary and iterates its members to a greatest fixpoint (facts only
+// shrink, so the iteration terminates). The fixpoint is sound by
+// induction over completed sub-executions: a fact consumed from a callee
+// summary concerns a call that returned normally, and only normal
+// returns feed post-call code. Secure methods keep an all-zero summary,
+// so callers learn nothing across a region boundary.
+func analyze(p *jvm.Program) (*analyzer, error) {
 	if err := p.Verify(); err != nil {
 		return nil, fmt.Errorf("analysis: program does not verify: %w", err)
 	}
-	a := &analyzer{
-		prog:  p,
-		graph: buildCallGraph(p),
-		sums:  make([]*Summary, len(p.Methods)),
-	}
+	a := &analyzer{prog: p, graph: buildCallGraph(p), sums: make([]jvm.Summary, len(p.Methods))}
 	for mi, m := range p.Methods {
 		if m.Secure != nil {
-			a.sums[mi] = &Summary{Ensures: make([]uint8, m.NArgs)}
+			a.sums[mi].Ensures = make([]uint8, m.NArgs)
 		}
 	}
 	for _, scc := range a.graph.SCCs {
@@ -95,8 +50,8 @@ func analyze(p *jvm.Program) (*Result, error) {
 		for changed := true; changed; {
 			changed = false
 			for _, mi := range members {
-				ns := a.summarize(mi)
-				if !ns.equal(a.sums[mi]) {
+				ns, old := a.summarize(mi), a.sums[mi]
+				if ns.Return != old.Return || ns.Statics != old.Statics || !slices.Equal(ns.Ensures, old.Ensures) {
 					a.sums[mi] = ns
 					changed = true
 				}
@@ -104,12 +59,12 @@ func analyze(p *jvm.Program) (*Result, error) {
 		}
 	}
 	a.entryChecked()
-	return &Result{Prog: p, Graph: a.graph, Summaries: a.sums}, nil
+	return a, nil
 }
 
 // topSummary is the optimistic starting point for SCC iteration.
-func topSummary(m *jvm.Method) *Summary {
-	s := &Summary{Ensures: make([]uint8, m.NArgs), Statics: jvm.FactAll}
+func topSummary(m *jvm.Method) jvm.Summary {
+	s := jvm.Summary{Ensures: make([]uint8, m.NArgs), Statics: jvm.FactAll}
 	for i := range s.Ensures {
 		s.Ensures[i] = jvm.FactAll
 	}
@@ -120,38 +75,28 @@ func topSummary(m *jvm.Method) *Summary {
 }
 
 // summarize computes one method's summary from the current table: solve
-// the checked-facts problem with no entry assumptions (summaries must hold
-// for every caller, including the host), then meet the argument and
-// static facts over all normal-return sites. A method with no normal
-// return keeps the vacuous top (post-call code is unreachable).
-func (a *analyzer) summarize(mi int) *Summary {
+// the checked-facts problem with no entry assumptions (summaries must
+// hold for every caller, including the host), then meet the argument and
+// static facts, and the returned value's facts, over all normal-return
+// sites. A method with no normal return keeps the vacuous top (post-call
+// code is unreachable).
+func (a *analyzer) summarize(mi int) jvm.Summary {
 	m := a.prog.Methods[mi]
-	pr := a.problemFor(m, m.Code, nil)
-	states := jvm.Solve(pr.cfg, pr)
-
 	out := topSummary(m)
-	for bi, b := range pr.cfg.Blocks {
-		last := pr.cfg.Code[b.End-1]
-		if last.Op != jvm.OpReturn && last.Op != jvm.OpReturnVal {
-			continue
-		}
-		s := states[bi].Clone().(*factState)
-		for pc := b.Start; pc < b.End-1; pc++ {
-			pr.step(s, pc)
+	f := a.prog.CheckedFacts(m, m.Code, a.sums)
+	f.Walk(func(pc int, s *jvm.FactState) {
+		op := m.Code[pc].Op
+		if op != jvm.OpReturn && op != jvm.OpReturnVal {
+			return
 		}
 		for k := range out.Ensures {
-			if k < len(s.args) {
-				out.Ensures[k] &= s.args[k]
-			} else {
-				out.Ensures[k] = 0
-			}
+			out.Ensures[k] &= s.Args[k]
 		}
-		out.Statics &= s.stat
-		if last.Op == jvm.OpReturnVal {
-			bits, _, _ := pr.valueFacts(s, b.End-1, 0)
-			out.Return &= bits
+		out.Statics &= s.Stat
+		if op == jvm.OpReturnVal {
+			out.Return &= f.Operand(s, pc, 0).Bits
 		}
-	}
+	})
 	return out
 }
 
@@ -163,38 +108,26 @@ func (a *analyzer) summarize(mi int) *Summary {
 func (a *analyzer) entryChecked() {
 	n := len(a.prog.Methods)
 	entry := make([][]uint8, n)
-	seen := make([]bool, n)
 	for mi, m := range a.prog.Methods {
 		entry[mi] = make([]uint8, m.NArgs)
-		if m.Secure == nil {
+		// Host-only entry: arguments never passed any barrier.
+		if m.Secure == nil && len(a.graph.Sites[mi]) > 0 {
 			for k := range entry[mi] {
 				entry[mi][k] = jvm.FactAll
 			}
 		}
 	}
 	collect := func(caller *jvm.Method, code []jvm.Instr) {
-		pr := a.problemFor(caller, code, nil)
-		states := jvm.Solve(pr.cfg, pr)
-		for pc, in := range code {
-			if in.Op != jvm.OpInvoke {
-				continue
+		f := a.prog.CheckedFacts(caller, code, a.sums)
+		f.Walk(func(pc int, s *jvm.FactState) {
+			if code[pc].Op != jvm.OpInvoke {
+				return
 			}
-			ci := int(in.A)
-			if ci < 0 || ci >= n || a.prog.Methods[ci].Secure != nil {
-				continue
+			ci := int(code[pc].A)
+			for k := range entry[ci] {
+				entry[ci][k] &= f.Operand(s, pc, len(entry[ci])-1-k).Bits
 			}
-			callee := a.prog.Methods[ci]
-			if callee.NArgs == 0 {
-				seen[ci] = true
-				continue
-			}
-			s := pr.stateAt(states, pc)
-			for k := 0; k < callee.NArgs; k++ {
-				bits, _, _ := pr.valueFacts(s, pc, callee.NArgs-1-k)
-				entry[ci][k] &= bits
-			}
-			seen[ci] = true
-		}
+		})
 	}
 	for _, m := range a.prog.Methods {
 		collect(m, m.Code)
@@ -203,45 +136,23 @@ func (a *analyzer) entryChecked() {
 		}
 	}
 	for mi := range entry {
-		if !seen[mi] {
-			// Host-only entry: arguments never passed any barrier.
-			for k := range entry[mi] {
-				entry[mi][k] = 0
-			}
-		}
 		a.sums[mi].EntryChecked = entry[mi]
 	}
 }
 
-// Attach analyzes the program and attaches the results so compilation
-// with CompileOptions.Interproc can consume them. Barrier-freedom is
-// decided last, by the compiler's own elimination pass running over the
-// just-attached summaries — the prover and the compiler cannot disagree.
+// Attach analyzes the program and attaches the summary table so
+// compilation with CompileOptions.Interproc can consume it.
+// Barrier-freedom is decided last, by the compiler's own elimination
+// pass running over the just-attached table — the prover and the
+// compiler cannot disagree.
 func Attach(p *jvm.Program) (*Result, error) {
-	r, err := analyze(p)
+	a, err := analyze(p)
 	if err != nil {
 		return nil, err
 	}
-	n := len(p.Methods)
-	ip := &jvm.InterprocResult{
-		Ensures:       make([][]uint8, n),
-		Return:        make([]uint8, n),
-		EntryChecked:  make([][]uint8, n),
-		EnsuresStatic: make([]uint8, n),
-		BarrierFree:   make([]bool, n),
-	}
-	for mi, sum := range r.Summaries {
-		ip.Ensures[mi] = sum.Ensures
-		ip.Return[mi] = sum.Return
-		ip.EntryChecked[mi] = sum.EntryChecked
-		ip.EnsuresStatic[mi] = sum.Statics
-	}
-	p.SetInterproc(ip)
+	p.SetInterproc(a.sums)
 	for mi, m := range p.Methods {
-		if p.RemainingBarriers(m, nil) == 0 {
-			ip.BarrierFree[mi] = true
-			r.Summaries[mi].BarrierFree = true
-		}
+		a.sums[mi].BarrierFree = p.RemainingBarriers(m, nil) == 0
 	}
-	return r, nil
+	return &Result{Graph: a.graph, Summaries: a.sums}, nil
 }

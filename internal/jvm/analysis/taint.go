@@ -21,7 +21,7 @@ import (
 //
 // The analysis is a forward may-analysis over the same CFG, worklist
 // solver and stack tracer (package jvm's dataflow.go) as the checked-facts
-// pass (facts.go), generalized in three ways: the lattice tracks a
+// problem (package jvm's facts.go), generalized in three ways: the lattice tracks a
 // two-bit taint (secret, low-integrity) per value plus symbolic
 // dependences on the enclosing method's parameters;
 // implicit flows are modeled with a per-pc control taint derived from
@@ -102,11 +102,14 @@ func paramMask(n int) uint32 {
 	return (1 << uint(n)) - 1
 }
 
-// Origin sentinels for the taint state, extending the facts.go encoding:
-// values >= 0 name a parameter; fresh allocations are tracked per
-// allocation SITE (not one shared bucket) so a clean object and a
-// secret-carrying object allocated in the same method do not alias.
+// Origin sentinels for the taint state, extending the encoding of
+// package jvm's checked facts: values >= 0 name a parameter; fresh
+// allocations are tracked per allocation SITE (not one shared bucket)
+// so a clean object and a secret-carrying object allocated in the same
+// method do not alias.
 const (
+	originTop           = -2 // optimistic: not yet constrained by any path
+	originUnknown       = -1
 	taintOriginInt      = -4 // definitely a non-reference (int) value
 	taintOriginSiteBase = -5 // allocation site s encodes as -(5+s)
 )
@@ -142,7 +145,7 @@ func (s *taintState) Clone() jvm.State {
 	return c
 }
 
-// Merge joins taint (may-analysis: union). Origins merge as in facts.go:
+// Merge joins taint (may-analysis: union). Origins merge as in jvm.FactState:
 // top absorbs, equal survives, conflict decays to unknown.
 func (s *taintState) Merge(other jvm.State) bool {
 	o := other.(*taintState)

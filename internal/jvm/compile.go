@@ -145,13 +145,13 @@ func (p *Program) compile(m *Method, opts CompileOptions, inRegion, host bool, s
 		return cm
 	}
 	optimize := opts.Optimize || opts.Interproc
-	oc := optContext{p: p}
+	var ip []Summary
+	var sum *Summary
 	if opts.Interproc {
-		oc.ip = p.interproc
+		ip, sum = p.interproc, p.summary(m)
 	}
 	dynamic := opts.Mode == BarrierDynamic && m.Secure == nil
-	barrierFree := oc.ip != nil && !opts.Inline &&
-		m.index < len(oc.ip.BarrierFree) && oc.ip.BarrierFree[m.index]
+	barrierFree := sum != nil && !opts.Inline && sum.BarrierFree
 
 	if optimize {
 		src, _ = peephole(src)
@@ -173,10 +173,10 @@ func (p *Program) compile(m *Method, opts CompileOptions, inRegion, host bool, s
 		}
 	case optimize:
 		var entry []uint8
-		if oc.ip != nil && !host && m.Secure == nil && m.index < len(oc.ip.EntryChecked) {
-			entry = oc.ip.EntryChecked[m.index]
+		if sum != nil && !host && m.Secure == nil {
+			entry = sum.EntryChecked
 		}
-		need = eliminateRedundant(oc, src, need, entry)
+		need = p.eliminateRedundant(ip, src, need, entry)
 	}
 	cm.elided = cm.sites - countBarriers(need)
 	st.barriersElided += cm.elided
@@ -192,7 +192,7 @@ func (p *Program) compile(m *Method, opts CompileOptions, inRegion, host bool, s
 		cm.sites += countBarriers(catchNeed)
 		if optimize {
 			before := countBarriers(catchNeed)
-			catchNeed = eliminateRedundant(oc, m.Secure.Catch, catchNeed, nil)
+			catchNeed = p.eliminateRedundant(ip, m.Secure.Catch, catchNeed, nil)
 			d := before - countBarriers(catchNeed)
 			cm.elided += d
 			st.barriersElided += d
@@ -475,16 +475,22 @@ func (p *Program) interprocCheck(opts CompileOptions) error {
 	return nil
 }
 
+// summary returns m's row of the attached summary table, or nil.
+func (p *Program) summary(m *Method) *Summary {
+	if m.index >= len(p.interproc) {
+		return nil
+	}
+	return &p.interproc[m.index]
+}
+
 // entryFactsDiffer reports whether interprocedural entry facts would make
 // the invoke-reached variant of m differ from the host-entry variant.
 func (p *Program) entryFactsDiffer(m *Method, opts CompileOptions) bool {
-	if !opts.Interproc || p.interproc == nil || m.Secure != nil {
+	sum := p.summary(m)
+	if !opts.Interproc || sum == nil || m.Secure != nil {
 		return false
 	}
-	if m.index >= len(p.interproc.EntryChecked) {
-		return false
-	}
-	for _, bits := range p.interproc.EntryChecked[m.index] {
+	for _, bits := range sum.EntryChecked {
 		if bits != 0 {
 			return true
 		}
@@ -590,11 +596,11 @@ func (p *Program) BarrierStats() []MethodBarrierStats {
 		if cm == nil {
 			return
 		}
-		free := p.interproc != nil && m.index < len(p.interproc.BarrierFree) && p.interproc.BarrierFree[m.index]
+		sum := p.summary(m)
 		out = append(out, MethodBarrierStats{
 			Method: m.Name, Variant: variant,
 			Sites: cm.sites, Elided: cm.elided, Emitted: cm.emitted,
-			BarrierFree: free,
+			BarrierFree: sum != nil && sum.BarrierFree,
 		})
 	}
 	for _, m := range p.Methods {

@@ -2,10 +2,10 @@ package jvm
 
 // The dataflow framework every MiniJVM analysis runs on: a control-flow
 // graph, a generic forward/backward worklist solver, and a backwards
-// stack tracer. The compiler's §5.1 barrier elimination (opt.go) and the
-// whole-program analyses in internal/jvm/analysis (summaries, region
-// lint, taint) all use this one copy, so a verdict computed there cannot
-// drift from what compilation does.
+// stack tracer. The checked-facts problem (facts.go) behind the
+// compiler's barrier elimination, the summaries and the region lint,
+// and the taint problem in internal/jvm/analysis all run on this one
+// copy.
 
 // Block is a basic block: the half-open instruction range [Start, End)
 // plus its edges, as block indices.

@@ -93,8 +93,9 @@ type Program struct {
 	// fingerprint is a single linear scan, far cheaper than abstract
 	// interpretation).
 	verifiedFP uint64
-	// interproc holds whole-program analysis results (SetInterproc).
-	interproc *InterprocResult
+	// interproc is the attached summary table (SetInterproc), nil when
+	// none is attached.
+	interproc []Summary
 }
 
 // NewProgram creates an empty program with n static slots.

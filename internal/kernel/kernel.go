@@ -272,7 +272,6 @@ func (k *Kernel) newTask(parent *Task, user string) *Task {
 	if parent == nil {
 		t.proc = &process{k: k}
 	} else {
-		t.Parent = parent.TID
 		t.Proc = parent.Proc
 		t.Cwd = parent.Cwd
 		t.User = parent.User

@@ -260,8 +260,8 @@ func TestForkAndExit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if child.Parent != init.TID || child.Proc != init.Proc {
-		t.Errorf("child parent/proc = %v/%v", child.Parent, child.Proc)
+	if child.Proc != init.Proc || child.proc != init.proc {
+		t.Errorf("child proc = %v, want the parent's %v", child.Proc, init.Proc)
 	}
 	if c, ok := k.taskLookup(child.TID); !ok || c.exited.Load() {
 		t.Error("child not found")

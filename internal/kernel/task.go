@@ -29,8 +29,7 @@ type FD int
 // identical labels (enforced by the VM layer, not here — the kernel treats
 // every task independently, as Linux does).
 type Task struct {
-	TID    TID
-	Parent TID
+	TID TID
 	// Proc groups tasks into a simulated process (address space). Forked
 	// children inherit it; the drop_label_tcb syscall only works within
 	// one process, so a trusted VM cannot drop labels on other

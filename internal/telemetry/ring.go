@@ -101,11 +101,3 @@ func (r *Recorder) Denials() []Event {
 	}
 	return out
 }
-
-// Reset clears the flight recorder's rings and sequence counter; metrics
-// are left alone. It drops the ring set, so the recorder is back at rest
-// until its next record. Not safe against concurrent writers.
-func (r *Recorder) Reset() {
-	r.seq.Store(0)
-	r.rings.Store(nil)
-}

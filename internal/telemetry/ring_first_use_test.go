@@ -34,7 +34,6 @@ func TestRecorderOffFootprint(t *testing.T) {
 	if evs := r.Denials(); len(evs) != 0 {
 		t.Errorf("Denials of an idle recorder = %v, want empty", evs)
 	}
-	r.Reset()
 	var buf bytes.Buffer
 	if err := r.Dump(&buf); err != nil {
 		t.Fatal(err)

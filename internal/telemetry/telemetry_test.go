@@ -364,17 +364,3 @@ func TestEmptyVsUnknownLabelInDump(t *testing.T) {
 		t.Fatal("event with unknown operands must not be replayable")
 	}
 }
-
-func TestResetClearsRing(t *testing.T) {
-	r := NewRecorder()
-	r.SetLevel(LevelDeny)
-	r.Emit(Event{Kind: KindDeny})
-	r.Reset()
-	if len(r.Snapshot()) != 0 {
-		t.Fatal("reset left events behind")
-	}
-	r.Emit(Event{Kind: KindDeny})
-	if evs := r.Snapshot(); len(evs) != 1 || evs[0].Seq != 1 {
-		t.Fatalf("post-reset emit: %+v", evs)
-	}
-}

@@ -51,7 +51,6 @@ var surfaceAllowlist = map[string]string{
 	// Seams that oracles in other packages use.
 	"internal/budget.WithInjector":              "ledger option: the budgetdiff oracle faults the budget.ckpt.* sites through it",
 	"internal/budget.WithStore":                 "ledger option: the budgetdiff oracle and the durable golden test persist facts through it",
-	"internal/budget.WithRecorder":              "ledger option for the budget.* counters; only tests attach a recorder to a ledger",
 	"internal/budget.ExhaustedError":            "the exhaustion denial's shape; the budgetdiff oracle builds its expected error with it",
 	"internal/cluster.Cluster.Changes":          "the clusterdiff oracle reads every node's change log through it",
 	"internal/cluster.Cluster.InjectStaleFrame": "the clusterdiff oracle checks stale-epoch rejection deterministically through it",

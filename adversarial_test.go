@@ -107,7 +107,7 @@ func TestAttackCapabilityForgery(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if ath.Caps().Has(tag, laminar.CapPlus) || ath.Caps().Has(tag, laminar.CapMinus) {
+	if caps := sys.Module().TaskCaps(ath.Task()); caps.Has(tag, laminar.CapPlus) || caps.Has(tag, laminar.CapMinus) {
 		t.Fatal("attacker minted the victim's capability")
 	}
 	if err := ath.Secure(laminar.Labels{S: laminar.NewLabel(tag)}, laminar.EmptyCapSet, func(r *laminar.Region) {
@@ -195,7 +195,7 @@ func TestAttackSignalChannel(t *testing.T) {
 // leave the thread tainted OR privileged — the region's extra
 // capabilities vanish with it unless explicitly retained.
 func TestAttackRegionExitLaundering(t *testing.T) {
-	_, th, tag := adversarySystem(t)
+	sys, th, tag := adversarySystem(t)
 	secret := laminar.Labels{S: laminar.NewLabel(tag)}
 	minus := laminar.NewCapSet(laminar.EmptyLabel, laminar.NewLabel(tag))
 	// Drop the thread's own minus capability globally inside a region.
@@ -204,7 +204,7 @@ func TestAttackRegionExitLaundering(t *testing.T) {
 			t.Errorf("global drop: %v", err)
 		}
 	}, nil)
-	if th.Caps().Has(tag, laminar.CapMinus) {
+	if sys.Module().TaskCaps(th.Task()).Has(tag, laminar.CapMinus) {
 		t.Error("globally dropped capability survived region exit")
 	}
 	// The thread can still re-enter (has tag+) but can never declassify.

@@ -85,9 +85,11 @@ func BenchmarkInlining(b *testing.B) {
 	}
 }
 
-// BenchmarkGranularity compares allocation at page granularity (the
-// HiStar-like baseline) against object granularity for heterogeneously
-// labeled small objects — the space-pressure argument of §1/§2.
+// BenchmarkGranularity measures page-granularity allocation (the
+// HiStar-like baseline) of 64 small objects under 64 distinct labels and
+// reports the page space they waste. It runs the page side only; the
+// comparison with object granularity, the space-pressure argument of
+// §1/§2, is Table 1's probe (eval.Table1, pinned by TestTable1Probes).
 func BenchmarkGranularity(b *testing.B) {
 	labels := make([]difc.Labels, 64)
 	for i := range labels {
@@ -98,7 +100,7 @@ func BenchmarkGranularity(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			h := pagelabel.NewHeap()
 			for j := 0; j < 64; j++ {
-				if _, err := h.Alloc(64, labels[j%len(labels)]); err != nil {
+				if err := h.Alloc(64, labels[j%len(labels)]); err != nil {
 					b.Fatal(err)
 				}
 			}

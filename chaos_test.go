@@ -46,7 +46,7 @@ func TestChaos(t *testing.T) {
 						for _, v := range rep.Violations {
 							t.Errorf("  %s", v)
 						}
-						t.Logf("reproduce with: go run ./cmd/laminar-chaos -seed %d -ops %d", seed, rep.Ops)
+						t.Logf("reproduce with: go run ./cmd/laminar-chaos -seed %d -ops 200", seed)
 						t.Logf("fault schedule:\n%s", rep.Schedule)
 					}
 				})
@@ -88,6 +88,15 @@ func TestChaosReproducible(t *testing.T) {
 	}
 }
 
+// runRecorded runs cfg with its own flight recorder at LevelDeny and
+// returns the recorder with the report.
+func runRecorded(cfg chaos.Config) (chaos.Report, *telemetry.Recorder) {
+	rec := telemetry.NewRecorder()
+	rec.SetLevel(telemetry.LevelDeny)
+	cfg.Recorder = rec
+	return chaos.Run(cfg), rec
+}
+
 // TestChaosFlightRecorder asserts the tentpole's postmortem story under
 // chaos, and acts as a third differential oracle alongside PR 2's:
 //
@@ -105,20 +114,17 @@ func TestChaosFlightRecorder(t *testing.T) {
 		seed := seed
 		t.Run(fmt.Sprint(seed), func(t *testing.T) {
 			t.Parallel()
-			cfg := chaos.Config{Seed: seed, Ops: 200, Rates: chaosRates, Record: true, Telemetry: true}
-			shard := chaos.Run(cfg)
+			cfg := chaos.Config{Seed: seed, Ops: 200, Rates: chaosRates, Record: true}
+			shard, shardRec := runRecorded(cfg)
 			cfg.BigLock = true
-			big := chaos.Run(cfg)
+			_, bigRec := runRecorded(cfg)
 
-			if shard.Telemetry == nil || big.Telemetry == nil {
-				t.Fatal("telemetry recorder not attached")
-			}
 			if shard.Faults == 0 {
 				t.Fatal("schedule injected no faults; crash survival proves nothing")
 			}
 
 			// (1) Ring survived: events present, totally ordered by Seq.
-			events := shard.Telemetry.Snapshot()
+			events := shardRec.Snapshot()
 			if len(events) == 0 {
 				t.Fatal("flight ring empty after chaos run")
 			}
@@ -131,7 +137,7 @@ func TestChaosFlightRecorder(t *testing.T) {
 			// (2) Dump → read back → replay. Every replayable policy denial
 			// must reproduce its recorded verdict from the dump alone.
 			var buf bytes.Buffer
-			if err := shard.Telemetry.Dump(&buf); err != nil {
+			if err := shardRec.Dump(&buf); err != nil {
 				t.Fatal(err)
 			}
 			dumped, err := telemetry.ReadDump(&buf)
@@ -163,7 +169,7 @@ func TestChaosFlightRecorder(t *testing.T) {
 			key := func(e telemetry.Event) string {
 				return fmt.Sprintf("%s|%s|%s|%v", e.Site, e.Op, e.Rule, e.Delta)
 			}
-			sd, bd := shard.Telemetry.Denials(), big.Telemetry.Denials()
+			sd, bd := shardRec.Denials(), bigRec.Denials()
 			if len(sd) != len(bd) {
 				t.Fatalf("denial streams diverge: sharded %d, biglock %d", len(sd), len(bd))
 			}
@@ -203,15 +209,14 @@ func TestChaosVerdictCacheOracle(t *testing.T) {
 					t.Run("", func(t *testing.T) {
 						t.Parallel()
 						cfg := chaos.Config{
-							Seed:      seed,
-							Ops:       200,
-							Rates:     chaosRates,
-							Record:    true,
-							Telemetry: true,
-							BigLock:   mode.bigLock,
+							Seed:    seed,
+							Ops:     200,
+							Rates:   chaosRates,
+							Record:  true,
+							BigLock: mode.bigLock,
 						}
-						first := chaos.Run(cfg)
-						again := chaos.Run(cfg)
+						first, firstRec := runRecorded(cfg)
+						again, againRec := runRecorded(cfg)
 
 						if len(first.Violations) > 0 {
 							t.Errorf("seed %d (%s): %d invariant violations:", seed, mode.name, len(first.Violations))
@@ -223,7 +228,7 @@ func TestChaosVerdictCacheOracle(t *testing.T) {
 						if first.Schedule != again.Schedule {
 							t.Errorf("seed %d (%s): fault schedule diverges on re-run", seed, mode.name)
 						}
-						fd, ad := first.Telemetry.Denials(), again.Telemetry.Denials()
+						fd, ad := firstRec.Denials(), againRec.Denials()
 						if len(fd) != len(ad) {
 							t.Fatalf("seed %d (%s): verdict streams diverge: first run %d denials, re-run %d",
 								seed, mode.name, len(fd), len(ad))

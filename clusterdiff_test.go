@@ -244,6 +244,14 @@ func TestClusterOracleEpochRejectInvisible(t *testing.T) {
 	// Node 2 reincarnates; node 1 must learn the new epoch and then
 	// reject anything still stamped with the old one.
 	n2.cl.Close()
+	// Node 1 records a new incarnation with a re-epoch member event.
+	var reEpochs []string
+	unsubEpoch := n1.stack.rec.Subscribe(func(e telemetry.Event) {
+		if e.Site == "cluster.member" && e.Op == "re-epoch" {
+			reEpochs = append(reEpochs, e.Detail)
+		}
+	})
+	defer unsubEpoch()
 	n2 = clusterdiffBoot(t, false, 2, []string{n1.cl.Addr()}, store, 6, log)
 	defer n2.cl.Close()
 	if n2.cl.Epoch() <= oldEpoch {
@@ -264,9 +272,10 @@ func TestClusterOracleEpochRejectInvisible(t *testing.T) {
 	// finish its previous join from the store without a round trip. So
 	// also wait for node 1 to record the new epoch.
 	learned := func() bool {
-		for _, m := range n1.cl.Members() {
-			if m.ID == 2 {
-				return m.Epoch == n2.cl.Epoch()
+		want := fmt.Sprintf("node 2 epoch %d:", n2.cl.Epoch())
+		for _, d := range reEpochs {
+			if strings.HasPrefix(d, want) {
+				return true
 			}
 		}
 		return false

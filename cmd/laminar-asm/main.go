@@ -124,18 +124,14 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		if v.IsRef() {
-			fmt.Println("(object)")
-		} else {
-			fmt.Println(v.Int())
-		}
+		fmt.Println(v)
 		if *stats {
 			st := mc.Stats()
 			fmt.Fprintf(os.Stderr, "instructions=%d barrier-checks=%d context-checks=%d regions=%d violations=%d\n",
 				st.Instructions, st.BarrierChecks, st.ContextChecks, st.RegionsEntered, st.Violations)
 			rep := mc.CompileReport()
-			fmt.Fprintf(os.Stderr, "compiled methods=%d instrs=%d barriers=%d elided=%d inlined=%d\n",
-				rep.Methods, rep.InstrsOut, rep.BarriersEmitted, rep.BarriersElided, rep.InlinedCalls)
+			fmt.Fprintf(os.Stderr, "compiled methods=%d instrs=%d->%d barriers=%d elided=%d inlined=%d\n",
+				rep.Methods, rep.InstrsIn, rep.InstrsOut, rep.BarriersEmitted, rep.BarriersElided, rep.InlinedCalls)
 			printBarrierStats(prog)
 		}
 	case "dis":

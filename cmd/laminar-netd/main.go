@@ -243,13 +243,12 @@ func runSmoke(batching bool) error {
 }
 
 // clusterMember is one label-plane member for the cluster smoke: a
-// booted stack plus its cluster node and durable store. The store is the
-// member's identity — restarting with the same store is the same member
-// reincarnated under a bumped epoch.
+// booted stack plus its cluster node. The durable store it boots from is
+// the member's identity — restarting with the same store is the same
+// member reincarnated under a bumped epoch.
 type clusterMember struct {
 	*node
-	cl    *cluster.Cluster
-	store durable.Store
+	cl *cluster.Cluster
 }
 
 func bootClusterMember(id uint64, seeds []string, store durable.Store, batching bool) (*clusterMember, error) {
@@ -272,7 +271,7 @@ func bootClusterMemberAt(id uint64, seeds []string, store durable.Store, batchin
 	if _, err := cl.Join(); err != nil {
 		return nil, err
 	}
-	return &clusterMember{node: n, cl: cl, store: store}, nil
+	return &clusterMember{node: n, cl: cl}, nil
 }
 
 // runClusterSmoke exercises the cluster label plane end to end: a

@@ -252,14 +252,13 @@ func (g *Game) Play() (*Player, error) {
 // UnsecuredPlayer keeps its board as a plain object; opponents inspect the
 // coordinates directly to determine hits, as the original program did.
 type UnsecuredPlayer struct {
-	name  string
 	board *laminar.Object
 	cells int
 }
 
 // newUnsecuredPlayer places ships on an unlabeled board.
-func newUnsecuredPlayer(name string, rng *rand.Rand) *UnsecuredPlayer {
-	p := &UnsecuredPlayer{name: name, board: laminar.NewArray(GridSize * GridSize)}
+func newUnsecuredPlayer(rng *rand.Rand) *UnsecuredPlayer {
+	p := &UnsecuredPlayer{board: laminar.NewArray(GridSize * GridSize)}
 	for i := 0; i < GridSize*GridSize; i++ {
 		p.board.RawSetIndex(i, cellEmpty)
 	}
@@ -320,8 +319,8 @@ type UnsecuredGame struct {
 func NewUnsecuredGame(seed int64) *UnsecuredGame {
 	rng := rand.New(rand.NewSource(seed))
 	return &UnsecuredGame{
-		A:   newUnsecuredPlayer("alice", rng),
-		B:   newUnsecuredPlayer("bob", rng),
+		A:   newUnsecuredPlayer(rng),
+		B:   newUnsecuredPlayer(rng),
 		rng: rng,
 	}
 }

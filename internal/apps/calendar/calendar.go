@@ -31,7 +31,6 @@ const Slots = 64
 
 // User owns a tag and a labeled calendar file.
 type User struct {
-	Name   string
 	thread *laminar.Thread
 	tag    laminar.Tag
 	file   string
@@ -125,7 +124,7 @@ func (s *Scheduler) newUser(main *laminar.Thread, name string, busyEvery int) (*
 	if err != nil {
 		return nil, err
 	}
-	u := &User{Name: name, thread: th, tag: tag, file: name + ".ics"}
+	u := &User{thread: th, tag: tag, file: name + ".ics"}
 	k := s.sys.Kernel()
 	fd, err := k.CreateFileLabeled(th.Task(), u.file, 0o600,
 		laminar.Labels{S: laminar.NewLabel(tag)})

@@ -50,7 +50,6 @@ type Server struct {
 
 // Group is a chat room whose sensitive properties are integrity-labeled.
 type Group struct {
-	Name  string
 	suTag laminar.Tag
 
 	// banList and members are arrays of user names; theme is a single
@@ -69,7 +68,6 @@ type Group struct {
 // ChatUser is a connected principal.
 type ChatUser struct {
 	Name   string
-	Role   Role
 	thread *laminar.Thread
 }
 
@@ -115,7 +113,7 @@ func (s *Server) createGroup(name string) (*Group, error) {
 	if err != nil {
 		return nil, err
 	}
-	g := &Group{Name: name, suTag: suTag}
+	g := &Group{suTag: suTag}
 	banLabels := laminar.Labels{I: laminar.NewLabel(s.vipTag, suTag)}
 	suLabels := laminar.Labels{I: laminar.NewLabel(suTag)}
 	err = s.main.Secure(banLabels, laminar.EmptyCapSet, func(r *laminar.Region) {
@@ -169,7 +167,7 @@ func (s *Server) Login(name string, role Role, superuserOf ...string) (*ChatUser
 	if err != nil {
 		return nil, err
 	}
-	u := &ChatUser{Name: name, Role: role, thread: th}
+	u := &ChatUser{Name: name, thread: th}
 	s.users[name] = u
 	return u, nil
 }
@@ -336,9 +334,8 @@ type UnsecuredServer struct {
 }
 
 type unsecGroup struct {
-	banList  map[string]bool
-	msgCount int
-	supers   map[string]bool
+	banList map[string]bool
+	supers  map[string]bool
 }
 
 // UnsecUser is an unsecured connection.
@@ -373,8 +370,8 @@ func (s *UnsecuredServer) grantSuperuser(gname, user string) {
 	}
 }
 
-// Say posts unless banned.
-func (s *UnsecuredServer) Say(u *UnsecUser, gname, text string) error {
+// say posts unless banned.
+func (s *UnsecuredServer) say(u *UnsecUser, gname, text string) error {
 	simwork.Do(commandWork)
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -385,12 +382,11 @@ func (s *UnsecuredServer) Say(u *UnsecUser, gname, text string) error {
 	if g.banList[u.Name] {
 		return ErrDenied
 	}
-	g.msgCount++
 	return nil
 }
 
-// Ban: original check — VIP with superuser power.
-func (s *UnsecuredServer) Ban(u *UnsecUser, gname, target string) error {
+// ban: original check — VIP with superuser power.
+func (s *UnsecuredServer) ban(u *UnsecUser, gname, target string) error {
 	simwork.Do(commandWork)
 	s.mu.Lock()
 	defer s.mu.Unlock()

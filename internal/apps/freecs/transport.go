@@ -66,10 +66,6 @@ type Listener struct {
 	// acceptFailures/acceptWait implement backoff for the accept path.
 	acceptFailures int
 	acceptWait     int
-
-	// shed counts connections dropped for capacity or repeated failure
-	// (tests assert the bound actually engages).
-	shed int
 }
 
 type conn struct {
@@ -159,7 +155,6 @@ func (l *Listener) acceptPending() {
 			// Over capacity: shed at the door instead of queueing work the
 			// pump can never catch up on.
 			l.k.Close(l.srv.main.Task(), fd)
-			l.shed++
 			continue
 		}
 		l.conns = append(l.conns, &conn{fd: fd})
@@ -188,7 +183,6 @@ func (l *Listener) dropConn(c *conn) {
 		c.fd = -1
 	}
 	c.closed = true
-	l.shed++
 }
 
 // compact removes closed connections from the slice.

@@ -69,7 +69,7 @@ func RunUnsecuredWorkload(s *UnsecuredServer, nUsers int) (int, error) {
 		}
 		u := &UnsecUser{Name: name, Role: role}
 		simwork.Do(connectionWork + threadSpawnWork)
-		if err := s.Say(u, "lobby", "hello"); err != nil {
+		if err := s.say(u, "lobby", "hello"); err != nil {
 			return commands, err
 		}
 		commands++
@@ -77,15 +77,15 @@ func RunUnsecuredWorkload(s *UnsecuredServer, nUsers int) (int, error) {
 		commands++
 		switch role {
 		case RoleSuperuser:
-			if err := s.Ban(u, "lobby", fmt.Sprintf("spammer%d", i)); err != nil {
+			if err := s.ban(u, "lobby", fmt.Sprintf("spammer%d", i)); err != nil {
 				return commands, err
 			}
 		case RoleVIP:
-			if err := s.Ban(u, "lobby", "victim"); err != ErrDenied {
+			if err := s.ban(u, "lobby", "victim"); err != ErrDenied {
 				return commands, fmt.Errorf("freecs: VIP ban = %v, want denied", err)
 			}
 		default:
-			if err := s.Say(u, "lobby", "bye"); err != nil {
+			if err := s.say(u, "lobby", "bye"); err != nil {
 				return commands, err
 			}
 		}

@@ -252,18 +252,18 @@ func NewUnsecured(nStudents, nProjects int) *Unsecured {
 	return u
 }
 
-// Read implements the original policy: students may read their own row;
+// read implements the original policy: students may read their own row;
 // TAs and the professor read anything.
-func (u *Unsecured) Read(role Role, who, i, j int) (int, error) {
+func (u *Unsecured) read(role Role, who, i, j int) (int, error) {
 	if role == RoleStudent && who != i {
 		return 0, ErrDenied
 	}
 	return u.cells[i][j].RawGet("marks").(int), nil
 }
 
-// Write implements the original policy: TAs write their own project's
+// write implements the original policy: TAs write their own project's
 // column; the professor writes anything.
-func (u *Unsecured) Write(role Role, who, i, j, marks int) error {
+func (u *Unsecured) write(role Role, who, i, j, marks int) error {
 	switch role {
 	case RoleProfessor:
 	case RoleTA:

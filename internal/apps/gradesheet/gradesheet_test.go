@@ -70,7 +70,7 @@ func TestAverageLeakPrevented(t *testing.T) {
 	}
 	// The unsecured variant demonstrates the leak.
 	u := NewUnsecured(4, 3)
-	u.Write(RoleProfessor, 0, 0, 1, 100)
+	u.write(RoleProfessor, 0, 0, 1, 100)
 	if _, err := u.Average(RoleStudent, 0, 1); err != nil {
 		t.Errorf("unsecured average should leak, got %v", err)
 	}
@@ -78,19 +78,19 @@ func TestAverageLeakPrevented(t *testing.T) {
 
 func TestUnsecuredPolicy(t *testing.T) {
 	u := NewUnsecured(3, 2)
-	if err := u.Write(RoleTA, 0, 1, 0, 50); err != nil {
+	if err := u.write(RoleTA, 0, 1, 0, 50); err != nil {
 		t.Fatal(err)
 	}
-	if err := u.Write(RoleTA, 0, 1, 1, 50); !errors.Is(err, ErrDenied) {
+	if err := u.write(RoleTA, 0, 1, 1, 50); !errors.Is(err, ErrDenied) {
 		t.Errorf("TA cross-project write = %v", err)
 	}
-	if err := u.Write(RoleStudent, 1, 1, 0, 50); !errors.Is(err, ErrDenied) {
+	if err := u.write(RoleStudent, 1, 1, 0, 50); !errors.Is(err, ErrDenied) {
 		t.Errorf("student write = %v", err)
 	}
-	if _, err := u.Read(RoleStudent, 0, 1, 0); !errors.Is(err, ErrDenied) {
+	if _, err := u.read(RoleStudent, 0, 1, 0); !errors.Is(err, ErrDenied) {
 		t.Errorf("student cross-read = %v", err)
 	}
-	m, err := u.Read(RoleTA, 0, 1, 0)
+	m, err := u.read(RoleTA, 0, 1, 0)
 	if err != nil || m != 50 {
 		t.Errorf("TA read = %d, %v", m, err)
 	}

@@ -70,18 +70,18 @@ func (w *Workload) RunUnsecured(u *Unsecured, n int) int {
 		j := w.rng.Intn(u.nProj)
 		switch q % 4 {
 		case 0:
-			if err := u.Write(RoleTA, j, i, j, q%100); err != nil {
+			if err := u.write(RoleTA, j, i, j, q%100); err != nil {
 				panic(err)
 			}
 		case 1:
-			m, err := u.Read(RoleStudent, i, i, j)
+			m, err := u.read(RoleStudent, i, i, j)
 			if err != nil {
 				panic(err)
 			}
 			sum += m
 		case 2:
 			for k := 0; k < u.nStud; k++ {
-				m, err := u.Read(RoleTA, j, k, j)
+				m, err := u.read(RoleTA, j, k, j)
 				if err != nil {
 					panic(err)
 				}

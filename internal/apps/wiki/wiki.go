@@ -38,7 +38,6 @@ var ErrDenied = fmt.Errorf("wiki: access denied")
 
 // LaminarWiki is the region-based wiki server.
 type LaminarWiki struct {
-	sys  *laminar.System
 	vm   *laminar.VM
 	main *laminar.Thread
 
@@ -48,13 +47,11 @@ type LaminarWiki struct {
 }
 
 type wikiUser struct {
-	name   string
 	tag    laminar.Tag
 	thread *laminar.Thread
 }
 
 type wikiPage struct {
-	title   string
 	owner   string // "" = public
 	content *laminar.Object
 }
@@ -70,7 +67,7 @@ func NewLaminar(sys *laminar.System) (*LaminarWiki, error) {
 		return nil, err
 	}
 	return &LaminarWiki{
-		sys: sys, vm: vm, main: main,
+		vm: vm, main: main,
 		users: make(map[string]*wikiUser),
 		pages: make(map[string]*wikiPage),
 	}, nil
@@ -95,7 +92,7 @@ func (w *LaminarWiki) Register(name string) error {
 	if err != nil {
 		return err
 	}
-	w.users[name] = &wikiUser{name: name, tag: tag, thread: th}
+	w.users[name] = &wikiUser{tag: tag, thread: th}
 	return nil
 }
 
@@ -104,7 +101,7 @@ func (w *LaminarWiki) Register(name string) error {
 func (w *LaminarWiki) Put(owner, title, text string) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	pg := &wikiPage{title: title, owner: owner}
+	pg := &wikiPage{owner: owner}
 	if owner == "" {
 		pg.content = laminar.NewObject()
 		pg.content.RawSet("text", text)

@@ -52,25 +52,19 @@ type Config struct {
 	// (seed, step), so the same seed exercises the identical fault
 	// schedule under both locking disciplines.
 	BigLock bool
-	// Telemetry attaches a private flight recorder (LevelDeny) to the
-	// run's kernel and returns it in the report. Private, not
-	// telemetry.Default: the test harness runs many seeds in parallel,
-	// and their rings must not interleave.
-	Telemetry bool
+	// Recorder, when set, is attached to the run's kernel as its flight
+	// recorder and is still live after the run: the caller can Snapshot,
+	// Dump and Replay its ring. Give each run its own: the test harness
+	// runs many seeds in parallel, and their rings must not interleave.
+	Recorder *telemetry.Recorder
 }
 
 // Report is the outcome of a run.
 type Report struct {
-	Seed       int64
-	Ops        int
 	Faults     int
 	Violations []string
 	Schedule   string
 	Recovery   lsm.RecoveryStats
-	// Telemetry is the run's flight recorder (nil unless Config.Telemetry
-	// was set). Still live after the run: the caller can Snapshot, Dump
-	// and Replay its ring for the differential oracle.
-	Telemetry *telemetry.Recorder
 }
 
 // secretFile tracks one fully written secret the attacker must never read.
@@ -98,8 +92,7 @@ type run struct {
 	owner    *kernel.Task
 	attacker *kernel.Task
 
-	// ownerVM/ownerThread exercise security regions.
-	ownerVM     *laminar.VM
+	// ownerThread exercises security regions.
 	ownerThread *laminar.Thread
 
 	// savedCaps accumulates every capability ever legitimately saved for
@@ -134,11 +127,8 @@ func Run(cfg Config) Report {
 	if cfg.BigLock {
 		opts = append(opts, kernel.WithBigLock())
 	}
-	var rec *telemetry.Recorder
-	if cfg.Telemetry {
-		rec = telemetry.NewRecorder()
-		rec.SetLevel(telemetry.LevelDeny)
-		opts = append(opts, kernel.WithTelemetry(rec))
+	if cfg.Recorder != nil {
+		opts = append(opts, kernel.WithTelemetry(cfg.Recorder))
 	}
 	r.sys = laminar.NewSystemWithInjector(r.plan, opts...)
 	r.k = r.sys.Kernel()
@@ -182,12 +172,9 @@ func Run(cfg Config) Report {
 	r.finalInvariants()
 
 	report := Report{
-		Seed:       cfg.Seed,
-		Ops:        cfg.Ops,
 		Faults:     len(r.plan.Decisions()),
 		Violations: r.violations,
 		Recovery:   recStats,
-		Telemetry:  rec,
 	}
 	if cfg.Record {
 		report.Schedule = r.plan.Schedule()
@@ -206,7 +193,7 @@ func (r *run) setup() {
 	if r.secretTag, err = r.k.AllocTag(r.owner); err != nil {
 		panic(fmt.Sprintf("chaos setup: alloc tag: %v", err))
 	}
-	if r.ownerVM, r.ownerThread, err = r.sys.LaunchVM(r.owner); err != nil {
+	if _, r.ownerThread, err = r.sys.LaunchVM(r.owner); err != nil {
 		panic(fmt.Sprintf("chaos setup: launch vm: %v", err))
 	}
 	r.ownerThread.GrantCapability(r.secretTag, difc.CapBoth)
@@ -235,8 +222,8 @@ func (r *run) respawnDead() {
 	}
 	if r.ownerThread == nil || r.ownerThread.Task().Exited() {
 		if r.owner != nil && !r.owner.Exited() {
-			if vm, th, err := r.sys.LaunchVM(r.owner); err == nil {
-				r.ownerVM, r.ownerThread = vm, th
+			if _, th, err := r.sys.LaunchVM(r.owner); err == nil {
+				r.ownerThread = th
 				th.GrantCapability(r.secretTag, difc.CapBoth)
 			}
 		}

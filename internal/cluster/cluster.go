@@ -102,7 +102,6 @@ type Cluster struct {
 	joined    bool
 	joinAcked bool
 	relayIdle int // consecutive ticks with no relay traffic (drain gate)
-	closed    bool
 }
 
 // New builds a node of the label plane. The incarnation epoch is loaded
@@ -221,9 +220,6 @@ func (c *Cluster) Tick() int {
 
 // Close shuts the transport down.
 func (c *Cluster) Close() {
-	c.mu.Lock()
-	c.closed = true
-	c.mu.Unlock()
 	c.node.Close()
 }
 

@@ -25,6 +25,17 @@ func memberState(c *Cluster, id uint64) MemberState {
 	return StateDead
 }
 
+// memberEntry copies peer id's entry from the member table; the zero
+// member for ids never heard of.
+func memberEntry(c *Cluster, id uint64) member {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if m, ok := c.members[id]; ok {
+		return *m
+	}
+	return member{}
+}
+
 // testClusterNode is one full stack: kernel, LSM, user task, recorder,
 // and a listening cluster node.
 type testClusterNode struct {
@@ -213,7 +224,7 @@ func TestStaleEpochRejectedFailClosed(t *testing.T) {
 	a := bootCluster(t, Config{ID: 1})
 	// Node 9 speaks at epoch 5...
 	a.cl.onControl(0, encodeCtrl(ctrlMsg{Type: msgPing, From: 9, Epoch: 5, Addr: "127.0.0.1:1"}))
-	if got := a.cl.Members()[1].Epoch; got != 5 {
+	if got := memberEntry(a.cl, 9).epoch; got != 5 {
 		t.Fatalf("member epoch = %d, want 5", got)
 	}
 	var detail string
@@ -232,8 +243,8 @@ func TestStaleEpochRejectedFailClosed(t *testing.T) {
 		t.Errorf("stale-epoch provenance %q lacks node/epoch", detail)
 	}
 	// The stale ping must not have touched the member table.
-	if got := a.cl.Members()[1]; got.Epoch != 5 || got.Addr != "127.0.0.1:1" {
-		t.Errorf("stale frame mutated member: %+v", got)
+	if got := memberEntry(a.cl, 9); got.epoch != 5 || got.addr != "127.0.0.1:1" {
+		t.Errorf("stale frame mutated member: epoch %d addr %q", got.epoch, got.addr)
 	}
 }
 
@@ -246,8 +257,8 @@ func TestReincarnationRejectsStaleRoutedOpen(t *testing.T) {
 	a.cl.onControl(0, encodeCtrl(ctrlMsg{Type: msgPing, From: 7, Epoch: 2, Addr: "127.0.0.1:1"}))
 	// The peer reincarnates: its epoch-3 ping advances the member.
 	a.cl.onControl(0, encodeCtrl(ctrlMsg{Type: msgPing, From: 7, Epoch: 3, Addr: "127.0.0.1:1"}))
-	if got := a.cl.Members()[1]; got.ID != 7 || got.Epoch != 3 {
-		t.Fatalf("member after reincarnation = %+v, want node 7 at epoch 3", got)
+	if got := memberEntry(a.cl, 7); got.id != 7 || got.epoch != 3 {
+		t.Fatalf("member after reincarnation = node %d at epoch %d, want node 7 at epoch 3", got.id, got.epoch)
 	}
 
 	var ops []string
@@ -552,17 +563,11 @@ func TestRelayHopDeniedByItsOwnLSM(t *testing.T) {
 // fakeRoutedOffer fabricates an inbound routed open from origin at its
 // current tracked epoch, destined for this node.
 func fakeRoutedOffer(nd *testClusterNode, origin uint64, labels difc.Labels) netlabel.RoutedOffer {
-	var epoch uint64
-	for _, m := range nd.cl.Members() {
-		if m.ID == origin {
-			epoch = m.Epoch
-		}
-	}
+	epoch := memberEntry(nd.cl, origin).epoch
 	file := nd.k.NetSocketAdopted(func(ino *kernel.Inode) {
 		nd.mod.AdoptInodeLabels(ino, labels)
 	})
 	return netlabel.RoutedOffer{
-		PeerID: origin,
 		Labels: labels,
 		Meta:   encodeRoute(routeMeta{Origin: origin, OriginEpoch: epoch}),
 		File:   file,

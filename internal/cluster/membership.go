@@ -61,8 +61,6 @@ type member struct {
 // MemberInfo is the exported view of one membership entry.
 type MemberInfo struct {
 	ID    uint64
-	Addr  string
-	Epoch uint64
 	State MemberState
 }
 
@@ -70,9 +68,9 @@ type MemberInfo struct {
 func (c *Cluster) Members() []MemberInfo {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	out := []MemberInfo{{ID: c.cfg.ID, Addr: c.node.Addr(), Epoch: c.epoch, State: StateAlive}}
+	out := []MemberInfo{{ID: c.cfg.ID, State: StateAlive}}
 	for _, m := range c.members {
-		out = append(out, MemberInfo{ID: m.id, Addr: m.addr, Epoch: m.epoch, State: m.state})
+		out = append(out, MemberInfo{ID: m.id, State: m.state})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out

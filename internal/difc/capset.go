@@ -88,9 +88,6 @@ func (c CapSet) Plus() Label { return c.plus }
 // Minus returns the set of tags for which t− is held (Cp−).
 func (c CapSet) Minus() Label { return c.minus }
 
-// IsEmpty reports whether the set holds no capabilities at all.
-func (c CapSet) IsEmpty() bool { return c.plus.IsEmpty() && c.minus.IsEmpty() }
-
 // Union returns the combined capabilities of c and other.
 func (c CapSet) Union(other CapSet) CapSet {
 	return CapSet{plus: c.plus.Union(other.plus), minus: c.minus.Union(other.minus)}
@@ -100,11 +97,6 @@ func (c CapSet) Union(other CapSet) CapSet {
 // (CR ⊆ CP, rule (2) of §4.3.2).
 func (c CapSet) SubsetOf(other CapSet) bool {
 	return c.plus.SubsetOf(other.plus) && c.minus.SubsetOf(other.minus)
-}
-
-// Equal reports whether two capability sets are identical.
-func (c CapSet) Equal(other CapSet) bool {
-	return c.plus.Equal(other.plus) && c.minus.Equal(other.minus)
 }
 
 // String renders the set as C(t1+,t2+-,...), in the paper's notation.

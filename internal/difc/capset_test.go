@@ -58,11 +58,13 @@ func TestCapSetString(t *testing.T) {
 	}
 }
 
+// TestCapSetIsEmpty: labels are canonical, so the empty capability set
+// is the zero CapSet and == compares capability sets.
 func TestCapSetIsEmpty(t *testing.T) {
-	if !EmptyCapSet.IsEmpty() {
+	if EmptyCapSet != (CapSet{}) || !EmptyCapSet.Plus().IsEmpty() || !EmptyCapSet.Minus().IsEmpty() {
 		t.Error("EmptyCapSet not empty")
 	}
-	if EmptyCapSet.Grant(1, CapPlus).IsEmpty() {
+	if g := EmptyCapSet.Grant(1, CapPlus); g == EmptyCapSet || g.Plus().IsEmpty() {
 		t.Error("granted set reported empty")
 	}
 }

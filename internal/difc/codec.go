@@ -43,10 +43,10 @@ func UnmarshalLabel(data []byte) (Label, error) {
 	return NewLabel(tags...), nil
 }
 
-// FormatText renders the label as a comma-separated list of decimal tag
+// formatText renders the label as a comma-separated list of decimal tag
 // values ("" for the empty label), the format used in persistent capability
 // files.
-func (l Label) FormatText() string {
+func (l Label) formatText() string {
 	tags := l.view()
 	parts := make([]string, len(tags))
 	for i, t := range tags {
@@ -55,7 +55,7 @@ func (l Label) FormatText() string {
 	return strings.Join(parts, ",")
 }
 
-// parseLabelText parses FormatText output.
+// parseLabelText parses formatText output.
 func parseLabelText(s string) (Label, error) {
 	s = strings.TrimSpace(s)
 	if s == "" {
@@ -74,9 +74,9 @@ func parseLabelText(s string) (Label, error) {
 }
 
 // FormatText renders the capability set as "plus|minus" with each side in
-// Label.FormatText form.
+// Label.formatText form.
 func (c CapSet) FormatText() string {
-	return c.plus.FormatText() + "|" + c.minus.FormatText()
+	return c.plus.formatText() + "|" + c.minus.formatText()
 }
 
 // ParseCapSetText parses CapSet.FormatText output.

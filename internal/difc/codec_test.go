@@ -36,7 +36,7 @@ func TestUnmarshalLabelErrors(t *testing.T) {
 
 func TestLabelTextRoundTrip(t *testing.T) {
 	f := func(l Label) bool {
-		got, err := parseLabelText(l.FormatText())
+		got, err := parseLabelText(l.formatText())
 		return err == nil && got.Equal(l)
 	}
 	if err := quick.Check(f, quickCfg(t, 100)); err != nil {
@@ -64,7 +64,7 @@ func TestParseLabelText(t *testing.T) {
 func TestCapSetTextRoundTrip(t *testing.T) {
 	f := func(c CapSet) bool {
 		got, err := ParseCapSetText(c.FormatText())
-		return err == nil && got.Equal(c)
+		return err == nil && got == c
 	}
 	if err := quick.Check(f, quickCfg(t, 100)); err != nil {
 		t.Error(err)

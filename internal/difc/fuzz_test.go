@@ -126,7 +126,7 @@ func FuzzCanonicalLabel(f *testing.F) {
 		if err != nil {
 			t.Fatalf("UnmarshalLabel: %v", err)
 		}
-		parsed, err := parseLabelText(a.FormatText())
+		parsed, err := parseLabelText(a.formatText())
 		if err != nil {
 			t.Fatalf("parseLabelText: %v", err)
 		}
@@ -140,7 +140,7 @@ func FuzzCanonicalLabel(f *testing.F) {
 			{"Add chain", added},
 			{"Remove chain", removed},
 			{"UnmarshalLabel(MarshalBinary)", decoded},
-			{"parseLabelText(FormatText)", parsed},
+			{"parseLabelText(formatText)", parsed},
 		} {
 			if r.l != a {
 				t.Fatalf("%s gave %v (%p), NewLabel gave %v (%p)", r.route, r.l, r.l.n, a, a.n)
@@ -212,7 +212,7 @@ func FuzzParseLabelText(f *testing.F) {
 		if err != nil {
 			return
 		}
-		back, err2 := parseLabelText(l.FormatText())
+		back, err2 := parseLabelText(l.formatText())
 		if err2 != nil {
 			t.Fatalf("re-parse of formatted label failed: %v", err2)
 		}
@@ -238,7 +238,7 @@ func FuzzParseCapSetText(f *testing.F) {
 		if err2 != nil {
 			t.Fatalf("re-parse of formatted capset failed: %v", err2)
 		}
-		if !c.Equal(back) {
+		if c != back {
 			t.Fatalf("capset round-trip changed: %v != %v", c, back)
 		}
 	})

@@ -26,7 +26,6 @@ type AppRow struct {
 	Regions    uint64
 	Allocs     uint64
 	RWBarriers uint64
-	DynChecks  uint64
 
 	// Attributed overhead shares (nanoseconds), from unit costs ×
 	// counts: start/end SR, allocation barriers, read/write barriers.
@@ -167,7 +166,6 @@ func Apps(scale, trials int) (*AppsReport, error) {
 			Regions:     stats.RegionsEntered.Load(),
 			Allocs:      stats.AllocBarriers.Load(),
 			RWBarriers:  stats.ReadBarriers.Load() + stats.WriteBarriers.Load(),
-			DynChecks:   stats.DynamicChecks.Load(),
 		}
 		if sec > 0 {
 			row.PctInSR = float64(stats.RegionNanos.Load()) / float64(sec.Nanoseconds()) * 100

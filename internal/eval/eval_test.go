@@ -104,7 +104,11 @@ func TestTable2Shape(t *testing.T) {
 	// directions); exact per-row ordering is left to the recorded runs in
 	// EXPERIMENTS.md because nanosecond deltas flutter under CI load.
 	for _, r := range rep.Rows {
-		if pct := r.OverheadPct(); pct < -25 || pct > 60 {
+		pct := 0.0
+		if r.BaseNanos != 0 {
+			pct = (r.LaminarNanos - r.BaseNanos) / r.BaseNanos * 100
+		}
+		if pct < -25 || pct > 60 {
 			t.Errorf("%s overhead = %.1f%%, outside sane band", r.Name, pct)
 		}
 	}
@@ -252,8 +256,8 @@ func TestRegionDensityShape(t *testing.T) {
 	// region entry/exit and in-region checks dominate at high density,
 	// while at 0% only the cheap outside barriers remain.
 	lo, hi := rep.Rows[0], rep.Rows[len(rep.Rows)-1]
-	if lo.PctInside != 0 || hi.PctInside != 100 {
-		t.Fatalf("sweep endpoints = %d%%..%d%%", lo.PctInside, hi.PctInside)
+	if lo.Name != "inside-0%" || hi.Name != "inside-100%" {
+		t.Fatalf("sweep endpoints = %s..%s", lo.Name, hi.Name)
 	}
 	// Decided from paired rounds (the median of the per-round
 	// differences), not from the two best-of rows: host drift between

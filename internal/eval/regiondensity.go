@@ -11,11 +11,10 @@ import (
 
 // RegionDensityRow is one point of the overhead-vs-density curve.
 type RegionDensityRow struct {
-	Name      string
-	PctInside int
-	Base      time.Duration // BarrierNone
-	Secured   time.Duration // BarrierStatic
-	Overhead  float64
+	Name     string
+	Base     time.Duration // BarrierNone
+	Secured  time.Duration // BarrierStatic
+	Overhead float64
 }
 
 // RegionDensityReport measures how the cost of DIFC enforcement scales
@@ -53,7 +52,7 @@ func RegionDensity(iters, trials int) (*RegionDensityReport, error) {
 			return nil, fmt.Errorf("%s: warm-up: %w", pt.Name, err)
 		}
 		runs[i] = run
-		rep.Rows[i] = RegionDensityRow{Name: pt.Name, PctInside: pt.PctInside}
+		rep.Rows[i] = RegionDensityRow{Name: pt.Name}
 	}
 	gaps := make([]float64, 0, trials)
 	for tr := 0; tr < trials; tr++ {

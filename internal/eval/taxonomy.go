@@ -81,7 +81,7 @@ func Table1() (*Table1Report, error) {
 				S: difc.NewLabel(difc.Tag(100 + i)),
 				I: difc.NewLabel(difc.Tag(200 + j)),
 			}
-			if _, err := heap.Alloc(64, l); err != nil {
+			if err := heap.Alloc(64, l); err != nil {
 				return nil, err
 			}
 			count++

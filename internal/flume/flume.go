@@ -47,12 +47,6 @@ type Proc struct {
 	eps    map[EndpointID]*Endpoint
 }
 
-// Labels returns the process-wide label pair.
-func (p *Proc) Labels() difc.Labels { return p.labels }
-
-// Caps returns the process's capability (ownership) set.
-func (p *Proc) Caps() difc.CapSet { return p.caps }
-
 // Endpoint is a Flume communication endpoint: a fixed label through which
 // a process sends or receives. Flume checks flows endpoint-to-endpoint;
 // the endpoint label must be reachable from the process label using its
@@ -66,9 +60,6 @@ type Endpoint struct {
 	peer   *Endpoint
 	queue  [][]byte
 }
-
-// Labels returns the endpoint's fixed labels.
-func (e *Endpoint) Labels() difc.Labels { return e.labels }
 
 // Monitor is the user-level reference monitor process.
 type Monitor struct {

@@ -14,7 +14,7 @@ func TestSpawnAndTag(t *testing.T) {
 	if tag == difc.InvalidTag {
 		t.Fatal("invalid tag")
 	}
-	if !p.Caps().Has(tag, difc.CapPlus) || !p.Caps().Has(tag, difc.CapMinus) {
+	if !p.caps.Has(tag, difc.CapPlus) || !p.caps.Has(tag, difc.CapMinus) {
 		t.Error("tag creator missing privileges")
 	}
 }
@@ -26,8 +26,8 @@ func TestSetLabelWholeProcess(t *testing.T) {
 	if err := m.SetLabel(p, 0, difc.NewLabel(tag)); err != nil {
 		t.Fatal(err)
 	}
-	if !p.Labels().S.Equal(difc.NewLabel(tag)) {
-		t.Errorf("labels = %v", p.Labels())
+	if !p.labels.S.Equal(difc.NewLabel(tag)) {
+		t.Errorf("labels = %v", p.labels)
 	}
 	// Without the minus privilege, the label cannot drop.
 	q := m.Spawn()

@@ -56,7 +56,7 @@ func TestSummaries(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return m.Index()
+		return slices.Index(p.Methods, m)
 	}
 	touch := r.Summaries[idx("touch")]
 	if got := touch.Ensures[0]; got != jvm.FactAll {
@@ -120,12 +120,12 @@ func TestRecursiveSCCFixpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	m, _ := p.Lookup("walk")
-	sum := r.Summaries[m.Index()]
+	sum := r.Summaries[slices.Index(p.Methods, m)]
 	if got := sum.Ensures[0]; got != jvm.FactRead {
 		t.Errorf("walk.Ensures[0] = %b, want FactRead only (no writes on any path)", got)
 	}
 	// walk invokes itself, so its SCC has a self-loop.
-	if !slices.Contains(r.Graph.Callees[m.Index()], m.Index()) {
+	if i := slices.Index(p.Methods, m); !slices.Contains(buildCallGraph(p).Callees[i], i) {
 		t.Error("walk should be in a self-recursive SCC")
 	}
 }
@@ -142,7 +142,7 @@ func TestSCCBottomUpOrder(t *testing.T) {
 	main, _ := p.Lookup("main")
 	touch, _ := p.Lookup("touch")
 	mk, _ := p.Lookup("make")
-	if pos[main.Index()] <= pos[touch.Index()] || pos[main.Index()] <= pos[mk.Index()] {
+	if idx := func(m *jvm.Method) int { return slices.Index(p.Methods, m) }; pos[idx(main)] <= pos[idx(touch)] || pos[idx(main)] <= pos[idx(mk)] {
 		t.Errorf("callees must precede callers in SCC order: %v", g.SCCs)
 	}
 }
@@ -313,7 +313,7 @@ end
 `)
 	m := p.Methods[0]
 	cfg := jvm.BuildCFG(m.Code)
-	states := jvm.Solve(cfg, &reachProblem{cfg: cfg})
+	states := jvm.Solve(cfg, &reachProblem{})
 	entry := cfg.BlockOf(0)
 	spin := cfg.BlockOf(2)
 	if !bool(*states[entry].(*reachState)) {

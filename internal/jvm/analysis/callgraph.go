@@ -23,22 +23,15 @@ package analysis
 
 import "laminar/internal/jvm"
 
-// CallSite is one OpInvoke instruction.
-type CallSite struct {
-	Caller  int  // method table index of the calling method
-	PC      int  // pc of the invoke within the caller's code array
-	InCatch bool // the site is in the caller's catch block
-}
-
-// CallGraph is the program's static call graph.
-type CallGraph struct {
+// callGraph is the program's static call graph.
+type callGraph struct {
 	// Callees[mi] lists the methods mi invokes (deduplicated), including
 	// from its catch block.
 	Callees [][]int
-	// Sites[mi] lists every invoke site that targets mi. Interprocedural
-	// entry facts are the meet over exactly this set; a method with no
+	// Sites[mi] counts the invoke sites that target mi. Interprocedural
+	// entry facts are the meet over exactly these sites; a method with no
 	// sites is only reachable from the host and gets no entry facts.
-	Sites [][]CallSite
+	Sites []int
 	// SCCs lists strongly connected components in bottom-up order:
 	// callees appear before their callers, so iterating SCCs in slice
 	// order sees every out-of-component callee summary finished.
@@ -46,16 +39,16 @@ type CallGraph struct {
 }
 
 // buildCallGraph scans every method's code and catch block.
-func buildCallGraph(p *jvm.Program) *CallGraph {
+func buildCallGraph(p *jvm.Program) *callGraph {
 	n := len(p.Methods)
-	g := &CallGraph{
+	g := &callGraph{
 		Callees: make([][]int, n),
-		Sites:   make([][]CallSite, n),
+		Sites:   make([]int, n),
 	}
 	for mi, m := range p.Methods {
 		seen := make(map[int]bool)
-		scan := func(code []jvm.Instr, inCatch bool) {
-			for pc, in := range code {
+		scan := func(code []jvm.Instr) {
+			for _, in := range code {
 				if in.Op != jvm.OpInvoke {
 					continue
 				}
@@ -63,16 +56,16 @@ func buildCallGraph(p *jvm.Program) *CallGraph {
 				if callee < 0 || callee >= n {
 					continue
 				}
-				g.Sites[callee] = append(g.Sites[callee], CallSite{Caller: mi, PC: pc, InCatch: inCatch})
+				g.Sites[callee]++
 				if !seen[callee] {
 					seen[callee] = true
 					g.Callees[mi] = append(g.Callees[mi], callee)
 				}
 			}
 		}
-		scan(m.Code, false)
+		scan(m.Code)
 		if m.Secure != nil && m.Secure.Catch != nil {
-			scan(m.Secure.Catch, true)
+			scan(m.Secure.Catch)
 		}
 	}
 	g.SCCs = tarjan(n, g.Callees)

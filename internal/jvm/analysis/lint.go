@@ -178,7 +178,7 @@ func lintLabeled(p *jvm.Program, m *jvm.Method, code []jvm.Instr, inCatch bool, 
 	// Non-fall-through exits: region code from which no return is
 	// reachable keeps the region's labels on the thread forever.
 	g := jvm.BuildCFG(code)
-	reach := jvm.Solve(g, &reachProblem{cfg: g})
+	reach := jvm.Solve(g, &reachProblem{})
 	if len(g.Blocks) > 0 && !bool(*reach[g.BlockOf(0)].(*reachState)) {
 		add(-1, inCatch, "region-no-exit", false,
 			"no return is reachable from region entry; the region never exits and its labels are never popped")
@@ -200,7 +200,7 @@ func (s *reachState) Merge(other jvm.State) bool {
 	return false
 }
 
-type reachProblem struct{ cfg *jvm.CFG }
+type reachProblem struct{}
 
 func (p *reachProblem) Direction() jvm.Direction { return jvm.Backward }
 func (p *reachProblem) Boundary() jvm.State {

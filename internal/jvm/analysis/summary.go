@@ -8,16 +8,14 @@ import (
 )
 
 // Result is the output of Attach: the summary table attached to the
-// program and the call graph it was computed over, both indexed by
-// method table slot.
+// program, indexed by method table slot.
 type Result struct {
-	Graph     *CallGraph
 	Summaries []jvm.Summary
 }
 
 type analyzer struct {
 	prog  *jvm.Program
-	graph *CallGraph
+	graph *callGraph
 	sums  []jvm.Summary
 }
 
@@ -111,7 +109,7 @@ func (a *analyzer) entryChecked() {
 	for mi, m := range a.prog.Methods {
 		entry[mi] = make([]uint8, m.NArgs)
 		// Host-only entry: arguments never passed any barrier.
-		if m.Secure == nil && len(a.graph.Sites[mi]) > 0 {
+		if m.Secure == nil && a.graph.Sites[mi] > 0 {
 			for k := range entry[mi] {
 				entry[mi][k] = jvm.FactAll
 			}
@@ -154,5 +152,5 @@ func Attach(p *jvm.Program) (*Result, error) {
 	for mi, m := range p.Methods {
 		a.sums[mi].BarrierFree = p.RemainingBarriers(m, nil) == 0
 	}
-	return &Result{Graph: a.graph, Summaries: a.sums}, nil
+	return &Result{Summaries: a.sums}, nil
 }

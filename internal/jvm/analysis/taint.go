@@ -210,7 +210,7 @@ func newMethodInfo(code []jvm.Instr, inCatch bool) *methodInfo {
 // taintAnalysis holds the global interprocedural fixpoint tables.
 type taintAnalysis struct {
 	prog    *jvm.Program
-	graph   *CallGraph
+	graph   *callGraph
 	mainIdx int
 
 	body  []*methodInfo // per method: body info
@@ -874,7 +874,7 @@ func controlDeps(g *jvm.CFG) [][]int {
 	cd := make([][]int, n)
 	// Which blocks can reach an exit (a block with no Succs), then
 	// postdominators, both solved backward over the CFG.
-	exits := jvm.Solve(g, &reachProblem{cfg: g})
+	exits := jvm.Solve(g, &reachProblem{})
 	canExit := make([]bool, n)
 	for i := range canExit {
 		canExit[i] = bool(*exits[i].(*reachState))

@@ -61,8 +61,6 @@ type compiledMethod struct {
 	catch    []Instr
 	maxStack int
 	nLocal   int
-	inRegion bool
-	host     bool // compiled for host entry (no call-site entry facts)
 
 	// Per-variant barrier accounting (body + catch): sites is the number
 	// of access/static barrier sites before elimination, elided how many
@@ -112,7 +110,7 @@ func isWrite(op Op) bool { return op == OpPutField || op == OpAStore }
 func (p *Program) compile(m *Method, opts CompileOptions, inRegion, host bool, st *compileStats) *compiledMethod {
 	st.methodsCompiled++
 	st.instrsIn += len(m.Code)
-	cm := &compiledMethod{method: m, inRegion: inRegion, host: host, maxStack: m.maxStack, nLocal: m.NLocal}
+	cm := &compiledMethod{method: m, maxStack: m.maxStack, nLocal: m.NLocal}
 	src := m.Code
 	if opts.Inline {
 		// Inlining runs first so the later passes see the spliced callee

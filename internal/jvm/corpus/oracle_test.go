@@ -54,14 +54,6 @@ type outcome struct {
 	checks     uint64 // barrier checks; compared only for monotonicity
 }
 
-func renderValue(v jvm.Value) string {
-	if !v.IsRef() {
-		return fmt.Sprintf("i%d", v.Int())
-	}
-	o := v.Ref()
-	return fmt.Sprintf("ref(labeled=%v,labels=%v,len=%d)", o.IsLabeled(), o.Labels(), o.Len())
-}
-
 // run executes src's main under one configuration and captures the
 // observable outcome.
 func run(t *testing.T, src string, cfg config) outcome {
@@ -83,10 +75,10 @@ func run(t *testing.T, src string, cfg config) outcome {
 	v, callErr := mc.Call(hostThread(t, src, p), "main")
 	var statics []string
 	for i := 0; i < p.NStatics; i++ {
-		statics = append(statics, renderValue(mc.Static(i)))
+		statics = append(statics, mc.Static(i).String())
 	}
 	out := outcome{
-		ret:        renderValue(v),
+		ret:        v.String(),
 		statics:    strings.Join(statics, ";"),
 		trace:      strings.Join(mc.Trace.Events, "\n"),
 		violations: mc.Stats().Violations,

@@ -55,6 +55,16 @@ func (tr taintRun) key() [3]string {
 	}
 }
 
+// hostInput is the host's write of the low-integrity input into static
+// slot 0, appended to each program with statics and called before main.
+const hostInput = `
+method host_input args=1 locals=1
+    load 0
+    putstatic 0
+    return
+end
+`
+
 // runTaintOracle interprets src under cfg with the given secret (passed
 // to each of main's arguments) and low-integrity input (static slot 0),
 // and splits the trace into the three streams.
@@ -63,6 +73,13 @@ func runTaintOracle(t *testing.T, src string, cfg config, secret, low int64) tai
 	p, err := jvm.Parse(src)
 	if err != nil {
 		t.Fatalf("parse: %v", err)
+	}
+	withInput := p.NStatics > 0
+	if withInput {
+		src += hostInput
+		if p, err = jvm.Parse(src); err != nil {
+			t.Fatalf("parse with host input: %v", err)
+		}
 	}
 	if cfg.opts.Interproc {
 		if _, err := analysis.Attach(p); err != nil {
@@ -73,12 +90,15 @@ func runTaintOracle(t *testing.T, src string, cfg config, secret, low int64) tai
 	if err != nil {
 		return taintRun{verifyErr: err.Error()}
 	}
+	th := hostThread(t, src, p)
+	if withInput {
+		if _, err := mc.Call(th, "host_input", jvm.IntV(low)); err != nil {
+			t.Fatalf("host input: %v", err)
+		}
+	}
 	mc.Trace = &jvm.TraceLog{}
 	mc.TracePubs = true
 	mc.MaxInstructions = 200000
-	if p.NStatics > 0 {
-		mc.SetStatic(0, jvm.IntV(low))
-	}
 	main, err := p.Lookup("main")
 	if err != nil {
 		t.Fatalf("lookup main: %v", err)
@@ -87,7 +107,7 @@ func runTaintOracle(t *testing.T, src string, cfg config, secret, low int64) tai
 	for i := range args {
 		args[i] = jvm.IntV(secret)
 	}
-	mc.Call(hostThread(t, src, p), "main", args...) // errors are themselves part of the trace
+	mc.Call(th, "main", args...) // errors are themselves part of the trace
 	out := taintRun{}
 	isD, isE := make(map[string]bool), make(map[string]bool)
 	for _, m := range p.Methods {

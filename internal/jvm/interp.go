@@ -99,9 +99,6 @@ func (mc *Machine) CompileReport() CompileReport {
 // Static reads a statics slot (host access for tests).
 func (mc *Machine) Static(i int) Value { return mc.statics[i] }
 
-// SetStatic writes a statics slot (host access for tests).
-func (mc *Machine) SetStatic(i int, v Value) { mc.statics[i] = v }
-
 // trap is the interpreter's violation panic payload. fatal traps (machine
 // errors such as an argument-count mismatch or an exhausted instruction
 // budget) are not absorbed by security-region catch blocks.

@@ -2,6 +2,7 @@ package jvm
 
 import (
 	"fmt"
+	"strconv"
 
 	"laminar/internal/difc"
 )
@@ -19,14 +20,18 @@ func IntV(i int64) Value { return Value{i: i} }
 // refV boxes an object reference.
 func refV(o *Obj) Value { return Value{ref: o} }
 
-// IsRef reports whether the value is an object reference.
-func (v Value) IsRef() bool { return v.ref != nil }
-
 // Int returns the integer payload (0 for references).
 func (v Value) Int() int64 { return v.i }
 
-// Ref returns the reference payload (nil for integers).
-func (v Value) Ref() *Obj { return v.ref }
+// String renders an integer as its decimal value and a reference as the
+// state of its object: whether it lives in the labeled object space, its
+// labels and its array length.
+func (v Value) String() string {
+	if o := v.ref; o != nil {
+		return fmt.Sprintf("ref(labeled=%v,labels=%v,len=%d)", o.labeled, o.labels, len(o.elems))
+	}
+	return strconv.FormatInt(v.i, 10)
+}
 
 // Obj is a MiniJVM heap object: field slots or an array part, plus the
 // immutable label words the Laminar allocator adds to the header (§5.1:
@@ -38,15 +43,6 @@ type Obj struct {
 	labels  difc.Labels
 	labeled bool
 }
-
-// Labels returns the object's label pair.
-func (o *Obj) Labels() difc.Labels { return o.labels }
-
-// IsLabeled reports whether the object is in the labeled object space.
-func (o *Obj) IsLabeled() bool { return o.labeled }
-
-// Len returns the array length.
-func (o *Obj) Len() int { return len(o.elems) }
 
 // SecureInfo marks a method as a security region and carries its
 // credentials. The prototype restriction of §5.1 applies: a security
@@ -76,9 +72,6 @@ type Method struct {
 	index        int
 	maxStack     int // computed by Verify
 }
-
-// Index returns the method's slot in the program table.
-func (m *Method) Index() int { return m.index }
 
 // Program is a compiled unit: a method table plus a statics table size.
 type Program struct {

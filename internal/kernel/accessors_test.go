@@ -73,7 +73,7 @@ func TestRootAndChild(t *testing.T) {
 	k, _ := bare(t)
 	root := k.Root()
 	etc, ok := root.Child("etc")
-	if !ok || !etc.IsDir() {
+	if !ok || !etc.isDir() {
 		t.Fatalf("Child(etc) = %v, %v", etc, ok)
 	}
 	if _, ok := root.Child("nope"); ok {

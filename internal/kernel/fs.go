@@ -68,7 +68,7 @@ func (k *Kernel) resolveParent(t *Task, path string) (*Inode, string, error) {
 			if err != nil {
 				return nil, "", err
 			}
-			if !next.IsDir() {
+			if !next.isDir() {
 				return nil, "", ErrNotDir
 			}
 			cur = next
@@ -78,7 +78,7 @@ func (k *Kernel) resolveParent(t *Task, path string) (*Inode, string, error) {
 	if name == "" {
 		return cur, "", nil
 	}
-	if !cur.IsDir() {
+	if !cur.isDir() {
 		return nil, "", ErrNotDir
 	}
 	return cur, name, nil
@@ -109,7 +109,7 @@ func (k *Kernel) lookup(t *Task, dir *Inode, name string) (*Inode, error) {
 // lookupCheck runs the directory-read permission gate shared by lookup
 // and lookupIn.
 func (k *Kernel) lookupCheck(t *Task, dir *Inode) error {
-	if !dir.IsDir() {
+	if !dir.isDir() {
 		return ErrNotDir
 	}
 	return k.inodePermission(t, dir, MayRead)
@@ -170,7 +170,7 @@ func (k *Kernel) Chdir(t *Task, path string) error {
 	if err != nil {
 		return hideDenied(err)
 	}
-	if !ino.IsDir() {
+	if !ino.isDir() {
 		return ErrNotDir
 	}
 	t.Cwd = ino
@@ -265,7 +265,7 @@ func (k *Kernel) openLabeled(t *Task, path string, flags OpenFlag, labels *difc.
 			return -1, hideDenied(err)
 		}
 	}
-	if ino.IsDir() {
+	if ino.isDir() {
 		return -1, ErrIsDir
 	}
 	// A freshly created inode skips the open-time permission check (creat
@@ -606,7 +606,7 @@ func (k *Kernel) Unlink(t *Task, path string) error {
 	if err != nil {
 		return hideDenied(err)
 	}
-	if ino.IsDir() {
+	if ino.isDir() {
 		return ErrIsDir
 	}
 	// Unlink's success/failure observably reveals the entry, so the
@@ -690,7 +690,7 @@ func (k *Kernel) ReadDir(t *Task, path string) ([]string, error) {
 	if err != nil {
 		return nil, hideDenied(err)
 	}
-	if !ino.IsDir() {
+	if !ino.isDir() {
 		return nil, ErrNotDir
 	}
 	if err := k.inodePermission(t, ino, MayRead); err != nil {

@@ -101,8 +101,8 @@ func newInode(t InodeType, mode Mode) *Inode {
 	return ino
 }
 
-// IsDir reports whether the inode is a directory.
-func (i *Inode) IsDir() bool { return i.Type == TypeDir }
+// isDir reports whether the inode is a directory.
+func (i *Inode) isDir() bool { return i.Type == TypeDir }
 
 // SetXattr stores an extended attribute on the inode. The security module
 // uses this to persist labels; it is called only on inodes not yet

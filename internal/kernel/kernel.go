@@ -339,7 +339,7 @@ func (k *Kernel) Exec(t *Task, path string) error {
 	if err != nil {
 		return hideDenied(err)
 	}
-	if ino.IsDir() {
+	if ino.isDir() {
 		return ErrIsDir
 	}
 	if err := k.inodePermission(t, ino, MayRead|MayExec); err != nil {

@@ -42,7 +42,7 @@ func TestLoadUserCapsFailsClosed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := m.taskState(shell).caps; !got.IsEmpty() {
+	if got := m.taskState(shell).caps; got != difc.EmptyCapSet {
 		t.Errorf("login over an envelope-less caps file holds %v, want none", got)
 	}
 
@@ -50,7 +50,7 @@ func TestLoadUserCapsFailsClosed(t *testing.T) {
 	install("dave", good[:len(good)/2])
 	install("dave.shadow", good)
 	got, err := m.LoadUserCaps(k, init, "dave")
-	if err != nil || !got.Equal(caps) {
+	if err != nil || got != caps {
 		t.Fatalf("torn primary, valid shadow: LoadUserCaps = %v, %v; want %v", got, err, caps)
 	}
 	if primary, err := readFileAll(k, init, capsDir+"/dave"); err != nil || !bytes.Equal(primary, good) {
@@ -62,7 +62,7 @@ func TestLoadUserCapsFailsClosed(t *testing.T) {
 
 	install("dave", good[:len(good)/2])
 	install("dave.shadow", good[:len(good)-1])
-	if got, err := m.LoadUserCaps(k, init, "dave"); err != nil || !got.IsEmpty() {
+	if got, err := m.LoadUserCaps(k, init, "dave"); err != nil || got != difc.EmptyCapSet {
 		t.Errorf("both copies torn: LoadUserCaps = %v, %v; want no capabilities, nil", got, err)
 	}
 

@@ -563,8 +563,7 @@ func (m *Module) RestoreCapabilities(t *kernel.Task) error {
 
 // capPayload is the opaque blob queued on pipes for capability transfer.
 type capPayload struct {
-	cap    kernel.Capability
-	sender difc.Labels
+	cap kernel.Capability
 }
 
 // WriteCapability queues a capability on the pipe. The sender must hold
@@ -592,7 +591,7 @@ func (m *Module) WriteCapability(t *kernel.Task, c kernel.Capability, f *kernel.
 		// cannot leak information (see the doc comment above).
 		return nil
 	}
-	f.Inode.PushCap(&capPayload{cap: c, sender: s.labels})
+	f.Inode.PushCap(&capPayload{cap: c})
 	return nil
 }
 

@@ -366,7 +366,7 @@ func TestForkInheritance(t *testing.T) {
 	if !m.TaskLabels(child).Equal(m.TaskLabels(user)) {
 		t.Error("child labels differ from parent")
 	}
-	if !m.TaskCaps(child).Equal(m.TaskCaps(user)) {
+	if m.TaskCaps(child) != m.TaskCaps(user) {
 		t.Error("child caps differ from parent with nil keep")
 	}
 	// Restricted fork.
@@ -560,7 +560,7 @@ func TestLoginPersistentCaps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !m.TaskCaps(shell).Equal(caps) {
+	if m.TaskCaps(shell) != caps {
 		t.Errorf("shell caps = %v, want %v", m.TaskCaps(shell), caps)
 	}
 	if shell.User != "alice" {
@@ -575,7 +575,7 @@ func TestLoginPersistentCaps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !m.TaskCaps(shell2).IsEmpty() {
+	if m.TaskCaps(shell2) != difc.EmptyCapSet {
 		t.Errorf("bob caps = %v", m.TaskCaps(shell2))
 	}
 }

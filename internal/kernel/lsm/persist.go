@@ -159,11 +159,9 @@ func (m *Module) recoverInodeLabels(ino *kernel.Inode) (difc.Labels, string) {
 
 // RecoveryStats summarizes a RecoverLabels pass.
 type RecoveryStats struct {
-	Scanned       int
 	Clean         int
 	RolledForward int
 	Quarantined   int
-	Unlabeled     int
 }
 
 // RecoverLabels simulates the post-crash boot pass: every in-memory label
@@ -175,7 +173,6 @@ type RecoveryStats struct {
 func (m *Module) RecoverLabels(k *kernel.Kernel) RecoveryStats {
 	var st RecoveryStats
 	k.WalkInodes(func(ino *kernel.Inode) {
-		st.Scanned++
 		ino.Security = nil
 		labels, state := m.recoverInodeLabels(ino)
 		ino.Security = &inodeSec{labels: labels}
@@ -189,8 +186,6 @@ func (m *Module) RecoverLabels(k *kernel.Kernel) RecoveryStats {
 			st.RolledForward++
 		case "quarantined":
 			st.Quarantined++
-		default:
-			st.Unlabeled++
 		}
 	})
 	return st

@@ -29,8 +29,8 @@ type Result struct {
 	LaminarNanos float64 // per-op, Laminar module installed
 }
 
-// OverheadPct returns the relative overhead in percent.
-func (r Result) OverheadPct() float64 {
+// overheadPct returns the relative overhead in percent.
+func (r Result) overheadPct() float64 {
 	if r.BaseNanos == 0 {
 		return 0
 	}
@@ -40,7 +40,7 @@ func (r Result) OverheadPct() float64 {
 // String formats the row like the paper's table (microseconds).
 func (r Result) String() string {
 	return fmt.Sprintf("%-16s %10.3f %10.3f %8.1f%%",
-		r.Name, r.BaseNanos/1000, r.LaminarNanos/1000, r.OverheadPct())
+		r.Name, r.BaseNanos/1000, r.LaminarNanos/1000, r.overheadPct())
 }
 
 // Suite returns the Table 2 benchmarks.

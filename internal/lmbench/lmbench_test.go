@@ -56,10 +56,10 @@ func TestLaminarAddsHookWork(t *testing.T) {
 
 func TestOverheadPct(t *testing.T) {
 	r := Result{Name: "x", BaseNanos: 100, LaminarNanos: 131}
-	if got := r.OverheadPct(); got < 30.9 || got > 31.1 {
-		t.Errorf("OverheadPct = %v", got)
+	if got := r.overheadPct(); got < 30.9 || got > 31.1 {
+		t.Errorf("overheadPct = %v", got)
 	}
-	if (Result{}).OverheadPct() != 0 {
+	if (Result{}).overheadPct() != 0 {
 		t.Error("zero base should report 0 overhead")
 	}
 }

@@ -63,7 +63,6 @@ type conn struct {
 	node   *Node
 	nc     net.Conn
 	addr   string // dial key; "" for accepted connections
-	dialed bool
 	peerID uint64
 
 	// wmu serializes flushes, so batches reach the wire in the order
@@ -82,7 +81,7 @@ type conn struct {
 }
 
 func newConn(n *Node, nc net.Conn, addr string, dialed bool, peerID uint64) *conn {
-	c := &conn{node: n, nc: nc, addr: addr, dialed: dialed, peerID: peerID}
+	c := &conn{node: n, nc: nc, addr: addr, peerID: peerID}
 	// The channel id space is split by direction so both ends can open
 	// channels on one pooled connection without coordination.
 	if dialed {

@@ -85,11 +85,9 @@ type Config struct {
 // RoutedOffer is one received routed-channel open, handed to the Routed
 // handler with the adopted local endpoint.
 type RoutedOffer struct {
-	PeerID  uint64
-	Channel uint32
-	Labels  difc.Labels
-	Meta    []byte
-	File    *kernel.File
+	Labels difc.Labels
+	Meta   []byte
+	File   *kernel.File
 	// Trace is the context the open carried (Traced false when the
 	// origin sent none); a relay hands it onward so the whole route
 	// shares one trace id.
@@ -116,11 +114,10 @@ const (
 // channel is one labeled cross-kernel channel: a local endpoint File
 // plus the (conn, id) pair that addresses its remote half.
 type channel struct {
-	conn     *conn
-	id       uint32
-	file     *kernel.File
-	labels   difc.Labels
-	accepted bool // created by a remote Open
+	conn   *conn
+	id     uint32
+	file   *kernel.File
+	labels difc.Labels
 }
 
 // Node is one kernel's attachment to the labeled network: a listener,
@@ -677,7 +674,7 @@ func (n *Node) apply(c *conn, f Frame) {
 		if traced {
 			n.bindTrace(file, tctx)
 		}
-		ch := &channel{conn: c, id: f.Channel, file: file, labels: labels, accepted: true}
+		ch := &channel{conn: c, id: f.Channel, file: file, labels: labels}
 		n.mu.Lock()
 		n.chans = append(n.chans, ch)
 		n.offers = append(n.offers, ch)
@@ -741,9 +738,8 @@ func (n *Node) apply(c *conn, f Frame) {
 		if traced {
 			n.bindTrace(file, tctx)
 		}
-		ch := &channel{conn: c, id: f.Channel, file: file, labels: labels, accepted: true}
-		switch n.cfg.Routed(RoutedOffer{PeerID: c.peerID, Channel: f.Channel,
-			Labels: labels, Meta: meta, File: file, Trace: tctx, Traced: traced}) {
+		ch := &channel{conn: c, id: f.Channel, file: file, labels: labels}
+		switch n.cfg.Routed(RoutedOffer{Labels: labels, Meta: meta, File: file, Trace: tctx, Traced: traced}) {
 		case RoutedDeliver:
 			n.mu.Lock()
 			n.chans = append(n.chans, ch)

@@ -33,52 +33,37 @@ type Heap struct {
 // NewHeap creates an empty heap.
 func NewHeap() *Heap { return &Heap{} }
 
-// Object is an allocation handle.
-type Object struct {
-	page *page
-	size int
-}
-
-// Labels returns the labels of the object's page.
-func (o *Object) Labels() difc.Labels { return o.page.labels }
-
 // Alloc places an object of size bytes on a page labeled exactly labels,
 // opening a new page when no existing page with that label has room. This
 // is the fragmentation source: every distinct label pins at least one
 // page, so heaps of small heterogeneously labeled objects (like
 // GradeSheet's per-student cells) explode in space.
-func (h *Heap) Alloc(size int, labels difc.Labels) (*Object, error) {
+func (h *Heap) Alloc(size int, labels difc.Labels) error {
 	if size <= 0 || size > PageSize {
-		return nil, fmt.Errorf("pagelabel: bad object size %d", size)
+		return fmt.Errorf("pagelabel: bad object size %d", size)
 	}
 	for _, p := range h.pages {
 		if p.labels.Equal(labels) && p.used+size <= PageSize {
 			p.used += size
-			return &Object{page: p, size: size}, nil
+			return nil
 		}
 	}
 	p := &page{labels: labels, used: size}
 	h.pages = append(h.pages, p)
-	return &Object{page: p, size: size}, nil
+	return nil
 }
 
 // Stats reports the heap's space usage.
 type Stats struct {
-	Pages        int
-	BytesUsed    int
-	BytesWasted  int // allocated page space never usable by other labels
-	DistinctSets int
+	Pages       int
+	BytesWasted int // allocated page space never usable by other labels
 }
 
 // Stats computes the allocator's fragmentation statistics.
 func (h *Heap) Stats() Stats {
 	st := Stats{Pages: len(h.pages)}
-	seen := map[string]bool{}
 	for _, p := range h.pages {
-		st.BytesUsed += p.used
 		st.BytesWasted += PageSize - p.used
-		seen[p.labels.String()] = true
 	}
-	st.DistinctSets = len(seen)
 	return st
 }

@@ -10,7 +10,7 @@ func TestAllocSharesPagesPerLabel(t *testing.T) {
 	h := NewHeap()
 	l := difc.Labels{S: difc.NewLabel(1)}
 	for i := 0; i < 8; i++ {
-		if _, err := h.Alloc(64, l); err != nil {
+		if err := h.Alloc(64, l); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -24,13 +24,13 @@ func TestAllocSeparatesLabels(t *testing.T) {
 	// 16 distinct labels, one tiny object each: 16 pages.
 	for i := 1; i <= 16; i++ {
 		l := difc.Labels{S: difc.NewLabel(difc.Tag(i))}
-		if _, err := h.Alloc(16, l); err != nil {
+		if err := h.Alloc(16, l); err != nil {
 			t.Fatal(err)
 		}
 	}
 	st := h.Stats()
-	if st.Pages != 16 || st.DistinctSets != 16 {
-		t.Errorf("pages = %d, distinct = %d, want 16/16", st.Pages, st.DistinctSets)
+	if st.Pages != 16 {
+		t.Errorf("pages = %d, want one per distinct label set (16)", st.Pages)
 	}
 	if st.BytesWasted != 16*(PageSize-16) {
 		t.Errorf("wasted = %d", st.BytesWasted)
@@ -40,10 +40,10 @@ func TestAllocSeparatesLabels(t *testing.T) {
 func TestPageOverflowOpensNewPage(t *testing.T) {
 	h := NewHeap()
 	l := difc.Labels{}
-	if _, err := h.Alloc(PageSize, l); err != nil {
+	if err := h.Alloc(PageSize, l); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := h.Alloc(1, l); err != nil {
+	if err := h.Alloc(1, l); err != nil {
 		t.Fatal(err)
 	}
 	if st := h.Stats(); st.Pages != 2 {
@@ -53,10 +53,10 @@ func TestPageOverflowOpensNewPage(t *testing.T) {
 
 func TestAllocBadSize(t *testing.T) {
 	h := NewHeap()
-	if _, err := h.Alloc(0, difc.Labels{}); err == nil {
+	if err := h.Alloc(0, difc.Labels{}); err == nil {
 		t.Error("zero-size alloc accepted")
 	}
-	if _, err := h.Alloc(PageSize+1, difc.Labels{}); err == nil {
+	if err := h.Alloc(PageSize+1, difc.Labels{}); err == nil {
 		t.Error("oversized alloc accepted")
 	}
 }
@@ -64,27 +64,27 @@ func TestAllocBadSize(t *testing.T) {
 func TestAccessChecks(t *testing.T) {
 	h := NewHeap()
 	secret := difc.Labels{S: difc.NewLabel(9)}
-	o, err := h.Alloc(32, secret)
-	if err != nil {
+	if err := h.Alloc(32, secret); err != nil {
 		t.Fatal(err)
 	}
-	if !o.Labels().Equal(secret) {
-		t.Errorf("labels = %v", o.Labels())
+	o := h.pages[0]
+	if !o.labels.Equal(secret) {
+		t.Errorf("labels = %v", o.labels)
 	}
 	// The page's label governs access: an unlabeled thread cannot read
 	// the object and may write it (up); a labeled thread reads it and
 	// cannot write an unlabeled page.
-	if err := difc.CheckFlow("read", o.Labels(), difc.Labels{}); err == nil {
+	if err := difc.CheckFlow("read", o.labels, difc.Labels{}); err == nil {
 		t.Error("unlabeled read allowed")
 	}
-	if err := difc.CheckFlow("write", difc.Labels{}, o.Labels()); err != nil {
+	if err := difc.CheckFlow("write", difc.Labels{}, o.labels); err != nil {
 		t.Errorf("write up = %v", err)
 	}
-	if err := difc.CheckFlow("read", o.Labels(), secret); err != nil {
+	if err := difc.CheckFlow("read", o.labels, secret); err != nil {
 		t.Errorf("labeled read = %v", err)
 	}
-	pub, _ := h.Alloc(32, difc.Labels{})
-	if err := difc.CheckFlow("write", secret, pub.Labels()); err == nil {
+	h.Alloc(32, difc.Labels{})
+	if err := difc.CheckFlow("write", secret, h.pages[1].labels); err == nil {
 		t.Error("tainted write down allowed")
 	}
 }

@@ -14,8 +14,8 @@ func TestRegionAccessors(t *testing.T) {
 	i, _ := main.CreateTag()
 	labels := difc.Labels{S: difc.NewLabel(a), I: difc.NewLabel(i)}
 	main.Secure(labels, difc.EmptyCapSet, func(r *Region) {
-		if r.Thread() != main {
-			t.Error("Thread() mismatch")
+		if r.thread != main {
+			t.Error("region thread mismatch")
 		}
 		if !r.Labels().Equal(labels) {
 			t.Errorf("Labels() = %v", r.Labels())
@@ -163,7 +163,7 @@ func TestGrantCapability(t *testing.T) {
 	_, main := newVM(t)
 	tag := difc.Tag(777)
 	main.GrantCapability(tag, difc.CapPlus)
-	if !main.Caps().Has(tag, difc.CapPlus) {
+	if !main.caps.Has(tag, difc.CapPlus) {
 		t.Error("granted capability missing")
 	}
 	if err := main.Secure(difc.Labels{S: difc.NewLabel(tag)}, difc.EmptyCapSet, func(r *Region) {}, nil); err != nil {

@@ -65,13 +65,6 @@ func (v *Violation) Unwrap() error { return v.Err }
 // that by never exposing tag internals except to trusted code.
 func (o *Object) Labels() difc.Labels { return o.labels }
 
-// Len returns the length of the object's array part.
-func (o *Object) Len() int {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	return len(o.elems)
-}
-
 // rawGet reads a field without barriers (unsecured baseline, trusted
 // declassifier internals, and the load behind every checked read).
 func (o *Object) rawGet(field string) any {

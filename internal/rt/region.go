@@ -48,14 +48,8 @@ func (t *Thread) raise(op string, err error) {
 	panic(&Violation{Op: op, Err: err})
 }
 
-// Thread returns the thread executing the region.
-func (r *Region) Thread() *Thread { return r.thread }
-
 // Labels returns the region's label pair (getCurrentLabel for both types).
 func (r *Region) Labels() difc.Labels { return r.labels }
-
-// Caps returns the region's capability set.
-func (r *Region) Caps() difc.CapSet { return r.caps }
 
 // CreateAndAddCapability allocates a fresh tag and grants the thread both
 // capabilities (Figure 2). By default a capability gained inside a region

@@ -193,7 +193,12 @@ func TestRegionClockObservation(t *testing.T) {
 			}
 		}
 	}
-	observed := func() uint64 { return rec.M.LayerLatency[telemetry.LayerRT].Count() }
+	observed := func() (n uint64) {
+		for _, b := range rec.MetricsSnapshot().LayerLatency[telemetry.LayerRT.String()] {
+			n += b.Count
+		}
+		return n
+	}
 
 	run(5)
 	if got := observed(); got != 0 {

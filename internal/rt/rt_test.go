@@ -485,35 +485,35 @@ func TestRegionCapabilityManagement(t *testing.T) {
 			t.Fatal(err)
 		}
 		gained = tag
-		if !r.Caps().Has(tag, difc.CapBoth) {
+		if !r.caps.Has(tag, difc.CapBoth) {
 			t.Error("region missing fresh capability")
 		}
 	}, nil)
 	// Retained after exit (§4.4 default).
-	if !main.Caps().Has(gained, difc.CapBoth) {
+	if !main.caps.Has(gained, difc.CapBoth) {
 		t.Error("capability not retained after region exit")
 	}
 
 	// Scoped drop: gone inside, back outside.
-	main.Secure(difc.Labels{}, main.Caps(), func(r *Region) {
+	main.Secure(difc.Labels{}, main.caps, func(r *Region) {
 		if err := r.RemoveCapability(gained, difc.CapMinus, false); err != nil {
 			t.Fatal(err)
 		}
-		if r.Caps().Has(gained, difc.CapMinus) {
+		if r.caps.Has(gained, difc.CapMinus) {
 			t.Error("capability still present after scoped drop")
 		}
 	}, nil)
-	if !main.Caps().Has(gained, difc.CapMinus) {
+	if !main.caps.Has(gained, difc.CapMinus) {
 		t.Error("scoped drop leaked out of the region")
 	}
 
 	// Global drop: gone everywhere.
-	main.Secure(difc.Labels{}, main.Caps(), func(r *Region) {
+	main.Secure(difc.Labels{}, main.caps, func(r *Region) {
 		if err := r.RemoveCapability(gained, difc.CapMinus, true); err != nil {
 			t.Fatal(err)
 		}
 	}, nil)
-	if main.Caps().Has(gained, difc.CapMinus) {
+	if main.caps.Has(gained, difc.CapMinus) {
 		t.Error("global drop did not persist")
 	}
 }
@@ -525,8 +525,8 @@ func TestThreadForkCapabilitySubset(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !child.Caps().Has(a, difc.CapPlus) || child.Caps().Has(a, difc.CapMinus) {
-		t.Errorf("child caps = %v", child.Caps())
+	if !child.caps.Has(a, difc.CapPlus) || child.caps.Has(a, difc.CapMinus) {
+		t.Errorf("child caps = %v", child.caps)
 	}
 	// Fork inside a region is rejected.
 	main.Secure(difc.Labels{}, difc.EmptyCapSet, func(r *Region) {
@@ -612,11 +612,11 @@ func TestKernelSeesRegionLabels(t *testing.T) {
 	l := difc.Labels{S: difc.NewLabel(a)}
 	main.Secure(l, difc.EmptyCapSet, func(r *Region) {
 		r.OpenFile("x", kernel.ORead) // forces sync
-		if got := vm.Module().TaskLabels(main.Task()); !got.Equal(l) {
+		if got := vm.mod.TaskLabels(main.Task()); !got.Equal(l) {
 			t.Errorf("kernel labels in region = %v, want %v", got, l)
 		}
 	}, nil)
-	if got := vm.Module().TaskLabels(main.Task()); !got.IsEmpty() {
+	if got := vm.mod.TaskLabels(main.Task()); !got.IsEmpty() {
 		t.Errorf("kernel labels after region = %v", got)
 	}
 }
@@ -657,8 +657,8 @@ func TestArrayBarriers(t *testing.T) {
 		if r.Index(arr, 2) != 4 {
 			t.Errorf("arr[2] = %v", r.Index(arr, 2))
 		}
-		if arr.Len() != 3 {
-			t.Errorf("len = %d", arr.Len())
+		if len(arr.elems) != 3 {
+			t.Errorf("len = %d", len(arr.elems))
 		}
 	}, nil)
 	// Unlabeled region cannot read the labeled array.

@@ -116,9 +116,9 @@ func runSoundnessTrial(t *testing.T, rng *rand.Rand, trial int) {
 			// runtime decides; on success the harness records the write.
 			src := rng.Intn(nObjs)
 			l := objLabels[src]
-			main.Secure(difc.Labels{S: l}, main.Caps(), func(r *Region) {
+			main.Secure(difc.Labels{S: l}, main.caps, func(r *Region) {
 				v := r.Get(objs[src], "v").(tracked)
-				err := main.Secure(difc.Labels{}, main.Caps(), func(r2 *Region) {
+				err := main.Secure(difc.Labels{}, r.caps, func(r2 *Region) {
 					cp := r2.CopyAndLabel(objs[src], difc.Labels{})
 					got := r2.Get(cp, "v").(tracked)
 					r2.Set(sink, fmt.Sprintf("w%d", len(sinkWrites)), got)

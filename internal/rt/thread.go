@@ -49,15 +49,6 @@ func (t *Thread) Task() *kernel.Task { return t.task }
 // region's labels, or empty outside regions.
 func (t *Thread) Labels() difc.Labels { return *t.labels() }
 
-// Caps reports the thread's current effective capability set: inside a
-// region, the region's capability subset; outside, the thread's base set.
-func (t *Thread) Caps() difc.CapSet {
-	if t.region != nil {
-		return t.region.caps
-	}
-	return t.caps
-}
-
 // inRegion reports whether the thread is executing inside a security
 // region. This is the check a dynamic barrier performs on every access.
 func (t *Thread) inRegion() bool {

@@ -103,9 +103,6 @@ func New(k *kernel.Kernel, mod *lsm.Module, owner *kernel.Task) (*VM, *Thread, e
 // Kernel returns the kernel this VM runs on.
 func (vm *VM) Kernel() *kernel.Kernel { return vm.k }
 
-// Module returns the Laminar security module.
-func (vm *VM) Module() *lsm.Module { return vm.mod }
-
 // Stats exposes the VM's dynamic-check counters.
 func (vm *VM) Stats() *Stats { return &vm.stats }
 

@@ -182,5 +182,5 @@ func (cs ClusterSnapshot) WritePrometheus(w io.Writer) error {
 		}
 		p("laminar_cluster_node_stale{node=\"%d\",epoch=\"%d\"} %d\n", n.Node, n.Epoch, stale)
 	}
-	return cs.Merged.WritePrometheus(w)
+	return cs.Merged.writePrometheus(w)
 }

@@ -69,9 +69,6 @@ func (h *Histogram) Observe(d time.Duration) {
 	h.sumNS.Add(ns)
 }
 
-// Count returns the number of observations.
-func (h *Histogram) Count() uint64 { return h.count.Load() }
-
 // HistBucket is one non-empty histogram cell in a snapshot: all
 // observations ≤ UpperNS (and above the previous bucket's bound).
 type HistBucket struct {
@@ -175,7 +172,7 @@ type MetricsSnapshot struct {
 // MetricsSnapshot folds the recorder's counters.
 func (r *Recorder) MetricsSnapshot() MetricsSnapshot {
 	s := MetricsSnapshot{
-		Level:          r.Level().String(),
+		Level:          Level(r.level.Load()).String(),
 		Events:         r.M.events.Load(),
 		Denials:        r.M.Denials.Load(),
 		Allows:         r.M.Allows.Load(),
@@ -192,7 +189,7 @@ func (r *Recorder) MetricsSnapshot() MetricsSnapshot {
 		}
 	}
 	for l := range r.M.LayerLatency {
-		if r.M.LayerLatency[l].Count() == 0 {
+		if r.M.LayerLatency[l].count.Load() == 0 {
 			continue
 		}
 		if s.LayerLatency == nil {
@@ -204,9 +201,9 @@ func (r *Recorder) MetricsSnapshot() MetricsSnapshot {
 	return s
 }
 
-// WritePrometheus renders the snapshot in the Prometheus text exposition
+// writePrometheus renders the snapshot in the Prometheus text exposition
 // format (counters only; the histogram as cumulative buckets).
-func (s MetricsSnapshot) WritePrometheus(w io.Writer) error {
+func (s MetricsSnapshot) writePrometheus(w io.Writer) error {
 	p := func(format string, args ...any) (err error) {
 		_, err = fmt.Fprintf(w, format, args...)
 		return

@@ -320,11 +320,6 @@ func (e Event) dstLabels() (difc.Labels, bool) {
 	return difc.Labels{S: e.DstS, I: e.DstI}, e.Has&(HasDstS|HasDstI) == HasDstS|HasDstI
 }
 
-// Caps returns the event's recorded capability set.
-func (e Event) Caps() (difc.CapSet, bool) {
-	return difc.NewCapSet(e.CapP, e.CapM), e.Has&(HasCapP|HasCapM) == HasCapP|HasCapM
-}
-
 // Recorder is one telemetry domain: a level gate, a flight-recorder ring,
 // a metrics block and a subscriber list. The package-level Default
 // recorder serves normal processes; tests and the chaos harness create
@@ -358,9 +353,6 @@ func NewRecorder() *Recorder { return &Recorder{} }
 
 // SetLevel switches the recorder's level at runtime.
 func (r *Recorder) SetLevel(l Level) { r.level.Store(int32(l)) }
-
-// Level reports the current level.
-func (r *Recorder) Level() Level { return Level(r.level.Load()) }
 
 // Active reports whether the recorder observes anything at all. This is
 // THE disabled-path gate: one atomic load, done before any event

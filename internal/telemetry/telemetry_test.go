@@ -287,8 +287,8 @@ func TestHistogramBuckets(t *testing.T) {
 	h.Observe(3 * time.Nanosecond)
 	h.Observe(100 * time.Nanosecond)
 	h.Observe(100 * time.Microsecond)
-	if h.Count() != 3 {
-		t.Fatalf("count = %d", h.Count())
+	if h.count.Load() != 3 {
+		t.Fatalf("count = %d", h.count.Load())
 	}
 	bs := h.snapshot()
 	if len(bs) != 3 {
@@ -310,7 +310,7 @@ func TestPrometheusExport(t *testing.T) {
 	r.M.Hooks.Inc("hook.FilePermission", 1)
 	r.M.HookLatency.Observe(time.Microsecond)
 	var buf bytes.Buffer
-	if err := r.MetricsSnapshot().WritePrometheus(&buf); err != nil {
+	if err := r.MetricsSnapshot().writePrometheus(&buf); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
